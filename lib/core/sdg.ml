@@ -42,6 +42,7 @@ let c_heap_emitted = Slice_obs.counter "sdg.heap_pairs_emitted"
 let c_csr_nodes = Slice_obs.counter "sdg.csr_nodes"
 let c_csr_edges = Slice_obs.counter "sdg.csr_edges"
 let g_csr_bytes = Slice_obs.gauge "sdg.csr_bytes"
+let g_loc_bytes = Slice_obs.gauge "sdg.loc_bytes"
 
 let is_producer = function
   | Producer_local | Producer_heap | Param_in | Return_value -> true
@@ -124,11 +125,31 @@ type heap_index = {
   len_reads : (int, node list ref) Hashtbl.t;
 }
 
+(* Dense per-node location columns, derived from the statement table in
+   one pass by [set_stmt_table] — the only place [stmt_table] is
+   assigned, so the columns can never describe an older table (the
+   Methods update tier relocates surviving statements, then patches).
+
+   A line key numbers a (file, line) pair densely: [rank * stride +
+   line], where [rank] is the file's position in [lc_files] (sorted by
+   [String.compare]) and [stride] exceeds every line.  Key order is
+   therefore (file, line) order.  [lc_key.(n)] packs the node's line key
+   with its countability: [(key lsl 1) lor 1] for a countable node,
+   [key lsl 1] for a located but uncountable one (phis, gotos), -1 for
+   a node without a location. *)
+type loc_columns = {
+  lc_loc : Loc.t array;     (* node -> location; [Loc.none] if absent *)
+  lc_key : int array;       (* node -> packed line key, see above *)
+  lc_files : string array;  (* file rank -> file name *)
+  lc_stride : int;
+}
+
 type t = {
   p : Program.t;
   pta : Andersen.result;
   mutable stmt_table : (Instr.stmt_id, Program.stmt_info) Hashtbl.t;
       (* rebuilt by [patch]: re-lowered bodies carry fresh statement ids *)
+  mutable locs : loc_columns;  (* refreshed with every [stmt_table] *)
   mutable descs : node_desc array;
   mutable num_nodes : int;
   intern : (node_desc, node) Hashtbl.t;
@@ -338,39 +359,89 @@ let uses (g : t) (n : node) : (node * edge_kind) list =
     | Some c -> row_to_list c.uses_off c.uses_dst c.uses_kind n)
 
 (* The source location of a node ([Loc.none] for formals). *)
-let node_loc (g : t) (n : node) : Loc.t =
-  match g.descs.(n) with
-  | Formal _ -> Loc.none
-  | Stmt (_, s) | Actual_in (_, s, _) -> (
-    match Hashtbl.find_opt g.stmt_table s with
-    | Some si -> Program.stmt_loc si
-    | None -> Loc.none)
+let node_loc (g : t) (n : node) : Loc.t = g.locs.lc_loc.(n)
 
 let node_stmt (g : t) (n : node) : Instr.stmt_id option =
   match g.descs.(n) with
   | Stmt (_, s) | Actual_in (_, s, _) -> Some s
   | Formal _ -> None
 
+(* The dense (file, line) key of a countable node, -1 for any other. *)
+let line_key (g : t) (n : node) : int =
+  let k = g.locs.lc_key.(n) in
+  if k >= 0 && k land 1 = 1 then k lsr 1 else -1
+
 (* Statements a user would read: real instructions with a source location,
    excluding phis and compiler-internal statements. *)
-let node_countable (g : t) (n : node) : bool =
-  match g.descs.(n) with
-  | Formal _ -> false
-  | Actual_in (_, s, _) -> (
-    match Hashtbl.find_opt g.stmt_table s with
-    | None -> false
-    | Some si -> not (Loc.is_none (Program.stmt_loc si)))
-  | Stmt (_, s) -> (
-    match Hashtbl.find_opt g.stmt_table s with
-    | None -> false
-    | Some si -> (
-      (not (Loc.is_none (Program.stmt_loc si)))
-      &&
-      match si.Program.s_site with
-      | Program.Site_instr { Instr.i_kind = Instr.Phi _; _ } -> false
-      | Program.Site_instr _ -> true
-      | Program.Site_term { Instr.t_kind = Instr.Goto _; _ } -> false
-      | Program.Site_term _ -> true))
+let node_countable (g : t) (n : node) : bool = line_key g n >= 0
+
+(* Line keys lie in [0, num_line_keys g). *)
+let num_line_keys (g : t) : int =
+  Array.length g.locs.lc_files * g.locs.lc_stride
+
+let site_countable (si : Program.stmt_info) : bool =
+  match si.Program.s_site with
+  | Program.Site_instr { Instr.i_kind = Instr.Phi _; _ } -> false
+  | Program.Site_instr _ -> true
+  | Program.Site_term { Instr.t_kind = Instr.Goto _; _ } -> false
+  | Program.Site_term _ -> true
+
+(* [f] memoized on the physical identity of its last argument: a file's
+   locations share its name string, so a scan over nodes hashes a file
+   name once per run of same-file nodes rather than once per node. *)
+let memo_last (f : string -> 'a) : string -> 'a =
+  let last = ref None in
+  fun file ->
+    match !last with
+    | Some (file', v) when file' == file -> v
+    | _ ->
+      let v = f file in
+      last := Some (file, v);
+      v
+
+(* Assign the statement table and rebuild the location columns over every
+   node interned so far: two passes over the nodes, one statement-table
+   lookup each. *)
+let set_stmt_table (g : t) tbl : unit =
+  g.stmt_table <- tbl;
+  let n = g.num_nodes in
+  let loc = Array.make n Loc.none and key = Array.make n (-1) in
+  (* pass 1: locations, the countability bit, and the files and lines
+     the keys must cover *)
+  let files = Hashtbl.create 4 and max_line = ref 0 in
+  let note_file = memo_last (fun f -> Hashtbl.replace files f 0) in
+  for i = 0 to n - 1 do
+    match g.descs.(i) with
+    | Formal _ -> ()
+    | (Stmt (_, s) | Actual_in (_, s, _)) as d -> (
+      match Hashtbl.find_opt tbl s with
+      | None -> ()
+      | Some si ->
+        let l = Program.stmt_loc si in
+        if not (Loc.is_none l) then begin
+          loc.(i) <- l;
+          key.(i) <-
+            (match d with Stmt _ when not (site_countable si) -> 0 | _ -> 1);
+          note_file l.Loc.file;
+          if l.Loc.line > !max_line then max_line := l.Loc.line
+        end)
+  done;
+  let lc_files =
+    Array.of_list
+      (List.sort String.compare (Hashtbl.fold (fun f _ a -> f :: a) files []))
+  in
+  Array.iteri (fun r f -> Hashtbl.replace files f r) lc_files;
+  let lc_stride = !max_line + 1 in
+  (* pass 2: the (file, line) key above the countability bit *)
+  let rank_of = memo_last (Hashtbl.find files) in
+  for i = 0 to n - 1 do
+    if key.(i) >= 0 then
+      let l = loc.(i) in
+      key.(i) <- ((rank_of l.Loc.file * lc_stride + l.Loc.line) lsl 1) lor key.(i)
+  done;
+  g.locs <- { lc_loc = loc; lc_key = key; lc_files; lc_stride };
+  (* two one-word-per-node columns, 8 bytes per word *)
+  Slice_obs.max_gauge g_loc_bytes (float_of_int (8 * 2 * n))
 
 let pp_node (g : t) ppf (n : node) : unit =
   match g.descs.(n) with
@@ -715,7 +786,8 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
   let g =
     { p;
       pta;
-      stmt_table = Program.build_stmt_table p;
+      stmt_table = Hashtbl.create 1;  (* set with the columns below *)
+      locs = { lc_loc = [||]; lc_key = [||]; lc_files = [||]; lc_stride = 1 };
       descs = Array.make 1024 (Formal (-1, -1));
       num_nodes = 0;
       intern = Hashtbl.create 1024;
@@ -916,6 +988,7 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
         control_pass g ~emit ~entry_callers mc (Program.find_method_exn p mq))
       mcs
   end);
+  set_stmt_table g (Program.build_stmt_table p);
   g
 
 (* ------------------------------------------------------------------ *)
@@ -1280,7 +1353,7 @@ let patch (g : t) ~(changed : Instr.method_qname list)
       g.ov_deps.(d) <- Some ([||], [||]);
       g.ov_uses.(d) <- Some ([||], [||]))
     !newly_dead;
-  g.stmt_table <- Program.build_stmt_table g.p;
+  set_stmt_table g (Program.build_stmt_table g.p);
   g.generation <- g.generation + 1;
   g.patched <- true;
   (* Segments = method contexts; refrozen = contexts whose rows moved. *)
@@ -1304,23 +1377,29 @@ let patch (g : t) ~(changed : Instr.method_qname list)
 (* Lookups used by drivers                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* All statement nodes whose source line matches.  Dead nodes of a
-   patched graph skip naturally (their retired statement ids are absent
-   from the rebuilt statement table, so [node_loc] is none), but check
-   explicitly anyway. *)
+(* All statement nodes whose source line matches: a scan of the packed
+   key column.  Dead nodes of a patched graph have no location (their
+   retired statement ids are absent from the rebuilt statement table);
+   the explicit check keeps that an invariant of this function rather
+   than of statement-id freshness. *)
 let nodes_at_line (g : t) ~(file : string option) ~(line : int) : node list =
+  let keys = g.locs.lc_key and stride = g.locs.lc_stride in
   let out = ref [] in
-  for n = 0 to g.num_nodes - 1 do
-    if not (is_dead g n) then begin
-      let loc = node_loc g n in
-      if
-        (not (Loc.is_none loc))
-        && loc.Loc.line = line
-        && (match file with None -> true | Some f -> String.equal f loc.Loc.file)
-      then out := n :: !out
-    end
-  done;
-  List.rev !out
+  let collect hit =
+    for n = g.num_nodes - 1 downto 0 do
+      if hit keys.(n) && not (is_dead g n) then out := n :: !out
+    done
+  in
+  (if line >= 0 && line < stride then
+     match file with
+     | None -> collect (fun k -> k >= 0 && (k lsr 1) mod stride = line)
+     | Some f -> (
+       match Array.find_index (String.equal f) g.locs.lc_files with
+       | None -> ()
+       | Some r ->
+         let key = (r * stride) + line in
+         collect (fun k -> k asr 1 = key)));
+  !out
 
 (* Number of scalar statements: distinct statement ids that appear as nodes
    (context clones counted once), matching Table 1's "SDG Statements". *)

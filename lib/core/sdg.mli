@@ -125,6 +125,14 @@ val deps : t -> node -> (node * edge_kind) list
     {!uses_iter}). *)
 val uses : t -> node -> (node * edge_kind) list
 
+(** {2 Locations}
+
+    The graph owns dense per-node location columns, derived from the
+    statement table in one pass whenever the table is (re)assigned — at
+    the end of {!build} and of every {!patch}.  The accessors below are
+    array reads.  The columns cost 16 bytes per node, recorded by the
+    [sdg.loc_bytes] gauge. *)
+
 (** Source location of a node ([Loc.none] for formals). *)
 val node_loc : t -> node -> Loc.t
 
@@ -134,9 +142,19 @@ val node_stmt : t -> node -> Instr.stmt_id option
     location, excluding phis and compiler-internal statements. *)
 val node_countable : t -> node -> bool
 
+(** Dense key of a countable node's (file, line) pair, [-1] for a node
+    that is not {!node_countable}.  Keys lie in [0, num_line_keys g) and
+    order like (file, line) under [String.compare] then line, so two
+    nodes share a key iff their locations share file and line. *)
+val line_key : t -> node -> int
+
+val num_line_keys : t -> int
+
 val pp_node : t -> Format.formatter -> node -> unit
 
-(** All statement nodes whose source line matches. *)
+(** All live statement nodes whose source line matches (and whose file
+    is [f] under [~file:(Some f)]), ascending.  A scan of an unboxed
+    key column: no hashing. *)
 val nodes_at_line : t -> file:string option -> line:int -> node list
 
 (** Distinct statement ids appearing as nodes (context clones counted

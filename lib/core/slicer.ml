@@ -14,11 +14,24 @@
    The walk itself runs on the frozen CSR view of the graph (or the list
    adjacency before [Sdg.freeze]) with flat scratch buffers: a byte array
    of per-node best budgets doubling as the visited set, an entry-unique
-   int ring deque, and a touched-node log so both the result emission and
-   the buffer reset cost O(slice), not O(graph) — no Hashtbl, no Queue,
-   no per-row list allocation on the hot path.  The seed implementation
-   (Hashtbl + Queue + sort over adjacency lists) is kept verbatim in
-   [Reference] for parity tests and A/B benchmarks. *)
+   int ring deque, and a touched-node log so the buffer reset costs
+   O(slice), not O(graph) — no Hashtbl, no Queue, no per-row list
+   allocation on the hot path.
+
+   Emission rule: the result is the touched log in ascending node order.
+   When the slice fills at least 1/lg of the id range [lo, hi] it
+   touched (lg = the slice size's bit length, the sort's comparison
+   depth), [best] is scanned over [lo, hi] — O(hi - lo), bounded by
+   O(slice log slice); otherwise the log is sorted by an int-specialised
+   heapsort, O(slice log slice).  Either way emission stays within the
+   slice's own cost, never O(graph).
+
+   The line projection reads the graph's dense location columns and
+   dedups on their line keys with a byte stamp allocated per call (one
+   byte per source line), so after the seed lookup nothing in a query
+   hashes or visits per graph node.  The seed implementation (Hashtbl + Queue + sort over
+   adjacency lists) is kept verbatim in [Reference] for parity tests and
+   A/B benchmarks. *)
 
 type mode =
   | Thin
@@ -177,6 +190,71 @@ let shrink_scratch (s : scratch) ~(keep : int) : unit =
     s.touched <- Array.make n 0
   end
 
+(* In-place ascending heapsort of [a.(0) .. a.(len - 1)]: direct int
+   comparisons, no closure call per comparison. *)
+let sort_int_prefix (a : int array) (len : int) : unit =
+  let rec sift root stop =
+    let child = (2 * root) + 1 in
+    if child < stop then begin
+      let child =
+        if child + 1 < stop
+           && Array.unsafe_get a (child + 1) > Array.unsafe_get a child
+        then child + 1
+        else child
+      in
+      let r = Array.unsafe_get a root and c = Array.unsafe_get a child in
+      if c > r then begin
+        Array.unsafe_set a root c;
+        Array.unsafe_set a child r;
+        sift child stop
+      end
+    end
+  in
+  for root = (len / 2) - 1 downto 0 do
+    sift root len
+  done;
+  for stop = len - 1 downto 1 do
+    let top = Array.unsafe_get a 0 in
+    Array.unsafe_set a 0 (Array.unsafe_get a stop);
+    Array.unsafe_set a stop top;
+    sift 0 stop
+  done
+
+(* Number of bits of [n] (0 for 0). *)
+let bit_length (n : int) : int =
+  let rec go n b = if n = 0 then b else go (n lsr 1) (b + 1) in
+  go n 0
+
+(* The walks' shared result emission (see the header's emission rule):
+   the first [size] entries of [touched] — each node once — as an
+   ascending list, zeroing their [best] entries to restore the all-zero
+   invariant between walks. *)
+let emit_sorted (best : Bytes.t) (touched : int array) (size : int) :
+    Sdg.node list =
+  let lo = ref max_int and hi = ref (-1) in
+  for i = 0 to size - 1 do
+    let v = Array.unsafe_get touched i in
+    if v < !lo then lo := v;
+    if v > !hi then hi := v
+  done;
+  let out = ref [] in
+  if size > 0 && !hi - !lo < size * bit_length size then
+    for v = !hi downto !lo do
+      if Bytes.unsafe_get best v <> '\000' then begin
+        Bytes.unsafe_set best v '\000';
+        out := v :: !out
+      end
+    done
+  else begin
+    sort_int_prefix touched size;
+    for i = size - 1 downto 0 do
+      let v = Array.unsafe_get touched i in
+      Bytes.unsafe_set best v '\000';
+      out := v :: !out
+    done
+  end;
+  !out
+
 (* Reachability keeping, per node, the best (largest) remaining budget at
    which it has been reached: a node reached with more budget left may
    reveal further base-pointer edges.  Backward and forward slicing share
@@ -194,6 +272,11 @@ let walk_scratch (scratch : scratch)
   let slots = Array.length ring in
   let head = ref 0 and tail = ref 0 and count = ref 0 and peak = ref 0 in
   let tcount = ref 0 in
+  let visited = Slice_obs.counter_cell c_nodes_visited in
+  let followed = Slice_obs.counter_cell c_edges_followed in
+  let skipped = Slice_obs.counter_cell c_edges_skipped in
+  let costly = Slice_obs.counter_cell c_edges_costly in
+  let spent = Slice_obs.counter_cell c_budget_spent in
   let push node budget =
     let b1 = budget + 1 in
     if Char.code (Bytes.unsafe_get best node) < b1 then begin
@@ -221,33 +304,25 @@ let walk_scratch (scratch : scratch)
     decr count;
     Slice_util.Bits.remove queued node;
     let budget = Char.code (Bytes.unsafe_get best node) - 1 in
-    Slice_obs.bump c_nodes_visited;
+    incr visited;
     iter g node (fun dep kind ->
         match edge_policy mode kind with
         | `Follow ->
-          Slice_obs.bump c_edges_followed;
+          incr followed;
           push dep budget
         | `Costly ->
           if budget > 0 then begin
-            Slice_obs.bump c_edges_costly;
-            Slice_obs.bump c_budget_spent;
+            incr costly;
+            incr spent;
             push dep (budget - 1)
           end
-          else Slice_obs.bump c_edges_skipped
-        | `Skip -> Slice_obs.bump c_edges_skipped)
+          else incr skipped
+        | `Skip -> incr skipped)
   done;
   Slice_obs.max_gauge g_frontier_peak (float_of_int !peak);
-  (* [queued] is already all-zero again: every enqueued node was popped.
-     Sort the touched prefix (each node appears exactly once) for the
-     result, then zero those [best] entries to restore the invariant. *)
-  let size = !tcount in
-  Slice_obs.observe h_slice_nodes (float_of_int size);
-  let result = Array.sub touched 0 size in
-  Array.sort (fun (a : int) b -> compare a b) result;
-  for i = 0 to size - 1 do
-    Bytes.unsafe_set best (Array.unsafe_get touched i) '\000'
-  done;
-  Array.fold_right (fun x acc -> x :: acc) result []
+  (* [queued] is already all-zero again: every enqueued node was popped. *)
+  Slice_obs.observe h_slice_nodes (float_of_int !tcount);
+  emit_sorted best touched !tcount
 
 (* ------------------------------------------------------------------ *)
 (* Provenance                                                          *)
@@ -357,6 +432,11 @@ let walk_scratch_prov (scratch : scratch) (prov : provenance)
   let slots = Array.length ring in
   let head = ref 0 and tail = ref 0 and count = ref 0 and peak = ref 0 in
   let tcount = ref 0 in
+  let visited = Slice_obs.counter_cell c_nodes_visited in
+  let followed = Slice_obs.counter_cell c_edges_followed in
+  let skipped = Slice_obs.counter_cell c_edges_skipped in
+  let costly = Slice_obs.counter_cell c_edges_costly in
+  let spent = Slice_obs.counter_cell c_budget_spent in
   let push node budget par ktag =
     let b1 = budget + 1 in
     if Char.code (Bytes.unsafe_get best node) < b1 then begin
@@ -388,30 +468,24 @@ let walk_scratch_prov (scratch : scratch) (prov : provenance)
     decr count;
     Slice_util.Bits.remove queued node;
     let budget = Char.code (Bytes.unsafe_get best node) - 1 in
-    Slice_obs.bump c_nodes_visited;
+    incr visited;
     iter g node (fun dep kind ->
         match edge_policy mode kind with
         | `Follow ->
-          Slice_obs.bump c_edges_followed;
+          incr followed;
           push dep budget node (Sdg.edge_kind_tag kind)
         | `Costly ->
           if budget > 0 then begin
-            Slice_obs.bump c_edges_costly;
-            Slice_obs.bump c_budget_spent;
+            incr costly;
+            incr spent;
             push dep (budget - 1) node (Sdg.edge_kind_tag kind)
           end
-          else Slice_obs.bump c_edges_skipped
-        | `Skip -> Slice_obs.bump c_edges_skipped)
+          else incr skipped
+        | `Skip -> incr skipped)
   done;
   Slice_obs.max_gauge g_frontier_peak (float_of_int !peak);
-  let size = !tcount in
-  Slice_obs.observe h_slice_nodes (float_of_int size);
-  let result = Array.sub touched 0 size in
-  Array.sort (fun (a : int) b -> compare a b) result;
-  for i = 0 to size - 1 do
-    Bytes.unsafe_set best (Array.unsafe_get touched i) '\000'
-  done;
-  Array.fold_right (fun x acc -> x :: acc) result []
+  Slice_obs.observe h_slice_nodes (float_of_int !tcount);
+  emit_sorted best touched !tcount
 
 (* A node has a valid record iff a recorded walk has run ([pv_mode]
    guards the fresh-provenance case where every zero stamp would equal
@@ -605,19 +679,18 @@ let chop (g : Sdg.t) ~(source : Sdg.node list) ~(sink : Sdg.node list)
   inter_sorted forward backward
 
 (* Distinct source locations of countable nodes, the granularity a user
-   reads. *)
+   reads: the first-seen location per (file, line), in [Loc.compare]
+   order.  Dedup stamps the graph's dense line keys in a byte array owned
+   by this call, so concurrent batch workers share no mutable state. *)
 let nodes_to_lines (g : Sdg.t) (nodes : Sdg.node list) : Slice_ir.Loc.t list =
-  let seen = Hashtbl.create 64 in
+  let stamp = Bytes.make (Sdg.num_line_keys g) '\000' in
   let out = ref [] in
   List.iter
     (fun n ->
-      if Sdg.node_countable g n then begin
-        let loc = Sdg.node_loc g n in
-        let key = (loc.Slice_ir.Loc.file, loc.Slice_ir.Loc.line) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          out := loc :: !out
-        end
+      let k = Sdg.line_key g n in
+      if k >= 0 && Bytes.unsafe_get stamp k = '\000' then begin
+        Bytes.unsafe_set stamp k '\001';
+        out := Sdg.node_loc g n :: !out
       end)
     nodes;
   List.sort Slice_ir.Loc.compare !out
@@ -630,7 +703,7 @@ let slice_lines (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : Slice_ir.Lo
    sharing a line number would otherwise yield the same int twice (the
    multi-file duplicate-line bug). *)
 let locs_to_line_numbers (locs : Slice_ir.Loc.t list) : int list =
-  List.sort_uniq compare (List.map (fun l -> l.Slice_ir.Loc.line) locs)
+  List.sort_uniq Int.compare (List.map (fun l -> l.Slice_ir.Loc.line) locs)
 
 let slice_line_numbers (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
     int list =

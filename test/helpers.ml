@@ -46,3 +46,126 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let line_of = Runtime_lib.line_of
+
+(* ---- Location oracles ----
+
+   The statement-table lookups and full-graph scans that answered
+   [Sdg.node_loc], [node_countable], [nodes_at_line] and
+   [Slicer.nodes_to_lines] before the graph owned dense location
+   columns, kept here as the reference the columns are checked
+   against.  [tbl] should be built fresh from the program
+   ([Program.build_stmt_table]), so a column left stale by an update
+   shows up as a mismatch. *)
+module Loc_oracle = struct
+  open Slice_core
+  module Loc = Slice_ir.Loc
+  module Program = Slice_ir.Program
+  module Instr = Slice_ir.Instr
+
+  let stmt_info tbl g n =
+    match Sdg.node_desc g n with
+    | Sdg.Formal _ -> None
+    | Sdg.Stmt (_, s) | Sdg.Actual_in (_, s, _) -> Hashtbl.find_opt tbl s
+
+  let node_loc tbl g n =
+    match stmt_info tbl g n with
+    | Some si -> Program.stmt_loc si
+    | None -> Loc.none
+
+  let node_countable tbl g n =
+    match (Sdg.node_desc g n, stmt_info tbl g n) with
+    | Sdg.Formal _, _ | _, None -> false
+    | Sdg.Actual_in _, Some si -> not (Loc.is_none (Program.stmt_loc si))
+    | Sdg.Stmt _, Some si -> (
+      (not (Loc.is_none (Program.stmt_loc si)))
+      &&
+      match si.Program.s_site with
+      | Program.Site_instr { Instr.i_kind = Instr.Phi _; _ } -> false
+      | Program.Site_instr _ -> true
+      | Program.Site_term { Instr.t_kind = Instr.Goto _; _ } -> false
+      | Program.Site_term _ -> true)
+
+  (* The full scan, over locations precomputed per node. *)
+  let nodes_at_line g (locs : Loc.t array) ~file ~line =
+    let out = ref [] in
+    for n = 0 to Sdg.num_nodes g - 1 do
+      if not (Sdg.is_dead g n) then begin
+        let loc = locs.(n) in
+        if
+          (not (Loc.is_none loc))
+          && loc.Loc.line = line
+          && match file with None -> true | Some f -> String.equal f loc.Loc.file
+        then out := n :: !out
+      end
+    done;
+    List.rev !out
+
+  (* The Hashtbl projection keyed on (file, line) tuples. *)
+  let nodes_to_lines tbl g nodes =
+    let seen = Hashtbl.create 64 in
+    let out = ref [] in
+    List.iter
+      (fun n ->
+        if node_countable tbl g n then begin
+          let loc = node_loc tbl g n in
+          let key = (loc.Loc.file, loc.Loc.line) in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.replace seen key ();
+            out := loc :: !out
+          end
+        end)
+      nodes;
+    List.sort Loc.compare !out
+end
+
+(* Every location answer of [g] against the oracles over a statement
+   table built fresh from its program: [node_loc] and [node_countable]
+   per node, [nodes_at_line] for every source line of every file (and
+   with [~file:None]), and [nodes_to_lines] over all nodes and over
+   [slices]. *)
+let check_loc_columns ~(ctx : string) ?(slices = []) (g : Slice_core.Sdg.t) :
+    unit =
+  let open Slice_core in
+  let module O = Loc_oracle in
+  let tbl = Slice_ir.Program.build_stmt_table (Sdg.program g) in
+  let n = Sdg.num_nodes g in
+  let locs = Array.init n (O.node_loc tbl g) in
+  for i = 0 to n - 1 do
+    if not (Slice_ir.Loc.equal locs.(i) (Sdg.node_loc g i)) then
+      Alcotest.failf "%s: node_loc of node %d is %s, want %s" ctx i
+        (Slice_ir.Loc.to_string (Sdg.node_loc g i))
+        (Slice_ir.Loc.to_string locs.(i));
+    if O.node_countable tbl g i <> Sdg.node_countable g i then
+      Alcotest.failf "%s: node_countable of node %d differs" ctx i
+  done;
+  let max_line = Hashtbl.create 4 in
+  Array.iter
+    (fun l ->
+      if not (Slice_ir.Loc.is_none l) then
+        let f = l.Slice_ir.Loc.file in
+        let m = Option.value ~default:0 (Hashtbl.find_opt max_line f) in
+        Hashtbl.replace max_line f (max m l.Slice_ir.Loc.line))
+    locs;
+  let top = Hashtbl.fold (fun _ m a -> max m a) max_line 0 in
+  let files =
+    None :: Some "no-such-file.tj"
+    :: Hashtbl.fold (fun f _ a -> Some f :: a) max_line []
+  in
+  List.iter
+    (fun file ->
+      for line = -1 to top + 1 do
+        let want = O.nodes_at_line g locs ~file ~line in
+        if want <> Sdg.nodes_at_line g ~file ~line then
+          Alcotest.failf "%s: nodes_at_line %s:%d differs" ctx
+            (Option.value ~default:"*" file) line
+      done)
+    files;
+  List.iter
+    (fun nodes ->
+      if
+        not
+          (List.equal Slice_ir.Loc.equal
+             (O.nodes_to_lines tbl g nodes)
+             (Slicer.nodes_to_lines g nodes))
+      then Alcotest.failf "%s: nodes_to_lines differs" ctx)
+    (List.init n Fun.id :: slices)

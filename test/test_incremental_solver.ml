@@ -69,7 +69,7 @@ let ends_with_semi (l : string) : bool =
 (* 0-based index of the first statement line of [main]: every paper
    workload opens main with a one-line declaration, so "first line
    after the main header ending in a semicolon" is stable. *)
-let main_target (src : string) : int =
+let main_header (src : string) : int =
   let lines = Array.of_list (split_lines src) in
   let is_main l =
     let rec find i =
@@ -82,7 +82,11 @@ let main_target (src : string) : int =
     else if is_main lines.(i) then i
     else from (i + 1)
   in
-  let m = from 0 in
+  from 0
+
+let main_target (src : string) : int =
+  let lines = Array.of_list (split_lines src) in
+  let m = main_header src in
   let rec stmt i =
     if i >= Array.length lines then Alcotest.fail "no statement line in main"
     else if ends_with_semi lines.(i) then i
@@ -336,6 +340,69 @@ let test_reference_solver_resolves_fresh () =
       (Engine.update_path_to_string p));
   check_parity ~ctx:(name ^ " reference resolved-fresh") h2
 
+(* The SDG's location columns must follow every tier that touches the
+   statement table: load, a patched body edit, a resolved-incremental
+   summary move, and a Methods-tier method add inserted ABOVE the query
+   line (it relocates every statement below it).  After each step every
+   location answer matches the statement-table oracles, and the slice at
+   the (possibly moved) query line matches a fresh load. *)
+let loc_chain (name : string) (base : string) =
+  let ctx step = Printf.sprintf "%s %s" name step in
+  let tgt = main_target base in
+  let src1 = base ^ probe_class in
+  let with_bump n =
+    append_to_line src1 tgt
+      (Printf.sprintf " ZzProbe zzb = new ZzProbe(); zzb.bump(%d);" n)
+  in
+  let check step (h : Engine.handle) query_line =
+    let a = h.Engine.h_analysis in
+    let g = a.Engine.sdg in
+    let seeds = Engine.seeds_at_line a query_line in
+    if seeds = [] then Alcotest.failf "%s: no seed at line %d" (ctx step) query_line;
+    Helpers.check_loc_columns ~ctx:(ctx step)
+      ~slices:[ Slicer.slice g ~seeds Slicer.Thin;
+                Slicer.slice g ~seeds Slicer.Traditional_full ]
+      g;
+    let fresh = (Engine.load h.Engine.h_sources).Engine.h_analysis in
+    List.iter
+      (fun mode ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: %s slice @%d = fresh load" (ctx step)
+             (Slicer.mode_to_string mode) query_line)
+          (Engine.slice_from_line fresh ~line:query_line mode)
+          (Engine.slice_from_line a ~line:query_line mode))
+      [ Slicer.Thin; Slicer.Traditional_full ]
+  in
+  let query_line = tgt + 1 in
+  let h0 = Engine.load [ (file, with_bump 2) ] in
+  check "load" h0 query_line;
+  let h1, rep1 = Engine.update h0 [ (file, with_bump 9) ] in
+  expect ~ctx:(ctx "constant edit") Engine.Patched rep1;
+  check "patched" h1 query_line;
+  let src2 = move_bump (with_bump 9) in
+  let h2, rep2 = Engine.update h1 [ (file, src2) ] in
+  expect ~ctx:(ctx "bump move") Engine.Resolved_incremental rep2;
+  check "resolved-incremental" h2 query_line;
+  (* a fresh one-line function just above main's header *)
+  let m = main_header src2 in
+  let src3 =
+    unsplit
+      (List.concat
+         (List.mapi
+            (fun i l -> if i = m then [ "int zztop() { return 7; }"; l ] else [ l ])
+            (split_lines src2)))
+  in
+  let h3, rep3 = Engine.update h2 [ (file, src3) ] in
+  expect ~ctx:(ctx "method add above the query") Engine.Patched rep3;
+  check "methods tier" h3 (query_line + 1)
+
+let test_loc_columns_every_tier () =
+  let scaled = Slice_fuzz.Gen_tj.generate_scaled ~seed:5 ~stmts:2_000 in
+  List.iter
+    (fun (name, base) -> loc_chain name base)
+    (Slice_workloads.Suites.paper_workloads
+    @ [ ("scaled-2k", scaled.Slice_fuzz.Gen_tj.sc_src) ])
+
 let suite =
   [ Alcotest.test_case "workload edit chains (object-sensitive)" `Quick
       test_chains_objsens;
@@ -344,4 +411,6 @@ let suite =
     Alcotest.test_case "both resolved tiers exercised" `Quick
       test_resolved_tier_mix;
     Alcotest.test_case "reference solver resolves fresh" `Quick
-      test_reference_solver_resolves_fresh ]
+      test_reference_solver_resolves_fresh;
+    Alcotest.test_case "location columns track every tier" `Quick
+      test_loc_columns_every_tier ]

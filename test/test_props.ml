@@ -287,6 +287,105 @@ let prop_csr_parity_on_generated =
       Slice_core.Sdg.freeze g;
       before && agree ())
 
+(* ---- walk counters and results pinned on javac ---- *)
+
+(* One row per (seed set, mode, direction): the four traversal counters
+   a walk bumps, then its result's length and an MD5 prefix of the node
+   list.  The plain and the provenance-recording walk must both produce
+   the row. *)
+let walk_counter_names =
+  [ "slicer.nodes_visited"; "slicer.edges_followed"; "slicer.edges_skipped";
+    "slicer.edges_costly" ]
+
+let javac_walk_rows ~(prov : bool) : (string * int list) list =
+  let open Slice_core in
+  let a =
+    Engine.of_source ~file:"javac.tj" Slice_workloads.Prog_javac.base
+  in
+  let g = a.Engine.sdg in
+  let rows = ref [] in
+  List.iteri
+    (fun si seeds ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun forward ->
+              let before = List.map Slice_obs.counter_value walk_counter_names in
+              let prov = if prov then Some (Slicer.create_provenance g) else None in
+              let nodes =
+                if forward then Slicer.forward_slice ?prov g ~seeds mode
+                else Slicer.slice ?prov g ~seeds mode
+              in
+              let after = List.map Slice_obs.counter_value walk_counter_names in
+              let digest =
+                Digest.to_hex
+                  (Digest.string (String.concat "," (List.map string_of_int nodes)))
+              in
+              let label =
+                Printf.sprintf "seeds%d %s %s %d %s" si
+                  (Slicer.mode_to_string mode)
+                  (if forward then "fwd" else "bwd")
+                  (List.length nodes) (String.sub digest 0 12)
+              in
+              rows := (label, List.map2 ( - ) after before) :: !rows)
+            [ false; true ])
+        parity_modes)
+    (parity_seed_sets g);
+  List.rev !rows
+
+(* Recorded from the walks before their result emission and counter
+   access were rewritten (sorted emission by scan or int heapsort,
+   counters read once per walk): same work, same answers. *)
+let javac_walk_rows_expected =
+  [ ("seeds0 thin bwd 1 c4ca4238a0b9", [ 1; 0; 1; 0 ]);
+    ("seeds0 thin fwd 265 1890a48103c1", [ 265; 326; 483; 0 ]);
+    ("seeds0 thin+alias1 bwd 1 c4ca4238a0b9", [ 1; 0; 1; 0 ]);
+    ("seeds0 thin+alias1 fwd 284 157bec99f5ed", [ 284; 346; 505; 4 ]);
+    ("seeds0 thin+alias2 bwd 1 c4ca4238a0b9", [ 1; 0; 1; 0 ]);
+    ("seeds0 thin+alias2 fwd 284 157bec99f5ed", [ 286; 348; 499; 10 ]);
+    ("seeds0 traditional-data bwd 5 afe805e5a3c3", [ 5; 5; 0; 0 ]);
+    ("seeds0 traditional-data fwd 668 30e75a905163", [ 668; 1005; 1026; 0 ]);
+    ("seeds0 traditional-full bwd 5 afe805e5a3c3", [ 5; 5; 0; 0 ]);
+    ("seeds0 traditional-full fwd 1001 c7414cb368c5", [ 1001; 2316; 0; 0 ]);
+    ("seeds1 thin bwd 60 2130e389bcfb", [ 60; 73; 50; 0 ]);
+    ("seeds1 thin fwd 2 dfcb36b82ea7", [ 2; 1; 7; 0 ]);
+    ("seeds1 thin+alias1 bwd 60 2130e389bcfb", [ 60; 73; 50; 0 ]);
+    ("seeds1 thin+alias1 fwd 2 dfcb36b82ea7", [ 2; 1; 7; 0 ]);
+    ("seeds1 thin+alias2 bwd 60 2130e389bcfb", [ 60; 73; 50; 0 ]);
+    ("seeds1 thin+alias2 fwd 2 dfcb36b82ea7", [ 2; 1; 7; 0 ]);
+    ("seeds1 traditional-data bwd 72 bb14edbc2780", [ 72; 93; 45; 0 ]);
+    ("seeds1 traditional-data fwd 2 dfcb36b82ea7", [ 2; 1; 7; 0 ]);
+    ("seeds1 traditional-full bwd 168 35a4facaa4f6", [ 168; 344; 0; 0 ]);
+    ("seeds1 traditional-full fwd 867 6e6aea78bfe4", [ 867; 2009; 0; 0 ]);
+    ("seeds2 thin bwd 8 ec8c1f3e52e4", [ 8; 7; 6; 0 ]);
+    ("seeds2 thin fwd 4 ff2d6527e6b1", [ 4; 3; 6; 0 ]);
+    ("seeds2 thin+alias1 bwd 24 21ae20e0daec", [ 24; 28; 7; 2 ]);
+    ("seeds2 thin+alias1 fwd 16 60840dddf0de", [ 16; 11; 16; 4 ]);
+    ("seeds2 thin+alias2 bwd 24 21ae20e0daec", [ 24; 28; 7; 2 ]);
+    ("seeds2 thin+alias2 fwd 29 6088e15bb82c", [ 29; 22; 31; 7 ]);
+    ("seeds2 traditional-data bwd 36 22c086050b48", [ 36; 46; 9; 0 ]);
+    ("seeds2 traditional-data fwd 374 307d9651e075", [ 374; 561; 567; 0 ]);
+    ("seeds2 traditional-full bwd 472 efd8404b5544", [ 472; 1119; 0; 0 ]);
+    ("seeds2 traditional-full fwd 628 139266260d26", [ 628; 1496; 0; 0 ]);
+    ("seeds3 thin bwd 68 fd076c10073e", [ 68; 80; 56; 0 ]);
+    ("seeds3 thin fwd 269 9dc2c969f70c", [ 269; 329; 489; 0 ]);
+    ("seeds3 thin+alias1 bwd 84 0aa44bf2c64a", [ 84; 101; 57; 2 ]);
+    ("seeds3 thin+alias1 fwd 300 bb7b2a107ce6", [ 300; 357; 521; 8 ]);
+    ("seeds3 thin+alias2 bwd 84 0aa44bf2c64a", [ 84; 101; 57; 2 ]);
+    ("seeds3 thin+alias2 fwd 313 1c2fc6fe0db2", [ 315; 370; 530; 17 ]);
+    ("seeds3 traditional-data bwd 96 cb6464215ac8", [ 96; 126; 50; 0 ]);
+    ("seeds3 traditional-data fwd 668 30e75a905163", [ 668; 1005; 1026; 0 ]);
+    ("seeds3 traditional-full bwd 472 efd8404b5544", [ 472; 1119; 0; 0 ]);
+    ("seeds3 traditional-full fwd 1001 c7414cb368c5", [ 1001; 2316; 0; 0 ]) ]
+
+let test_walk_rows_pinned () =
+  List.iter
+    (fun prov ->
+      Alcotest.(check (list (pair string (list int))))
+        (Printf.sprintf "javac walk rows (provenance=%b)" prov)
+        javac_walk_rows_expected (javac_walk_rows ~prov))
+    [ false; true ]
+
 (* ---- parallel batch parity: slice_batch_par == slice_batch ---- *)
 
 (* Up to [cap] seed lines spread across the program: every line with at
@@ -390,6 +489,8 @@ let suite =
     Alcotest.test_case "CSR parity on the workload suite" `Quick
       test_csr_parity_on_workloads;
     QCheck_alcotest.to_alcotest prop_csr_parity_on_generated;
+    Alcotest.test_case "walk counters and results pinned on javac" `Quick
+      test_walk_rows_pinned;
     Alcotest.test_case "parallel batch parity on the workload suite" `Quick
       test_par_batch_parity_on_workloads;
     QCheck_alcotest.to_alcotest prop_par_batch_parity_on_generated;

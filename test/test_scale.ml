@@ -166,7 +166,19 @@ let test_modref_jobs_parity () =
 
 let test_memory_stats () =
   let src = Slice_workloads.Prog_nanoxml.base in
-  let a = Slice_core.Engine.of_source ~file:"nanoxml.tj" src in
+  let a, snap =
+    Slice_obs.scoped (fun () ->
+        Slice_core.Engine.of_source ~file:"nanoxml.tj" src)
+  in
+  (* the location columns: two one-word-per-node arrays, recorded
+     arithmetically like the CSR footprint *)
+  let nodes = Slice_core.Sdg.num_nodes a.Slice_core.Engine.sdg in
+  Alcotest.(check (option (float 0.)))
+    "sdg.loc_bytes = 16 bytes per node"
+    (Some (float_of_int (16 * nodes)))
+    (List.assoc_opt "sdg.loc_bytes" snap.Slice_obs.snap_gauges);
+  Alcotest.(check bool) "sdg.csr_bytes recorded beside it" true
+    (List.mem_assoc "sdg.csr_bytes" snap.Slice_obs.snap_gauges);
   let s = Slice_core.Engine.stats_of a in
   Alcotest.(check bool) "arena_bytes positive" true (s.Slice_core.Engine.arena_bytes > 0);
   Alcotest.(check int) "arena_bytes deterministic"

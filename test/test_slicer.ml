@@ -336,7 +336,18 @@ let test_two_file_line_numbers () =
       Alcotest.(check (list int)) "batch lines sorted distinct"
         (List.sort_uniq compare batch_lines)
         batch_lines)
-    (Engine.slice_batch ~filter:Engine.Only_calls a ~lines:[ 3 ] mode)
+    (Engine.slice_batch ~filter:Engine.Only_calls a ~lines:[ 3 ] mode);
+  (* the per-file seed lookup splits the shared line between the files *)
+  let at file = Sdg.nodes_at_line g ~file ~line:3 in
+  let in_a = at (Some "a.tj") and in_b = at (Some "b.tj") in
+  Alcotest.(check bool) "line 3 has nodes in both files" true
+    (in_a <> [] && in_b <> []);
+  Alcotest.(check (list int)) "file:None is the union of the two files"
+    (List.sort compare (in_a @ in_b))
+    (at None);
+  Alcotest.(check (list int)) "an unknown file has no nodes" []
+    (at (Some "c.tj"));
+  Helpers.check_loc_columns ~ctx:"two files" ~slices:[ Slicer.slice g ~seeds mode ] g
 
 (* Explicit scratch handles: one handle reused across walks, graphs and
    directions returns exactly what the per-domain implicit scratch does

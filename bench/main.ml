@@ -383,24 +383,23 @@ let bench_modes =
     Slicer.Traditional_full ]
 
 (* Slicing walls are microseconds on these programs; repeat each mode's
-   slice so the A/B wall comparison is above timer noise, and run a few
-   untimed warmup iterations first so neither side pays one-off costs
-   (minor-heap shaping, scratch-buffer growth) inside the timed loop. *)
+   slice so the wall is above timer noise, and run a few untimed warmup
+   iterations first so it pays no one-off costs (minor-heap shaping,
+   scratch-buffer growth) inside the timed loop. *)
 let slice_reps = 200
 let slice_warmup = 5
 
-(* One suite program: run the full pipeline UNFROZEN inside a telemetry
-   scope, slice every mode with the seed (list-adjacency, Hashtbl+Queue)
-   implementation (the A side), then freeze — timing the compaction —
-   and slice every mode on the CSR layout with per-mode scoped telemetry
-   (the B side).  Each entry records both walls, the freeze wall, a
-   parity bit (A and B returned identical node sets), and per-task
+(* One suite program: run the full pipeline inside a telemetry scope,
+   then slice every mode from a representative seed with per-mode scoped
+   telemetry.  Each entry records the slice sizes, the CSR walk's wall
+   over [slice_reps] repetitions, a parity bit (one untimed
+   [Slicer.Reference] walk returned the same nodes), and per-task
    counters that are deltas, not process-cumulative values. *)
 let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
   let open Slice_obs.Json in
   let (a, s), pipeline_snap =
     Slice_obs.scoped (fun () ->
-        let a = Engine.of_source ~freeze:false ~file:(name ^ ".tj") src in
+        let a = Engine.of_source ~file:(name ^ ".tj") src in
         (a, Engine.stats_of a))
   in
   let g = a.Engine.sdg in
@@ -415,29 +414,9 @@ let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
      done
    with Exit -> ());
   let seeds = match !seed with None -> [] | Some s -> [ s ] in
-  (* A: the seed implementation over list adjacency (graph not yet frozen) *)
-  let list_results =
-    List.map
-      (fun mode ->
-        let nodes = ref [] in
-        for _ = 1 to slice_warmup do
-          nodes := Slicer.Reference.slice g ~seeds mode
-        done;
-        let _, wall =
-          time (fun () ->
-              for _ = 1 to slice_reps do
-                nodes := Slicer.Reference.slice g ~seeds mode
-              done)
-        in
-        (mode, !nodes, wall))
-      bench_modes
-  in
-  (* the freeze (compaction) phase, timed *)
-  let (), freeze_wall = time (fun () -> Sdg.freeze g) in
-  (* B: the CSR walk, with per-mode isolated telemetry *)
   let slices =
     List.map
-      (fun (mode, list_nodes, list_wall) ->
+      (fun mode ->
         (* warm up outside the telemetry scope so the recorded counters
            correspond exactly to the [slice_reps] timed iterations *)
         for _ = 1 to slice_warmup do
@@ -466,9 +445,7 @@ let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
             ("lines", Int (List.length lines));
             ("reps", Int slice_reps);
             ("wall_s_csr", Float csr_wall);
-            ("wall_s_list", Float list_wall);
-            ("speedup", Float (if csr_wall > 0. then list_wall /. csr_wall else 0.));
-            ("parity", Bool (csr_nodes = list_nodes));
+            ("parity", Bool (csr_nodes = Slicer.Reference.slice g ~seeds mode));
             ("counters",
              Obj
                (List.filter_map
@@ -477,12 +454,11 @@ let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
                       Some (k, Int v)
                     else None)
                   mode_snap.Slice_obs.snap_counters)) ])
-      list_results
+      bench_modes
   in
   Obj
     [ ("name", Str name);
       ("stats", Engine.program_stats_json s);
-      ("freeze_wall_s", Float freeze_wall);
       ("phase_wall_s",
        Obj
          (List.map
@@ -532,9 +508,10 @@ let bench_task (t : Task.t) : Slice_obs.Json.t =
    [Engine.slice_batch_par] at 2 and 4 domains.  Each parallel entry
    records its wall, the speedup over sequential, and a parity bit
    (line-for-line equality with the sequential batch) — the parity bits
-   share the "parity" key with the CSR/list bits so the CI grep covers
-   both.  Walls are honest measurements on whatever cores the host has;
-   on a single-core container the speedup hovers around (or below) 1. *)
+   share the "parity" key with the CSR/Reference bits so the CI grep
+   covers both.  Walls are honest measurements on whatever cores the
+   host has; on a single-core container the speedup hovers around (or
+   below) 1. *)
 let parallel_batch_reps = 5
 
 let bench_parallel_batch () : Slice_obs.Json.t =
@@ -596,8 +573,9 @@ let bench_parallel_batch () : Slice_obs.Json.t =
    bits:
    identical points-to sets (canonical-key dump), identical call graph,
    and identical thin + traditional slices over SDGs built from either
-   result.  The combined bit shares the "parity" key with the CSR/list
-   and parallel-batch bits so the CI grep covers all three families.
+   result.  The combined bit shares the "parity" key with the
+   CSR/Reference and parallel-batch bits so the CI grep covers all three
+   families.
    Walls are honest single-host measurements. *)
 let pta_reps = 20
 
@@ -642,8 +620,6 @@ let bench_pta_ab () : Slice_obs.Json.t list =
          granularity (node ids depend on interning order, lines do not) *)
       let g_bit = Sdg.build p bit in
       let g_ref = Sdg.build p (Andersen.of_reference oracle) in
-      Sdg.freeze g_bit;
-      Sdg.freeze g_ref;
       let lines =
         let ls = ref [] in
         for n = 0 to Sdg.num_nodes g_bit - 1 do
@@ -1108,7 +1084,7 @@ let bench_ir_arena () : Slice_obs.Json.t list =
 (* Synthesized mega-workloads ([Gen_tj.generate_scaled]) through the
    whole pipeline with per-phase walls: gen -> front -> arena -> pta ->
    SDG at heap_jobs 1/2/4 (adjacency-checksum parity) -> mod-ref at
-   jobs 1/2/4 (set parity) -> freeze -> batch slice, plus a
+   jobs 1/2/4 (set parity) -> batch slice, plus a
    [Slicer.Reference] parity sample, a dynamic-oracle sample with a
    raised trace budget, and the process peak heap.  Every parity bit
    and the statement-count calibration are self-checked before the
@@ -1224,8 +1200,6 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
       ([ Obj [ ("jobs", Int 1); ("wall_s", Float mr1_wall) ] ], true)
       [ 2; 4 ]
   in
-  let (), freeze_wall = time (fun () -> Sdg.freeze g1) in
-  Printf.printf "phase=freeze wall_s=%.3f\n%!" freeze_wall;
   let a =
     { Engine.program = p; pta; sdg = g1; arena; obj_sens = true }
   in
@@ -1385,7 +1359,6 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
              ("pta_wall_s", Float pta_wall);
              ("sdg", List sdg_jobs_entries);
              ("modref", List modref_entries);
-             ("freeze_wall_s", Float freeze_wall);
              ("batch_slice_wall_s", Float batch_wall);
              ("reference_wall_s", Float ref_wall);
              ("dyn_wall_s", Float dyn_wall) ]);

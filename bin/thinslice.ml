@@ -1,7 +1,7 @@
 (* The thinslice command-line tool.
 
      thinslice slice FILE --line N [--mode thin|trad|full|alias:K] [--no-objsens]
-     thinslice batch FILE --line N --line M ... one frozen graph, many slices
+     thinslice batch FILE --line N --line M ... one graph, many slices
      thinslice explain FILE LINE --seed N       witness path: why is LINE in the slice?
      thinslice report FILE --line N             layered slice report with BFS ranks
      thinslice expand FILE --line N             explain aliasing around a seed
@@ -299,7 +299,7 @@ let slice_cmd =
       const run $ file_arg $ line_arg $ mode_arg $ objsens_arg $ forward_arg
       $ pta_arg $ json_arg $ telemetry_term)
 
-(* ---- batch: many seeds, one frozen graph ---- *)
+(* ---- batch: many seeds, one graph ---- *)
 
 let batch_cmd =
   let lines_arg =
@@ -339,7 +339,7 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Compute many slices from one analysis: the graph is frozen once \
+         "Compute many slices from one analysis: the graph is built once \
           and all walks share scratch buffers; --jobs N shards the walks \
           across N domains")
     Term.(

@@ -21,7 +21,7 @@ let g_arena_bytes = Slice_obs.gauge "ir.arena_bytes"
    points-to result.  Also the dedicated entry of the incremental
    re-solve ([Andersen.resolve_delta] mutates the existing result in
    place, after which only the derived layers need rebuilding). *)
-let analyze_with_pta ?(freeze = true) ~(obj_sens : bool)
+let analyze_with_pta ~(obj_sens : bool)
     (pta : Andersen.result) (program : Program.t) : analysis =
   (* Lower the reachable IR into the flat arena before the SDG pass
      reads it: strings interned once, operands packed into int arrays.
@@ -36,13 +36,9 @@ let analyze_with_pta ?(freeze = true) ~(obj_sens : bool)
   let sdg =
     Slice_obs.span "sdg.build" (fun () -> Sdg.build ~arena program pta)
   in
-  (* Compact to the immutable CSR layout (recorded under "sdg.freeze");
-     [freeze:false] keeps the mutable list adjacency, for parity tests
-     and the BENCH A/B baseline. *)
-  if freeze then Sdg.freeze sdg;
   { program; pta; sdg; arena; obj_sens }
 
-let analyze ?(obj_sens = true) ?(freeze = true) ?(solver = `Bitset)
+let analyze ?(obj_sens = true) ?(solver = `Bitset)
     (program : Program.t) : analysis =
   let opts =
     if obj_sens then Andersen.default_opts else Andersen.no_obj_sens_opts
@@ -59,19 +55,19 @@ let analyze ?(obj_sens = true) ?(freeze = true) ?(solver = `Bitset)
           Slice_obs.span "pta.solve" (fun () ->
               Andersen.of_reference (Andersen.Reference.analyze ~opts program)))
   in
-  analyze_with_pta ~freeze ~obj_sens pta program
+  analyze_with_pta ~obj_sens pta program
 
-let of_source ?container_classes ?obj_sens ?freeze ?solver ~(file : string)
+let of_source ?container_classes ?obj_sens ?solver ~(file : string)
     (src : string) : analysis =
-  analyze ?obj_sens ?freeze ?solver
+  analyze ?obj_sens ?solver
     (Slice_front.Frontend.load_exn ?container_classes ~file src)
 
 (* Multi-file variant: the units are loaded as one program (see
    [Frontend.load_many_exn]) so slices can span files while every
    location keeps the file it came from. *)
-let of_sources ?container_classes ?obj_sens ?freeze ?solver
+let of_sources ?container_classes ?obj_sens ?solver
     (units : (string * string) list) : analysis =
-  analyze ?obj_sens ?freeze ?solver
+  analyze ?obj_sens ?solver
     (Slice_front.Frontend.load_many_exn ?container_classes units)
 
 (* Seed selection: all SDG nodes for statements on a source line.  When the
@@ -129,9 +125,7 @@ let slice_from_line ?filter (a : analysis) ~(line : int) (mode : Slicer.mode) :
 
 (* Many slices over one graph: seed resolution per line, then one batched
    walk with reused scratch buffers.  Returns, per input line (in input
-   order), the sorted distinct source line numbers of the slice.  Runs on
-   whatever adjacency the analysis carries: the graph is NOT frozen here,
-   so an [analyze ~freeze:false] A/B baseline stays on the list shims. *)
+   order), the sorted distinct source line numbers of the slice. *)
 let slice_batch ?filter ?(forward = false) (a : analysis) ~(lines : int list)
     (mode : Slicer.mode) : (int * int list) list =
   let seeds_list = List.map (fun l -> seeds_at_line_exn ?filter a l) lines in
@@ -145,21 +139,17 @@ let slice_batch ?filter ?(forward = false) (a : analysis) ~(lines : int list)
     lines slices
 
 (* Parallel batch slicing: shard the (already seed-resolved) batch across
-   [jobs] worker domains, each walking the shared frozen CSR graph with
-   its own scratch handle and its own per-domain telemetry registry.
-   Seeds are resolved sequentially up front so [No_seed] behaviour is
-   deterministic and identical to {!slice_batch}.  Workers never mutate
-   the graph — freezing before spawning is what makes the concurrent
-   reads safe — and each worker's telemetry snapshot is merged back into
-   the calling domain after [Domain.join], even when a worker raised. *)
+   [jobs] worker domains, each walking the shared CSR graph with its own
+   scratch handle and its own per-domain telemetry registry.  Seeds are
+   resolved sequentially up front so [No_seed] behaviour is
+   deterministic and identical to {!slice_batch}.  Workers only read the
+   graph, whose adjacency is immutable once built, and each worker's
+   telemetry snapshot is merged back into the calling domain after
+   [Domain.join], even when a worker raised. *)
 let slice_batch_par ?filter ?(forward = false) ?(jobs = 1) (a : analysis)
     ~(lines : int list) (mode : Slicer.mode) : (int * int list) list =
   if jobs <= 1 then slice_batch ?filter ~forward a ~lines mode
   else begin
-    (* Concurrent readers require the immutable CSR arrays: the list
-       adjacency is only written during construction, but freezing here
-       guarantees no lazy compaction can ever race with the walkers. *)
-    Sdg.freeze a.sdg;
     let seeds = Array.of_list (List.map (fun l -> seeds_at_line_exn ?filter a l) lines) in
     let n = Array.length seeds in
     let jobs = min jobs (max 1 n) in
@@ -257,12 +247,7 @@ let witness_from_line ?filter ?(jobs = 1) (a : analysis) ~(seed_line : int)
   if targets = [] then raise (No_seed line);
   let prov = Slicer.create_provenance a.sdg in
   let walk () = ignore (Slicer.slice ~prov a.sdg ~seeds mode) in
-  if jobs <= 1 then walk ()
-  else begin
-    (* Concurrent-read safety for the worker, as in [slice_batch_par]. *)
-    Sdg.freeze a.sdg;
-    in_worker_domain walk
-  end;
+  if jobs <= 1 then walk () else in_worker_domain walk;
   let best =
     List.fold_left
       (fun acc n ->
@@ -352,7 +337,6 @@ let slice_report ?filter ?(jobs = 1) (a : analysis) ~(line : int)
       let results =
         if jobs <= 1 then List.map run walks
         else begin
-          Sdg.freeze a.sdg;
           let doms =
             List.map
               (fun w ->
@@ -766,7 +750,7 @@ let load ?container_classes ?(obj_sens = true) ?(solver = `Bitset)
 (* How far an edit forced the pipeline to re-run, cheapest first:
    - [Noop]: byte-identical sources, nothing ran;
    - [Patched]: changed bodies re-lowered, points-to re-keyed in place,
-     frozen SDG patched (constraint summaries unchanged) — also taken
+     SDG patched (constraint summaries unchanged) — also taken
      by dispatch-neutral method adds/removes, where only the statement
      table needs rebuilding;
    - [Resolved_incremental]: some constraint summary moved, but the
@@ -778,8 +762,9 @@ let load ?container_classes ?(obj_sens = true) ?(solver = `Bitset)
      unavailable (reference solver) or declined (cone too large a
      fraction of the node universe): fresh points-to solve and SDG
      over the mutated program — frontend still skipped;
-   - [Rebuilt]: full reload from the new sources (structural edit, or
-     fallback after a mid-incremental failure).
+   - [Rebuilt]: full reload from the new sources (structural edit);
+   - [Rebuilt_fallback]: the same reload after an incremental tier
+     raised part-way, carrying the exception's text.
 
    The ladder is monotone in correctness: every tier answers queries
    byte-identically to a fresh load of the new sources (the fuzz
@@ -790,6 +775,7 @@ type update_path =
   | Resolved_incremental
   | Resolved_fresh
   | Rebuilt
+  | Rebuilt_fallback of string
 
 let update_path_to_string = function
   | Noop -> "noop"
@@ -797,6 +783,7 @@ let update_path_to_string = function
   | Resolved_incremental -> "resolved-incremental"
   | Resolved_fresh -> "resolved-fresh"
   | Rebuilt -> "rebuilt"
+  | Rebuilt_fallback msg -> "rebuilt (fallback: " ^ msg ^ ")"
 
 type update_report = {
   up_path : update_path;
@@ -819,7 +806,7 @@ let c_update_rebuilt = Slice_obs.counter "engine.update.rebuilt"
 let update (h : handle) (new_sources : (string * string) list) :
     handle * update_report =
   Slice_obs.span "engine.update" (fun () ->
-      let rebuilt () =
+      let rebuilt up_path =
         Slice_obs.bump c_update_rebuilt;
         Slice_obs.add_span_arg "path" "rebuilt";
         let h' =
@@ -828,12 +815,17 @@ let update (h : handle) (new_sources : (string * string) list) :
         in
         let total = Andersen.num_call_graph_nodes h'.h_analysis.pta in
         ( h',
-          { up_path = Rebuilt;
+          { up_path;
             up_relowered = h'.h_stats.methods;
             up_segments_refrozen = total;
             up_segments_total = total;
             up_nodes_dead = 0;
             up_nodes_new = 0 } )
+      in
+      let fall_back e =
+        let msg = Printexc.to_string e in
+        Slice_obs.add_span_arg "fallback" msg;
+        rebuilt (Rebuilt_fallback msg)
       in
       (* Shared tail of the two resolved tiers: fresh points-to solve
          and SDG over the (already mutated) program. *)
@@ -899,7 +891,7 @@ let update (h : handle) (new_sources : (string * string) list) :
               Andersen.num_call_graph_nodes h.h_analysis.pta;
             up_nodes_dead = 0;
             up_nodes_new = 0 } )
-      | Slice_front.Delta.Structural -> rebuilt ()
+      | Slice_front.Delta.Structural -> rebuilt Rebuilt
       | Slice_front.Delta.Bodies changed -> (
         try
           let a = h.h_analysis in
@@ -948,7 +940,7 @@ let update (h : handle) (new_sources : (string * string) list) :
               old_summaries new_summaries
           in
           let n_changed = List.length changed in
-          if summaries_equal && Sdg.is_frozen a.sdg then begin
+          if summaries_equal then begin
             (* Patch in place: the old and new site lists zip
                positionally into a remap (summary equality guarantees
                equal length and matching roles), the solved points-to
@@ -1011,8 +1003,7 @@ let update (h : handle) (new_sources : (string * string) list) :
           (* A mid-incremental failure (mini-unit parse error, lowering
              error, violated patch invariant) may leave the program
              half-mutated — the stored sources rebuild it whole. *)
-          Slice_obs.add_span_arg "fallback" (Printexc.to_string e);
-          rebuilt ())
+          fall_back e)
       | Slice_front.Delta.Methods md -> (
         try
           let a = h.h_analysis in
@@ -1026,7 +1017,7 @@ let update (h : handle) (new_sources : (string * string) list) :
             List.exists
               (fun mq -> Instr.equal_method_qname mq entry)
               removed_mqs
-          then rebuilt ()
+          then rebuilt Rebuilt
           else begin
             (* Classify BEFORE mutating.  A removed method with zero
                solved contexts was unreachable — no call graph edge or
@@ -1110,7 +1101,7 @@ let update (h : handle) (new_sources : (string * string) list) :
                 end)
               md.Slice_front.Delta.dm_line_maps;
             let n_changed = List.length added_mqs in
-            if neutral && Sdg.is_frozen a.sdg then begin
+            if neutral then begin
               (* Nothing in the solved analysis refers to the edit: the
                  points-to result, SDG rows and node set are all still
                  exact.  [Sdg.patch] with no changed methods rebuilds
@@ -1140,9 +1131,7 @@ let update (h : handle) (new_sources : (string * string) list) :
                 ~retracted:(removed_mqs @ suspects)
                 ~added:added_mqs ~n_changed
           end
-        with e ->
-          Slice_obs.add_span_arg "fallback" (Printexc.to_string e);
-          rebuilt ()))
+        with e -> fall_back e))
 
 (* One heap read/write pair of an expand query, with the flows of their
    common object(s) to each base (see [Expansion.explain_aliasing]). *)

@@ -17,9 +17,8 @@ type analysis = {
 
 (** Run the points-to analysis (object-sensitive container cloning on by
     default, as in the paper's section 6.1) and build the dependence
-    graph.  By default the graph is then frozen into its immutable CSR
-    layout (see {!Sdg.freeze}); [freeze:false] keeps the mutable list
-    adjacency — used by parity tests and the BENCH A/B baseline.
+    graph, whose adjacency {!Sdg.build} writes once, in its final
+    compressed-sparse-row layout.
 
     [solver] selects the points-to solver: [`Bitset] (default) is the
     bitset / cycle-collapsing worklist solver; [`Reference] runs the
@@ -28,7 +27,6 @@ type analysis = {
     [pta_ab] benchmark. *)
 val analyze :
   ?obj_sens:bool ->
-  ?freeze:bool ->
   ?solver:[ `Bitset | `Reference ] ->
   Program.t ->
   analysis
@@ -37,7 +35,6 @@ val analyze :
 val of_source :
   ?container_classes:string list ->
   ?obj_sens:bool ->
-  ?freeze:bool ->
   ?solver:[ `Bitset | `Reference ] ->
   file:string ->
   string ->
@@ -49,7 +46,6 @@ val of_source :
 val of_sources :
   ?container_classes:string list ->
   ?obj_sens:bool ->
-  ?freeze:bool ->
   ?solver:[ `Bitset | `Reference ] ->
   (string * string) list ->
   analysis
@@ -79,10 +75,8 @@ val slice_from_line :
     {!Slicer.slice_batch}).  Returns, per input line in input order, the
     sorted distinct source line numbers of its slice (deduplicated across
     files — see {!Slicer.locs_to_line_numbers}).  [forward:true] slices
-    forward (impact analysis).  Respects the analysis's [freeze] choice:
-    the graph is NOT frozen here, so a [analyze ~freeze:false] baseline
-    keeps running on the list adjacency.  Raises {!No_seed} for a line
-    with no statements. *)
+    forward (impact analysis).  Raises {!No_seed} for a line with no
+    statements. *)
 val slice_batch :
   ?filter:seed_filter ->
   ?forward:bool ->
@@ -93,8 +87,8 @@ val slice_batch :
 
 (** {!slice_batch} sharded across [jobs] OCaml 5 domains.  Seeds are
     resolved sequentially in input order (so {!No_seed} behaviour is
-    identical to the sequential batch), the graph is frozen (concurrent
-    walkers require the immutable CSR arrays), and each worker domain
+    identical to the sequential batch); the workers share the graph,
+    whose adjacency is immutable once built, and each worker domain
     slices a contiguous chunk with its own {!Slicer.create_scratch}
     handle and its own per-domain telemetry registry.  After
     [Domain.join], every worker's {!Slice_obs.snapshot} is merged back
@@ -313,7 +307,7 @@ val load :
     - [Noop]: byte-identical sources — the handle is returned as-is;
     - [Patched]: only method bodies changed AND their constraint
       summaries are unchanged — bodies re-lowered in place, points-to
-      re-keyed ({!Andersen.rekey_sites}), frozen SDG patched
+      re-keyed ({!Andersen.rekey_sites}), SDG patched
       ({!Sdg.patch}).  Dispatch-neutral method adds/removes (an
       unreachable method removed, or a method added under a name no
       old method bears) also land here: the solved analysis is still
@@ -328,9 +322,14 @@ val load :
       unavailable (reference solver) or declined (affected cone too
       large): fresh points-to solve and SDG over the mutated program
       (the frontend work for unchanged methods is still skipped);
-    - [Rebuilt]: structural edit, or fallback after any mid-incremental
-      failure — full {!load} from the new sources under the handle's
-      stored options.
+    - [Rebuilt]: structural edit (or removal of the entry method) —
+      full {!load} from the new sources under the handle's stored
+      options;
+    - [Rebuilt_fallback msg]: the same full {!load}, taken because an
+      incremental tier raised [msg] part-way.  The answer is still
+      exact, but the tier the edit was meant for did not run; printed
+      as ["rebuilt (fallback: <msg>)"], and a violation under the fuzz
+      edit battery.
 
     The ladder is monotone in correctness: every tier's handle answers
     queries identically to a fresh load of the new sources. *)
@@ -340,6 +339,7 @@ type update_path =
   | Resolved_incremental
   | Resolved_fresh
   | Rebuilt
+  | Rebuilt_fallback of string
 
 val update_path_to_string : update_path -> string
 

@@ -15,7 +15,7 @@
 open Slice_ir
 open Slice_pta
 
-(* Dependences of [n] of one kind, in adjacency order, over the frozen
+(* Dependences of [n] of one kind, in adjacency order, over the row
    iteration API (no per-row list allocation). *)
 let deps_of_kind (g : Sdg.t) (want : Sdg.edge_kind) (n : Sdg.node) :
     Sdg.node list =

@@ -98,12 +98,11 @@ type node_desc =
 
 type node = int
 
-(* The frozen (immutable) adjacency: compressed sparse rows.  For each
-   direction, node [n]'s edges live at indices [off.(n) .. off.(n+1)-1]
-   of the flat [dst]/[kind] arrays; [kind] holds [edge_kind_tag]s.  Edge
-   order within a row matches the mutable list-array representation the
-   graph was built with, so the compatibility shims below reproduce the
-   exact pre-freeze adjacency lists. *)
+(* The adjacency: compressed sparse rows, written once at the end of
+   [build].  For each direction, node [n]'s edges live at indices
+   [off.(n) .. off.(n+1)-1] of the flat [dst]/[kind] arrays; [kind]
+   holds [edge_kind_tag]s.  Each row lists its edges in reverse order of
+   first emission (see [csr_of_log]). *)
 type csr = {
   deps_off : int array;        (* length num_nodes + 1 *)
   deps_dst : int array;        (* length num backward edges *)
@@ -153,11 +152,8 @@ type t = {
   mutable descs : node_desc array;
   mutable num_nodes : int;
   intern : (node_desc, node) Hashtbl.t;
-  mutable deps : (node * edge_kind) list array;   (* backward adjacency *)
-  mutable uses : (node * edge_kind) list array;   (* forward adjacency *)
-  edge_seen : (node * node * edge_kind, unit) Hashtbl.t;
-  mutable csr : csr option;    (* set by [freeze]; lists dropped then *)
-  hx : heap_index;             (* retained for incremental patching *)
+  csr : csr;
+  hx : heap_index;             (* retained for incremental patches *)
   include_control : bool;
   (* Incremental patch state.  A patched graph keeps its CSR for
      untouched rows and OVERLAYS the rows the patch rewrote; row lookup
@@ -172,7 +168,6 @@ type t = {
   mutable dead_count : int;
   mutable generation : int;    (* bumped per committed patch *)
   mutable patched : bool;
-  mutable patching : bool;     (* intern re-opened during a patch session *)
 }
 
 let program (g : t) = g.p
@@ -183,16 +178,10 @@ let node_desc (g : t) (n : node) : node_desc = g.descs.(n)
 
 let num_nodes (g : t) = g.num_nodes
 
-let is_frozen (g : t) : bool = g.csr <> None
-
-let frozen_error what =
-  invalid_arg (Printf.sprintf "Sdg.%s: graph is frozen (immutable)" what)
-
 let intern (g : t) (d : node_desc) : node =
   match Hashtbl.find_opt g.intern d with
   | Some n -> n
   | None ->
-    if is_frozen g && not g.patching then frozen_error "intern";
     let n = g.num_nodes in
     if n = Array.length g.descs then begin
       let grow a default =
@@ -201,9 +190,7 @@ let intern (g : t) (d : node_desc) : node =
         b
       in
       g.descs <- grow g.descs (Formal (-1, -1));
-      (* post-freeze the list arrays are [||]; only grow live state *)
-      if Array.length g.deps > 0 then g.deps <- grow g.deps [];
-      if Array.length g.uses > 0 then g.uses <- grow g.uses [];
+      (* patch state exists only once a graph has been patched *)
       if Array.length g.ov_deps > 0 then begin
         g.ov_deps <- grow g.ov_deps None;
         g.ov_uses <- grow g.ov_uses None
@@ -218,66 +205,112 @@ let intern (g : t) (d : node_desc) : node =
 
 let find_node (g : t) (d : node_desc) : node option = Hashtbl.find_opt g.intern d
 
-let add_edge (g : t) ~(from : node) ~(on : node) (kind : edge_kind) : unit =
-  if from <> on && not (Hashtbl.mem g.edge_seen (from, on, kind)) then begin
-    if is_frozen g then frozen_error "add_edge";
-    Hashtbl.replace g.edge_seen (from, on, kind) ();
-    Slice_obs.bump c_edges;
-    Slice_obs.bump (edge_counter kind);
-    g.deps.(from) <- (on, kind) :: g.deps.(from);
-    g.uses.(on) <- (from, kind) :: g.uses.(on)
+(* ------------------------------------------------------------------ *)
+(* The build's edge log, written into CSR in one pass                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Append-only [(from, on, kind tag)] triples in emission order.  Self
+   edges are never logged; repeats are, and [csr_of_log] drops them. *)
+type edge_log = { mutable ev : int array; mutable len : int }
+
+let log_edge (l : edge_log) ~(from : node) ~(on : node) (kind : edge_kind) :
+    unit =
+  if from <> on then begin
+    if l.len + 3 > Array.length l.ev then begin
+      let b = Array.make (2 * Array.length l.ev) 0 in
+      Array.blit l.ev 0 b 0 l.len;
+      l.ev <- b
+    end;
+    l.ev.(l.len) <- from;
+    l.ev.(l.len + 1) <- on;
+    l.ev.(l.len + 2) <- edge_kind_tag kind;
+    l.len <- l.len + 3
   end
 
-(* ------------------------------------------------------------------ *)
-(* Freeze: compact the list-array adjacency into CSR                   *)
-(* ------------------------------------------------------------------ *)
+(* The rows of a graph under construction: none yet. *)
+let no_csr =
+  { deps_off = [| 0 |]; deps_dst = [||]; deps_kind = [||];
+    uses_off = [| 0 |]; uses_dst = [||]; uses_kind = [||] }
 
-(* One direction of adjacency, compacted.  Rows keep list order. *)
-let compact_direction (n : int) (adj : (node * edge_kind) list array) :
-    int array * int array * int array =
-  let off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + List.length adj.(i)
+let offsets_of_counts (cnt : int array) : int array =
+  let off = Array.make (Array.length cnt + 1) 0 in
+  Array.iteri (fun i c -> off.(i + 1) <- off.(i) + c) cnt;
+  off
+
+(* The CSR of a logged graph on [n] nodes.  The first emission of each
+   (from, on, kind) triple wins: with the log bucketed by source, a
+   node-indexed stamp ([stamp.(on) = from]) and a kind bitmask find the
+   repeats, whose tag is cleared to -1.  The fill walks the log
+   backwards, so every row of both directions lists its edges in reverse
+   order of first emission.  Bumps the edge counters once per edge. *)
+let csr_of_log (n : int) (l : edge_log) : csr =
+  let ev = l.ev and m = l.len / 3 in
+  let from e = ev.(3 * e) and on e = ev.((3 * e) + 1) in
+  let tag e = ev.((3 * e) + 2) in
+  let deps_cnt = Array.make n 0 and uses_cnt = Array.make n 0 in
+  for e = 0 to m - 1 do
+    deps_cnt.(from e) <- deps_cnt.(from e) + 1
   done;
-  let m = off.(n) in
-  let dst = Array.make (max 1 m) 0 in
-  let kind = Array.make (max 1 m) 0 in
-  for i = 0 to n - 1 do
-    let j = ref off.(i) in
-    List.iter
-      (fun (d, k) ->
-        dst.(!j) <- d;
-        kind.(!j) <- edge_kind_tag k;
-        incr j)
-      adj.(i)
+  let start = offsets_of_counts deps_cnt in
+  let by_from = Array.make (max 1 m) 0 and next = Array.sub start 0 n in
+  for e = 0 to m - 1 do
+    by_from.(next.(from e)) <- e;
+    next.(from e) <- next.(from e) + 1
   done;
-  (off, dst, kind)
+  let stamp = Array.make n (-1) and seen = Array.make n 0 in
+  let kinds = Array.make (Array.length edge_kind_of_tag_table) 0 in
+  Array.fill deps_cnt 0 n 0;
+  for f = 0 to n - 1 do
+    for i = start.(f) to start.(f + 1) - 1 do
+      let e = by_from.(i) in
+      let o = on e and t = tag e in
+      if stamp.(o) <> f then begin
+        stamp.(o) <- f;
+        seen.(o) <- 0
+      end;
+      if seen.(o) land (1 lsl t) = 0 then begin
+        seen.(o) <- seen.(o) lor (1 lsl t);
+        deps_cnt.(f) <- deps_cnt.(f) + 1;
+        uses_cnt.(o) <- uses_cnt.(o) + 1;
+        kinds.(t) <- kinds.(t) + 1
+      end
+      else ev.((3 * e) + 2) <- -1
+    done
+  done;
+  let deps_off = offsets_of_counts deps_cnt in
+  let uses_off = offsets_of_counts uses_cnt in
+  let edges = deps_off.(n) in
+  let arr () = Array.make (max 1 edges) 0 in
+  let deps_dst = arr () and deps_kind = arr () in
+  let uses_dst = arr () and uses_kind = arr () in
+  (* the count arrays become fill cursors *)
+  Array.blit deps_off 0 deps_cnt 0 n;
+  Array.blit uses_off 0 uses_cnt 0 n;
+  for e = m - 1 downto 0 do
+    let f = from e and o = on e and t = tag e in
+    if t >= 0 then begin
+      deps_dst.(deps_cnt.(f)) <- o;
+      deps_kind.(deps_cnt.(f)) <- t;
+      deps_cnt.(f) <- deps_cnt.(f) + 1;
+      uses_dst.(uses_cnt.(o)) <- f;
+      uses_kind.(uses_cnt.(o)) <- t;
+      uses_cnt.(o) <- uses_cnt.(o) + 1
+    end
+  done;
+  if edges > 0 then Slice_obs.add c_edges edges;
+  Array.iteri
+    (fun t c ->
+      if c > 0 then Slice_obs.add (edge_counter (edge_kind_of_tag t)) c)
+    kinds;
+  { deps_off; deps_dst; deps_kind; uses_off; uses_dst; uses_kind }
 
-(* Compact the mutable adjacency into the immutable CSR layout and drop
-   the list arrays + dedup table (the graph no longer accepts edges).
-   Idempotent; recorded under the "sdg.freeze" span. *)
-let freeze (g : t) : unit =
-  if not (is_frozen g) then
-    Slice_obs.span "sdg.freeze" (fun () ->
-        let n = g.num_nodes in
-        let deps_off, deps_dst, deps_kind = compact_direction n g.deps in
-        let uses_off, uses_dst, uses_kind = compact_direction n g.uses in
-        g.csr <-
-          Some { deps_off; deps_dst; deps_kind; uses_off; uses_dst; uses_kind };
-        (* release the allocation-heavy mutable representation *)
-        g.deps <- [||];
-        g.uses <- [||];
-        Hashtbl.reset g.edge_seen;
-        Slice_obs.add c_csr_nodes n;
-        Slice_obs.add c_csr_edges deps_off.(n);
-        (* two offset arrays + two (dst, kind) pairs, 8 bytes per word *)
-        Slice_obs.max_gauge g_csr_bytes
-          (float_of_int (8 * (2 * (n + 1) + 2 * (deps_off.(n) + uses_off.(n))))))
+(* A no-op, kept for callers that still time a freeze phase: [build]
+   writes the final adjacency itself. *)
+let freeze (_ : t) : unit = ()
 
-(* Iteration over the frozen view when available, over the lists before
-   [freeze].  These are the hot-path accessors: no allocation per edge.
-   On a patched graph, rows the patch rewrote (and rows of nodes interned
-   after the freeze) live in the overlay and are checked first. *)
+(* Row iteration: the hot-path accessors, no allocation per edge.  On a
+   patched graph, rows the patch rewrote (and rows of nodes interned by
+   a patch) live in the overlay and are checked first. *)
 let deps_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
   match if g.patched then g.ov_deps.(n) else None with
   | Some (dst, kind) ->
@@ -285,14 +318,12 @@ let deps_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
       f (Array.unsafe_get dst i)
         (edge_kind_of_tag (Array.unsafe_get kind i))
     done
-  | None -> (
-    match g.csr with
-    | None -> List.iter (fun (d, k) -> f d k) g.deps.(n)
-    | Some c ->
-      for i = c.deps_off.(n) to c.deps_off.(n + 1) - 1 do
-        f (Array.unsafe_get c.deps_dst i)
-          (edge_kind_of_tag (Array.unsafe_get c.deps_kind i))
-      done)
+  | None ->
+    let c = g.csr in
+    for i = c.deps_off.(n) to c.deps_off.(n + 1) - 1 do
+      f (Array.unsafe_get c.deps_dst i)
+        (edge_kind_of_tag (Array.unsafe_get c.deps_kind i))
+    done
 
 let uses_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
   match if g.patched then g.ov_uses.(n) else None with
@@ -301,62 +332,32 @@ let uses_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
       f (Array.unsafe_get dst i)
         (edge_kind_of_tag (Array.unsafe_get kind i))
     done
-  | None -> (
-    match g.csr with
-    | None -> List.iter (fun (d, k) -> f d k) g.uses.(n)
-    | Some c ->
-      for i = c.uses_off.(n) to c.uses_off.(n + 1) - 1 do
-        f (Array.unsafe_get c.uses_dst i)
-          (edge_kind_of_tag (Array.unsafe_get c.uses_kind i))
-      done)
+  | None ->
+    let c = g.csr in
+    for i = c.uses_off.(n) to c.uses_off.(n + 1) - 1 do
+      f (Array.unsafe_get c.uses_dst i)
+        (edge_kind_of_tag (Array.unsafe_get c.uses_kind i))
+    done
 
 let num_edges (g : t) : int =
-  match g.csr with
-  | Some c when not g.patched -> c.deps_off.(g.num_nodes)
-  | Some _ ->
+  if not g.patched then g.csr.deps_off.(g.num_nodes)
+  else begin
     let total = ref 0 in
     for n = 0 to g.num_nodes - 1 do
       deps_iter g n (fun _ _ -> incr total)
     done;
     !total
-  | None ->
-    let total = ref 0 in
-    for i = 0 to g.num_nodes - 1 do
-      total := !total + List.length g.deps.(i)
-    done;
-    !total
+  end
 
-(* Compatibility shims: materialise a row as a list.  Identical contents
-   and order before and after [freeze]; prefer the [_iter] forms in new
-   code (these allocate a fresh list per call on a frozen graph). *)
-let row_to_list off dst kind n =
-  let rec go i acc =
-    if i < off.(n) then acc
-    else go (i - 1) ((dst.(i), edge_kind_of_tag kind.(i)) :: acc)
-  in
-  go (off.(n + 1) - 1) []
+(* List views of a row, in row order: a fresh list per call, so prefer
+   the [_iter] forms on hot paths. *)
+let row_list iter (g : t) (n : node) : (node * edge_kind) list =
+  let acc = ref [] in
+  iter g n (fun d k -> acc := (d, k) :: !acc);
+  List.rev !acc
 
-let ov_row_to_list (dst, kind) =
-  let rec go i acc =
-    if i < 0 then acc else go (i - 1) ((dst.(i), edge_kind_of_tag kind.(i)) :: acc)
-  in
-  go (Array.length dst - 1) []
-
-let deps (g : t) (n : node) : (node * edge_kind) list =
-  match if g.patched then g.ov_deps.(n) else None with
-  | Some row -> ov_row_to_list row
-  | None -> (
-    match g.csr with
-    | None -> g.deps.(n)
-    | Some c -> row_to_list c.deps_off c.deps_dst c.deps_kind n)
-
-let uses (g : t) (n : node) : (node * edge_kind) list =
-  match if g.patched then g.ov_uses.(n) else None with
-  | Some row -> ov_row_to_list row
-  | None -> (
-    match g.csr with
-    | None -> g.uses.(n)
-    | Some c -> row_to_list c.uses_off c.uses_dst c.uses_kind n)
+let deps (g : t) (n : node) = row_list deps_iter g n
+let uses (g : t) (n : node) = row_list uses_iter g n
 
 (* The source location of a node ([Loc.none] for formals). *)
 let node_loc (g : t) (n : node) : Loc.t = g.locs.lc_loc.(n)
@@ -473,8 +474,9 @@ let push tbl key v =
   cell := v :: !cell
 
 (* The per-method pass bodies are shared between [build] (every reachable
-   method context) and [patch] (only re-lowered ones); [emit] is
-   [add_edge] during a build and the session emitter during a patch. *)
+   method context) and [patch] (only re-lowered ones); [emit] appends to
+   the edge log during a build and is the session emitter during a
+   patch. *)
 
 (* Pass 1 body: intraprocedural edges + heap access indexing into [hx]
    (the graph's own index during a build, a fresh one during a patch so
@@ -791,10 +793,7 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
       descs = Array.make 1024 (Formal (-1, -1));
       num_nodes = 0;
       intern = Hashtbl.create 1024;
-      deps = Array.make 1024 [];
-      uses = Array.make 1024 [];
-      edge_seen = Hashtbl.create 4096;
-      csr = None;
+      csr = no_csr;  (* the passes only intern and emit; see below *)
       hx;
       include_control;
       ov_deps = [||];
@@ -802,10 +801,10 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
       dead = [||];
       dead_count = 0;
       generation = 0;
-      patched = false;
-      patching = false }
+      patched = false }
   in
-  let emit ~from ~on kind = add_edge g ~from ~on kind in
+  let log = { ev = Array.make 4096 0; len = 0 } in
+  let emit ~from ~on kind = log_edge log ~from ~on kind in
   let heap_jobs =
     match heap_jobs with Some j -> max 1 j | None -> auto_heap_jobs ()
   in
@@ -960,7 +959,7 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
       Slice_util.Bits.iter
         (fun rn ->
           Slice_obs.bump c_heap_emitted;
-          add_edge g ~from:rn ~on:wn Producer_heap)
+          emit ~from:rn ~on:wn Producer_heap)
         (Hashtbl.find rows wn))
     wns);
   (* Pass 4: control dependence edges. *)
@@ -988,11 +987,21 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
         control_pass g ~emit ~entry_callers mc (Program.find_method_exn p mq))
       mcs
   end);
+  (* One count-then-fill pass turns the log into the CSR.  The record
+     copy is the finished graph; the passes above are done with [g]. *)
+  let csr = Slice_obs.span "sdg.csr" (fun () -> csr_of_log g.num_nodes log) in
+  let g = { g with csr } in
+  let n = g.num_nodes and edges = csr.deps_off.(g.num_nodes) in
+  Slice_obs.add c_csr_nodes n;
+  Slice_obs.add c_csr_edges edges;
+  (* two offset arrays + two (dst, kind) pairs, 8 bytes per word *)
+  Slice_obs.max_gauge g_csr_bytes
+    (float_of_int (8 * ((2 * (n + 1)) + (4 * edges))));
   set_stmt_table g (Program.build_stmt_table p);
   g
 
 (* ------------------------------------------------------------------ *)
-(* Incremental patching                                                *)
+(* Incremental patches                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let generation (g : t) = g.generation
@@ -1022,7 +1031,7 @@ type patch_stats = {
   ps_segments_total : int;
 }
 
-(* Patch a frozen graph onto re-lowered method bodies, in place.
+(* Patch the graph onto re-lowered method bodies, in place.
 
    Precondition (established by [Engine]): the changed methods'
    constraint summaries are unchanged, the program's method records
@@ -1047,7 +1056,6 @@ type patch_stats = {
    ids never move, so resident scratch buffers stay valid. *)
 let patch (g : t) ~(changed : Instr.method_qname list)
     ~(site_remap : Instr.stmt_id -> Instr.stmt_id option) : patch_stats =
-  if not (is_frozen g) then invalid_arg "Sdg.patch: graph must be frozen";
   Slice_obs.span "sdg.patch" (fun () ->
   (* First patch on this graph: bring the overlay state up to capacity
      (intern keeps it in step from then on). *)
@@ -1063,9 +1071,6 @@ let patch (g : t) ~(changed : Instr.method_qname list)
     g.dead <- grow g.dead Array.make false
   end;
   let old_num = g.num_nodes in
-  let frozen_num =
-    match g.csr with Some c -> Array.length c.deps_off - 1 | None -> 0
-  in
   (* Changed method contexts (every context clone of a changed method). *)
   let cm : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   List.iter
@@ -1096,29 +1101,9 @@ let patch (g : t) ~(changed : Instr.method_qname list)
     Hashtbl.create 256
   in
   let seen : (node * node * edge_kind, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let raw_row ov csr_row n =
-    if n >= old_num then []
-    else
-      match ov.(n) with
-      | Some row -> ov_row_to_list row
-      | None -> if n < frozen_num then csr_row n else []
-  in
-  let raw_deps n =
-    raw_row g.ov_deps
-      (fun n ->
-        match g.csr with
-        | Some c -> row_to_list c.deps_off c.deps_dst c.deps_kind n
-        | None -> [])
-      n
-  in
-  let raw_uses n =
-    raw_row g.ov_uses
-      (fun n ->
-        match g.csr with
-        | Some c -> row_to_list c.uses_off c.uses_dst c.uses_kind n
-        | None -> [])
-      n
-  in
+  (* The committed rows; nodes interned by this patch have none yet. *)
+  let raw_deps n = if n >= old_num then [] else deps g n in
+  let raw_uses n = if n >= old_num then [] else uses g n in
   let mat_deps n =
     match Hashtbl.find_opt sess_deps n with
     | Some r -> r
@@ -1192,7 +1177,6 @@ let patch (g : t) ~(changed : Instr.method_qname list)
         (mc, Program.find_method_exn g.p mq) :: acc)
       cm []
   in
-  g.patching <- true;
   (* Pass 1 over the new bodies, indexing their heap accesses apart. *)
   let hx_new =
     { field_writes = Hashtbl.create 32;
@@ -1318,7 +1302,6 @@ let patch (g : t) ~(changed : Instr.method_qname list)
         | None -> ())
       | _ -> ())
     !losses;
-  g.patching <- false;
   (* Commit: session rows become overlays; dead rows empty; new nodes
      with no edges get explicit empty rows (they are past the CSR). *)
   let rows_touched : (node, unit) Hashtbl.t = Hashtbl.create 256 in

@@ -74,8 +74,14 @@ type t
     and emitted in sorted (write node, read node) order, so the
     resulting adjacency is identical at every shard count.
 
-    The graph comes back mutable (list-array adjacency); call {!freeze}
-    to compact it before slicing heavily. *)
+    The passes append every edge to a flat log; one count-then-fill pass
+    at the end writes the compressed-sparse-row adjacency (flat [int]
+    arrays of offsets, targets and kind tags, backward and forward) that
+    every reader walks.  A repeated (from, on, kind) edge keeps its
+    first emission, and each row lists its edges in reverse order of
+    first emission.  Recorded under the ["sdg.csr"] span, with the
+    [sdg.csr_nodes]/[sdg.csr_edges] counters and the [sdg.csr_bytes]
+    footprint gauge. *)
 val build :
   ?include_control:bool ->
   ?arena:Arena.t ->
@@ -84,18 +90,9 @@ val build :
   Andersen.result ->
   t
 
-(** Compact the mutable list-array adjacency into an immutable CSR
-    layout (flat [int] arrays [deps_off]/[deps_dst]/[deps_kind] plus the
-    forward mirror, edge kinds packed as tagged ints) and release the
-    mutable representation.  After freezing, {!deps_iter}/{!uses_iter}
-    run allocation-free over the flat arrays and the graph rejects
-    further [add_edge]/interning ([Invalid_argument]).  Idempotent;
-    recorded under the ["sdg.freeze"] telemetry span with
-    [sdg.csr_nodes]/[sdg.csr_edges] counters and an [sdg.csr_bytes]
-    footprint gauge. *)
+(** Does nothing.  {!build} writes the final adjacency itself; this is
+    kept, idempotent, for callers that still time a freeze phase. *)
 val freeze : t -> unit
-
-val is_frozen : t -> bool
 
 (** Number of (backward) dependence edges in the graph. *)
 val num_edges : t -> int
@@ -108,20 +105,19 @@ val node_desc : t -> node -> node_desc
 val num_nodes : t -> int
 val find_node : t -> node_desc -> node option
 
-(** Backward adjacency iteration: the nodes [n] depends on.  The hot-path
-    accessor — allocation-free on a frozen graph; falls back to the
-    mutable lists before {!freeze}. *)
+(** Backward adjacency iteration: the nodes [n] depends on, in row
+    order.  The hot-path accessor: allocation-free over the CSR arrays
+    (or a patch overlay row). *)
 val deps_iter : t -> node -> (node -> edge_kind -> unit) -> unit
 
 (** Forward adjacency iteration: the nodes that depend on [n]. *)
 val uses_iter : t -> node -> (node -> edge_kind -> unit) -> unit
 
-(** Backward adjacency: the nodes [n] depends on.  Compatibility shim —
-    identical contents/order before and after {!freeze}, but allocates a
-    fresh list per call on a frozen graph; prefer {!deps_iter}. *)
+(** Backward adjacency as a list: {!deps_iter}'s row, in the same order.
+    Allocates a fresh list per call; prefer {!deps_iter} on hot paths. *)
 val deps : t -> node -> (node * edge_kind) list
 
-(** Forward adjacency: the nodes that depend on [n] (shim; prefer
+(** Forward adjacency as a list: the nodes that depend on [n] (prefer
     {!uses_iter}). *)
 val uses : t -> node -> (node * edge_kind) list
 
@@ -161,10 +157,10 @@ val nodes_at_line : t -> file:string option -> line:int -> node list
     once) — the paper's Table 1 "SDG Statements". *)
 val num_scalar_statements : t -> int
 
-(** {2 Incremental patching}
+(** {2 Incremental patches}
 
     After an incremental re-lower of a few method bodies (see
-    {!Delta}/{!Engine}), the frozen graph can be PATCHED in place rather
+    {!Delta}/{!Engine}), the graph can be PATCHED in place rather
     than rebuilt: the changed methods' statement-bound nodes are retired
     (ids never reused, so resident scratch and provenance buffers stay
     valid), their [Formal] nodes survive (signatures are stable under
@@ -183,12 +179,11 @@ type patch_stats = {
   ps_segments_total : int;    (** reachable method contexts *)
 }
 
-(** Patch a frozen graph onto re-lowered method bodies.  Preconditions
-    (the [Engine] P0 path establishes them): the program already holds
-    the new bodies, each changed method's constraint summary is
-    unchanged, and the points-to result was re-keyed with
-    {!Andersen.rekey_sites} using the same [site_remap].
-    Raises [Invalid_argument] if the graph is not frozen. *)
+(** Patch a graph onto re-lowered method bodies.  Preconditions (the
+    [Engine] P0 path establishes them): the program already holds the
+    new bodies, each changed method's constraint summary is unchanged,
+    and the points-to result was re-keyed with {!Andersen.rekey_sites}
+    using the same [site_remap]. *)
 val patch :
   t ->
   changed:Instr.method_qname list ->

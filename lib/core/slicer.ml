@@ -11,8 +11,8 @@
      compares against;
    - [Traditional_full]: also follows control dependences.
 
-   The walk itself runs on the frozen CSR view of the graph (or the list
-   adjacency before [Sdg.freeze]) with flat scratch buffers: a byte array
+   The walk itself runs on the graph's CSR rows with flat scratch
+   buffers: a byte array
    of per-node best budgets doubling as the visited set, an entry-unique
    int ring deque, and a touched-node log so the buffer reset costs
    O(slice), not O(graph) — no Hashtbl, no Queue, no per-row list
@@ -632,7 +632,7 @@ let forward_slice ?scratch ?prov (g : Sdg.t) ~(seeds : Sdg.node list)
         (walk_for ?prov (resolve_scratch ?scratch g) Sdg.uses_iter g ~seeds
            mode))
 
-(* Many slices over one (frozen) graph, one scratch allocation.  The
+(* Many slices over one graph, one scratch allocation.  The
    per-seed walks reuse the byte arrays and the ring; only the result
    lists are fresh. *)
 let slice_batch ?scratch (g : Sdg.t) ~(seeds_list : Sdg.node list list)
@@ -715,11 +715,10 @@ let slice_line_numbers (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
 
 (* The pre-CSR walk, verbatim: Hashtbl visited/budget table, stdlib
    Queue with stale-entry re-enqueues, and a polymorphic-compare sort of
-   the result.  Runs over the adjacency-list shims, so it behaves
-   identically on frozen and unfrozen graphs (though it allocates rows
-   on a frozen one).  It bumps no telemetry: it exists to pin down the
-   CSR walk's semantics (parity property tests) and as the A side of the
-   BENCH A/B. *)
+   the result.  Runs over the [Sdg.deps]/[Sdg.uses] list views,
+   allocating a row per visit.  It bumps no telemetry: it exists to pin
+   down the CSR walk's semantics (parity property tests and the bench's
+   per-mode parity bits). *)
 module Reference = struct
   let walk (next : Sdg.t -> Sdg.node -> (Sdg.node * Sdg.edge_kind) list)
       (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : Sdg.node list =

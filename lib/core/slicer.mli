@@ -142,8 +142,8 @@ val witness : provenance -> Sdg.node -> witness_step list option
 
 (** Backward slice: every node the seeds transitively depend on under the
     mode's edge discipline, sorted.  The walk runs over
-    {!Sdg.deps_iter} — allocation-free flat CSR arrays once the graph is
-    frozen — with a byte-array budget/visited table and an entry-unique
+    {!Sdg.deps_iter} — allocation-free flat CSR arrays — with a
+    byte-array budget/visited table and an entry-unique
     int ring deque (each node occupies at most one queue slot; a budget
     improvement for a queued node only updates the table).  [?prov]
     switches to the provenance-recording copy of the walk. *)
@@ -160,7 +160,7 @@ val forward_slice :
   Sdg.t -> seeds:Sdg.node list -> mode -> Sdg.node list
 
 (** Many backward slices over one graph with a single scratch-buffer
-    allocation: freeze the graph once, then call this with one seed set
+    allocation: build the graph once, then call this with one seed set
     per wanted slice.  Result lists are in input order.  Recorded under
     the ["slicer.slice_batch"] span. *)
 val slice_batch :
@@ -200,9 +200,9 @@ val slice_line_numbers : Sdg.t -> seeds:Sdg.node list -> mode -> int list
 
 (** The seed implementation, verbatim: Hashtbl visited/budget table,
     stdlib [Queue] with duplicate re-enqueues, polymorphic-compare sort,
-    all over the adjacency-list shims.  Bumps no telemetry.  Kept as the
-    semantic oracle for the CSR walk (parity property tests) and as the
-    A side of the BENCH A/B. *)
+    all over the {!Sdg.deps}/{!Sdg.uses} list views.  Bumps no
+    telemetry.  Kept as the semantic oracle for the CSR walk (parity
+    property tests and the bench's per-mode parity bits). *)
 module Reference : sig
   val slice : Sdg.t -> seeds:Sdg.node list -> mode -> Sdg.node list
   val forward_slice : Sdg.t -> seeds:Sdg.node list -> mode -> Sdg.node list

@@ -93,7 +93,7 @@ let battery ?(fault = No_fault) ~(src : string) ~(seed_lines : int list) () :
     let out = ref [] in
     let viol oracle detail = out := { oracle; detail } :: !out in
     let add = function Some v -> out := v :: !out | None -> () in
-    (* Main analysis: object-sensitive, frozen CSR, bitset solver — the
+    (* Main analysis: object-sensitive, CSR graph, bitset solver — the
        default fast path, i.e. exactly what production slicing uses.
        The SAME [Program.t] also drives the interpreter, so dynamic
        events and SDG nodes agree on statement ids. *)
@@ -379,7 +379,10 @@ let report_modes =
    Besides the violations, returns the update-path tier names the chain
    exercised ("noop", "patched", "resolved-incremental",
    "resolved-fresh", "rebuilt") — the fuzz driver aggregates them
-   across programs and fails a run that never reached some tier.
+   across programs and fails a run that never reached some tier.  A
+   [Rebuilt_fallback] (an incremental tier raised and a full reload
+   answered instead) is an [edit_fallback] violation and counts toward
+   no tier: its answers are exact, so no parity oracle would see it.
    [kinds] restricts the edit generator to the given kinds (the CLI's
    --edit-kinds). *)
 let edit_battery ?(kinds : Gen_tj.edit_kind list option)
@@ -387,11 +390,16 @@ let edit_battery ?(kinds : Gen_tj.edit_kind list option)
     violation list * string list =
   let out = ref [] in
   let tiers = ref [] in
-  let seen_tier (p : Engine.update_path) =
-    let s = Engine.update_path_to_string p in
-    if not (List.mem s !tiers) then tiers := s :: !tiers
-  in
   let viol oracle detail = out := { oracle; detail } :: !out in
+  let seen_tier ~(ctx : string) (p : Engine.update_path) =
+    match p with
+    | Engine.Rebuilt_fallback _ ->
+      viol "edit_fallback"
+        (ctx ^ ": an incremental tier raised; a full reload answered")
+    | _ ->
+      let s = Engine.update_path_to_string p in
+      if not (List.mem s !tiers) then tiers := s :: !tiers
+  in
   let load_h src =
     try Some (Engine.load [ (file, src) ])
     with Frontend.Error e ->
@@ -410,12 +418,12 @@ let edit_battery ?(kinds : Gen_tj.edit_kind list option)
          let r = Gen_tj.render m' in
          let src = r.Gen_tj.src in
          let h', rep = Engine.update !h [ (file, src) ] in
-         seen_tier rep.Engine.up_path;
          let ctx =
            Printf.sprintf "edit %d (%s, path=%s)" i
              (Gen_tj.edit_kind_to_string kind)
              (Engine.update_path_to_string rep.Engine.up_path)
          in
+         seen_tier ~ctx rep.Engine.up_path;
          if src = !prev_src && rep.Engine.up_path <> Engine.Noop then
            viol "edit_noop_path" (ctx ^ ": source unchanged but path is not noop");
          (match load_h src with
@@ -483,7 +491,7 @@ let edit_battery ?(kinds : Gen_tj.edit_kind list option)
        (* Explicit same-source update: must be a Noop, whatever tier the
           carried handle last went through. *)
        let h', rep = Engine.update !h [ (file, !prev_src) ] in
-       seen_tier rep.Engine.up_path;
+       seen_tier ~ctx:"same-source update" rep.Engine.up_path;
        if rep.Engine.up_path <> Engine.Noop then
          viol "edit_noop_path"
            (Printf.sprintf

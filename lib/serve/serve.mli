@@ -3,7 +3,7 @@
     A long-lived daemon answering line-delimited JSON requests
     ([thinslice.serve/v1]) over stdin/stdout or a Unix socket.  Loaded
     programs are cached in an LRU keyed by source digest x (sensitivity,
-    solver); each resident entry holds a frozen CSR SDG + solved
+    solver); each resident entry holds a CSR SDG + solved
     points-to ({!Engine.handle}), so repeat queries skip the whole
     analysis pipeline.  Every query dispatches through
     {!Engine.run_query} — the same code path as the one-shot CLI — and

@@ -169,3 +169,26 @@ let check_loc_columns ~(ctx : string) ?(slices = []) (g : Slice_core.Sdg.t) :
              (Slicer.nodes_to_lines g nodes))
       then Alcotest.failf "%s: nodes_to_lines differs" ctx)
     (List.init n Fun.id :: slices)
+
+(* MD5 of a graph's whole adjacency: [num_nodes], then every node's
+   [deps_iter] and [uses_iter] rows in iteration order, each edge as
+   (node, kind tag).  Equal digests mean the same graph, edge for edge
+   and in the same row order. *)
+let adjacency_digest (g : Slice_core.Sdg.t) : string =
+  let open Slice_core in
+  let buf = Buffer.create 4096 in
+  let n = Sdg.num_nodes g in
+  Buffer.add_string buf (string_of_int n);
+  let row tag iter i =
+    Buffer.add_char buf tag;
+    iter g i (fun m k ->
+        Buffer.add_string buf (string_of_int m);
+        Buffer.add_char buf ':';
+        Buffer.add_string buf (string_of_int (Sdg.edge_kind_tag k));
+        Buffer.add_char buf ',')
+  in
+  for i = 0 to n - 1 do
+    row 'D' Sdg.deps_iter i;
+    row 'U' Sdg.uses_iter i
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))

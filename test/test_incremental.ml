@@ -269,6 +269,11 @@ let test_update_rebuilt () =
   let edited = replace base_src "int f;" "int f;\n  int f2;" in
   let h', rep = Engine.update h [ (file, edited) ] in
   Alcotest.check path_testable "rebuilt path" Engine.Rebuilt rep.Engine.up_path;
+  (* a rebuild forced by a failing incremental tier prints apart *)
+  Alcotest.(check string) "fallback spelling"
+    "rebuilt (fallback: Failure(\"x\"))"
+    (Engine.update_path_to_string
+       (Engine.Rebuilt_fallback (Printexc.to_string (Failure "x"))));
   Alcotest.(check int)
     "rebuild refreezes everything" rep.Engine.up_segments_total
     rep.Engine.up_segments_refrozen;

@@ -222,8 +222,7 @@ let parity_seed_sets (g : Slice_core.Sdg.t) : Slice_core.Sdg.node list list =
 
 (* Node-for-node agreement of the CSR walk with [Slicer.Reference] on one
    analysis, for every mode / seed set / direction, plus the line
-   projection.  Run twice per program: before AND after [Sdg.freeze] (the
-   CSR walk must also agree while still on the mutable list adjacency). *)
+   projection. *)
 let check_parity ~(what : string) (g : Slice_core.Sdg.t) : unit =
   let open Slice_core in
   List.iter
@@ -231,8 +230,7 @@ let check_parity ~(what : string) (g : Slice_core.Sdg.t) : unit =
       List.iter
         (fun mode ->
           let ctx =
-            Printf.sprintf "%s %s (frozen=%b)" what
-              (Slicer.mode_to_string mode) (Sdg.is_frozen g)
+            Printf.sprintf "%s %s" what (Slicer.mode_to_string mode)
           in
           Alcotest.(check (list int))
             (ctx ^ " backward")
@@ -252,13 +250,8 @@ let check_parity ~(what : string) (g : Slice_core.Sdg.t) : unit =
 let test_csr_parity_on_workloads () =
   List.iter
     (fun (name, src) ->
-      let a =
-        Slice_core.Engine.of_source ~freeze:false ~file:(name ^ ".tj") src
-      in
-      let g = a.Slice_core.Engine.sdg in
-      check_parity ~what:name g;
-      Slice_core.Sdg.freeze g;
-      check_parity ~what:name g)
+      let a = Slice_core.Engine.of_source ~file:(name ^ ".tj") src in
+      check_parity ~what:name a.Slice_core.Engine.sdg)
     workload_programs
 
 let prop_csr_parity_on_generated =
@@ -267,25 +260,17 @@ let prop_csr_parity_on_generated =
     QCheck2.Gen.(2 -- 12)
     (fun stages ->
       let src = Generators.pipeline_program ~stages in
-      let a =
-        Slice_core.Engine.analyze ~freeze:false (Helpers.load src)
-      in
-      let g = a.Slice_core.Engine.sdg in
-      let agree () =
-        List.for_all
-          (fun seeds ->
-            List.for_all
-              (fun mode ->
-                Slice_core.Slicer.Reference.slice g ~seeds mode
-                = Slice_core.Slicer.slice g ~seeds mode
-                && Slice_core.Slicer.Reference.forward_slice g ~seeds mode
-                   = Slice_core.Slicer.forward_slice g ~seeds mode)
-              parity_modes)
-          (parity_seed_sets g)
-      in
-      let before = agree () in
-      Slice_core.Sdg.freeze g;
-      before && agree ())
+      let g = (Helpers.analysis src).Slice_core.Engine.sdg in
+      List.for_all
+        (fun seeds ->
+          List.for_all
+            (fun mode ->
+              Slice_core.Slicer.Reference.slice g ~seeds mode
+              = Slice_core.Slicer.slice g ~seeds mode
+              && Slice_core.Slicer.Reference.forward_slice g ~seeds mode
+                 = Slice_core.Slicer.forward_slice g ~seeds mode)
+            parity_modes)
+        (parity_seed_sets g))
 
 (* ---- walk counters and results pinned on javac ---- *)
 

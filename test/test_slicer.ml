@@ -248,7 +248,6 @@ let test_budget_clamp_boundary () =
   let src = chain_program n in
   let a = analysis src in
   let g = a.Engine.sdg in
-  Sdg.freeze g;
   let line = line_of ~src ~pattern:(Printf.sprintf "Box b%d = b%d.f;" n (n - 1)) in
   let seeds = Engine.seeds_at_line_exn ~filter:Engine.Only_loads a line in
   let csr k = Slicer.slice g ~seeds (Slicer.Thin_with_aliasing k) in
@@ -265,29 +264,6 @@ let test_budget_clamp_boundary () =
   Alcotest.(check (list int)) "k=1000 saturates to k=254" (csr 254) (csr 1000);
   Alcotest.(check bool) "k=253 is strictly below the saturation point" true
     (List.length (csr 253) < List.length (csr 254))
-
-(* Regression: [Engine.slice_batch] used to force [Sdg.freeze] on the
-   analysis, silently converting an [analyze ~freeze:false] baseline to
-   the CSR layout mid-benchmark.  It must slice on whatever adjacency the
-   analysis carries.  The parallel executor, by contrast, documents that
-   it freezes (concurrent walkers need the immutable arrays). *)
-let test_batch_respects_freeze () =
-  let src = Paper_figures.fig1 in
-  let a = Engine.analyze ~freeze:false (load src) in
-  Alcotest.(check bool) "unfrozen after analyze" false
-    (Sdg.is_frozen a.Engine.sdg);
-  let lines = [ line_of ~src ~pattern:Paper_figures.fig1_seed ] in
-  let seq = Engine.slice_batch a ~lines Slicer.Thin in
-  Alcotest.(check bool) "slice_batch leaves the freeze choice alone" false
-    (Sdg.is_frozen a.Engine.sdg);
-  let par = Engine.slice_batch_par ~jobs:2 a ~lines Slicer.Thin in
-  Alcotest.(check bool) "slice_batch_par freezes for its workers" true
-    (Sdg.is_frozen a.Engine.sdg);
-  List.iter2
-    (fun (l, s) (l', p) ->
-      Alcotest.(check int) "same line" l l';
-      Alcotest.(check (list int)) "same slice either side of the freeze" s p)
-    seq par
 
 (* Regression for the multi-file duplicate-lines bug: distinct files share
    line numbers, and [slice_line_numbers] deduplicated (file, line) PAIRS
@@ -452,8 +428,6 @@ let suite =
     Alcotest.test_case "batch matches single" `Quick test_batch_matches_single;
     Alcotest.test_case "budget clamp boundary parity" `Quick
       test_budget_clamp_boundary;
-    Alcotest.test_case "batch respects freeze choice" `Quick
-      test_batch_respects_freeze;
     Alcotest.test_case "two-file line-number dedup" `Quick
       test_two_file_line_numbers;
     Alcotest.test_case "explicit scratch reuse" `Quick

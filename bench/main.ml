@@ -1083,48 +1083,14 @@ let bench_ir_arena () : Slice_obs.Json.t list =
 
 (* Synthesized mega-workloads ([Gen_tj.generate_scaled]) through the
    whole pipeline with per-phase walls: gen -> front -> arena -> pta ->
-   SDG at heap_jobs 1/2/4 (adjacency-checksum parity) -> mod-ref at
-   jobs 1/2/4 (set parity) -> batch slice, plus a
-   [Slicer.Reference] parity sample, a dynamic-oracle sample with a
-   raised trace budget, and the process peak heap.  Every parity bit
-   and the statement-count calibration are self-checked before the
-   artifact is written; stdout mirrors the greppable keys CI matches.
-
-   Honesty note: this container usually exposes ONE core —
-   [Domain.recommended_domain_count () = 1] — so the jobs>1 walls
-   measure sharding overhead, not speedup.  The parity bits are the
-   point: the sharded paths must be byte-identical at every job count,
-   so a multicore host gets the speedup for free.  meta.cores records
-   what this host had. *)
-let huge_schema_version = "thinslice.huge/v1"
-
-(* Checksum of the SDG adjacency, order-sensitive within each row:
-   equal checksums mean the sharded heap wiring emitted edge-for-edge
-   the same graph in the same order as the sequential pass. *)
-let sdg_checksum (g : Sdg.t) : int =
-  let h = ref 0 in
-  for n = 0 to Sdg.num_nodes g - 1 do
-    Sdg.deps_iter g n (fun m k ->
-        h := (!h * 31) + (n * 16381) + (m * 8191) + Sdg.edge_kind_tag k)
-  done;
-  !h
-
-let modref_equal (num_mctxs : int) (a : Slice_pta.Modref.t)
-    (b : Slice_pta.Modref.t) : bool =
-  let ok = ref true in
-  for mc = 0 to num_mctxs - 1 do
-    if
-      (not
-         (Slice_pta.Modref.LocSet.equal
-            (Slice_pta.Modref.mod_of a mc)
-            (Slice_pta.Modref.mod_of b mc)))
-      || not
-           (Slice_pta.Modref.LocSet.equal
-              (Slice_pta.Modref.ref_of a mc)
-              (Slice_pta.Modref.ref_of b mc))
-    then ok := false
-  done;
-  !ok
+   SDG -> batch slice, plus a [Slicer.Reference] parity sample, a
+   dynamic-oracle sample with a raised trace budget, and the process
+   peak heap.  Every parity bit and the statement-count calibration are
+   self-checked before the artifact is written; stdout mirrors the
+   greppable keys CI matches.  Mod-ref is not timed here: it feeds only
+   the context-sensitive [Tabulation] slicer, which does not run at
+   this scale. *)
+let huge_schema_version = "thinslice.huge/v2"
 
 let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
   let open Slice_obs.Json in
@@ -1156,53 +1122,9 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
     (Slice_ir.Arena.bytes arena);
   let pta, pta_wall = time (fun () -> Slice_pta.Andersen.analyze p) in
   Printf.printf "phase=pta wall_s=%.3f\n%!" pta_wall;
-  (* SDG heap wiring A/B: sequential vs sharded, checksum parity *)
-  let g1, sdg1_wall = time (fun () -> Sdg.build ~arena ~heap_jobs:1 p pta) in
-  let c1 = sdg_checksum g1 in
-  let sdg_jobs_entries, parity_sdg =
-    List.fold_left
-      (fun (entries, par) jobs ->
-        let g, w = time (fun () -> Sdg.build ~arena ~heap_jobs:jobs p pta) in
-        let ok = sdg_checksum g = c1 && Sdg.num_edges g = Sdg.num_edges g1 in
-        Printf.printf "phase=sdg jobs=%d wall_s=%.3f parity=%b\n%!" jobs w ok;
-        ( entries
-          @ [ Obj
-                [ ("jobs", Int jobs);
-                  ("wall_s", Float w);
-                  ("parity", Bool ok) ] ],
-          par && ok ))
-      ( [ Obj [ ("jobs", Int 1); ("wall_s", Float sdg1_wall) ] ],
-        parity_arena_views )
-      [ 2; 4 ]
-  in
-  Printf.printf "phase=sdg jobs=1 wall_s=%.3f\n%!" sdg1_wall;
-  (* mod-ref direct pass A/B *)
-  let num_mctxs = Slice_pta.Andersen.num_call_graph_nodes pta in
-  let mr1, mr1_wall =
-    time (fun () -> Slice_pta.Modref.compute ~jobs:1 p pta)
-  in
-  Printf.printf "phase=modref jobs=1 wall_s=%.3f\n%!" mr1_wall;
-  let modref_entries, parity_modref =
-    List.fold_left
-      (fun (entries, par) jobs ->
-        let mr, w =
-          time (fun () -> Slice_pta.Modref.compute ~jobs p pta)
-        in
-        let ok = modref_equal num_mctxs mr1 mr in
-        Printf.printf "phase=modref jobs=%d wall_s=%.3f parity=%b\n%!" jobs w
-          ok;
-        ( entries
-          @ [ Obj
-                [ ("jobs", Int jobs);
-                  ("wall_s", Float w);
-                  ("parity", Bool ok) ] ],
-          par && ok ))
-      ([ Obj [ ("jobs", Int 1); ("wall_s", Float mr1_wall) ] ], true)
-      [ 2; 4 ]
-  in
-  let a =
-    { Engine.program = p; pta; sdg = g1; arena; obj_sens = true }
-  in
+  let g, sdg_wall = time (fun () -> Sdg.build ~arena p pta) in
+  Printf.printf "phase=sdg wall_s=%.3f\n%!" sdg_wall;
+  let a = { Engine.program = p; pta; sdg = g; arena; obj_sens = true } in
   (* batch slice over sampled seed-bearing lines (strided, so the sample
      spans the whole program, plus the generator's trailing print) *)
   let n_lines =
@@ -1336,8 +1258,7 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
   Printf.printf "peak_heap_bytes=%d\n%!" peak_heap_bytes;
   let accuracy_ok = err_pct <= 5.0 in
   let parity =
-    accuracy_ok && parity_sdg && parity_modref && parity_reference
-    && dyn_contained
+    accuracy_ok && parity_arena_views && parity_reference && dyn_contained
   in
   Printf.printf "parity=%b\n%!" parity;
   let doc =
@@ -1357,8 +1278,7 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
              ("front_wall_s", Float front_wall);
              ("arena_wall_s", Float arena_wall);
              ("pta_wall_s", Float pta_wall);
-             ("sdg", List sdg_jobs_entries);
-             ("modref", List modref_entries);
+             ("sdg_wall_s", Float sdg_wall);
              ("batch_slice_wall_s", Float batch_wall);
              ("reference_wall_s", Float ref_wall);
              ("dyn_wall_s", Float dyn_wall) ]);
@@ -1377,8 +1297,6 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
              ("events", Int (Slice_interp.Dyntrace.length trace));
              ("contained", Bool dyn_contained) ]);
         ("parity_arena_views", Bool parity_arena_views);
-        ("parity_sdg_jobs", Bool parity_sdg);
-        ("parity_modref_jobs", Bool parity_modref);
         ("parity_reference", Bool parity_reference);
         ("accuracy_ok", Bool accuracy_ok);
         ("parity", Bool parity) ]
@@ -1395,9 +1313,9 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
   Printf.printf "wrote %s\n%!" out;
   if not parity then begin
     Printf.eprintf
-      "pipeline-huge: self-check failed (accuracy_ok=%b sdg=%b modref=%b \
+      "pipeline-huge: self-check failed (accuracy_ok=%b arena_views=%b \
        reference=%b dyn_contained=%b)\n"
-      accuracy_ok parity_sdg parity_modref parity_reference dyn_contained;
+      accuracy_ok parity_arena_views parity_reference dyn_contained;
     exit 1
   end
 

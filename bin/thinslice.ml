@@ -271,10 +271,10 @@ let json_arg =
 (* Dispatch one query against a resident handle and print its JSON —
    THE shared path: the serve daemon runs the same two [Engine] calls,
    so serve results and [--json] output cannot drift apart. *)
-let print_query_json h q jobs =
+let print_query_json h q =
   print_endline
     (Slice_obs.Json.to_string
-       (Engine.query_result_to_json h q (Engine.run_query ~jobs h q)))
+       (Engine.query_result_to_json h q (Engine.run_query h q)))
 
 let slice_cmd =
   let run file line mode no_objsens forward solver json tel =
@@ -283,7 +283,7 @@ let slice_cmd =
         let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
         let q = Engine.Q_slice { line; mode; forward } in
-        (if json then print_query_json h q 1
+        (if json then print_query_json h q
          else
            match Engine.run_query h q with
            | Engine.R_lines lines ->
@@ -320,6 +320,7 @@ let batch_cmd =
   in
   let run file lines mode no_objsens forward jobs solver tel =
     handle_errors (fun () ->
+        if jobs < 1 then cli_error "--jobs expects N >= 1";
         setup_telemetry tel;
         let a = load_analysis ~solver ~obj_sens:(not no_objsens) file in
         let results =
@@ -359,7 +360,7 @@ let chop_cmd =
         let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
         let q = Engine.Q_chop { line; sink_line; mode } in
-        (if json then print_query_json h q 1
+        (if json then print_query_json h q
          else
            match Engine.run_query h q with
            | Engine.R_lines lines ->
@@ -386,7 +387,7 @@ let expand_cmd =
         let a = h.Engine.h_analysis in
         let g = a.Engine.sdg in
         let q = Engine.Q_expand { line } in
-        (if json then print_query_json h q 1
+        (if json then print_query_json h q
          else
            match Engine.run_query h q with
            | Engine.R_expand [] ->
@@ -424,16 +425,6 @@ let expand_cmd =
 
 (* ---- explain / report: provenance queries ---- *)
 
-let explain_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Run the provenance walks in worker domains when $(docv) > 1.  \
-           Output is byte-identical for every N (the CI parity step pins \
-           this); the worker round-trip exercises the provenance \
-           scratch's domain safety.")
-
 let source_lines (src : string) : string array =
   Array.of_list (String.split_on_char '\n' src)
 
@@ -464,7 +455,7 @@ let explain_cmd =
              witness path highlighted (red/bold overlay on the usual DOT \
              export).")
   in
-  let run file line seed mode no_objsens jobs solver json dot tel =
+  let run file line seed mode no_objsens solver json dot tel =
     (* exit 2 on HARD errors: exit 1 is reserved for the non-member
        answer below, so scripts can tell "not in the slice" from "the
        query itself failed" *)
@@ -473,7 +464,7 @@ let explain_cmd =
         let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
         let q = Engine.Q_explain { seed_line = seed; line; mode } in
-        match Engine.run_query ~jobs h q with
+        match Engine.run_query h q with
         | Engine.R_witness None ->
           emit_telemetry tel (Some (Engine.stats_of a));
           Printf.eprintf "line %d is not in the %s slice from %s:%d\n" line
@@ -537,17 +528,17 @@ let explain_cmd =
           edge kinds (and aliasing budgets in alias:K mode)")
     Term.(
       const run $ file_arg $ target_arg $ seed_arg $ mode_arg $ objsens_arg
-      $ explain_jobs_arg $ pta_arg $ json_arg $ dot_arg $ telemetry_term)
+      $ pta_arg $ json_arg $ dot_arg $ telemetry_term)
 
 let report_cmd =
-  let run file line mode no_objsens jobs solver json tel =
+  let run file line mode no_objsens solver json tel =
     handle_errors (fun () ->
         setup_telemetry tel;
         let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
         let q = Engine.Q_report { line; mode } in
         let r =
-          match Engine.run_query ~jobs h q with
+          match Engine.run_query h q with
           | Engine.R_report r -> r
           | _ -> assert false
         in
@@ -593,8 +584,8 @@ let report_cmd =
           explainers / control explainers, ranked by BFS distance from the \
           seed (the paper's inspection metric)")
     Term.(
-      const run $ file_arg $ line_arg $ mode_arg $ objsens_arg
-      $ explain_jobs_arg $ pta_arg $ json_arg $ telemetry_term)
+      const run $ file_arg $ line_arg $ mode_arg $ objsens_arg $ pta_arg
+      $ json_arg $ telemetry_term)
 
 (* ---- casts ---- *)
 
@@ -626,7 +617,7 @@ let stats_cmd =
         setup_telemetry tel;
         let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
-        if json then print_query_json h Engine.Q_stats 1
+        if json then print_query_json h Engine.Q_stats
         else begin
           let s = h.Engine.h_stats in
           Printf.printf
@@ -918,23 +909,12 @@ let serve_cmd =
              the walk-scratch memory down to the largest surviving \
              program.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the provenance queries (explain/report), \
-             as in the one-shot subcommands.  Results are identical for \
-             every N.")
-  in
-  let run socket max_programs jobs tel =
+  let run socket max_programs tel =
     handle_errors (fun () ->
         setup_telemetry tel;
         if max_programs < 1 then cli_error "--max-programs expects N >= 1";
-        if jobs < 1 then cli_error "--jobs expects N >= 1";
         let st =
-          Slice_serve.Serve.create_state
-            { Slice_serve.Serve.max_programs; jobs }
+          Slice_serve.Serve.create_state { Slice_serve.Serve.max_programs }
         in
         (match socket with
         | None -> ignore (Slice_serve.Serve.serve_channels st stdin stdout)
@@ -950,7 +930,7 @@ let serve_cmd =
           LRU of resident analyses; every response carries cache and \
           per-phase wall telemetry, and result payloads byte-equal the \
           one-shot --json output")
-    Term.(const run $ socket_arg $ max_programs_arg $ jobs_arg $ telemetry_term)
+    Term.(const run $ socket_arg $ max_programs_arg $ telemetry_term)
 
 (* ---- watch: re-slice incrementally as the file changes ---- *)
 

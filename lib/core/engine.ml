@@ -219,35 +219,19 @@ let data_submode = function
   | (Slicer.Thin | Slicer.Thin_with_aliasing _ | Slicer.Traditional_data) as m
     -> m
 
-(* Run [f] in a fresh worker domain and fold its telemetry back into the
-   calling domain's registry.  The provenance queries use it for
-   [jobs > 1]: results are deterministic either way (that is what the CI
-   explain-parity step pins), but the worker round-trip exercises the
-   domain-safety of the provenance scratch. *)
-let in_worker_domain (f : unit -> 'a) : 'a =
-  let d =
-    Domain.spawn (fun () ->
-        let out = try Ok (f ()) with e -> Error e in
-        (out, Slice_obs.snapshot ()))
-  in
-  let out, snap = Domain.join d in
-  Slice_obs.merge_snapshot snap;
-  match out with Ok v -> v | Error e -> raise e
-
 (* Witness: the dependence path by which the [mode] slice seeded at
    [seed_line] reaches [line].  Walks with a fresh provenance, then
    explains the target-line node with the smallest (distance, node id) —
    the hop-shortest recorded path, deterministically tie-broken.  [None]
    when the line has nodes but none is a member; [No_seed] (of the
    offending line) when either line has no nodes at all. *)
-let witness_from_line ?filter ?(jobs = 1) (a : analysis) ~(seed_line : int)
+let witness_from_line ?filter (a : analysis) ~(seed_line : int)
     ~(line : int) (mode : Slicer.mode) : Slicer.witness_step list option =
   let seeds = seeds_at_line_exn ?filter a seed_line in
   let targets = Sdg.nodes_at_line a.sdg ~file:None ~line in
   if targets = [] then raise (No_seed line);
   let prov = Slicer.create_provenance a.sdg in
-  let walk () = ignore (Slicer.slice ~prov a.sdg ~seeds mode) in
-  if jobs <= 1 then walk () else in_worker_domain walk;
+  ignore (Slicer.slice ~prov a.sdg ~seeds mode);
   let best =
     List.fold_left
       (fun acc n ->
@@ -308,9 +292,8 @@ type slice_report = {
    member node — the paper's section 5 inspection metric — and explainer
    lines carry the member lines they DIRECTLY explain, computed with the
    {!Expansion} explain primitives (base/index defs, call actuals,
-   direct control).  [jobs > 1] runs the (up to three) walks in parallel
-   worker domains; the result is identical by construction. *)
-let slice_report ?filter ?(jobs = 1) (a : analysis) ~(line : int)
+   direct control). *)
+let slice_report ?filter (a : analysis) ~(line : int)
     (mode : Slicer.mode) : slice_report =
   let seeds = seeds_at_line_exn ?filter a line in
   Slice_obs.span
@@ -334,24 +317,7 @@ let slice_report ?filter ?(jobs = 1) (a : analysis) ~(line : int)
         if with_prov then Slicer.slice ~prov a.sdg ~seeds m
         else Slicer.slice a.sdg ~seeds m
       in
-      let results =
-        if jobs <= 1 then List.map run walks
-        else begin
-          let doms =
-            List.map
-              (fun w ->
-                Domain.spawn (fun () ->
-                    let out = try Ok (run w) with e -> Error e in
-                    (out, Slice_obs.snapshot ())))
-              walks
-          in
-          let outs = List.map Domain.join doms in
-          List.iter (fun (_, snap) -> Slice_obs.merge_snapshot snap) outs;
-          List.map
-            (fun (out, _) -> match out with Ok r -> r | Error e -> raise e)
-            outs
-        end
-      in
+      let results = List.map run walks in
       let members = List.hd results in
       let boundary = List.combine boundary_modes (List.tl results) in
       let nodes_of m = if m = mode then members else List.assoc m boundary in
@@ -1184,7 +1150,7 @@ type query_result =
   | R_report of slice_report
   | R_stats of stats
 
-let run_query ?(jobs = 1) (h : handle) (q : query) : query_result =
+let run_query (h : handle) (q : query) : query_result =
   let a = h.h_analysis in
   match q with
   | Q_slice { line; mode; forward } ->
@@ -1201,8 +1167,8 @@ let run_query ?(jobs = 1) (h : handle) (q : query) : query_result =
     R_lines (Slicer.locs_to_line_numbers (Slicer.nodes_to_lines a.sdg nodes))
   | Q_expand { line } -> R_expand (expand_at_line a ~line)
   | Q_explain { seed_line; line; mode } ->
-    R_witness (witness_from_line ~jobs a ~seed_line ~line mode)
-  | Q_report { line; mode } -> R_report (slice_report ~jobs a ~line mode)
+    R_witness (witness_from_line a ~seed_line ~line mode)
+  | Q_report { line; mode } -> R_report (slice_report a ~line mode)
   | Q_stats -> R_stats h.h_stats
 
 (* ----- thinslice.query/v1 JSON ----- *)

@@ -135,12 +135,9 @@ val data_submode : Slicer.mode -> Slicer.mode
     smallest (BFS distance, node id) is explained, so the answer is the
     hop-shortest recorded path and deterministic.  [None] when [line]
     has nodes but none is a member; raises [No_seed] (carrying the
-    offending line) when either line has no statements.  [jobs > 1] runs
-    the walk in a worker domain — identical result, exercises the
-    provenance scratch's domain safety. *)
+    offending line) when either line has no statements. *)
 val witness_from_line :
   ?filter:seed_filter ->
-  ?jobs:int ->
   analysis ->
   seed_line:int ->
   line:int ->
@@ -180,12 +177,9 @@ type slice_report = {
 (** Layered explain report of the [mode] slice seeded at [line]:
     members partitioned producers / alias explainers / control
     explainers (layer boundaries are the thin slice and the
-    {!data_submode} slice), ranked by provenance BFS distance.
-    [jobs > 1] runs the underlying (up to three) walks in parallel
-    worker domains; the report is identical by construction. *)
+    {!data_submode} slice), ranked by provenance BFS distance. *)
 val slice_report :
   ?filter:seed_filter ->
-  ?jobs:int ->
   analysis ->
   line:int ->
   Slicer.mode ->
@@ -403,11 +397,9 @@ type query_result =
   | R_report of slice_report
   | R_stats of stats
 
-(** Answer a query against a resident handle.  [jobs] is forwarded to
-    the provenance queries ({!witness_from_line}, {!slice_report});
-    results are identical for every [jobs].  Raises {!No_seed} when a
+(** Answer a query against a resident handle.  Raises {!No_seed} when a
     referenced line has no statements. *)
-val run_query : ?jobs:int -> handle -> query -> query_result
+val run_query : handle -> query -> query_result
 
 (** Schema tag of slice/forward/chop/expand result payloads
     ("thinslice.query/v1"; explain/report keep [thinslice.explain/v1],

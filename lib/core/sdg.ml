@@ -769,13 +769,7 @@ let control_pass (g : t) ~(emit : from:node -> on:node -> edge_kind -> unit)
     done
   end
 
-(* Default shard count for the heap-wiring pass: parallel only when the
-   runtime reports real cores (a 1-core container stays sequential). *)
-let auto_heap_jobs () =
-  let r = Domain.recommended_domain_count () in
-  if r > 1 then min r 4 else 1
-
-let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
+let build ?(include_control = true) ?arena (p : Program.t)
     (pta : Andersen.result) : t =
   let hx =
     { field_writes = Hashtbl.create 256;
@@ -805,9 +799,6 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
   in
   let log = { ev = Array.make 4096 0; len = 0 } in
   let emit ~from ~on kind = log_edge log ~from ~on kind in
-  let heap_jobs =
-    match heap_jobs with Some j -> max 1 j | None -> auto_heap_jobs ()
-  in
   let mcs = Andersen.method_contexts pta in
   (* Pass 1: intraprocedural edges + heap access indexing — over the
      arena view when the caller lowered one (same edges, same order; the
@@ -835,51 +826,16 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
      (read, write) pairs are deduplicated through a bitset row per
      write-node — the same (rn, wn) pair reappears once per shared
      (object, field) key across contexts — and the surviving pairs are
-     emitted in one sweep via [Bits.iter].  The considered bump counts
-     every candidate; the emitted bump shares one guard with the actual
-     emit (distinct pair, rn <> wn), so emitted == distinct heap edges
-     exactly — the "considered vs emitted" ratio of the
-     context-insensitive representation. *)
+     emitted in one sweep via [Bits.iter], ascending write node then
+     ascending read node, so row order does not depend on hash-table
+     iteration order.  The considered bump counts every candidate; the
+     emitted bump shares one guard with the actual emit (distinct pair,
+     rn <> wn), so emitted == distinct heap edges exactly — the
+     "considered vs emitted" ratio of the context-insensitive
+     representation. *)
   Slice_obs.span "sdg.heap" (fun () ->
-  (* Matched (reads x writes) key groups flattened to plain node arrays:
-     the shardable work-list.  Sharding is by the |reads| x |writes|
-     candidate-pair cost; every shard dedups into its own bitset rows,
-     the parent merges rows by union after [Domain.join] (sets, so merge
-     order is irrelevant), and emission is sorted — ascending write
-     node, ascending read node — so the final adjacency is byte-for-byte
-     identical at every shard count, jobs 1 included. *)
-  let items : (node array * node array) list ref = ref [] in
-  let add_item rs ws =
-    if Array.length rs > 0 && Array.length ws > 0 then
-      items := (rs, ws) :: !items
-  in
-  Hashtbl.iter
-    (fun key rlist ->
-      match Hashtbl.find_opt hx.field_writes key with
-      | None -> ()
-      | Some wlist ->
-        add_item
-          (Array.of_list (List.map fst !rlist))
-          (Array.of_list (List.map fst !wlist)))
-    hx.field_reads;
-  Hashtbl.iter
-    (fun key rlist ->
-      match Hashtbl.find_opt hx.static_writes key with
-      | None -> ()
-      | Some wlist ->
-        add_item (Array.of_list !rlist) (Array.of_list !wlist))
-    hx.static_reads;
-  Hashtbl.iter
-    (fun o rlist ->
-      match Hashtbl.find_opt hx.len_writes o with
-      | None -> ()
-      | Some wlist ->
-        add_item (Array.of_list !rlist) (Array.of_list !wlist))
-    hx.len_reads;
-  let items = Array.of_list !items in
-  let cost (rs, ws) = Array.length rs * Array.length ws in
-  let total_cost = Array.fold_left (fun a it -> a + cost it) 0 items in
-  let consider_into rows rn wn =
+  let rows : (node, Slice_util.Bits.t) Hashtbl.t = Hashtbl.create 256 in
+  let consider rn wn =
     Slice_obs.bump c_heap_considered;
     if rn <> wn then begin
       let row =
@@ -893,66 +849,23 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
       ignore (Slice_util.Bits.add row rn)
     end
   in
-  let run_items rows its =
-    List.iter
-      (fun (rs, ws) ->
-        Array.iter
-          (fun rn -> Array.iter (fun wn -> consider_into rows rn wn) ws)
-          rs)
-      its
+  (* Every read of a key against every write of the same key. *)
+  let pair_up reads writes node_of =
+    Hashtbl.iter
+      (fun key rlist ->
+        match Hashtbl.find_opt writes key with
+        | None -> ()
+        | Some wlist ->
+          List.iter
+            (fun r ->
+              let rn = node_of r in
+              List.iter (fun w -> consider rn (node_of w)) !wlist)
+            !rlist)
+      reads
   in
-  let rows =
-    if heap_jobs > 1 && Array.length items > 1 && total_cost >= 4096 then begin
-      (* longest-processing-time greedy sharding *)
-      let order = Array.init (Array.length items) Fun.id in
-      Array.sort
-        (fun a b ->
-          match compare (cost items.(b)) (cost items.(a)) with
-          | 0 -> compare a b
-          | c -> c)
-        order;
-      let j = min heap_jobs (Array.length items) in
-      let bins = Array.make j [] and load = Array.make j 0 in
-      Array.iter
-        (fun ix ->
-          let best = ref 0 in
-          for k = 1 to j - 1 do
-            if load.(k) < load.(!best) then best := k
-          done;
-          bins.(!best) <- items.(ix) :: bins.(!best);
-          load.(!best) <- load.(!best) + cost items.(ix))
-        order;
-      let workers =
-        Array.map
-          (fun its ->
-            Domain.spawn (fun () ->
-                let rows : (node, Slice_util.Bits.t) Hashtbl.t =
-                  Hashtbl.create 256
-                in
-                run_items rows its;
-                (rows, Slice_obs.snapshot ())))
-          bins
-      in
-      let master : (node, Slice_util.Bits.t) Hashtbl.t = Hashtbl.create 256 in
-      Array.iter
-        (fun w ->
-          let rows, snap = Domain.join w in
-          Slice_obs.merge_snapshot snap;
-          Hashtbl.iter
-            (fun wn row ->
-              match Hashtbl.find_opt master wn with
-              | Some dst -> ignore (Slice_util.Bits.union_into ~src:row ~dst)
-              | None -> Hashtbl.replace master wn row)
-            rows)
-        workers;
-      master
-    end
-    else begin
-      let rows : (node, Slice_util.Bits.t) Hashtbl.t = Hashtbl.create 256 in
-      run_items rows (Array.to_list items);
-      rows
-    end
-  in
+  pair_up hx.field_reads hx.field_writes fst;
+  pair_up hx.static_reads hx.static_writes Fun.id;
+  pair_up hx.len_reads hx.len_writes Fun.id;
   let wns = List.sort compare (Hashtbl.fold (fun wn _ a -> wn :: a) rows []) in
   List.iter
     (fun wn ->

@@ -67,12 +67,10 @@ type t
     — same edges in the same order, pinned by the equivalence tests —
     which is the memory/speed diet for 10^5-10^6-statement programs.
 
-    [heap_jobs] shards the pass-3 heap-wiring candidate pairs across
-    that many OCaml domains (default: up to 4 when
-    [Domain.recommended_domain_count () > 1], else sequential).  Every
-    shard dedups into its own bitset rows; rows are merged by set union
-    and emitted in sorted (write node, read node) order, so the
-    resulting adjacency is identical at every shard count.
+    Pass 3 (heap wiring) dedups candidate (read, write) pairs into one
+    bitset row per write node and emits them in sorted (write node,
+    read node) order, so the adjacency does not depend on hash-table
+    iteration order.
 
     The passes append every edge to a flat log; one count-then-fill pass
     at the end writes the compressed-sparse-row adjacency (flat [int]
@@ -85,7 +83,6 @@ type t
 val build :
   ?include_control:bool ->
   ?arena:Arena.t ->
-  ?heap_jobs:int ->
   Program.t ->
   Andersen.result ->
   t

@@ -729,22 +729,6 @@ let rec find (t : t) (n : int) : int =
     r
   end
 
-(* Read-only find: no path compression, safe to call from several
-   domains at once AFTER the solve is done.  Same representative as
-   [find] — it just walks instead of rewriting. *)
-let rec find_ro (t : t) (n : int) : int =
-  let p = t.parent.(n) in
-  if p = n then n else find_ro t p
-
-(* Compress every union-find path once, so a subsequent concurrent read
-   phase ([find_ro] via [pts_iter_var]) is all O(1) parent hits with no
-   writes in flight.  Callers that fan a finished [result] out to worker
-   domains (parallel mod-ref, sharded SDG wiring) run this first. *)
-let prepare_concurrent_reads (t : t) : unit =
-  for n = 0 to t.num_nodes - 1 do
-    ignore (find t n)
-  done
-
 (* --- interning ----------------------------------------------------- *)
 
 let intern_mctx (t : t) (mq : Instr.method_qname) (c : Context.ctx) : int =
@@ -1605,13 +1589,11 @@ let pts_of_var (t : result) ~(mctx : int) (v : Instr.var) : ObjSet.t =
   pts_of_node t (Nvar (mctx, v))
 
 (* Allocation-free variant for the SDG's heap-indexing pass and the
-   mod-ref direct pass.  Uses the read-only find so worker domains can
-   query a finished result concurrently (after
-   [prepare_concurrent_reads] the walk is O(1) anyway). *)
+   mod-ref direct pass. *)
 let pts_iter_var (t : result) ~(mctx : int) (v : Instr.var) (f : int -> unit) :
     unit =
   match Hashtbl.find_opt t.node_intern (Nvar (mctx, v)) with
-  | Some id -> Bits.iter f t.pts.(find_ro t id)
+  | Some id -> Bits.iter f t.pts.(find t id)
   | None -> ()
 
 (* Context-insensitive projection: union over all contexts of the method. *)

@@ -58,18 +58,8 @@ val reachable_methods : result -> Instr.method_qname list
 val pts_of_var : result -> mctx:int -> Instr.var -> ObjSet.t
 
 (** Allocation-free iteration over a variable's points-to set (used by
-    the SDG's heap-indexing pass and the mod-ref direct pass).  Reads
-    the union-find without compressing, so concurrent calls from worker
-    domains on a finished result are race-free — run
-    {!prepare_concurrent_reads} first so the uncompressed walks stay
-    O(1). *)
+    the SDG's heap-indexing pass and the mod-ref direct pass). *)
 val pts_iter_var : result -> mctx:int -> Instr.var -> (int -> unit) -> unit
-
-(** Compress every union-find path once.  Call before fanning a result
-    out to concurrent readers ({!pts_iter_var} from worker domains);
-    afterwards the read-only lookups are single parent hits and the
-    result is not written to by queries. *)
-val prepare_concurrent_reads : result -> unit
 
 (** Context-insensitive projection: union over the method's contexts. *)
 val pts_of_var_ci : result -> Instr.method_qname -> Instr.var -> ObjSet.t

@@ -17,12 +17,9 @@ module Json = Slice_obs.Json
 
 let protocol_version = "thinslice.serve/v1"
 
-type config = {
-  max_programs : int;
-  jobs : int;
-}
+type config = { max_programs : int }
 
-let default_config = { max_programs = 8; jobs = 1 }
+let default_config = { max_programs = 8 }
 
 type entry = {
   e_key : string;
@@ -38,7 +35,7 @@ type state = {
 }
 
 let create_state (cfg : config) : state =
-  { cfg = { cfg with max_programs = max 1 cfg.max_programs }; entries = [] }
+  { cfg = { max_programs = max 1 cfg.max_programs }; entries = [] }
 
 let cache_keys (st : state) : string list =
   List.map (fun e -> e.e_key) st.entries
@@ -365,7 +362,7 @@ let dispatch (st : state) (req : Json.t) : dispatched =
       let result =
         try
           Engine.query_result_to_json e.e_handle q
-            (Engine.run_query ~jobs:st.cfg.jobs e.e_handle q)
+            (Engine.run_query e.e_handle q)
         with Engine.No_seed line ->
           errf user_error "no statement found at line %d" line
       in

@@ -51,13 +51,10 @@
 val protocol_version : string
 (** ["thinslice.serve/v1"]. *)
 
-type config = {
-  max_programs : int;  (** LRU capacity; at least 1 *)
-  jobs : int;  (** worker domains forwarded to provenance queries *)
-}
+type config = { max_programs : int  (** LRU capacity; at least 1 *) }
 
 val default_config : config
-(** [{ max_programs = 8; jobs = 1 }]. *)
+(** [{ max_programs = 8 }]. *)
 
 (** Error codes carried in [{"error": {"code": C}}] responses: the
     JSON-RPC codes for protocol-level failures, plus [user_error] (1)

@@ -192,3 +192,29 @@ let adjacency_digest (g : Slice_core.Sdg.t) : string =
     row 'U' Sdg.uses_iter i
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* MD5 of a mod-ref result: the number of method contexts, then every
+   context's mod and ref sets in [LocSet] order.  Equal digests mean the
+   same tables, location for location. *)
+let modref_digest (pta : Slice_pta.Andersen.result) (mr : Slice_pta.Modref.t)
+    : string =
+  let open Slice_pta in
+  let buf = Buffer.create 4096 in
+  let n = Andersen.num_call_graph_nodes pta in
+  Buffer.add_string buf (string_of_int n);
+  let set tag s =
+    Buffer.add_char buf tag;
+    Modref.LocSet.iter
+      (fun l ->
+        (match l with
+        | Modref.Lfield (o, f) -> Printf.bprintf buf "f%d.%s" o f
+        | Modref.Lstatic (c, f) -> Printf.bprintf buf "s%s.%s" c f
+        | Modref.Larray_len o -> Printf.bprintf buf "l%d" o);
+        Buffer.add_char buf ',')
+      s
+  in
+  for mc = 0 to n - 1 do
+    set 'M' (Modref.mod_of mr mc);
+    set 'R' (Modref.ref_of mr mc)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -210,6 +210,36 @@ let test_report_layers_cli () =
       Alcotest.(check bool) "schema tag" true
         (contains ~needle:"thinslice.explain/v1" out))
 
+(* --- batch --jobs ------------------------------------------------------ *)
+
+let test_batch_jobs_nonpositive () =
+  skip_if_missing ();
+  with_tj explain_demo (fun path ->
+      let rc, out, err =
+        run_cli (Printf.sprintf "batch %s -l 3 --jobs 0" (Filename.quote path))
+      in
+      Alcotest.(check int) "exit 1" 1 rc;
+      Alcotest.(check string) "no slice printed" "" out;
+      Alcotest.(check string) "one-line error"
+        "thinslice: --jobs expects N >= 1\n" err)
+
+(* Only batch shards work across domains; the provenance queries and the
+   daemon run on one domain and have no --jobs option. *)
+let test_jobs_only_on_batch () =
+  skip_if_missing ();
+  with_tj explain_demo (fun path ->
+      let file = Filename.quote path in
+      List.iter
+        (fun args ->
+          let rc, _, err = run_cli (args ^ " --jobs 2 < /dev/null") in
+          Alcotest.(check int) (args ^ ": cmdliner error") 124 rc;
+          check_clean args err;
+          Alcotest.(check bool) (args ^ ": names the option") true
+            (contains ~needle:"--jobs" err))
+        [ Printf.sprintf "explain %s 2 --seed 5" file;
+          Printf.sprintf "report %s --line 5" file;
+          "serve" ])
+
 let test_fuzz_bad_count () =
   skip_if_missing ();
   let rc, _, err = run_cli "fuzz --count 0" in
@@ -252,6 +282,9 @@ let suite =
       test_explain_missing_seed;
     Alcotest.test_case "report: layers, pretty and JSON" `Quick
       test_report_layers_cli;
+    Alcotest.test_case "batch --jobs 0: clean exit 1" `Quick
+      test_batch_jobs_nonpositive;
+    Alcotest.test_case "--jobs only on batch" `Quick test_jobs_only_on_batch;
     Alcotest.test_case "fuzz --count 0: clean exit 1" `Quick
       test_fuzz_bad_count;
     Alcotest.test_case "fuzz --fault unknown: cmdliner error" `Quick

@@ -243,22 +243,6 @@ let test_report_json_schema () =
         (List.length l)
     | _ -> Alcotest.fail "path is not a list")
 
-(* jobs > 1 routes the same walks through worker domains: the answers
-   must be structurally identical. *)
-let test_jobs_parity () =
-  let a = analysis demo in
-  List.iter
-    (fun mode ->
-      check_bool "witness identical across jobs" true
-        (Engine.witness_from_line a ~seed_line:demo_seed_line ~line:demo_x_line
-           mode
-        = Engine.witness_from_line ~jobs:4 a ~seed_line:demo_seed_line
-            ~line:demo_x_line mode);
-      check_bool "report identical across jobs" true
-        (Engine.slice_report a ~line:demo_seed_line mode
-        = Engine.slice_report ~jobs:4 a ~line:demo_seed_line mode))
-    [ Slicer.Thin; Slicer.Traditional_full ]
-
 (* ---- rank agreement: provenance distance == Inspect layer ----------- *)
 
 (* The paper's section 5 rank of a line (the BFS layer the Inspect
@@ -332,7 +316,5 @@ let suite =
       test_report_layers;
     Alcotest.test_case "report/witness JSON schema" `Quick
       test_report_json_schema;
-    Alcotest.test_case "witness/report identical across --jobs" `Quick
-      test_jobs_parity;
     Alcotest.test_case "provenance rank == Inspect layer (9 workloads)"
       `Quick test_rank_agreement_on_workloads ]

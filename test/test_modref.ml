@@ -77,8 +77,40 @@ let test_static_effects () =
     (Modref.LocSet.mem (Modref.Lstatic ("G", "flag")) main_mods);
   Alcotest.(check bool) "main mods v transitively" true (has_field_loc main_mods)
 
+(* MD5 digests ([Helpers.modref_digest]) of the mod/ref tables on the
+   nine paper workloads and a 2k-statement scaled program.  The
+   constants were recorded while the direct pass could still be sharded
+   across domains (every job count agreed), so they pin that the
+   sequential pass computes the same tables. *)
+let golden_digests =
+  [ ("nanoxml", "024162ed5563e6fdd64bb08ad1030425");
+    ("jtopas", "075765499ed73528337306f392f95cdc");
+    ("ant", "d0252aabed8d8463bdf7fc5125c01f14");
+    ("xmlsec", "286f5a6e3cea91a8ef12c98c74ad1da3");
+    ("mtrt", "b40536cc8899f27dc4986ce24db54ee1");
+    ("jess", "045779e78c541e50362264d8161b7341");
+    ("javac", "11c71697a4e2b7569a195037765475b6");
+    ("jack", "145ebaedeefbb4bf78ee86cc3e1790a5");
+    ("pipeline-32", "eb2a552ab52027879fffd9e29e72ef73");
+    ("scaled-2000", "18d76c37dfd3293e1abea3ae5277c731") ]
+
+let test_golden_modref_digests () =
+  let scaled = Slice_fuzz.Gen_tj.generate_scaled ~seed:5 ~stmts:2000 in
+  List.iter
+    (fun (name, src) ->
+      let a = Slice_core.Engine.of_source ~file:(name ^ ".tj") src in
+      let p = a.Slice_core.Engine.program and pta = a.Slice_core.Engine.pta in
+      Alcotest.(check string)
+        (name ^ " mod-ref digest")
+        (List.assoc name golden_digests)
+        (modref_digest pta (Modref.compute p pta)))
+    (Slice_workloads.Suites.paper_workloads
+    @ [ ("scaled-2000", scaled.Slice_fuzz.Gen_tj.sc_src) ])
+
 let suite =
   [ Alcotest.test_case "direct effects" `Quick test_direct_effects;
     Alcotest.test_case "transitive effects" `Quick test_transitive_effects;
     Alcotest.test_case "pure method" `Quick test_pure_method;
-    Alcotest.test_case "static effects" `Quick test_static_effects ]
+    Alcotest.test_case "static effects" `Quick test_static_effects;
+    Alcotest.test_case "golden mod-ref digests" `Quick
+      test_golden_modref_digests ]

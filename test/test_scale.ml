@@ -1,12 +1,11 @@
-(* Scale-frontier tests: the mega-workload generator, the arena-lowered
-   IR, and the sharded (multi-domain) analysis passes.
+(* Scale-frontier tests: the mega-workload generator and the
+   arena-lowered IR.
 
    The generator promises determinism by seed and calibrated statement
    counts; the arena promises row-for-row equivalence with the record
-   IR on every paper workload; the sharded heap-wiring and mod-ref
-   passes promise BYTE parity with their sequential twins at every job
-   count — parity is pinned here on a program small enough for tier-1,
-   while bench pipeline-huge re-checks it at 10^5..10^6 statements. *)
+   IR on every paper workload, pinned here on programs small enough for
+   tier-1, while bench pipeline-huge re-checks the views at
+   10^5..10^6 statements. *)
 
 open Slice_fuzz
 
@@ -119,49 +118,6 @@ let test_arena_sdg_identical () =
       Alcotest.failf "deps of node %d differ" n
   done
 
-(* --- sharded passes -------------------------------------------------- *)
-
-let sdg_adjacency (g : Slice_core.Sdg.t) : (int * (int * int) list) list =
-  let rows = ref [] in
-  for n = Slice_core.Sdg.num_nodes g - 1 downto 0 do
-    let row =
-      List.map
-        (fun (m, k) -> (m, Slice_core.Sdg.edge_kind_tag k))
-        (Slice_core.Sdg.deps g n)
-    in
-    if row <> [] then rows := (n, row) :: !rows
-  done;
-  !rows
-
-let test_sdg_heap_jobs_parity () =
-  let sc = Gen_tj.generate_scaled ~seed:5 ~stmts:2_000 in
-  let p = Slice_front.Frontend.load_exn ~file:"scaled.tj" sc.Gen_tj.sc_src in
-  let pta = Slice_pta.Andersen.analyze p in
-  let base = sdg_adjacency (Slice_core.Sdg.build ~heap_jobs:1 p pta) in
-  List.iter
-    (fun jobs ->
-      let g = Slice_core.Sdg.build ~heap_jobs:jobs p pta in
-      if sdg_adjacency g <> base then
-        Alcotest.failf "heap_jobs=%d adjacency differs from sequential" jobs)
-    [ 2; 4 ]
-
-let test_modref_jobs_parity () =
-  let sc = Gen_tj.generate_scaled ~seed:5 ~stmts:2_000 in
-  let p = Slice_front.Frontend.load_exn ~file:"scaled.tj" sc.Gen_tj.sc_src in
-  let pta = Slice_pta.Andersen.analyze p in
-  let n = Slice_pta.Andersen.num_call_graph_nodes pta in
-  let dump mr =
-    List.init n (fun mc ->
-        ( Slice_pta.Modref.LocSet.elements (Slice_pta.Modref.mod_of mr mc),
-          Slice_pta.Modref.LocSet.elements (Slice_pta.Modref.ref_of mr mc) ))
-  in
-  let base = dump (Slice_pta.Modref.compute ~jobs:1 p pta) in
-  List.iter
-    (fun jobs ->
-      if dump (Slice_pta.Modref.compute ~jobs p pta) <> base then
-        Alcotest.failf "modref jobs=%d differs from sequential" jobs)
-    [ 2; 4 ]
-
 (* --- memory gauges --------------------------------------------------- *)
 
 let test_memory_stats () =
@@ -225,9 +181,5 @@ let suite =
       test_arena_views_on_workloads;
     Alcotest.test_case "arena-backed SDG identical to record pass" `Quick
       test_arena_sdg_identical;
-    Alcotest.test_case "SDG heap wiring parity at jobs 1/2/4" `Quick
-      test_sdg_heap_jobs_parity;
-    Alcotest.test_case "mod-ref parity at jobs 1/2/4" `Quick
-      test_modref_jobs_parity;
     Alcotest.test_case "memory gauges and stats block" `Quick
       test_memory_stats ]

@@ -185,7 +185,7 @@ let test_hit_miss_equality () =
 (* --- LRU eviction and reload ---------------------------------------- *)
 
 let test_lru_eviction_reload () =
-  let st = Serve.create_state { Serve.max_programs = 2; jobs = 1 } in
+  let st = Serve.create_state { Serve.max_programs = 2 } in
   let load file src = do_req st (req "load" [ ("source", Json.Str src); ("file", Json.Str file) ]) in
   let key_of resp =
     match Json.member "program" (member_exn "result" resp) with
@@ -253,7 +253,7 @@ let big_src =
   Buffer.contents b
 
 let test_eviction_shrinks_scratch () =
-  let st = Serve.create_state { Serve.max_programs = 1; jobs = 1 } in
+  let st = Serve.create_state { Serve.max_programs = 1 } in
   let slice src file line =
     do_req st
       (req "slice"
@@ -483,7 +483,7 @@ let test_update_method () =
    eviction does: the update handler re-sizes the domain scratch to the
    surviving residents instead of pinning the pre-edit high-water mark. *)
 let test_update_shrinks_scratch () =
-  let st = Serve.create_state { Serve.max_programs = 1; jobs = 1 } in
+  let st = Serve.create_state { Serve.max_programs = 1 } in
   let key =
     program_of
       (do_req st

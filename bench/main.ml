@@ -503,66 +503,6 @@ let bench_task (t : Task.t) : Slice_obs.Json.t =
          | Some v -> v
          | None -> 0.)) ]
 
-(* Parallel batch A/B: the biggest workload (javac), every line with a
-   sliceable statement as a seed, sequential [Engine.slice_batch] against
-   [Engine.slice_batch_par] at 2 and 4 domains.  Each parallel entry
-   records its wall, the speedup over sequential, and a parity bit
-   (line-for-line equality with the sequential batch) — the parity bits
-   share the "parity" key with the CSR/Reference bits so the CI grep
-   covers both.  Walls are honest measurements on whatever cores the
-   host has; on a single-core container the speedup hovers around (or
-   below) 1. *)
-let parallel_batch_reps = 5
-
-let bench_parallel_batch () : Slice_obs.Json.t =
-  let open Slice_obs.Json in
-  let name = "javac" in
-  let src = Prog_javac.base in
-  let a = Engine.of_source ~file:(name ^ ".tj") src in
-  (* every line that has at least one seed node *)
-  let n_lines = List.length (String.split_on_char '\n' src) in
-  let lines = ref [] in
-  for l = n_lines downto 1 do
-    if Engine.seeds_at_line a l <> [] then lines := l :: !lines
-  done;
-  let lines = !lines in
-  let mode = Slicer.Thin in
-  let run jobs =
-    if jobs <= 1 then Engine.slice_batch a ~lines mode
-    else Engine.slice_batch_par ~jobs a ~lines mode
-  in
-  let timed jobs =
-    ignore (run jobs) (* warmup: scratch growth, minor-heap shaping *);
-    let r = ref [] in
-    let _, wall =
-      time (fun () ->
-          for _ = 1 to parallel_batch_reps do
-            r := run jobs
-          done)
-    in
-    (!r, wall)
-  in
-  let seq_results, seq_wall = timed 1 in
-  let par_entries =
-    List.map
-      (fun jobs ->
-        let par_results, par_wall = timed jobs in
-        Obj
-          [ ("jobs", Int jobs);
-            ("wall_s", Float par_wall);
-            ("speedup", Float (if par_wall > 0. then seq_wall /. par_wall else 0.));
-            ("parity", Bool (par_results = seq_results)) ])
-      [ 2; 4 ]
-  in
-  Obj
-    [ ("name", Str name);
-      ("mode", Str (Slicer.mode_to_string mode));
-      ("num_slices", Int (List.length lines));
-      ("reps", Int parallel_batch_reps);
-      ("recommended_domains", Int (Domain.recommended_domain_count ()));
-      ("sequential_wall_s", Float seq_wall);
-      ("parallel", List par_entries) ]
-
 (* Points-to solver A/B: on every suite program, the bitset /
    cycle-collapsing worklist solver against [Andersen.Reference] (the
    original list/tree implementation, kept verbatim as a telemetry-free
@@ -574,8 +514,7 @@ let bench_parallel_batch () : Slice_obs.Json.t =
    identical points-to sets (canonical-key dump), identical call graph,
    and identical thin + traditional slices over SDGs built from either
    result.  The combined bit shares the "parity" key with the
-   CSR/Reference and parallel-batch bits so the CI grep covers all three
-   families.
+   CSR/Reference bits so the CI grep covers both families.
    Walls are honest single-host measurements. *)
 let pta_reps = 20
 
@@ -1325,7 +1264,6 @@ let json_results ?(out = "BENCH_results.json") () =
     List.map (fun (name, src) -> bench_entry name src) (suite_programs ())
   in
   let tasks = List.map bench_task (Sir_suite.tasks @ Casts_suite.tasks) in
-  let parallel_batch = bench_parallel_batch () in
   let pta_ab = bench_pta_ab () in
   (* self-check: every pta_ab entry must carry a finite positive speedup
      and all-true parity bits before the artifact is written *)
@@ -1428,7 +1366,6 @@ let json_results ?(out = "BENCH_results.json") () =
         ("generated_at_unix_s", Float (Unix.gettimeofday ()));
         ("benchmarks", List benchmarks);
         ("slice_size_tables", List tasks);
-        ("parallel_batch", parallel_batch);
         ("ir_arena", List ir_arena);
         ("pta_ab", List pta_ab);
         ("serve_ab", serve_ab);

@@ -309,24 +309,11 @@ let batch_cmd =
       & info [ "line"; "l" ] ~docv:"N"
           ~doc:"Seed line number (repeatable; one slice per occurrence)")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Shard the batch across $(docv) worker domains (OCaml 5 \
-             parallelism).  Results are identical to --jobs 1 for every N; \
-             worker telemetry is merged back into the main report.")
-  in
-  let run file lines mode no_objsens forward jobs solver tel =
+  let run file lines mode no_objsens forward solver tel =
     handle_errors (fun () ->
-        if jobs < 1 then cli_error "--jobs expects N >= 1";
         setup_telemetry tel;
         let a = load_analysis ~solver ~obj_sens:(not no_objsens) file in
-        let results =
-          if jobs <= 1 then Engine.slice_batch ~forward a ~lines mode
-          else Engine.slice_batch_par ~forward ~jobs a ~lines mode
-        in
+        let results = Engine.slice_batch ~forward a ~lines mode in
         let src = read_file_exn file in
         List.iter
           (fun (line, slice_lines) ->
@@ -341,11 +328,10 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:
          "Compute many slices from one analysis: the graph is built once \
-          and all walks share scratch buffers; --jobs N shards the walks \
-          across N domains")
+          and all walks share scratch buffers")
     Term.(
       const run $ file_arg $ lines_arg $ mode_arg $ objsens_arg $ forward_arg
-      $ jobs_arg $ pta_arg $ telemetry_term)
+      $ pta_arg $ telemetry_term)
 
 let chop_cmd =
   let to_arg =
@@ -858,7 +844,7 @@ let fuzz_cmd =
        ~doc:
          "Differential fuzzing: generate random TJ programs and run the \
           oracle battery (dynamic-slice soundness, static mode chain, \
-          CSR/reference and bitset/reference parity, parallel batch parity, \
+          CSR/reference and bitset/reference parity, \
           object-sensitivity containment, and with --edits the \
           incremental-vs-fresh equivalence chain) on each; violations are \
           shrunk and written as replayable JSON repros")

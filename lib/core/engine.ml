@@ -138,63 +138,6 @@ let slice_batch ?filter ?(forward = false) (a : analysis) ~(lines : int list)
       (line, Slicer.locs_to_line_numbers (Slicer.nodes_to_lines a.sdg nodes)))
     lines slices
 
-(* Parallel batch slicing: shard the (already seed-resolved) batch across
-   [jobs] worker domains, each walking the shared CSR graph with its own
-   scratch handle and its own per-domain telemetry registry.  Seeds are
-   resolved sequentially up front so [No_seed] behaviour is
-   deterministic and identical to {!slice_batch}.  Workers only read the
-   graph, whose adjacency is immutable once built, and each worker's
-   telemetry snapshot is merged back into the calling domain after
-   [Domain.join], even when a worker raised. *)
-let slice_batch_par ?filter ?(forward = false) ?(jobs = 1) (a : analysis)
-    ~(lines : int list) (mode : Slicer.mode) : (int * int list) list =
-  if jobs <= 1 then slice_batch ?filter ~forward a ~lines mode
-  else begin
-    let seeds = Array.of_list (List.map (fun l -> seeds_at_line_exn ?filter a l) lines) in
-    let n = Array.length seeds in
-    let jobs = min jobs (max 1 n) in
-    (* Stay far below the runtime's recommended domain count ceiling. *)
-    let jobs = min jobs 64 in
-    Slice_obs.span "engine.slice_batch_par" (fun () ->
-        let results : Sdg.node list array = Array.make n [] in
-        let run_chunk lo hi =
-          (* Executed inside a fresh domain: per-domain DLS scratch, and a
-             per-domain telemetry registry that starts empty. *)
-          let out =
-            try
-              let scratch = Slicer.create_scratch a.sdg in
-              for i = lo to hi - 1 do
-                let seeds = seeds.(i) in
-                results.(i) <-
-                  (if forward then Slicer.forward_slice ~scratch a.sdg ~seeds mode
-                   else Slicer.slice ~scratch a.sdg ~seeds mode)
-              done;
-              Ok ()
-            with e -> Error e
-          in
-          (out, Slice_obs.snapshot ())
-        in
-        let chunk i = (i * n / jobs, (i + 1) * n / jobs) in
-        let domains =
-          Array.init jobs (fun i ->
-              let lo, hi = chunk i in
-              Domain.spawn (fun () -> run_chunk lo hi))
-        in
-        let outcomes = Array.map Domain.join domains in
-        (* Merge every worker's telemetry first — exception or not — so
-           counters/spans are never lost, then re-raise the first error. *)
-        Array.iter (fun (_, snap) -> Slice_obs.merge_snapshot snap) outcomes;
-        Array.iter
-          (fun (out, _) -> match out with Ok () -> () | Error e -> raise e)
-          outcomes;
-        List.mapi
-          (fun i line ->
-            ( line,
-              Slicer.locs_to_line_numbers
-                (Slicer.nodes_to_lines a.sdg results.(i)) ))
-          lines)
-  end
-
 (* Inspection simulation (the paper's BFS metric) from a line seed. *)
 let inspect_from_line ?filter (a : analysis) ~(line : int)
     ~(desired : int list) (mode : Slicer.mode) : Inspect.report =

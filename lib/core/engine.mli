@@ -85,27 +85,6 @@ val slice_batch :
   Slicer.mode ->
   (int * int list) list
 
-(** {!slice_batch} sharded across [jobs] OCaml 5 domains.  Seeds are
-    resolved sequentially in input order (so {!No_seed} behaviour is
-    identical to the sequential batch); the workers share the graph,
-    whose adjacency is immutable once built, and each worker domain
-    slices a contiguous chunk with its own {!Slicer.create_scratch}
-    handle and its own per-domain telemetry registry.  After
-    [Domain.join], every worker's {!Slice_obs.snapshot} is merged back
-    into the calling domain ({!Slice_obs.merge_snapshot}) — even when a
-    worker raised — then the first worker error, if any, is re-raised.
-    Results are in input order and node-for-node equal to the sequential
-    batch for every [jobs].  [jobs <= 1] degrades to {!slice_batch}
-    without spawning.  Recorded under ["engine.slice_batch_par"]. *)
-val slice_batch_par :
-  ?filter:seed_filter ->
-  ?forward:bool ->
-  ?jobs:int ->
-  analysis ->
-  lines:int list ->
-  Slicer.mode ->
-  (int * int list) list
-
 (** The paper's BFS inspection simulation from a line seed. *)
 val inspect_from_line :
   ?filter:seed_filter ->

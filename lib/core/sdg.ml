@@ -129,10 +129,13 @@ type heap_index = {
    assigned, so the columns can never describe an older table (the
    Methods update tier relocates surviving statements, then patches).
 
-   A line key numbers a (file, line) pair densely: [rank * stride +
+   A line key numbers a (file, line) pair densely: [lc_base.(rank) +
    line], where [rank] is the file's position in [lc_files] (sorted by
-   [String.compare]) and [stride] exceeds every line.  Key order is
-   therefore (file, line) order.  [lc_key.(n)] packs the node's line key
+   [String.compare]) and each file's span [lc_base.(rank + 1) -
+   lc_base.(rank)] is its own largest line + 1, so the key space grows
+   with the source, not with files × the longest file.  Key order is
+   therefore (file, line) order, and a single-file program's key is its
+   line.  [lc_key.(n)] packs the node's line key
    with its countability: [(key lsl 1) lor 1] for a countable node,
    [key lsl 1] for a located but uncountable one (phis, gotos), -1 for
    a node without a location. *)
@@ -140,7 +143,8 @@ type loc_columns = {
   lc_loc : Loc.t array;     (* node -> location; [Loc.none] if absent *)
   lc_key : int array;       (* node -> packed line key, see above *)
   lc_files : string array;  (* file rank -> file name *)
-  lc_stride : int;
+  lc_base : int array;      (* file rank -> first key; one extra entry,
+                               the key count *)
 }
 
 type t = {
@@ -378,7 +382,7 @@ let node_countable (g : t) (n : node) : bool = line_key g n >= 0
 
 (* Line keys lie in [0, num_line_keys g). *)
 let num_line_keys (g : t) : int =
-  Array.length g.locs.lc_files * g.locs.lc_stride
+  g.locs.lc_base.(Array.length g.locs.lc_files)
 
 let site_countable (si : Program.stmt_info) : bool =
   match si.Program.s_site with
@@ -409,8 +413,16 @@ let set_stmt_table (g : t) tbl : unit =
   let loc = Array.make n Loc.none and key = Array.make n (-1) in
   (* pass 1: locations, the countability bit, and the files and lines
      the keys must cover *)
-  let files = Hashtbl.create 4 and max_line = ref 0 in
-  let note_file = memo_last (fun f -> Hashtbl.replace files f 0) in
+  let files = Hashtbl.create 4 in
+  let note_file =
+    memo_last (fun f ->
+        match Hashtbl.find_opt files f with
+        | Some m -> m
+        | None ->
+          let m = ref 0 in
+          Hashtbl.replace files f m;
+          m)
+  in
   for i = 0 to n - 1 do
     match g.descs.(i) with
     | Formal _ -> ()
@@ -423,24 +435,30 @@ let set_stmt_table (g : t) tbl : unit =
           loc.(i) <- l;
           key.(i) <-
             (match d with Stmt _ when not (site_countable si) -> 0 | _ -> 1);
-          note_file l.Loc.file;
-          if l.Loc.line > !max_line then max_line := l.Loc.line
+          let m = note_file l.Loc.file in
+          if l.Loc.line > !m then m := l.Loc.line
         end)
   done;
   let lc_files =
     Array.of_list
       (List.sort String.compare (Hashtbl.fold (fun f _ a -> f :: a) files []))
   in
-  Array.iteri (fun r f -> Hashtbl.replace files f r) lc_files;
-  let lc_stride = !max_line + 1 in
+  (* each file's base: the prefix sum of the earlier files' spans *)
+  let lc_base = Array.make (Array.length lc_files + 1) 0 in
+  Array.iteri
+    (fun r f ->
+      let m = Hashtbl.find files f in
+      lc_base.(r + 1) <- lc_base.(r) + !m + 1;
+      m := lc_base.(r))
+    lc_files;
   (* pass 2: the (file, line) key above the countability bit *)
-  let rank_of = memo_last (Hashtbl.find files) in
+  let base_of = memo_last (fun f -> !(Hashtbl.find files f)) in
   for i = 0 to n - 1 do
     if key.(i) >= 0 then
       let l = loc.(i) in
-      key.(i) <- ((rank_of l.Loc.file * lc_stride + l.Loc.line) lsl 1) lor key.(i)
+      key.(i) <- ((base_of l.Loc.file + l.Loc.line) lsl 1) lor key.(i)
   done;
-  g.locs <- { lc_loc = loc; lc_key = key; lc_files; lc_stride };
+  g.locs <- { lc_loc = loc; lc_key = key; lc_files; lc_base };
   (* two one-word-per-node columns, 8 bytes per word *)
   Slice_obs.max_gauge g_loc_bytes (float_of_int (8 * 2 * n))
 
@@ -783,7 +801,7 @@ let build ?(include_control = true) ?arena (p : Program.t)
     { p;
       pta;
       stmt_table = Hashtbl.create 1;  (* set with the columns below *)
-      locs = { lc_loc = [||]; lc_key = [||]; lc_files = [||]; lc_stride = 1 };
+      locs = { lc_loc = [||]; lc_key = [||]; lc_files = [||]; lc_base = [| 0 |] };
       descs = Array.make 1024 (Formal (-1, -1));
       num_nodes = 0;
       intern = Hashtbl.create 1024;
@@ -1273,28 +1291,52 @@ let patch (g : t) ~(changed : Instr.method_qname list)
 (* Lookups used by drivers                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Binary search of an ascending int array. *)
+let mem_sorted (a : int array) (x : int) : bool =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let v = Array.unsafe_get a mid in
+    v = x || if v < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
 (* All statement nodes whose source line matches: a scan of the packed
    key column.  Dead nodes of a patched graph have no location (their
    retired statement ids are absent from the rebuilt statement table);
    the explicit check keeps that an invariant of this function rather
    than of statement-id freshness. *)
 let nodes_at_line (g : t) ~(file : string option) ~(line : int) : node list =
-  let keys = g.locs.lc_key and stride = g.locs.lc_stride in
+  let keys = g.locs.lc_key and base = g.locs.lc_base in
   let out = ref [] in
   let collect hit =
     for n = g.num_nodes - 1 downto 0 do
       if hit keys.(n) && not (is_dead g n) then out := n :: !out
     done
   in
-  (if line >= 0 && line < stride then
-     match file with
-     | None -> collect (fun k -> k >= 0 && (k lsr 1) mod stride = line)
-     | Some f -> (
-       match Array.find_index (String.equal f) g.locs.lc_files with
-       | None -> ()
-       | Some r ->
-         let key = (r * stride) + line in
-         collect (fun k -> k asr 1 = key)));
+  (* the key of [line] in the file of rank [r], -1 past the file's span *)
+  let key_in r =
+    if line >= 0 && base.(r) + line < base.(r + 1) then base.(r) + line else -1
+  in
+  (match file with
+  | None -> (
+    (* the key of [line] in every file that spans it, ascending *)
+    let targets =
+      Array.of_list
+        (List.filter (fun k -> k >= 0)
+           (List.init (Array.length g.locs.lc_files) key_in))
+    in
+    match targets with
+    | [||] -> ()
+    | [| key |] -> collect (fun k -> k asr 1 = key)
+    | _ -> collect (fun k -> k >= 0 && mem_sorted targets (k lsr 1)))
+  | Some f -> (
+    match Array.find_index (String.equal f) g.locs.lc_files with
+    | None -> ()
+    | Some r ->
+      let key = key_in r in
+      if key >= 0 then collect (fun k -> k asr 1 = key)));
   !out
 
 (* Number of scalar statements: distinct statement ids that appear as nodes

@@ -50,8 +50,8 @@ let g_frontier_peak = Slice_obs.gauge "slicer.frontier_peak"
 let g_scratch_bytes = Slice_obs.gauge "slicer.scratch_bytes"
 let h_slice_nodes = Slice_obs.histogram "slicer.slice_nodes"
 
-(* BFS layer of each member at first visit, observed only by the
-   provenance-recording walk (the plain walk stays annotation-free). *)
+(* BFS layer of each member at first visit, observed only by walks that
+   record provenance. *)
 let h_bfs_distance = Slice_obs.histogram "slicer.bfs_distance"
 
 let mode_to_string = function
@@ -136,20 +136,23 @@ type scratch = {
   mutable best : Bytes.t;      (* cap bytes, all-zero between walks *)
   mutable queued : Slice_util.Bits.t;
                                (* dense bitset, all-clear between walks;
-                                  mutable so [shrink_scratch] can swap in
-                                  a smaller one ([Bits.clear] keeps the
-                                  backing store) *)
+                                  mutable so [shrink_shared_scratch] can
+                                  swap in a smaller one ([Bits.clear]
+                                  keeps the backing store) *)
   mutable ring : int array;    (* cap + 1 slots *)
   mutable touched : int array; (* cap slots; first-visit log *)
 }
 
-let create_scratch (g : Sdg.t) : scratch =
-  let n = max 1 (Sdg.num_nodes g) in
-  { cap = n;
-    best = Bytes.make n '\000';
-    queued = Slice_util.Bits.create ~capacity:n ();
-    ring = Array.make (n + 1) 0;
-    touched = Array.make n 0 }
+(* The one walk scratch, shared by every traversal: slicing is not
+   re-entrant (edge callbacks never start another walk), so a single
+   buffer set suffices and per-slice allocation stays O(slice).  Empty
+   until the first walk sizes it. *)
+let shared : scratch =
+  { cap = 0;
+    best = Bytes.empty;
+    queued = Slice_util.Bits.create ~capacity:1 ();
+    ring = [| 0 |];
+    touched = [||] }
 
 (* Grow-only: the buffers need no clearing because every walk zeroes
    exactly the entries it touched before returning ([queued] grows on
@@ -162,7 +165,7 @@ let ensure_capacity (s : scratch) (n : int) : unit =
     s.touched <- Array.make n 0
   end
 
-let scratch_capacity (s : scratch) : int = s.cap
+let shared_scratch_capacity () : int = shared.cap
 
 (* Resident footprint of the buffers, in bytes: [best] is one byte per
    node, the ring and touched logs are boxed-free int arrays (8 bytes a
@@ -176,12 +179,12 @@ let scratch_bytes (s : scratch) : int =
   + (8 * Array.length s.touched)
 
 (* The release path for long-lived processes: a one-off mega-program
-   query must not pin its peak buffers for the owner's lifetime.  The
+   query must not pin its peak buffers for the process's lifetime.  The
    buffers are all-zero between walks, so a rebuild at the smaller size
-   preserves every invariant; [keep] is clamped to at least 1, matching
-   [create_scratch].  Growing back later is just [ensure_capacity]. *)
-let shrink_scratch (s : scratch) ~(keep : int) : unit =
-  let n = max 1 keep in
+   preserves every invariant; [keep] is clamped to at least 1.  Growing
+   back later is just [ensure_capacity]. *)
+let shrink_shared_scratch ~(keep : int) : unit =
+  let s = shared and n = max 1 keep in
   if s.cap > n then begin
     s.cap <- n;
     s.best <- Bytes.make n '\000';
@@ -255,88 +258,19 @@ let emit_sorted (best : Bytes.t) (touched : int array) (size : int) :
   end;
   !out
 
-(* Reachability keeping, per node, the best (largest) remaining budget at
-   which it has been reached: a node reached with more budget left may
-   reveal further base-pointer edges.  Backward and forward slicing share
-   this walk, parameterised by the adjacency direction.  Entry-unique:
-   a budget improvement for a node already in the ring only updates
-   [best]; the pending ring entry reads the improved budget at pop. *)
-let walk_scratch (scratch : scratch)
-    (iter : Sdg.t -> Sdg.node -> (Sdg.node -> Sdg.edge_kind -> unit) -> unit)
-    (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : Sdg.node list =
-  Slice_obs.bump c_slices;
-  let n = Sdg.num_nodes g in
-  ensure_capacity scratch n;
-  let best = scratch.best and queued = scratch.queued and ring = scratch.ring in
-  let touched = scratch.touched in
-  let slots = Array.length ring in
-  let head = ref 0 and tail = ref 0 and count = ref 0 and peak = ref 0 in
-  let tcount = ref 0 in
-  let visited = Slice_obs.counter_cell c_nodes_visited in
-  let followed = Slice_obs.counter_cell c_edges_followed in
-  let skipped = Slice_obs.counter_cell c_edges_skipped in
-  let costly = Slice_obs.counter_cell c_edges_costly in
-  let spent = Slice_obs.counter_cell c_budget_spent in
-  let push node budget =
-    let b1 = budget + 1 in
-    if Char.code (Bytes.unsafe_get best node) < b1 then begin
-      if Bytes.unsafe_get best node = '\000' then begin
-        (* first visit: log for result emission and buffer reset *)
-        Array.unsafe_set touched !tcount node;
-        incr tcount
-      end;
-      Bytes.unsafe_set best node (Char.unsafe_chr b1);
-      if Slice_util.Bits.add queued node then begin
-        Array.unsafe_set ring !tail node;
-        tail := (!tail + 1) mod slots;
-        incr count;
-        if !count > !peak then peak := !count
-      end
-    end
-  in
-  (* [initial_budget] is already clamped to [max_aliasing_budget], which
-     fits the byte-wide [best] table (budget + 1 <= 255) *)
-  let k0 = initial_budget mode in
-  List.iter (fun s -> push s k0) seeds;
-  while !count > 0 do
-    let node = Array.unsafe_get ring !head in
-    head := (!head + 1) mod slots;
-    decr count;
-    Slice_util.Bits.remove queued node;
-    let budget = Char.code (Bytes.unsafe_get best node) - 1 in
-    incr visited;
-    iter g node (fun dep kind ->
-        match edge_policy mode kind with
-        | `Follow ->
-          incr followed;
-          push dep budget
-        | `Costly ->
-          if budget > 0 then begin
-            incr costly;
-            incr spent;
-            push dep (budget - 1)
-          end
-          else incr skipped
-        | `Skip -> incr skipped)
-  done;
-  Slice_obs.max_gauge g_frontier_peak (float_of_int !peak);
-  (* [queued] is already all-zero again: every enqueued node was popped. *)
-  Slice_obs.observe h_slice_nodes (float_of_int !tcount);
-  emit_sorted best touched !tcount
-
 (* ------------------------------------------------------------------ *)
 (* Provenance                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Opt-in side tables recorded by [walk_scratch_prov]: per node, the
+(* Opt-in side tables recorded by [walk_scratch ?prov]: per node, the
    discovering parent, the kind of the discovering edge (as a
    [Sdg.edge_kind_tag]), the best remaining aliasing budget on arrival,
    and the BFS layer at FIRST visit.  Validity is a generation stamp
    ([pv_stamp.(n) = pv_gen]), so starting a new recorded walk
    invalidates the previous walk's records in O(1) and the arrays never
-   need clearing; like the walk scratch the tables are grow-only and
-   owned by one domain at a time, but unlike it they are caller-owned
-   and keep their contents AFTER the walk — that is the whole point:
+   need clearing; like the walk scratch the tables are grow-only, but
+   unlike it they are caller-owned and keep their contents AFTER the
+   walk — that is the whole point:
    [witness] and [distance] read them later.
 
    The discovery record (parent/kind/budget) follows EVERY budget
@@ -410,23 +344,34 @@ let shrink_provenance (p : provenance) ~(keep : int) : unit =
     p.pv_graph <- None
   end
 
-(* [walk_scratch] with provenance recording.  A separate copy of the loop
-   rather than a branch inside [push]: the plain walk is the production
-   hot path and must not pay for a feature that is off. *)
-let walk_scratch_prov (scratch : scratch) (prov : provenance)
+(* Reachability keeping, per node, the best (largest) remaining budget at
+   which it has been reached: a node reached with more budget left may
+   reveal further base-pointer edges.  Backward and forward slicing share
+   this walk, parameterised by the adjacency direction.  Entry-unique:
+   a budget improvement for a node already in the ring only updates
+   [best]; the pending ring entry reads the improved budget at pop.
+
+   With [?prov] the walk also records each node's discovery in the
+   provenance side tables (see [provenance]).  Without it [push] writes
+   no record and the edge-kind tag is never computed, so the hot path
+   pays one well-predicted branch per push. *)
+let walk_scratch ?prov (scratch : scratch)
     (iter : Sdg.t -> Sdg.node -> (Sdg.node -> Sdg.edge_kind -> unit) -> unit)
     (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : Sdg.node list =
   Slice_obs.bump c_slices;
   let n = Sdg.num_nodes g in
   ensure_capacity scratch n;
-  ensure_prov_capacity prov n;
-  prov.pv_gen <- prov.pv_gen + 1;
-  prov.pv_mode <- Some mode;
-  prov.pv_graph <- Some (g, Sdg.generation g);
-  let gen = prov.pv_gen in
-  let parent = prov.pv_parent and kindt = prov.pv_kind in
-  let budg = prov.pv_budget and dist = prov.pv_dist in
-  let stamp = prov.pv_stamp in
+  let recording = Option.is_some prov in
+  let parent, kindt, budg, dist, stamp, gen =
+    match prov with
+    | None -> ([||], [||], [||], [||], [||], 0)
+    | Some p ->
+      ensure_prov_capacity p n;
+      p.pv_gen <- p.pv_gen + 1;
+      p.pv_mode <- Some mode;
+      p.pv_graph <- Some (g, Sdg.generation g);
+      (p.pv_parent, p.pv_kind, p.pv_budget, p.pv_dist, p.pv_stamp, p.pv_gen)
+  in
   let best = scratch.best and queued = scratch.queued and ring = scratch.ring in
   let touched = scratch.touched in
   let slots = Array.length ring in
@@ -441,16 +386,21 @@ let walk_scratch_prov (scratch : scratch) (prov : provenance)
     let b1 = budget + 1 in
     if Char.code (Bytes.unsafe_get best node) < b1 then begin
       if Bytes.unsafe_get best node = '\000' then begin
+        (* first visit: log for result emission and buffer reset *)
         Array.unsafe_set touched !tcount node;
         incr tcount;
-        let d = if par < 0 then 0 else Array.unsafe_get dist par + 1 in
-        Array.unsafe_set dist node d;
-        Array.unsafe_set stamp node gen;
-        Slice_obs.observe h_bfs_distance (float_of_int d)
+        if recording then begin
+          let d = if par < 0 then 0 else Array.unsafe_get dist par + 1 in
+          Array.unsafe_set dist node d;
+          Array.unsafe_set stamp node gen;
+          Slice_obs.observe h_bfs_distance (float_of_int d)
+        end
       end;
-      Array.unsafe_set parent node par;
-      Array.unsafe_set kindt node ktag;
-      Array.unsafe_set budg node budget;
+      if recording then begin
+        Array.unsafe_set parent node par;
+        Array.unsafe_set kindt node ktag;
+        Array.unsafe_set budg node budget
+      end;
       Bytes.unsafe_set best node (Char.unsafe_chr b1);
       if Slice_util.Bits.add queued node then begin
         Array.unsafe_set ring !tail node;
@@ -460,6 +410,8 @@ let walk_scratch_prov (scratch : scratch) (prov : provenance)
       end
     end
   in
+  (* [initial_budget] is already clamped to [max_aliasing_budget], which
+     fits the byte-wide [best] table (budget + 1 <= 255) *)
   let k0 = initial_budget mode in
   List.iter (fun s -> push s k0 (-1) (-1)) seeds;
   while !count > 0 do
@@ -473,17 +425,20 @@ let walk_scratch_prov (scratch : scratch) (prov : provenance)
         match edge_policy mode kind with
         | `Follow ->
           incr followed;
-          push dep budget node (Sdg.edge_kind_tag kind)
+          push dep budget node
+            (if recording then Sdg.edge_kind_tag kind else -1)
         | `Costly ->
           if budget > 0 then begin
             incr costly;
             incr spent;
-            push dep (budget - 1) node (Sdg.edge_kind_tag kind)
+            push dep (budget - 1) node
+              (if recording then Sdg.edge_kind_tag kind else -1)
           end
           else incr skipped
         | `Skip -> incr skipped)
   done;
   Slice_obs.max_gauge g_frontier_peak (float_of_int !peak);
+  (* [queued] is already all-zero again: every enqueued node was popped. *)
   Slice_obs.observe h_slice_nodes (float_of_int !tcount);
   emit_sorted best touched !tcount
 
@@ -535,70 +490,12 @@ let witness (p : provenance) (node : Sdg.node) : witness_step list option =
     Some (build node [])
   end
 
-(* One scratch per DOMAIN, lazily created and grown, shared by all slices
-   in that domain that do not pass an explicit [?scratch]: within a
-   domain slicing is not re-entrant (edge callbacks never start another
-   walk), so a single buffer set suffices and per-slice allocation stays
-   O(slice).  The cell lives in [Domain.DLS] — the old process-global
-   [shared_scratch] was a correctness bug the moment two domains sliced
-   concurrently (both walks would interleave writes into the same [best]
-   table).  A parallel batch executor can either rely on this per-domain
-   default or thread explicit [create_scratch] handles. *)
-let dls_scratch : scratch option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let get_scratch (g : Sdg.t) : scratch =
-  let cell = Domain.DLS.get dls_scratch in
-  match !cell with
-  | Some s ->
-    ensure_capacity s (Sdg.num_nodes g);
-    s
-  | None ->
-    let s = create_scratch g in
-    cell := Some s;
-    s
-
-(* Capacity/shrink for the calling domain's implicit scratch: a daemon
-   that slices through the DLS default (no explicit [?scratch]) needs a
-   handle-free release path when it evicts a large program. *)
-let domain_scratch_capacity () : int =
-  match !(Domain.DLS.get dls_scratch) with
-  | Some s -> s.cap
-  | None -> 0
-
-let domain_scratch_bytes () : int =
-  match !(Domain.DLS.get dls_scratch) with
-  | Some s -> scratch_bytes s
-  | None -> 0
-
-let shrink_domain_scratch ~(keep : int) : unit =
-  match !(Domain.DLS.get dls_scratch) with
-  | Some s -> shrink_scratch s ~keep
-  | None -> ()
-
-(* Resolve the scratch an entry point walks on: the caller's explicit
-   handle (grown to fit [g]) if given, else the calling domain's shared
-   one. *)
-let resolve_scratch ?scratch (g : Sdg.t) : scratch =
-  let s =
-    match scratch with
-    | Some s ->
-      ensure_capacity s (max 1 (Sdg.num_nodes g));
-      s
-    | None -> get_scratch g
-  in
-  (* Peak gauge, recorded when the walk resolves its buffers: a memory
-     figure per domain registry, merged by [Slice_obs.merge_snapshot]
-     in parallel executors. *)
-  Slice_obs.max_gauge g_scratch_bytes (float_of_int (scratch_bytes s));
-  s
-
-(* The walk function an entry point runs: the plain hot path, or the
-   provenance-recording copy when the caller passed a [?prov] handle. *)
-let walk_for ?prov scratch iter g ~seeds mode =
-  match prov with
-  | None -> walk_scratch scratch iter g ~seeds mode
-  | Some p -> walk_scratch_prov scratch p iter g ~seeds mode
+(* The shared scratch, grown to fit [g], with its footprint recorded as
+   a peak gauge. *)
+let scratch_for (g : Sdg.t) : scratch =
+  ensure_capacity shared (max 1 (Sdg.num_nodes g));
+  Slice_obs.max_gauge g_scratch_bytes (float_of_int (scratch_bytes shared));
+  shared
 
 (* Per-query span annotations: the mode up front, the result size once
    known — this is what makes a Chrome trace attributable to a QUERY
@@ -608,47 +505,44 @@ let annotate_size (result : Sdg.node list) : Sdg.node list =
     Slice_obs.add_span_arg "nodes" (string_of_int (List.length result));
   result
 
-let slice ?scratch ?prov (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
+let slice ?prov (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
     Sdg.node list =
   Slice_obs.span
     ~args:[ ("mode", mode_to_string mode) ]
     "slicer.slice"
     (fun () ->
       annotate_size
-        (walk_for ?prov (resolve_scratch ?scratch g) Sdg.deps_iter g ~seeds
-           mode))
+        (walk_scratch ?prov (scratch_for g) Sdg.deps_iter g ~seeds mode))
 
 (* Forward slicing: which statements CONSUME the value a seed produces?
    Same edge discipline as backward slicing, traversed over use-edges.
    Useful for impact analysis ("if I change this line, which outputs can
    move?") — the dual of the paper's backward producer chains. *)
-let forward_slice ?scratch ?prov (g : Sdg.t) ~(seeds : Sdg.node list)
-    (mode : mode) : Sdg.node list =
+let forward_slice ?prov (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
+    Sdg.node list =
   Slice_obs.span
     ~args:[ ("mode", mode_to_string mode) ]
     "slicer.forward"
     (fun () ->
       annotate_size
-        (walk_for ?prov (resolve_scratch ?scratch g) Sdg.uses_iter g ~seeds
-           mode))
+        (walk_scratch ?prov (scratch_for g) Sdg.uses_iter g ~seeds mode))
 
-(* Many slices over one graph, one scratch allocation.  The
-   per-seed walks reuse the byte arrays and the ring; only the result
-   lists are fresh. *)
-let slice_batch ?scratch (g : Sdg.t) ~(seeds_list : Sdg.node list list)
-    (mode : mode) : Sdg.node list list =
+(* Many slices over one graph, one scratch sizing.  The per-seed walks
+   reuse the byte arrays and the ring; only the result lists are fresh. *)
+let slice_batch (g : Sdg.t) ~(seeds_list : Sdg.node list list) (mode : mode) :
+    Sdg.node list list =
   Slice_obs.span "slicer.slice_batch" (fun () ->
-      let scratch = resolve_scratch ?scratch g in
+      let scratch = scratch_for g in
       List.map
         (fun seeds -> walk_scratch scratch Sdg.deps_iter g ~seeds mode)
         seeds_list)
 
-let forward_slice_batch ?scratch (g : Sdg.t) ~(seeds_list : Sdg.node list list)
+let forward_slice_batch (g : Sdg.t) ~(seeds_list : Sdg.node list list)
     (mode : mode) : Sdg.node list list =
   (* own span name: this used to record as "slicer.slice_batch", folding
      forward-batch walks into the backward-batch phase total *)
   Slice_obs.span "slicer.forward_batch" (fun () ->
-      let scratch = resolve_scratch ?scratch g in
+      let scratch = scratch_for g in
       List.map
         (fun seeds -> walk_scratch scratch Sdg.uses_iter g ~seeds mode)
         seeds_list)
@@ -681,7 +575,7 @@ let chop (g : Sdg.t) ~(source : Sdg.node list) ~(sink : Sdg.node list)
 (* Distinct source locations of countable nodes, the granularity a user
    reads: the first-seen location per (file, line), in [Loc.compare]
    order.  Dedup stamps the graph's dense line keys in a byte array owned
-   by this call, so concurrent batch workers share no mutable state. *)
+   by this call (one byte per key, so proportional to the source). *)
 let nodes_to_lines (g : Sdg.t) (nodes : Sdg.node list) : Slice_ir.Loc.t list =
   let stamp = Bytes.make (Sdg.num_line_keys g) '\000' in
   let out = ref [] in

@@ -41,45 +41,19 @@ val max_aliasing_budget : int
 (** Starting budget of a mode, clamped to {!max_aliasing_budget}. *)
 val initial_budget : mode -> int
 
-(** Reusable walk buffers (budget/visited byte table, entry-unique ring,
-    touched-node log).  Each traversal entry point uses the calling
-    domain's implicitly shared scratch by default (a [Domain.DLS] slot:
-    per-domain, so concurrent domains never share buffers); pass an
-    explicit [?scratch] to control reuse yourself — e.g. one handle per
-    worker in a parallel batch executor.  A scratch must never be used by
-    two domains at once. *)
-type scratch
+(** Every traversal walks on one shared set of buffers (budget/visited
+    byte table, entry-unique ring, touched-node log), grown on demand and
+    never released by a walk.  [shared_scratch_capacity ()] is the number
+    of nodes they cover: 0 until the first traversal. *)
+val shared_scratch_capacity : unit -> int
 
-(** A scratch sized for [g] (grow-only; any graph may use it later). *)
-val create_scratch : Sdg.t -> scratch
-
-(** Number of nodes the scratch buffers currently cover. *)
-val scratch_capacity : scratch -> int
-
-(** Resident footprint of the scratch buffers in bytes, computed
-    arithmetically from the field sizes (never [Obj.reachable_words]),
-    so the figure is deterministic and safe in byte-compared output. *)
-val scratch_bytes : scratch -> int
-
-(** Release the memory above [keep] nodes (no-op when already at or
-    below).  Walks grow buffers on demand but never release them, so a
-    single mega-program query would otherwise pin peak memory for the
-    scratch owner's lifetime — a real leak in a long-lived daemon, which
-    calls this when it evicts a large program from its cache.  Safe at
-    any point between walks. *)
-val shrink_scratch : scratch -> keep:int -> unit
-
-(** Capacity/shrink for the calling domain's implicit [Domain.DLS]
-    scratch — the buffers used by traversals without an explicit
-    [?scratch].  Capacity is 0 until the first such traversal in this
-    domain.  {!shrink_domain_scratch} is a no-op then. *)
-val domain_scratch_capacity : unit -> int
-
-(** {!scratch_bytes} of the calling domain's implicit scratch; 0 before
-    the first implicit traversal in this domain. *)
-val domain_scratch_bytes : unit -> int
-
-val shrink_domain_scratch : keep:int -> unit
+(** Release the shared buffers above [keep] nodes (clamped to at least
+    1; no-op when already at or below).  Without it a single
+    mega-program query would pin peak memory for the process's
+    lifetime — a real leak in a long-lived daemon, which calls this when
+    it evicts or shrinks a program.  Safe at any point between walks;
+    the next walk regrows. *)
+val shrink_shared_scratch : keep:int -> unit
 
 (** {2 Provenance}
 
@@ -88,10 +62,10 @@ val shrink_domain_scratch : keep:int -> unit
     layer at first visit) recorded when a traversal entry point is given
     a [?prov] handle.  Grow-only and generation-stamped — a new recorded
     walk invalidates the previous one's records in O(1) — and, unlike
-    {!scratch}, caller-owned and readable AFTER the walk via {!witness}
-    and {!distance}.  Domain discipline is the same as for scratches:
-    never share a handle between two domains at once.  Walks without
-    [?prov] run the untouched hot path and pay nothing.
+    the walk buffers, caller-owned and readable AFTER the walk via
+    {!witness} and {!distance}.  Recording is a branch inside the one
+    walk: without [?prov] it writes no record and computes no edge-kind
+    tag.
 
     Records are also stamped with the graph's {!Sdg.generation} at walk
     time: after an incremental update patches the graph, {!witness} and
@@ -108,7 +82,8 @@ val provenance_capacity : provenance -> int
 (** Release the memory above [keep] nodes (no-op when already at or
     below).  Shrinking drops the last recorded walk's records — after it
     {!witness} and {!distance} answer [None] until the next recorded
-    walk — the same trade {!shrink_scratch} makes for walk buffers. *)
+    walk — the same trade {!shrink_shared_scratch} makes for walk
+    buffers. *)
 val shrink_provenance : provenance -> keep:int -> unit
 
 (** Mode of the last recorded walk, [None] if none has run yet. *)
@@ -146,31 +121,26 @@ val witness : provenance -> Sdg.node -> witness_step list option
     byte-array budget/visited table and an entry-unique
     int ring deque (each node occupies at most one queue slot; a budget
     improvement for a queued node only updates the table).  [?prov]
-    switches to the provenance-recording copy of the walk. *)
+    records the walk's discovery tree in the handle. *)
 val slice :
-  ?scratch:scratch ->
   ?prov:provenance ->
   Sdg.t -> seeds:Sdg.node list -> mode -> Sdg.node list
 
 (** Forward slice: every node that transitively consumes the seeds' values
     — impact analysis, the dual of the paper's backward producer chains. *)
 val forward_slice :
-  ?scratch:scratch ->
   ?prov:provenance ->
   Sdg.t -> seeds:Sdg.node list -> mode -> Sdg.node list
 
-(** Many backward slices over one graph with a single scratch-buffer
-    allocation: build the graph once, then call this with one seed set
-    per wanted slice.  Result lists are in input order.  Recorded under
+(** Many backward slices over one graph on the shared walk buffers: build
+    the graph once, then call this with one seed set per wanted slice.  Result lists are in input order.  Recorded under
     the ["slicer.slice_batch"] span. *)
 val slice_batch :
-  ?scratch:scratch ->
   Sdg.t -> seeds_list:Sdg.node list list -> mode -> Sdg.node list list
 
 (** Forward mirror of {!slice_batch}, recorded under its own
     ["slicer.forward_batch"] span. *)
 val forward_slice_batch :
-  ?scratch:scratch ->
   Sdg.t -> seeds_list:Sdg.node list list -> mode -> Sdg.node list list
 
 (** Chop: the nodes on producer paths from [source] to [sink] — how a

@@ -17,7 +17,6 @@
      monotone in that order);
    - the CSR walk equals [Slicer.Reference] node-for-node, both
      directions, every mode;
-   - [Engine.slice_batch_par] at jobs 1/2/4 equals the sequential batch;
    - the bitset solver equals [Andersen.Reference] on the canonical
      pts/call-graph dumps, and the two analyses slice identically;
    - object-sensitive slices (lines) are contained in the
@@ -296,20 +295,6 @@ let battery ?(fault = No_fault) ~(src : string) ~(seed_lines : int list) () :
           done)
         modes
     end;
-    (* ---------------- parallel batch parity ---------------- *)
-    if seed_nodes <> [] then
-      List.iter
-        (fun m ->
-          let seq = Engine.slice_batch a ~lines:seed_lines m in
-          List.iter
-            (fun jobs ->
-              let par = Engine.slice_batch_par ~jobs a ~lines:seed_lines m in
-              if par <> seq then
-                viol "parallel_batch_parity"
-                  (Printf.sprintf "jobs=%d differs from sequential batch (%s)"
-                     jobs (Slicer.mode_to_string m)))
-            [ 1; 2; 4 ])
-        [ Slicer.Thin; Slicer.Traditional_full ];
     (* ---------------- solver parity ---------------- *)
     let a_ref =
       Engine.analyze ~solver:`Reference (Frontend.load_exn ~file src)

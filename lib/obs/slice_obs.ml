@@ -1,32 +1,19 @@
 (* Telemetry: trace spans + metric registry + sinks.
 
-   The registry is PER-DOMAIN (OCaml 5 [Domain.DLS]).  The root domain's
-   registry is what the drivers (thinslice, bench) observe — the pipeline
-   still runs there, so nothing changes for single-threaded use and metric
-   handles interned at module-initialisation time stay live across
-   [reset] (values are zeroed in place).  A spawned domain lazily gets a
-   fresh, empty registry of its own: workers of a parallel slice batch
-   record into private tables with no synchronisation on the hot path,
-   and the parent folds each worker's {!snapshot} into its own registry
-   with {!merge_snapshot} after [Domain.join] — counters summed, peak
-   gauges maxed, histograms combined, spans appended.  Nothing races:
-   each registry is only ever touched by its own domain, and merge-back
-   happens in the parent after the worker has finished.
-
-   Metric handles ([counter]/[gauge]/[histogram]) are process-global and
-   interned by name (under a mutex — creation is rare), but resolve to a
-   per-domain cell via their own DLS key, so a bump is a DLS array read
-   plus an [incr]: cheap enough to leave in the slicer's inner loop. *)
+   One process registry holds every counter, gauge and histogram cell
+   and the span forest.  Metric handles ARE their cells, interned by name
+   in the registry's tables, so a bump is a plain [incr] — cheap enough
+   to leave in the slicer's inner loop — and [reset] zeroes cells in
+   place, so handles bound at module initialisation stay live. *)
 
 (* ------------------------------------------------------------------ *)
 (* Enable / disable                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Atomic: read by worker domains, toggled by drivers. *)
-let enabled_flag = Atomic.make true
+let enabled_flag = ref true
 
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+let enabled () = !enabled_flag
+let set_enabled b = enabled_flag := b
 
 (* ------------------------------------------------------------------ *)
 (* Span trees (shape shared by registries and snapshots)               *)
@@ -53,13 +40,13 @@ type open_span = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* The per-domain registry                                             *)
+(* The registry                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Histograms keep, beyond count/sum/min/max, a fixed array of
    log-scaled bucket counts so any sink can estimate percentiles without
    storing samples.  Geometry (shared by every histogram, so buckets are
-   mergeable element-wise across scopes and domains): bucket 0 catches
+   mergeable element-wise across scopes): bucket 0 catches
    v <= 2^hist_min_exp (including 0 and negatives); bucket i (1-based)
    catches values up to 2^(hist_min_exp + i/hist_sub) — [hist_sub]
    sub-buckets per octave, so any estimate is within a factor of
@@ -127,123 +114,64 @@ type registry = {
   mutable reg_stack : open_span list;
 }
 
-let create_registry () : registry =
+let registry : registry =
   { reg_counters = Hashtbl.create 64;
     reg_gauges = Hashtbl.create 16;
     reg_hists = Hashtbl.create 16;
     reg_roots = [];
     reg_stack = [] }
 
-(* The root domain's registry.  [registry_key]'s initialiser mints a
-   fresh registry, which is what every SPAWNED domain gets on first
-   access; the [DLS.set] below pins the root domain (the one initialising
-   this module) to [root_registry] instead. *)
-let root_registry = create_registry ()
-
-let registry_key : registry Domain.DLS.key =
-  Domain.DLS.new_key create_registry
-
-let () = Domain.DLS.set registry_key root_registry
-
-let current_registry () : registry = Domain.DLS.get registry_key
-
-(* Cell interning WITHIN one registry: only ever called by the registry's
-   own domain, so no locking.  Idempotent by name. *)
-let reg_counter_cell (reg : registry) (name : string) : int ref =
-  match Hashtbl.find_opt reg.reg_counters name with
-  | Some c -> c
-  | None ->
-    let c = ref 0 in
-    Hashtbl.replace reg.reg_counters name c;
-    c
-
-let gauge_cell (reg : registry) (name : string) : float ref =
-  match Hashtbl.find_opt reg.reg_gauges name with
-  | Some g -> g
-  | None ->
-    let g = ref 0. in
-    Hashtbl.replace reg.reg_gauges name g;
-    g
-
-let hist_cell (reg : registry) (name : string) : hist_cell =
-  match Hashtbl.find_opt reg.reg_hists name with
-  | Some h -> h
-  | None ->
-    let h =
-      { h_count = 0; h_sum = 0.; h_min = 0.; h_max = 0.;
-        h_buckets = Array.make hist_buckets 0 }
-    in
-    Hashtbl.replace reg.reg_hists name h;
-    h
-
 (* ------------------------------------------------------------------ *)
 (* Metric handles                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A handle pairs the metric name with a DLS key resolving to the current
-   domain's cell (interned into that domain's registry on first use).
-   Handles themselves are interned by name in process-global tables so
-   [counter "x" == counter "x"]; the tables are mutex-protected because a
-   worker domain may intern a metric of its own. *)
+(* A handle is its registry cell, interned by name, so [counter "x" ==
+   counter "x"]. *)
+type counter = int ref
+type gauge = float ref
+type histogram = hist_cell
 
-type counter = int ref Domain.DLS.key
-type gauge = float ref Domain.DLS.key
-type histogram = hist_cell Domain.DLS.key
+let intern (tbl : (string, 'c) Hashtbl.t) (make : unit -> 'c) (name : string)
+    : 'c =
+  match Hashtbl.find_opt tbl name with
+  | Some c -> c
+  | None ->
+    let c = make () in
+    Hashtbl.replace tbl name c;
+    c
 
-let handle_mutex = Mutex.create ()
-let counter_handles : (string, counter) Hashtbl.t = Hashtbl.create 64
-let gauge_handles : (string, gauge) Hashtbl.t = Hashtbl.create 16
-let hist_handles : (string, histogram) Hashtbl.t = Hashtbl.create 16
+let counter : string -> counter = intern registry.reg_counters (fun () -> ref 0)
 
-let intern_handle (tbl : (string, 'h) Hashtbl.t) (name : string)
-    (make : string -> 'h) : 'h =
-  Mutex.protect handle_mutex (fun () ->
-      match Hashtbl.find_opt tbl name with
-      | Some h -> h
-      | None ->
-        let h = make name in
-        Hashtbl.replace tbl name h;
-        h)
+let bump (c : counter) = incr c
 
-let counter (name : string) : counter =
-  intern_handle counter_handles name (fun name ->
-      Domain.DLS.new_key (fun () -> reg_counter_cell (current_registry ()) name))
+(* The raw cell: for hot loops.  Stable for the process's lifetime —
+   [scoped] and [reset] zero and restore through the same ref. *)
+let counter_cell (c : counter) : int ref = c
 
-let bump (c : counter) = incr (Domain.DLS.get c)
-
-(* The raw per-domain cell: for hot loops.  Stable for the domain's
-   lifetime — [scoped] zeroes and restores through the same ref. *)
-let counter_cell (c : counter) : int ref = Domain.DLS.get c
-
-let add (c : counter) n =
-  let r = Domain.DLS.get c in
-  r := !r + n
+let add (c : counter) n = c := !c + n
 
 let counter_value name =
-  match Hashtbl.find_opt (current_registry ()).reg_counters name with
+  match Hashtbl.find_opt registry.reg_counters name with
   | Some c -> !c
   | None -> 0
 
-let gauge (name : string) : gauge =
-  intern_handle gauge_handles name (fun name ->
-      Domain.DLS.new_key (fun () -> gauge_cell (current_registry ()) name))
+let gauge : string -> gauge = intern registry.reg_gauges (fun () -> ref 0.)
 
-let set_gauge (g : gauge) v = Domain.DLS.get g := v
+let set_gauge (g : gauge) v = g := v
 
-let max_gauge (g : gauge) v =
-  let r = Domain.DLS.get g in
-  if v > !r then r := v
+let max_gauge (g : gauge) v = if v > !g then g := v
 
 let gauge_value name =
-  match Hashtbl.find_opt (current_registry ()).reg_gauges name with
+  match Hashtbl.find_opt registry.reg_gauges name with
   | Some g -> !g
   | None -> 0.
 
-let histogram (name : string) : histogram =
-  intern_handle hist_handles name (fun name ->
-      Domain.DLS.new_key (fun () -> hist_cell (current_registry ()) name))
+let histogram : string -> histogram =
+  intern registry.reg_hists (fun () ->
+      { h_count = 0; h_sum = 0.; h_min = 0.; h_max = 0.;
+        h_buckets = Array.make hist_buckets 0 })
 
-let observe_cell (h : hist_cell) (v : float) : unit =
+let observe (h : histogram) (v : float) : unit =
   if h.h_count = 0 then begin
     h.h_min <- v;
     h.h_max <- v
@@ -257,16 +185,10 @@ let observe_cell (h : hist_cell) (v : float) : unit =
   let b = bucket_of_value v in
   h.h_buckets.(b) <- h.h_buckets.(b) + 1
 
-let observe (h : histogram) (v : float) : unit =
-  observe_cell (Domain.DLS.get h) v
-
-let hist_cell_stats (h : hist_cell) = (h.h_count, h.h_sum, h.h_min, h.h_max)
-
-let histogram_stats (h : histogram) = hist_cell_stats (Domain.DLS.get h)
+let histogram_stats (h : histogram) = (h.h_count, h.h_sum, h.h_min, h.h_max)
 
 let histogram_percentile (h : histogram) (q : float) : float =
-  let c = Domain.DLS.get h in
-  percentile ~count:c.h_count ~buckets:c.h_buckets q
+  percentile ~count:h.h_count ~buckets:h.h_buckets q
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -275,7 +197,7 @@ let histogram_percentile (h : histogram) (q : float) : float =
 let epoch = Unix.gettimeofday ()
 let now () = Unix.gettimeofday () -. epoch
 
-let close_span (reg : registry) (os : open_span) : unit =
+let close_span (os : open_span) : unit =
   let tree =
     { sp_name = os.os_name;
       sp_start = os.os_start;
@@ -284,20 +206,19 @@ let close_span (reg : registry) (os : open_span) : unit =
       sp_args = List.rev os.os_args;
       sp_children = List.rev os.os_done }
   in
-  (match reg.reg_stack with
-  | s :: rest when s == os -> reg.reg_stack <- rest
+  (match registry.reg_stack with
+  | s :: rest when s == os -> registry.reg_stack <- rest
   | _ ->
     (* unbalanced (an exception skipped an inner close): pop through *)
-    reg.reg_stack <- List.filter (fun s -> s != os) reg.reg_stack);
-  match reg.reg_stack with
+    registry.reg_stack <- List.filter (fun s -> s != os) registry.reg_stack);
+  match registry.reg_stack with
   | parent :: _ -> parent.os_done <- tree :: parent.os_done
-  | [] -> reg.reg_roots <- tree :: reg.reg_roots
+  | [] -> registry.reg_roots <- tree :: registry.reg_roots
 
 let span ?(args : (string * string) list = []) (name : string)
     (f : unit -> 'a) : 'a =
-  if not (Atomic.get enabled_flag) then f ()
+  if not !enabled_flag then f ()
   else begin
-    let reg = current_registry () in
     let os =
       { os_name = name;
         os_start = now ();
@@ -305,19 +226,17 @@ let span ?(args : (string * string) list = []) (name : string)
         os_args = List.rev args;
         os_done = [] }
     in
-    reg.reg_stack <- os :: reg.reg_stack;
-    (* spans never cross domains: [f] runs in this domain, so the registry
-       to close against is [reg] *)
-    Fun.protect ~finally:(fun () -> close_span reg os) f
+    registry.reg_stack <- os :: registry.reg_stack;
+    Fun.protect ~finally:(fun () -> close_span os) f
   end
 
-(* Annotate the innermost OPEN span of the calling domain with a fact
+(* Annotate the innermost OPEN span with a fact
    discovered while it runs (e.g. the slice size, known only after the
    walk).  No-op when spans are disabled or none is open — safe to call
    unconditionally from library code. *)
 let add_span_arg (key : string) (value : string) : unit =
-  if Atomic.get enabled_flag then
-    match (current_registry ()).reg_stack with
+  if !enabled_flag then
+    match registry.reg_stack with
     | os :: _ -> os.os_args <- (key, value) :: os.os_args
     | [] -> ()
 
@@ -337,18 +256,13 @@ let sorted_bindings tbl f =
   Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* Snapshot / reset / scoped all operate on the CALLING domain's registry:
-   from the root domain they behave exactly as they always did; inside a
-   worker domain they see only that worker's own telemetry. *)
-
 let snapshot () : snapshot =
-  let reg = current_registry () in
-  { snap_counters = sorted_bindings reg.reg_counters (fun c -> !c);
-    snap_gauges = sorted_bindings reg.reg_gauges (fun g -> !g);
-    snap_hists = sorted_bindings reg.reg_hists hist_cell_stats;
+  { snap_counters = sorted_bindings registry.reg_counters (fun c -> !c);
+    snap_gauges = sorted_bindings registry.reg_gauges (fun g -> !g);
+    snap_hists = sorted_bindings registry.reg_hists histogram_stats;
     snap_hist_buckets =
-      sorted_bindings reg.reg_hists (fun h -> Array.copy h.h_buckets);
-    snap_spans = List.rev reg.reg_roots }
+      sorted_bindings registry.reg_hists (fun h -> Array.copy h.h_buckets);
+    snap_spans = List.rev registry.reg_roots }
 
 let snapshot_percentile (s : snapshot) (name : string) (q : float) : float =
   match
@@ -365,12 +279,11 @@ let zero_hist (h : hist_cell) : unit =
   Array.fill h.h_buckets 0 hist_buckets 0
 
 let reset () : unit =
-  let reg = current_registry () in
-  Hashtbl.iter (fun _ c -> c := 0) reg.reg_counters;
-  Hashtbl.iter (fun _ g -> g := 0.) reg.reg_gauges;
-  Hashtbl.iter (fun _ h -> zero_hist h) reg.reg_hists;
-  reg.reg_roots <- [];
-  reg.reg_stack <- []
+  Hashtbl.iter (fun _ c -> c := 0) registry.reg_counters;
+  Hashtbl.iter (fun _ g -> g := 0.) registry.reg_gauges;
+  Hashtbl.iter (fun _ h -> zero_hist h) registry.reg_hists;
+  registry.reg_roots <- [];
+  registry.reg_stack <- []
 
 (* Span rotation for processes that never exit.  Completed span trees
    accumulate in [reg_roots] without bound — a long-lived daemon that
@@ -379,14 +292,11 @@ let reset () : unit =
    left alone (they are cheap, fixed-size, and cumulative by design),
    and so are OPEN spans: dropping an ancestor still on [reg_stack]
    would corrupt the close path. *)
-let reset_spans () : unit =
-  let reg = current_registry () in
-  reg.reg_roots <- []
+let reset_spans () : unit = registry.reg_roots <- []
 
-(* Merge one hist-stats tuple (and, when available, its bucket counts)
-   into a cell (counters/gauges have obvious merges inline; histograms
-   share this). *)
-let merge_hist_into ?(buckets : int array option) (h : hist_cell)
+(* Merge one hist-stats tuple and its bucket counts into a cell (the
+   histogram half of [scoped]'s restore). *)
+let merge_hist_into ~(buckets : int array) (h : hist_cell)
     (count, sum, mn, mx) : unit =
   if count > 0 then begin
     if h.h_count = 0 then begin
@@ -399,53 +309,16 @@ let merge_hist_into ?(buckets : int array option) (h : hist_cell)
     end;
     h.h_count <- h.h_count + count;
     h.h_sum <- h.h_sum +. sum;
-    match buckets with
-    | Some b ->
-      for i = 0 to hist_buckets - 1 do
-        h.h_buckets.(i) <- h.h_buckets.(i) + b.(i)
-      done
-    | None -> ()
-  end
-
-(* Fold a snapshot captured elsewhere — typically in a worker domain that
-   has since been joined — into the calling domain's registry: counters
-   summed, peak gauges maxed, histograms combined, spans appended (under
-   the innermost open span if one is running, else as new roots).  This
-   is the "merge-back at join" half of the per-domain registry design;
-   the parent calls it after [Domain.join], so the worker's registry is
-   quiescent and no locking is needed. *)
-let merge_snapshot (s : snapshot) : unit =
-  let reg = current_registry () in
-  List.iter
-    (fun (name, v) ->
-      if v <> 0 then begin
-        let c = reg_counter_cell reg name in
-        c := !c + v
-      end)
-    s.snap_counters;
-  List.iter
-    (fun (name, v) ->
-      let g = gauge_cell reg name in
-      if v > !g then g := v)
-    s.snap_gauges;
-  List.iter
-    (fun (name, stats) ->
-      merge_hist_into
-        ?buckets:(List.assoc_opt name s.snap_hist_buckets)
-        (hist_cell reg name) stats)
-    s.snap_hists;
-  if s.snap_spans <> [] then begin
-    let rev_spans = List.rev s.snap_spans in
-    match reg.reg_stack with
-    | parent :: _ -> parent.os_done <- rev_spans @ parent.os_done
-    | [] -> reg.reg_roots <- rev_spans @ reg.reg_roots
+    for i = 0 to hist_buckets - 1 do
+      h.h_buckets.(i) <- h.h_buckets.(i) + buckets.(i)
+    done
   end
 
 (* Scoped measurement: isolate exactly what [f] records.
 
-   Within one domain successive measurements accumulate: counters keep
-   growing, peak gauges never come back down.  [scoped f] saves the
-   calling domain's registry, zeroes it, runs [f], snapshots what [f]
+   Successive measurements accumulate: counters keep growing, peak
+   gauges never come back down.  [scoped f] saves the registry, zeroes
+   it, runs [f], snapshots what [f]
    alone recorded, and then MERGES the saved state back (counters summed,
    peak gauges maxed, histograms combined, spans appended), so that
    cumulative telemetry is preserved while the returned snapshot is a
@@ -453,38 +326,37 @@ let merge_snapshot (s : snapshot) : unit =
    cumulative numbers across tasks.  In-place on the registry's cells, so
    metric handles stay valid throughout. *)
 let scoped (f : unit -> 'a) : 'a * snapshot =
-  let reg = current_registry () in
   let saved_counters =
-    Hashtbl.fold (fun _ c acc -> (c, !c) :: acc) reg.reg_counters []
+    Hashtbl.fold (fun _ c acc -> (c, !c) :: acc) registry.reg_counters []
   in
   let saved_gauges =
-    Hashtbl.fold (fun _ g acc -> (g, !g) :: acc) reg.reg_gauges []
+    Hashtbl.fold (fun _ g acc -> (g, !g) :: acc) registry.reg_gauges []
   in
   let saved_hists =
     Hashtbl.fold
-      (fun _ h acc -> (h, hist_cell_stats h, Array.copy h.h_buckets) :: acc)
-      reg.reg_hists []
+      (fun _ h acc -> (h, histogram_stats h, Array.copy h.h_buckets) :: acc)
+      registry.reg_hists []
   in
   List.iter (fun (c, _) -> c := 0) saved_counters;
   List.iter (fun (g, _) -> g := 0.) saved_gauges;
   List.iter (fun (h, _, _) -> zero_hist h) saved_hists;
-  let saved_roots = reg.reg_roots and saved_stack = reg.reg_stack in
-  reg.reg_roots <- [];
-  reg.reg_stack <- [];
+  let saved_roots = registry.reg_roots and saved_stack = registry.reg_stack in
+  registry.reg_roots <- [];
+  registry.reg_stack <- [];
   let restore () =
     List.iter (fun (c, v) -> c := !c + v) saved_counters;
     List.iter (fun (g, v) -> if v > !g then g := v) saved_gauges;
     List.iter
       (fun (h, stats, buckets) -> merge_hist_into ~buckets h stats)
       saved_hists;
-    let inner_roots = reg.reg_roots in
-    reg.reg_stack <- saved_stack;
+    let inner_roots = registry.reg_roots in
+    registry.reg_stack <- saved_stack;
     (match saved_stack with
     | parent :: _ ->
       (* [scoped] ran inside an open span: its spans become children *)
       parent.os_done <- inner_roots @ parent.os_done;
-      reg.reg_roots <- saved_roots
-    | [] -> reg.reg_roots <- inner_roots @ saved_roots)
+      registry.reg_roots <- saved_roots
+    | [] -> registry.reg_roots <- inner_roots @ saved_roots)
   in
   match f () with
   | r ->

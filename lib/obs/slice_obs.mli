@@ -1,54 +1,44 @@
-(** Pipeline telemetry: hierarchical trace spans, a per-domain
+(** Pipeline telemetry: hierarchical trace spans, one process
     counter/gauge/histogram registry, and sinks (pretty text report,
     hand-rolled JSON, Chrome [trace_event] export).
 
-    Design constraints (see ISSUEs 1 and 3):
-    - counter bumps are a [Domain.DLS] cell read plus an [incr] — safe to
+    Design constraints:
+    - a counter handle is its cell, so a bump is an [incr] — safe to
       leave in hot loops;
     - the default sink is a no-op: nothing is emitted unless a driver
       explicitly asks for a report / JSON / trace;
     - span collection is opt-out-able via {!set_enabled} so scripted use
-      pays nothing beyond the counter bumps;
-    - every registry is only ever touched by its own domain.  The root
-      domain's registry is what the drivers observe.  A spawned domain
-      gets a fresh empty registry on first use; a parallel executor
-      captures each worker's {!snapshot} and folds it into the parent
-      with {!merge_snapshot} after [Domain.join], so telemetry from
-      parallel workers aggregates instead of racing. *)
+      pays nothing beyond the counter bumps. *)
 
 (* ------------------------------------------------------------------ *)
 (* Enable / disable                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (** Whether spans (and their wall-clock / allocation accounting) are being
-    recorded.  Counters always count.  Process-wide (atomic), read by
-    every domain.  Default: enabled. *)
+    recorded.  Counters always count.  Default: enabled. *)
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 
-(** Reset every counter/gauge/histogram of the CALLING domain's registry
-    to zero and drop its recorded spans.  Registered metric handles stay
+(** Reset every counter/gauge/histogram to zero and drop the recorded
+    spans.  Registered metric handles stay
     valid (values are zeroed in place, and handles are interned by name),
     so module-level [counter] bindings survive a reset. *)
 val reset : unit -> unit
 
-(** Drop the calling domain's COMPLETED span trees, keeping all metric
-    values and any spans still open.  Long-lived processes (the serve
-    daemon) call this after shipping a per-query snapshot: completed
-    spans otherwise accumulate in the per-domain registry without bound,
-    an unbounded leak in a process that never exits. *)
+(** Drop the COMPLETED span trees, keeping all metric values and any
+    spans still open.  Long-lived processes (the serve daemon) call this
+    after shipping a per-query snapshot: completed spans otherwise
+    accumulate in the registry without bound, an unbounded leak in a
+    process that never exits. *)
 val reset_spans : unit -> unit
 
 (* ------------------------------------------------------------------ *)
 (* Counters, gauges, histograms                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** A metric handle.  Handles are process-global and interned by name
-    ([counter "x" == counter "x"]), but each resolves to a per-domain
-    cell in the calling domain's registry, so bumps from parallel worker
-    domains never race: each domain accumulates privately and the parent
-    aggregates at join via {!merge_snapshot}. *)
+(** A metric handle: the registry's cell for a name, interned
+    ([counter "x" == counter "x"]). *)
 type counter
 
 (** Intern (or find) the counter registered under [name]. *)
@@ -57,15 +47,12 @@ val counter : string -> counter
 val bump : counter -> unit
 val add : counter -> int -> unit
 
-(** The calling domain's raw cell for [c], for hot loops that cannot
-    afford a per-bump DLS lookup: resolve once, then [incr] the ref
-    directly.  The cell is stable for the life of the domain (both
-    {!scoped} and {!snapshot} read through the same ref), but it belongs
-    to the RESOLVING domain — never share it with another domain. *)
+(** The raw cell for [c], for hot loops: resolve once, then [incr] the
+    ref directly.  The cell is stable for the life of the process (both
+    {!scoped} and {!snapshot} read through the same ref). *)
 val counter_cell : counter -> int ref
 
-(** Current value of a registered counter in the calling domain's
-    registry, 0 if never registered there. *)
+(** Current value of a registered counter, 0 if never registered. *)
 val counter_value : string -> int
 
 type gauge
@@ -83,8 +70,8 @@ type histogram
 val histogram : string -> histogram
 val observe : histogram -> float -> unit
 
-(** (count, sum, min, max) in the calling domain's registry; min/max are
-    0 when the histogram is empty. *)
+(** (count, sum, min, max); min/max are 0 when the histogram is
+    empty. *)
 val histogram_stats : histogram -> int * float * float * float
 
 (** {2 Percentile estimation}
@@ -97,7 +84,7 @@ val histogram_stats : histogram -> int * float * float * float
     first bucket where the cumulative count reaches the target rank, so
     they are exact to within a factor of [2^(1/4) ~ 19%].  Buckets share
     one global geometry, so they merge element-wise across {!scoped}
-    restores and {!merge_snapshot}. *)
+    restores. *)
 
 val hist_buckets : int
 
@@ -112,7 +99,7 @@ val bucket_value : int -> float
     empty. *)
 val percentile : count:int -> buckets:int array -> float -> float
 
-(** q-quantile estimate of the calling domain's cell for [h]. *)
+(** q-quantile estimate of [h]'s buckets. *)
 val histogram_percentile : histogram -> float -> float
 
 (* ------------------------------------------------------------------ *)
@@ -128,9 +115,9 @@ val histogram_percentile : histogram -> float -> float
     sinks. *)
 val span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
-(** Append a key/value annotation to the innermost OPEN span of the
-    calling domain (no-op when disabled or outside any span) — for facts
-    only known mid-span, like the final slice size. *)
+(** Append a key/value annotation to the innermost OPEN span (no-op when
+    disabled or outside any span) — for facts only known mid-span, like
+    the final slice size. *)
 val add_span_arg : string -> string -> unit
 
 type span_tree = {
@@ -155,16 +142,17 @@ type snapshot = {
   snap_spans : span_tree list;    (** completed top-level spans, in order *)
 }
 
-(** Capture the current state of the calling domain's registry and its
-    completed spans. *)
+(** Capture the current state of the registry and its completed
+    spans.  Every metric interned so far appears, at zero until
+    bumped. *)
 val snapshot : unit -> snapshot
 
 (** q-quantile estimate for the named histogram of a snapshot; 0 when
     the histogram is absent or empty. *)
 val snapshot_percentile : snapshot -> string -> float -> float
 
-(** [scoped f] isolates what [f] records: the calling domain's registry
-    is saved and zeroed, [f] runs, and the returned snapshot covers
+(** [scoped f] isolates what [f] records: the registry is saved and
+    zeroed, [f] runs, and the returned snapshot covers
     exactly [f]'s own counters/gauges/histograms/spans.  The saved state
     is then merged back (counters summed, peak gauges maxed, histograms
     combined, spans appended — inside an open span they become its
@@ -172,16 +160,6 @@ val snapshot_percentile : snapshot -> string -> float -> float
     per-task BENCH entries stay isolated from each other.
     Exception-safe. *)
 val scoped : (unit -> 'a) -> 'a * snapshot
-
-(** [merge_snapshot s] folds a snapshot captured elsewhere — typically in
-    a worker domain that has since been joined — into the calling
-    domain's registry, with {!scoped}'s merge discipline: counters
-    summed, peak gauges maxed, histograms combined, spans appended (under
-    the innermost open span if one is running).  Call it from the parent
-    AFTER [Domain.join] so the worker registry is quiescent; this is the
-    merge-back half of the per-domain registry design, and it is what
-    makes parallel batch telemetry aggregate instead of race. *)
-val merge_snapshot : snapshot -> unit
 
 (** Total wall time per span name, aggregated over the whole span forest
     (a span appearing several times contributes the sum).  Sorted by

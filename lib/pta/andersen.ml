@@ -696,11 +696,9 @@ type t = {
   mutable lcd_fuel : int;               (* bounded-regret budget, see below *)
   mutable lcd_mark : int array;         (* DFS visited stamps (no per-run alloc) *)
   mutable lcd_stamp : int;
-  (* hot-path telemetry: the per-domain counter cells resolved ONCE per
-     solver, so the inner loops pay a plain [incr] instead of a DLS
-     lookup per event (measured ~20% of solve wall on the suite).  Safe
-     because a solver never crosses domains, and [Slice_obs.scoped]
-     zeroes/restores through these same refs. *)
+  (* hot-path telemetry: the counter cells resolved ONCE per solver, so
+     the inner loops pay a plain [incr]; [Slice_obs.scoped] zeroes and
+     restores through these same refs. *)
   obs_pts_objs : int ref;
   obs_diff_hits : int ref;
   obs_edges : int ref;

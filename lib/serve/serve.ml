@@ -9,7 +9,7 @@
    tested-for.  Long-lived-process hygiene lives here too: each request
    runs under [Slice_obs.scoped] (per-query phase walls), completed
    spans are dropped afterwards ([reset_spans] — the registry must stay
-   O(1) over N queries), and LRU eviction shrinks the domain's walk
+   O(1) over N queries), and LRU eviction shrinks the shared walk
    scratch back to the largest surviving program. *)
 
 open Slice_core
@@ -186,7 +186,7 @@ let shrink_to_residents (st : state) : unit =
         max acc (Sdg.num_nodes e.e_handle.Engine.h_analysis.Engine.sdg))
       1 st.entries
   in
-  Slicer.shrink_domain_scratch ~keep:keep_nodes
+  Slicer.shrink_shared_scratch ~keep:keep_nodes
 
 let insert (st : state) (e : entry) : unit =
   st.entries <- e :: st.entries;

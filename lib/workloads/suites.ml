@@ -1,6 +1,6 @@
 (* The canonical workload index: every program the BENCH suite measures,
    as (name, source) pairs.  Shared by the property tests (CSR parity,
-   parallel-batch parity, expansion fixpoint), so "all 9 paper
+   golden digests, expansion fixpoint), so "all 9 paper
    workloads" means the same list everywhere. *)
 
 let paper_workloads : (string * string) list =

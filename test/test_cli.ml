@@ -210,32 +210,36 @@ let test_report_layers_cli () =
       Alcotest.(check bool) "schema tag" true
         (contains ~needle:"thinslice.explain/v1" out))
 
-(* --- batch --jobs ------------------------------------------------------ *)
+(* --- --jobs ------------------------------------------------------------ *)
 
-let test_batch_jobs_nonpositive () =
-  skip_if_missing ();
-  with_tj explain_demo (fun path ->
-      let rc, out, err =
-        run_cli (Printf.sprintf "batch %s -l 3 --jobs 0" (Filename.quote path))
-      in
-      Alcotest.(check int) "exit 1" 1 rc;
-      Alcotest.(check string) "no slice printed" "" out;
-      Alcotest.(check string) "one-line error"
-        "thinslice: --jobs expects N >= 1\n" err)
+(* Every subcommand runs on one domain: none has a --jobs option, so
+   passing one is a cmdliner usage error that names it. *)
+let check_jobs_rejected args =
+  let rc, out, err = run_cli (args ^ " < /dev/null") in
+  Alcotest.(check int) (args ^ ": cmdliner error") 124 rc;
+  Alcotest.(check string) (args ^ ": no output") "" out;
+  check_clean args err;
+  Alcotest.(check bool) (args ^ ": names the option") true
+    (contains ~needle:"--jobs" err)
 
-(* Only batch shards work across domains; the provenance queries and the
-   daemon run on one domain and have no --jobs option. *)
-let test_jobs_only_on_batch () =
+(* batch used to shard across domains and refuse --jobs 0 itself; now the
+   option is unknown and even --jobs 0 never reaches the slicer. *)
+let test_batch_jobs_rejected () =
   skip_if_missing ();
   with_tj explain_demo (fun path ->
       let file = Filename.quote path in
       List.iter
-        (fun args ->
-          let rc, _, err = run_cli (args ^ " --jobs 2 < /dev/null") in
-          Alcotest.(check int) (args ^ ": cmdliner error") 124 rc;
-          check_clean args err;
-          Alcotest.(check bool) (args ^ ": names the option") true
-            (contains ~needle:"--jobs" err))
+        (fun n ->
+          check_jobs_rejected
+            (Printf.sprintf "batch %s -l 3 --jobs %d" file n))
+        [ 0; 2 ])
+
+let test_no_jobs_option () =
+  skip_if_missing ();
+  with_tj explain_demo (fun path ->
+      let file = Filename.quote path in
+      List.iter
+        (fun args -> check_jobs_rejected (args ^ " --jobs 2"))
         [ Printf.sprintf "explain %s 2 --seed 5" file;
           Printf.sprintf "report %s --line 5" file;
           "serve" ])
@@ -282,9 +286,10 @@ let suite =
       test_explain_missing_seed;
     Alcotest.test_case "report: layers, pretty and JSON" `Quick
       test_report_layers_cli;
-    Alcotest.test_case "batch --jobs 0: clean exit 1" `Quick
-      test_batch_jobs_nonpositive;
-    Alcotest.test_case "--jobs only on batch" `Quick test_jobs_only_on_batch;
+    Alcotest.test_case "batch --jobs: usage error" `Quick
+      test_batch_jobs_rejected;
+    Alcotest.test_case "--jobs on no other subcommand" `Quick
+      test_no_jobs_option;
     Alcotest.test_case "fuzz --count 0: clean exit 1" `Quick
       test_fuzz_bad_count;
     Alcotest.test_case "fuzz --fault unknown: cmdliner error" `Quick

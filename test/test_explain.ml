@@ -304,6 +304,101 @@ let test_rank_agreement_on_workloads () =
         [ Slicer.Thin; Slicer.Traditional_full ])
     Slice_workloads.Suites.paper_workloads
 
+(* ---- golden provenance digests ------------------------------------ *)
+
+(* MD5 over every recorded walk of a workload: for each task seed (the
+   task's own source, seed filter and bridge lines, as [Task.measure]
+   resolves them) in Thin, Traditional_full and, for aliasing tasks, the
+   task's thin mode, every member's witness steps — node, edge kind tag,
+   budget and distance.  pipeline-32 has no tasks and seeds from its
+   middle countable node.  The witness tests above check that records are
+   valid; these constants pin that they are identical. *)
+let provenance_digest (walks : (Engine.analysis * Sdg.node list * Slicer.mode) list)
+    : string =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun ((a : Engine.analysis), seeds, mode) ->
+      let g = a.Engine.sdg in
+      let prov = Slicer.create_provenance g in
+      let members = Slicer.slice ~prov g ~seeds mode in
+      Printf.bprintf buf "%s|" (Slicer.mode_to_string mode);
+      List.iter
+        (fun n ->
+          match Slicer.witness prov n with
+          | None -> Alcotest.failf "member %d has no witness" n
+          | Some steps ->
+            List.iter
+              (fun (s : Slicer.witness_step) ->
+                Printf.bprintf buf "%d:%d:%d:%d," s.Slicer.wit_node
+                  (match s.Slicer.wit_kind with
+                  | None -> -1
+                  | Some k -> Sdg.edge_kind_tag k)
+                  s.Slicer.wit_budget s.Slicer.wit_dist)
+              steps;
+            Buffer.add_char buf ';')
+        members)
+    walks;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let workload_walks (name : string) (src : string) :
+    (Engine.analysis * Sdg.node list * Slicer.mode) list =
+  let open Slice_workloads in
+  let tasks =
+    List.filter
+      (fun (t : Task.t) ->
+        String.length t.Task.id > String.length name
+        && String.sub t.Task.id 0 (String.length name + 1) = name ^ "-")
+      (Sir_suite.tasks @ Casts_suite.tasks)
+  in
+  if tasks = [] then begin
+    let a = Engine.of_source ~file:(name ^ ".tj") src in
+    let g = a.Engine.sdg in
+    let countable =
+      List.filter (Sdg.node_countable g) (List.init (Sdg.num_nodes g) Fun.id)
+    in
+    let seeds = [ List.nth countable (List.length countable / 2) ] in
+    [ (a, seeds, Slicer.Thin); (a, seeds, Slicer.Traditional_full) ]
+  end
+  else
+    List.concat_map
+      (fun (t : Task.t) ->
+        let a = Engine.of_source ~file:(t.Task.id ^ ".tj") t.Task.src in
+        let line pat = Runtime_lib.line_of ~src:t.Task.src ~pattern:pat in
+        let seeds =
+          Engine.seeds_at_line_exn ~filter:t.Task.seed_filter a
+            (line t.Task.seed_pattern)
+          @ List.concat_map
+              (fun pat -> Engine.seeds_at_line_exn a (line pat))
+              t.Task.bridge_patterns
+        in
+        List.map
+          (fun mode -> (a, seeds, mode))
+          ([ Slicer.Thin; Slicer.Traditional_full ]
+          @ if t.Task.alias_level > 0 then [ Task.thin_mode t ] else []))
+      tasks
+
+(* Recorded from the separate recording walk, before it was folded into
+   the plain walk. *)
+let golden_provenance_digests =
+  [ ("nanoxml", "a1fee5a3470e7fbdb3191b302d317118");
+    ("jtopas", "d30e02c21a00f4793470ddb4f0d511f9");
+    ("ant", "b90a6e9becc404a82ae5ecb8e19d0366");
+    ("xmlsec", "e9aecd744a8f5e9af632002abcd29283");
+    ("mtrt", "eec82163a6e6f42df1cade05a07f17cf");
+    ("jess", "a1c225af4d8d84c55c554c44c307013a");
+    ("javac", "7d13e7e00efc7b6a030b069cb04bccf4");
+    ("jack", "26d937605ab2f94569d9a1752f07d65d");
+    ("pipeline-32", "2e854d37246e5e5b714baccad77e4bde") ]
+
+let test_golden_provenance_digests () =
+  List.iter
+    (fun (name, src) ->
+      Alcotest.(check string)
+        (name ^ " provenance digest")
+        (List.assoc name golden_provenance_digests)
+        (provenance_digest (workload_walks name src)))
+    Slice_workloads.Suites.paper_workloads
+
 let suite =
   [ Alcotest.test_case "witness: thin mode" `Quick test_witness_thin;
     Alcotest.test_case "witness: traditional full" `Quick
@@ -317,4 +412,6 @@ let suite =
     Alcotest.test_case "report/witness JSON schema" `Quick
       test_report_json_schema;
     Alcotest.test_case "provenance rank == Inspect layer (9 workloads)"
-      `Quick test_rank_agreement_on_workloads ]
+      `Quick test_rank_agreement_on_workloads;
+    Alcotest.test_case "golden provenance digests" `Quick
+      test_golden_provenance_digests ]

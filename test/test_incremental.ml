@@ -427,33 +427,32 @@ let test_shrink_roundtrip_after_update () =
   let g = a.Engine.sdg in
   let line = line_of base_src "print(" in
   let seeds = Engine.seeds_at_line_exn a line in
-  let scratch = Slicer.create_scratch g in
   let prov = Slicer.create_provenance g in
-  let before = Slicer.slice ~scratch ~prov g ~seeds Slicer.Thin in
+  let before = Slicer.slice ~prov g ~seeds Slicer.Thin in
   Alcotest.(check bool)
     "scratch sized for graph" true
-    (Slicer.scratch_capacity scratch >= Sdg.num_nodes g);
+    (Slicer.shared_scratch_capacity () >= Sdg.num_nodes g);
   (* Mirror the daemon's eviction shrink: drop to a tiny high-water
      mark, then verify walks regrow and answer identically. *)
-  Slicer.shrink_scratch scratch ~keep:1;
+  Slicer.shrink_shared_scratch ~keep:1;
   Slicer.shrink_provenance prov ~keep:1;
-  Alcotest.(check int) "scratch shrunk" 1 (Slicer.scratch_capacity scratch);
+  Alcotest.(check int) "scratch shrunk" 1 (Slicer.shared_scratch_capacity ());
   Alcotest.(check int) "prov shrunk" 1 (Slicer.provenance_capacity prov);
   Alcotest.(check bool)
     "shrink drops recorded walk" true
     (Slicer.witness prov (List.hd before) = None);
-  let again = Slicer.slice ~scratch ~prov g ~seeds Slicer.Thin in
+  let again = Slicer.slice ~prov g ~seeds Slicer.Thin in
   Alcotest.(check (list int)) "walk after shrink" before again;
   Alcotest.(check bool)
     "scratch regrew" true
-    (Slicer.scratch_capacity scratch >= Sdg.num_nodes g);
+    (Slicer.shared_scratch_capacity () >= Sdg.num_nodes g);
   (* After an update the same resident buffers keep working against the
      patched (larger) graph. *)
   let edited = replace base_src "x * 2" "x * 8" in
   let h', _ = Engine.update h [ (file, edited) ] in
   let a' = h'.Engine.h_analysis in
   let seeds' = Engine.seeds_at_line_exn a' line in
-  let after_update = Slicer.slice ~scratch ~prov a'.Engine.sdg ~seeds:seeds' Slicer.Thin in
+  let after_update = Slicer.slice ~prov a'.Engine.sdg ~seeds:seeds' Slicer.Thin in
   let fresh = Engine.load [ (file, edited) ] in
   let fa = fresh.Engine.h_analysis in
   let expect =

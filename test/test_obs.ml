@@ -375,66 +375,6 @@ let test_scoped_exception_safe () =
   check_int "clean scope after exception" 1
     (List.assoc "scoped.exn" snap.snap_counters)
 
-(* --- per-domain registries and merge-back --------------------------- *)
-
-(* A worker domain's bumps land in ITS registry, invisible to the parent
-   until the parent folds the worker's snapshot in with [merge_snapshot].
-   This is the contract the parallel batch executor is built on. *)
-let test_domain_isolation_and_merge () =
-  reset ();
-  set_enabled true;
-  let c = counter "dom.counter" in
-  let g = gauge "dom.peak" in
-  let h = histogram "dom.hist" in
-  bump c;
-  set_gauge g 5.;
-  observe h 1.;
-  let worker () =
-    (* fresh registry: the parent's bump is not visible here *)
-    let before = counter_value "dom.counter" in
-    add c 10;
-    max_gauge g 9.;
-    observe h 3.;
-    span "dom.worker_span" (fun () -> ());
-    (before, snapshot ())
-  in
-  let d = Domain.spawn worker in
-  let before_in_worker, worker_snap = Domain.join d in
-  check_int "worker starts from an empty registry" 0 before_in_worker;
-  (* nothing leaked into the parent yet *)
-  check_int "parent unchanged before merge" 1 (counter_value "dom.counter");
-  check_bool "no worker span before merge" true
-    (List.for_all
-       (fun sp -> sp.sp_name <> "dom.worker_span")
-       (snapshot ()).snap_spans);
-  merge_snapshot worker_snap;
-  check_int "counters summed" 11 (counter_value "dom.counter");
-  check_bool "peak gauge maxed" true (gauge_value "dom.peak" = 9.);
-  let count, sum, mn, mx = histogram_stats h in
-  check_int "histogram counts combined" 2 count;
-  check_bool "histogram sum combined" true (abs_float (sum -. 4.) < 1e-9);
-  check_bool "histogram min/max combined" true (mn = 1. && mx = 3.);
-  check_bool "worker span appended after merge" true
-    (List.exists
-       (fun sp -> sp.sp_name = "dom.worker_span")
-       (snapshot ()).snap_spans)
-
-(* Merging inside an open span files the worker spans as its children —
-   how a parallel phase shows up as one node of the trace tree. *)
-let test_merge_under_open_span () =
-  reset ();
-  set_enabled true;
-  let d = Domain.spawn (fun () -> span "child_work" (fun () -> ()); snapshot ()) in
-  let worker_snap = Domain.join d in
-  span "parallel_phase" (fun () -> merge_snapshot worker_snap);
-  let s = snapshot () in
-  check_int "one root" 1 (List.length s.snap_spans);
-  let root = List.hd s.snap_spans in
-  check_string "root is the open span" "parallel_phase" root.sp_name;
-  Alcotest.(check (list string))
-    "worker span became its child" [ "child_work" ]
-    (List.map (fun c -> c.sp_name) root.sp_children)
-
 (* --- batch spans are distinct phases -------------------------------- *)
 
 (* Regression: [forward_slice_batch] used to record under
@@ -541,57 +481,6 @@ let test_cli_stats_json () =
     | None -> Alcotest.fail "no telemetry object"
   end
 
-(* --- thinslice batch --jobs byte-identity --------------------------- *)
-
-(* The CLI contract of the parallel executor: `thinslice batch --jobs 4`
-   must print BYTE-identical output to `--jobs 1` — sharding is invisible
-   to the user. *)
-let test_cli_jobs_byte_identity () =
-  if not (Sys.file_exists exe_path) then Alcotest.skip ()
-  else begin
-    let src = Slice_workloads.Prog_nanoxml.base in
-    (* pick seed lines in-process (every 20th line with a statement) *)
-    let a = Slice_core.Engine.of_source ~file:"nanoxml.tj" src in
-    let n_lines = List.length (String.split_on_char '\n' src) in
-    let lines = ref [] in
-    for l = n_lines downto 1 do
-      if l mod 20 = 0 && Slice_core.Engine.seeds_at_line a l <> [] then
-        lines := l :: !lines
-    done;
-    check_bool "found several seed lines" true (List.length !lines >= 3);
-    let src_file = Filename.temp_file "obs_jobs" ".tj" in
-    let oc = open_out src_file in
-    output_string oc src;
-    close_out oc;
-    let run jobs out =
-      let cmd =
-        Printf.sprintf "%s batch %s %s --mode trad --jobs %d --quiet > %s 2>&1"
-          (Filename.quote exe_path) (Filename.quote src_file)
-          (String.concat " "
-             (List.map (fun l -> Printf.sprintf "--line %d" l) !lines))
-          jobs (Filename.quote out)
-      in
-      check_int (Printf.sprintf "batch --jobs %d exits 0" jobs) 0
-        (Sys.command cmd)
-    in
-    let read path =
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-    in
-    let out1 = Filename.temp_file "obs_jobs1" ".out" in
-    let out4 = Filename.temp_file "obs_jobs4" ".out" in
-    run 1 out1;
-    run 4 out4;
-    let t1 = read out1 and t4 = read out4 in
-    Sys.remove src_file;
-    Sys.remove out1;
-    Sys.remove out4;
-    check_bool "non-empty output" true (String.length t1 > 0);
-    check_string "--jobs 4 output byte-identical to --jobs 1" t1 t4
-  end
-
 (* --- thinslice batch --pta byte-identity ---------------------------- *)
 
 (* The CLI contract of the solver A/B: `thinslice batch --pta reference`
@@ -663,15 +552,9 @@ let suite =
     Alcotest.test_case "scoped merges back" `Quick test_scoped_merges_back;
     Alcotest.test_case "scoped exception safety" `Quick
       test_scoped_exception_safe;
-    Alcotest.test_case "domain isolation and merge_snapshot" `Quick
-      test_domain_isolation_and_merge;
-    Alcotest.test_case "merge under an open span" `Quick
-      test_merge_under_open_span;
     Alcotest.test_case "batch span names distinct" `Quick
       test_batch_span_names_distinct;
     Alcotest.test_case "thinslice --stats-json contract" `Quick
       test_cli_stats_json;
-    Alcotest.test_case "thinslice batch --jobs byte-identity" `Quick
-      test_cli_jobs_byte_identity;
     Alcotest.test_case "thinslice batch --pta byte-identity" `Quick
       test_cli_pta_byte_identity ]

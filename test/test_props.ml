@@ -371,102 +371,6 @@ let test_walk_rows_pinned () =
         javac_walk_rows_expected (javac_walk_rows ~prov))
     [ false; true ]
 
-(* ---- parallel batch parity: slice_batch_par == slice_batch ---- *)
-
-(* Up to [cap] seed lines spread across the program: every line with at
-   least one statement node, thinned evenly so big workloads stay fast. *)
-let batch_lines ?(cap = 10) (a : Slice_core.Engine.analysis) (src : string) :
-    int list =
-  let n_lines = List.length (String.split_on_char '\n' src) in
-  let all = ref [] in
-  for l = n_lines downto 1 do
-    if Slice_core.Engine.seeds_at_line a l <> [] then all := l :: !all
-  done;
-  let all = Array.of_list !all in
-  let k = Array.length all in
-  if k <= cap then Array.to_list all
-  else List.init cap (fun i -> all.(i * k / cap))
-
-(* Sharding must be a pure scheduling decision: for every jobs count,
-   mode and direction, the parallel batch returns line-for-line exactly
-   the sequential batch.  [jobs:1] exercises the no-spawn degradation. *)
-let check_par_parity ~(what : string) (a : Slice_core.Engine.analysis)
-    (lines : int list) : unit =
-  let open Slice_core in
-  List.iter
-    (fun mode ->
-      List.iter
-        (fun forward ->
-          let seq = Engine.slice_batch ~forward a ~lines mode in
-          List.iter
-            (fun jobs ->
-              let par = Engine.slice_batch_par ~forward ~jobs a ~lines mode in
-              List.iter2
-                (fun (l, s) (l', p) ->
-                  let ctx =
-                    Printf.sprintf "%s %s fwd=%b jobs=%d line=%d" what
-                      (Slicer.mode_to_string mode) forward jobs l
-                  in
-                  Alcotest.(check int) (ctx ^ " order") l l';
-                  Alcotest.(check (list int)) ctx s p)
-                seq par)
-            [ 1; 2; 4 ])
-        [ false; true ])
-    parity_modes
-
-let test_par_batch_parity_on_workloads () =
-  List.iter
-    (fun (name, src) ->
-      let a = Slice_core.Engine.of_source ~file:(name ^ ".tj") src in
-      check_par_parity ~what:name a (batch_lines a src))
-    workload_programs
-
-let prop_par_batch_parity_on_generated =
-  QCheck2.Test.make ~count:5
-    ~name:"slice_batch_par == slice_batch on generated pipelines"
-    QCheck2.Gen.(pair (2 -- 10) (2 -- 5))
-    (fun (stages, jobs) ->
-      let src = Generators.pipeline_program ~stages in
-      let a = Slice_core.Engine.analyze (Helpers.load src) in
-      let lines = batch_lines ~cap:6 a src in
-      List.for_all
-        (fun mode ->
-          List.for_all
-            (fun forward ->
-              Slice_core.Engine.slice_batch_par ~forward ~jobs a ~lines mode
-              = Slice_core.Engine.slice_batch ~forward a ~lines mode)
-            [ false; true ])
-        parity_modes)
-
-(* Worker telemetry must AGGREGATE, not disappear (or race): the slicer
-   counter totals of a parallel batch, after merge-back, equal the
-   sequential batch's exactly — every walk bumps the same counters no
-   matter which domain ran it. *)
-let test_par_batch_telemetry_merges () =
-  let open Slice_core in
-  let name, src = List.nth workload_programs 0 in
-  let a = Engine.of_source ~file:(name ^ ".tj") src in
-  let lines = batch_lines a src in
-  let slicer_counters snap =
-    List.filter
-      (fun (k, _) -> String.length k >= 7 && String.sub k 0 7 = "slicer.")
-      snap.Slice_obs.snap_counters
-  in
-  let _, seq_snap =
-    Slice_obs.scoped (fun () -> Engine.slice_batch a ~lines Slicer.Thin)
-  in
-  List.iter
-    (fun jobs ->
-      let _, par_snap =
-        Slice_obs.scoped (fun () ->
-            Engine.slice_batch_par ~jobs a ~lines Slicer.Thin)
-      in
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "slicer counter totals at jobs=%d" jobs)
-        (slicer_counters seq_snap)
-        (slicer_counters par_snap))
-    [ 2; 4 ]
-
 let suite =
   [ QCheck_alcotest.to_alcotest prop_interp_matches_reference;
     QCheck_alcotest.to_alcotest prop_pipeline_runs_and_slices;
@@ -475,9 +379,4 @@ let suite =
       test_csr_parity_on_workloads;
     QCheck_alcotest.to_alcotest prop_csr_parity_on_generated;
     Alcotest.test_case "walk counters and results pinned on javac" `Quick
-      test_walk_rows_pinned;
-    Alcotest.test_case "parallel batch parity on the workload suite" `Quick
-      test_par_batch_parity_on_workloads;
-    QCheck_alcotest.to_alcotest prop_par_batch_parity_on_generated;
-    Alcotest.test_case "parallel batch telemetry merges" `Quick
-      test_par_batch_telemetry_merges ]
+      test_walk_rows_pinned ]

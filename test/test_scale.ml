@@ -140,11 +140,16 @@ let test_memory_stats () =
   Alcotest.(check int) "arena_bytes deterministic"
     (Slice_ir.Arena.bytes a.Slice_core.Engine.arena)
     s.Slice_core.Engine.arena_bytes;
-  (* a slice through the domain-default scratch makes its footprint
-     observable *)
-  let scratch = Slice_core.Slicer.create_scratch a.Slice_core.Engine.sdg in
+  (* a slice through the shared scratch makes its footprint observable *)
+  let _, slice_snap =
+    Slice_obs.scoped (fun () ->
+        Slice_core.Slicer.slice a.Slice_core.Engine.sdg ~seeds:[ 0 ]
+          Slice_core.Slicer.Thin)
+  in
   Alcotest.(check bool) "scratch_bytes positive" true
-    (Slice_core.Slicer.scratch_bytes scratch > 0);
+    (match List.assoc_opt "slicer.scratch_bytes" slice_snap.Slice_obs.snap_gauges with
+    | Some b -> b > 0.
+    | None -> false);
   (* the memory block must appear in BOTH stats exports with the same
      deterministic value (serve-vs-CLI byte parity) *)
   let find_arena json =

@@ -261,7 +261,7 @@ let test_eviction_shrinks_scratch () =
            ("line", Json.Int line) ])
   in
   ignore (slice big_src "big.tj" 402);
-  let cap_big = Slicer.domain_scratch_capacity () in
+  let cap_big = Slicer.shared_scratch_capacity () in
   let tiny_nodes =
     Sdg.num_nodes
       (Engine.load [ ("t.tj", tiny_src) ]).Engine.h_analysis.Engine.sdg
@@ -270,7 +270,7 @@ let test_eviction_shrinks_scratch () =
     (cap_big > tiny_nodes);
   (* loading tiny evicts big (capacity 1) and must release big's buffers *)
   ignore (slice tiny_src "t.tj" 4);
-  let cap_after = Slicer.domain_scratch_capacity () in
+  let cap_after = Slicer.shared_scratch_capacity () in
   check_bool "eviction shrank the scratch" true (cap_after < cap_big);
   check_int "scratch sized to the surviving program" tiny_nodes cap_after
 
@@ -480,7 +480,7 @@ let test_update_method () =
     (result_str sl)
 
 (* A shrinking EDIT must release the walk scratch the same way LRU
-   eviction does: the update handler re-sizes the domain scratch to the
+   eviction does: the update handler re-sizes the shared scratch to the
    surviving residents instead of pinning the pre-edit high-water mark. *)
 let test_update_shrinks_scratch () =
   let st = Serve.create_state { Serve.max_programs = 1 } in
@@ -493,7 +493,7 @@ let test_update_shrinks_scratch () =
   ignore
     (do_req st
        (req "slice" [ ("program", Json.Str key); ("line", Json.Int 402) ]));
-  let cap_big = Slicer.domain_scratch_capacity () in
+  let cap_big = Slicer.shared_scratch_capacity () in
   let tiny_nodes =
     Sdg.num_nodes
       (Engine.load [ ("big.tj", tiny_src) ]).Engine.h_analysis.Engine.sdg
@@ -512,7 +512,7 @@ let test_update_shrinks_scratch () =
   | other ->
     Alcotest.failf "expected the rebuilt path, got %s"
       (match other with Some j -> Json.to_string j | None -> "<none>"));
-  let cap_after = Slicer.domain_scratch_capacity () in
+  let cap_after = Slicer.shared_scratch_capacity () in
   check_bool "shrinking update released the scratch" true
     (cap_after < cap_big);
   check_int "scratch sized to the post-edit program" tiny_nodes cap_after

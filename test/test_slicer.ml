@@ -325,14 +325,78 @@ let test_two_file_line_numbers () =
     (at (Some "c.tj"));
   Helpers.check_loc_columns ~ctx:"two files" ~slices:[ Slicer.slice g ~seeds mode ] g
 
-(* Explicit scratch handles: one handle reused across walks, graphs and
-   directions returns exactly what the per-domain implicit scratch does
-   (walks must fully restore the buffers they touch). *)
-let test_explicit_scratch_reuse () =
+(* Line keys of a many-file program: 50 one-method class files and a
+   600-line main.  Keys once packed [rank * stride + line] with one stride
+   for every file (the longest file's line count + 1), so the key space —
+   and the stamp [nodes_to_lines] allocates on every query — grew with
+   files × the longest file.  Each file now gets its own base, so the
+   space is bounded by the source's own line count. *)
+let many_file_units () =
+  let classes =
+    List.init 50 (fun i ->
+        ( Printf.sprintf "c%02d.tj" i,
+          Printf.sprintf
+            "class C%d {\n  int v;\n  C%d(int x) { this.v = x; }\n  int get() { return this.v + %d; }\n}\n"
+            i i i ))
+  in
+  let main =
+    let b = Buffer.create 16384 in
+    Buffer.add_string b "void main(String[] args) {\n  int acc = 0;\n";
+    List.iteri
+      (fun i _ ->
+        Printf.bprintf b "  C%d o%d = new C%d(%d);\n  acc = acc + o%d.get();\n"
+          i i i i i)
+      classes;
+    (* pad main to 600 lines *)
+    for _ = 1 to 495 do
+      Buffer.add_string b "  acc = acc + 1;\n"
+    done;
+    Buffer.add_string b "  print(itoa(acc));\n}\n";
+    Buffer.contents b
+  in
+  ("main.tj", main) :: classes
+
+let test_many_file_line_keys () =
+  let units = many_file_units () in
+  let a = Engine.of_sources units in
+  let g = a.Engine.sdg in
+  let source_lines =
+    List.fold_left
+      (* each unit ends in a newline, so this counts lines + 1 *)
+      (fun acc (_, src) -> acc + List.length (String.split_on_char '\n' src))
+      0 units
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "num_line_keys %d <= sum of (lines + 1) %d"
+       (Sdg.num_line_keys g) source_lines)
+    true
+    (Sdg.num_line_keys g <= source_lines);
+  (* line 4 holds a [get] body in every class file and a statement of
+     main: [~file:None] is the union of the per-file answers *)
+  let at file = Sdg.nodes_at_line g ~file ~line:4 in
+  let per_file = List.concat_map (fun (f, _) -> at (Some f)) units in
+  Alcotest.(check bool) "line 4 has nodes in every file" true
+    (List.for_all (fun (f, _) -> at (Some f) <> []) units);
+  Alcotest.(check (list int)) "file:None is the union of the files"
+    (List.sort compare per_file) (at None);
+  let print_line =
+    line_of ~src:(List.assoc "main.tj" units) ~pattern:"print(itoa(acc));"
+  in
+  let seeds = Sdg.nodes_at_line g ~file:(Some "main.tj") ~line:print_line in
+  let slice = Slicer.slice g ~seeds Slicer.Thin in
+  Alcotest.(check bool) "the slice reaches the class files" true
+    (List.exists
+       (fun l -> l.Slice_ir.Loc.file <> "main.tj")
+       (Slicer.nodes_to_lines g slice));
+  Helpers.check_loc_columns ~ctx:"many files" ~slices:[ slice ] g
+
+(* The shared walk scratch: reused across walks, graphs and directions,
+   it returns exactly what the seed algorithm does (walks must fully
+   restore the buffers they touch, and grow them for a bigger graph). *)
+let test_shared_scratch_reuse () =
   let src1 = Paper_figures.fig1 and src2 = Prog_nanoxml.base in
   let a1 = analysis src1 and a2 = analysis src2 in
   let g1 = a1.Engine.sdg and g2 = a2.Engine.sdg in
-  let scratch = Slicer.create_scratch g1 in
   let seeds1 =
     Engine.seeds_at_line_exn a1 (line_of ~src:src1 ~pattern:Paper_figures.fig1_seed)
   in
@@ -342,25 +406,28 @@ let test_explicit_scratch_reuse () =
   in
   List.iter
     (fun mode ->
-      Alcotest.(check (list int)) "g1 backward with explicit scratch"
-        (Slicer.slice g1 ~seeds:seeds1 mode)
-        (Slicer.slice ~scratch g1 ~seeds:seeds1 mode);
-      (* the same handle then walks a BIGGER graph (grow-only) *)
-      Alcotest.(check (list int)) "g2 backward with the same handle"
-        (Slicer.slice g2 ~seeds:seeds2 mode)
-        (Slicer.slice ~scratch g2 ~seeds:seeds2 mode);
-      Alcotest.(check (list int)) "g2 forward with the same handle"
-        (Slicer.forward_slice g2 ~seeds:seeds2 mode)
-        (Slicer.forward_slice ~scratch g2 ~seeds:seeds2 mode);
+      Slicer.shrink_shared_scratch ~keep:(Sdg.num_nodes g1);
+      Alcotest.(check (list int)) "g1 backward on the shared scratch"
+        (Slicer.Reference.slice g1 ~seeds:seeds1 mode)
+        (Slicer.slice g1 ~seeds:seeds1 mode);
+      (* the same buffers then walk a BIGGER graph (grow-only) *)
+      Alcotest.(check (list int)) "g2 backward on the same scratch"
+        (Slicer.Reference.slice g2 ~seeds:seeds2 mode)
+        (Slicer.slice g2 ~seeds:seeds2 mode);
+      Alcotest.(check bool) "walking g2 grew the scratch" true
+        (Slicer.shared_scratch_capacity () >= Sdg.num_nodes g2);
+      Alcotest.(check (list int)) "g2 forward on the same scratch"
+        (Slicer.Reference.forward_slice g2 ~seeds:seeds2 mode)
+        (Slicer.forward_slice g2 ~seeds:seeds2 mode);
       (* and back to the small graph *)
-      Alcotest.(check (list int)) "g1 again with the same handle"
-        (Slicer.slice g1 ~seeds:seeds1 mode)
-        (Slicer.slice ~scratch g1 ~seeds:seeds1 mode))
+      Alcotest.(check (list int)) "g1 again on the same scratch"
+        (Slicer.Reference.slice g1 ~seeds:seeds1 mode)
+        (Slicer.slice g1 ~seeds:seeds1 mode))
     [ Slicer.Thin; Slicer.Thin_with_aliasing 1; Slicer.Traditional_full ]
 
-(* Shrink: the serve daemon's eviction path.  Growing a handle on a big
-   graph, shrinking, and re-walking must (a) actually release capacity,
-   (b) stay correct — the next walk just regrows. *)
+(* Shrink: the serve daemon's eviction path.  Growing the shared scratch
+   on a big graph, shrinking, and re-walking must (a) actually release
+   capacity, (b) stay correct — the next walk just regrows. *)
 let test_scratch_shrink_roundtrip () =
   let small = analysis Paper_figures.fig1 and big = analysis Prog_nanoxml.base in
   let g_small = small.Engine.sdg and g_big = big.Engine.sdg in
@@ -371,20 +438,21 @@ let test_scratch_shrink_roundtrip () =
       (line_of ~src:Prog_nanoxml.base
          ~pattern:"print((String) this.lines.get(i));")
   in
-  let scratch = Slicer.create_scratch g_small in
-  Alcotest.(check int) "created at the small graph's size" n_small
-    (Slicer.scratch_capacity scratch);
-  let r1 = Slicer.slice ~scratch g_big ~seeds Slicer.Thin in
+  Slicer.shrink_shared_scratch ~keep:n_small;
+  ignore (Slicer.slice g_small ~seeds:[ 0 ] Slicer.Thin);
+  Alcotest.(check int) "sized to the small graph" n_small
+    (Slicer.shared_scratch_capacity ());
+  let r1 = Slicer.slice g_big ~seeds Slicer.Thin in
   Alcotest.(check bool) "walking the big graph grew it" true
-    (Slicer.scratch_capacity scratch >= n_big);
-  Slicer.shrink_scratch scratch ~keep:n_small;
+    (Slicer.shared_scratch_capacity () >= n_big);
+  Slicer.shrink_shared_scratch ~keep:n_small;
   Alcotest.(check int) "shrunk back to keep" n_small
-    (Slicer.scratch_capacity scratch);
+    (Slicer.shared_scratch_capacity ());
   Alcotest.(check (list int)) "correct after shrinking (regrows)" r1
-    (Slicer.slice ~scratch g_big ~seeds Slicer.Thin);
-  Slicer.shrink_scratch scratch ~keep:0;
+    (Slicer.slice g_big ~seeds Slicer.Thin);
+  Slicer.shrink_shared_scratch ~keep:0;
   Alcotest.(check int) "keep clamps to at least one node" 1
-    (Slicer.scratch_capacity scratch)
+    (Slicer.shared_scratch_capacity ())
 
 let test_provenance_shrink_invalidates () =
   let small = analysis Paper_figures.fig1 and big = analysis Prog_nanoxml.base in
@@ -430,8 +498,8 @@ let suite =
       test_budget_clamp_boundary;
     Alcotest.test_case "two-file line-number dedup" `Quick
       test_two_file_line_numbers;
-    Alcotest.test_case "explicit scratch reuse" `Quick
-      test_explicit_scratch_reuse;
+    Alcotest.test_case "many-file line keys" `Quick test_many_file_line_keys;
+    Alcotest.test_case "shared scratch reuse" `Quick test_shared_scratch_reuse;
     Alcotest.test_case "scratch shrink roundtrip" `Quick
       test_scratch_shrink_roundtrip;
     Alcotest.test_case "provenance shrink invalidates records" `Quick

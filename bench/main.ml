@@ -1038,17 +1038,25 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
   Printf.printf "pipeline-huge: scale run at %d statements\n%!" stmts;
   let seed = 1 in
   let sc, gen_wall = time (fun () -> Gen_tj.generate_scaled ~seed ~stmts) in
+  (* Frontend words per IR statement, counted like the linearity test
+     (minor + major - promoted): deterministic, so a quadratic frontend
+     shows at scale without any timing. *)
+  Gc.minor ();
+  let w0 = Slice_obs.allocated_words () in
   let p, front_wall =
     time (fun () -> Slice_front.Frontend.load_exn ~file:"huge.tj" sc.Gen_tj.sc_src)
   in
+  let front_words = Slice_obs.allocated_words () -. w0 in
   let actual = Slice_ir.Program.stmt_count p in
+  let words_per_stmt = front_words /. float_of_int actual in
   let err_pct =
     100. *. Float.abs (float_of_int (actual - stmts)) /. float_of_int stmts
   in
   Printf.printf "pipeline-huge stmts=%d actual=%d err_pct=%.2f parts=%d\n%!"
     stmts actual err_pct sc.Gen_tj.sc_parts;
   Printf.printf "phase=gen wall_s=%.3f\n%!" gen_wall;
-  Printf.printf "phase=front wall_s=%.3f\n%!" front_wall;
+  Printf.printf "phase=front wall_s=%.3f words_per_stmt=%.1f\n%!" front_wall
+    words_per_stmt;
   let arena, arena_wall = time (fun () -> Slice_ir.Arena.build p) in
   let parity_arena_views =
     match Slice_ir.Arena.check_views p arena with
@@ -1215,6 +1223,7 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
          Obj
            [ ("gen_wall_s", Float gen_wall);
              ("front_wall_s", Float front_wall);
+             ("front_words_per_stmt", Float words_per_stmt);
              ("arena_wall_s", Float arena_wall);
              ("pta_wall_s", Float pta_wall);
              ("sdg_wall_s", Float sdg_wall);

@@ -14,7 +14,8 @@ type proto_block = {
 type t = {
   program : Program.t;
   meth : Instr.meth;
-  mutable blocks : proto_block list;    (* reversed *)
+  vars : Instr.Var_buf.t;               (* committed by [finish] *)
+  mutable blocks : proto_block array;   (* indexed by label; [0, nblocks) live *)
   mutable nblocks : int;
   mutable current : proto_block;
   mutable finished : bool;
@@ -40,32 +41,43 @@ let start (program : Program.t) ~(qname : Instr.method_qname) ~(static : bool)
       m_loc = loc }
   in
   let entry = { pb_label = 0; pb_instrs = []; pb_term = None } in
-  { program; meth; blocks = [ entry ]; nblocks = 1; current = entry; finished = false }
+  { program;
+    meth;
+    vars = Instr.Var_buf.create meth;
+    blocks = Array.make 8 entry;
+    nblocks = 1;
+    current = entry;
+    finished = false }
 
 let meth (b : t) : Instr.meth = b.meth
 let program (b : t) : Program.t = b.program
 
 let fresh_var (b : t) ~(name : string) ~(kind : Instr.var_kind) ~(ty : Types.ty) :
     Instr.var =
-  Instr.add_var b.meth { Instr.vi_name = name; vi_kind = kind; vi_ty = ty }
+  Instr.Var_buf.add b.vars { Instr.vi_name = name; vi_kind = kind; vi_ty = ty }
 
 let fresh_temp (b : t) (ty : Types.ty) : Instr.var =
-  let n = Array.length b.meth.Instr.m_vars in
-  fresh_var b ~name:(Printf.sprintf "t%d" n) ~kind:Instr.Vtemp ~ty
+  let n = Instr.Var_buf.length b.vars in
+  fresh_var b ~name:("t" ^ string_of_int n) ~kind:Instr.Vtemp ~ty
 
 let fresh_local (b : t) (name : string) (ty : Types.ty) : Instr.var =
   fresh_var b ~name ~kind:Instr.Vlocal ~ty
 
 let new_block (b : t) : Instr.label =
   let label = b.nblocks in
+  let pb = { pb_label = label; pb_instrs = []; pb_term = None } in
+  if label = Array.length b.blocks then begin
+    let grown = Array.make (2 * label) pb in
+    Array.blit b.blocks 0 grown 0 label;
+    b.blocks <- grown
+  end;
+  b.blocks.(label) <- pb;
   b.nblocks <- label + 1;
-  b.blocks <- { pb_label = label; pb_instrs = []; pb_term = None } :: b.blocks;
   label
 
-let find_block (b : t) (l : Instr.label) : proto_block =
-  List.find (fun pb -> pb.pb_label = l) b.blocks
-
-let switch_to (b : t) (l : Instr.label) : unit = b.current <- find_block b l
+let switch_to (b : t) (l : Instr.label) : unit =
+  if l < 0 || l >= b.nblocks then raise Not_found;
+  b.current <- b.blocks.(l)
 
 let current_label (b : t) : Instr.label = b.current.pb_label
 
@@ -115,18 +127,14 @@ let finish (b : t) : Instr.meth =
         t_kind = Instr.Return None;
         t_loc = Loc.none }
   in
-  let blocks = Array.make b.nblocks None in
-  List.iter (fun pb -> blocks.(pb.pb_label) <- Some pb) b.blocks;
   let blocks =
-    Array.map
-      (function
-        | Some pb ->
-          { Instr.b_label = pb.pb_label;
-            b_instrs = List.rev pb.pb_instrs;
-            b_term = seal pb }
-        | None -> assert false)
-      blocks
+    Array.init b.nblocks (fun l ->
+        let pb = b.blocks.(l) in
+        { Instr.b_label = pb.pb_label;
+          b_instrs = List.rev pb.pb_instrs;
+          b_term = seal pb })
   in
+  Instr.Var_buf.commit b.vars;
   b.meth.Instr.m_body <- Instr.Body { blocks; entry = 0 };
   b.meth
 

@@ -17,6 +17,8 @@ val start :
   loc:Loc.t ->
   t
 
+(** The method under construction.  Its [m_vars] holds only the
+    parameters until [finish] commits the variables allocated since. *)
 val meth : t -> Instr.meth
 val program : t -> Program.t
 

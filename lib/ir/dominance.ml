@@ -35,12 +35,14 @@ let forward_graph (g : Cfg.t) : graph =
 let backward_graph (g : Cfg.t) : graph =
   let n = Cfg.num_blocks g in
   let virtual_exit = n in
+  let is_exit = Array.make n false in
+  List.iter (fun l -> is_exit.(l) <- true) g.Cfg.exits;
   (* In the reversed orientation the virtual exit is the entry: its
      successors are the method's exit blocks, and each exit block gains the
      virtual exit as a predecessor. *)
   let preds l =
     if l = virtual_exit then []
-    else if List.mem l g.Cfg.exits then virtual_exit :: Cfg.successors g l
+    else if is_exit.(l) then virtual_exit :: Cfg.successors g l
     else Cfg.successors g l
   in
   let succs l =
@@ -117,11 +119,19 @@ let dom_tree (d : t) : int list array =
   Array.map List.rev children
 
 (* Dominance frontiers (Cytron et al.): [df.(b)] is the set of nodes where
-   b's dominance stops. *)
+   b's dominance stops.  Each [v] adds all its entries before the next [v]
+   starts, so [last.(b) = v] (the last writer of [df.(b)]) is a repeat
+   test that needs no scan of the list. *)
 let dominance_frontiers (d : t) : int list array =
   let n = d.graph.num_nodes in
   let df = Array.make n [] in
-  let add b v = if not (List.mem v df.(b)) then df.(b) <- v :: df.(b) in
+  let last = Array.make n (-1) in
+  let add b v =
+    if last.(b) <> v then begin
+      last.(b) <- v;
+      df.(b) <- v :: df.(b)
+    end
+  in
   for v = 0 to n - 1 do
     if reachable d v then begin
       let preds = List.filter (fun p -> reachable d p) (d.graph.preds v) in

@@ -225,13 +225,36 @@ let term_targets (t : term) : label list =
   | If (_, l1, l2) -> if l1 = l2 then [ l1 ] else [ l1; l2 ]
   | Return _ | Throw _ -> []
 
-(* Fresh-variable allocation on a method under construction. *)
-let add_var (m : meth) (vi : var_info) : var =
-  let n = Array.length m.m_vars in
-  let arr = Array.make (n + 1) vi in
-  Array.blit m.m_vars 0 arr 0 n;
-  m.m_vars <- arr;
-  n
+(* Fresh-variable allocation on a method under construction.  New
+   variables collect in amortised-doubling storage and [commit] writes
+   [m_vars] once, at its exact length: appending to [m_vars] itself would
+   copy the whole table per variable, quadratic in the method's size. *)
+module Var_buf = struct
+  type t = {
+    meth : meth;
+    mutable data : var_info array;  (* [0, len) live; the rest is slack *)
+    mutable len : int;
+  }
+
+  let create (m : meth) : t =
+    { meth = m; data = m.m_vars; len = Array.length m.m_vars }
+
+  let length (b : t) : int = b.len
+
+  let add (b : t) (vi : var_info) : var =
+    if b.len = Array.length b.data then begin
+      let grown = Array.make (max 16 (2 * b.len)) vi in
+      Array.blit b.data 0 grown 0 b.len;
+      b.data <- grown
+    end;
+    b.data.(b.len) <- vi;
+    b.len <- b.len + 1;
+    b.len - 1
+
+  let commit (b : t) : unit =
+    if b.len <> Array.length b.meth.m_vars then
+      b.meth.m_vars <- Array.sub b.data 0 b.len
+end
 
 let iter_instrs (m : meth) (f : label -> instr -> unit) : unit =
   match m.m_body with

@@ -141,8 +141,26 @@ val classified_uses : instr -> (var * use_class) list
 val uses_of_term : term -> var list
 val term_targets : term -> label list
 
-(** Append a variable to the method's variable table; returns its id. *)
-val add_var : meth -> var_info -> var
+(** Append-once variable table for a method under construction.
+    [add] hands out the next variable id; the method's [m_vars] is
+    unchanged until [commit] writes the whole table once, at its exact
+    length, so every [Array.length m_vars] reader sees a complete table.
+    Lowering ([Builder]) and SSA conversion both allocate through one. *)
+module Var_buf : sig
+  type t
+
+  (** A buffer holding the method's current [m_vars]. *)
+  val create : meth -> t
+
+  (** Number of variables so far, committed or not. *)
+  val length : t -> int
+
+  (** Append a variable; returns its id. *)
+  val add : t -> var_info -> var
+
+  (** Publish the table as the method's [m_vars]. *)
+  val commit : t -> unit
+end
 
 val iter_instrs : meth -> (label -> instr -> unit) -> unit
 val iter_terms : meth -> (label -> term -> unit) -> unit

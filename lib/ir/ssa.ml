@@ -77,10 +77,17 @@ let convert (p : Program.t) (m : Instr.meth) : unit =
     let blocks = Instr.blocks_exn m in
     let nblocks = Array.length blocks in
     let nvars = Array.length m.Instr.m_vars in
-    (* 1. Definition sites of each original variable. *)
+    (* 1. Definition sites of each original variable.  Definitions are met
+       block by block (the parameters with the entry, block 0, first), so
+       a repeat of [(v, l)] can only follow [v]'s latest site: a per-variable
+       stamp of that block dedups without scanning the list. *)
     let def_blocks = Array.make nvars [] in
+    let last_def = Array.make nvars (-1) in
     let add_def v l =
-      if not (List.mem l def_blocks.(v)) then def_blocks.(v) <- l :: def_blocks.(v)
+      if last_def.(v) <> l then begin
+        last_def.(v) <- l;
+        def_blocks.(v) <- l :: def_blocks.(v)
+      end
     in
     List.iter (fun v -> add_def v cfg.Cfg.entry) m.Instr.m_params;
     Instr.iter_instrs m (fun l i ->
@@ -88,23 +95,25 @@ let convert (p : Program.t) (m : Instr.meth) : unit =
         | Some v -> add_def v l
         | None -> ());
     (* 2. Phi insertion at iterated dominance frontiers.  [phi_for.(l)] maps
-       original variables to the (mutable) phi record for that block. *)
+       original variables to the (mutable) phi record for that block.
+       [has_phi.(y) = v] and [ever_on_work.(y) = v] are stamps for the
+       variable being placed, so no per-variable array is allocated. *)
     let phi_for : (Instr.var, Instr.instr ref) Hashtbl.t array =
       Array.init nblocks (fun _ -> Hashtbl.create 4)
     in
+    let has_phi = Array.make nblocks (-1) in
+    let ever_on_work = Array.make nblocks (-1) in
     for v = 0 to nvars - 1 do
       if def_blocks.(v) <> [] then begin
         let work = ref def_blocks.(v) in
-        let has_phi = Array.make nblocks false in
-        let ever_on_work = Array.make nblocks false in
-        List.iter (fun l -> ever_on_work.(l) <- true) !work;
+        List.iter (fun l -> ever_on_work.(l) <- v) !work;
         while !work <> [] do
           let l = List.hd !work in
           work := List.tl !work;
           List.iter
             (fun y ->
-              if (not has_phi.(y)) && Dominance.reachable dom y then begin
-                has_phi.(y) <- true;
+              if has_phi.(y) <> v && Dominance.reachable dom y then begin
+                has_phi.(y) <- v;
                 let loc =
                   match blocks.(y).Instr.b_instrs with
                   | i :: _ -> i.Instr.i_loc
@@ -117,8 +126,8 @@ let convert (p : Program.t) (m : Instr.meth) : unit =
                 in
                 Slice_obs.bump c_phis_inserted;
                 Hashtbl.replace phi_for.(y) v (ref phi);
-                if not ever_on_work.(y) then begin
-                  ever_on_work.(y) <- true;
+                if ever_on_work.(y) <> v then begin
+                  ever_on_work.(y) <- v;
                   work := y :: !work
                 end
               end)
@@ -127,16 +136,19 @@ let convert (p : Program.t) (m : Instr.meth) : unit =
       end
     done;
     (* 3. Renaming.  Stacks of SSA versions per original variable.  Parameters
-       keep their original variable as version 0, so [m_params] stays valid. *)
+       keep their original variable as version 0, so [m_params] stays valid.
+       New versions collect in [vars], committed to [m_vars] once renaming
+       is done. *)
     let stacks : Instr.var list array = Array.make nvars [] in
+    let vars = Instr.Var_buf.create m in
     let fresh_version (v : Instr.var) : Instr.var =
       let vi = Instr.var_info m v in
       let version_count =
-        Array.length m.Instr.m_vars
+        Instr.Var_buf.length vars
         (* names only need to be readable, not dense *)
       in
-      Instr.add_var m
-        { Instr.vi_name = Printf.sprintf "%s#%d" vi.Instr.vi_name version_count;
+      Instr.Var_buf.add vars
+        { Instr.vi_name = vi.Instr.vi_name ^ "#" ^ string_of_int version_count;
           vi_kind = Instr.Vssa v;
           vi_ty = vi.Instr.vi_ty }
     in
@@ -158,7 +170,7 @@ let convert (p : Program.t) (m : Instr.meth) : unit =
       | s :: _ -> s
       | [] ->
         let u =
-          Instr.add_var m
+          Instr.Var_buf.add vars
             { Instr.vi_name = Printf.sprintf "%s#undef" (Instr.var_name m v);
               vi_kind = Instr.Vssa v;
               vi_ty = (Instr.var_info m v).Instr.vi_ty }
@@ -264,6 +276,7 @@ let convert (p : Program.t) (m : Instr.meth) : unit =
       List.iter (fun v -> stacks.(v) <- List.tl stacks.(v)) !pushed
     in
     rename_block cfg.Cfg.entry;
+    Instr.Var_buf.commit vars;
     (* 4. Materialize phis at block heads and prune dead ones. *)
     Array.iteri
       (fun l tbl ->
@@ -288,20 +301,52 @@ let convert (p : Program.t) (m : Instr.meth) : unit =
           (Instr.uses_of_instr i))
   end
 
-(* Check SSA invariants; used by tests and as a debugging aid. *)
+(* Check SSA invariants; used by tests and as a debugging aid.  Besides
+   single definition, every variable an instruction, a terminator or
+   [m_params] mentions must index [m_vars], and every SSA version's origin
+   must be an in-range original variable: a variable table committed short
+   would otherwise surface only later, as an index error in a consumer. *)
 let check (m : Instr.meth) : (unit, string) result =
-  if not (Instr.has_body m) then Ok ()
-  else begin
-    let defs = Hashtbl.create 64 in
-    let dup = ref None in
+  let nvars = Array.length m.Instr.m_vars in
+  let in_range v = v >= 0 && v < nvars in
+  let first_error = ref None in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg -> if !first_error = None then first_error := Some msg)
+      fmt
+  in
+  Array.iter
+    (fun vi ->
+      match vi.Instr.vi_kind with
+      | Instr.Vssa o ->
+        if not (in_range o) then
+          fail "SSA variable %s has out-of-range origin %d" vi.Instr.vi_name o
+        else if is_ssa_var m o then
+          fail "SSA variable %s has SSA origin %s" vi.Instr.vi_name
+            (Instr.var_name m o)
+      | Instr.Vparam _ | Instr.Vlocal | Instr.Vtemp -> ())
+    m.Instr.m_vars;
+  (* [site] is "parameter", "instruction" or "terminator"; [id] its
+     position or statement id. *)
+  let check_var site id v =
+    if not (in_range v) then
+      fail "%s %d mentions variable %d, beyond the %d-entry variable table"
+        site id v nvars
+  in
+  List.iteri (fun k v -> check_var "parameter" k v) m.Instr.m_params;
+  if Instr.has_body m then begin
+    let defined = Array.make nvars false in
     Instr.iter_instrs m (fun _ i ->
+        let id = i.Instr.i_id in
+        List.iter (check_var "instruction" id) (Instr.uses_of_instr i);
         match Instr.def_of_instr i with
+        | Some v when not (in_range v) -> check_var "instruction" id v
         | Some v ->
-          if Hashtbl.mem defs v then
-            dup := Some (Printf.sprintf "variable %s defined twice" (Instr.var_name m v))
-          else Hashtbl.replace defs v ()
+          if defined.(v) then
+            fail "variable %s defined twice" (Instr.var_name m v)
+          else defined.(v) <- true
         | None -> ());
-    match !dup with
-    | Some msg -> Error msg
-    | None -> Ok ()
-  end
+    Instr.iter_terms m (fun _ t ->
+        List.iter (check_var "terminator" t.Instr.t_id) (Instr.uses_of_term t))
+  end;
+  match !first_error with Some msg -> Error msg | None -> Ok ()

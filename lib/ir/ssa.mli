@@ -22,6 +22,8 @@ val prune_dead_phis : Instr.meth -> unit
     abstract methods. *)
 val convert : Program.t -> Instr.meth -> unit
 
-(** Check the single-definition invariant; [Error msg] names the offending
-    variable. *)
+(** Check the SSA invariants: every variable is defined at most once;
+    every variable an instruction, a terminator or [m_params] mentions
+    indexes [m_vars]; every [Vssa o] has an in-range, non-SSA origin [o].
+    [Error msg] describes the first violation found. *)
 val check : Instr.meth -> (unit, string) result

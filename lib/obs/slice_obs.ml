@@ -24,6 +24,7 @@ type span_tree = {
   sp_start : float;
   sp_wall : float;
   sp_minor_words : float;
+  sp_major_words : float;
   sp_args : (string * string) list;
   sp_children : span_tree list;
 }
@@ -35,6 +36,7 @@ type open_span = {
   os_name : string;
   os_start : float;                       (* seconds since [epoch] *)
   os_minor0 : float;
+  os_major0 : float;
   mutable os_args : (string * string) list;
   mutable os_done : span_tree list;       (* finished children, reversed *)
 }
@@ -197,12 +199,22 @@ let histogram_percentile (h : histogram) (q : float) : float =
 let epoch = Unix.gettimeofday ()
 let now () = Unix.gettimeofday () -. epoch
 
+(* Words allocated on the major heap so far, promotions included. *)
+let major_words () =
+  let _, _, major = Gc.counters () in
+  major
+
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
 let close_span (os : open_span) : unit =
   let tree =
     { sp_name = os.os_name;
       sp_start = os.os_start;
       sp_wall = now () -. os.os_start;
       sp_minor_words = Gc.minor_words () -. os.os_minor0;
+      sp_major_words = major_words () -. os.os_major0;
       sp_args = List.rev os.os_args;
       sp_children = List.rev os.os_done }
   in
@@ -223,6 +235,7 @@ let span ?(args : (string * string) list = []) (name : string)
       { os_name = name;
         os_start = now ();
         os_minor0 = Gc.minor_words ();
+        os_major0 = major_words ();
         os_args = List.rev args;
         os_done = [] }
     in
@@ -642,7 +655,8 @@ let rec span_to_json (sp : span_tree) : Json.t =
     ([ ("name", Json.Str sp.sp_name);
        ("start_s", Json.Float sp.sp_start);
        ("wall_s", Json.Float sp.sp_wall);
-       ("minor_words", Json.Float sp.sp_minor_words) ]
+       ("minor_words", Json.Float sp.sp_minor_words);
+       ("major_words", Json.Float sp.sp_major_words) ]
     @ (if sp.sp_args = [] then []
        else
          [ ( "args",
@@ -675,13 +689,14 @@ let snapshot_to_json (s : snapshot) : Json.t =
 let report (s : snapshot) : string =
   let buf = Buffer.create 1024 in
   if s.snap_spans <> [] then begin
-    Buffer.add_string buf "spans (wall ms / minor kwords):\n";
+    Buffer.add_string buf "spans (wall ms / minor kwords / major kwords):\n";
     let rec pp indent sp =
       Buffer.add_string buf
-        (Printf.sprintf "%s%-*s %9.3f ms %10.1f kw\n" indent
+        (Printf.sprintf "%s%-*s %9.3f ms %10.1f kw %10.1f kw\n" indent
            (max 1 (32 - String.length indent))
            sp.sp_name (sp.sp_wall *. 1000.)
-           (sp.sp_minor_words /. 1000.));
+           (sp.sp_minor_words /. 1000.)
+           (sp.sp_major_words /. 1000.));
       List.iter (pp (indent ^ "  ")) sp.sp_children
     in
     List.iter (pp "  ") s.snap_spans
@@ -731,6 +746,7 @@ let chrome_trace (s : snapshot) : Json.t =
           ("args",
            Json.Obj
              (("minor_words", Json.Float sp.sp_minor_words)
+             :: ("major_words", Json.Float sp.sp_major_words)
              :: List.map (fun (k, v) -> (k, Json.Str v)) sp.sp_args)) ]
       :: !events;
     List.iter visit sp.sp_children

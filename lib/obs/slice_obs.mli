@@ -107,7 +107,7 @@ val histogram_percentile : histogram -> float -> float
 (* ------------------------------------------------------------------ *)
 
 (** [span name f] runs [f ()] inside a span named [name], recording wall
-    time and minor-heap allocation.  Spans nest: a span opened while
+    time and minor- and major-heap allocation.  Spans nest: a span opened while
     another is running becomes its child.  When disabled this is exactly
     [f ()].  Exception-safe: the span is closed even if [f] raises.
     [?args] attaches string key/value annotations to the span (e.g. the
@@ -120,11 +120,22 @@ val span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
     the final slice size. *)
 val add_span_arg : string -> string -> unit
 
+(** Words allocated by this domain so far, from [Gc.counters]: minor plus
+    major minus promoted, so each block counts once wherever it was
+    allocated.  Call [Gc.minor ()] before taking the first reading, or
+    promotions of blocks allocated earlier are subtracted from the
+    difference. *)
+val allocated_words : unit -> float
+
 type span_tree = {
   sp_name : string;
   sp_start : float;           (** seconds since process telemetry epoch *)
   sp_wall : float;            (** wall-clock duration, seconds *)
   sp_minor_words : float;     (** minor-heap words allocated inside *)
+  sp_major_words : float;
+      (** major-heap words allocated inside ([Gc.counters]): promotions
+          plus blocks too large for the minor heap, which go there
+          directly and never show in [sp_minor_words] *)
   sp_args : (string * string) list;  (** annotations, in addition order *)
   sp_children : span_tree list;
 }
@@ -195,7 +206,8 @@ end
 
 (** Structured encoding of a snapshot:
     [{"counters": {...}, "gauges": {...}, "histograms": {...},
-      "spans": [{"name", "start_s", "wall_s", "minor_words", "children"}],
+      "spans": [{"name", "start_s", "wall_s", "minor_words", "major_words",
+                 "children"}],
       "phase_wall_s": {...}}]. *)
 val snapshot_to_json : snapshot -> Json.t
 

@@ -218,3 +218,34 @@ let modref_digest (pta : Slice_pta.Andersen.result) (mr : Slice_pta.Modref.t)
     set 'R' (Modref.ref_of mr mc)
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* MD5 of a program's variable tables: every method in qualified-name
+   order, then each [m_vars] entry as (index, name, kind, type).  The
+   slice and graph digests are blind to variable numbering and to SSA
+   version names ([x#N]); equal digests mean those are the same too. *)
+let vars_digest (p : Slice_ir.Program.t) : string =
+  let open Slice_ir in
+  let meths = Program.fold_methods p (fun acc m -> m :: acc) [] in
+  let meths =
+    List.sort
+      (fun a b -> Instr.compare_method_qname a.Instr.m_qname b.Instr.m_qname)
+      meths
+  in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun m ->
+      Printf.bprintf buf "M%s\n" (Instr.method_qname_to_string m.Instr.m_qname);
+      Array.iteri
+        (fun i vi ->
+          let kind =
+            match vi.Instr.vi_kind with
+            | Instr.Vparam k -> Printf.sprintf "p%d" k
+            | Instr.Vlocal -> "l"
+            | Instr.Vtemp -> "t"
+            | Instr.Vssa o -> Printf.sprintf "s%d" o
+          in
+          Printf.bprintf buf "%d:%s:%s:%s\n" i vi.Instr.vi_name kind
+            (Types.ty_to_string vi.Instr.vi_ty))
+        m.Instr.m_vars)
+    meths;
+  Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -293,8 +293,43 @@ let test_snapshot_json_shape () =
   | Some (Json.List (Json.Obj kvs :: _)) ->
     List.iter
       (fun k -> check_bool ("span has " ^ k) true (List.mem_assoc k kvs))
-      [ "name"; "start_s"; "wall_s"; "minor_words"; "children" ]
+      [ "name"; "start_s"; "wall_s"; "minor_words"; "major_words"; "children" ]
   | _ -> Alcotest.fail "spans is not a non-empty list of objects"
+
+(* A block above [Max_young_wosize] is allocated on the major heap
+   directly: the span's [major_words] must see it although its
+   [minor_words] barely moves, in the record, the JSON span tree and the
+   Chrome-trace args alike. *)
+let test_span_major_words () =
+  reset ();
+  set_enabled true;
+  let words = 100_000 in
+  span "big" (fun () -> ignore (Sys.opaque_identity (Array.make words 0)));
+  let sp = List.hd (snapshot ()).snap_spans in
+  check_bool "major words count the direct major allocation" true
+    (sp.sp_major_words >= float_of_int words);
+  check_bool "minor words do not" true
+    (sp.sp_minor_words < float_of_int (words / 10));
+  let major_of kvs =
+    match List.assoc_opt "major_words" kvs with
+    | Some (Json.Float f) -> f
+    | Some (Json.Int i) -> float_of_int i
+    | _ -> Alcotest.fail "no numeric major_words"
+  in
+  (match snapshot_to_json (snapshot ()) |> Json.member "spans" with
+  | Some (Json.List [ Json.Obj kvs ]) ->
+    check_bool "json major_words" true (major_of kvs = sp.sp_major_words)
+  | _ -> Alcotest.fail "spans is not a one-span list");
+  match chrome_trace (snapshot ()) |> Json.member "traceEvents" with
+  | Some (Json.List [ Json.Obj ev ]) -> (
+    match List.assoc_opt "args" ev with
+    | Some (Json.Obj args) ->
+      check_bool "chrome-trace major_words" true
+        (major_of args = sp.sp_major_words);
+      check_bool "chrome-trace minor_words kept" true
+        (List.mem_assoc "minor_words" args)
+    | _ -> Alcotest.fail "trace event without args")
+  | _ -> Alcotest.fail "traceEvents is not a one-event list"
 
 (* --- scoped (per-task) telemetry isolation -------------------------- *)
 
@@ -468,7 +503,7 @@ let test_cli_stats_json () =
     | None -> Alcotest.fail "no program object");
     match Json.member "telemetry" j with
     | Some t -> (
-      match Json.member "counters" t with
+      (match Json.member "counters" t with
       | Some (Json.Obj kvs) ->
         List.iter
           (fun k ->
@@ -477,7 +512,20 @@ let test_cli_stats_json () =
               check_bool (k ^ " nonzero") true (v > 0)
             | _ -> Alcotest.failf "missing counter %s" k)
           [ "pta.worklist_iterations"; "sdg.edges"; "slicer.nodes_visited" ]
-      | _ -> Alcotest.fail "telemetry.counters is not an object")
+      | _ -> Alcotest.fail "telemetry.counters is not an object");
+      (* every span of the tree carries both allocation fields *)
+      let rec check_span sp =
+        List.iter
+          (fun k ->
+            check_bool ("span key " ^ k) true (Json.member k sp <> None))
+          [ "minor_words"; "major_words" ];
+        match Json.member "children" sp with
+        | Some (Json.List cs) -> List.iter check_span cs
+        | _ -> Alcotest.fail "span without children list"
+      in
+      match Json.member "spans" t with
+      | Some (Json.List (_ :: _ as spans)) -> List.iter check_span spans
+      | _ -> Alcotest.fail "telemetry.spans is not a non-empty list")
     | None -> Alcotest.fail "no telemetry object"
   end
 
@@ -547,6 +595,7 @@ let suite =
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "snapshot json shape" `Quick test_snapshot_json_shape;
+    Alcotest.test_case "span major words" `Quick test_span_major_words;
     Alcotest.test_case "scoped isolates identical tasks" `Quick
       test_scoped_isolates_identical_tasks;
     Alcotest.test_case "scoped merges back" `Quick test_scoped_merges_back;

@@ -346,10 +346,13 @@ let timing () =
 (* JSON export: the machine-readable perf trajectory                   *)
 (* ------------------------------------------------------------------ *)
 
-(* v2: adds the "meta" run-environment block (ocaml version, core count,
+(* v2 added the "meta" run-environment block (ocaml version, core count,
    recommended domain count, dune profile) — BENCH entries are not
-   comparable across machines or build profiles without it. *)
-let bench_schema_version = "thinslice.bench/v2"
+   comparable across machines or build profiles without it.  v3 drops
+   the "pta_ab" and "ir_arena" sections: solver parity is pinned by the
+   test suite, and the arena's bytes per statement are recorded in
+   EXPERIMENTS.md. *)
+let bench_schema_version = "thinslice.bench/v3"
 
 (* Physical processor count from /proc/cpuinfo (Linux); falls back to the
    runtime's recommendation elsewhere. *)
@@ -503,113 +506,6 @@ let bench_task (t : Task.t) : Slice_obs.Json.t =
          | Some v -> v
          | None -> 0.)) ]
 
-(* Points-to solver A/B: on every suite program, the bitset /
-   cycle-collapsing worklist solver against [Andersen.Reference] (the
-   original list/tree implementation, kept verbatim as a telemetry-free
-   oracle).  Each entry records both analyze walls (constraint generation
-   is interleaved with solving, so the external wall IS the solve wall;
-   best of three [pta_reps]-run batches, each after a full major GC),
-   the bitset solver's work counters for a single solve, and three parity
-   bits:
-   identical points-to sets (canonical-key dump), identical call graph,
-   and identical thin + traditional slices over SDGs built from either
-   result.  The combined bit shares the "parity" key with the
-   CSR/Reference bits so the CI grep covers both families.
-   Walls are honest single-host measurements. *)
-let pta_reps = 20
-
-let bench_pta_ab () : Slice_obs.Json.t list =
-  let open Slice_obs.Json in
-  let open Slice_pta in
-  List.map
-    (fun (name, src) ->
-      let p = Slice_front.Frontend.load_exn ~file:(name ^ ".tj") src in
-      (* warmups (heap shaping) *)
-      let oracle = Andersen.Reference.analyze p in
-      ignore (Andersen.analyze p);
-      (* Best of three timed batches, each preceded by a full major GC:
-         at sub-millisecond per solve a single major slice landing inside
-         one batch would otherwise dominate the comparison. *)
-      let best_wall f =
-        let b = ref infinity in
-        for _ = 1 to 3 do
-          Gc.full_major ();
-          let _, w =
-            time (fun () ->
-                for _ = 1 to pta_reps do
-                  ignore (Sys.opaque_identity (f ()))
-                done)
-          in
-          if w < !b then b := w
-        done;
-        !b
-      in
-      let ref_wall = best_wall (fun () -> Andersen.Reference.analyze p) in
-      let bit_wall = best_wall (fun () -> Andersen.analyze p) in
-      (* work counters for ONE bitset solve (deterministic per run) *)
-      let bit, snap = Slice_obs.scoped (fun () -> Andersen.analyze p) in
-      (* parity: canonical-key dumps are interning-order independent *)
-      let parity_pts =
-        Andersen.Reference.pts_dump oracle = Andersen.pts_dump bit
-      in
-      let parity_cg =
-        Andersen.Reference.call_graph_dump oracle = Andersen.call_graph_dump bit
-      in
-      (* parity: slices over SDGs built from either result agree at line
-         granularity (node ids depend on interning order, lines do not) *)
-      let g_bit = Sdg.build p bit in
-      let g_ref = Sdg.build p (Andersen.of_reference oracle) in
-      let lines =
-        let ls = ref [] in
-        for n = 0 to Sdg.num_nodes g_bit - 1 do
-          if Sdg.node_countable g_bit n then
-            ls := (Sdg.node_loc g_bit n).Slice_ir.Loc.line :: !ls
-        done;
-        match List.sort_uniq compare !ls with
-        | [] -> []
-        | sorted ->
-          let arr = Array.of_list sorted in
-          let k = Array.length arr in
-          List.sort_uniq compare [ arr.(0); arr.(k / 2); arr.(k - 1) ]
-      in
-      let slice_lines g line mode =
-        Slicer.slice_line_numbers g
-          ~seeds:(Sdg.nodes_at_line g ~file:None ~line)
-          mode
-      in
-      let parity_slices =
-        lines <> []
-        && List.for_all
-             (fun line ->
-               List.for_all
-                 (fun mode ->
-                   slice_lines g_bit line mode = slice_lines g_ref line mode)
-                 [ Slicer.Thin; Slicer.Traditional_full ])
-             lines
-      in
-      let counter k =
-        match List.assoc_opt k snap.Slice_obs.snap_counters with
-        | Some v -> v
-        | None -> 0
-      in
-      Obj
-        [ ("name", Str name);
-          ("reps", Int pta_reps);
-          ("wall_s_bitset", Float bit_wall);
-          ("wall_s_reference", Float ref_wall);
-          ("speedup", Float (if bit_wall > 0. then ref_wall /. bit_wall else 0.));
-          ("worklist_iterations", Int (counter "pta.worklist_iterations"));
-          ("constraints_processed", Int (counter "pta.constraints_processed"));
-          ("pts_objects_propagated", Int (counter "pta.pts_objects_propagated"));
-          ("diff_prop_hits", Int (counter "pta.diff_prop_hits"));
-          ("cycles_collapsed", Int (counter "pta.cycles_collapsed"));
-          ("lcd_runs", Int (counter "pta.lcd_runs"));
-          ("parity_pts", Bool parity_pts);
-          ("parity_callgraph", Bool parity_cg);
-          ("parity_slices", Bool parity_slices);
-          ("parity", Bool (parity_pts && parity_cg && parity_slices)) ])
-    (suite_programs ())
-
 (* ------------------------------------------------------------------ *)
 (* Serve A/B: resident cache hot path vs cold one-shot analysis        *)
 (* ------------------------------------------------------------------ *)
@@ -636,7 +532,7 @@ let bench_serve_ab () : Slice_obs.Json.t =
   let name = "javac" in
   let src = Prog_javac.base in
   let file = name ^ ".tj" in
-  (* seed: the median countable line, like the pta_ab slice probes *)
+  (* seed: the median countable line *)
   let line =
     let a = Engine.of_source ~file src in
     let g = a.Engine.sdg in
@@ -972,7 +868,7 @@ let bench_serve_incr () : Slice_obs.Json.t =
       ("resolved_parity", Bool rparity) ]
 
 (* ------------------------------------------------------------------ *)
-(* Arena vs record IR: per-statement memory                            *)
+(* Record IR bytes, for the pipeline-huge memory block                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Heap bytes of the RECORD instruction payload alone: every instr/term
@@ -993,28 +889,6 @@ let record_ir_bytes (p : Slice_ir.Program.t) : int =
             acc := Obj.repr t :: !acc)
       end);
   8 * (Obj.reachable_words (Obj.repr !acc) - (3 * !n))
-
-let bench_ir_arena () : Slice_obs.Json.t list =
-  let open Slice_obs.Json in
-  List.map
-    (fun (name, src) ->
-      let a = Engine.of_source ~file:(name ^ ".tj") src in
-      let stmts = Slice_ir.Arena.statements a.Engine.arena in
-      let arena_b = Slice_ir.Arena.bytes a.Engine.arena in
-      let record_b = record_ir_bytes a.Engine.program in
-      let per x = float_of_int x /. float_of_int (max 1 stmts) in
-      Obj
-        [ ("name", Str name);
-          ("statements", Int stmts);
-          ("arena_bytes", Int arena_b);
-          ("record_ir_bytes", Int record_b);
-          ("arena_bytes_per_stmt", Float (per arena_b));
-          ("record_bytes_per_stmt", Float (per record_b));
-          ("reduction",
-           Float
-             (if arena_b > 0 then float_of_int record_b /. float_of_int arena_b
-              else 0.)) ])
-    (suite_programs ())
 
 (* ------------------------------------------------------------------ *)
 (* pipeline-huge: the scale frontier                                   *)
@@ -1273,25 +1147,6 @@ let json_results ?(out = "BENCH_results.json") () =
     List.map (fun (name, src) -> bench_entry name src) (suite_programs ())
   in
   let tasks = List.map bench_task (Sir_suite.tasks @ Casts_suite.tasks) in
-  let pta_ab = bench_pta_ab () in
-  (* self-check: every pta_ab entry must carry a finite positive speedup
-     and all-true parity bits before the artifact is written *)
-  List.iter
-    (fun entry ->
-      let name =
-        match member "name" entry with Some (Str s) -> s | _ -> "?"
-      in
-      (match member "speedup" entry with
-      | Some (Float f) when Float.is_finite f && f > 0. -> ()
-      | _ ->
-        Printf.eprintf "pta_ab %s: speedup missing or not finite\n" name;
-        exit 1);
-      match member "parity" entry with
-      | Some (Bool true) -> ()
-      | _ ->
-        Printf.eprintf "pta_ab %s: solver parity failed\n" name;
-        exit 1)
-    pta_ab;
   let serve_ab = bench_serve_ab () in
   (* self-check: the serve cache must actually serve — hot >= 10x cold
      queries/sec, byte parity with the one-shot path under both
@@ -1354,20 +1209,6 @@ let json_results ?(out = "BENCH_results.json") () =
   | _ ->
     Printf.eprintf "serve_incr: resolved_speedup missing or not finite\n";
     exit 1);
-  let ir_arena = bench_ir_arena () in
-  (* self-check: the flat arena must actually be a memory diet — smaller
-     than the record instruction payload on every suite program *)
-  List.iter
-    (fun entry ->
-      let name =
-        match member "name" entry with Some (Str s) -> s | _ -> "?"
-      in
-      match member "reduction" entry with
-      | Some (Float f) when f > 1. -> ()
-      | _ ->
-        Printf.eprintf "ir_arena %s: arena not smaller than record IR\n" name;
-        exit 1)
-    ir_arena;
   let doc =
     Obj
       [ ("schema", Str bench_schema_version);
@@ -1375,8 +1216,6 @@ let json_results ?(out = "BENCH_results.json") () =
         ("generated_at_unix_s", Float (Unix.gettimeofday ()));
         ("benchmarks", List benchmarks);
         ("slice_size_tables", List tasks);
-        ("ir_arena", List ir_arena);
-        ("pta_ab", List pta_ab);
         ("serve_ab", serve_ab);
         ("serve_incr", serve_incr) ]
   in

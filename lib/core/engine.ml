@@ -9,9 +9,9 @@ type analysis = {
   pta : Andersen.result;
   sdg : Sdg.t;
   arena : Arena.t;
-      (* the flat int-indexed lowering the SDG pass read; retained for
-         its deterministic byte footprint ([stats.arena_bytes]) and for
-         arena-view consumers *)
+      (* the flat int-indexed statement store the SDG's pass 1 reads;
+         the SDG keeps it too, and a patched update re-lowers the edited
+         methods into it ([stats.arena_bytes] is its footprint) *)
   obj_sens : bool;
 }
 
@@ -20,13 +20,14 @@ let g_arena_bytes = Slice_obs.gauge "ir.arena_bytes"
 (* The back half of [analyze]: arena + SDG over an ALREADY-SOLVED
    points-to result.  Also the dedicated entry of the incremental
    re-solve ([Andersen.resolve_delta] mutates the existing result in
-   place, after which only the derived layers need rebuilding). *)
+   place, after which only the derived layers need rebuilding).  The
+   arena is lowered whole here; a Patched update instead re-lowers only
+   the edited methods, inside [Sdg.patch]. *)
 let analyze_with_pta ~(obj_sens : bool)
     (pta : Andersen.result) (program : Program.t) : analysis =
-  (* Lower the reachable IR into the flat arena before the SDG pass
+  (* Lower every method body into the flat arena before the SDG pass
      reads it: strings interned once, operands packed into int arrays.
-     Pass 1 of [Sdg.build] walks the arena columns instead of the record
-     instructions — same visit order, edge-for-edge the same graph. *)
+     Pass 1 of [Sdg.build] walks the arena columns. *)
   let arena =
     Slice_obs.span "ir.arena" (fun () ->
         let ar = Arena.build program in
@@ -885,6 +886,7 @@ let update (h : handle) (new_sources : (string * string) list) :
                   h.h_stats.ir_statements + ir_of counted - old_ir;
                 sdg_statements = Sdg.num_scalar_statements a.sdg;
                 sdg_nodes = Sdg.num_live_nodes a.sdg;
+                arena_bytes = Arena.bytes a.arena;
                 obs = edge_census_snapshot a.sdg }
             in
             ( { h with h_sources = new_sources; h_stats = stats' },
@@ -1013,11 +1015,14 @@ let update (h : handle) (new_sources : (string * string) list) :
             if neutral then begin
               (* Nothing in the solved analysis refers to the edit: the
                  points-to result, SDG rows and node set are all still
-                 exact.  [Sdg.patch] with no changed methods rebuilds
-                 the statement table (so the shifted locations serve
-                 line queries) and bumps the graph generation. *)
+                 exact.  The added and removed methods have no contexts,
+                 so [Sdg.patch] leaves the graph's rows alone: it
+                 re-lowers them into the arena, rebuilds the statement
+                 table (so the shifted locations serve line queries) and
+                 bumps the graph generation. *)
               let ps =
-                Sdg.patch a.sdg ~changed:[] ~site_remap:(fun _ -> None)
+                Sdg.patch a.sdg ~changed:(added_mqs @ removed_mqs)
+                  ~site_remap:(fun _ -> None)
               in
               Slice_obs.bump c_update_patched;
               Slice_obs.add_span_arg "path" "patched";
@@ -1025,6 +1030,7 @@ let update (h : handle) (new_sources : (string * string) list) :
                 { h.h_stats with
                   sdg_statements = Sdg.num_scalar_statements a.sdg;
                   sdg_nodes = Sdg.num_live_nodes a.sdg;
+                  arena_bytes = Arena.bytes a.arena;
                   obs = edge_census_snapshot a.sdg }
               in
               ( { h with h_sources = new_sources; h_stats = stats' },

@@ -9,9 +9,10 @@ type analysis = {
   pta : Andersen.result;
   sdg : Sdg.t;
   arena : Arena.t;
-      (** the flat int-indexed lowering of the reachable IR that the SDG
-          pass read (see {!Arena}); retained for its deterministic byte
-          footprint and for arena-view consumers *)
+      (** the flat int-indexed statement store of every method body
+          (see {!Arena}): the SDG's pass 1 reads it at build time, and a
+          [Patched] {!update} re-lowers the edited methods into it, so
+          it always describes the current bodies *)
   obj_sens : bool;
 }
 
@@ -23,8 +24,7 @@ type analysis = {
     [solver] selects the points-to solver: [`Bitset] (default) is the
     bitset / cycle-collapsing worklist solver; [`Reference] runs the
     original list/tree oracle ({!Andersen.Reference}) and lifts its
-    result via {!Andersen.of_reference} — used by parity tests and the
-    [pta_ab] benchmark. *)
+    result via {!Andersen.of_reference} — used by parity tests. *)
 val analyze :
   ?obj_sens:bool ->
   ?solver:[ `Bitset | `Reference ] ->
@@ -190,9 +190,10 @@ type stats = {
   sdg_nodes : int;         (** including context clones and formals *)
   abstract_objects : int;
   arena_bytes : int;
-      (** {!Arena.bytes} of the flat IR — arithmetic over array lengths,
-          so deterministic and safe in byte-compared output.  A Patched
-          incremental update carries the load-time figure forward. *)
+      (** {!Arena.bytes} of the flat IR — arithmetic over array
+          capacities, so deterministic and safe in byte-compared output.
+          A Patched incremental update reports the arena after its
+          re-lower. *)
   obs : Slice_obs.snapshot;
       (** counters, gauges, histograms and spans at capture time *)
 }
@@ -284,7 +285,7 @@ val load :
       ({!Sdg.patch}).  Dispatch-neutral method adds/removes (an
       unreachable method removed, or a method added under a name no
       old method bears) also land here: the solved analysis is still
-      exact and only the statement table is rebuilt;
+      exact, so only the arena and the statement table are updated;
     - [Resolved_incremental]: some constraint summary moved, but the
       solved points-to result was repaired in place by
       delete-and-rederive over the affected cone

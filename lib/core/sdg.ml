@@ -158,7 +158,9 @@ type t = {
   intern : (node_desc, node) Hashtbl.t;
   csr : csr;
   hx : heap_index;             (* retained for incremental patches *)
-  include_control : bool;
+  ar : Arena.t;                (* the statement store pass 1 reads; a
+                                  patch re-lowers the changed methods
+                                  into it *)
   (* Incremental patch state.  A patched graph keeps its CSR for
      untouched rows and OVERLAYS the rows the patch rewrote; row lookup
      checks the overlay first (one extra branch, only when [patched]).
@@ -496,116 +498,33 @@ let push tbl key v =
    the edge log during a build and is the session emitter during a
    patch. *)
 
+(* [from]'s return-value edges: one onto each value-returning terminator
+   of callee context [cmc], read from the arena's terminator rows. *)
+let return_value_edges (g : t)
+    ~(emit : from:node -> on:node -> edge_kind -> unit) ~(from : node)
+    (cmc : int) : unit =
+  let cmq, _ = Andersen.mctx_info g.pta cmc in
+  match Arena.method_id g.ar cmq with
+  | None -> ()
+  | Some cam ->
+    let tlo, thi = Arena.term_span g.ar cam in
+    for tx = tlo to thi - 1 do
+      if Arena.term_is_value_return g.ar tx then
+        emit ~from
+          ~on:(intern g (Stmt (cmc, Arena.term_stmt g.ar tx)))
+          Return_value
+    done
+
 (* Pass 1 body: intraprocedural edges + heap access indexing into [hx]
    (the graph's own index during a build, a fresh one during a patch so
-   the new accesses are known for targeted re-wiring). *)
-let intra_pass (g : t) (hx : heap_index)
-    ~(emit : from:node -> on:node -> edge_kind -> unit) (mc : int)
-    (m : Instr.meth) : unit =
-  let p = g.p and pta = g.pta in
-  if Instr.has_body m then begin
-    (* SSA def map: variable -> defining statement *)
-    let def_stmt : (Instr.var, Instr.stmt_id) Hashtbl.t = Hashtbl.create 64 in
-    Instr.iter_instrs m (fun _ i ->
-        match Instr.def_of_instr i with
-        | Some v -> Hashtbl.replace def_stmt v i.Instr.i_id
-        | None -> ());
-    let param_index = Hashtbl.create 8 in
-    List.iteri (fun idx v -> Hashtbl.replace param_index v idx) m.Instr.m_params;
-    (* the node a use of [v] depends on *)
-    let def_target (v : Instr.var) : node option =
-      match Hashtbl.find_opt def_stmt v with
-      | Some s -> Some (intern g (Stmt (mc, s)))
-      | None -> (
-        match Hashtbl.find_opt param_index v with
-        | Some idx -> Some (intern g (Formal (mc, idx)))
-        | None -> None)
-    in
-    let use_edge (from : node) (v : Instr.var) (kind : edge_kind) : unit =
-      match def_target v with
-      | Some dep -> emit ~from ~on:dep kind
-      | None -> ()
-    in
-    Instr.iter_instrs m (fun _ i ->
-        let n = intern g (Stmt (mc, i.Instr.i_id)) in
-        (match i.Instr.i_kind with
-        | Instr.Call { args; kind; _ } ->
-          (* Argument uses reach callees through formal nodes; only
-             intrinsic callees take their arguments directly. *)
-          let intr = Andersen.intrinsic_targets pta ~mctx:mc ~stmt:i.Instr.i_id in
-          let body_callees = Andersen.call_targets pta ~mctx:mc ~stmt:i.Instr.i_id in
-          if intr <> [] then
-            List.iter (fun a -> use_edge n a Producer_local) args;
-          (* return-value edges *)
-          List.iter
-            (fun cmc ->
-              let cmq, _ = Andersen.mctx_info pta cmc in
-              let cm = Program.find_method_exn p cmq in
-              Instr.iter_terms cm (fun _ t ->
-                  match t.Instr.t_kind with
-                  | Instr.Return (Some _) ->
-                    emit ~from:n
-                      ~on:(intern g (Stmt (cmc, t.Instr.t_id)))
-                      Return_value
-                  | Instr.Return None | Instr.Goto _ | Instr.If _
-                  | Instr.Throw _ -> ()))
-            body_callees;
-          ignore kind
-        | _ ->
-          List.iter
-            (fun (v, cls) ->
-              let kind =
-                match cls with
-                | Instr.Use_value -> Producer_local
-                | Instr.Use_base -> Base_pointer
-                | Instr.Use_index -> Index
-              in
-              use_edge n v kind)
-            (Instr.classified_uses i));
-        (* heap indexing *)
-        match i.Instr.i_kind with
-        | Instr.Store (x, f, _) ->
-          Andersen.pts_iter_var pta ~mctx:mc x (fun o ->
-              push hx.field_writes (o, f) (n, i.Instr.i_id))
-        | Instr.Load (_, y, f) ->
-          Andersen.pts_iter_var pta ~mctx:mc y (fun o ->
-              push hx.field_reads (o, f) (n, i.Instr.i_id))
-        | Instr.Array_store (a, _, _) ->
-          Andersen.pts_iter_var pta ~mctx:mc a (fun o ->
-              push hx.field_writes (o, Andersen.elem_field) (n, i.Instr.i_id))
-        | Instr.Array_load (_, a, _) ->
-          Andersen.pts_iter_var pta ~mctx:mc a (fun o ->
-              push hx.field_reads (o, Andersen.elem_field) (n, i.Instr.i_id))
-        | Instr.New_array (x, _, _) ->
-          Andersen.pts_iter_var pta ~mctx:mc x (fun o ->
-              push hx.len_writes o n)
-        | Instr.Array_length (_, a) ->
-          Andersen.pts_iter_var pta ~mctx:mc a (fun o ->
-              push hx.len_reads o n)
-        | Instr.Static_store (c, f, _) -> push hx.static_writes (c, f) n
-        | Instr.Static_load (_, c, f) -> push hx.static_reads (c, f) n
-        | Instr.Const _ | Instr.Move _ | Instr.Binop _ | Instr.Unop _
-        | Instr.New _ | Instr.Call _ | Instr.Cast _ | Instr.Instance_of _
-        | Instr.Phi _ | Instr.Nop -> ());
-    Instr.iter_terms m (fun _ t ->
-        let n = intern g (Stmt (mc, t.Instr.t_id)) in
-        List.iter (fun v -> use_edge n v Producer_local) (Instr.uses_of_term t))
-  end
-
-(* Pass 1 body over the arena view — the memory-diet hot path for mega
-   programs.  Emission order is IDENTICAL to [intra_pass]: the arena's
-   instruction/terminator columns are laid out in [Instr.iter_instrs] /
-   [iter_terms] order, uses in [classified_uses] order, so the two
-   bodies produce the same edges in the same sequence (pinned by the
-   arena/record equivalence tests).  The wins are mechanical: the SSA
-   def map and param index become int scratch arrays instead of
-   hashtables, use lists are walked as packed CSR spans without
-   allocating, and heap-access dispatch reads a tag column instead of
-   matching on record constructors. *)
-let intra_pass_arena (g : t) (hx : heap_index) (ar : Arena.t)
+   the new accesses are known for targeted re-wiring), over arena method
+   [am].  The SSA def map and param index are int scratch arrays, use
+   lists are walked as packed CSR spans without allocating, and
+   heap-access dispatch reads a tag column. *)
+let intra_pass_arena (g : t) (hx : heap_index)
     ~(emit : from:node -> on:node -> edge_kind -> unit) (mc : int) (am : int) :
     unit =
-  let pta = g.pta in
+  let pta = g.pta and ar = g.ar in
   let nvars = Arena.num_vars ar am in
   let var_def = Array.make (max 1 nvars) (-1) in
   let var_param = Array.make (max 1 nvars) (-1) in
@@ -641,20 +560,7 @@ let intra_pass_arena (g : t) (hx : heap_index) (ar : Arena.t)
       let body_callees = Andersen.call_targets pta ~mctx:mc ~stmt:s in
       if intr <> [] then
         Arena.args_iter ar ix (fun a -> use_edge n a Producer_local);
-      List.iter
-        (fun cmc ->
-          let cmq, _ = Andersen.mctx_info pta cmc in
-          match Arena.method_id ar cmq with
-          | None -> ()
-          | Some cam ->
-            let tlo, thi = Arena.term_span ar cam in
-            for tx = tlo to thi - 1 do
-              if Arena.term_is_value_return ar tx then
-                emit ~from:n
-                  ~on:(intern g (Stmt (cmc, Arena.term_stmt ar tx)))
-                  Return_value
-            done)
-        body_callees
+      List.iter (return_value_edges g ~emit ~from:n) body_callees
     | _ ->
       Arena.uses_iter ar ix (fun v tag ->
           let kind =
@@ -787,8 +693,7 @@ let control_pass (g : t) ~(emit : from:node -> on:node -> edge_kind -> unit)
     done
   end
 
-let build ?(include_control = true) ?arena (p : Program.t)
-    (pta : Andersen.result) : t =
+let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
   let hx =
     { field_writes = Hashtbl.create 256;
       field_reads = Hashtbl.create 256;
@@ -807,7 +712,7 @@ let build ?(include_control = true) ?arena (p : Program.t)
       intern = Hashtbl.create 1024;
       csr = no_csr;  (* the passes only intern and emit; see below *)
       hx;
-      include_control;
+      ar = arena;
       ov_deps = [||];
       ov_uses = [||];
       dead = [||];
@@ -818,23 +723,15 @@ let build ?(include_control = true) ?arena (p : Program.t)
   let log = { ev = Array.make 4096 0; len = 0 } in
   let emit ~from ~on kind = log_edge log ~from ~on kind in
   let mcs = Andersen.method_contexts pta in
-  (* Pass 1: intraprocedural edges + heap access indexing — over the
-     arena view when the caller lowered one (same edges, same order; the
-     arena body just walks packed columns instead of records). *)
+  (* Pass 1: intraprocedural edges + heap access indexing, over the
+     arena's rows. *)
   Slice_obs.span "sdg.intra" (fun () ->
-      match arena with
-      | Some ar ->
-        List.iter
-          (fun (mc, mq, _) ->
-            match Arena.method_id ar mq with
-            | Some am -> intra_pass_arena g hx ar ~emit mc am
-            | None -> ())
-          mcs
-      | None ->
-        List.iter
-          (fun (mc, mq, _) ->
-            intra_pass g hx ~emit mc (Program.find_method_exn p mq))
-          mcs);
+      List.iter
+        (fun (mc, mq, _) ->
+          match Arena.method_id arena mq with
+          | Some am -> intra_pass_arena g hx ~emit mc am
+          | None -> ())
+        mcs);
   (* Pass 2: formal -> actual edges (parameter passing). *)
   Slice_obs.span "sdg.params" (fun () ->
   List.iter
@@ -894,7 +791,7 @@ let build ?(include_control = true) ?arena (p : Program.t)
         (Hashtbl.find rows wn))
     wns);
   (* Pass 4: control dependence edges. *)
-  if include_control then Slice_obs.span "sdg.control" (fun () -> begin
+  Slice_obs.span "sdg.control" (fun () ->
     (* reverse call graph: callee mctx -> caller call-site nodes *)
     let callers : (int, node list ref) Hashtbl.t = Hashtbl.create 64 in
     List.iter
@@ -916,8 +813,7 @@ let build ?(include_control = true) ?arena (p : Program.t)
           match Hashtbl.find_opt callers mc with Some r -> !r | None -> []
         in
         control_pass g ~emit ~entry_callers mc (Program.find_method_exn p mq))
-      mcs
-  end);
+      mcs);
   (* One count-then-fill pass turns the log into the CSR.  The record
      copy is the finished graph; the passes above are done with [g]. *)
   let csr = Slice_obs.span "sdg.csr" (fun () -> csr_of_log g.num_nodes log) in
@@ -974,13 +870,14 @@ type patch_stats = {
    The patch retires the changed methods' [Stmt]/[Actual_in] nodes
    (their statement ids no longer exist), KEEPS their [Formal] nodes
    (signatures are stable under summary equality, so caller-side
-   [Param_in] edges survive untouched), reruns the shared per-method
-   passes over the new bodies, wires new heap accesses against the
-   retained index, and repairs the two cross-method edge classes whose
-   ALIVE source lost a dead target: [Return_value] (re-enumerated from
-   the new return terminators) and [Control] (entry-governed callee
-   statements onto the changed caller's call sites, moved via
-   [site_remap]).  [Param_in] and [Producer_heap] losses need no
+   [Param_in] edges survive untouched), re-lowers the new bodies into
+   the arena and reruns the shared per-method passes over them (pass 1
+   over their arena rows, as in [build]), wires new heap accesses
+   against the retained index, and repairs the two cross-method edge
+   classes whose ALIVE source lost a dead target: [Return_value]
+   (re-enumerated from the callee's new arena rows) and [Control]
+   (entry-governed callee statements onto the changed caller's call
+   sites, moved via [site_remap]).  [Param_in] and [Producer_heap] losses need no
    explicit repair — the re-run passes re-emit them.
 
    Touched rows are committed as overlays over the immutable CSR; node
@@ -1108,7 +1005,9 @@ let patch (g : t) ~(changed : Instr.method_qname list)
         (mc, Program.find_method_exn g.p mq) :: acc)
       cm []
   in
-  (* Pass 1 over the new bodies, indexing their heap accesses apart. *)
+  (* Pass 1 over the new bodies, re-lowered into the arena first,
+     indexing their heap accesses apart. *)
+  Arena.relower g.ar g.p changed;
   let hx_new =
     { field_writes = Hashtbl.create 32;
       field_reads = Hashtbl.create 32;
@@ -1117,7 +1016,12 @@ let patch (g : t) ~(changed : Instr.method_qname list)
       len_writes = Hashtbl.create 8;
       len_reads = Hashtbl.create 8 }
   in
-  List.iter (fun (mc, m) -> intra_pass g hx_new ~emit mc m) changed_mcs;
+  List.iter
+    (fun (mc, m) ->
+      match Arena.method_id g.ar m.Instr.m_qname with
+      | Some am -> intra_pass_arena g hx_new ~emit mc am
+      | None -> ())
+    changed_mcs;
   (* Pass 2: the changed methods as callers. *)
   List.iter (fun (mc, m) -> params_pass g ~emit mc m) changed_mcs;
   (* Pass 3: merge the new accesses into the retained index, then wire
@@ -1190,22 +1094,20 @@ let patch (g : t) ~(changed : Instr.method_qname list)
     rows;
   (* Pass 4: control dependence inside the new bodies.  Entry callers
      come from the solved call graph (already keyed on new ids). *)
-  if g.include_control then begin
-    let callers : (int, node list ref) Hashtbl.t = Hashtbl.create 16 in
-    Andersen.iter_call_sites g.pta (fun ~caller ~stmt ~callees ->
-        List.iter
-          (fun cmc ->
-            if Hashtbl.mem cm cmc then
-              push callers cmc (intern g (Stmt (caller, stmt))))
-          callees);
-    List.iter
-      (fun (mc, m) ->
-        let entry_callers =
-          match Hashtbl.find_opt callers mc with Some r -> !r | None -> []
-        in
-        control_pass g ~emit ~entry_callers mc m)
-      changed_mcs
-  end;
+  let callers : (int, node list ref) Hashtbl.t = Hashtbl.create 16 in
+  Andersen.iter_call_sites g.pta (fun ~caller ~stmt ~callees ->
+      List.iter
+        (fun cmc ->
+          if Hashtbl.mem cm cmc then
+            push callers cmc (intern g (Stmt (caller, stmt))))
+        callees);
+  List.iter
+    (fun (mc, m) ->
+      let entry_callers =
+        match Hashtbl.find_opt callers mc with Some r -> !r | None -> []
+      in
+      control_pass g ~emit ~entry_callers mc m)
+    changed_mcs;
   (* Repair the cross-method losses the re-run passes don't cover. *)
   let rv_done : (node * int, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter
@@ -1214,17 +1116,7 @@ let patch (g : t) ~(changed : Instr.method_qname list)
       | Return_value, Stmt (cmc, _) ->
         if not (Hashtbl.mem rv_done (from, cmc)) then begin
           Hashtbl.replace rv_done (from, cmc) ();
-          let cmq, _ = Andersen.mctx_info g.pta cmc in
-          let callee = Program.find_method_exn g.p cmq in
-          if Instr.has_body callee then
-            Instr.iter_terms callee (fun _ t ->
-                match t.Instr.t_kind with
-                | Instr.Return (Some _) ->
-                  emit ~from
-                    ~on:(intern g (Stmt (cmc, t.Instr.t_id)))
-                    Return_value
-                | Instr.Return None | Instr.Goto _ | Instr.If _
-                | Instr.Throw _ -> ())
+          return_value_edges g ~emit ~from cmc
         end
       | Control, Stmt (cmc, s) -> (
         (* entry-governed callee statement onto a moved call site *)

@@ -59,13 +59,11 @@ type node = int
 type t
 
 (** Build the graph for every reachable method context.
-    [include_control:false] skips control-dependence edges (the thin
-    slicer never follows them; useful for memory-lean configurations).
 
-    [arena] supplies the flat int-indexed IR view ({!Arena.build}); when
-    present, pass 1 walks packed arena columns instead of the record IR
-    — same edges in the same order, pinned by the equivalence tests —
-    which is the memory/speed diet for 10^5-10^6-statement programs.
+    [arena] is the flat int-indexed statement store ({!Arena.build}) of
+    [p]; pass 1 walks its packed columns, and the graph keeps it:
+    {!patch} re-lowers the changed methods into it, so after a patch
+    it describes the new bodies.
 
     Pass 3 (heap wiring) dedups candidate (read, write) pairs into one
     bitset row per write node and emits them in sorted (write node,
@@ -80,12 +78,7 @@ type t
     first emission.  Recorded under the ["sdg.csr"] span, with the
     [sdg.csr_nodes]/[sdg.csr_edges] counters and the [sdg.csr_bytes]
     footprint gauge. *)
-val build :
-  ?include_control:bool ->
-  ?arena:Arena.t ->
-  Program.t ->
-  Andersen.result ->
-  t
+val build : arena:Arena.t -> Program.t -> Andersen.result -> t
 
 (** Does nothing.  {!build} writes the final adjacency itself; this is
     kept, idempotent, for callers that still time a freeze phase. *)
@@ -180,7 +173,10 @@ type patch_stats = {
     [Engine] P0 path establishes them): the program already holds the
     new bodies, each changed method's constraint summary is unchanged,
     and the points-to result was re-keyed with {!Andersen.rekey_sites}
-    using the same [site_remap]. *)
+    using the same [site_remap].  [changed] names every method whose
+    body was re-lowered, added or removed: the patch first re-lowers
+    them into the graph's arena ({!Arena.relower}), then re-runs pass 1
+    over the arena rows of those that have method contexts. *)
 val patch :
   t ->
   changed:Instr.method_qname list ->

@@ -17,17 +17,22 @@ let make ~file src = { src; file; pos = 0; line = 1; bol = 0 }
 
 let loc st = Loc.make ~file:st.file ~line:st.line ~col:(st.pos - st.bol + 1)
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* The character at the cursor and the one after it, ['\000'] past the
+   end of input.  A source may itself contain a NUL byte, so a caller
+   that must tell the two apart checks [at_end]. *)
+let at_end st = st.pos >= String.length st.src
+
+let peek st = if at_end st then '\000' else String.unsafe_get st.src st.pos
 
 let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+  if st.pos + 1 < String.length st.src then String.unsafe_get st.src (st.pos + 1)
+  else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if peek st = '\n' then begin
     st.line <- st.line + 1;
     st.bol <- st.pos + 1
-  | Some _ | None -> ());
+  end;
   st.pos <- st.pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -36,42 +41,39 @@ let is_ident_char c = is_ident_start c || is_digit c
 
 let rec skip_trivia st =
   match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  | ' ' | '\t' | '\r' | '\n' ->
     advance st;
     skip_trivia st
-  | Some '/' when peek2 st = Some '/' ->
-    while peek st <> None && peek st <> Some '\n' do advance st done;
+  | '/' when peek2 st = '/' ->
+    while not (at_end st) && peek st <> '\n' do advance st done;
     skip_trivia st
-  | Some '/' when peek2 st = Some '*' ->
+  | '/' when peek2 st = '*' ->
     let start = loc st in
     advance st;
     advance st;
     let rec close () =
-      match (peek st, peek2 st) with
-      | Some '*', Some '/' ->
+      match peek st with
+      | '*' when peek2 st = '/' ->
         advance st;
         advance st
-      | None, _ -> raise (Lex_error ("unterminated block comment", start))
-      | Some _, _ ->
+      | '\000' when at_end st ->
+        raise (Lex_error ("unterminated block comment", start))
+      | _ ->
         advance st;
         close ()
     in
     close ();
     skip_trivia st
-  | Some _ | None -> ()
+  | _ -> ()
 
 let lex_number st =
   let start = st.pos in
-  while (match peek st with Some c -> is_digit c | None -> false) do
-    advance st
-  done;
+  while is_digit (peek st) do advance st done;
   Token.INT (int_of_string (String.sub st.src start (st.pos - start)))
 
 let lex_ident st =
   let start = st.pos in
-  while (match peek st with Some c -> is_ident_char c | None -> false) do
-    advance st
-  done;
+  while is_ident_char (peek st) do advance st done;
   let word = String.sub st.src start (st.pos - start) in
   match Token.keyword_of_string word with
   | Some kw -> kw
@@ -83,18 +85,21 @@ let lex_string st =
   let buf = Buffer.create 16 in
   let rec go () =
     match peek st with
-    | None | Some '\n' -> raise (Lex_error ("unterminated string literal", start_loc))
-    | Some '"' -> advance st
-    | Some '\\' -> (
+    | '\000' when at_end st ->
+      raise (Lex_error ("unterminated string literal", start_loc))
+    | '\n' -> raise (Lex_error ("unterminated string literal", start_loc))
+    | '"' -> advance st
+    | '\\' -> (
       advance st;
       match peek st with
-      | Some 'n' -> Buffer.add_char buf '\n'; advance st; go ()
-      | Some 't' -> Buffer.add_char buf '\t'; advance st; go ()
-      | Some '"' -> Buffer.add_char buf '"'; advance st; go ()
-      | Some '\\' -> Buffer.add_char buf '\\'; advance st; go ()
-      | Some c -> raise (Lex_error (Printf.sprintf "bad escape \\%c" c, loc st))
-      | None -> raise (Lex_error ("unterminated string literal", start_loc)))
-    | Some c ->
+      | 'n' -> Buffer.add_char buf '\n'; advance st; go ()
+      | 't' -> Buffer.add_char buf '\t'; advance st; go ()
+      | '"' -> Buffer.add_char buf '"'; advance st; go ()
+      | '\\' -> Buffer.add_char buf '\\'; advance st; go ()
+      | '\000' when at_end st ->
+        raise (Lex_error ("unterminated string literal", start_loc))
+      | c -> raise (Lex_error (Printf.sprintf "bad escape \\%c" c, loc st)))
+    | c ->
       Buffer.add_char buf c;
       advance st;
       go ()
@@ -108,47 +113,47 @@ let next_token st : Token.located =
   let simple tok = advance st; tok in
   let tok =
     match peek st with
-    | None -> Token.EOF
-    | Some c when is_digit c -> lex_number st
-    | Some c when is_ident_start c -> lex_ident st
-    | Some '"' -> lex_string st
-    | Some '(' -> simple Token.LPAREN
-    | Some ')' -> simple Token.RPAREN
-    | Some '{' -> simple Token.LBRACE
-    | Some '}' -> simple Token.RBRACE
-    | Some '[' -> simple Token.LBRACKET
-    | Some ']' -> simple Token.RBRACKET
-    | Some ';' -> simple Token.SEMI
-    | Some ',' -> simple Token.COMMA
-    | Some '.' -> simple Token.DOT
-    | Some '+' ->
+    | '\000' when at_end st -> Token.EOF
+    | c when is_digit c -> lex_number st
+    | c when is_ident_start c -> lex_ident st
+    | '"' -> lex_string st
+    | '(' -> simple Token.LPAREN
+    | ')' -> simple Token.RPAREN
+    | '{' -> simple Token.LBRACE
+    | '}' -> simple Token.RBRACE
+    | '[' -> simple Token.LBRACKET
+    | ']' -> simple Token.RBRACKET
+    | ';' -> simple Token.SEMI
+    | ',' -> simple Token.COMMA
+    | '.' -> simple Token.DOT
+    | '+' ->
       advance st;
-      if peek st = Some '+' then (advance st; Token.PLUSPLUS) else Token.PLUS
-    | Some '-' -> simple Token.MINUS
-    | Some '*' -> simple Token.STAR
-    | Some '/' -> simple Token.SLASH
-    | Some '%' -> simple Token.PERCENT
-    | Some '=' ->
+      if peek st = '+' then (advance st; Token.PLUSPLUS) else Token.PLUS
+    | '-' -> simple Token.MINUS
+    | '*' -> simple Token.STAR
+    | '/' -> simple Token.SLASH
+    | '%' -> simple Token.PERCENT
+    | '=' ->
       advance st;
-      if peek st = Some '=' then (advance st; Token.EQ) else Token.ASSIGN
-    | Some '<' ->
+      if peek st = '=' then (advance st; Token.EQ) else Token.ASSIGN
+    | '<' ->
       advance st;
-      if peek st = Some '=' then (advance st; Token.LE) else Token.LT
-    | Some '>' ->
+      if peek st = '=' then (advance st; Token.LE) else Token.LT
+    | '>' ->
       advance st;
-      if peek st = Some '=' then (advance st; Token.GE) else Token.GT
-    | Some '!' ->
+      if peek st = '=' then (advance st; Token.GE) else Token.GT
+    | '!' ->
       advance st;
-      if peek st = Some '=' then (advance st; Token.NE) else Token.NOT
-    | Some '&' ->
+      if peek st = '=' then (advance st; Token.NE) else Token.NOT
+    | '&' ->
       advance st;
-      if peek st = Some '&' then (advance st; Token.AND)
+      if peek st = '&' then (advance st; Token.AND)
       else raise (Lex_error ("expected &&", l))
-    | Some '|' ->
+    | '|' ->
       advance st;
-      if peek st = Some '|' then (advance st; Token.OR)
+      if peek st = '|' then (advance st; Token.OR)
       else raise (Lex_error ("expected ||", l))
-    | Some c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, l))
+    | c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, l))
   in
   { Token.tok; loc = l }
 

@@ -355,7 +355,9 @@ let report_modes =
    fresh [Engine.load] of the same source on every observable: slice
    line sets in every mode, the canonical (location-keyed) points-to
    and call-graph dumps, layered report JSON in the budget-free modes,
-   and the headline stats.  A byte-identical source must take the Noop
+   and the headline stats.  The updated handle's arena must also
+   describe the edited program ([Arena.check_views]), with its
+   footprint in the stats.  A byte-identical source must take the Noop
    path.  The chain carries the UPDATED handle forward, so patched
    graphs are themselves patched again — the accumulation case.  After
    the chain, one explicit same-source update must take (and record)
@@ -469,7 +471,13 @@ let edit_battery ?(kinds : Gen_tj.edit_kind list option)
            if
              Sdg.num_live_nodes ia.Engine.sdg
              <> Sdg.num_live_nodes fa.Engine.sdg
-           then viol "edit_stats_parity" (ctx ^ ": live SDG node counts differ"));
+           then viol "edit_stats_parity" (ctx ^ ": live SDG node counts differ");
+           (match Slice_ir.Arena.check_views ia.Engine.program ia.Engine.arena with
+           | Ok () -> ()
+           | Error msg -> viol "edit_arena_views" (ctx ^ ": " ^ msg));
+           if s1.Engine.arena_bytes <> Slice_ir.Arena.bytes ia.Engine.arena then
+             viol "edit_arena_views"
+               (ctx ^ ": stats.arena_bytes is not the arena's footprint"));
          prev_src := src;
          h := h'
        done;

@@ -1,15 +1,21 @@
 (* Flat int-indexed arena view of the record IR.  See arena.mli for the
    design contract; the representation notes here:
 
-   - every column is an [int array] (or a record-pointer array for the
-     shim); spans are CSR offsets, so iterating a method's instructions
-     or one instruction's uses allocates nothing;
+   - every column is a growable [int array]; a row's uses, call
+     arguments and terminator uses are CSR spans over the row order, so
+     iterating a method's instructions or one instruction's uses
+     allocates nothing;
+   - one lowering loop, [lower_method], appends a method's rows at the
+     end of the columns and points the method's own lo/hi spans at them:
+     [build] runs it for every bodied method, [relower] for the methods
+     an edit replaced.  Rows a re-lowered or dropped method leaves
+     behind are dead; once they outnumber the live rows, [relower]
+     lowers the whole program again into emptied columns;
    - strings are interned once into [syms] — heap-access keys compare
      structurally downstream, so sharing is a pure win;
-   - the builder walks [Program.iter_methods] (sorted order) and
-     [Instr.iter_instrs]/[iter_terms] within each method, i.e. exactly
-     the statement order of every record-based analysis pass.  Row
-     order IS the parity argument for the arena-backed SDG build. *)
+   - within a method, rows follow [Instr.iter_instrs]/[iter_terms] and
+     uses follow [Instr.classified_uses]: the statement order the SDG's
+     pass 1 emits edges in. *)
 
 type op =
   | Op_other
@@ -48,242 +54,265 @@ let op_of_tag = function
   | 9 -> Op_call
   | t -> invalid_arg (Printf.sprintf "Arena.op_of_tag: %d" t)
 
-type t = {
-  syms : string array;
-  (* methods *)
-  m_qnames : Instr.method_qname array;
-  m_nvars : int array;
-  m_instr_off : int array;       (* num_methods + 1 *)
-  m_term_off : int array;
-  m_param_off : int array;
-  m_param_var : int array;
-  m_index : (Instr.method_qname, int) Hashtbl.t;
-  (* instructions *)
-  i_stmt : int array;
-  i_def : int array;             (* -1 = no def *)
-  i_op : int array;              (* op_tag *)
-  i_base : int array;            (* pointer var of heap ops, else -1 *)
-  i_sym : int array;             (* interned id, else -1 *)
-  i_sym2 : int array;
-  i_rec : Instr.instr array;     (* record shim *)
-  u_off : int array;             (* num_instrs + 1 *)
-  u_var : int array;
-  u_cls : int array;             (* 0 value, 1 base, 2 index *)
-  c_off : int array;             (* num_instrs + 1: call args *)
-  c_arg : int array;
-  (* terminators *)
-  t_stmt : int array;
-  t_ret : int array;             (* 1 = Return (Some _) *)
-  tu_off : int array;            (* num_terms + 1 *)
-  tu_var : int array;
-}
-
-(* Growable int buffer; commit once into a right-sized array. *)
-module Ibuf = struct
+(* Growable int column: capacity doubles when full.  [build] trims every
+   column to its length, so the first re-lower after a build doubles the
+   columns it appends to. *)
+module Col = struct
   type t = { mutable a : int array; mutable len : int }
 
-  let create n = { a = Array.make (max 16 n) 0; len = 0 }
+  let create () = { a = [||]; len = 0 }
 
-  let push b v =
-    if b.len = Array.length b.a then begin
-      let bigger = Array.make (2 * b.len) 0 in
-      Array.blit b.a 0 bigger 0 b.len;
-      b.a <- bigger
+  let push c v =
+    if c.len = Array.length c.a then begin
+      let bigger = Array.make ((2 * c.len) + 16) 0 in
+      Array.blit c.a 0 bigger 0 c.len;
+      c.a <- bigger
     end;
-    b.a.(b.len) <- v;
-    b.len <- b.len + 1
+    Array.unsafe_set c.a c.len v;
+    c.len <- c.len + 1
 
-  let commit b = Array.sub b.a 0 b.len
+  (* [push] at index [len], overwrite below it *)
+  let put c i v = if i = c.len then push c v else c.a.(i) <- v
+
+  let get c i = c.a.(i)
+
+  let clear c =
+    c.a <- [||];
+    c.len <- 0
+
+  let trim c = if Array.length c.a > c.len then c.a <- Array.sub c.a 0 c.len
+
+  (* 8 bytes per slot, reserved or not, plus the array header *)
+  let bytes c = 8 * (Array.length c.a + 1)
 end
+
+type t = {
+  sym_ids : (string, int) Hashtbl.t;
+  mutable syms : string array;   (* interned id -> string *)
+  m_index : (Instr.method_qname, int) Hashtbl.t;  (* live methods only *)
+  mutable dead_rows : int;       (* instr + term rows no live span covers *)
+  (* methods: one entry per method id; spans are [lo, hi) row ranges *)
+  m_nvars : Col.t;
+  m_ilo : Col.t;
+  m_ihi : Col.t;
+  m_tlo : Col.t;
+  m_thi : Col.t;
+  m_plo : Col.t;
+  m_phi : Col.t;
+  m_param_var : Col.t;
+  (* instructions *)
+  i_stmt : Col.t;
+  i_def : Col.t;                 (* -1 = no def *)
+  i_op : Col.t;                  (* op_tag *)
+  i_base : Col.t;                (* pointer var of heap ops, else -1 *)
+  i_sym : Col.t;                 (* interned id, else -1 *)
+  i_sym2 : Col.t;
+  u_off : Col.t;                 (* instr rows + 1 *)
+  u_var : Col.t;
+  u_cls : Col.t;                 (* 0 value, 1 base, 2 index *)
+  c_off : Col.t;                 (* instr rows + 1: call args *)
+  c_arg : Col.t;
+  (* terminators *)
+  t_stmt : Col.t;
+  t_ret : Col.t;                 (* 1 = Return (Some _) *)
+  tu_off : Col.t;                (* term rows + 1 *)
+  tu_var : Col.t;
+}
 
 let use_cls_tag = function
   | Instr.Use_value -> 0
   | Instr.Use_base -> 1
   | Instr.Use_index -> 2
 
-let build (p : Program.t) : t =
-  let sym_ids : (string, int) Hashtbl.t = Hashtbl.create 256 in
-  let sym_list = ref [] and n_syms = ref 0 in
-  let intern s =
-    match Hashtbl.find_opt sym_ids s with
-    | Some i -> i
+let method_cols (ar : t) =
+  [ ar.m_nvars; ar.m_ilo; ar.m_ihi; ar.m_tlo; ar.m_thi; ar.m_plo; ar.m_phi;
+    ar.m_param_var ]
+
+let row_cols (ar : t) =
+  [ ar.i_stmt; ar.i_def; ar.i_op; ar.i_base; ar.i_sym; ar.i_sym2; ar.u_off;
+    ar.u_var; ar.u_cls; ar.c_off; ar.c_arg; ar.t_stmt; ar.t_ret; ar.tu_off;
+    ar.tu_var ]
+
+let intern (ar : t) (s : string) : int =
+  match Hashtbl.find_opt ar.sym_ids s with
+  | Some i -> i
+  | None ->
+    let i = Hashtbl.length ar.sym_ids in
+    if i = Array.length ar.syms then begin
+      let bigger = Array.make ((2 * i) + 16) "" in
+      Array.blit ar.syms 0 bigger 0 i;
+      ar.syms <- bigger
+    end;
+    ar.syms.(i) <- s;
+    Hashtbl.replace ar.sym_ids s i;
+    i
+
+(* Instruction + terminator rows in method [m]'s spans. *)
+let span_rows (ar : t) m =
+  Col.get ar.m_ihi m - Col.get ar.m_ilo m + Col.get ar.m_thi m
+  - Col.get ar.m_tlo m
+
+(* The one lowering loop: append [m]'s rows and point its spans at them.
+   A method the arena already holds keeps its id; its old rows die. *)
+let lower_method (ar : t) (m : Instr.meth) : unit =
+  let mq = m.Instr.m_qname in
+  let id =
+    match Hashtbl.find_opt ar.m_index mq with
+    | Some id ->
+      ar.dead_rows <- ar.dead_rows + span_rows ar id;
+      id
     | None ->
-      let i = !n_syms in
-      Hashtbl.replace sym_ids s i;
-      sym_list := s :: !sym_list;
-      incr n_syms;
-      i
+      let id = ar.m_nvars.Col.len in
+      Hashtbl.replace ar.m_index mq id;
+      id
   in
-  let m_qnames = ref [] and n_meths = ref 0 in
-  let m_index = Hashtbl.create 64 in
-  let m_nvars = Ibuf.create 64 in
-  let m_instr_off = Ibuf.create 64 and m_term_off = Ibuf.create 64 in
-  let m_param_off = Ibuf.create 64 and m_param_var = Ibuf.create 64 in
-  let i_stmt = Ibuf.create 1024 and i_def = Ibuf.create 1024 in
-  let i_op = Ibuf.create 1024 and i_base = Ibuf.create 1024 in
-  let i_sym = Ibuf.create 1024 and i_sym2 = Ibuf.create 1024 in
-  let i_recs = ref [] in
-  let u_off = Ibuf.create 1024 and u_var = Ibuf.create 1024
-  and u_cls = Ibuf.create 1024 in
-  let c_off = Ibuf.create 1024 and c_arg = Ibuf.create 64 in
-  let t_stmt = Ibuf.create 256 and t_ret = Ibuf.create 256 in
-  let tu_off = Ibuf.create 256 and tu_var = Ibuf.create 256 in
-  Ibuf.push m_instr_off 0;
-  Ibuf.push m_term_off 0;
-  Ibuf.push m_param_off 0;
-  Program.iter_methods p (fun m ->
-      if Instr.has_body m then begin
-        let mq = m.Instr.m_qname in
-        Hashtbl.replace m_index mq !n_meths;
-        m_qnames := mq :: !m_qnames;
-        incr n_meths;
-        Ibuf.push m_nvars (Array.length m.Instr.m_vars);
-        List.iter (Ibuf.push m_param_var) m.Instr.m_params;
-        Ibuf.push m_param_off m_param_var.Ibuf.len;
-        Instr.iter_instrs m (fun _ i ->
-            Ibuf.push i_stmt i.Instr.i_id;
-            Ibuf.push i_def
-              (match Instr.def_of_instr i with Some v -> v | None -> -1);
-            i_recs := i :: !i_recs;
-            let op, base, s1, s2 =
-              match i.Instr.i_kind with
-              | Instr.Store (x, f, _) -> (Op_store, x, intern f, -1)
-              | Instr.Load (_, y, f) -> (Op_load, y, intern f, -1)
-              | Instr.Array_store (a, _, _) -> (Op_array_store, a, -1, -1)
-              | Instr.Array_load (_, a, _) -> (Op_array_load, a, -1, -1)
-              | Instr.New_array (x, _, _) -> (Op_new_array, x, -1, -1)
-              | Instr.Array_length (_, a) -> (Op_array_length, a, -1, -1)
-              | Instr.Static_store (c, f, _) ->
-                (Op_static_store, -1, intern c, intern f)
-              | Instr.Static_load (_, c, f) ->
-                (Op_static_load, -1, intern c, intern f)
-              | Instr.Call _ -> (Op_call, -1, -1, -1)
-              | Instr.Const _ | Instr.Move _ | Instr.Binop _ | Instr.Unop _
-              | Instr.New _ | Instr.Cast _ | Instr.Instance_of _
-              | Instr.Phi _ | Instr.Nop -> (Op_other, -1, -1, -1)
-            in
-            Ibuf.push i_op (op_tag op);
-            Ibuf.push i_base base;
-            Ibuf.push i_sym s1;
-            Ibuf.push i_sym2 s2;
-            List.iter
-              (fun (v, cls) ->
-                Ibuf.push u_var v;
-                Ibuf.push u_cls (use_cls_tag cls))
-              (Instr.classified_uses i);
-            Ibuf.push u_off u_var.Ibuf.len;
-            (match i.Instr.i_kind with
-            | Instr.Call { args; _ } -> List.iter (Ibuf.push c_arg) args
-            | _ -> ());
-            Ibuf.push c_off c_arg.Ibuf.len);
-        Ibuf.push m_instr_off i_stmt.Ibuf.len;
-        Instr.iter_terms m (fun _ t ->
-            Ibuf.push t_stmt t.Instr.t_id;
-            Ibuf.push t_ret
-              (match t.Instr.t_kind with
-              | Instr.Return (Some _) -> 1
-              | Instr.Return None | Instr.Goto _ | Instr.If _ | Instr.Throw _
-                -> 0);
-            List.iter (Ibuf.push tu_var) (Instr.uses_of_term t);
-            Ibuf.push tu_off tu_var.Ibuf.len);
-        Ibuf.push m_term_off t_stmt.Ibuf.len
-      end);
-  (* CSR offsets above were pushed per-row as running totals; prepend
-     the leading 0 each stream needs. *)
-  let with_zero b =
-    let a = Array.make (b.Ibuf.len + 1) 0 in
-    Array.blit b.Ibuf.a 0 a 1 b.Ibuf.len;
-    a
+  let plo = ar.m_param_var.Col.len in
+  List.iter (Col.push ar.m_param_var) m.Instr.m_params;
+  let ilo = ar.i_stmt.Col.len in
+  Instr.iter_instrs m (fun _ i ->
+      Col.push ar.i_stmt i.Instr.i_id;
+      Col.push ar.i_def
+        (match Instr.def_of_instr i with Some v -> v | None -> -1);
+      let op, base, s1, s2 =
+        match i.Instr.i_kind with
+        | Instr.Store (x, f, _) -> (Op_store, x, intern ar f, -1)
+        | Instr.Load (_, y, f) -> (Op_load, y, intern ar f, -1)
+        | Instr.Array_store (a, _, _) -> (Op_array_store, a, -1, -1)
+        | Instr.Array_load (_, a, _) -> (Op_array_load, a, -1, -1)
+        | Instr.New_array (x, _, _) -> (Op_new_array, x, -1, -1)
+        | Instr.Array_length (_, a) -> (Op_array_length, a, -1, -1)
+        | Instr.Static_store (c, f, _) ->
+          (Op_static_store, -1, intern ar c, intern ar f)
+        | Instr.Static_load (_, c, f) ->
+          (Op_static_load, -1, intern ar c, intern ar f)
+        | Instr.Call _ -> (Op_call, -1, -1, -1)
+        | Instr.Const _ | Instr.Move _ | Instr.Binop _ | Instr.Unop _
+        | Instr.New _ | Instr.Cast _ | Instr.Instance_of _ | Instr.Phi _
+        | Instr.Nop -> (Op_other, -1, -1, -1)
+      in
+      Col.push ar.i_op (op_tag op);
+      Col.push ar.i_base base;
+      Col.push ar.i_sym s1;
+      Col.push ar.i_sym2 s2;
+      List.iter
+        (fun (v, cls) ->
+          Col.push ar.u_var v;
+          Col.push ar.u_cls (use_cls_tag cls))
+        (Instr.classified_uses i);
+      Col.push ar.u_off ar.u_var.Col.len;
+      (match i.Instr.i_kind with
+      | Instr.Call { args; _ } -> List.iter (Col.push ar.c_arg) args
+      | _ -> ());
+      Col.push ar.c_off ar.c_arg.Col.len);
+  let tlo = ar.t_stmt.Col.len in
+  Instr.iter_terms m (fun _ t ->
+      Col.push ar.t_stmt t.Instr.t_id;
+      Col.push ar.t_ret
+        (match t.Instr.t_kind with
+        | Instr.Return (Some _) -> 1
+        | Instr.Return None | Instr.Goto _ | Instr.If _ | Instr.Throw _ -> 0);
+      List.iter (Col.push ar.tu_var) (Instr.uses_of_term t);
+      Col.push ar.tu_off ar.tu_var.Col.len);
+  Col.put ar.m_nvars id (Array.length m.Instr.m_vars);
+  Col.put ar.m_ilo id ilo;
+  Col.put ar.m_ihi id ar.i_stmt.Col.len;
+  Col.put ar.m_tlo id tlo;
+  Col.put ar.m_thi id ar.t_stmt.Col.len;
+  Col.put ar.m_plo id plo;
+  Col.put ar.m_phi id ar.m_param_var.Col.len
+
+(* Lower every bodied method of [p] into emptied columns (the CSR offset
+   columns restart at their leading 0; interned strings are kept), then
+   trim the columns to their length. *)
+let lower_all (ar : t) (p : Program.t) : unit =
+  List.iter Col.clear (method_cols ar @ row_cols ar);
+  List.iter (fun c -> Col.push c 0) [ ar.u_off; ar.c_off; ar.tu_off ];
+  Hashtbl.reset ar.m_index;
+  ar.dead_rows <- 0;
+  Program.iter_methods p (fun m -> if Instr.has_body m then lower_method ar m);
+  List.iter Col.trim (method_cols ar @ row_cols ar)
+
+let build (p : Program.t) : t =
+  let col = Col.create in
+  let ar =
+    { sym_ids = Hashtbl.create 256; syms = [||]; m_index = Hashtbl.create 64;
+      dead_rows = 0; m_nvars = col (); m_ilo = col (); m_ihi = col ();
+      m_tlo = col (); m_thi = col (); m_plo = col (); m_phi = col ();
+      m_param_var = col (); i_stmt = col (); i_def = col (); i_op = col ();
+      i_base = col (); i_sym = col (); i_sym2 = col (); u_off = col ();
+      u_var = col (); u_cls = col (); c_off = col (); c_arg = col ();
+      t_stmt = col (); t_ret = col (); tu_off = col (); tu_var = col () }
   in
-  { syms = Array.of_list (List.rev !sym_list);
-    m_qnames = Array.of_list (List.rev !m_qnames);
-    m_nvars = Ibuf.commit m_nvars;
-    m_instr_off = Ibuf.commit m_instr_off;
-    m_term_off = Ibuf.commit m_term_off;
-    m_param_off = Ibuf.commit m_param_off;
-    m_param_var = Ibuf.commit m_param_var;
-    m_index;
-    i_stmt = Ibuf.commit i_stmt;
-    i_def = Ibuf.commit i_def;
-    i_op = Ibuf.commit i_op;
-    i_base = Ibuf.commit i_base;
-    i_sym = Ibuf.commit i_sym;
-    i_sym2 = Ibuf.commit i_sym2;
-    i_rec = Array.of_list (List.rev !i_recs);
-    u_off = with_zero u_off;
-    u_var = Ibuf.commit u_var;
-    u_cls = Ibuf.commit u_cls;
-    c_off = with_zero c_off;
-    c_arg = Ibuf.commit c_arg;
-    t_stmt = Ibuf.commit t_stmt;
-    t_ret = Ibuf.commit t_ret;
-    tu_off = with_zero tu_off;
-    tu_var = Ibuf.commit tu_var }
+  lower_all ar p;
+  ar
+
+let relower (ar : t) (p : Program.t) (mqs : Instr.method_qname list) : unit =
+  List.iter
+    (fun mq ->
+      match Program.find_method p mq with
+      | Some m when Instr.has_body m -> lower_method ar m
+      | Some _ | None -> (
+        match Hashtbl.find_opt ar.m_index mq with
+        | Some id ->
+          ar.dead_rows <- ar.dead_rows + span_rows ar id;
+          Hashtbl.remove ar.m_index mq
+        | None -> ()))
+    mqs;
+  if 2 * ar.dead_rows > ar.i_stmt.Col.len + ar.t_stmt.Col.len then
+    lower_all ar p
 
 (* --- accessors --- *)
 
-let num_methods (t : t) = Array.length t.m_qnames
 let method_id (t : t) mq = Hashtbl.find_opt t.m_index mq
-let method_qname (t : t) m = t.m_qnames.(m)
-let num_vars (t : t) m = t.m_nvars.(m)
-let num_params (t : t) m = t.m_param_off.(m + 1) - t.m_param_off.(m)
-let param_var (t : t) m i = t.m_param_var.(t.m_param_off.(m) + i)
+let num_vars (t : t) m = Col.get t.m_nvars m
+let num_params (t : t) m = Col.get t.m_phi m - Col.get t.m_plo m
+let param_var (t : t) m i = Col.get t.m_param_var (Col.get t.m_plo m + i)
 
-let num_instrs (t : t) = Array.length t.i_stmt
-let instr_span (t : t) m = (t.m_instr_off.(m), t.m_instr_off.(m + 1))
-let instr_stmt (t : t) ix = t.i_stmt.(ix)
-let instr_def (t : t) ix = t.i_def.(ix)
-let instr_op (t : t) ix = op_of_tag t.i_op.(ix)
-let instr_base (t : t) ix = t.i_base.(ix)
-let instr_sym (t : t) ix = t.syms.(t.i_sym.(ix))
-let instr_sym2 (t : t) ix = t.syms.(t.i_sym2.(ix))
-let instr (t : t) ix = t.i_rec.(ix)
+let instr_span (t : t) m = (Col.get t.m_ilo m, Col.get t.m_ihi m)
+let instr_stmt (t : t) ix = Col.get t.i_stmt ix
+let instr_def (t : t) ix = Col.get t.i_def ix
+let instr_op (t : t) ix = op_of_tag (Col.get t.i_op ix)
+let instr_base (t : t) ix = Col.get t.i_base ix
+let instr_sym (t : t) ix = t.syms.(Col.get t.i_sym ix)
+let instr_sym2 (t : t) ix = t.syms.(Col.get t.i_sym2 ix)
 
 let uses_iter (t : t) ix (f : int -> int -> unit) : unit =
-  for u = t.u_off.(ix) to t.u_off.(ix + 1) - 1 do
-    f (Array.unsafe_get t.u_var u) (Array.unsafe_get t.u_cls u)
+  let var = t.u_var.Col.a and cls = t.u_cls.Col.a in
+  for u = Col.get t.u_off ix to Col.get t.u_off (ix + 1) - 1 do
+    f (Array.unsafe_get var u) (Array.unsafe_get cls u)
   done
 
 let args_iter (t : t) ix (f : int -> unit) : unit =
-  for c = t.c_off.(ix) to t.c_off.(ix + 1) - 1 do
-    f (Array.unsafe_get t.c_arg c)
+  let arg = t.c_arg.Col.a in
+  for c = Col.get t.c_off ix to Col.get t.c_off (ix + 1) - 1 do
+    f (Array.unsafe_get arg c)
   done
 
-let num_terms (t : t) = Array.length t.t_stmt
-let term_span (t : t) m = (t.m_term_off.(m), t.m_term_off.(m + 1))
-let term_stmt (t : t) tx = t.t_stmt.(tx)
-let term_is_value_return (t : t) tx = t.t_ret.(tx) = 1
+let term_span (t : t) m = (Col.get t.m_tlo m, Col.get t.m_thi m)
+let term_stmt (t : t) tx = Col.get t.t_stmt tx
+let term_is_value_return (t : t) tx = Col.get t.t_ret tx = 1
 
 let term_uses_iter (t : t) tx (f : int -> unit) : unit =
-  for u = t.tu_off.(tx) to t.tu_off.(tx + 1) - 1 do
-    f (Array.unsafe_get t.tu_var u)
+  let var = t.tu_var.Col.a in
+  for u = Col.get t.tu_off tx to Col.get t.tu_off (tx + 1) - 1 do
+    f (Array.unsafe_get var u)
   done
 
-let statements (t : t) = num_instrs t + num_terms t
-
-(* Arithmetic byte accounting: 8 bytes per int-array slot or pointer
-   slot plus one header word per array; strings at header + length
-   rounded up to words.  Deterministic by construction — the same
-   program lowers to the same figure in every process, which is what
-   lets stats carry it across incremental updates. *)
+(* Arithmetic byte accounting: 8 bytes per int-array slot, reserved or
+   not, or pointer slot plus one header word per array; strings at
+   header + length rounded up to words.  Deterministic by construction —
+   the same program and the same sequence of re-lowers give the same
+   figure in every process, which is what lets stats carry it across
+   incremental updates. *)
 let bytes (t : t) : int =
-  let arr (a : int array) = 8 * (Array.length a + 1) in
-  let parr n = 8 * (n + 1) in
   let sym_bytes =
-    Array.fold_left
-      (fun acc s -> acc + 8 + 8 * ((String.length s + 8) / 8))
-      (parr (Array.length t.syms))
-      t.syms
+    Hashtbl.fold
+      (fun s _ acc -> acc + 8 + (8 * ((String.length s + 8) / 8)))
+      t.sym_ids
+      (8 * (Array.length t.syms + 1))
   in
-  sym_bytes
-  + parr (Array.length t.m_qnames)
-  + arr t.m_nvars + arr t.m_instr_off + arr t.m_term_off + arr t.m_param_off
-  + arr t.m_param_var
-  + arr t.i_stmt + arr t.i_def + arr t.i_op + arr t.i_base + arr t.i_sym
-  + arr t.i_sym2
-  + parr (Array.length t.i_rec)
-  + arr t.u_off + arr t.u_var + arr t.u_cls + arr t.c_off + arr t.c_arg
-  + arr t.t_stmt + arr t.t_ret + arr t.tu_off + arr t.tu_var
+  List.fold_left (fun acc c -> acc + Col.bytes c) sym_bytes
+    (method_cols t @ row_cols t)
 
 (* --- view equivalence --- *)
 
@@ -293,7 +322,7 @@ let check_views (p : Program.t) (t : t) : (unit, string) result =
   let check b fmt =
     Printf.ksprintf (fun s -> if not b && !result = Ok () then result := Error s) fmt
   in
-  let mcount = ref 0 and icount = ref 0 and tcount = ref 0 in
+  let mcount = ref 0 in
   Program.iter_methods p (fun m ->
       if Instr.has_body m && !result = Ok () then begin
         let mq = m.Instr.m_qname in
@@ -317,12 +346,10 @@ let check_views (p : Program.t) (t : t) : (unit, string) result =
           Instr.iter_instrs m (fun _ i ->
               let k = !ix in
               incr ix;
-              incr icount;
               if k >= hi then check false "%s: instr span overflow"
                   (Instr.method_qname_to_string mq)
               else begin
                 check (instr_stmt t k = i.Instr.i_id) "stmt %d: id" i.Instr.i_id;
-                check (instr t k == i) "stmt %d: record shim" i.Instr.i_id;
                 check
                   (instr_def t k
                    = (match Instr.def_of_instr i with Some v -> v | None -> -1))
@@ -388,7 +415,6 @@ let check_views (p : Program.t) (t : t) : (unit, string) result =
           Instr.iter_terms m (fun _ tm ->
               let k = !tx in
               incr tx;
-              incr tcount;
               if k >= thi then check false "%s: term span overflow"
                   (Instr.method_qname_to_string mq)
               else begin
@@ -408,13 +434,10 @@ let check_views (p : Program.t) (t : t) : (unit, string) result =
           check (!tx = thi) "%s: term span short"
             (Instr.method_qname_to_string mq)
       end);
+  (* every live span was checked above; a live span for a method the
+     program no longer has would go unvisited *)
   (match !result with
-  | Ok () ->
-    if !mcount <> num_methods t then
-      result := fail "method count: %d record vs %d arena" !mcount (num_methods t);
-    if !icount <> num_instrs t then
-      result := fail "instr count: %d record vs %d arena" !icount (num_instrs t);
-    if !tcount <> num_terms t then
-      result := fail "term count: %d record vs %d arena" !tcount (num_terms t)
-  | Error _ -> ());
-  !result
+  | Ok () when !mcount <> Hashtbl.length t.m_index ->
+    fail "method count: %d record vs %d arena" !mcount
+      (Hashtbl.length t.m_index)
+  | r -> r)

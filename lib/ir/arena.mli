@@ -1,12 +1,11 @@
-(** Flat int-indexed arena view of a program's IR — the memory-diet
-    representation the analysis hot paths read (ROADMAP item 3, the
-    Koika-style lowering of a typed AST into dense indexed form).
+(** Flat int-indexed arena view of a program's IR — the statement store
+    the SDG's first pass reads (ROADMAP item 3, the Koika-style lowering
+    of a typed AST into dense indexed form).
 
     The record IR ({!Instr}, {!Program}) stays the source of truth: the
-    frontend, pretty-printer, interpreter and incremental patcher keep
-    operating on records.  An arena is built ONCE from the records
-    after lowering and packs everything the dependence analyses walk
-    per statement into flat [int array] columns:
+    frontend, pretty-printer and interpreter operate on records.  The
+    arena packs everything the dependence analyses walk per statement
+    into flat, growable [int] columns:
 
     - strings (field names, class names) interned once in a side table;
     - defs, classified uses and term uses as packed CSR int spans
@@ -15,23 +14,20 @@
       opcode tags plus operand ints;
     - call-argument lists as CSR spans.
 
-    Column order follows {!Instr.iter_instrs} / {!Instr.iter_terms}
-    per method, methods in {!Program.iter_methods} (sorted) order — so
-    an analysis pass that walks the arena visits statements in exactly
-    the order the record-based pass does, which is what makes the
-    arena- and record-backed SDG builds edge-for-edge identical.
-
-    [instr] exposes the original record per arena index (a pointer
-    back, not a reconstruction), so any consumer can fall back to the
-    record view without the arena having to replicate payloads it does
-    not pack (constants, types). *)
+    Each method's rows are contiguous and follow {!Instr.iter_instrs} /
+    {!Instr.iter_terms} order, uses in {!Instr.classified_uses} order.
+    A method's instruction, terminator and parameter spans are its own
+    [lo, hi) pairs, so {!relower} can append fresh rows for an edited
+    method and repoint its spans; the rows it leaves behind are dead
+    until enough of them pile up for a relower to lower the whole
+    program again. *)
 
 open! Types
 
 type t
 
 (** Heap/call opcode classification of an instruction, mirroring the
-    cases the SDG heap-indexing pass and mod-ref analysis switch on.
+    cases the SDG heap-indexing pass switches on.
     Operand accessors: [base] is the pointer variable whose points-to
     set keys the access; [sym]/[sym2] are interned string ids (field
     name, or class + field for statics). *)
@@ -47,17 +43,25 @@ type op =
   | Op_static_load   (** x = C.f:    sym = C, sym2 = f *)
   | Op_call          (** args in the call-arg span *)
 
+(** Lower every method of the program that has a body. *)
 val build : Program.t -> t
 
-(* --- methods --- *)
+(** [relower ar p mqs] brings the named methods up to date with [p]:
+    each one [p] still has with a body gets fresh rows and its spans
+    repointed (its method id is kept, or a new one is assigned); each
+    one [p] no longer has is dropped.  When the dead rows come to
+    outnumber the live ones, every method of [p] is lowered again into
+    emptied columns, which renumbers the method ids.  Methods not named
+    keep their rows, so [mqs] must name every method whose body
+    changed. *)
+val relower : t -> Program.t -> Instr.method_qname list -> unit
 
-val num_methods : t -> int
+(* --- methods --- *)
 
 (** Arena method index for a qname; only methods with bodies are in the
     arena. *)
 val method_id : t -> Instr.method_qname -> int option
 
-val method_qname : t -> int -> Instr.method_qname
 val num_vars : t -> int -> int
 
 (** Parameter variables of method [m] in declaration order
@@ -67,8 +71,6 @@ val num_params : t -> int -> int
 val param_var : t -> int -> int -> Instr.var
 
 (* --- instruction columns (global arena indices) --- *)
-
-val num_instrs : t -> int
 
 (** Instruction span of method [m]: indices [fst .. snd - 1]. *)
 val instr_span : t -> int -> int * int
@@ -90,13 +92,8 @@ val uses_iter : t -> int -> (Instr.var -> int -> unit) -> unit
     otherwise), in order. *)
 val args_iter : t -> int -> (Instr.var -> unit) -> unit
 
-val instr : t -> int -> Instr.instr
-(** The record view: the original instruction this arena row was
-    lowered from. *)
-
 (* --- terminator columns --- *)
 
-val num_terms : t -> int
 val term_span : t -> int -> int * int
 val term_stmt : t -> int -> Instr.stmt_id
 
@@ -109,17 +106,15 @@ val term_uses_iter : t -> int -> (Instr.var -> unit) -> unit
 (* --- memory accounting --- *)
 
 (** Heap footprint of the arena in bytes, computed arithmetically from
-    column lengths and interned string sizes (deterministic across
-    processes, unlike [Obj.reachable_words]).  Includes the record-shim
-    pointer columns but NOT the records themselves — those belong to
-    the program. *)
+    column capacities and interned string sizes (deterministic across
+    processes, unlike [Obj.reachable_words]).  Dead rows and the slack a
+    relower reserves count; the records belong to the program and do
+    not. *)
 val bytes : t -> int
 
-(** Statements covered (instrs + terms). *)
-val statements : t -> int
-
-(** Verify the arena against the record IR it was built from: per-row
-    statement ids, defs, classified uses, heap descriptors, call args
-    and term uses must reproduce the {!Instr} accessors exactly.
+(** Verify the arena against a program: every method with a body must
+    have a live span whose per-row statement ids, defs, classified uses,
+    heap descriptors, call args and term uses reproduce the {!Instr}
+    accessors exactly, and the arena must hold no other live method.
     Returns an error describing the first mismatch. *)
 val check_views : Program.t -> t -> (unit, string) result

@@ -249,3 +249,18 @@ let vars_digest (p : Slice_ir.Program.t) : string =
         m.Instr.m_vars)
     meths;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* An analysis's arena must describe the program's current bodies after
+   every update tier, and the handle's stats must report its footprint. *)
+let check_arena ~(ctx : string) (h : Slice_core.Engine.handle) : unit =
+  let a = h.Slice_core.Engine.h_analysis in
+  (match
+     Slice_ir.Arena.check_views a.Slice_core.Engine.program
+       a.Slice_core.Engine.arena
+   with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: arena views: %s" ctx msg);
+  Alcotest.(check int)
+    (ctx ^ ": stats.arena_bytes = Arena.bytes")
+    (Slice_ir.Arena.bytes a.Slice_core.Engine.arena)
+    h.Slice_core.Engine.h_stats.Slice_core.Engine.arena_bytes

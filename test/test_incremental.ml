@@ -92,6 +92,7 @@ let check_equiv ~(what : string) (h : Engine.handle)
     (what ^ ": canonical call graph")
     (Engine.call_graph_dump_canonical b)
     (Engine.call_graph_dump_canonical a);
+  Helpers.check_arena ~ctx:what h;
   let s1 = h.Engine.h_stats and s2 = fresh.Engine.h_stats in
   Alcotest.(check int) (what ^ ": methods") s2.Engine.methods s1.Engine.methods;
   Alcotest.(check int)
@@ -231,6 +232,31 @@ let test_update_patched_entry () =
   Alcotest.check path_testable "entry edit patched" Engine.Patched
     rep.Engine.up_path;
   check_equiv ~what:"entry edit" h' [ (file, edited) ] (seed_lines_of edited)
+
+(* The arena the SDG reads must follow every tier that keeps the
+   analysis: a Patched body edit re-lowers the edited method into it, a
+   Patched method add or remove appends or drops that method, and a
+   resolved update lowers it whole. *)
+let test_arena_every_tier () =
+  let step ~ctx want h src =
+    let h', rep = Engine.update h [ (file, src) ] in
+    Alcotest.check path_testable ctx want rep.Engine.up_path;
+    Helpers.check_arena ~ctx h';
+    h'
+  in
+  let h0 = Engine.load [ (file, base_src) ] in
+  Helpers.check_arena ~ctx:"load" h0;
+  let v1 = replace base_src "x * 2" "x * 3" in
+  let h1 = step ~ctx:"patched body edit" Engine.Patched h0 v1 in
+  let v2 = v1 ^ "int zzextra(int q) {\n  return q + 4;\n}\n" in
+  let h2 = step ~ctx:"method add" Engine.Patched h1 v2 in
+  let h3 = step ~ctx:"method remove" Engine.Patched h2 v1 in
+  let v4 =
+    replace v1 "void set(int v) { this.f = v + 0; }"
+      "void set(int v) { A t = new A(); this.f = v; }"
+  in
+  let h4 = step ~ctx:"resolved" Engine.Resolved_incremental h3 v4 in
+  check_equiv ~what:"arena chain" h4 [ (file, v4) ] (seed_lines_of v4)
 
 let test_update_resolved () =
   let h = Engine.load [ (file, base_src) ] in
@@ -474,6 +500,7 @@ let suite =
     Alcotest.test_case "update patched chain" `Quick test_update_patched_chain;
     Alcotest.test_case "update patched entry" `Quick test_update_patched_entry;
     Alcotest.test_case "update resolved" `Quick test_update_resolved;
+    Alcotest.test_case "arena follows every tier" `Quick test_arena_every_tier;
     Alcotest.test_case "update resolved-fresh (reference)" `Quick
       test_update_resolved_fresh_reference;
     Alcotest.test_case "update rebuilt" `Quick test_update_rebuilt;

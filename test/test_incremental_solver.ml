@@ -144,7 +144,8 @@ let check_parity ~(ctx : string) (h : Engine.handle) =
       s1.Engine.methods s2.Engine.methods s1.Engine.ir_statements
       s2.Engine.ir_statements s1.Engine.sdg_statements s2.Engine.sdg_statements;
   if Sdg.num_live_nodes ia.Engine.sdg <> Sdg.num_live_nodes fa.Engine.sdg then
-    Alcotest.failf "%s: live SDG node counts differ" ctx
+    Alcotest.failf "%s: live SDG node counts differ" ctx;
+  Helpers.check_arena ~ctx h
 
 let expect ~(ctx : string) (want : Engine.update_path) (rep : Engine.update_report)
     =
@@ -359,6 +360,7 @@ let loc_chain (name : string) (base : string) =
     let g = a.Engine.sdg in
     let seeds = Engine.seeds_at_line a query_line in
     if seeds = [] then Alcotest.failf "%s: no seed at line %d" (ctx step) query_line;
+    Helpers.check_arena ~ctx:(ctx step) h;
     Helpers.check_loc_columns ~ctx:(ctx step)
       ~slices:[ Slicer.slice g ~seeds Slicer.Thin;
                 Slicer.slice g ~seeds Slicer.Traditional_full ]

@@ -36,11 +36,14 @@ let test_strings () =
   check_toks "plain string" [ Token.STRING "hello world" ] {|"hello world"|};
   check_toks "escapes"
     [ Token.STRING "a\nb\tc\"d\\e" ]
-    {|"a\nb\tc\"d\\e"|}
+    {|"a\nb\tc\"d\\e"|};
+  (* a NUL byte is a character like any other, not the end of input *)
+  check_toks "NUL inside a string" [ Token.STRING "a\000b" ] "\"a\000b\""
 
 let test_comments () =
   check_toks "line comment" [ Token.INT 1; Token.INT 2 ] "1 // comment\n2";
-  check_toks "block comment" [ Token.INT 1; Token.INT 2 ] "1 /* x\ny */ 2"
+  check_toks "block comment" [ Token.INT 1; Token.INT 2 ] "1 /* x\ny */ 2";
+  check_toks "line comment to end of input" [ Token.INT 1 ] "1 // comment"
 
 let test_locations () =
   let located = Lexer.tokenize ~file:"t.tj" "a\n  b" in
@@ -62,7 +65,10 @@ let test_errors () =
   expect_lex_error "/* unterminated";
   expect_lex_error "a & b";
   expect_lex_error "a | b";
-  expect_lex_error "@"
+  expect_lex_error "@";
+  expect_lex_error "a \000 b";
+  expect_lex_error "\"escape at the end\\";
+  expect_lex_error "\"bad \\q escape\""
 
 let suite =
   [ Alcotest.test_case "punctuation" `Quick test_punctuation;

@@ -99,24 +99,41 @@ let test_arena_views_on_workloads () =
         (Slice_ir.Arena.bytes ar > 0))
     paper_workloads
 
-let test_arena_sdg_identical () =
-  (* the arena-backed pass 1 must produce edge-for-edge the same graph
-     as the record pass: same node count, same edge count, same
-     adjacency in the same order *)
-  let src = Slice_workloads.Prog_javac.base in
-  let p = Slice_front.Frontend.load_exn ~file:"javac.tj" src in
-  let pta = Slice_pta.Andersen.analyze p in
-  let g_rec = Slice_core.Sdg.build p pta in
+let test_arena_relower () =
+  (* re-lowering appends fresh rows and repoints spans; a dropped method
+     leaves no live span; once dead rows outnumber live ones the arena is
+     lowered whole again, so repeated re-lowers stay bounded (without
+     that, these 200 re-lowers grow the arena past 10x) *)
+  let p =
+    Slice_front.Frontend.load_exn ~file:"javac.tj" Slice_workloads.Prog_javac.base
+  in
   let ar = Slice_ir.Arena.build p in
-  let g_ar = Slice_core.Sdg.build ~arena:ar p pta in
-  Alcotest.(check int) "node count" (Slice_core.Sdg.num_nodes g_rec)
-    (Slice_core.Sdg.num_nodes g_ar);
-  Alcotest.(check int) "edge count" (Slice_core.Sdg.num_edges g_rec)
-    (Slice_core.Sdg.num_edges g_ar);
-  for n = 0 to Slice_core.Sdg.num_nodes g_rec - 1 do
-    if Slice_core.Sdg.deps g_rec n <> Slice_core.Sdg.deps g_ar n then
-      Alcotest.failf "deps of node %d differ" n
-  done
+  let fresh = Slice_ir.Arena.bytes ar in
+  let views what =
+    match Slice_ir.Arena.check_views p ar with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: arena view mismatch: %s" what msg
+  in
+  let main = Slice_ir.Program.entry_method p in
+  Slice_ir.Arena.relower ar p [ main ];
+  views "relowered entry";
+  Alcotest.(check bool) "relower appends rows" true
+    (Slice_ir.Arena.bytes ar > fresh);
+  let peak = ref 0 in
+  for _ = 1 to 200 do
+    Slice_ir.Arena.relower ar p [ main ];
+    peak := max !peak (Slice_ir.Arena.bytes ar)
+  done;
+  views "after 200 relowers";
+  (* live rows plus at most as many dead ones, in columns up to twice
+     their length *)
+  Alcotest.(check bool) "200 relowers stay within 5x a fresh arena" true
+    (!peak < 5 * fresh);
+  Slice_ir.Program.remove_method p main;
+  Slice_ir.Arena.relower ar p [ main ];
+  views "dropped entry";
+  Alcotest.(check bool) "dropped method has no span" true
+    (Slice_ir.Arena.method_id ar main = None)
 
 (* --- memory gauges --------------------------------------------------- *)
 
@@ -184,7 +201,7 @@ let suite =
       test_shrinker_on_large_model;
     Alcotest.test_case "arena views match records on all workloads" `Quick
       test_arena_views_on_workloads;
-    Alcotest.test_case "arena-backed SDG identical to record pass" `Quick
-      test_arena_sdg_identical;
+    Alcotest.test_case "arena relower repoints spans and stays bounded" `Quick
+      test_arena_relower;
     Alcotest.test_case "memory gauges and stats block" `Quick
       test_memory_stats ]

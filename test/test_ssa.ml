@@ -286,7 +286,19 @@ let test_frontend_linear () =
       ratio small large;
   if per_stmt > 400. then
     Alcotest.failf "%.0f frontend words per IR statement at 2000 statements"
-      per_stmt
+      per_stmt;
+  (* Lexing allocates per token (the token, its location, an identifier's
+     string, the list cell), never per character looked at: ≈6.2 words
+     per source byte here, against ≈12.1 when every look allocated an
+     option.  All of it is minor-heap allocation, which [Gc.minor_words]
+     counts exactly. *)
+  let src = straight_line_program 2000 in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Slice_front.Lexer.tokenize ~file:"line.tj" src));
+  let per_byte = (Gc.minor_words () -. w0) /. float_of_int (String.length src) in
+  if per_byte > 8. then
+    Alcotest.failf "%.2f lexing words per source byte at 2000 statements"
+      per_byte
 
 let suite =
   [ Alcotest.test_case "workload programs" `Quick test_workloads;

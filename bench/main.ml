@@ -351,8 +351,10 @@ let timing () =
    comparable across machines or build profiles without it.  v3 drops
    the "pta_ab" and "ir_arena" sections: solver parity is pinned by the
    test suite, and the arena's bytes per statement are recorded in
-   EXPERIMENTS.md. *)
-let bench_schema_version = "thinslice.bench/v3"
+   EXPERIMENTS.md.  v4 drops the "serve_ab" and "serve_incr" A/Bs: the
+   perfbench serve-hot, cold-30k and edit-30k workloads measure the same
+   paths, and the tests hold their self-checks. *)
+let bench_schema_version = "thinslice.bench/v4"
 
 (* Physical processor count from /proc/cpuinfo (Linux); falls back to the
    runtime's recommendation elsewhere. *)
@@ -396,7 +398,7 @@ let slice_warmup = 5
    then slice every mode from a representative seed with per-mode scoped
    telemetry.  Each entry records the slice sizes, the CSR walk's wall
    over [slice_reps] repetitions, a parity bit (one untimed
-   [Slicer.Reference] walk returned the same nodes), and per-task
+   reference walk returned the same nodes), and per-task
    counters that are deltas, not process-cumulative values. *)
 let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
   let open Slice_obs.Json in
@@ -448,7 +450,7 @@ let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
             ("lines", Int (List.length lines));
             ("reps", Int slice_reps);
             ("wall_s_csr", Float csr_wall);
-            ("parity", Bool (csr_nodes = Slicer.Reference.slice g ~seeds mode));
+            ("parity", Bool (csr_nodes = Slice_oracle.Reference_walk.slice g ~seeds mode));
             ("counters",
              Obj
                (List.filter_map
@@ -507,367 +509,6 @@ let bench_task (t : Task.t) : Slice_obs.Json.t =
          | None -> 0.)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Serve A/B: resident cache hot path vs cold one-shot analysis        *)
-(* ------------------------------------------------------------------ *)
-
-(* The serve daemon's value proposition, measured: cold = what a fresh
-   daemon (or the one-shot CLI) pays per query on javac — the whole
-   front/pta/sdg pipeline plus the walk; hot = the same query against
-   the resident analysis.  Three self-checked claims, enforced in
-   [json_results] before the artifact is written:
-   - parity: the hot result byte-equals the one-shot Engine path the
-     CLI runs (load + run_query + query_result_to_json), under both
-     pointer-analysis solvers;
-   - hot_zero_reanalysis: the hot responses' per-query span snapshots
-     contain no front/pta/sdg phase at all — cache hits re-analyze
-     NOTHING, they only walk;
-   - speedup >= 10 (in practice orders of magnitude: a thin-slice walk
-     vs the full analysis pipeline). *)
-let serve_hot_reps = 200
-let serve_cold_reps = 3
-
-let bench_serve_ab () : Slice_obs.Json.t =
-  let open Slice_obs.Json in
-  let module Serve = Slice_serve.Serve in
-  let name = "javac" in
-  let src = Prog_javac.base in
-  let file = name ^ ".tj" in
-  (* seed: the median countable line *)
-  let line =
-    let a = Engine.of_source ~file src in
-    let g = a.Engine.sdg in
-    let ls = ref [] in
-    for n = 0 to Sdg.num_nodes g - 1 do
-      if Sdg.node_countable g n then
-        ls := (Sdg.node_loc g n).Slice_ir.Loc.line :: !ls
-    done;
-    let sorted = Array.of_list (List.sort_uniq compare !ls) in
-    sorted.(Array.length sorted / 2)
-  in
-  let request solver =
-    Obj
-      [ ("id", Int 1); ("method", Str "slice");
-        ("params",
-         Obj
-           [ ("source", Str src); ("file", Str file);
-             ("solver", Str solver); ("line", Int line) ]) ]
-  in
-  let result_of (resp : Slice_obs.Json.t) : string =
-    match member "result" resp with
-    | Some r -> to_string r
-    | None -> failwith ("serve_ab: error response " ^ to_string resp)
-  in
-  let run st solver = result_of (Serve.handle_request st (request solver)).Serve.resp in
-  (* cold: a fresh daemon per query pays the full pipeline every time *)
-  let cold_res = ref "" in
-  let () = Gc.full_major () in
-  let _, cold_wall =
-    time (fun () ->
-        for _ = 1 to serve_cold_reps do
-          let st = Serve.create_state Serve.default_config in
-          cold_res := run st "bitset"
-        done)
-  in
-  (* hot: one daemon, resident program; first (miss) query untimed.
-     Spans stay enabled so each response's scoped snapshot can prove the
-     no-reanalysis claim. *)
-  let st = Serve.create_state Serve.default_config in
-  let was_enabled = Slice_obs.enabled () in
-  Slice_obs.set_enabled true;
-  ignore (run st "bitset");
-  let hot_zero_reanalysis = ref true in
-  let hot_res = ref "" in
-  let check_phases (resp : Slice_obs.Json.t) =
-    let keys =
-      match member "telemetry" resp with
-      | Some t -> (
-        match member "phase_wall_s" t with
-        | Some (Obj kvs) -> List.map fst kvs
-        | _ -> [])
-      | None -> []
-    in
-    let is_analysis k =
-      List.exists
-        (fun p ->
-          String.length k >= String.length p
-          && String.sub k 0 (String.length p) = p)
-        [ "front"; "pta"; "sdg" ]
-    in
-    if keys = [] || List.exists is_analysis keys then
-      hot_zero_reanalysis := false
-  in
-  let () = Gc.full_major () in
-  let _, hot_wall =
-    time (fun () ->
-        for _ = 1 to serve_hot_reps do
-          let o = Serve.handle_request st (request "bitset") in
-          check_phases o.Serve.resp;
-          hot_res := result_of o.Serve.resp
-        done)
-  in
-  Slice_obs.set_enabled was_enabled;
-  (* parity vs the one-shot Engine path (what `thinslice slice --json`
-     prints), under both solvers *)
-  let oneshot solver =
-    let h = Engine.load ~solver [ (file, src) ] in
-    let q = Engine.Q_slice { line; mode = Slicer.Thin; forward = false } in
-    to_string (Engine.query_result_to_json h q (Engine.run_query h q))
-  in
-  let parity_bitset = !hot_res = oneshot `Bitset && !hot_res = !cold_res in
-  let parity_reference =
-    let st = Serve.create_state Serve.default_config in
-    run st "reference" = oneshot `Reference
-  in
-  let qps reps wall = if wall > 0. then float_of_int reps /. wall else 0. in
-  let qps_cold = qps serve_cold_reps cold_wall in
-  let qps_hot = qps serve_hot_reps hot_wall in
-  Obj
-    [ ("name", Str name);
-      ("line", Int line);
-      ("reps_cold", Int serve_cold_reps);
-      ("reps_hot", Int serve_hot_reps);
-      ("wall_s_cold", Float cold_wall);
-      ("wall_s_hot", Float hot_wall);
-      ("qps_cold", Float qps_cold);
-      ("qps_hot", Float qps_hot);
-      ("speedup", Float (if qps_cold > 0. then qps_hot /. qps_cold else 0.));
-      ("hot_zero_reanalysis", Bool !hot_zero_reanalysis);
-      ("parity_bitset", Bool parity_bitset);
-      ("parity_reference", Bool parity_reference);
-      ("parity", Bool (parity_bitset && parity_reference)) ]
-
-(* ------------------------------------------------------------------ *)
-(* Serve incremental: one-method edit vs from-scratch re-analysis      *)
-(* ------------------------------------------------------------------ *)
-
-(* The incremental tentpole, measured on javac: a body-only,
-   pointer-free, line-count-preserving edit must take [Engine.update]'s
-   Patched path — exactly one method re-lowered, points-to re-keyed,
-   only the touched SDG segments re-frozen — and beat a from-scratch
-   load by >= 5x while the much-updated handle answers queries exactly
-   like a fresh load.  A second probe edits N methods at once and
-   checks the work stays proportional to the delta: exactly N bodies
-   re-lowered, re-frozen segments monotone in N and always strictly
-   under the segment total.  All claims are enforced in [json_results]
-   before the artifact is written. *)
-let incr_cold_reps = 5
-let incr_update_reps = 40
-
-(* Resolved-tier updates rebuild the SDG, so each rep is pricier than a
-   patched one — fewer reps keep the bench quick without hurting the
-   per-update average. *)
-let incr_resolved_reps = 20
-
-(* Constant tweaks inside three distinct javac scanner predicates; the
-   [;]-suffixed needles are unique in [Prog_javac.base]. *)
-let incr_edits =
-  [ ("c == 9;", "c == 10;");   (* Scanner.isSpace *)
-    ("c <= 57;", "c <= 56;");  (* Scanner.isDigit *)
-    ("c == 95;", "c == 94;") ] (* Scanner.isNameChar *)
-
-let replace_sub ~(sub : string) ~(by : string) (s : string) : string =
-  let ls = String.length s and lsub = String.length sub in
-  let rec find i =
-    if i + lsub > ls then None
-    else if String.sub s i lsub = sub then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> failwith (Printf.sprintf "serve_incr: edit needle %S not found" sub)
-  | Some i -> String.sub s 0 i ^ by ^ String.sub s (i + lsub) (ls - i - lsub)
-
-let bench_serve_incr () : Slice_obs.Json.t =
-  let open Slice_obs.Json in
-  let name = "javac" in
-  let src = Prog_javac.base in
-  let file = name ^ ".tj" in
-  (* seed: the median countable line, like the serve_ab probe *)
-  let line =
-    let a = Engine.of_source ~file src in
-    let g = a.Engine.sdg in
-    let ls = ref [] in
-    for n = 0 to Sdg.num_nodes g - 1 do
-      if Sdg.node_countable g n then
-        ls := (Sdg.node_loc g n).Slice_ir.Loc.line :: !ls
-    done;
-    let sorted = Array.of_list (List.sort_uniq compare !ls) in
-    sorted.(Array.length sorted / 2)
-  in
-  let apply n s =
-    List.fold_left
-      (fun acc (sub, by) -> replace_sub ~sub ~by acc)
-      s
-      (List.filteri (fun i _ -> i < n) incr_edits)
-  in
-  let src1 = apply 1 src in
-  (* cold: from-scratch loads of the edited source *)
-  let () = Gc.full_major () in
-  let _, cold_wall =
-    time (fun () ->
-        for _ = 1 to incr_cold_reps do
-          ignore (Engine.load [ (file, src1) ])
-        done)
-  in
-  (* incremental: ONE resident handle absorbing an alternating stream of
-     one-method edits; every update must stay on the Patched path *)
-  let h = ref (Engine.load [ (file, src) ]) in
-  let all_patched = ref true in
-  let relowered_one = ref true in
-  let segments_partial = ref true in
-  let last_report = ref None in
-  let () = Gc.full_major () in
-  let _, incr_wall =
-    time (fun () ->
-        for i = 1 to incr_update_reps do
-          let target = if i land 1 = 1 then src1 else src in
-          let h', rep = Engine.update !h [ (file, target) ] in
-          h := h';
-          last_report := Some rep;
-          if rep.Engine.up_path <> Engine.Patched then all_patched := false;
-          if rep.Engine.up_relowered <> 1 then relowered_one := false;
-          if rep.Engine.up_segments_refrozen >= rep.Engine.up_segments_total
-          then segments_partial := false
-        done)
-  in
-  (* parity: after the whole edit stream, the patched handle must answer
-     exactly like a fresh load of the same source *)
-  let final_src = if incr_update_reps land 1 = 1 then src1 else src in
-  let fresh = Engine.load [ (file, final_src) ] in
-  let ia = !h.Engine.h_analysis and fa = fresh.Engine.h_analysis in
-  let parity_slices =
-    List.for_all
-      (fun mode ->
-        Engine.slice_from_line ia ~line mode
-        = Engine.slice_from_line fa ~line mode)
-      [ Slicer.Thin; Slicer.Traditional_full ]
-  in
-  let parity_dumps =
-    Engine.pts_dump_canonical ia = Engine.pts_dump_canonical fa
-    && Engine.call_graph_dump_canonical ia = Engine.call_graph_dump_canonical fa
-  in
-  (* proportionality: an N-method edit re-lowers exactly N bodies *)
-  let prop =
-    List.mapi
-      (fun i _ ->
-        let n = i + 1 in
-        let h0 = Engine.load [ (file, src) ] in
-        let _, rep = Engine.update h0 [ (file, apply n src) ] in
-        (n, rep))
-      incr_edits
-  in
-  let prop_ok =
-    List.for_all
-      (fun (n, rep) ->
-        rep.Engine.up_path = Engine.Patched
-        && rep.Engine.up_relowered = n
-        && rep.Engine.up_segments_refrozen < rep.Engine.up_segments_total)
-      prop
-    &&
-    let rs = List.map (fun (_, r) -> r.Engine.up_segments_refrozen) prop in
-    List.sort compare rs = rs
-  in
-  (* resolved-tier A/B: a summary-MOVING one-method edit — the ExprToken
-     constructor gains a duplicated field store, so its constraint
-     summary changes and the Patched path is off the table — against a
-     from-scratch load of the same source.  The affected cone is the
-     token's own nodes, far under the delta solver's limits, so every
-     update must land on Resolved_incremental: this is the A/B for
-     [Andersen.resolve_delta] itself. *)
-  let src_moved =
-    replace_sub ~sub:"this.image = img;"
-      ~by:"this.image = img; this.image = img;" src
-  in
-  let () = Gc.full_major () in
-  let _, rcold_wall =
-    time (fun () ->
-        for _ = 1 to incr_cold_reps do
-          ignore (Engine.load [ (file, src_moved) ])
-        done)
-  in
-  let rh = ref (Engine.load [ (file, src) ]) in
-  let all_incr = ref true in
-  let () = Gc.full_major () in
-  let _, rincr_wall =
-    time (fun () ->
-        for i = 1 to incr_resolved_reps do
-          let target = if i land 1 = 1 then src_moved else src in
-          let h', rep = Engine.update !rh [ (file, target) ] in
-          rh := h';
-          if rep.Engine.up_path <> Engine.Resolved_incremental then
-            all_incr := false
-        done)
-  in
-  let rfinal = if incr_resolved_reps land 1 = 1 then src_moved else src in
-  let rfresh = Engine.load [ (file, rfinal) ] in
-  let ria = !rh.Engine.h_analysis and rfa = rfresh.Engine.h_analysis in
-  let rparity =
-    Engine.pts_dump_canonical ria = Engine.pts_dump_canonical rfa
-    && Engine.call_graph_dump_canonical ria
-       = Engine.call_graph_dump_canonical rfa
-  in
-  let rper_cold = rcold_wall /. float_of_int incr_cold_reps in
-  let rper_update = rincr_wall /. float_of_int incr_resolved_reps in
-  let rspeedup = if rper_update > 0. then rper_cold /. rper_update else 0. in
-  let per_cold = cold_wall /. float_of_int incr_cold_reps in
-  let per_update = incr_wall /. float_of_int incr_update_reps in
-  let speedup = if per_update > 0. then per_cold /. per_update else 0. in
-  let seg_refrozen, seg_total =
-    match !last_report with
-    | Some r -> (r.Engine.up_segments_refrozen, r.Engine.up_segments_total)
-    | None -> (0, 0)
-  in
-  let parity = parity_slices && parity_dumps in
-  (* greppable one-liner, same spirit as the fuzz summary *)
-  Printf.printf
-    "serve_incr: program=%s path=%s relowered=%s segments_refrozen=%d/%d \
-     parity=%d speedup=%.1f\n"
-    name
-    (if !all_patched then "patched" else "MIXED")
-    (if !relowered_one then "1" else "?")
-    seg_refrozen seg_total
-    (if parity then 1 else 0)
-    speedup;
-  Printf.printf
-    "serve_incr_resolved: program=%s path=%s parity=%d speedup=%.1f\n" name
-    (if !all_incr then "resolved-incremental" else "MIXED")
-    (if rparity then 1 else 0)
-    rspeedup;
-  Obj
-    [ ("name", Str name);
-      ("line", Int line);
-      ("reps_cold", Int incr_cold_reps);
-      ("reps_update", Int incr_update_reps);
-      ("wall_s_cold_per_load", Float per_cold);
-      ("wall_s_per_update", Float per_update);
-      ("speedup", Float speedup);
-      ("path_all_patched", Bool !all_patched);
-      ("relowered_one", Bool !relowered_one);
-      ("segments_refrozen", Int seg_refrozen);
-      ("segments_total", Int seg_total);
-      ("segments_partial", Bool !segments_partial);
-      ("proportional",
-       List
-         (List.map
-            (fun (n, r) ->
-              Obj
-                [ ("methods_edited", Int n);
-                  ("path", Str (Engine.update_path_to_string r.Engine.up_path));
-                  ("relowered", Int r.Engine.up_relowered);
-                  ("segments_refrozen", Int r.Engine.up_segments_refrozen);
-                  ("segments_total", Int r.Engine.up_segments_total) ])
-            prop));
-      ("proportional_ok", Bool prop_ok);
-      ("parity_slices", Bool parity_slices);
-      ("parity_dumps", Bool parity_dumps);
-      ("parity", Bool parity);
-      ("resolved_reps_update", Int incr_resolved_reps);
-      ("resolved_wall_s_cold_per_load", Float rper_cold);
-      ("resolved_wall_s_per_update", Float rper_update);
-      ("resolved_speedup", Float rspeedup);
-      ("resolved_all_incremental", Bool !all_incr);
-      ("resolved_parity", Bool rparity) ]
-
-(* ------------------------------------------------------------------ *)
 (* Record IR bytes, for the pipeline-huge memory block                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -896,7 +537,7 @@ let record_ir_bytes (p : Slice_ir.Program.t) : int =
 
 (* Synthesized mega-workloads ([Gen_tj.generate_scaled]) through the
    whole pipeline with per-phase walls: gen -> front -> arena -> pta ->
-   SDG -> batch slice, plus a [Slicer.Reference] parity sample, a
+   SDG -> batch slice, plus a reference-walk parity sample, a
    dynamic-oracle sample with a raised trace budget, and the process
    peak heap.  Every parity bit and the statement-count calibration are
    self-checked before the artifact is written; stdout mirrors the
@@ -985,7 +626,7 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
               in
               let oracle =
                 List.sort compare
-                  (Slicer.Reference.slice a.Engine.sdg ~seeds Slicer.Thin)
+                  (Slice_oracle.Reference_walk.slice a.Engine.sdg ~seeds Slicer.Thin)
               in
               fast = oracle)
             ref_sample)
@@ -1147,77 +788,13 @@ let json_results ?(out = "BENCH_results.json") () =
     List.map (fun (name, src) -> bench_entry name src) (suite_programs ())
   in
   let tasks = List.map bench_task (Sir_suite.tasks @ Casts_suite.tasks) in
-  let serve_ab = bench_serve_ab () in
-  (* self-check: the serve cache must actually serve — hot >= 10x cold
-     queries/sec, byte parity with the one-shot path under both
-     solvers, and zero re-analysis on every hot response *)
-  (match member "speedup" serve_ab with
-  | Some (Float f) when Float.is_finite f && f >= 10. -> ()
-  | Some (Float f) ->
-    Printf.eprintf "serve_ab: hot/cold speedup %.2f below the 10x floor\n" f;
-    exit 1
-  | _ ->
-    Printf.eprintf "serve_ab: speedup missing or not finite\n";
-    exit 1);
-  (match member "parity" serve_ab with
-  | Some (Bool true) -> ()
-  | _ ->
-    Printf.eprintf "serve_ab: serve vs one-shot parity failed\n";
-    exit 1);
-  (match member "hot_zero_reanalysis" serve_ab with
-  | Some (Bool true) -> ()
-  | _ ->
-    Printf.eprintf "serve_ab: a hot response re-ran an analysis phase\n";
-    exit 1);
-  let serve_incr = bench_serve_incr () in
-  (* self-check: incremental re-analysis must actually be incremental —
-     every one-method edit stays on the Patched path re-lowering exactly
-     one body and re-freezing a strict subset of the SDG segments, an
-     N-method edit re-lowers exactly N, the patched handle answers like
-     a fresh load, and an update beats a from-scratch load >= 5x *)
-  (match member "speedup" serve_incr with
-  | Some (Float f) when Float.is_finite f && f >= 5. -> ()
-  | Some (Float f) ->
-    Printf.eprintf "serve_incr: update/load speedup %.2f below the 5x floor\n"
-      f;
-    exit 1
-  | _ ->
-    Printf.eprintf "serve_incr: speedup missing or not finite\n";
-    exit 1);
-  List.iter
-    (fun k ->
-      match member k serve_incr with
-      | Some (Bool true) -> ()
-      | _ ->
-        Printf.eprintf "serve_incr: %s self-check failed\n" k;
-        exit 1)
-    [ "path_all_patched"; "relowered_one"; "segments_partial";
-      "proportional_ok"; "parity"; "resolved_all_incremental";
-      "resolved_parity" ];
-  (* the resolved tier still rebuilds arena + SDG, so its floor is well
-     under the patched path's 5x — but an incremental re-solve that is
-     not even 1.5x a cold load means the delta solver stopped saving
-     the frontend + solve bulk *)
-  (match member "resolved_speedup" serve_incr with
-  | Some (Float f) when Float.is_finite f && f >= 1.5 -> ()
-  | Some (Float f) ->
-    Printf.eprintf
-      "serve_incr: resolved-tier update/load speedup %.2f below the 1.5x \
-       floor\n"
-      f;
-    exit 1
-  | _ ->
-    Printf.eprintf "serve_incr: resolved_speedup missing or not finite\n";
-    exit 1);
   let doc =
     Obj
       [ ("schema", Str bench_schema_version);
         ("meta", meta_json ());
         ("generated_at_unix_s", Float (Unix.gettimeofday ()));
         ("benchmarks", List benchmarks);
-        ("slice_size_tables", List tasks);
-        ("serve_ab", serve_ab);
-        ("serve_incr", serve_incr) ]
+        ("slice_size_tables", List tasks) ]
   in
   let text = to_string doc ^ "\n" in
   let oc = open_out out in

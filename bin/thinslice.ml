@@ -40,12 +40,12 @@ let read_file_exn (path : string) : string =
 (* Every query subcommand loads a resident handle and dispatches through
    [Engine.run_query] — the code path the serve daemon runs, so one-shot
    [--json] output and serve results are equal by construction. *)
-let load_handle ?(solver = `Bitset) ~obj_sens path =
+let load_handle ~obj_sens path =
   let src = read_file_exn path in
-  Engine.load ~obj_sens ~solver [ (Filename.basename path, src) ]
+  Engine.load ~obj_sens [ (Filename.basename path, src) ]
 
-let load_analysis ?solver ~obj_sens path =
-  (load_handle ?solver ~obj_sens path).Engine.h_analysis
+let load_analysis ~obj_sens path =
+  (load_handle ~obj_sens path).Engine.h_analysis
 
 (* ---- telemetry plumbing ---- *)
 
@@ -157,29 +157,6 @@ let mode_arg =
     & info [ "mode"; "m" ] ~docv:"MODE"
         ~doc:"Slicing mode: thin, trad, full, or alias:K")
 
-let pta_conv =
-  let parse = function
-    | "bitset" -> Ok `Bitset
-    | "reference" | "ref" -> Ok `Reference
-    | s -> Error (`Msg (Printf.sprintf "unknown solver %s" s))
-  in
-  let print ppf s =
-    Format.pp_print_string ppf
-      (match s with `Bitset -> "bitset" | `Reference -> "reference")
-  in
-  Arg.conv (parse, print)
-
-let pta_arg =
-  Arg.(
-    value
-    & opt pta_conv `Bitset
-    & info [ "pta" ] ~docv:"SOLVER"
-        ~doc:
-          "Points-to solver: bitset (the cycle-collapsing worklist solver, \
-           default) or reference (the original list/tree oracle).  Results \
-           are identical; reference exists for parity checks and A/B \
-           benchmarks.")
-
 (* Print a clean `Msg-style error and exit, like [read_file_exn]. *)
 let cli_error fmt =
   Printf.ksprintf
@@ -277,10 +254,10 @@ let print_query_json h q =
        (Engine.query_result_to_json h q (Engine.run_query h q)))
 
 let slice_cmd =
-  let run file line mode no_objsens forward solver json tel =
+  let run file line mode no_objsens forward json tel =
     handle_errors (fun () ->
         setup_telemetry tel;
-        let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
+        let h = load_handle ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
         let q = Engine.Q_slice { line; mode; forward } in
         (if json then print_query_json h q
@@ -297,7 +274,7 @@ let slice_cmd =
   Cmd.v (Cmd.info "slice" ~doc:"Compute a slice from a seed line")
     Term.(
       const run $ file_arg $ line_arg $ mode_arg $ objsens_arg $ forward_arg
-      $ pta_arg $ json_arg $ telemetry_term)
+      $ json_arg $ telemetry_term)
 
 (* ---- batch: many seeds, one graph ---- *)
 
@@ -309,10 +286,10 @@ let batch_cmd =
       & info [ "line"; "l" ] ~docv:"N"
           ~doc:"Seed line number (repeatable; one slice per occurrence)")
   in
-  let run file lines mode no_objsens forward solver tel =
+  let run file lines mode no_objsens forward tel =
     handle_errors (fun () ->
         setup_telemetry tel;
-        let a = load_analysis ~solver ~obj_sens:(not no_objsens) file in
+        let a = load_analysis ~obj_sens:(not no_objsens) file in
         let results = Engine.slice_batch ~forward a ~lines mode in
         let src = read_file_exn file in
         List.iter
@@ -331,7 +308,7 @@ let batch_cmd =
           and all walks share scratch buffers")
     Term.(
       const run $ file_arg $ lines_arg $ mode_arg $ objsens_arg $ forward_arg
-      $ pta_arg $ telemetry_term)
+      $ telemetry_term)
 
 let chop_cmd =
   let to_arg =
@@ -340,10 +317,10 @@ let chop_cmd =
       & opt (some int) None
       & info [ "to" ] ~docv:"N" ~doc:"Sink line number")
   in
-  let run file line sink_line mode no_objsens solver json tel =
+  let run file line sink_line mode no_objsens json tel =
     handle_errors (fun () ->
         setup_telemetry tel;
-        let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
+        let h = load_handle ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
         let q = Engine.Q_chop { line; sink_line; mode } in
         (if json then print_query_json h q
@@ -361,15 +338,15 @@ let chop_cmd =
     (Cmd.info "chop" ~doc:"Statements on value paths between two lines")
     Term.(
       const run $ file_arg $ line_arg $ to_arg $ mode_arg $ objsens_arg
-      $ pta_arg $ json_arg $ telemetry_term)
+      $ json_arg $ telemetry_term)
 
 (* ---- expand: aliasing explanations around the seed ---- *)
 
 let expand_cmd =
-  let run file line no_objsens solver json tel =
+  let run file line no_objsens json tel =
     handle_errors (fun () ->
         setup_telemetry tel;
-        let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
+        let h = load_handle ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
         let g = a.Engine.sdg in
         let q = Engine.Q_expand { line } in
@@ -406,7 +383,7 @@ let expand_cmd =
   Cmd.v
     (Cmd.info "expand" ~doc:"Explain heap aliasing behind a thin slice")
     Term.(
-      const run $ file_arg $ line_arg $ objsens_arg $ pta_arg $ json_arg
+      const run $ file_arg $ line_arg $ objsens_arg $ json_arg
       $ telemetry_term)
 
 (* ---- explain / report: provenance queries ---- *)
@@ -441,13 +418,13 @@ let explain_cmd =
              witness path highlighted (red/bold overlay on the usual DOT \
              export).")
   in
-  let run file line seed mode no_objsens solver json dot tel =
+  let run file line seed mode no_objsens json dot tel =
     (* exit 2 on HARD errors: exit 1 is reserved for the non-member
        answer below, so scripts can tell "not in the slice" from "the
        query itself failed" *)
     handle_errors_exit2 (fun () ->
         setup_telemetry tel;
-        let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
+        let h = load_handle ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
         let q = Engine.Q_explain { seed_line = seed; line; mode } in
         match Engine.run_query h q with
@@ -514,13 +491,13 @@ let explain_cmd =
           edge kinds (and aliasing budgets in alias:K mode)")
     Term.(
       const run $ file_arg $ target_arg $ seed_arg $ mode_arg $ objsens_arg
-      $ pta_arg $ json_arg $ dot_arg $ telemetry_term)
+      $ json_arg $ dot_arg $ telemetry_term)
 
 let report_cmd =
-  let run file line mode no_objsens solver json tel =
+  let run file line mode no_objsens json tel =
     handle_errors (fun () ->
         setup_telemetry tel;
-        let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
+        let h = load_handle ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
         let q = Engine.Q_report { line; mode } in
         let r =
@@ -570,7 +547,7 @@ let report_cmd =
           explainers / control explainers, ranked by BFS distance from the \
           seed (the paper's inspection metric)")
     Term.(
-      const run $ file_arg $ line_arg $ mode_arg $ objsens_arg $ pta_arg
+      const run $ file_arg $ line_arg $ mode_arg $ objsens_arg
       $ json_arg $ telemetry_term)
 
 (* ---- casts ---- *)
@@ -598,10 +575,10 @@ let casts_cmd =
 (* ---- stats ---- *)
 
 let stats_cmd =
-  let run file no_objsens solver json tel =
+  let run file no_objsens json tel =
     handle_errors (fun () ->
         setup_telemetry tel;
-        let h = load_handle ~solver ~obj_sens:(not no_objsens) file in
+        let h = load_handle ~obj_sens:(not no_objsens) file in
         let a = h.Engine.h_analysis in
         if json then print_query_json h Engine.Q_stats
         else begin
@@ -622,7 +599,7 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Print program and analysis statistics")
-    Term.(const run $ file_arg $ objsens_arg $ pta_arg $ json_arg $ telemetry_term)
+    Term.(const run $ file_arg $ objsens_arg $ json_arg $ telemetry_term)
 
 (* ---- run ---- *)
 
@@ -844,7 +821,7 @@ let fuzz_cmd =
        ~doc:
          "Differential fuzzing: generate random TJ programs and run the \
           oracle battery (dynamic-slice soundness, static mode chain, \
-          CSR/reference and bitset/reference parity, \
+          CSR/reference walk and bitset/reference points-to parity, \
           object-sensitivity containment, and with --edits the \
           incremental-vs-fresh equivalence chain) on each; violations are \
           shrunk and written as replayable JSON repros")
@@ -891,7 +868,7 @@ let serve_cmd =
       & info [ "max-programs" ] ~docv:"N"
           ~doc:
             "Keep at most $(docv) analyzed programs resident (LRU keyed \
-             by source digest x sensitivity x solver).  Evicting releases \
+             by source digest x sensitivity).  Evicting releases \
              the walk-scratch memory down to the largest surviving \
              program.")
   in
@@ -936,7 +913,7 @@ let watch_cmd =
             "Exit (code 0) after applying $(docv) content changes; \
              default is to watch until killed.")
   in
-  let run file line mode no_objsens solver interval max_updates tel =
+  let run file line mode no_objsens interval max_updates tel =
     handle_errors (fun () ->
         setup_telemetry tel;
         if interval <= 0 then cli_error "--interval-ms expects MS > 0";
@@ -968,7 +945,7 @@ let watch_cmd =
         in
         let t0 = Unix.gettimeofday () in
         let src0 = read_file_exn file in
-        let h = ref (Engine.load ~obj_sens:(not no_objsens) ~solver [ (base, src0) ]) in
+        let h = ref (Engine.load ~obj_sens:(not no_objsens) [ (base, src0) ]) in
         slice_event !h
           [ ("event", Str "load"); ("file", Str file); ("line", Int line);
             ("mode", Str (Slicer.mode_to_string mode)) ]
@@ -1025,7 +1002,7 @@ let watch_cmd =
           (noop/patched/resolved-incremental/resolved-fresh/rebuilt), \
           its delta statistics, and the fresh slice lines")
     Term.(
-      const run $ file_arg $ line_arg $ mode_arg $ objsens_arg $ pta_arg
+      const run $ file_arg $ line_arg $ mode_arg $ objsens_arg
       $ interval_arg $ max_updates_arg $ telemetry_term)
 
 let () =

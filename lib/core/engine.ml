@@ -39,36 +39,23 @@ let analyze_with_pta ~(obj_sens : bool)
   in
   { program; pta; sdg; arena; obj_sens }
 
-let analyze ?(obj_sens = true) ?(solver = `Bitset)
-    (program : Program.t) : analysis =
+let analyze ?(obj_sens = true) (program : Program.t) : analysis =
   let opts =
     if obj_sens then Andersen.default_opts else Andersen.no_obj_sens_opts
   in
-  let pta =
-    match solver with
-    | `Bitset -> Andersen.analyze ~opts program
-    | `Reference ->
-      (* [Andersen.Reference] is telemetry-free by design (it is the
-         byte-comparable oracle), so the pipeline spans are recorded
-         here instead; the result is lifted into the main
-         representation so everything downstream is unchanged. *)
-      Slice_obs.span "pta" (fun () ->
-          Slice_obs.span "pta.solve" (fun () ->
-              Andersen.of_reference (Andersen.Reference.analyze ~opts program)))
-  in
-  analyze_with_pta ~obj_sens pta program
+  analyze_with_pta ~obj_sens (Andersen.analyze ~opts program) program
 
-let of_source ?container_classes ?obj_sens ?solver ~(file : string)
+let of_source ?container_classes ?obj_sens ~(file : string)
     (src : string) : analysis =
-  analyze ?obj_sens ?solver
+  analyze ?obj_sens
     (Slice_front.Frontend.load_exn ?container_classes ~file src)
 
 (* Multi-file variant: the units are loaded as one program (see
    [Frontend.load_many_exn]) so slices can span files while every
    location keeps the file it came from. *)
-let of_sources ?container_classes ?obj_sens ?solver
+let of_sources ?container_classes ?obj_sens
     (units : (string * string) list) : analysis =
-  analyze ?obj_sens ?solver
+  analyze ?obj_sens
     (Slice_front.Frontend.load_many_exn ?container_classes units)
 
 (* Seed selection: all SDG nodes for statements on a source line.  When the
@@ -635,20 +622,20 @@ type handle = {
   h_sources : (string * string) list;
   h_container_classes : string list option;
   h_obj_sens : bool;
-  h_solver : [ `Bitset | `Reference ];
+  h_solver : [ `Bitset ];  (* read by nothing; see engine.mli *)
 }
 
-let load ?container_classes ?(obj_sens = true) ?(solver = `Bitset)
+let load ?container_classes ?(obj_sens = true)
     (units : (string * string) list) : handle =
   let h, snap =
     Slice_obs.scoped (fun () ->
-        let a = of_sources ?container_classes ~obj_sens ~solver units in
+        let a = of_sources ?container_classes ~obj_sens units in
         { h_analysis = a;
           h_stats = stats_of a;
           h_sources = units;
           h_container_classes = container_classes;
           h_obj_sens = obj_sens;
-          h_solver = solver })
+          h_solver = `Bitset })
   in
   ignore snap;
   h
@@ -668,10 +655,10 @@ let load ?container_classes ?(obj_sens = true) ?(solver = `Bitset)
      rederive over the affected cone ([Andersen.resolve_delta]); arena
      and SDG rebuilt over the patched solution — frontend AND the
      unaffected part of the solve skipped;
-   - [Resolved_fresh]: summary moved and the incremental re-solve was
-     unavailable (reference solver) or declined (cone too large a
-     fraction of the node universe): fresh points-to solve and SDG
-     over the mutated program — frontend still skipped;
+   - [Resolved_fresh]: summary moved and the incremental re-solve
+     declined (cone too large a fraction of the node universe): fresh
+     points-to solve and SDG over the mutated program — frontend still
+     skipped;
    - [Rebuilt]: full reload from the new sources (structural edit);
    - [Rebuilt_fallback]: the same reload after an incremental tier
      raised part-way, carrying the exception's text.
@@ -721,7 +708,7 @@ let update (h : handle) (new_sources : (string * string) list) :
         Slice_obs.add_span_arg "path" "rebuilt";
         let h' =
           load ?container_classes:h.h_container_classes ~obj_sens:h.h_obj_sens
-            ~solver:h.h_solver new_sources
+            new_sources
         in
         let total = Andersen.num_call_graph_nodes h'.h_analysis.pta in
         ( h',
@@ -740,7 +727,7 @@ let update (h : handle) (new_sources : (string * string) list) :
       (* Shared tail of the two resolved tiers: fresh points-to solve
          and SDG over the (already mutated) program. *)
       let resolved_fresh (a : analysis) (p : Program.t) ~(n_changed : int) =
-        let a' = analyze ~obj_sens:a.obj_sens ~solver:h.h_solver p in
+        let a' = analyze ~obj_sens:a.obj_sens p in
         Slice_obs.bump c_update_resolved_fresh;
         Slice_obs.add_span_arg "path" "resolved-fresh";
         let total = Andersen.num_call_graph_nodes a'.pta in
@@ -755,39 +742,35 @@ let update (h : handle) (new_sources : (string * string) list) :
             up_nodes_dead = 0;
             up_nodes_new = 0 } )
       in
-      (* Bitset results carry constraint provenance: retract exactly the
-         affected methods and re-solve the cone in place
+      (* Points-to results carry constraint provenance: retract exactly
+         the affected methods and re-solve the cone in place
          ([Andersen.resolve_delta]), rebuilding only the derived layers.
-         Falls back to a fresh solve when the solver has no provenance
-         (reference handles) or declines the cone as too large. *)
+         Falls back to a fresh solve when the solver declines the cone
+         as too large. *)
       let resolve_or_fresh (a : analysis) (p : Program.t)
           ~(retracted : Instr.method_qname list)
           ~(added : Instr.method_qname list) ~(n_changed : int) =
-        match h.h_solver with
-        | `Reference -> resolved_fresh a p ~n_changed
-        | `Bitset -> (
-          match Andersen.resolve_delta a.pta ~retracted ~added with
-          | Error (`Cone_too_big | `No_provenance) ->
-            resolved_fresh a p ~n_changed
-          | Ok ds ->
-            let a' = analyze_with_pta ~obj_sens:a.obj_sens a.pta p in
-            Slice_obs.bump c_update_resolved_incr;
-            Slice_obs.add_span_arg "path" "resolved-incremental";
-            Slice_obs.add_span_arg "cone_nodes"
-              (string_of_int ds.Andersen.ds_cone_nodes);
-            Slice_obs.add_span_arg "retracted_mctxs"
-              (string_of_int ds.Andersen.ds_retracted_mctxs);
-            let total = Andersen.num_call_graph_nodes a'.pta in
-            ( { h with
-                h_analysis = a';
-                h_sources = new_sources;
-                h_stats = stats_of ~obs:(edge_census_snapshot a'.sdg) a' },
-              { up_path = Resolved_incremental;
-                up_relowered = n_changed;
-                up_segments_refrozen = total;
-                up_segments_total = total;
-                up_nodes_dead = 0;
-                up_nodes_new = 0 } ))
+        match Andersen.resolve_delta a.pta ~retracted ~added with
+        | Error `Cone_too_big -> resolved_fresh a p ~n_changed
+        | Ok ds ->
+          let a' = analyze_with_pta ~obj_sens:a.obj_sens a.pta p in
+          Slice_obs.bump c_update_resolved_incr;
+          Slice_obs.add_span_arg "path" "resolved-incremental";
+          Slice_obs.add_span_arg "cone_nodes"
+            (string_of_int ds.Andersen.ds_cone_nodes);
+          Slice_obs.add_span_arg "retracted_mctxs"
+            (string_of_int ds.Andersen.ds_retracted_mctxs);
+          let total = Andersen.num_call_graph_nodes a'.pta in
+          ( { h with
+              h_analysis = a';
+              h_sources = new_sources;
+              h_stats = stats_of ~obs:(edge_census_snapshot a'.sdg) a' },
+            { up_path = Resolved_incremental;
+              up_relowered = n_changed;
+              up_segments_refrozen = total;
+              up_segments_total = total;
+              up_nodes_dead = 0;
+              up_nodes_new = 0 } )
       in
       match Slice_front.Delta.diff ~old_sources:h.h_sources ~new_sources with
       | Slice_front.Delta.Same ->

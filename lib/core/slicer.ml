@@ -29,9 +29,9 @@
    The line projection reads the graph's dense location columns and
    dedups on their line keys with a byte stamp allocated per call (one
    byte per source line), so after the seed lookup nothing in a query
-   hashes or visits per graph node.  The seed implementation (Hashtbl + Queue + sort over
-   adjacency lists) is kept verbatim in [Reference] for parity tests and
-   A/B benchmarks. *)
+   hashes or visits per graph node.  The seed implementation (Hashtbl +
+   Queue + sort over adjacency lists) is kept as a test oracle,
+   [Slice_oracle.Reference_walk]. *)
 
 type mode =
   | Thin
@@ -96,13 +96,14 @@ let edge_policy (mode : mode) (kind : Sdg.edge_kind) : [ `Follow | `Costly | `Sk
     -> `Follow
 
 (* Budgets are stored in a byte each by the CSR walk; [initial_budget]
-   saturates at [max_aliasing_budget] for EVERY implementation (CSR,
-   [Reference], the BFS inspection metric) — the clamp lives here, in one
-   place, precisely so the walks cannot disagree at the boundary (the old
-   code clamped only inside the CSR walk, so [Thin_with_aliasing 255]
-   meant 255 to [Reference] but 254 to the CSR walk).  Indistinguishable
-   in practice: exceeding it would need a producer-free path crossing
-   more than 254 base-pointer/index edges. *)
+   saturates at [max_aliasing_budget] for EVERY implementation (CSR, the
+   reference walk oracle, the BFS inspection metric) — the clamp lives
+   here, in one place, precisely so the walks cannot disagree at the
+   boundary (the old code clamped only inside the CSR walk, so
+   [Thin_with_aliasing 255] meant 255 to the reference walk but 254 to
+   the CSR walk).  Indistinguishable in practice: exceeding it would
+   need a producer-free path crossing more than 254 base-pointer/index
+   edges. *)
 let max_aliasing_budget = 254
 
 let initial_budget = function
@@ -602,46 +603,3 @@ let locs_to_line_numbers (locs : Slice_ir.Loc.t list) : int list =
 let slice_line_numbers (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
     int list =
   locs_to_line_numbers (slice_lines g ~seeds mode)
-
-(* ------------------------------------------------------------------ *)
-(* Reference implementation (the seed algorithm)                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The pre-CSR walk, verbatim: Hashtbl visited/budget table, stdlib
-   Queue with stale-entry re-enqueues, and a polymorphic-compare sort of
-   the result.  Runs over the [Sdg.deps]/[Sdg.uses] list views,
-   allocating a row per visit.  It bumps no telemetry: it exists to pin
-   down the CSR walk's semantics (parity property tests and the bench's
-   per-mode parity bits). *)
-module Reference = struct
-  let walk (next : Sdg.t -> Sdg.node -> (Sdg.node * Sdg.edge_kind) list)
-      (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : Sdg.node list =
-    let best : (Sdg.node, int) Hashtbl.t = Hashtbl.create 256 in
-    let queue = Queue.create () in
-    let push n budget =
-      match Hashtbl.find_opt best n with
-      | Some b when b >= budget -> ()
-      | Some _ | None ->
-        Hashtbl.replace best n budget;
-        Queue.add (n, budget) queue
-    in
-    List.iter (fun s -> push s (initial_budget mode)) seeds;
-    while not (Queue.is_empty queue) do
-      let n, budget = Queue.pop queue in
-      (* stale entries: a better budget may have been recorded since *)
-      if Hashtbl.find_opt best n = Some budget then
-        List.iter
-          (fun (dep, kind) ->
-            match edge_policy mode kind with
-            | `Follow -> push dep budget
-            | `Costly -> if budget > 0 then push dep (budget - 1)
-            | `Skip -> ())
-          (next g n)
-    done;
-    List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) best [])
-
-  let slice g ~seeds mode = walk Sdg.deps g ~seeds mode
-  let forward_slice g ~seeds mode = walk Sdg.uses g ~seeds mode
-
-  let slice_lines g ~seeds mode = nodes_to_lines g (slice g ~seeds mode)
-end

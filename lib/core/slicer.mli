@@ -33,9 +33,9 @@ val edge_policy : mode -> Sdg.edge_kind -> [ `Follow | `Costly | `Skip ]
 
 (** The saturation point of the aliasing budget: [Thin_with_aliasing k]
     behaves as [min k max_aliasing_budget] in EVERY traversal (CSR walk,
-    {!Reference}, BFS inspection) — the clamp is applied centrally in
-    {!initial_budget} so implementations cannot disagree at the
-    boundary. *)
+    the [Slice_oracle.Reference_walk] oracle, BFS inspection) — the
+    clamp is applied centrally in {!initial_budget} so implementations
+    cannot disagree at the boundary. *)
 val max_aliasing_budget : int
 
 (** Starting budget of a mode, clamped to {!max_aliasing_budget}. *)
@@ -167,14 +167,3 @@ val locs_to_line_numbers : Slice_ir.Loc.t list -> int list
 val slice_lines : Sdg.t -> seeds:Sdg.node list -> mode -> Slice_ir.Loc.t list
 
 val slice_line_numbers : Sdg.t -> seeds:Sdg.node list -> mode -> int list
-
-(** The seed implementation, verbatim: Hashtbl visited/budget table,
-    stdlib [Queue] with duplicate re-enqueues, polymorphic-compare sort,
-    all over the {!Sdg.deps}/{!Sdg.uses} list views.  Bumps no
-    telemetry.  Kept as the semantic oracle for the CSR walk (parity
-    property tests and the bench's per-mode parity bits). *)
-module Reference : sig
-  val slice : Sdg.t -> seeds:Sdg.node list -> mode -> Sdg.node list
-  val forward_slice : Sdg.t -> seeds:Sdg.node list -> mode -> Sdg.node list
-  val slice_lines : Sdg.t -> seeds:Sdg.node list -> mode -> Slice_ir.Loc.t list
-end

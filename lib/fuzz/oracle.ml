@@ -15,10 +15,12 @@
    - the static mode chain is monotone: thin ⊆ thin+alias(k) ⊆
      traditional-data ⊆ traditional-full (edge_policy is pointwise
      monotone in that order);
-   - the CSR walk equals [Slicer.Reference] node-for-node, both
-     directions, every mode;
-   - the bitset solver equals [Andersen.Reference] on the canonical
-     pts/call-graph dumps, and the two analyses slice identically;
+   - the CSR walk equals the reference walk oracle
+     ([Slice_oracle.Reference_walk]) node-for-node, both directions,
+     every mode;
+   - the bitset solver equals the reference solver oracle
+     ([Slice_oracle.Reference_pta]) on the canonical pts and call-graph
+     dumps, which hold every points-to fact the SDG reads;
    - object-sensitive slices (lines) are contained in the
      context-insensitive ones (cloning only refines points-to).
 
@@ -29,6 +31,7 @@ open Slice_front
 open Slice_interp
 open Slice_pta
 open Slice_core
+open Slice_oracle
 
 (* [Dyn_base_as_val] skips the value/base classification when computing
    the dynamic thin slice (base-pointer dependences are followed as if
@@ -190,7 +193,7 @@ let battery ?(fault = No_fault) ~(src : string) ~(seed_lines : int list) () :
       List.iter
         (fun m ->
           let fast = sorted (Slicer.slice sdg ~seeds:seed_nodes m) in
-          let refr = sorted (Slicer.Reference.slice sdg ~seeds:seed_nodes m) in
+          let refr = sorted (Reference_walk.slice sdg ~seeds:seed_nodes m) in
           if fast <> refr then
             viol "csr_vs_reference"
               (Printf.sprintf "backward %s: CSR %d nodes, reference %d nodes"
@@ -198,7 +201,7 @@ let battery ?(fault = No_fault) ~(src : string) ~(seed_lines : int list) () :
                  (List.length refr));
           let ffast = sorted (Slicer.forward_slice sdg ~seeds:seed_nodes m) in
           let frefr =
-            sorted (Slicer.Reference.forward_slice sdg ~seeds:seed_nodes m)
+            sorted (Reference_walk.forward_slice sdg ~seeds:seed_nodes m)
           in
           if ffast <> frefr then
             viol "csr_vs_reference"
@@ -296,29 +299,15 @@ let battery ?(fault = No_fault) ~(src : string) ~(seed_lines : int list) () :
         modes
     end;
     (* ---------------- solver parity ---------------- *)
-    let a_ref =
-      Engine.analyze ~solver:`Reference (Frontend.load_exn ~file src)
-    in
+    let r = Reference_pta.analyze program in
     if
       dump_to_string (Andersen.pts_dump a.Engine.pta)
-      <> dump_to_string (Andersen.pts_dump a_ref.Engine.pta)
+      <> dump_to_string (Reference_pta.pts_dump r)
     then viol "solver_parity" "bitset and reference points-to dumps differ";
     if
       dump_to_string (Andersen.call_graph_dump a.Engine.pta)
-      <> dump_to_string (Andersen.call_graph_dump a_ref.Engine.pta)
+      <> dump_to_string (Reference_pta.call_graph_dump r)
     then viol "solver_parity" "bitset and reference call-graph dumps differ";
-    List.iter
-      (fun l ->
-        List.iter
-          (fun m ->
-            let fast = Engine.slice_from_line a ~line:l m in
-            let refr = Engine.slice_from_line a_ref ~line:l m in
-            if fast <> refr then
-              viol "solver_parity"
-                (Printf.sprintf "slice lines differ at seed line %d (%s)" l
-                   (Slicer.mode_to_string m)))
-          [ Slicer.Thin; Slicer.Traditional_full ])
-      seed_lines;
     (* ---------------- objsens within ci ---------------- *)
     let a_ci =
       Engine.analyze ~obj_sens:false (Frontend.load_exn ~file src)

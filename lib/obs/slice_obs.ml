@@ -204,9 +204,12 @@ let major_words () =
   let _, _, major = Gc.counters () in
   major
 
+(* [Gc.counters]' minor count moves only at minor collections, so it
+   misses whatever the current minor heap holds; [Gc.minor_words] is
+   exact. *)
 let allocated_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let close_span (os : open_span) : unit =
   let tree =

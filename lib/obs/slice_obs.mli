@@ -120,8 +120,9 @@ val span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
     the final slice size. *)
 val add_span_arg : string -> string -> unit
 
-(** Words allocated by this domain so far, from [Gc.counters]: minor plus
-    major minus promoted, so each block counts once wherever it was
+(** Words allocated by this domain so far: minor ([Gc.minor_words],
+    exact to the current allocation) plus major minus promoted (both
+    from [Gc.counters]), so each block counts once wherever it was
     allocated.  Call [Gc.minor ()] before taking the first reading, or
     promotions of blocks allocated earlier are subtracted from the
     difference. *)

@@ -3,23 +3,17 @@
    cloning of container-class methods and their allocations — the analysis
    configuration described in the paper's section 6.1.
 
-   Two solvers share one constraint-generation logic:
+   The solver keeps points-to sets and propagation deltas in growable
+   dense bitsets ([Slice_util.Bits]), accumulates per-node deltas so a
+   node sits on the worklist at most once (entry-unique FIFO int ring,
+   the same shape as [Slicer]'s), and collapses copy cycles online: a
+   union-find over constraint nodes with lazy cycle detection triggered
+   on redundant-propagation hits, so every node of an unfiltered copy
+   cycle shares one pts-set.  All queries go through [find].
 
-   - The main solver (this module's toplevel) keeps points-to sets and
-     propagation deltas in growable dense bitsets ([Slice_util.Bits]),
-     accumulates per-node deltas so a node sits on the worklist at most
-     once (entry-unique FIFO int ring, the same shape as [Slicer]'s),
-     and collapses copy cycles online: a union-find over constraint
-     nodes with lazy cycle detection triggered on redundant-propagation
-     hits, so every node of an unfiltered copy cycle shares one pts-set.
-     All queries go through [find].
-
-   - [Reference] is the original list/tree solver ([Set.Make(Int)]
-     points-to sets, LIFO [(node, delta)] worklist), kept verbatim as a
-     telemetry-free oracle — the same role [Slicer.Reference] plays for
-     the CSR slicer.  [of_reference] converts its result into the main
-     representation so the full pipeline (SDG construction, slicing) can
-     run against it for parity checks and A/B benchmarks. *)
+   The original list/tree solver lives on as a test oracle
+   ([Slice_oracle.Reference_pta]); both render their dumps through
+   [Pta_dump], so parity compares facts, not spellings. *)
 
 open Slice_ir
 module Bits = Slice_util.Bits
@@ -31,8 +25,7 @@ type opts = {
   max_ctx_depth : int;
 }
 
-(* Telemetry: plain int-ref bumps (see Slice_obs); interned once here.
-   Only the main solver bumps these — [Reference] is telemetry-free. *)
+(* Telemetry: plain int-ref bumps (see Slice_obs); interned once here. *)
 let c_worklist_iterations = Slice_obs.counter "pta.worklist_iterations"
 let c_constraints = Slice_obs.counter "pta.constraints_processed"
 let c_diff_prop_hits = Slice_obs.counter "pta.diff_prop_hits"
@@ -49,7 +42,7 @@ let no_obj_sens_opts = { obj_sens_containers = false; max_ctx_depth = 3 }
 (* The array-contents pseudo-field. *)
 let elem_field = "$elem"
 
-type node_desc =
+type node_desc = Pta_dump.node_desc =
   | Nvar of int * Instr.var             (* method-context id, variable *)
   | Nstatic of Types.class_name * Types.field_name
   | Nfield of int * string              (* abstract object id, field *)
@@ -80,563 +73,6 @@ type pv_op =
   | Pload of int * string * int            (* base, field, dst *)
   | Pstore of int * string * int           (* base, field, src *)
   | Pcall of dispatch                      (* any call site, incl. static *)
-
-(* ------------------------------------------------------------------ *)
-(* Canonical keys for cross-solver parity                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Interning ORDER differs between the two solvers (FIFO vs LIFO
-   worklists reach allocation sites in different orders), so raw object
-   / method-context / node ids are not comparable.  Dumps therefore key
-   everything by a canonical string derived from the underlying
-   (site, class, context) / (method, context) identity, which is
-   order-independent. *)
-
-(* [site] renders an allocation/call site id.  Dumps comparing two runs
-   of the SAME program number statements identically and use
-   [string_of_int]; dumps comparing an incrementally patched analysis
-   against a fresh one must key sites by source LOCATION instead,
-   because a re-lowered method's statements carry fresh ids (see
-   [pts_dump_loc]). *)
-let rec obj_key_site ~(site : int -> string) (ctxs : Context.t) (o : int) :
-    string =
-  let oi = Context.obj ctxs o in
-  let cls =
-    match oi.Context.oi_cls with
-    | Context.Aclass c -> "C" ^ c
-    | Context.Aarray ty -> "A" ^ Types.ty_to_string ty
-    | Context.Astring -> "S"
-    | Context.Aextern s -> "X" ^ s
-  in
-  site oi.Context.oi_site ^ ":" ^ cls ^ ctx_key_site ~site ctxs oi.Context.oi_ctx
-
-and ctx_key_site ~site (ctxs : Context.t) (c : Context.ctx) : string =
-  match c with
-  | Context.Cnone -> ""
-  | Context.Crecv o -> "<" ^ obj_key_site ~site ctxs o ^ ">"
-
-
-let mctx_key_str_site ~site ctxs mq c =
-  Instr.method_qname_to_string mq ^ "@" ^ ctx_key_site ~site ctxs c
-
-let mctx_key_str ctxs mq c = mctx_key_str_site ~site:string_of_int ctxs mq c
-
-let node_key_site ~site ctxs
-    (mctx_of : int -> Instr.method_qname * Context.ctx) (d : node_desc) :
-    string =
-  match d with
-  | Nvar (mc, v) ->
-    let mq, c = mctx_of mc in
-    "V:" ^ mctx_key_str_site ~site ctxs mq c ^ ":" ^ string_of_int v
-  | Nstatic (c, f) -> "G:" ^ c ^ "." ^ f
-  | Nfield (o, f) -> "F:" ^ obj_key_site ~site ctxs o ^ "." ^ f
-  | Nret mc ->
-    let mq, c = mctx_of mc in
-    "R:" ^ mctx_key_str_site ~site ctxs mq c
-
-let build_pts_dump_site ~site ~ctxs ~mctx_of ~num_nodes ~desc_of ~objs_of :
-    (string * string list) list =
-  let entries = ref [] in
-  for i = 0 to num_nodes - 1 do
-    let objs = objs_of i in
-    if objs <> [] then
-      entries :=
-        ( node_key_site ~site ctxs mctx_of (desc_of i),
-          List.sort compare (List.map (obj_key_site ~site ctxs) objs) )
-        :: !entries
-  done;
-  List.sort compare !entries
-
-let build_pts_dump ~ctxs ~mctx_of ~num_nodes ~desc_of ~objs_of =
-  build_pts_dump_site ~site:string_of_int ~ctxs ~mctx_of ~num_nodes ~desc_of
-    ~objs_of
-
-(* ------------------------------------------------------------------ *)
-(* Reference solver: the original list/tree implementation, verbatim    *)
-(* (telemetry stripped)                                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Reference = struct
-  type t = {
-    p : Program.t;
-    opts : opts;
-    ctxs : Context.t;
-    (* method contexts *)
-    mutable mctxs : mctx_info array;
-    mutable num_mctxs : int;
-    mctx_intern : (string * Context.ctx, int) Hashtbl.t;
-    mutable processed : bool array;     (* per mctx: constraints generated *)
-    (* nodes *)
-    mutable node_descs : node_desc array;
-    mutable num_nodes : int;
-    node_intern : (node_desc, int) Hashtbl.t;
-    mutable pts : ObjSet.t array;
-    mutable succs : (int * Types.ty option) list array; (* copy edges w/ cast filter *)
-    mutable loads : (string * int) list array;          (* field, dst *)
-    mutable stores : (string * int) list array;         (* field, src *)
-    mutable dispatches : dispatch list array;
-    edge_seen : (int * int, unit) Hashtbl.t;
-    (* call graph: (caller mctx, stmt) -> callee mctxs; and intrinsic targets *)
-    call_edges : (int * Instr.stmt_id, int list ref) Hashtbl.t;
-    intrinsic_edges : (int * Instr.stmt_id, Instr.method_qname list ref) Hashtbl.t;
-    (* dedup for wiring a call site to a callee context *)
-    wired : (int * Instr.stmt_id * int, unit) Hashtbl.t;
-    mutable work : (int * ObjSet.t) list; (* worklist: node, delta *)
-  }
-
-  type result = t
-
-  (* --- interning --- *)
-
-  let mctx_key (mq : Instr.method_qname) (c : Context.ctx) =
-    (Instr.method_qname_to_string mq, c)
-
-  let intern_mctx (t : t) (mq : Instr.method_qname) (c : Context.ctx) : int =
-    let key = mctx_key mq c in
-    match Hashtbl.find_opt t.mctx_intern key with
-    | Some id -> id
-    | None ->
-      let id = t.num_mctxs in
-      if id = Array.length t.mctxs then begin
-        let bigger = Array.make (2 * id) t.mctxs.(0) in
-        Array.blit t.mctxs 0 bigger 0 id;
-        t.mctxs <- bigger;
-        let bigger_p = Array.make (2 * id) false in
-        Array.blit t.processed 0 bigger_p 0 id;
-        t.processed <- bigger_p
-      end;
-      t.mctxs.(id) <- { mi_mq = mq; mi_ctx = c };
-      t.num_mctxs <- id + 1;
-      Hashtbl.replace t.mctx_intern key id;
-      id
-
-  let grow_nodes (t : t) =
-    let n = Array.length t.node_descs in
-    let bigger_d = Array.make (2 * n) t.node_descs.(0) in
-    Array.blit t.node_descs 0 bigger_d 0 n;
-    t.node_descs <- bigger_d;
-    let bigger_pts = Array.make (2 * n) ObjSet.empty in
-    Array.blit t.pts 0 bigger_pts 0 n;
-    t.pts <- bigger_pts;
-    let grow a default =
-      let b = Array.make (2 * n) default in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    t.succs <- grow t.succs [];
-    t.loads <- grow t.loads [];
-    t.stores <- grow t.stores [];
-    t.dispatches <- grow t.dispatches []
-
-  let intern_node (t : t) (d : node_desc) : int =
-    match Hashtbl.find_opt t.node_intern d with
-    | Some id -> id
-    | None ->
-      let id = t.num_nodes in
-      if id = Array.length t.node_descs then grow_nodes t;
-      t.node_descs.(id) <- d;
-      t.num_nodes <- id + 1;
-      Hashtbl.replace t.node_intern d id;
-      id
-
-  (* --- core propagation --- *)
-
-  let obj_passes (t : t) (o : int) (ty : Types.ty) : bool =
-    let oi = Context.obj t.ctxs o in
-    match (oi.Context.oi_cls, ty) with
-    | _, Types.Tclass c when String.equal c Types.object_class -> true
-    | Context.Aclass c, Types.Tclass target ->
-      Program.is_subclass t.p ~sub:c ~sup:target
-    | Context.Astring, Types.Tclass target ->
-      Program.is_subclass t.p ~sub:Types.string_class ~sup:target
-    | Context.Aarray elem, Types.Tarray telem -> (
-      match (elem, telem) with
-      | Types.Tclass sub, Types.Tclass sup -> Program.is_subclass t.p ~sub ~sup
-      | a, b -> Types.equal_ty a b)
-    | Context.Aextern _, _ -> true
-    | (Context.Aclass _ | Context.Astring), Types.Tarray _ -> false
-    | Context.Aarray _, Types.Tclass _ -> false
-    | _, (Types.Tint | Types.Tbool | Types.Tvoid | Types.Tnull) -> false
-
-  let filter_delta (t : t) (filter : Types.ty option) (delta : ObjSet.t) :
-      ObjSet.t =
-    match filter with
-    | None -> delta
-    | Some ty -> ObjSet.filter (fun o -> obj_passes t o ty) delta
-
-  let add_pts (t : t) (n : int) (objs : ObjSet.t) : unit =
-    let fresh = ObjSet.diff objs t.pts.(n) in
-    if not (ObjSet.is_empty fresh) then begin
-      t.pts.(n) <- ObjSet.union t.pts.(n) fresh;
-      t.work <- (n, fresh) :: t.work
-    end
-
-  let add_edge (t : t) ?(filter : Types.ty option) (src : int) (dst : int) :
-      unit =
-    if src <> dst && not (Hashtbl.mem t.edge_seen (src, dst)) then begin
-      Hashtbl.replace t.edge_seen (src, dst) ();
-      t.succs.(src) <- (dst, filter) :: t.succs.(src);
-      let d = filter_delta t filter t.pts.(src) in
-      if not (ObjSet.is_empty d) then add_pts t dst d
-    end
-
-  let add_load (t : t) ~(base : int) ~(field : string) ~(dst : int) : unit =
-    t.loads.(base) <- (field, dst) :: t.loads.(base);
-    ObjSet.iter
-      (fun o -> add_edge t (intern_node t (Nfield (o, field))) dst)
-      t.pts.(base)
-
-  let add_store (t : t) ~(base : int) ~(field : string) ~(src : int) : unit =
-    t.stores.(base) <- (field, src) :: t.stores.(base);
-    ObjSet.iter
-      (fun o -> add_edge t src (intern_node t (Nfield (o, field))))
-      t.pts.(base)
-
-  (* --- method constraint generation --- *)
-
-  let is_ref_var (m : Instr.meth) (v : Instr.var) : bool =
-    Types.is_reference (Instr.var_info m v).Instr.vi_ty
-
-  let heap_ctx (t : t) (mc : int) : Context.ctx = t.mctxs.(mc).mi_ctx
-
-  let alloc (t : t) (mc : int) ~(site : Instr.stmt_id)
-      ~(cls : Context.alloc_class) : int =
-    Context.intern_obj t.ctxs ~site ~cls ~ctx:(heap_ctx t mc)
-
-  let is_container_class (t : t) (c : Types.class_name) : bool =
-    List.exists
-      (fun sup ->
-        match Program.find_class t.p sup with
-        | Some ci -> ci.Program.c_is_container
-        | None -> false)
-      (c :: Program.superclasses t.p c)
-
-  let callee_ctx (t : t) ~(recv_obj : int) : Context.ctx =
-    if not t.opts.obj_sens_containers then Context.Cnone
-    else begin
-      let oi = Context.obj t.ctxs recv_obj in
-      match Context.dispatch_class oi.Context.oi_cls with
-      | Some c when is_container_class t c ->
-        let cand = Context.Crecv recv_obj in
-        if Context.ctx_depth t.ctxs cand > t.opts.max_ctx_depth then
-          Context.Cnone
-        else cand
-      | Some _ | None -> Context.Cnone
-    end
-
-  let record_call_edge (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
-      ~(callee : int) : unit =
-    let key = (caller, stmt) in
-    let cell =
-      match Hashtbl.find_opt t.call_edges key with
-      | Some r -> r
-      | None ->
-        let r = ref [] in
-        Hashtbl.replace t.call_edges key r;
-        r
-    in
-    if not (List.mem callee !cell) then cell := callee :: !cell
-
-  let record_intrinsic_edge (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
-      ~(callee : Instr.method_qname) : unit =
-    let key = (caller, stmt) in
-    let cell =
-      match Hashtbl.find_opt t.intrinsic_edges key with
-      | Some r -> r
-      | None ->
-        let r = ref [] in
-        Hashtbl.replace t.intrinsic_edges key r;
-        r
-    in
-    if not (List.mem callee !cell) then cell := callee :: !cell
-
-  let rec make_reachable (t : t) (mc : int) : unit =
-    if not t.processed.(mc) then begin
-      t.processed.(mc) <- true;
-      let info = t.mctxs.(mc) in
-      let m = Program.find_method_exn t.p info.mi_mq in
-      match m.Instr.m_body with
-      | Instr.Intrinsic _ | Instr.Abstract -> ()
-      | Instr.Body _ ->
-        let var v = intern_node t (Nvar (mc, v)) in
-        Instr.iter_instrs m (fun _ i ->
-            let site = i.Instr.i_id in
-            match i.Instr.i_kind with
-            | Instr.Const (x, Types.Cstr _) when is_ref_var m x ->
-              add_pts t (var x)
-                (ObjSet.singleton (alloc t mc ~site ~cls:Context.Astring))
-            | Instr.Const _ -> ()
-            (* String concatenation produces a fresh string object.  Without
-               this allocation a concat-produced receiver has an empty
-               points-to set, virtual dispatch on it resolves to nothing,
-               and the SDG silently drops the call's argument edges — a
-               soundness hole the fuzzer's dyn-thin-within-static-thin
-               oracle caught. *)
-            | Instr.Binop (x, Types.Concat, _, _) when is_ref_var m x ->
-              add_pts t (var x)
-                (ObjSet.singleton (alloc t mc ~site ~cls:Context.Astring))
-            | Instr.New (x, c) ->
-              add_pts t (var x)
-                (ObjSet.singleton (alloc t mc ~site ~cls:(Context.Aclass c)))
-            | Instr.New_array (x, elem, _) ->
-              add_pts t (var x)
-                (ObjSet.singleton (alloc t mc ~site ~cls:(Context.Aarray elem)))
-            | Instr.Move (x, y) when is_ref_var m x && is_ref_var m y ->
-              add_edge t (var y) (var x)
-            | Instr.Move _ -> ()
-            | Instr.Cast (x, ty, y) when is_ref_var m x && is_ref_var m y ->
-              add_edge t ~filter:ty (var y) (var x)
-            | Instr.Cast _ -> ()
-            | Instr.Phi (x, ins) when is_ref_var m x ->
-              List.iter (fun (_, y) -> add_edge t (var y) (var x)) ins
-            | Instr.Phi _ -> ()
-            | Instr.Load (x, y, f) when is_ref_var m x ->
-              add_load t ~base:(var y) ~field:f ~dst:(var x)
-            | Instr.Load _ -> ()
-            | Instr.Store (x, f, y) when is_ref_var m y ->
-              add_store t ~base:(var x) ~field:f ~src:(var y)
-            | Instr.Store _ -> ()
-            | Instr.Array_load (x, y, _) when is_ref_var m x ->
-              add_load t ~base:(var y) ~field:elem_field ~dst:(var x)
-            | Instr.Array_load _ -> ()
-            | Instr.Array_store (a, _, x) when is_ref_var m x ->
-              add_store t ~base:(var a) ~field:elem_field ~src:(var x)
-            | Instr.Array_store _ -> ()
-            | Instr.Static_load (x, c, f) when is_ref_var m x ->
-              add_edge t (intern_node t (Nstatic (c, f))) (var x)
-            | Instr.Static_load _ -> ()
-            | Instr.Static_store (c, f, y) when is_ref_var m y ->
-              add_edge t (var y) (intern_node t (Nstatic (c, f)))
-            | Instr.Static_store _ -> ()
-            | Instr.Call { lhs; kind; args } -> process_call t mc i lhs kind args
-            | Instr.Binop _ | Instr.Unop _ | Instr.Instance_of _
-            | Instr.Array_length _ | Instr.Nop -> ());
-        Instr.iter_terms m (fun _ term ->
-            match term.Instr.t_kind with
-            | Instr.Return (Some v) when is_ref_var m v ->
-              add_edge t (var v) (intern_node t (Nret mc))
-            | Instr.Return _ | Instr.Goto _ | Instr.If _ | Instr.Throw _ -> ())
-    end
-
-  and process_call (t : t) (mc : int) (i : Instr.instr)
-      (lhs : Instr.var option) (kind : Instr.call_kind)
-      (args : Instr.var list) : unit =
-    let info = t.mctxs.(mc) in
-    let m = Program.find_method_exn t.p info.mi_mq in
-    match kind with
-    | Instr.Static mq ->
-      let callee = Program.find_method_exn t.p mq in
-      wire_call t ~caller:mc ~stmt:i.Instr.i_id ~caller_meth:m ~callee
-        ~callee_ctx:Context.Cnone ~recv_obj:None ~lhs ~args
-    | Instr.Special _ | Instr.Virtual _ -> (
-      (* dispatch (or context selection, for Special) driven by the receiver *)
-      match args with
-      | recv :: _ when is_ref_var m recv ->
-        let d =
-          { d_caller = mc; d_stmt = i.Instr.i_id; d_kind = kind;
-            d_args = args; d_lhs = lhs }
-        in
-        let rnode = intern_node t (Nvar (mc, recv)) in
-        t.dispatches.(rnode) <- d :: t.dispatches.(rnode);
-        ObjSet.iter (fun o -> process_dispatch t d o) t.pts.(rnode)
-      | _ -> ())
-
-  and process_dispatch (t : t) (d : dispatch) (recv_obj : int) : unit =
-    let oi = Context.obj t.ctxs recv_obj in
-    match Context.dispatch_class oi.Context.oi_cls with
-    | None -> ()
-    | Some cls -> (
-      let target =
-        match d.d_kind with
-        | Instr.Virtual name -> Program.dispatch t.p cls name
-        | Instr.Special mq -> Program.find_method t.p mq
-        | Instr.Static _ -> None
-      in
-      match target with
-      | None -> ()
-      | Some callee ->
-        let caller_meth =
-          Program.find_method_exn t.p t.mctxs.(d.d_caller).mi_mq
-        in
-        let cctx = callee_ctx t ~recv_obj in
-        wire_call t ~caller:d.d_caller ~stmt:d.d_stmt ~caller_meth ~callee
-          ~callee_ctx:cctx ~recv_obj:(Some recv_obj) ~lhs:d.d_lhs
-          ~args:d.d_args)
-
-  and wire_call (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
-      ~(caller_meth : Instr.meth) ~(callee : Instr.meth)
-      ~(callee_ctx : Context.ctx) ~(recv_obj : int option)
-      ~(lhs : Instr.var option) ~(args : Instr.var list) : unit =
-    match callee.Instr.m_body with
-    | Instr.Intrinsic intr ->
-      record_intrinsic_edge t ~caller ~stmt ~callee:callee.Instr.m_qname;
-      (match (Instr.intrinsic_allocates intr, lhs) with
-      | Some _cls, Some x when is_ref_var caller_meth x ->
-        let o = alloc t caller ~site:stmt ~cls:Context.Astring in
-        add_pts t (intern_node t (Nvar (caller, x))) (ObjSet.singleton o)
-      | _ -> ())
-    | Instr.Abstract -> ()
-    | Instr.Body _ ->
-      let cmc = intern_mctx t callee.Instr.m_qname callee_ctx in
-      record_call_edge t ~caller ~stmt ~callee:cmc;
-      make_reachable t cmc;
-      (* Receiver: flows as a single object, keeping obj-sensitivity sharp. *)
-      (match (recv_obj, callee.Instr.m_params) with
-      | Some o, this_param :: _ ->
-        add_pts t (intern_node t (Nvar (cmc, this_param))) (ObjSet.singleton o)
-      | _ -> ());
-      let key = (caller, stmt, cmc) in
-      if not (Hashtbl.mem t.wired key) then begin
-        Hashtbl.replace t.wired key ();
-        (* Non-receiver arguments and the return value. *)
-        let params = callee.Instr.m_params in
-        let skip_recv = recv_obj <> None in
-        let rec wire_args ps as_ first =
-          match (ps, as_) with
-          | [], _ | _, [] -> ()
-          | p :: ps', a :: as_' ->
-            if not (first && skip_recv) then begin
-              if is_ref_var callee p && is_ref_var caller_meth a then
-                add_edge t
-                  (intern_node t (Nvar (caller, a)))
-                  (intern_node t (Nvar (cmc, p)))
-            end;
-            wire_args ps' as_' false
-        in
-        wire_args params args true;
-        match lhs with
-        | Some x
-          when is_ref_var caller_meth x
-               && Types.is_reference callee.Instr.m_ret_ty ->
-          add_edge t (intern_node t (Nret cmc))
-            (intern_node t (Nvar (caller, x)))
-        | _ -> ()
-      end
-
-  (* --- solving --- *)
-
-  let solve (t : t) : unit =
-    let rec drain () =
-      match t.work with
-      | [] -> ()
-      | (n, delta) :: rest ->
-        t.work <- rest;
-        List.iter
-          (fun (dst, filter) ->
-            let d = filter_delta t filter delta in
-            if not (ObjSet.is_empty d) then add_pts t dst d)
-          t.succs.(n);
-        List.iter
-          (fun (field, dst) ->
-            ObjSet.iter
-              (fun o -> add_edge t (intern_node t (Nfield (o, field))) dst)
-              delta)
-          t.loads.(n);
-        List.iter
-          (fun (field, src) ->
-            ObjSet.iter
-              (fun o -> add_edge t src (intern_node t (Nfield (o, field))))
-              delta)
-          t.stores.(n);
-        List.iter
-          (fun d -> ObjSet.iter (fun o -> process_dispatch t d o) delta)
-          t.dispatches.(n);
-        drain ()
-    in
-    drain ()
-
-  (* --- entry points --- *)
-
-  let analyze ?(opts = default_opts) (p : Program.t) : result =
-    let t =
-      { p;
-        opts;
-        ctxs = Context.create ();
-        mctxs =
-          Array.make 64
-            { mi_mq = { Instr.mq_class = ""; mq_name = "" };
-              mi_ctx = Context.Cnone };
-        num_mctxs = 0;
-        mctx_intern = Hashtbl.create 64;
-        processed = Array.make 64 false;
-        node_descs = Array.make 256 (Nstatic ("", ""));
-        num_nodes = 0;
-        node_intern = Hashtbl.create 256;
-        pts = Array.make 256 ObjSet.empty;
-        succs = Array.make 256 [];
-        loads = Array.make 256 [];
-        stores = Array.make 256 [];
-        dispatches = Array.make 256 [];
-        edge_seen = Hashtbl.create 1024;
-        call_edges = Hashtbl.create 256;
-        intrinsic_edges = Hashtbl.create 64;
-        wired = Hashtbl.create 256;
-        work = [] }
-    in
-    let entry_mq = Program.entry_method p in
-    (match Program.find_method p entry_mq with
-    | None -> ()
-    | Some main ->
-      let emc = intern_mctx t entry_mq Context.Cnone in
-      make_reachable t emc;
-      (* main's String[] argument: synthetic array of synthetic strings *)
-      (match main.Instr.m_params with
-      | [ pv ] when is_ref_var main pv ->
-        let arr =
-          Context.intern_obj t.ctxs ~site:(-1)
-            ~cls:(Context.Aarray (Types.Tclass Types.string_class))
-            ~ctx:Context.Cnone
-        in
-        let str =
-          Context.intern_obj t.ctxs ~site:(-2) ~cls:Context.Astring
-            ~ctx:Context.Cnone
-        in
-        add_pts t (intern_node t (Nvar (emc, pv))) (ObjSet.singleton arr);
-        add_pts t
-          (intern_node t (Nfield (arr, elem_field)))
-          (ObjSet.singleton str)
-      | _ -> ()));
-    solve t;
-    t
-
-  (* --- queries (the subset parity checks need) --- *)
-
-  let mctx_info (t : result) (mc : int) : Instr.method_qname * Context.ctx =
-    (t.mctxs.(mc).mi_mq, t.mctxs.(mc).mi_ctx)
-
-  let num_objects (t : result) : int = Context.num_objs t.ctxs
-
-  let pts_dump (t : result) : (string * string list) list =
-    build_pts_dump ~ctxs:t.ctxs
-      ~mctx_of:(fun mc -> mctx_info t mc)
-      ~num_nodes:t.num_nodes
-      ~desc_of:(fun i -> t.node_descs.(i))
-      ~objs_of:(fun i -> ObjSet.elements t.pts.(i))
-
-  let call_graph_dump (t : result) : (string * string list) list =
-    let mk caller stmt tag = tag ^ mctx_key_str t.ctxs
-        (fst (mctx_info t caller)) (snd (mctx_info t caller))
-      ^ "#" ^ string_of_int stmt
-    in
-    let entries = ref [] in
-    Hashtbl.iter
-      (fun (caller, stmt) cell ->
-        let callees =
-          List.map
-            (fun cmc ->
-              let mq, c = mctx_info t cmc in
-              mctx_key_str t.ctxs mq c)
-            !cell
-        in
-        entries := (mk caller stmt "C:", List.sort compare callees) :: !entries)
-      t.call_edges;
-    Hashtbl.iter
-      (fun (caller, stmt) cell ->
-        let callees = List.map Instr.method_qname_to_string !cell in
-        entries := (mk caller stmt "I:", List.sort compare callees) :: !entries)
-      t.intrinsic_edges;
-    List.sort compare !entries
-end
 
 (* ------------------------------------------------------------------ *)
 (* Main solver: bitset data plane + online cycle elimination           *)
@@ -674,10 +110,8 @@ type t = {
   mutable dispatches : dispatch list array;
   mutable deg : int array;              (* incremental constraint degree *)
   (* per-method-context constraint provenance (reverse insertion order),
-     the replay log of [resolve_delta].  [pv_on] is false for
-     [of_reference] lifts, which have no generation pass to log. *)
+     the replay log of [resolve_delta] *)
   mutable pv : pv_op list array;
-  pv_on : bool;
   mutable obj_mc : int array;           (* allocating mctx per object; -1 none *)
   (* call graph *)
   call_edges : (int * Instr.stmt_id, ccell) Hashtbl.t;
@@ -1024,15 +458,13 @@ let alloc (t : t) (mc : int) ~(site : Instr.stmt_id)
   (* Ownership: (site, ctx) pin an object to exactly one method context,
      so first-writer-wins is exact.  [resolve_delta] sweeps objects whose
      owner was retracted — their allocation sites no longer exist. *)
-  if t.pv_on then begin
-    if o >= Array.length t.obj_mc then begin
-      let cap = max 64 (Array.length t.obj_mc) in
-      let bigger = Array.make (max (2 * cap) (o + 1)) (-1) in
-      Array.blit t.obj_mc 0 bigger 0 (Array.length t.obj_mc);
-      t.obj_mc <- bigger
-    end;
-    if t.obj_mc.(o) < 0 then t.obj_mc.(o) <- mc
+  if o >= Array.length t.obj_mc then begin
+    let cap = max 64 (Array.length t.obj_mc) in
+    let bigger = Array.make (max (2 * cap) (o + 1)) (-1) in
+    Array.blit t.obj_mc 0 bigger 0 (Array.length t.obj_mc);
+    t.obj_mc <- bigger
   end;
+  if t.obj_mc.(o) < 0 then t.obj_mc.(o) <- mc;
   o
 
 let is_container_class (t : t) (c : Types.class_name) : bool =
@@ -1096,18 +528,18 @@ let record_intrinsic_edge (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
    entry points below call this; derived constraint work (dispatch
    wiring, load/store-materialised edges) is intentionally unlogged. *)
 let pv_log (t : t) (mc : int) (op : pv_op) : unit =
-  if t.pv_on then t.pv.(mc) <- op :: t.pv.(mc)
+  t.pv.(mc) <- op :: t.pv.(mc)
 
 let rec make_reachable (t : t) (mc : int) : unit =
   if not t.processed.(mc) then begin
     t.processed.(mc) <- true;
     match t.pv.(mc) with
-    | (_ :: _) as ops when t.pv_on ->
+    | (_ :: _) as ops ->
       (* A [resolve_delta] re-reach of a method whose body is unchanged:
          replay the recorded constraints instead of re-walking the body
          (and re-interning what is already interned). *)
       List.iter (replay_op t mc) (List.rev ops)
-    | _ -> (
+    | [] -> (
       let info = t.mctxs.(mc) in
       let m = Program.find_method_exn t.p info.mi_mq in
       match m.Instr.m_body with
@@ -1372,7 +804,6 @@ let analyze_uninstrumented ~opts (p : Program.t) : result =
       mctx_intern = Hashtbl.create 64;
       processed = Array.make 64 false;
       pv = Array.make 64 [];
-      pv_on = true;
       obj_mc = Array.make 64 (-1);
       node_descs = Array.make 256 (Nstatic ("", ""));
       num_nodes = 0;
@@ -1439,100 +870,6 @@ let analyze_uninstrumented ~opts (p : Program.t) : result =
 
 let analyze ?(opts = default_opts) (p : Program.t) : result =
   Slice_obs.span "pta" (fun () -> analyze_uninstrumented ~opts p)
-
-(* --- conversion from the reference solver --------------------------- *)
-
-let bits_of_objset (s : ObjSet.t) : Bits.t =
-  let b = Bits.create ~capacity:64 () in
-  ObjSet.iter (fun o -> ignore (Bits.add b o)) s;
-  b
-
-let bits_of_list (l : int list) : Bits.t =
-  let b = Bits.create ~capacity:64 () in
-  List.iter (fun i -> ignore (Bits.add b i)) l;
-  b
-
-let of_reference (r : Reference.result) : result =
-  let cap = max 1 (Array.length r.Reference.node_descs) in
-  let n = r.Reference.num_nodes in
-  let t =
-    { p = r.Reference.p;
-      opts = r.Reference.opts;
-      ctxs = r.Reference.ctxs;
-      mctxs = Array.copy r.Reference.mctxs;
-      num_mctxs = r.Reference.num_mctxs;
-      mctx_intern =
-        (* rebuild: the reference solver keys on the printed qname, the
-           main solver on the qname record itself. *)
-        (let h = Hashtbl.create (max 16 r.Reference.num_mctxs) in
-         for i = 0 to r.Reference.num_mctxs - 1 do
-           let mi = r.Reference.mctxs.(i) in
-           Hashtbl.replace h (mi.mi_mq, mi.mi_ctx) i
-         done;
-         h);
-      processed = Array.copy r.Reference.processed;
-      pv = Array.make (max 1 (Array.length r.Reference.mctxs)) [];
-      pv_on = false;
-      obj_mc = Array.make 1 (-1);
-      node_descs = Array.copy r.Reference.node_descs;
-      num_nodes = n;
-      node_intern = Hashtbl.copy r.Reference.node_intern;
-      pts =
-        Array.init cap (fun i ->
-            if i < n then bits_of_objset r.Reference.pts.(i)
-            else Bits.create ~capacity:1 ());
-      delta = Array.init cap (fun _ -> Bits.create ~capacity:1 ());
-      parent = Array.init cap (fun i -> i);
-      rank = Array.make cap 0;
-      succs = Array.copy r.Reference.succs;
-      succ_seen =
-        Array.init cap (fun i ->
-            if i < n then bits_of_list (List.map fst r.Reference.succs.(i))
-            else Bits.create ~capacity:1 ());
-      loads = Array.copy r.Reference.loads;
-      stores = Array.copy r.Reference.stores;
-      dispatches = Array.copy r.Reference.dispatches;
-      deg = Array.make cap 0;
-      call_edges =
-        (let h = Hashtbl.create (max 16 (Hashtbl.length r.Reference.call_edges)) in
-         Hashtbl.iter
-           (fun k cell ->
-             Hashtbl.replace h k
-               { cs_seen = bits_of_list !cell; cs_list = !cell })
-           r.Reference.call_edges;
-         h);
-      intr_intern = Hashtbl.create 16;
-      intrinsic_edges = Hashtbl.create 64;
-      wired = Hashtbl.copy r.Reference.wired;
-      ring = Array.make 1 0;
-      head = 0;
-      tail = 0;
-      ring_len = 0;
-      queued = Bits.create ~capacity:1 ();
-      lcd_pending = [];
-      lcd_done = Hashtbl.create 1;
-      lcd_fuel = 0;
-      lcd_mark = Array.make cap 0;
-      lcd_stamp = 0;
-      obs_pts_objs = Slice_obs.counter_cell c_pts_objs;
-      obs_diff_hits = Slice_obs.counter_cell c_diff_prop_hits;
-      obs_edges = Slice_obs.counter_cell c_edges;
-      obs_iters = Slice_obs.counter_cell c_worklist_iterations;
-      obs_constraints = Slice_obs.counter_cell c_constraints;
-      obs_cycles = Slice_obs.counter_cell c_cycles_collapsed;
-      obs_lcd = Slice_obs.counter_cell c_lcd_runs;
-      spare = Bits.create ~capacity:1 ();
-      fscratch = Bits.create ~capacity:1 ();
-      meth_index = Hashtbl.create 1;
-      meth_index_stamp = -1 }
-  in
-  Hashtbl.iter
-    (fun k cell ->
-      let ids = List.map (intr_id t) !cell in
-      Hashtbl.replace t.intrinsic_edges k
-        { is_seen = bits_of_list ids; is_list = !cell })
-    r.Reference.intrinsic_edges;
-  t
 
 (* --- queries -------------------------------------------------------- *)
 
@@ -1663,36 +1000,25 @@ let cast_verified (t : result) (mq : Instr.method_qname) (cast : Instr.instr) :
 
 (* --- parity dumps --------------------------------------------------- *)
 
-let pts_dump (t : result) : (string * string list) list =
-  build_pts_dump ~ctxs:t.ctxs
+let dump_pts ?site (t : result) : (string * string list) list =
+  Pta_dump.pts ?site t.ctxs
     ~mctx_of:(fun mc -> mctx_info t mc)
     ~num_nodes:t.num_nodes
     ~desc_of:(fun i -> t.node_descs.(i))
     ~objs_of:(fun i -> Bits.elements t.pts.(find t i))
 
-let call_graph_dump (t : result) : (string * string list) list =
-  let mk caller stmt tag =
-    let mq, c = mctx_info t caller in
-    tag ^ mctx_key_str t.ctxs mq c ^ "#" ^ string_of_int stmt
-  in
-  let entries = ref [] in
-  Hashtbl.iter
-    (fun (caller, stmt) cell ->
-      let callees =
-        List.map
-          (fun cmc ->
-            let mq, c = mctx_info t cmc in
-            mctx_key_str t.ctxs mq c)
-          cell.cs_list
-      in
-      entries := (mk caller stmt "C:", List.sort compare callees) :: !entries)
-    t.call_edges;
-  Hashtbl.iter
-    (fun (caller, stmt) cell ->
-      let callees = List.map Instr.method_qname_to_string cell.is_list in
-      entries := (mk caller stmt "I:", List.sort compare callees) :: !entries)
-    t.intrinsic_edges;
-  List.sort compare !entries
+let dump_call_graph ?site (t : result) : (string * string list) list =
+  Pta_dump.call_graph ?site t.ctxs
+    ~mctx_of:(fun mc -> mctx_info t mc)
+    ~calls:(fun f ->
+      Hashtbl.iter (fun (caller, stmt) cell -> f caller stmt cell.cs_list)
+        t.call_edges)
+    ~intrinsics:(fun f ->
+      Hashtbl.iter (fun (caller, stmt) cell -> f caller stmt cell.is_list)
+        t.intrinsic_edges)
+
+let pts_dump (t : result) = dump_pts t
+let call_graph_dump (t : result) = dump_call_graph t
 
 (* --- delta-native incremental re-solve ------------------------------- *)
 
@@ -1712,243 +1038,240 @@ let cone_mctx_limit_den = 2
 
 let resolve_delta (t : t) ~(retracted : Instr.method_qname list)
     ~(added : Instr.method_qname list) :
-    (delta_stats, [ `Cone_too_big | `No_provenance ]) Stdlib.result =
+    (delta_stats, [ `Cone_too_big ]) Stdlib.result =
   (* [added] methods carry no old constraints to retract: their bodies
      already live in [t.p] and contribute constraints the moment the
      replayed call graph reaches them.  The list is accepted so callers
      state the full delta; only [retracted] drives the retraction. *)
   ignore (added : Instr.method_qname list);
-  if not t.pv_on then Error `No_provenance
-  else begin
-    (* ---- plan (no mutation): dead method contexts + affected cone ---
-       [dead] = every context whose old constraints must be dropped:
-       the retracted methods' contexts, plus — iteratively — any context
-       whose reachability can no longer be established without them.
-       [cone] = representatives whose points-to sets may depend on a
-       dead constraint, found by forward closure over the OLD rows:
-       copy successors (which include every solve-derived edge), load
-       targets, field nodes reachable through stores, and the wiring a
-       suspect dispatch produced. *)
-    let dead_mq = Hashtbl.create 8 in
-    List.iter (fun mq -> Hashtbl.replace dead_mq mq ()) retracted;
-    let dead = Bits.create ~capacity:(max 64 t.num_mctxs) () in
-    for mc = 0 to t.num_mctxs - 1 do
-      if t.processed.(mc) && Hashtbl.mem dead_mq t.mctxs.(mc).mi_mq then
-        ignore (Bits.add dead mc)
+  (* ---- plan (no mutation): dead method contexts + affected cone ---
+     [dead] = every context whose old constraints must be dropped:
+     the retracted methods' contexts, plus — iteratively — any context
+     whose reachability can no longer be established without them.
+     [cone] = representatives whose points-to sets may depend on a
+     dead constraint, found by forward closure over the OLD rows:
+     copy successors (which include every solve-derived edge), load
+     targets, field nodes reachable through stores, and the wiring a
+     suspect dispatch produced. *)
+  let dead_mq = Hashtbl.create 8 in
+  List.iter (fun mq -> Hashtbl.replace dead_mq mq ()) retracted;
+  let dead = Bits.create ~capacity:(max 64 t.num_mctxs) () in
+  for mc = 0 to t.num_mctxs - 1 do
+    if t.processed.(mc) && Hashtbl.mem dead_mq t.mctxs.(mc).mi_mq then
+      ignore (Bits.add dead mc)
+  done;
+  let entry_mc =
+    Hashtbl.find_opt t.mctx_intern (Program.entry_method t.p, Context.Cnone)
+  in
+  let cone = Bits.create ~capacity:(max 256 t.num_nodes) () in
+  let compute_cone () =
+    Bits.clear cone;
+    let wl = ref [] in
+    let mark n =
+      let r = find t n in
+      if Bits.add cone r then wl := r :: !wl
+    in
+    let mark_intern desc =
+      match Hashtbl.find_opt t.node_intern desc with
+      | Some id -> mark id
+      | None -> ()
+    in
+    for i = 0 to t.num_nodes - 1 do
+      match t.node_descs.(i) with
+      | Nvar (mc, _) | Nret mc -> if Bits.mem dead mc then mark i
+      | Nfield (o, _) ->
+        (* an object whose allocating context died can never be
+           re-seeded (its site is gone); its field nodes die with it *)
+        let owner = if o < Array.length t.obj_mc then t.obj_mc.(o) else -1 in
+        if owner >= 0 && Bits.mem dead owner then mark i
+      | Nstatic _ -> ()
     done;
-    let entry_mc =
-      Hashtbl.find_opt t.mctx_intern (Program.entry_method t.p, Context.Cnone)
-    in
-    let cone = Bits.create ~capacity:(max 256 t.num_nodes) () in
-    let compute_cone () =
-      Bits.clear cone;
-      let wl = ref [] in
-      let mark n =
-        let r = find t n in
-        if Bits.add cone r then wl := r :: !wl
-      in
-      let mark_intern desc =
-        match Hashtbl.find_opt t.node_intern desc with
-        | Some id -> mark id
-        | None -> ()
-      in
-      for i = 0 to t.num_nodes - 1 do
-        match t.node_descs.(i) with
-        | Nvar (mc, _) | Nret mc -> if Bits.mem dead mc then mark i
-        | Nfield (o, _) ->
-          (* an object whose allocating context died can never be
-             re-seeded (its site is gone); its field nodes die with it *)
-          let owner = if o < Array.length t.obj_mc then t.obj_mc.(o) else -1 in
-          if owner >= 0 && Bits.mem dead owner then mark i
-        | Nstatic _ -> ()
-      done;
-      while !wl <> [] do
-        match !wl with
-        | [] -> ()
-        | r :: rest ->
-          wl := rest;
-          List.iter (fun (dst, _) -> mark dst) t.succs.(r);
-          List.iter (fun (_, dst) -> mark dst) t.loads.(r);
-          List.iter
-            (fun (f, _) ->
-              Bits.iter (fun o -> mark_intern (Nfield (o, f))) t.pts.(r))
-            t.stores.(r);
-          List.iter
-            (fun d ->
-              (* a changed receiver can change dispatch outcomes: every
-                 node the old wiring fed is suspect *)
-              (match d.d_lhs with
-              | Some x -> mark_intern (Nvar (d.d_caller, x))
-              | None -> ());
-              match Hashtbl.find_opt t.call_edges (d.d_caller, d.d_stmt) with
-              | None -> ()
-              | Some cell ->
-                List.iter
-                  (fun cmc ->
-                    mark_intern (Nret cmc);
-                    match Program.find_method t.p t.mctxs.(cmc).mi_mq with
-                    | None -> ()
-                    | Some callee ->
-                      List.iter
-                        (fun prm -> mark_intern (Nvar (cmc, prm)))
-                        callee.Instr.m_params)
-                  cell.cs_list)
-            t.dispatches.(r)
-      done
-    in
-    (* Reachability over the OLD call graph, trusting only edges whose
-       caller survives and whose dispatch receiver (if any) is outside
-       the cone.  Under-approximate on purpose: anything uncertain is
-       treated as dead and re-derived by the replay if still wanted. *)
-    let reach = Bits.create ~capacity:(max 64 t.num_mctxs) () in
-    let compute_reach () =
-      Bits.clear reach;
-      let disp_recv = Hashtbl.create 64 in
-      for r = 0 to t.num_nodes - 1 do
+    while !wl <> [] do
+      match !wl with
+      | [] -> ()
+      | r :: rest ->
+        wl := rest;
+        List.iter (fun (dst, _) -> mark dst) t.succs.(r);
+        List.iter (fun (_, dst) -> mark dst) t.loads.(r);
         List.iter
-          (fun d -> Hashtbl.replace disp_recv (d.d_caller, d.d_stmt) r)
+          (fun (f, _) ->
+            Bits.iter (fun o -> mark_intern (Nfield (o, f))) t.pts.(r))
+          t.stores.(r);
+        List.iter
+          (fun d ->
+            (* a changed receiver can change dispatch outcomes: every
+               node the old wiring fed is suspect *)
+            (match d.d_lhs with
+            | Some x -> mark_intern (Nvar (d.d_caller, x))
+            | None -> ());
+            match Hashtbl.find_opt t.call_edges (d.d_caller, d.d_stmt) with
+            | None -> ()
+            | Some cell ->
+              List.iter
+                (fun cmc ->
+                  mark_intern (Nret cmc);
+                  match Program.find_method t.p t.mctxs.(cmc).mi_mq with
+                  | None -> ()
+                  | Some callee ->
+                    List.iter
+                      (fun prm -> mark_intern (Nvar (cmc, prm)))
+                      callee.Instr.m_params)
+                cell.cs_list)
           t.dispatches.(r)
-      done;
-      let out = Hashtbl.create 64 in
-      Hashtbl.iter
-        (fun ((caller, _stmt) as key) cell ->
-          let suspect =
-            Bits.mem dead caller
-            ||
-            match Hashtbl.find_opt disp_recv key with
-            | Some r -> Bits.mem cone (find t r)
-            | None -> false
-          in
-          if not suspect then
-            Hashtbl.replace out caller
-              (cell.cs_list
-              @ Option.value (Hashtbl.find_opt out caller) ~default:[]))
-        t.call_edges;
-      let wl = ref [] in
-      let visit mc = if Bits.add reach mc then wl := mc :: !wl in
-      (match entry_mc with Some e -> visit e | None -> ());
-      while !wl <> [] do
-        match !wl with
-        | [] -> ()
-        | mc :: rest ->
-          wl := rest;
-          if not (Bits.mem dead mc) then
-            List.iter visit (Option.value (Hashtbl.find_opt out mc) ~default:[])
-      done
-    in
-    let stable = ref false in
-    while not !stable do
-      compute_cone ();
-      compute_reach ();
-      let newly = ref [] in
-      for mc = 0 to t.num_mctxs - 1 do
-        if
-          t.processed.(mc)
-          && (not (Bits.mem dead mc))
-          && not (Bits.mem reach mc)
-        then newly := mc :: !newly
-      done;
-      if !newly = [] then stable := true
-      else List.iter (fun mc -> ignore (Bits.add dead mc)) !newly
+    done
+  in
+  (* Reachability over the OLD call graph, trusting only edges whose
+     caller survives and whose dispatch receiver (if any) is outside
+     the cone.  Under-approximate on purpose: anything uncertain is
+     treated as dead and re-derived by the replay if still wanted. *)
+  let reach = Bits.create ~capacity:(max 64 t.num_mctxs) () in
+  let compute_reach () =
+    Bits.clear reach;
+    let disp_recv = Hashtbl.create 64 in
+    for r = 0 to t.num_nodes - 1 do
+      List.iter
+        (fun d -> Hashtbl.replace disp_recv (d.d_caller, d.d_stmt) r)
+        t.dispatches.(r)
     done;
-    let in_cone = Array.make (max 1 t.num_nodes) false in
-    let cone_nodes = ref 0 in
-    for n = 0 to t.num_nodes - 1 do
-      if Bits.mem cone (find t n) then begin
-        in_cone.(n) <- true;
-        incr cone_nodes
+    let out = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun ((caller, _stmt) as key) cell ->
+        let suspect =
+          Bits.mem dead caller
+          ||
+          match Hashtbl.find_opt disp_recv key with
+          | Some r -> Bits.mem cone (find t r)
+          | None -> false
+        in
+        if not suspect then
+          Hashtbl.replace out caller
+            (cell.cs_list
+            @ Option.value (Hashtbl.find_opt out caller) ~default:[]))
+      t.call_edges;
+    let wl = ref [] in
+    let visit mc = if Bits.add reach mc then wl := mc :: !wl in
+    (match entry_mc with Some e -> visit e | None -> ());
+    while !wl <> [] do
+      match !wl with
+      | [] -> ()
+      | mc :: rest ->
+        wl := rest;
+        if not (Bits.mem dead mc) then
+          List.iter visit (Option.value (Hashtbl.find_opt out mc) ~default:[])
+    done
+  in
+  let stable = ref false in
+  while not !stable do
+    compute_cone ();
+    compute_reach ();
+    let newly = ref [] in
+    for mc = 0 to t.num_mctxs - 1 do
+      if
+        t.processed.(mc)
+        && (not (Bits.mem dead mc))
+        && not (Bits.mem reach mc)
+      then newly := mc :: !newly
+    done;
+    if !newly = [] then stable := true
+    else List.iter (fun mc -> ignore (Bits.add dead mc)) !newly
+  done;
+  let in_cone = Array.make (max 1 t.num_nodes) false in
+  let cone_nodes = ref 0 in
+  for n = 0 to t.num_nodes - 1 do
+    if Bits.mem cone (find t n) then begin
+      in_cone.(n) <- true;
+      incr cone_nodes
+    end
+  done;
+  let dead_count = Bits.cardinal dead in
+  let processed_count = ref 0 in
+  for mc = 0 to t.num_mctxs - 1 do
+    if t.processed.(mc) then incr processed_count
+  done;
+  if
+    !cone_nodes * cone_node_limit_den > t.num_nodes
+    || dead_count * cone_mctx_limit_den > !processed_count
+  then Error `Cone_too_big
+  else begin
+    (* ---- retract ------------------------------------------------- *)
+    let dead_objs = ref [] in
+    for o = 0 to Array.length t.obj_mc - 1 do
+      if t.obj_mc.(o) >= 0 && Bits.mem dead t.obj_mc.(o) then begin
+        dead_objs := o :: !dead_objs;
+        t.obj_mc.(o) <- -1
       end
     done;
-    let dead_count = Bits.cardinal dead in
-    let processed_count = ref 0 in
-    for mc = 0 to t.num_mctxs - 1 do
-      if t.processed.(mc) then incr processed_count
+    for n = 0 to t.num_nodes - 1 do
+      if in_cone.(n) then begin
+        (* conservative split: the collapse may not survive retraction *)
+        t.parent.(n) <- n;
+        t.rank.(n) <- 0;
+        Bits.clear t.pts.(n);
+        Bits.clear t.delta.(n)
+      end
+      else if t.parent.(n) = n then
+        List.iter
+          (fun o ->
+            Bits.remove t.pts.(n) o;
+            Bits.remove t.delta.(n) o)
+          !dead_objs;
+      (* every row is re-derived by the replay *)
+      t.succs.(n) <- [];
+      t.loads.(n) <- [];
+      t.stores.(n) <- [];
+      t.dispatches.(n) <- [];
+      t.deg.(n) <- 0;
+      Bits.clear t.succ_seen.(n)
     done;
-    if
-      !cone_nodes * cone_node_limit_den > t.num_nodes
-      || dead_count * cone_mctx_limit_den > !processed_count
-    then Error `Cone_too_big
-    else begin
-      (* ---- retract ------------------------------------------------- *)
-      let dead_objs = ref [] in
-      for o = 0 to Array.length t.obj_mc - 1 do
-        if t.obj_mc.(o) >= 0 && Bits.mem dead t.obj_mc.(o) then begin
-          dead_objs := o :: !dead_objs;
-          t.obj_mc.(o) <- -1
-        end
-      done;
-      for n = 0 to t.num_nodes - 1 do
-        if in_cone.(n) then begin
-          (* conservative split: the collapse may not survive retraction *)
-          t.parent.(n) <- n;
-          t.rank.(n) <- 0;
-          Bits.clear t.pts.(n);
-          Bits.clear t.delta.(n)
-        end
-        else if t.parent.(n) = n then
-          List.iter
-            (fun o ->
-              Bits.remove t.pts.(n) o;
-              Bits.remove t.delta.(n) o)
-            !dead_objs;
-        (* every row is re-derived by the replay *)
-        t.succs.(n) <- [];
-        t.loads.(n) <- [];
-        t.stores.(n) <- [];
-        t.dispatches.(n) <- [];
-        t.deg.(n) <- 0;
-        Bits.clear t.succ_seen.(n)
-      done;
-      Hashtbl.reset t.call_edges;
-      Hashtbl.reset t.intrinsic_edges;
-      Hashtbl.reset t.wired;
-      t.lcd_pending <- [];
-      Hashtbl.reset t.lcd_done;
-      t.lcd_fuel <- lcd_fuel_init;
-      t.head <- 0;
-      t.tail <- 0;
-      t.ring_len <- 0;
-      Bits.clear t.queued;
-      t.meth_index_stamp <- -1;
-      let replayable = ref 0 in
-      for mc = 0 to t.num_mctxs - 1 do
-        if Bits.mem dead mc then t.pv.(mc) <- [];
-        if t.processed.(mc) && (not (Bits.mem dead mc)) && t.pv.(mc) <> []
-        then incr replayable;
-        t.processed.(mc) <- false
-      done;
-      (* ---- re-derive: demand-driven replay from the entry ----------
-         Surviving contexts replay their logs; retracted-but-reachable
-         contexts re-walk their (new) bodies because their logs were
-         dropped above.  Mirrors [analyze_uninstrumented]'s entry
-         seeding so the synthetic argv objects stay identical. *)
-      let entry_mq = Program.entry_method t.p in
-      (match Program.find_method t.p entry_mq with
-      | None -> ()
-      | Some main ->
-        let emc = intern_mctx t entry_mq Context.Cnone in
-        make_reachable t emc;
-        (match main.Instr.m_params with
-        | [ pvar ] when is_ref_var main pvar ->
-          let arr =
-            Context.intern_obj t.ctxs ~site:(-1)
-              ~cls:(Context.Aarray (Types.Tclass Types.string_class))
-              ~ctx:Context.Cnone
-          in
-          let str =
-            Context.intern_obj t.ctxs ~site:(-2) ~cls:Context.Astring
-              ~ctx:Context.Cnone
-          in
-          add_obj t (intern_node t (Nvar (emc, pvar))) arr;
-          add_obj t (intern_node t (Nfield (arr, elem_field))) str
-        | _ -> ()));
-      Slice_obs.span "pta.resolve_delta" (fun () -> solve t);
-      Ok
-        { ds_retracted_mctxs = dead_count;
-          ds_cone_nodes = !cone_nodes;
-          ds_total_nodes = t.num_nodes;
-          ds_replayed_mctxs = !replayable }
-    end
+    Hashtbl.reset t.call_edges;
+    Hashtbl.reset t.intrinsic_edges;
+    Hashtbl.reset t.wired;
+    t.lcd_pending <- [];
+    Hashtbl.reset t.lcd_done;
+    t.lcd_fuel <- lcd_fuel_init;
+    t.head <- 0;
+    t.tail <- 0;
+    t.ring_len <- 0;
+    Bits.clear t.queued;
+    t.meth_index_stamp <- -1;
+    let replayable = ref 0 in
+    for mc = 0 to t.num_mctxs - 1 do
+      if Bits.mem dead mc then t.pv.(mc) <- [];
+      if t.processed.(mc) && (not (Bits.mem dead mc)) && t.pv.(mc) <> []
+      then incr replayable;
+      t.processed.(mc) <- false
+    done;
+    (* ---- re-derive: demand-driven replay from the entry ----------
+       Surviving contexts replay their logs; retracted-but-reachable
+       contexts re-walk their (new) bodies because their logs were
+       dropped above.  Mirrors [analyze_uninstrumented]'s entry
+       seeding so the synthetic argv objects stay identical. *)
+    let entry_mq = Program.entry_method t.p in
+    (match Program.find_method t.p entry_mq with
+    | None -> ()
+    | Some main ->
+      let emc = intern_mctx t entry_mq Context.Cnone in
+      make_reachable t emc;
+      (match main.Instr.m_params with
+      | [ pvar ] when is_ref_var main pvar ->
+        let arr =
+          Context.intern_obj t.ctxs ~site:(-1)
+            ~cls:(Context.Aarray (Types.Tclass Types.string_class))
+            ~ctx:Context.Cnone
+        in
+        let str =
+          Context.intern_obj t.ctxs ~site:(-2) ~cls:Context.Astring
+            ~ctx:Context.Cnone
+        in
+        add_obj t (intern_node t (Nvar (emc, pvar))) arr;
+        add_obj t (intern_node t (Nfield (arr, elem_field))) str
+      | _ -> ()));
+    Slice_obs.span "pta.resolve_delta" (fun () -> solve t);
+    Ok
+      { ds_retracted_mctxs = dead_count;
+        ds_cone_nodes = !cone_nodes;
+        ds_total_nodes = t.num_nodes;
+        ds_replayed_mctxs = !replayable }
   end
 
 (* --- incremental re-analysis support --------------------------------- *)
@@ -2118,22 +1441,21 @@ let rekey_sites (t : result) (remap : Instr.stmt_id -> Instr.stmt_id option) :
   done;
   (* The provenance log stores call sites too: move them with the rest,
      or a later [resolve_delta] would replay retired statement ids. *)
-  if t.pv_on then
-    for mc = 0 to t.num_mctxs - 1 do
-      match t.pv.(mc) with
-      | [] -> ()
-      | ops ->
-        t.pv.(mc) <-
-          List.map
-            (fun op ->
-              match op with
-              | Pcall d -> (
-                match remap d.d_stmt with
-                | Some s' when s' <> d.d_stmt -> Pcall { d with d_stmt = s' }
-                | Some _ | None -> op)
-              | Pseed _ | Pedge _ | Pload _ | Pstore _ -> op)
-            ops
-    done;
+  for mc = 0 to t.num_mctxs - 1 do
+    match t.pv.(mc) with
+    | [] -> ()
+    | ops ->
+      t.pv.(mc) <-
+        List.map
+          (fun op ->
+            match op with
+            | Pcall d -> (
+              match remap d.d_stmt with
+              | Some s' when s' <> d.d_stmt -> Pcall { d with d_stmt = s' }
+              | Some _ | None -> op)
+            | Pseed _ | Pedge _ | Pload _ | Pstore _ -> op)
+          ops
+  done;
   Context.rekey_sites t.ctxs remap
 
 (* Location-keyed parity dumps: canonical across a patched analysis and
@@ -2141,36 +1463,8 @@ let rekey_sites (t : result) (remap : Instr.stmt_id -> Instr.stmt_id option) :
    locations coincide.  [site_label] must be injective enough to keep
    the dump deterministic (the engine supplies "file:line:col", with
    negative synthetic sites labelled verbatim). *)
-let pts_dump_loc ~(site_label : int -> string) (t : result) :
-    (string * string list) list =
-  build_pts_dump_site ~site:site_label ~ctxs:t.ctxs
-    ~mctx_of:(fun mc -> mctx_info t mc)
-    ~num_nodes:t.num_nodes
-    ~desc_of:(fun i -> t.node_descs.(i))
-    ~objs_of:(fun i -> Bits.elements t.pts.(find t i))
+let pts_dump_loc ~(site_label : int -> string) (t : result) =
+  dump_pts ~site:site_label t
 
-let call_graph_dump_loc ~(site_label : int -> string) (t : result) :
-    (string * string list) list =
-  let mk caller stmt tag =
-    let mq, c = mctx_info t caller in
-    tag ^ mctx_key_str_site ~site:site_label t.ctxs mq c ^ "#"
-    ^ site_label stmt
-  in
-  let entries = ref [] in
-  Hashtbl.iter
-    (fun (caller, stmt) cell ->
-      let callees =
-        List.map
-          (fun cmc ->
-            let mq, c = mctx_info t cmc in
-            mctx_key_str_site ~site:site_label t.ctxs mq c)
-          cell.cs_list
-      in
-      entries := (mk caller stmt "C:", List.sort compare callees) :: !entries)
-    t.call_edges;
-  Hashtbl.iter
-    (fun (caller, stmt) cell ->
-      let callees = List.map Instr.method_qname_to_string cell.is_list in
-      entries := (mk caller stmt "I:", List.sort compare callees) :: !entries)
-    t.intrinsic_edges;
-  List.sort compare !entries
+let call_graph_dump_loc ~(site_label : int -> string) (t : result) =
+  dump_call_graph ~site:site_label t

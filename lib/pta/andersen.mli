@@ -16,11 +16,10 @@
     dispatch) are attached to base-pointer nodes and processed as their
     points-to sets grow.
 
-    The original list/tree solver is preserved verbatim as [Reference]
-    (telemetry-free oracle, same role as [Slicer.Reference]);
-    [of_reference] lifts its result into the main representation so the
-    full pipeline can run against either solver for parity checks and
-    A/B benchmarks. *)
+    This is the only solver the pipeline runs.  The original list/tree
+    solver survives as a test and fuzz oracle
+    ([Slice_oracle.Reference_pta]), compared against this one through
+    the shared {!Pta_dump} keys. *)
 
 open Slice_ir
 
@@ -87,12 +86,13 @@ val num_objects : result -> int
 val cast_verified : result -> Instr.method_qname -> Instr.instr -> bool
 
 (** Canonical, interning-order-independent dump of every node's
-    points-to set: [(node key, sorted object keys)] sorted by node key.
-    Byte-comparable across solvers — the parity oracle. *)
+    points-to set ({!Pta_dump.pts}): variables, return values, fields
+    and statics.  Byte-comparable across solvers — the parity oracle. *)
 val pts_dump : result -> (string * string list) list
 
-(** Canonical dump of the on-the-fly call graph (context-qualified call
-    edges and intrinsic targets), comparable across solvers. *)
+(** Canonical dump of the on-the-fly call graph ({!Pta_dump.call_graph}):
+    context-qualified call edges and intrinsic targets, comparable
+    across solvers. *)
 val call_graph_dump : result -> (string * string list) list
 
 (** {2 Incremental re-analysis support}
@@ -149,14 +149,13 @@ type delta_stats = {
     are new in the program (they contribute constraints on demand).
     The program held by the result must already reflect the edit.
     Fails with [`Cone_too_big] when the affected cone exceeds half the
-    node universe (a fresh solve is cheaper) and [`No_provenance] on
-    results lifted from the reference solver; either way the result is
+    node universe (a fresh solve is cheaper); the result is then
     untouched and a fresh solve is required. *)
 val resolve_delta :
   result ->
   retracted:Instr.method_qname list ->
   added:Instr.method_qname list ->
-  (delta_stats, [ `Cone_too_big | `No_provenance ]) Stdlib.result
+  (delta_stats, [ `Cone_too_big ]) Stdlib.result
 
 (** {!pts_dump} / {!call_graph_dump} with sites rendered through
     [site_label] instead of raw statement ids: canonical across a
@@ -167,20 +166,3 @@ val pts_dump_loc :
 
 val call_graph_dump_loc :
   site_label:(int -> string) -> result -> (string * string list) list
-
-(** The original list/tree solver ([Set.Make(Int)] points-to sets, LIFO
-    [(node, delta)] worklist), preserved verbatim as a telemetry-free
-    oracle. *)
-module Reference : sig
-  type result
-
-  val analyze : ?opts:opts -> Program.t -> result
-  val num_objects : result -> int
-  val pts_dump : result -> (string * string list) list
-  val call_graph_dump : result -> (string * string list) list
-end
-
-(** Lift a reference result into the main representation (identity
-    union-find, bitset points-to sets) so the full pipeline — SDG
-    construction, slicing — can run against it unchanged. *)
-val of_reference : Reference.result -> result

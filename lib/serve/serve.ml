@@ -2,7 +2,7 @@
 
    The protocol layer is deliberately thin: parse a request line with
    the existing hand-rolled JSON module, resolve the program (LRU cache
-   keyed by source digest x sensitivity x solver), build an
+   keyed by source digest x sensitivity), build an
    [Engine.query], and let [Engine.run_query] / [query_result_to_json]
    do the work — the very same code path the one-shot CLI runs, which
    is what makes serve-vs-CLI byte parity structural rather than
@@ -40,25 +40,22 @@ let create_state (cfg : config) : state =
 let cache_keys (st : state) : string list =
   List.map (fun e -> e.e_key) st.entries
 
-let solver_name = function `Bitset -> "bitset" | `Reference -> "reference"
-
 (* The digest folds every (file, source) pair, so a one-byte edit to
    ANY unit of a multi-file program changes the key — which is what
    makes [update] safe to key the patched entry under the new digest.
    A singleton list hashes to the same key as the historical single-file
    form. *)
-let program_key_sources ?(obj_sens = true) ?(solver = `Bitset)
-    (sources : (string * string) list) : string =
+let program_key_sources ?(obj_sens = true) (sources : (string * string) list)
+    : string =
   let payload =
     String.concat "\x01" (List.map (fun (f, s) -> f ^ "\x00" ^ s) sources)
   in
-  Printf.sprintf "%s:%s:%s"
+  Printf.sprintf "%s:%s"
     (Digest.to_hex (Digest.string payload))
     (if obj_sens then "objsens" else "no-objsens")
-    (solver_name solver)
 
-let program_key ?obj_sens ?solver ~(file : string) (src : string) : string =
-  program_key_sources ?obj_sens ?solver [ (file, src) ]
+let program_key ?obj_sens ~(file : string) (src : string) : string =
+  program_key_sources ?obj_sens [ (file, src) ]
 
 (* ------------------------------------------------------------------ *)
 (* Errors                                                              *)
@@ -119,13 +116,6 @@ let mode_of params =
     match Slicer.mode_of_string s with
     | Some m -> m
     | None -> errf invalid_params "unknown mode %s" s)
-
-let solver_of params =
-  match opt_str params "solver" with
-  | None -> `Bitset
-  | Some "bitset" -> `Bitset
-  | Some ("reference" | "ref") -> `Reference
-  | Some s -> errf invalid_params "unknown solver %s" s
 
 (* Inline sources of a request: a single ["source"] (+ optional
    ["file"]), or a multi-file ["sources"] array of {file, source}
@@ -226,15 +216,14 @@ let resolve_program (st : state) (params : Json.t) : entry * [ `Hit | `Miss ]
         "request needs \"program\", \"source\" or \"sources\""
     | Some sources -> (
       let obj_sens = opt_bool params "obj_sens" ~default:true in
-      let solver = solver_of params in
-      let key = program_key_sources ~obj_sens ~solver sources in
+      let key = program_key_sources ~obj_sens sources in
       match find_entry st key with
       | Some e ->
         touch st e;
         (e, `Hit)
       | None ->
         let handle =
-          try Engine.load ~obj_sens ~solver sources
+          try Engine.load ~obj_sens sources
           with Slice_front.Frontend.Error e ->
             errf user_error "%s" (Slice_front.Frontend.error_to_string e)
         in
@@ -326,10 +315,7 @@ let dispatch (st : state) (req : Json.t) : dispatched =
       with Slice_front.Frontend.Error fe ->
         errf user_error "%s" (Slice_front.Frontend.error_to_string fe)
     in
-    let key' =
-      program_key_sources ~obj_sens:h.Engine.h_obj_sens
-        ~solver:h.Engine.h_solver sources
-    in
+    let key' = program_key_sources ~obj_sens:h.Engine.h_obj_sens sources in
     let e' = { e_key = key'; e_handle = h' } in
     st.entries <-
       e'

@@ -2,8 +2,8 @@
 
     A long-lived daemon answering line-delimited JSON requests
     ([thinslice.serve/v1]) over stdin/stdout or a Unix socket.  Loaded
-    programs are cached in an LRU keyed by source digest x (sensitivity,
-    solver); each resident entry holds a CSR SDG + solved
+    programs are cached in an LRU keyed by source digest x
+    sensitivity; each resident entry holds a CSR SDG + solved
     points-to ({!Engine.handle}), so repeat queries skip the whole
     analysis pipeline.  Every query dispatches through
     {!Engine.run_query} — the same code path as the one-shot CLI — and
@@ -20,7 +20,7 @@
     returned from an earlier load; a structured error when no longer
     resident) or inline by ["source"] (+ optional ["file"]) or by a
     multi-file ["sources"] array of [{"file": F, "source": S}] objects
-    (+ optional ["obj_sens"], ["solver"]), which loads on miss and
+    (+ optional ["obj_sens"]), which loads on miss and
     reuses the resident analysis on hit.  Duplicate paths in
     ["sources"] are a code-1 error.  Query params: ["line"], ["mode"]
     (any {!Slice_core.Slicer.mode_of_string} spelling, default thin),
@@ -70,7 +70,7 @@ val method_not_found : int
 (** [-32601]: unknown ["method"]. *)
 
 val invalid_params : int
-(** [-32602]: missing or ill-typed params (line, mode, solver, ...). *)
+(** [-32602]: missing or ill-typed params (line, mode, ...). *)
 
 val user_error : int
 (** [1]: analysis/user error — unloadable source, no statement at the
@@ -84,20 +84,19 @@ type state
 
 val create_state : config -> state
 
-(** The cache key of a program: MD5 digest over every (file, source)
-    pair x object-sensitivity x solver.  This is what a load result
-    returns as ["program"] and what query requests may pass back.  A
-    singleton list yields the same key as {!program_key}. *)
+(** The cache key of a program, [<md5>:objsens] or [<md5>:no-objsens]:
+    an MD5 digest over every (file, source) pair x object-sensitivity.
+    This is what a load result returns as ["program"] and what query
+    requests may pass back.  A singleton list yields the same key as
+    {!program_key}. *)
 val program_key_sources :
   ?obj_sens:bool ->
-  ?solver:[ `Bitset | `Reference ] ->
   (string * string) list ->
   string
 
 (** Single-file convenience form of {!program_key_sources}. *)
 val program_key :
   ?obj_sens:bool ->
-  ?solver:[ `Bitset | `Reference ] ->
   file:string ->
   string ->
   string

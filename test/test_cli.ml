@@ -212,15 +212,18 @@ let test_report_layers_cli () =
 
 (* --- --jobs ------------------------------------------------------------ *)
 
-(* Every subcommand runs on one domain: none has a --jobs option, so
-   passing one is a cmdliner usage error that names it. *)
-let check_jobs_rejected args =
+(* A removed option is a cmdliner usage error that names it: exit 124,
+   nothing on stdout. *)
+let check_option_rejected ~opt args =
   let rc, out, err = run_cli (args ^ " < /dev/null") in
   Alcotest.(check int) (args ^ ": cmdliner error") 124 rc;
   Alcotest.(check string) (args ^ ": no output") "" out;
   check_clean args err;
   Alcotest.(check bool) (args ^ ": names the option") true
-    (contains ~needle:"--jobs" err)
+    (contains ~needle:opt err)
+
+(* Every subcommand runs on one domain: none has a --jobs option. *)
+let check_jobs_rejected = check_option_rejected ~opt:"--jobs"
 
 (* batch used to shard across domains and refuse --jobs 0 itself; now the
    option is unknown and even --jobs 0 never reaches the slicer. *)
@@ -243,6 +246,23 @@ let test_no_jobs_option () =
         [ Printf.sprintf "explain %s 2 --seed 5" file;
           Printf.sprintf "report %s --line 5" file;
           "serve" ])
+
+(* There is one points-to solver: no subcommand has a --pta option. *)
+let test_no_pta_option () =
+  skip_if_missing ();
+  with_tj explain_demo (fun path ->
+      let file = Filename.quote path in
+      List.iter
+        (fun args ->
+          check_option_rejected ~opt:"--pta" (args ^ " --pta bitset"))
+        [ Printf.sprintf "slice %s -l 5" file;
+          Printf.sprintf "batch %s -l 5" file;
+          Printf.sprintf "chop %s -l 2 --to 5" file;
+          Printf.sprintf "expand %s -l 5" file;
+          Printf.sprintf "explain %s 2 --seed 5" file;
+          Printf.sprintf "report %s --line 5" file;
+          Printf.sprintf "stats %s" file;
+          Printf.sprintf "watch %s -l 5" file ])
 
 let test_fuzz_bad_count () =
   skip_if_missing ();
@@ -290,6 +310,7 @@ let suite =
       test_batch_jobs_rejected;
     Alcotest.test_case "--jobs on no other subcommand" `Quick
       test_no_jobs_option;
+    Alcotest.test_case "--pta on no subcommand" `Quick test_no_pta_option;
     Alcotest.test_case "fuzz --count 0: clean exit 1" `Quick
       test_fuzz_bad_count;
     Alcotest.test_case "fuzz --fault unknown: cmdliner error" `Quick

@@ -274,19 +274,63 @@ let test_update_resolved () =
   Alcotest.(check int) "one body relowered" 1 rep.Engine.up_relowered;
   check_equiv ~what:"resolved" h' [ (file, edited) ] (seed_lines_of edited)
 
-(* The same summary-moving edit on a reference-solver handle has no
-   provenance to retract — it must fall to a fresh re-solve. *)
-let test_update_resolved_fresh_reference () =
-  let h = Engine.load ~solver:`Reference [ (file, base_src) ] in
+(* A summary move in the entry method retracts every context reachable
+   only through it, so the affected cone is the whole node universe:
+   [Andersen.resolve_delta] declines it as [`Cone_too_big], and the
+   update takes a fresh solve over the mutated program. *)
+let test_update_resolved_fresh () =
+  let h = Engine.load [ (file, base_src) ] in
   let edited =
-    replace base_src "void set(int v) { this.f = v + 0; }"
-      "void set(int v) { A t = new A(); this.f = v; }"
+    replace base_src "A a = new A();" "A a = new A(); A b = new A();"
   in
   let h', rep = Engine.update h [ (file, edited) ] in
   Alcotest.check path_testable "resolved-fresh path" Engine.Resolved_fresh
     rep.Engine.up_path;
+  Alcotest.(check int) "one body relowered" 1 rep.Engine.up_relowered;
   check_equiv ~what:"resolved-fresh" h' [ (file, edited) ]
     (seed_lines_of edited)
+
+(* Work proportional to the edit on javac: constant tweaks inside N
+   distinct scanner predicates stay on the Patched path, re-lower exactly
+   N bodies, and re-wire a strict subset of the SDG segments that does
+   not shrink as N grows. *)
+let test_update_patched_n_methods () =
+  let src = Slice_workloads.Prog_javac.base in
+  let file = "javac.tj" in
+  let edits =
+    [ ("c == 9;", "c == 10;");   (* Scanner.isSpace *)
+      ("c <= 57;", "c <= 56;");  (* Scanner.isDigit *)
+      ("c == 95;", "c == 94;") ] (* Scanner.isNameChar *)
+  in
+  let h0 = Engine.load [ (file, src) ] in
+  let refrozen =
+    List.mapi
+      (fun i _ ->
+        let n = i + 1 in
+        let edited =
+          List.fold_left
+            (fun acc (o, by) -> replace acc o by)
+            src
+            (List.filteri (fun j _ -> j < n) edits)
+        in
+        let h', rep = Engine.update h0 [ (file, edited) ] in
+        let what = Printf.sprintf "%d-method edit" n in
+        Alcotest.check path_testable (what ^ ": path") Engine.Patched
+          rep.Engine.up_path;
+        Alcotest.(check int) (what ^ ": relowered") n rep.Engine.up_relowered;
+        if rep.Engine.up_segments_refrozen >= rep.Engine.up_segments_total
+        then
+          Alcotest.failf "%s: %d of %d segments refrozen" what
+            rep.Engine.up_segments_refrozen rep.Engine.up_segments_total;
+        if n = List.length edits then
+          check_equiv ~what h' [ (file, edited) ]
+            [ line_of edited "c == 10;"; line_of edited "print(" ];
+        rep.Engine.up_segments_refrozen)
+      edits
+  in
+  Alcotest.(check (list int))
+    "refrozen segments non-decreasing in N"
+    (List.sort compare refrozen) refrozen
 
 let test_update_rebuilt () =
   let h = Engine.load [ (file, base_src) ] in
@@ -501,8 +545,10 @@ let suite =
     Alcotest.test_case "update patched entry" `Quick test_update_patched_entry;
     Alcotest.test_case "update resolved" `Quick test_update_resolved;
     Alcotest.test_case "arena follows every tier" `Quick test_arena_every_tier;
-    Alcotest.test_case "update resolved-fresh (reference)" `Quick
-      test_update_resolved_fresh_reference;
+    Alcotest.test_case "update resolved-fresh (bitset, cone too big)" `Quick
+      test_update_resolved_fresh;
+    Alcotest.test_case "update patched N methods (javac)" `Quick
+      test_update_patched_n_methods;
     Alcotest.test_case "update rebuilt" `Quick test_update_rebuilt;
     Alcotest.test_case "update multifile" `Quick test_update_multifile;
     Alcotest.test_case "invalid body edit" `Quick test_update_invalid_body;

@@ -123,8 +123,7 @@ let check_parity ~(ctx : string) (h : Engine.handle) =
   let fresh =
     Engine.load
       ?container_classes:h.Engine.h_container_classes
-      ~obj_sens:h.Engine.h_obj_sens ~solver:h.Engine.h_solver
-      h.Engine.h_sources
+      ~obj_sens:h.Engine.h_obj_sens h.Engine.h_sources
   in
   let ia = h.Engine.h_analysis and fa = fresh.Engine.h_analysis in
   if
@@ -213,15 +212,11 @@ let note (rep : Engine.update_report) =
   | Engine.Resolved_fresh -> tally.resolved_fresh <- tally.resolved_fresh + 1
   | _ -> ()
 
-let run_chain ?(solver = `Bitset) ~(obj_sens : bool) (name : string)
-    (base : string) =
-  let ctx step = Printf.sprintf "%s(objsens=%b,%s) %s" name obj_sens
-      (match solver with `Bitset -> "bitset" | `Reference -> "reference")
-      step
-  in
+let run_chain ~(obj_sens : bool) (name : string) (base : string) =
+  let ctx step = Printf.sprintf "%s(objsens=%b) %s" name obj_sens step in
   let tgt = main_target base in
   let seed_line = tgt + 1 in
-  let h0 = Engine.load ~obj_sens ~solver [ (file, base) ] in
+  let h0 = Engine.load ~obj_sens [ (file, base) ] in
   (* 1. structural: a whole new class at EOF *)
   let src1 = base ^ probe_class in
   let h1, rep1 = Engine.update h0 [ (file, src1) ] in
@@ -250,13 +245,10 @@ let run_chain ?(solver = `Bitset) ~(obj_sens : bool) (name : string)
   check_parity ~ctx:(ctx "resolve-on-resolved") h3a;
   (* 3b. small-cone summary move: the delta solver itself.  The bump
      body's constraints only reach the probe's own nodes, far under the
-     cone limits, so the bitset solver must repair in place. *)
+     cone limits, so the solver must repair in place. *)
   let src3b = move_bump src3 in
   let h3, rep3 = Engine.update h3a [ (file, src3b) ] in
-  (match solver with
-  | `Bitset ->
-    expect ~ctx:(ctx "small-cone resolve") Engine.Resolved_incremental rep3
-  | `Reference -> expect_resolved ~ctx:(ctx "small-cone resolve") rep3);
+  expect ~ctx:(ctx "small-cone resolve") Engine.Resolved_incremental rep3;
   note rep3;
   check_parity ~ctx:(ctx "small-cone resolve") h3;
   (* A provenance walked NOW must go stale after the patched update. *)
@@ -307,10 +299,10 @@ let test_chains_ci () =
     (fun (name, base) -> run_chain ~obj_sens:false name base)
     Slice_workloads.Suites.paper_workloads
 
-(* Both resolved tiers must actually occur across the 18 bitset chains:
-   a ladder where one tier is unreachable is a ladder nothing tests.
-   (The reference-solver chain below pins Resolved_fresh by
-   construction; this pins it for the BITSET solver's own threshold.) *)
+(* Both resolved tiers must actually occur across the 18 chains: a
+   ladder where one tier is unreachable is a ladder nothing tests.
+   Resolved_fresh is reached only through the solver's own cone
+   threshold. *)
 let test_resolved_tier_mix () =
   if tally.resolved_incr = 0 then
     Alcotest.fail
@@ -320,26 +312,6 @@ let test_resolved_tier_mix () =
     Alcotest.fail
       "no workload chain took resolved-fresh: the cone threshold never \
        triggered"
-
-(* The reference solver records no provenance, so a summary-moving edit
-   must land on Resolved_fresh (never the incremental tier), and still
-   agree with a fresh load. *)
-let test_reference_solver_resolves_fresh () =
-  let name, base = List.hd Slice_workloads.Suites.paper_workloads in
-  let tgt = main_target base in
-  let h0 = Engine.load ~obj_sens:true ~solver:`Reference [ (file, base) ] in
-  let src1 = base ^ probe_class in
-  let h1, _ = Engine.update h0 [ (file, src1) ] in
-  let src2 =
-    append_to_line src1 tgt " ZzProbe zza = new ZzProbe(); zza.bump(1);"
-  in
-  let h2, rep2 = Engine.update h1 [ (file, src2) ] in
-  (match rep2.Engine.up_path with
-  | Engine.Resolved_fresh -> ()
-  | p ->
-    Alcotest.failf "%s: reference solver took %s, want resolved-fresh" name
-      (Engine.update_path_to_string p));
-  check_parity ~ctx:(name ^ " reference resolved-fresh") h2
 
 (* The SDG's location columns must follow every tier that touches the
    statement table: load, a patched body edit, a resolved-incremental
@@ -412,7 +384,5 @@ let suite =
       test_chains_ci;
     Alcotest.test_case "both resolved tiers exercised" `Quick
       test_resolved_tier_mix;
-    Alcotest.test_case "reference solver resolves fresh" `Quick
-      test_reference_solver_resolves_fresh;
     Alcotest.test_case "location columns track every tier" `Quick
       test_loc_columns_every_tier ]

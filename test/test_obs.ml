@@ -529,56 +529,20 @@ let test_cli_stats_json () =
     | None -> Alcotest.fail "no telemetry object"
   end
 
-(* --- thinslice batch --pta byte-identity ---------------------------- *)
+(* --- allocated_words counts the live minor heap ------------------- *)
 
-(* The CLI contract of the solver A/B: `thinslice batch --pta reference`
-   must print BYTE-identical output to `--pta bitset` — the solver swap
-   is invisible to the user. *)
-let test_cli_pta_byte_identity () =
-  if not (Sys.file_exists exe_path) then Alcotest.skip ()
-  else begin
-    let src = Slice_workloads.Prog_nanoxml.base in
-    let a = Slice_core.Engine.of_source ~file:"nanoxml.tj" src in
-    let n_lines = List.length (String.split_on_char '\n' src) in
-    let lines = ref [] in
-    for l = n_lines downto 1 do
-      if l mod 20 = 0 && Slice_core.Engine.seeds_at_line a l <> [] then
-        lines := l :: !lines
-    done;
-    check_bool "found several seed lines" true (List.length !lines >= 3);
-    let src_file = Filename.temp_file "obs_pta" ".tj" in
-    let oc = open_out src_file in
-    output_string oc src;
-    close_out oc;
-    let run solver out =
-      let cmd =
-        Printf.sprintf
-          "%s batch %s %s --mode thin --pta %s --quiet > %s 2>&1"
-          (Filename.quote exe_path) (Filename.quote src_file)
-          (String.concat " "
-             (List.map (fun l -> Printf.sprintf "--line %d" l) !lines))
-          solver (Filename.quote out)
-      in
-      check_int (Printf.sprintf "batch --pta %s exits 0" solver) 0
-        (Sys.command cmd)
-    in
-    let read path =
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-    in
-    let out_bit = Filename.temp_file "obs_pta_bit" ".out" in
-    let out_ref = Filename.temp_file "obs_pta_ref" ".out" in
-    run "bitset" out_bit;
-    run "reference" out_ref;
-    let tb = read out_bit and tr = read out_ref in
-    Sys.remove src_file;
-    Sys.remove out_bit;
-    Sys.remove out_ref;
-    check_bool "non-empty output" true (String.length tb > 0);
-    check_string "--pta reference output byte-identical to bitset" tb tr
-  end
+(* A 10,000-pair list is 10,000 cons cells of 3 words plus 10,000 pairs
+   of 3 words, all on the minor heap: 60,000 words whether or not a
+   minor collection runs inside the window. *)
+let test_allocated_words_minor () =
+  Gc.minor ();
+  let w0 = allocated_words () in
+  let l = List.init 10_000 (fun i -> (i, i)) in
+  let words = allocated_words () -. w0 in
+  ignore (Sys.opaque_identity l);
+  if words < 60_000. then
+    Alcotest.failf "allocated_words read %.0f words for a 10,000-pair list"
+      words
 
 let suite =
   [ Alcotest.test_case "span nesting" `Quick test_span_nesting;
@@ -605,5 +569,5 @@ let suite =
       test_batch_span_names_distinct;
     Alcotest.test_case "thinslice --stats-json contract" `Quick
       test_cli_stats_json;
-    Alcotest.test_case "thinslice batch --pta byte-identity" `Quick
-      test_cli_pta_byte_identity ]
+    Alcotest.test_case "allocated_words counts the minor heap" `Quick
+      test_allocated_words_minor ]

@@ -220,7 +220,7 @@ let parity_seed_sets (g : Slice_core.Sdg.t) : Slice_core.Sdg.node list list =
     [ [ arr.(0) ]; [ arr.(k / 2) ]; [ arr.(k - 1) ];
       [ arr.(0); arr.(k / 2); arr.(k - 1) ] ]
 
-(* Node-for-node agreement of the CSR walk with [Slicer.Reference] on one
+(* Node-for-node agreement of the CSR walk with the reference walk on one
    analysis, for every mode / seed set / direction, plus the line
    projection. *)
 let check_parity ~(what : string) (g : Slice_core.Sdg.t) : unit =
@@ -234,15 +234,15 @@ let check_parity ~(what : string) (g : Slice_core.Sdg.t) : unit =
           in
           Alcotest.(check (list int))
             (ctx ^ " backward")
-            (Slicer.Reference.slice g ~seeds mode)
+            (Slice_oracle.Reference_walk.slice g ~seeds mode)
             (Slicer.slice g ~seeds mode);
           Alcotest.(check (list int))
             (ctx ^ " forward")
-            (Slicer.Reference.forward_slice g ~seeds mode)
+            (Slice_oracle.Reference_walk.forward_slice g ~seeds mode)
             (Slicer.forward_slice g ~seeds mode);
           Alcotest.(check bool)
             (ctx ^ " lines") true
-            (Slicer.Reference.slice_lines g ~seeds mode
+            (Slice_oracle.Reference_walk.slice_lines g ~seeds mode
             = Slicer.slice_lines g ~seeds mode))
         parity_modes)
     (parity_seed_sets g)
@@ -265,9 +265,9 @@ let prop_csr_parity_on_generated =
         (fun seeds ->
           List.for_all
             (fun mode ->
-              Slice_core.Slicer.Reference.slice g ~seeds mode
+              Slice_oracle.Reference_walk.slice g ~seeds mode
               = Slice_core.Slicer.slice g ~seeds mode
-              && Slice_core.Slicer.Reference.forward_slice g ~seeds mode
+              && Slice_oracle.Reference_walk.forward_slice g ~seeds mode
                  = Slice_core.Slicer.forward_slice g ~seeds mode)
             parity_modes)
         (parity_seed_sets g))

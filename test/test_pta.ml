@@ -4,6 +4,7 @@
 
 open Slice_ir
 open Slice_pta
+open Slice_oracle
 open Helpers
 
 let main_mq = { Instr.mq_class = Types.toplevel_class; mq_name = "main" }
@@ -199,7 +200,7 @@ let test_call_graph_soundness () =
       (Slice_workloads.Paper_figures.fig1, fst Slice_workloads.Paper_figures.fig1_io,
        snd Slice_workloads.Paper_figures.fig1_io) ]
 
-(* ---- bitset solver vs the Reference oracle ---- *)
+(* ---- bitset solver vs the reference solver oracle ---- *)
 
 (* Every workload of the BENCH suite; same list as bench/main.ml and
    test_props.ml. *)
@@ -220,7 +221,15 @@ let dump = Alcotest.(list (pair string (list string)))
    orders (FIFO vs LIFO worklists), so parity is checked on the
    canonical-key dumps: identical points-to sets per node description,
    identical call graph, identical object counts — for both sensitivity
-   settings. *)
+   settings.
+
+   The dumps hold every fact the SDG reads from a points-to result: the
+   pts dump covers variable, return, field and static nodes (so
+   [pts_iter_var], [pts_of_var(_ci)] and [cast_verified]'s operand set,
+   whose object keys carry the allocated class); the call-graph dump
+   covers [call_targets(_ci)] and [intrinsic_targets(_ci)].  The
+   reachable method contexts are the entry plus every callee context in
+   the call-graph dump, which the last check below pins. *)
 let test_solver_pts_parity () =
   List.iter
     (fun (name, src) ->
@@ -228,75 +237,37 @@ let test_solver_pts_parity () =
       List.iter
         (fun (sens, opts) ->
           let bit = Andersen.analyze ~opts p in
-          let oracle = Andersen.Reference.analyze ~opts p in
+          let oracle = Reference_pta.analyze ~opts p in
           let ctx = Printf.sprintf "%s (%s)" name sens in
           Alcotest.check dump (ctx ^ " pts sets")
-            (Andersen.Reference.pts_dump oracle)
+            (Reference_pta.pts_dump oracle)
             (Andersen.pts_dump bit);
           Alcotest.check dump (ctx ^ " call graph")
-            (Andersen.Reference.call_graph_dump oracle)
+            (Reference_pta.call_graph_dump oracle)
             (Andersen.call_graph_dump bit);
           Alcotest.(check int)
             (ctx ^ " num_objects")
-            (Andersen.Reference.num_objects oracle)
+            (Reference_pta.num_objects oracle)
             (Andersen.num_objects bit);
-          (* [of_reference] must lift the oracle without changing it. *)
-          let lifted = Andersen.of_reference oracle in
-          Alcotest.check dump (ctx ^ " lifted pts sets")
-            (Andersen.pts_dump bit)
-            (Andersen.pts_dump lifted);
-          Alcotest.check dump (ctx ^ " lifted call graph")
-            (Andersen.call_graph_dump bit)
-            (Andersen.call_graph_dump lifted))
+          let key mq c = Pta_dump.mctx_key (Andersen.contexts bit) mq c in
+          let reachable =
+            List.map (fun (_, mq, c) -> key mq c) (Andersen.method_contexts bit)
+          in
+          let dumped =
+            key (Program.entry_method p) Context.Cnone
+            :: List.concat_map
+                 (fun (k, callees) ->
+                   if String.length k > 2 && String.sub k 0 2 = "C:" then
+                     callees
+                   else [])
+                 (Andersen.call_graph_dump bit)
+          in
+          Alcotest.(check (list string))
+            (ctx ^ " reachable contexts = entry + dumped callees")
+            (List.sort_uniq compare reachable)
+            (List.sort_uniq compare dumped))
         [ ("objsens", Andersen.default_opts);
           ("ci", Andersen.no_obj_sens_opts) ])
-    workload_programs
-
-(* End-to-end: the whole pipeline on either solver produces identical
-   slices, every mode and direction, at line granularity (node ids are
-   interning-order dependent, lines are not). *)
-let test_solver_slice_parity () =
-  let module E = Slice_core.Engine in
-  let module Sdg = Slice_core.Sdg in
-  let module Slicer = Slice_core.Slicer in
-  List.iter
-    (fun (name, src) ->
-      let file = name ^ ".tj" in
-      let a_bit = E.of_source ~solver:`Bitset ~file src in
-      let a_ref = E.of_source ~solver:`Reference ~file src in
-      (* first / middle / last source lines that carry statements *)
-      let lines =
-        let g = a_bit.E.sdg in
-        let ls = ref [] in
-        for n = 0 to Sdg.num_nodes g - 1 do
-          if Sdg.node_countable g n then
-            ls := (Sdg.node_loc g n).Slice_ir.Loc.line :: !ls
-        done;
-        match List.sort_uniq compare !ls with
-        | [] -> []
-        | sorted ->
-          let arr = Array.of_list sorted in
-          let k = Array.length arr in
-          List.sort_uniq compare [ arr.(0); arr.(k / 2); arr.(k - 1) ]
-      in
-      Alcotest.(check bool) (name ^ " has seed lines") true (lines <> []);
-      List.iter
-        (fun mode ->
-          List.iter
-            (fun forward ->
-              let ctx =
-                Printf.sprintf "%s %s %s" name
-                  (Slicer.mode_to_string mode)
-                  (if forward then "fwd" else "bwd")
-              in
-              Alcotest.(check (list (pair int (list int))))
-                ctx
-                (E.slice_batch ~forward a_ref ~lines mode)
-                (E.slice_batch ~forward a_bit ~lines mode))
-            [ false; true ])
-        [ Slicer.Thin; Slicer.Thin_with_aliasing 1;
-          Slicer.Thin_with_aliasing 2; Slicer.Traditional_data;
-          Slicer.Traditional_full ])
     workload_programs
 
 let suite =
@@ -310,6 +281,4 @@ let suite =
     Alcotest.test_case "static field flow" `Quick test_static_fields_flow;
     Alcotest.test_case "call graph soundness" `Quick test_call_graph_soundness;
     Alcotest.test_case "solver parity: pts + call graph" `Quick
-      test_solver_pts_parity;
-    Alcotest.test_case "solver parity: slices all modes" `Quick
-      test_solver_slice_parity ]
+      test_solver_pts_parity ]

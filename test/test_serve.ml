@@ -1,8 +1,7 @@
 (* Serve daemon tests: the JSON-RPC error contract (no request kills
    the loop), LRU cache behaviour (hit/miss, eviction, reload),
    long-lived-process hygiene (span rotation, scratch shrink on
-   eviction), and serve-vs-CLI byte parity across both pointer-analysis
-   solvers via a scripted subprocess. *)
+   eviction), and serve-vs-CLI byte parity via a scripted subprocess. *)
 
 open Slice_core
 module Serve = Slice_serve.Serve
@@ -124,11 +123,6 @@ let test_error_contract () =
        [ ("source", Json.Str tiny_src); ("line", Json.Int 4);
          ("mode", Json.Str "psychic") ])
     Serve.invalid_params;
-  expect_error "bad solver" st
-    (req "slice"
-       [ ("source", Json.Str tiny_src); ("line", Json.Int 4);
-         ("solver", Json.Str "quantum") ])
-    Serve.invalid_params;
   (* analysis/user errors: code 1, mirroring CLI exit 1 *)
   expect_error "unresident program key" st
     (req "slice" [ ("program", Json.Str "no-such-key"); ("line", Json.Int 4) ])
@@ -180,6 +174,21 @@ let test_hit_miss_equality () =
     (List.exists analysis_phase (phase_keys cold));
   check_bool "hot query ran zero analysis phases" false
     (List.exists analysis_phase (phase_keys hot));
+  (* the key is <md5>:objsens or <md5>:no-objsens, and a "solver"
+     member, like any other unknown member, is not read *)
+  let key = Serve.program_key ~file:"box.tj" box_src in
+  Alcotest.(check (list string)) "one resident key" [ key ]
+    (Serve.cache_keys st);
+  check_string "key form"
+    (Digest.to_hex (Digest.string ("box.tj\x00" ^ box_src)) ^ ":objsens")
+    key;
+  let with_solver =
+    req "slice"
+      [ ("source", Json.Str box_src); ("file", Json.Str "box.tj");
+        ("line", Json.Int box_print_line); ("solver", Json.Str "reference") ]
+  in
+  check_string "a solver member hits the same entry" "hit"
+    (cache_of (do_req st with_solver));
   Slice_obs.set_enabled false
 
 (* --- LRU eviction and reload ---------------------------------------- *)
@@ -327,7 +336,7 @@ let serve_responses (reqs : Json.t list) : Json.t list =
          | Ok j -> j
          | Error e -> Alcotest.failf "unparsable serve response %S: %s" l e)
 
-let parity_for_solver (solver : string) () =
+let test_cli_parity () =
   skip_if_missing ();
   let dir = Filename.temp_file "serve_parity" "" in
   Sys.remove dir;
@@ -340,48 +349,43 @@ let parity_for_solver (solver : string) () =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () ->
       (* serve identifies the unit by basename, exactly as the CLI does *)
-      let base =
-        [ ("source", Json.Str box_src); ("file", Json.Str "box.tj");
-          ("solver", Json.Str solver) ]
-      in
+      let base = [ ("source", Json.Str box_src); ("file", Json.Str "box.tj") ] in
       let qp = Filename.quote path in
       let cases =
         [ ( "slice",
             req "slice" (("line", Json.Int box_print_line) :: base),
-            Printf.sprintf "slice %s -l %d --json --pta %s" qp box_print_line
-              solver );
+            Printf.sprintf "slice %s -l %d --json" qp box_print_line );
           ( "forward",
             req "forward"
               (("line", Json.Int box_def_line)
                :: ("mode", Json.Str "trad") :: base),
-            Printf.sprintf "slice %s -l %d --forward --mode trad --json --pta %s"
-              qp box_def_line solver );
+            Printf.sprintf "slice %s -l %d --forward --mode trad --json"
+              qp box_def_line );
           ( "chop",
             req "chop"
               (("line", Json.Int box_def_line)
                :: ("to", Json.Int box_print_line) :: base),
-            Printf.sprintf "chop %s -l %d --to %d --json --pta %s" qp
-              box_def_line box_print_line solver );
+            Printf.sprintf "chop %s -l %d --to %d --json" qp
+              box_def_line box_print_line );
           ( "expand",
             req "expand" (("line", Json.Int box_print_line) :: base),
-            Printf.sprintf "expand %s -l %d --json --pta %s" qp box_print_line
-              solver );
+            Printf.sprintf "expand %s -l %d --json" qp box_print_line );
           ( "explain",
             req "explain"
               (("line", Json.Int box_def_line)
                :: ("seed", Json.Int box_print_line)
                :: ("mode", Json.Str "full") :: base),
-            Printf.sprintf "explain %s %d --seed %d --mode full --json --pta %s"
-              qp box_def_line box_print_line solver );
+            Printf.sprintf "explain %s %d --seed %d --mode full --json"
+              qp box_def_line box_print_line );
           ( "report",
             req "report"
               (("line", Json.Int box_print_line)
                :: ("mode", Json.Str "full") :: base),
-            Printf.sprintf "report %s -l %d --mode full --json --pta %s" qp
-              box_print_line solver );
+            Printf.sprintf "report %s -l %d --mode full --json" qp
+              box_print_line );
           ( "stats",
             req "stats" base,
-            Printf.sprintf "stats %s --json --pta %s" qp solver ) ]
+            Printf.sprintf "stats %s --json" qp ) ]
       in
       let resps = serve_responses (List.map (fun (_, r, _) -> r) cases) in
       check_int "one response per request" (List.length cases)
@@ -391,8 +395,7 @@ let parity_for_solver (solver : string) () =
           let serve_result = result_str resp in
           let cli_out = cli_json cli_args in
           check_string
-            (Printf.sprintf "%s (--pta %s): serve result byte-equals CLI --json"
-               name solver)
+            (Printf.sprintf "%s: serve result byte-equals CLI --json" name)
             cli_out serve_result)
         cases resps;
       (* every response after the first reuses the resident analysis *)
@@ -699,6 +702,4 @@ let suite =
     Alcotest.test_case "client disconnect does not kill the daemon" `Quick
       test_socket_disconnect;
     Alcotest.test_case "serve/CLI byte parity (bitset pta)" `Quick
-      (parity_for_solver "bitset");
-    Alcotest.test_case "serve/CLI byte parity (reference pta)" `Quick
-      (parity_for_solver "reference") ]
+      test_cli_parity ]

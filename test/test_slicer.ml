@@ -252,7 +252,7 @@ let test_budget_clamp_boundary () =
   let seeds = Engine.seeds_at_line_exn ~filter:Engine.Only_loads a line in
   let csr k = Slicer.slice g ~seeds (Slicer.Thin_with_aliasing k) in
   let reference k =
-    Slicer.Reference.slice g ~seeds (Slicer.Thin_with_aliasing k)
+    Slice_oracle.Reference_walk.slice g ~seeds (Slicer.Thin_with_aliasing k)
   in
   List.iter
     (fun k ->
@@ -408,20 +408,20 @@ let test_shared_scratch_reuse () =
     (fun mode ->
       Slicer.shrink_shared_scratch ~keep:(Sdg.num_nodes g1);
       Alcotest.(check (list int)) "g1 backward on the shared scratch"
-        (Slicer.Reference.slice g1 ~seeds:seeds1 mode)
+        (Slice_oracle.Reference_walk.slice g1 ~seeds:seeds1 mode)
         (Slicer.slice g1 ~seeds:seeds1 mode);
       (* the same buffers then walk a BIGGER graph (grow-only) *)
       Alcotest.(check (list int)) "g2 backward on the same scratch"
-        (Slicer.Reference.slice g2 ~seeds:seeds2 mode)
+        (Slice_oracle.Reference_walk.slice g2 ~seeds:seeds2 mode)
         (Slicer.slice g2 ~seeds:seeds2 mode);
       Alcotest.(check bool) "walking g2 grew the scratch" true
         (Slicer.shared_scratch_capacity () >= Sdg.num_nodes g2);
       Alcotest.(check (list int)) "g2 forward on the same scratch"
-        (Slicer.Reference.forward_slice g2 ~seeds:seeds2 mode)
+        (Slice_oracle.Reference_walk.forward_slice g2 ~seeds:seeds2 mode)
         (Slicer.forward_slice g2 ~seeds:seeds2 mode);
       (* and back to the small graph *)
       Alcotest.(check (list int)) "g1 again on the same scratch"
-        (Slicer.Reference.slice g1 ~seeds:seeds1 mode)
+        (Slice_oracle.Reference_walk.slice g1 ~seeds:seeds1 mode)
         (Slicer.slice g1 ~seeds:seeds1 mode))
     [ Slicer.Thin; Slicer.Thin_with_aliasing 1; Slicer.Traditional_full ]
 

@@ -463,9 +463,9 @@ type stats = {
 (* The snapshot member of a patched handle's stats cannot come from
    [Slice_obs.snapshot ()] (process-cumulative, conflates programs) nor
    from the load-time scoped capture (its edge counters describe the
-   PRE-edit graph).  Recompute the per-kind edge census from the graph
-   itself and present it in snapshot shape, so [resident_stats_to_json]
-   keeps reading ["sdg.edge.<kind>"] counters unchanged. *)
+   PRE-edit graph).  Read the per-kind edge census the graph keeps and
+   present it in snapshot shape, so [resident_stats_to_json] keeps
+   reading ["sdg.edge.<kind>"] counters unchanged. *)
 let edge_census_snapshot (g : Sdg.t) : Slice_obs.snapshot =
   let counters =
     List.filter_map
@@ -649,7 +649,7 @@ let load ?container_classes ?(obj_sens = true)
    - [Patched]: changed bodies re-lowered, points-to re-keyed in place,
      SDG patched (constraint summaries unchanged) — also taken
      by dispatch-neutral method adds/removes, where only the statement
-     table needs rebuilding;
+     table and the location columns need rebuilding ([Sdg.relocate]);
    - [Resolved_incremental]: some constraint summary moved, but the
      solved points-to result was repaired in place by delete-and-
      rederive over the affected cone ([Andersen.resolve_delta]); arena
@@ -772,7 +772,10 @@ let update (h : handle) (new_sources : (string * string) list) :
               up_nodes_dead = 0;
               up_nodes_new = 0 } )
       in
-      match Slice_front.Delta.diff ~old_sources:h.h_sources ~new_sources with
+      match
+        Slice_obs.span "delta.diff" (fun () ->
+            Slice_front.Delta.diff ~old_sources:h.h_sources ~new_sources)
+      with
       | Slice_front.Delta.Same ->
         Slice_obs.bump c_update_noop;
         Slice_obs.add_span_arg "path" "noop";
@@ -791,7 +794,10 @@ let update (h : handle) (new_sources : (string * string) list) :
           let p = a.program in
           (* Locate every changed method and snapshot the OLD bodies'
              constraint summaries before any mutation. *)
-          let resolved = List.map (Slice_front.Delta.resolve p) changed in
+          let resolved =
+            Slice_obs.span "delta.resolve" (fun () ->
+                List.map (Slice_front.Delta.resolve p) changed)
+          in
           let summary_of (r : Slice_front.Delta.resolved) =
             Andersen.method_summary_sites
               (Program.find_method_exn p r.Slice_front.Delta.rv_mq)
@@ -802,14 +808,10 @@ let update (h : handle) (new_sources : (string * string) list) :
              REACHABLE bodies, so unreachable edits must contribute zero
              to the adjustment — reachability itself cannot change on the
              Patched path (equal summaries, re-keyed solution). *)
-          let reachable = Andersen.reachable_methods a.pta in
           let counted =
             List.filter
               (fun (r : Slice_front.Delta.resolved) ->
-                List.exists
-                  (fun mq ->
-                    Instr.equal_method_qname mq r.Slice_front.Delta.rv_mq)
-                  reachable)
+                Andersen.mctxs_of_method a.pta r.Slice_front.Delta.rv_mq <> [])
               resolved
           in
           let count_ir (r : Slice_front.Delta.resolved) =
@@ -825,7 +827,8 @@ let update (h : handle) (new_sources : (string * string) list) :
           let old_ir = ir_of counted in
           (* Re-lower in place: from here on [p] holds the new bodies and
              any failure falls through to the rebuild handler below. *)
-          List.iter (Slice_front.Delta.relower_resolved p) resolved;
+          Slice_obs.span "delta.relower" (fun () ->
+              List.iter (Slice_front.Delta.relower_resolved p) resolved);
           let new_summaries = List.map summary_of resolved in
           let summaries_equal =
             List.for_all2
@@ -847,13 +850,14 @@ let update (h : handle) (new_sources : (string * string) list) :
                   old_sites new_sites)
               old_summaries new_summaries;
             let site_remap s = Hashtbl.find_opt remap s in
-            Andersen.rekey_sites a.pta site_remap;
             let changed_mqs =
               List.map
                 (fun (r : Slice_front.Delta.resolved) ->
                   r.Slice_front.Delta.rv_mq)
                 resolved
             in
+            Slice_obs.span "pta.rekey" (fun () ->
+                Andersen.rekey_sites a.pta ~changed:changed_mqs site_remap);
             let ps = Sdg.patch a.sdg ~changed:changed_mqs ~site_remap in
             Slice_obs.bump c_update_patched;
             Slice_obs.add_span_arg "path" "patched";
@@ -1000,13 +1004,14 @@ let update (h : handle) (new_sources : (string * string) list) :
                  points-to result, SDG rows and node set are all still
                  exact.  The added and removed methods have no contexts,
                  so [Sdg.patch] leaves the graph's rows alone: it
-                 re-lowers them into the arena, rebuilds the statement
-                 table (so the shifted locations serve line queries) and
-                 bumps the graph generation. *)
+                 re-lowers them into the arena and bumps the graph
+                 generation.  [Sdg.relocate] then re-reads the statement
+                 table, so the shifted locations serve line queries. *)
               let ps =
                 Sdg.patch a.sdg ~changed:(added_mqs @ removed_mqs)
                   ~site_remap:(fun _ -> None)
               in
+              Sdg.relocate a.sdg;
               Slice_obs.bump c_update_patched;
               Slice_obs.add_span_arg "path" "patched";
               let stats' =

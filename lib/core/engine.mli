@@ -212,8 +212,9 @@ val edges_by_kind_json : Slice_obs.snapshot -> Slice_obs.Json.t
     per-benchmark entries of BENCH_results.json. *)
 val stats_to_json : stats -> Slice_obs.Json.t
 
-(** Per-kind edge census of a graph presented in snapshot shape (only
-    ["sdg.edge.<kind>"] counters, everything else empty) — the [?obs]
+(** Per-kind edge census of a graph ({!Sdg.edge_kind_counts}, kept by
+    the graph, so reading it costs nothing) presented in snapshot shape
+    (only ["sdg.edge.<kind>"] counters, everything else empty) — the [?obs]
     {!stats_of} wants for a patched graph, where the load-time scoped
     snapshot describes the pre-edit edges. *)
 val edge_census_snapshot : Sdg.t -> Slice_obs.snapshot
@@ -279,7 +280,8 @@ val load :
       ({!Sdg.patch}).  Dispatch-neutral method adds/removes (an
       unreachable method removed, or a method added under a name no
       old method bears) also land here: the solved analysis is still
-      exact, so only the arena and the statement table are updated;
+      exact, so only the arena, the statement table and the location
+      columns are updated ({!Sdg.relocate});
     - [Resolved_incremental]: some constraint summary moved, but the
       solved points-to result was repaired in place by
       delete-and-rederive over the affected cone

@@ -124,35 +124,39 @@ type heap_index = {
   len_reads : (int, node list ref) Hashtbl.t;
 }
 
-(* Dense per-node location columns, derived from the statement table in
-   one pass by [set_stmt_table] — the only place [stmt_table] is
-   assigned, so the columns can never describe an older table (the
-   Methods update tier relocates surviving statements, then patches).
+(* Dense per-node location columns, derived from the statement table.
+   [build] writes every node's entry; [patch] writes only its own nodes
+   (clearing the retired ones, locating the new ones) unless a new
+   location falls outside the file spans below, and [relocate] rewrites
+   them all.
 
    A line key numbers a (file, line) pair densely: [lc_base.(rank) +
    line], where [rank] is the file's position in [lc_files] (sorted by
    [String.compare]) and each file's span [lc_base.(rank + 1) -
-   lc_base.(rank)] is its own largest line + 1, so the key space grows
-   with the source, not with files × the longest file.  Key order is
-   therefore (file, line) order, and a single-file program's key is its
-   line.  [lc_key.(n)] packs the node's line key
-   with its countability: [(key lsl 1) lor 1] for a countable node,
-   [key lsl 1] for a located but uncountable one (phis, gotos), -1 for
-   a node without a location. *)
+   lc_base.(rank)] is its own largest line + 1 when the spans were last
+   computed, so the key space grows with the source, not with files ×
+   the longest file.  Key order is therefore (file, line) order, and a
+   single-file program's key is its line.  [lc_key.(n)] packs the node's
+   line key with its countability: [(key lsl 1) lor 1] for a countable
+   node, [key lsl 1] for a located but uncountable one (phis, gotos), -1
+   for a node without a location.  Once a graph is patched the two
+   per-node columns are sized to the node capacity, like the overlay
+   state. *)
 type loc_columns = {
-  lc_loc : Loc.t array;     (* node -> location; [Loc.none] if absent *)
-  lc_key : int array;       (* node -> packed line key, see above *)
-  lc_files : string array;  (* file rank -> file name *)
-  lc_base : int array;      (* file rank -> first key; one extra entry,
-                               the key count *)
+  mutable lc_loc : Loc.t array;  (* node -> location; [Loc.none] if absent *)
+  mutable lc_key : int array;    (* node -> packed line key, see above *)
+  mutable lc_files : string array;  (* file rank -> file name *)
+  mutable lc_base : int array;   (* file rank -> first key; one extra
+                                    entry, the key count *)
 }
 
 type t = {
   p : Program.t;
   pta : Andersen.result;
   mutable stmt_table : (Instr.stmt_id, Program.stmt_info) Hashtbl.t;
-      (* rebuilt by [patch]: re-lowered bodies carry fresh statement ids *)
-  mutable locs : loc_columns;  (* refreshed with every [stmt_table] *)
+      (* kept in step by [patch]: it removes the retired bodies' ids and
+         adds the new bodies' ([relocate] re-reads it whole) *)
+  locs : loc_columns;
   mutable descs : node_desc array;
   mutable num_nodes : int;
   intern : (node_desc, node) Hashtbl.t;
@@ -161,16 +165,22 @@ type t = {
   ar : Arena.t;                (* the statement store pass 1 reads; a
                                   patch re-lowers the changed methods
                                   into it *)
+  kinds : int array;           (* live edges per kind tag *)
+  mutable scalar_stmts : int;  (* see [num_scalar_statements] *)
   (* Incremental patch state.  A patched graph keeps its CSR for
      untouched rows and OVERLAYS the rows the patch rewrote; row lookup
      checks the overlay first (one extra branch, only when [patched]).
      Dead nodes (statements of re-lowered method bodies) keep their ids
      — rows emptied, descs retired from the intern — so alive node ids
      are stable across a patch and resident scratch/provenance buffers
-     stay valid. *)
-  mutable ov_deps : (int array * int array) option array;  (* (dst, kind tags) *)
-  mutable ov_uses : (int array * int array) option array;
+     stay valid.  The per-node arrays are allocated by the first patch,
+     at node capacity, and grow with [intern]. *)
+  mutable ov_deps : int array option array;
+      (* an overlay row packs each edge as [(dst lsl 3) lor kind tag] *)
+  mutable ov_uses : int array option array;
   mutable dead : bool array;
+  mutable mark : int array;    (* per-row dedup stamps, see [commit_rows] *)
+  mutable stamp : int;
   mutable dead_count : int;
   mutable generation : int;    (* bumped per committed patch *)
   mutable patched : bool;
@@ -197,11 +207,14 @@ let intern (g : t) (d : node_desc) : node =
       in
       g.descs <- grow g.descs (Formal (-1, -1));
       (* patch state exists only once a graph has been patched *)
-      if Array.length g.ov_deps > 0 then begin
+      if Array.length g.dead > 0 then begin
         g.ov_deps <- grow g.ov_deps None;
-        g.ov_uses <- grow g.ov_uses None
-      end;
-      if Array.length g.dead > 0 then g.dead <- grow g.dead false
+        g.ov_uses <- grow g.ov_uses None;
+        g.dead <- grow g.dead false;
+        g.mark <- grow g.mark 0;
+        g.locs.lc_loc <- grow g.locs.lc_loc Loc.none;
+        g.locs.lc_key <- grow g.locs.lc_key (-1)
+      end
     end;
     g.descs.(n) <- d;
     g.num_nodes <- n + 1;
@@ -215,11 +228,23 @@ let find_node (g : t) (d : node_desc) : node option = Hashtbl.find_opt g.intern 
 (* The build's edge log, written into CSR in one pass                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Append-only [(from, on, kind tag)] triples in emission order.  Self
-   edges are never logged; repeats are, and [csr_of_log] drops them. *)
-type edge_log = { mutable ev : int array; mutable len : int }
+(* A growable int buffer: [ev.(0 .. len - 1)] in push order. *)
+type ibuf = { mutable ev : int array; mutable len : int }
 
-let log_edge (l : edge_log) ~(from : node) ~(on : node) (kind : edge_kind) :
+let ibuf (cap : int) : ibuf = { ev = Array.make (max 1 cap) 0; len = 0 }
+
+let ipush (b : ibuf) (x : int) : unit =
+  if b.len = Array.length b.ev then begin
+    let a = Array.make (2 * b.len) 0 in
+    Array.blit b.ev 0 a 0 b.len;
+    b.ev <- a
+  end;
+  b.ev.(b.len) <- x;
+  b.len <- b.len + 1
+
+(* The edge log: [(from, on, kind tag)] triples in emission order.  Self
+   edges are never logged; repeats are, and [csr_of_log] drops them. *)
+let log_edge (l : ibuf) ~(from : node) ~(on : node) (kind : edge_kind) :
     unit =
   if from <> on then begin
     if l.len + 3 > Array.length l.ev then begin
@@ -248,8 +273,9 @@ let offsets_of_counts (cnt : int array) : int array =
    node-indexed stamp ([stamp.(on) = from]) and a kind bitmask find the
    repeats, whose tag is cleared to -1.  The fill walks the log
    backwards, so every row of both directions lists its edges in reverse
-   order of first emission.  Bumps the edge counters once per edge. *)
-let csr_of_log (n : int) (l : edge_log) : csr =
+   order of first emission.  Bumps the edge counters once per edge, and
+   returns the per-kind edge counts with the CSR. *)
+let csr_of_log (n : int) (l : ibuf) : csr * int array =
   let ev = l.ev and m = l.len / 3 in
   let from e = ev.(3 * e) and on e = ev.((3 * e) + 1) in
   let tag e = ev.((3 * e) + 2) in
@@ -308,7 +334,7 @@ let csr_of_log (n : int) (l : edge_log) : csr =
     (fun t c ->
       if c > 0 then Slice_obs.add (edge_counter (edge_kind_of_tag t)) c)
     kinds;
-  { deps_off; deps_dst; deps_kind; uses_off; uses_dst; uses_kind }
+  ({ deps_off; deps_dst; deps_kind; uses_off; uses_dst; uses_kind }, kinds)
 
 (* A no-op, kept for callers that still time a freeze phase: [build]
    writes the final adjacency itself. *)
@@ -319,10 +345,10 @@ let freeze (_ : t) : unit = ()
    a patch) live in the overlay and are checked first. *)
 let deps_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
   match if g.patched then g.ov_deps.(n) else None with
-  | Some (dst, kind) ->
-    for i = 0 to Array.length dst - 1 do
-      f (Array.unsafe_get dst i)
-        (edge_kind_of_tag (Array.unsafe_get kind i))
+  | Some row ->
+    for i = 0 to Array.length row - 1 do
+      let e = Array.unsafe_get row i in
+      f (e lsr 3) (edge_kind_of_tag (e land 7))
     done
   | None ->
     let c = g.csr in
@@ -333,10 +359,10 @@ let deps_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
 
 let uses_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
   match if g.patched then g.ov_uses.(n) else None with
-  | Some (dst, kind) ->
-    for i = 0 to Array.length dst - 1 do
-      f (Array.unsafe_get dst i)
-        (edge_kind_of_tag (Array.unsafe_get kind i))
+  | Some row ->
+    for i = 0 to Array.length row - 1 do
+      let e = Array.unsafe_get row i in
+      f (e lsr 3) (edge_kind_of_tag (e land 7))
     done
   | None ->
     let c = g.csr in
@@ -345,15 +371,7 @@ let uses_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
         (edge_kind_of_tag (Array.unsafe_get c.uses_kind i))
     done
 
-let num_edges (g : t) : int =
-  if not g.patched then g.csr.deps_off.(g.num_nodes)
-  else begin
-    let total = ref 0 in
-    for n = 0 to g.num_nodes - 1 do
-      deps_iter g n (fun _ _ -> incr total)
-    done;
-    !total
-  end
+let num_edges (g : t) : int = Array.fold_left ( + ) 0 g.kinds
 
 (* List views of a row, in row order: a fresh list per call, so prefer
    the [_iter] forms on hot paths. *)
@@ -406,15 +424,63 @@ let memo_last (f : string -> 'a) : string -> 'a =
       last := Some (file, v);
       v
 
-(* Assign the statement table and rebuild the location columns over every
-   node interned so far: two passes over the nodes, one statement-table
-   lookup each. *)
-let set_stmt_table (g : t) tbl : unit =
-  g.stmt_table <- tbl;
-  let n = g.num_nodes in
-  let loc = Array.make n Loc.none and key = Array.make n (-1) in
-  (* pass 1: locations, the countability bit, and the files and lines
-     the keys must cover *)
+(* Column pass 1 for node [i]: its location from the statement table,
+   and in [lc_key] its countability bit, or -1 when it has no
+   location. *)
+let locate (g : t) (i : node) : unit =
+  let c = g.locs in
+  c.lc_loc.(i) <- Loc.none;
+  c.lc_key.(i) <- -1;
+  match g.descs.(i) with
+  | Formal _ -> ()
+  | (Stmt (_, s) | Actual_in (_, s, _)) as d -> (
+    match Hashtbl.find_opt g.stmt_table s with
+    | None -> ()
+    | Some si ->
+      let l = Program.stmt_loc si in
+      if not (Loc.is_none l) then begin
+        c.lc_loc.(i) <- l;
+        c.lc_key.(i) <-
+          (match d with Stmt _ when not (site_countable si) -> 0 | _ -> 1)
+      end)
+
+(* Column pass 2 for node [i]: the (file, line) key above the
+   countability bit.  False, leaving the node's key unfinished, when its
+   location lies outside the current file spans. *)
+let key_node (g : t) ~(rank_of : string -> int) (i : node) : bool =
+  let c = g.locs in
+  c.lc_key.(i) < 0
+  ||
+  let l = c.lc_loc.(i) in
+  let r = rank_of l.Loc.file in
+  r >= 0
+  && c.lc_base.(r) + l.Loc.line < c.lc_base.(r + 1)
+  && begin
+    c.lc_key.(i) <- ((c.lc_base.(r) + l.Loc.line) lsl 1) lor c.lc_key.(i);
+    true
+  end
+
+(* A file's rank in [lc_files] by binary search, -1 if absent. *)
+let file_rank (c : loc_columns) : string -> int =
+  memo_last (fun f ->
+      let rec go lo hi =
+        if lo >= hi then -1
+        else
+          let mid = (lo + hi) / 2 in
+          let k = String.compare f c.lc_files.(mid) in
+          if k = 0 then mid else if k < 0 then go lo mid else go (mid + 1) hi
+      in
+      go 0 (Array.length c.lc_files))
+
+(* Rewrite every node's columns, spans included: the files and lines of
+   the current locations set the key space afresh. *)
+let write_all_locs (g : t) : unit =
+  let n = g.num_nodes and c = g.locs in
+  let len = if Array.length g.dead > 0 then Array.length g.descs else n in
+  if Array.length c.lc_loc <> len then begin
+    c.lc_loc <- Array.make len Loc.none;
+    c.lc_key <- Array.make len (-1)
+  end;
   let files = Hashtbl.create 4 in
   let note_file =
     memo_last (fun f ->
@@ -426,43 +492,47 @@ let set_stmt_table (g : t) tbl : unit =
           m)
   in
   for i = 0 to n - 1 do
-    match g.descs.(i) with
-    | Formal _ -> ()
-    | (Stmt (_, s) | Actual_in (_, s, _)) as d -> (
-      match Hashtbl.find_opt tbl s with
-      | None -> ()
-      | Some si ->
-        let l = Program.stmt_loc si in
-        if not (Loc.is_none l) then begin
-          loc.(i) <- l;
-          key.(i) <-
-            (match d with Stmt _ when not (site_countable si) -> 0 | _ -> 1);
-          let m = note_file l.Loc.file in
-          if l.Loc.line > !m then m := l.Loc.line
-        end)
+    locate g i;
+    if c.lc_key.(i) >= 0 then begin
+      let l = c.lc_loc.(i) in
+      let m = note_file l.Loc.file in
+      if l.Loc.line > !m then m := l.Loc.line
+    end
   done;
-  let lc_files =
+  c.lc_files <-
     Array.of_list
-      (List.sort String.compare (Hashtbl.fold (fun f _ a -> f :: a) files []))
-  in
+      (List.sort String.compare (Hashtbl.fold (fun f _ a -> f :: a) files []));
   (* each file's base: the prefix sum of the earlier files' spans *)
-  let lc_base = Array.make (Array.length lc_files + 1) 0 in
+  c.lc_base <- Array.make (Array.length c.lc_files + 1) 0;
   Array.iteri
     (fun r f ->
-      let m = Hashtbl.find files f in
-      lc_base.(r + 1) <- lc_base.(r) + !m + 1;
-      m := lc_base.(r))
-    lc_files;
-  (* pass 2: the (file, line) key above the countability bit *)
-  let base_of = memo_last (fun f -> !(Hashtbl.find files f)) in
+      c.lc_base.(r + 1) <- c.lc_base.(r) + !(Hashtbl.find files f) + 1)
+    c.lc_files;
+  let rank_of = file_rank c in
   for i = 0 to n - 1 do
-    if key.(i) >= 0 then
-      let l = loc.(i) in
-      key.(i) <- ((base_of l.Loc.file + l.Loc.line) lsl 1) lor key.(i)
+    if not (key_node g ~rank_of i) then
+      invalid_arg "Sdg.write_all_locs: a location outside its own span"
   done;
-  g.locs <- { lc_loc = loc; lc_key = key; lc_files; lc_base };
   (* two one-word-per-node columns, 8 bytes per word *)
   Slice_obs.max_gauge g_loc_bytes (float_of_int (8 * 2 * n))
+
+(* Rewrite the columns of nodes [lo, hi) against the current spans, or
+   every node's when one of them falls outside. *)
+let write_locs (g : t) (lo : int) (hi : int) : unit =
+  let rank_of = file_rank g.locs in
+  let inside = ref true in
+  for i = lo to hi - 1 do
+    locate g i;
+    if !inside && not (key_node g ~rank_of i) then inside := false
+  done;
+  if not !inside then write_all_locs g
+
+(* The statement records moved (the Methods tier shifts the lines of
+   every later statement of an edited file): re-read the statement table
+   and rewrite every location column. *)
+let relocate (g : t) : unit =
+  g.stmt_table <- Program.build_stmt_table g.p;
+  write_all_locs g
 
 let pp_node (g : t) ppf (n : node) : unit =
   match g.descs.(n) with
@@ -482,16 +552,11 @@ let pp_node (g : t) ppf (n : node) : unit =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* [Hashtbl.find] rather than [find_opt]: no [Some] per push. *)
 let push tbl key v =
-  let cell =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.replace tbl key r;
-      r
-  in
-  cell := v :: !cell
+  match Hashtbl.find tbl key with
+  | cell -> cell := v :: !cell
+  | exception Not_found -> Hashtbl.replace tbl key (ref [ v ])
 
 (* The per-method pass bodies are shared between [build] (every reachable
    method context) and [patch] (only re-lowered ones); [emit] appends to
@@ -713,14 +778,18 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
       csr = no_csr;  (* the passes only intern and emit; see below *)
       hx;
       ar = arena;
+      kinds = [||];
+      scalar_stmts = 0;
       ov_deps = [||];
       ov_uses = [||];
       dead = [||];
+      mark = [||];
+      stamp = 0;
       dead_count = 0;
       generation = 0;
       patched = false }
   in
-  let log = { ev = Array.make 4096 0; len = 0 } in
+  let log = ibuf 4096 in
   let emit ~from ~on kind = log_edge log ~from ~on kind in
   let mcs = Andersen.method_contexts pta in
   (* Pass 1: intraprocedural edges + heap access indexing, over the
@@ -816,15 +885,33 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
       mcs);
   (* One count-then-fill pass turns the log into the CSR.  The record
      copy is the finished graph; the passes above are done with [g]. *)
-  let csr = Slice_obs.span "sdg.csr" (fun () -> csr_of_log g.num_nodes log) in
-  let g = { g with csr } in
+  let csr, kinds =
+    Slice_obs.span "sdg.csr" (fun () -> csr_of_log g.num_nodes log)
+  in
   let n = g.num_nodes and edges = csr.deps_off.(g.num_nodes) in
+  (* distinct statement ids among the [Stmt] nodes *)
+  let seen = Bytes.make (Program.stmt_count p) '\000' in
+  let scalar_stmts = ref 0 in
+  for i = 0 to n - 1 do
+    match g.descs.(i) with
+    | Stmt (_, s) when Bytes.get seen s = '\000' ->
+      Bytes.set seen s '\001';
+      incr scalar_stmts
+    | Stmt _ | Formal _ | Actual_in _ -> ()
+  done;
+  let g =
+    { g with
+      csr;
+      kinds;
+      scalar_stmts = !scalar_stmts;
+      stmt_table = Program.build_stmt_table p }
+  in
   Slice_obs.add c_csr_nodes n;
   Slice_obs.add c_csr_edges edges;
   (* two offset arrays + two (dst, kind) pairs, 8 bytes per word *)
   Slice_obs.max_gauge g_csr_bytes
     (float_of_int (8 * ((2 * (n + 1)) + (4 * edges))));
-  set_stmt_table g (Program.build_stmt_table p);
+  write_all_locs g;
   g
 
 (* ------------------------------------------------------------------ *)
@@ -838,17 +925,11 @@ let is_dead (g : t) (n : node) : bool =
 
 let num_live_nodes (g : t) = g.num_nodes - g.dead_count
 
-(* Edge census from the graph itself (dead rows are empty, so a patched
-   graph counts only live edges) — stats for a patched handle can't use
-   the process-wide build counters. *)
+(* The live edge census: counted by [csr_of_log] at build and adjusted
+   by every patch, so stats for a patched handle need not recount the
+   graph (and cannot use the process-wide build counters). *)
 let edge_kind_counts (g : t) : (edge_kind * int) list =
-  let counts = Array.make (Array.length edge_kind_of_tag_table) 0 in
-  for n = 0 to g.num_nodes - 1 do
-    deps_iter g n (fun _ k ->
-        let t = edge_kind_tag k in
-        counts.(t) <- counts.(t) + 1)
-  done;
-  List.map (fun k -> (k, counts.(edge_kind_tag k))) all_edge_kinds
+  List.map (fun k -> (k, g.kinds.(edge_kind_tag k))) all_edge_kinds
 
 type patch_stats = {
   ps_nodes_dead : int;
@@ -857,6 +938,151 @@ type patch_stats = {
   ps_segments_refrozen : int;
   ps_segments_total : int;
 }
+
+let empty_row = Some [||]
+
+(* The sorted distinct union of [touch]'s nodes and the keys of the
+   entries [idx] lists, which it lists in key order. *)
+let merge_keys (idx : int array) (key : int -> int) (touch : ibuf) :
+    node array =
+  let t = Array.sub touch.ev 0 touch.len in
+  Array.sort compare t;
+  let out = Array.make (Array.length idx + Array.length t) 0 in
+  let n = ref 0 in
+  let put x =
+    if !n = 0 || out.(!n - 1) <> x then begin
+      out.(!n) <- x;
+      incr n
+    end
+  in
+  let i = ref 0 and j = ref 0 in
+  while !i < Array.length idx || !j < Array.length t do
+    if !j >= Array.length t
+       || (!i < Array.length idx && key idx.(!i) <= t.(!j))
+    then begin
+      put (key idx.(!i));
+      incr i
+    end
+    else begin
+      put t.(!j);
+      incr j
+    end
+  done;
+  Array.sub out 0 !n
+
+(* Commit a patch session's rows as overlays.  [log] holds the session's
+   emissions in order; [deps_touch] and [uses_touch] name the live rows
+   that lost an edge onto or from a retired node.  Each rewritten row
+   lists the edges the patch added, newest first, then its surviving
+   edges in their old order.  An emission repeating an edge its row
+   already holds (old, or added earlier) is dropped: the row's edges are
+   stamped into [g.mark] under a fresh [g.stamp], with one bit per kind.
+   The added edges are counted into [g.kinds] and the edge counters.
+   Returns the rewritten rows of each direction, ascending. *)
+let commit_rows (g : t) ~(old_num : int) (log : ibuf) ~(deps_touch : ibuf)
+    ~(uses_touch : ibuf) : node array * node array =
+  let ev = log.ev and m = log.len / 3 in
+  let from e = ev.(3 * e) and on e = ev.((3 * e) + 1) in
+  let tag e = ev.((3 * e) + 2) in
+  (* log entries ordered by [key], then by emission *)
+  let sorted_by key idx =
+    Array.stable_sort (fun a b -> compare (key a) (key b)) idx;
+    idx
+  in
+  (* A row of [added] new edges, [old_iter]'s surviving ones after
+     them, allocated once at its final length. *)
+  let write_row ~added ~fill_added old_iter =
+    let survivors = ref 0 in
+    old_iter (fun o _ -> if not g.dead.(o) then incr survivors);
+    let row = Array.make (added + !survivors) 0 in
+    let i = ref 0 in
+    let put d t =
+      row.(!i) <- (d lsl 3) lor t;
+      incr i
+    in
+    fill_added put;
+    old_iter (fun o k -> if not g.dead.(o) then put o (edge_kind_tag k));
+    Some row
+  in
+  let no_row _ = () in
+  (* Backward rows: each source's emissions, in emission order, are
+     checked against its row, then the row is written. *)
+  let by_from = sorted_by from (Array.init m Fun.id) in
+  let deps_rows = merge_keys by_from from deps_touch in
+  let p = ref 0 in
+  Array.iter
+    (fun f ->
+      g.stamp <- g.stamp + 1;
+      let st = g.stamp lsl 8 in
+      (* is (o, t) new to this row?  marks it as present *)
+      let fresh o t =
+        let v = g.mark.(o) in
+        let v = if v land lnot 255 = st then v else st in
+        v land (1 lsl t) = 0
+        && begin
+          g.mark.(o) <- v lor (1 lsl t);
+          true
+        end
+      in
+      let old_iter = if f < old_num then deps_iter g f else no_row in
+      old_iter (fun o k -> ignore (fresh o (edge_kind_tag k)));
+      let first = !p and added = ref 0 in
+      while !p < m && from by_from.(!p) = f do
+        let e = by_from.(!p) in
+        let t = tag e in
+        if fresh (on e) t then begin
+          incr added;
+          g.kinds.(t) <- g.kinds.(t) + 1;
+          Slice_obs.bump c_edges;
+          Slice_obs.bump (edge_counter (edge_kind_of_tag t))
+        end
+        else ev.((3 * e) + 2) <- -1;
+        incr p
+      done;
+      let last = !p - 1 in
+      g.ov_deps.(f) <-
+        write_row ~added:!added
+          ~fill_added:(fun put ->
+            for i = last downto first do
+              let e = by_from.(i) in
+              if tag e >= 0 then put (on e) (tag e)
+            done)
+          old_iter)
+    deps_rows;
+  (* Forward rows: each target's added edges, newest first, then its
+     surviving ones. *)
+  let kept = ref 0 in
+  for e = 0 to m - 1 do
+    if tag e >= 0 then incr kept
+  done;
+  let by_on = Array.make !kept 0 in
+  kept := 0;
+  for e = 0 to m - 1 do
+    if tag e >= 0 then begin
+      by_on.(!kept) <- e;
+      incr kept
+    end
+  done;
+  let by_on = sorted_by on by_on in
+  let uses_rows = merge_keys by_on on uses_touch in
+  let p = ref 0 in
+  Array.iter
+    (fun o ->
+      let first = !p in
+      while !p < Array.length by_on && on by_on.(!p) = o do
+        incr p
+      done;
+      let last = !p - 1 in
+      g.ov_uses.(o) <-
+        write_row ~added:(last - first + 1)
+          ~fill_added:(fun put ->
+            for i = last downto first do
+              let e = by_on.(i) in
+              put (from e) (tag e)
+            done)
+          (if o < old_num then uses_iter g o else no_row))
+    uses_rows;
+  (deps_rows, uses_rows)
 
 (* Patch the graph onto re-lowered method bodies, in place.
 
@@ -868,35 +1094,45 @@ type patch_stats = {
    only the dependence rows need repair.
 
    The patch retires the changed methods' [Stmt]/[Actual_in] nodes
-   (their statement ids no longer exist), KEEPS their [Formal] nodes
-   (signatures are stable under summary equality, so caller-side
-   [Param_in] edges survive untouched), re-lowers the new bodies into
-   the arena and reruns the shared per-method passes over them (pass 1
-   over their arena rows, as in [build]), wires new heap accesses
-   against the retained index, and repairs the two cross-method edge
-   classes whose ALIVE source lost a dead target: [Return_value]
-   (re-enumerated from the callee's new arena rows) and [Control]
-   (entry-governed callee statements onto the changed caller's call
-   sites, moved via [site_remap]).  [Param_in] and [Producer_heap] losses need no
-   explicit repair — the re-run passes re-emit them.
+   (their statement ids no longer exist), found through the old bodies'
+   arena rows; it KEEPS their [Formal] nodes (signatures are stable under
+   summary equality, so caller-side [Param_in] edges survive untouched).
+   It re-lowers the new bodies into the arena and reruns the shared
+   per-method passes over them (pass 1 over their arena rows, as in
+   [build]), wires new heap accesses against the retained index, and
+   repairs the two cross-method edge classes whose ALIVE source lost a
+   dead target: [Return_value] (re-enumerated from the callee's new
+   arena rows) and [Control] (entry-governed callee statements onto the
+   changed caller's call sites, moved via [site_remap]).  [Param_in] and
+   [Producer_heap] losses need no explicit repair — the re-run passes
+   re-emit them.
 
-   Touched rows are committed as overlays over the immutable CSR; node
-   ids never move, so resident scratch buffers stay valid. *)
+   Work is bounded by the edit: the retired and new nodes, the rows
+   adjacent to them, the heap-index keys the retired accesses were
+   indexed under and the changed methods' statements.  Touched rows are
+   committed as overlays over the immutable CSR; node ids never move, so
+   resident scratch buffers stay valid.  The statement table, the
+   location columns, the edge census and the scalar-statement count are
+   updated in place. *)
 let patch (g : t) ~(changed : Instr.method_qname list)
     ~(site_remap : Instr.stmt_id -> Instr.stmt_id option) : patch_stats =
   Slice_obs.span "sdg.patch" (fun () ->
-  (* First patch on this graph: bring the overlay state up to capacity
-     (intern keeps it in step from then on). *)
+  (* First patch on this graph: bring the per-node patch state and the
+     location columns up to capacity (intern keeps them in step from
+     then on). *)
   let cap = Array.length g.descs in
   if Array.length g.dead < cap then begin
-    let grow a mk default =
-      let b = mk cap default in
+    let grow a default =
+      let b = Array.make cap default in
       Array.blit a 0 b 0 (Array.length a);
       b
     in
-    g.ov_deps <- grow g.ov_deps Array.make None;
-    g.ov_uses <- grow g.ov_uses Array.make None;
-    g.dead <- grow g.dead Array.make false
+    g.ov_deps <- grow g.ov_deps None;
+    g.ov_uses <- grow g.ov_uses None;
+    g.dead <- grow g.dead false;
+    g.mark <- grow g.mark 0;
+    g.locs.lc_loc <- grow g.locs.lc_loc Loc.none;
+    g.locs.lc_key <- grow g.locs.lc_key (-1)
   end;
   let old_num = g.num_nodes in
   (* Changed method contexts (every context clone of a changed method). *)
@@ -907,97 +1143,151 @@ let patch (g : t) ~(changed : Instr.method_qname list)
         (fun mc -> Hashtbl.replace cm mc ())
         (Andersen.mctxs_of_method g.pta mq))
     changed;
-  (* Retire the changed methods' statement-bound nodes. *)
-  let newly_dead = ref [] in
-  for n = 0 to old_num - 1 do
-    if not g.dead.(n) then
-      match g.descs.(n) with
-      | (Stmt (mc, _) | Actual_in (mc, _, _)) when Hashtbl.mem cm mc ->
+  (* [f mcs am] over each changed method still in the arena: its
+     contexts and arena id, whose rows hold the OLD body until
+     [Arena.relower] below. *)
+  let old_bodies f =
+    List.iter
+      (fun mq ->
+        match Arena.method_id g.ar mq with
+        | Some am -> f (Andersen.mctxs_of_method g.pta mq) am
+        | None -> ())
+      changed
+  in
+  let deps_touch = ibuf 256 and uses_touch = ibuf 256 in
+  let losses : (node * edge_kind * node_desc) list ref = ref [] in
+  let newly_dead, dead_stmts =
+    Slice_obs.span "sdg.patch.disconnect" (fun () ->
+    (* Retire the old bodies' statement-bound nodes and drop their
+       statement ids from the table. *)
+    let retired = ref [] and dead_stmts = ref 0 in
+    let retire d =
+      match Hashtbl.find_opt g.intern d with
+      | Some n ->
         g.dead.(n) <- true;
         g.dead_count <- g.dead_count + 1;
-        Hashtbl.remove g.intern g.descs.(n);
-        newly_dead := n :: !newly_dead
-      | Stmt _ | Actual_in _ | Formal _ -> ()
-  done;
-  (* Session rows: rows under repair, materialised copy-on-write from
-     the overlay-or-CSR.  [seen] dedups edges; a row's existing edges
-     seed it on first materialisation. *)
-  let sess_deps : (node, (node * edge_kind) list ref) Hashtbl.t =
-    Hashtbl.create 256
+        Hashtbl.remove g.intern d;
+        retired := n :: !retired;
+        true
+      | None -> false
+    in
+    old_bodies (fun mcs am ->
+        let retire_stmt s =
+          if List.fold_left (fun any mc -> retire (Stmt (mc, s)) || any) false mcs
+          then incr dead_stmts;
+          Hashtbl.remove g.stmt_table s
+        in
+        let lo, hi = Arena.instr_span g.ar am in
+        for ix = lo to hi - 1 do
+          let s = Arena.instr_stmt g.ar ix in
+          retire_stmt s;
+          if Arena.instr_op g.ar ix = Arena.Op_call then begin
+            let i = ref 0 in
+            Arena.args_iter g.ar ix (fun _ ->
+                List.iter (fun mc -> ignore (retire (Actual_in (mc, s, !i)))) mcs;
+                incr i)
+          end
+        done;
+        let lo, hi = Arena.term_span g.ar am in
+        for tx = lo to hi - 1 do
+          retire_stmt (Arena.term_stmt g.ar tx)
+        done);
+    (* Purge the retired accesses from the retained heap index, under
+       the keys pass 1 indexed them by.  Pass 1 pushed one entry per
+       context, access and object, so counting the same walk here gives
+       each key's number of dead entries; a key's list is rebuilt only
+       up to its last dead entry (a patch's own entries sit at the
+       front) and shares the rest. *)
+    let alive n = not g.dead.(n) in
+    let rec drop_dead keep n l =
+      if n = 0 then l
+      else
+        match l with
+        | [] -> []
+        | x :: rest ->
+          if keep x then x :: drop_dead keep n rest
+          else drop_dead keep (n - 1) rest
+    in
+    let purges = ref [] in
+    let purger tbl keep =
+      let dead_entries = Hashtbl.create 16 in
+      purges :=
+        (fun () ->
+          Hashtbl.iter
+            (fun key n ->
+              match Hashtbl.find_opt tbl key with
+              | Some r -> r := drop_dead keep !n !r
+              | None -> ())
+            dead_entries)
+        :: !purges;
+      fun key ->
+        match Hashtbl.find dead_entries key with
+        | n -> incr n
+        | exception Not_found -> Hashtbl.replace dead_entries key (ref 1)
+    in
+    let field_writes = purger g.hx.field_writes (fun (n, _) -> alive n) in
+    let field_reads = purger g.hx.field_reads (fun (n, _) -> alive n) in
+    let static_writes = purger g.hx.static_writes alive in
+    let static_reads = purger g.hx.static_reads alive in
+    let len_writes = purger g.hx.len_writes alive in
+    let len_reads = purger g.hx.len_reads alive in
+    old_bodies (fun mcs am ->
+        let lo, hi = Arena.instr_span g.ar am in
+        for ix = lo to hi - 1 do
+          List.iter
+            (fun mc ->
+              let objs purge key =
+                Andersen.pts_iter_var g.pta ~mctx:mc (Arena.instr_base g.ar ix)
+                  (fun o -> purge (key o))
+              in
+              match Arena.instr_op g.ar ix with
+              | Arena.Op_store ->
+                let f = Arena.instr_sym g.ar ix in
+                objs field_writes (fun o -> (o, f))
+              | Arena.Op_load ->
+                let f = Arena.instr_sym g.ar ix in
+                objs field_reads (fun o -> (o, f))
+              | Arena.Op_array_store ->
+                objs field_writes (fun o -> (o, Andersen.elem_field))
+              | Arena.Op_array_load ->
+                objs field_reads (fun o -> (o, Andersen.elem_field))
+              | Arena.Op_new_array -> objs len_writes Fun.id
+              | Arena.Op_array_length -> objs len_reads Fun.id
+              | Arena.Op_static_store ->
+                static_writes (Arena.instr_sym g.ar ix, Arena.instr_sym2 g.ar ix)
+              | Arena.Op_static_load ->
+                static_reads (Arena.instr_sym g.ar ix, Arena.instr_sym2 g.ar ix)
+              | Arena.Op_call | Arena.Op_other -> ())
+            mcs
+        done);
+    List.iter (fun purge -> purge ()) !purges;
+    (* Disconnect: every edge at a dead node leaves the census; the live
+       rows across such an edge are rewritten at commit, and each live
+       source that lost a [Return_value] or [Control] dependence is
+       recorded (the loss classes needing repair). *)
+    let newly_dead = List.sort (fun a b -> compare b a) !retired in
+    let uncount k =
+      let t = edge_kind_tag k in
+      g.kinds.(t) <- g.kinds.(t) - 1
+    in
+    List.iter
+      (fun d ->
+        deps_iter g d (fun on k ->
+            uncount k;
+            if not g.dead.(on) then ipush uses_touch on);
+        uses_iter g d (fun from k ->
+            if not g.dead.(from) then begin
+              uncount k;
+              ipush deps_touch from;
+              match k with
+              | Return_value | Control ->
+                losses := (from, k, g.descs.(d)) :: !losses
+              | Producer_local | Producer_heap | Param_in | Base_pointer
+              | Index | Call_actual -> ()
+            end))
+      newly_dead;
+    (newly_dead, !dead_stmts))
   in
-  let sess_uses : (node, (node * edge_kind) list ref) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let seen : (node * node * edge_kind, unit) Hashtbl.t = Hashtbl.create 1024 in
-  (* The committed rows; nodes interned by this patch have none yet. *)
-  let raw_deps n = if n >= old_num then [] else deps g n in
-  let raw_uses n = if n >= old_num then [] else uses g n in
-  let mat_deps n =
-    match Hashtbl.find_opt sess_deps n with
-    | Some r -> r
-    | None ->
-      let row = raw_deps n in
-      List.iter (fun (on, k) -> Hashtbl.replace seen (n, on, k) ()) row;
-      let r = ref row in
-      Hashtbl.replace sess_deps n r;
-      r
-  in
-  let mat_uses n =
-    match Hashtbl.find_opt sess_uses n with
-    | Some r -> r
-    | None ->
-      let r = ref (raw_uses n) in
-      Hashtbl.replace sess_uses n r;
-      r
-  in
-  let emit ~from ~on kind =
-    if from <> on then begin
-      (* materialise (and seed [seen] from) the source row FIRST *)
-      let rd = mat_deps from in
-      if not (Hashtbl.mem seen (from, on, kind)) then begin
-        Hashtbl.replace seen (from, on, kind) ();
-        let ru = mat_uses on in
-        rd := (on, kind) :: !rd;
-        ru := (from, kind) :: !ru;
-        Slice_obs.bump c_edges;
-        Slice_obs.bump (edge_counter kind)
-      end
-    end
-  in
-  (* Disconnect dead nodes from alive rows, recording each alive source
-     that lost a dependence (the loss classes needing repair). *)
-  let losses : (node * edge_kind * node_desc) list ref = ref [] in
-  List.iter
-    (fun d ->
-      List.iter
-        (fun (on, k) ->
-          if not g.dead.(on) then begin
-            let ru = mat_uses on in
-            ru := List.filter (fun (f, k') -> not (f = d && k' = k)) !ru
-          end)
-        (raw_deps d);
-      List.iter
-        (fun (from, k) ->
-          if not g.dead.(from) then begin
-            let rd = mat_deps from in
-            rd := List.filter (fun (on', k') -> not (on' = d && k' = k)) !rd;
-            losses := (from, k, g.descs.(d)) :: !losses
-          end)
-        (raw_uses d))
-    !newly_dead;
-  (* Purge dead accesses from the retained heap index. *)
-  let purge_pairs tbl =
-    Hashtbl.iter (fun _ r -> r := List.filter (fun (n, _) -> not g.dead.(n)) !r) tbl
-  in
-  let purge_nodes tbl =
-    Hashtbl.iter (fun _ r -> r := List.filter (fun n -> not g.dead.(n)) !r) tbl
-  in
-  purge_pairs g.hx.field_writes;
-  purge_pairs g.hx.field_reads;
-  purge_nodes g.hx.static_writes;
-  purge_nodes g.hx.static_reads;
-  purge_nodes g.hx.len_writes;
-  purge_nodes g.hx.len_reads;
   let changed_mcs =
     Hashtbl.fold
       (fun mc () acc ->
@@ -1005,9 +1295,9 @@ let patch (g : t) ~(changed : Instr.method_qname list)
         (mc, Program.find_method_exn g.p mq) :: acc)
       cm []
   in
-  (* Pass 1 over the new bodies, re-lowered into the arena first,
-     indexing their heap accesses apart. *)
-  Arena.relower g.ar g.p changed;
+  (* The session's emissions, committed as rows below. *)
+  let log = ibuf 1024 in
+  let emit ~from ~on kind = log_edge log ~from ~on kind in
   let hx_new =
     { field_writes = Hashtbl.create 32;
       field_reads = Hashtbl.create 32;
@@ -1016,17 +1306,22 @@ let patch (g : t) ~(changed : Instr.method_qname list)
       len_writes = Hashtbl.create 8;
       len_reads = Hashtbl.create 8 }
   in
-  List.iter
-    (fun (mc, m) ->
-      match Arena.method_id g.ar m.Instr.m_qname with
-      | Some am -> intra_pass_arena g hx_new ~emit mc am
-      | None -> ())
-    changed_mcs;
-  (* Pass 2: the changed methods as callers. *)
-  List.iter (fun (mc, m) -> params_pass g ~emit mc m) changed_mcs;
+  Slice_obs.span "sdg.patch.intra" (fun () ->
+      (* Pass 1 over the new bodies, re-lowered into the arena first,
+         indexing their heap accesses apart. *)
+      Arena.relower g.ar g.p changed;
+      List.iter
+        (fun (mc, m) ->
+          match Arena.method_id g.ar m.Instr.m_qname with
+          | Some am -> intra_pass_arena g hx_new ~emit mc am
+          | None -> ())
+        changed_mcs;
+      (* Pass 2: the changed methods as callers. *)
+      List.iter (fun (mc, m) -> params_pass g ~emit mc m) changed_mcs);
+  Slice_obs.span "sdg.patch.heap" (fun () ->
   (* Pass 3: merge the new accesses into the retained index, then wire
      new reads x all writes and all reads x new writes (the new x new
-     corner lands in both sweeps; the bitset rows dedup it). *)
+     corner lands in both sweeps; the sorted emission dedups it). *)
   let merge_pairs src dst = Hashtbl.iter (fun k r -> List.iter (push dst k) !r) src in
   merge_pairs hx_new.field_writes g.hx.field_writes;
   merge_pairs hx_new.field_reads g.hx.field_reads;
@@ -1034,20 +1329,19 @@ let patch (g : t) ~(changed : Instr.method_qname list)
   merge_pairs hx_new.static_reads g.hx.static_reads;
   merge_pairs hx_new.len_writes g.hx.len_writes;
   merge_pairs hx_new.len_reads g.hx.len_reads;
-  let rows : (node, Slice_util.Bits.t) Hashtbl.t = Hashtbl.create 64 in
+  (* Candidate read nodes per write node, sorted and deduplicated at
+     emission: an int buffer rather than [build]'s node-indexed bitset,
+     whose width grows with the graph. *)
+  let rows : (node, ibuf) Hashtbl.t = Hashtbl.create 64 in
   let consider rn wn =
     Slice_obs.bump c_heap_considered;
-    if rn <> wn then begin
-      let row =
-        match Hashtbl.find_opt rows wn with
-        | Some b -> b
-        | None ->
-          let b = Slice_util.Bits.create ~capacity:64 () in
-          Hashtbl.replace rows wn b;
-          b
-      in
-      ignore (Slice_util.Bits.add row rn)
-    end
+    if rn <> wn then
+      match Hashtbl.find rows wn with
+      | b -> ipush b rn
+      | exception Not_found ->
+        let b = ibuf 8 in
+        Hashtbl.replace rows wn b;
+        ipush b rn
   in
   let sweep_pairs news alls ~read_side =
     Hashtbl.iter
@@ -1086,21 +1380,30 @@ let patch (g : t) ~(changed : Instr.method_qname list)
   sweep_nodes hx_new.len_writes g.hx.len_reads ~read_side:false;
   Hashtbl.iter
     (fun wn row ->
-      Slice_util.Bits.iter
-        (fun rn ->
-          Slice_obs.bump c_heap_emitted;
-          emit ~from:rn ~on:wn Producer_heap)
-        row)
-    rows;
+      let rns = Array.sub row.ev 0 row.len in
+      Array.sort compare rns;
+      Array.iteri
+        (fun i rn ->
+          if i = 0 || rns.(i - 1) <> rn then begin
+            Slice_obs.bump c_heap_emitted;
+            emit ~from:rn ~on:wn Producer_heap
+          end)
+        rns)
+    rows);
+  Slice_obs.span "sdg.patch.control" (fun () ->
   (* Pass 4: control dependence inside the new bodies.  Entry callers
      come from the solved call graph (already keyed on new ids). *)
   let callers : (int, node list ref) Hashtbl.t = Hashtbl.create 16 in
+  (* no allocation per call site of the program, only per caller found *)
+  let rec note caller stmt = function
+    | [] -> ()
+    | cmc :: rest ->
+      if Hashtbl.mem cm cmc then
+        push callers cmc (intern g (Stmt (caller, stmt)));
+      note caller stmt rest
+  in
   Andersen.iter_call_sites g.pta (fun ~caller ~stmt ~callees ->
-      List.iter
-        (fun cmc ->
-          if Hashtbl.mem cm cmc then
-            push callers cmc (intern g (Stmt (caller, stmt))))
-        callees);
+      note caller stmt callees);
   List.iter
     (fun (mc, m) ->
       let entry_callers =
@@ -1124,60 +1427,76 @@ let patch (g : t) ~(changed : Instr.method_qname list)
         | Some s' -> emit ~from ~on:(intern g (Stmt (cmc, s'))) Control
         | None -> ())
       | _ -> ())
-    !losses;
-  (* Commit: session rows become overlays; dead rows empty; new nodes
+    !losses);
+  (* Commit: touched rows become overlays; dead rows empty; new nodes
      with no edges get explicit empty rows (they are past the CSR). *)
-  let rows_touched : (node, unit) Hashtbl.t = Hashtbl.create 256 in
-  let to_arrays row =
-    let l = !row in
-    let len = List.length l in
-    let dst = Array.make len 0 in
-    let kind = Array.make len 0 in
-    List.iteri
-      (fun i (d, k) ->
-        dst.(i) <- d;
-        kind.(i) <- edge_kind_tag k)
-      l;
-    (dst, kind)
+  let rows_touched, seg_touched =
+    Slice_obs.span "sdg.patch.commit" (fun () ->
+    let deps_rows, uses_rows =
+      commit_rows g ~old_num log ~deps_touch ~uses_touch
+    in
+    for n = old_num to g.num_nodes - 1 do
+      if g.ov_deps.(n) = None then g.ov_deps.(n) <- empty_row;
+      if g.ov_uses.(n) = None then g.ov_uses.(n) <- empty_row
+    done;
+    List.iter
+      (fun d ->
+        g.ov_deps.(d) <- empty_row;
+        g.ov_uses.(d) <- empty_row)
+      newly_dead;
+    (* Segments = method contexts; refrozen = contexts whose rows moved. *)
+    let seg_touched : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+    Hashtbl.iter (fun mc () -> Hashtbl.replace seg_touched mc ()) cm;
+    let touch n =
+      match g.descs.(n) with
+      | Stmt (mc, _) | Actual_in (mc, _, _) | Formal (mc, _) ->
+        Hashtbl.replace seg_touched mc ()
+    in
+    Array.iter touch deps_rows;
+    Array.iter touch uses_rows;
+    let rows =
+      merge_keys deps_rows Fun.id { ev = uses_rows; len = Array.length uses_rows }
+    in
+    (Array.length rows, Hashtbl.length seg_touched))
   in
-  Hashtbl.iter
-    (fun n row ->
-      g.ov_deps.(n) <- Some (to_arrays row);
-      Hashtbl.replace rows_touched n ())
-    sess_deps;
-  Hashtbl.iter
-    (fun n row ->
-      g.ov_uses.(n) <- Some (to_arrays row);
-      Hashtbl.replace rows_touched n ())
-    sess_uses;
+  (* The statement table gains the new bodies; the location columns are
+     cleared for the retired nodes and written for the new ones. *)
+  Slice_obs.span "sdg.patch.locs" (fun () ->
+      List.iter
+        (fun mq ->
+          match Program.find_method g.p mq with
+          | Some m when Instr.has_body m ->
+            Instr.iter_instrs m (fun _ i ->
+                Hashtbl.replace g.stmt_table i.Instr.i_id
+                  { Program.s_method = mq; s_site = Program.Site_instr i });
+            Instr.iter_terms m (fun _ t ->
+                Hashtbl.replace g.stmt_table t.Instr.t_id
+                  { Program.s_method = mq; s_site = Program.Site_term t })
+          | Some _ | None -> ())
+        changed;
+      List.iter
+        (fun d ->
+          g.locs.lc_loc.(d) <- Loc.none;
+          g.locs.lc_key.(d) <- -1)
+        newly_dead;
+      write_locs g old_num g.num_nodes);
+  (* The scalar-statement count: the retired statements leave it, the
+     new nodes' distinct statements join it. *)
+  let fresh_stmts = Hashtbl.create 64 in
   for n = old_num to g.num_nodes - 1 do
-    if g.ov_deps.(n) = None then g.ov_deps.(n) <- Some ([||], [||]);
-    if g.ov_uses.(n) = None then g.ov_uses.(n) <- Some ([||], [||])
+    match g.descs.(n) with
+    | Stmt (_, s) -> Hashtbl.replace fresh_stmts s ()
+    | Formal _ | Actual_in _ -> ()
   done;
-  List.iter
-    (fun d ->
-      g.ov_deps.(d) <- Some ([||], [||]);
-      g.ov_uses.(d) <- Some ([||], [||]))
-    !newly_dead;
-  set_stmt_table g (Program.build_stmt_table g.p);
+  g.scalar_stmts <- g.scalar_stmts - dead_stmts + Hashtbl.length fresh_stmts;
   g.generation <- g.generation + 1;
   g.patched <- true;
-  (* Segments = method contexts; refrozen = contexts whose rows moved. *)
-  let seg_touched : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter (fun mc () -> Hashtbl.replace seg_touched mc ()) cm;
-  Hashtbl.iter
-    (fun n () ->
-      if not g.dead.(n) then
-        match g.descs.(n) with
-        | Stmt (mc, _) | Actual_in (mc, _, _) | Formal (mc, _) ->
-          Hashtbl.replace seg_touched mc ())
-    rows_touched;
-  let seg_total = List.length (Andersen.method_contexts g.pta) in
-  { ps_nodes_dead = List.length !newly_dead;
+  { ps_nodes_dead = List.length newly_dead;
     ps_nodes_new = g.num_nodes - old_num;
-    ps_rows_touched = Hashtbl.length rows_touched;
-    ps_segments_refrozen = Hashtbl.length seg_touched;
-    ps_segments_total = max seg_total (Hashtbl.length seg_touched) })
+    ps_rows_touched = rows_touched;
+    ps_segments_refrozen = seg_touched;
+    ps_segments_total =
+      max (Andersen.num_call_graph_nodes g.pta) seg_touched })
 
 (* ------------------------------------------------------------------ *)
 (* Lookups used by drivers                                             *)
@@ -1195,10 +1514,9 @@ let mem_sorted (a : int array) (x : int) : bool =
   go 0 (Array.length a)
 
 (* All statement nodes whose source line matches: a scan of the packed
-   key column.  Dead nodes of a patched graph have no location (their
-   retired statement ids are absent from the rebuilt statement table);
-   the explicit check keeps that an invariant of this function rather
-   than of statement-id freshness. *)
+   key column.  Dead nodes of a patched graph have no location (a patch
+   clears their columns); the explicit check keeps that an invariant of
+   this function rather than of the columns. *)
 let nodes_at_line (g : t) ~(file : string option) ~(line : int) : node list =
   let keys = g.locs.lc_key and base = g.locs.lc_base in
   let out = ref [] in
@@ -1233,15 +1551,7 @@ let nodes_at_line (g : t) ~(file : string option) ~(line : int) : node list =
 
 (* Number of scalar statements: distinct statement ids that appear as nodes
    (context clones counted once), matching Table 1's "SDG Statements". *)
-let num_scalar_statements (g : t) : int =
-  let seen = Hashtbl.create 256 in
-  for n = 0 to g.num_nodes - 1 do
-    if not (is_dead g n) then
-      match g.descs.(n) with
-      | Stmt (_, s) -> Hashtbl.replace seen s ()
-      | Formal _ | Actual_in _ -> ()
-  done;
-  Hashtbl.length seen
+let num_scalar_statements (g : t) : int = g.scalar_stmts
 
 (* DOT export for documentation and debugging.  [witness] is a dependence
    path as (node, arrival kind) steps, seed first; its nodes and exactly

@@ -113,11 +113,13 @@ val uses : t -> node -> (node * edge_kind) list
 
 (** {2 Locations}
 
-    The graph owns dense per-node location columns, derived from the
-    statement table in one pass whenever the table is (re)assigned — at
-    the end of {!build} and of every {!patch}.  The accessors below are
-    array reads.  The columns cost 16 bytes per node, recorded by the
-    [sdg.loc_bytes] gauge. *)
+    The graph owns dense per-node location columns, derived from its
+    statement table: {!build} writes every node's, {!patch} clears its
+    retired nodes' and writes its new nodes' (all of them only when a
+    new location falls outside the line-key space), and {!relocate}
+    rewrites them all.  The accessors below are array reads.  The
+    columns cost 16 bytes per node, recorded by the [sdg.loc_bytes]
+    gauge. *)
 
 (** Source location of a node ([Loc.none] for formals). *)
 val node_loc : t -> node -> Loc.t
@@ -143,8 +145,9 @@ val pp_node : t -> Format.formatter -> node -> unit
     key column: no hashing. *)
 val nodes_at_line : t -> file:string option -> line:int -> node list
 
-(** Distinct statement ids appearing as nodes (context clones counted
-    once) — the paper's Table 1 "SDG Statements". *)
+(** Distinct statement ids appearing as live nodes (context clones
+    counted once) — the paper's Table 1 "SDG Statements".  Counted by
+    {!build} and kept by {!patch}, so reading it costs nothing. *)
 val num_scalar_statements : t -> int
 
 (** {2 Incremental patches}
@@ -176,12 +179,27 @@ type patch_stats = {
     using the same [site_remap].  [changed] names every method whose
     body was re-lowered, added or removed: the patch first re-lowers
     them into the graph's arena ({!Arena.relower}), then re-runs pass 1
-    over the arena rows of those that have method contexts. *)
+    over the arena rows of those that have method contexts.
+
+    The work is bounded by the edit, not the program: the retired nodes
+    are found through the old bodies' arena rows, the heap index is
+    purged under the retired accesses' keys only, the statement table
+    loses the old bodies' ids and gains the new ones', and the location
+    columns, the edge census ({!edge_kind_counts}) and the
+    scalar-statement count are adjusted in place.  Traced under
+    ["sdg.patch"], with children [sdg.patch.disconnect], [.intra],
+    [.heap], [.control], [.commit] and [.locs]. *)
 val patch :
   t ->
   changed:Instr.method_qname list ->
   site_remap:(Instr.stmt_id -> Instr.stmt_id option) ->
   patch_stats
+
+(** The program's statement records moved lines, their ids unchanged
+    (the Methods update tier shifts every later line of an edited file):
+    re-read the whole statement table from the program and rewrite every
+    location column. *)
+val relocate : t -> unit
 
 (** Number of committed patches — provenance captured against an older
     generation refuses to answer (see {!Slicer}). *)
@@ -195,8 +213,9 @@ val is_dead : t -> node -> bool
     reports. *)
 val num_live_nodes : t -> int
 
-(** Census of live edges by kind, computed from the graph itself (the
-    process-wide build counters overcount after a patch). *)
+(** Census of live edges by kind: counted by {!build} and adjusted by
+    every {!patch} (the process-wide build counters overcount after a
+    patch). *)
 val edge_kind_counts : t -> (edge_kind * int) list
 
 (** GraphViz export; producer edges solid, explainer edges dashed/dotted

@@ -330,6 +330,50 @@ let skeleton_of_segs (src : string) (segs : meth_seg list) : string =
 
 let skeleton (src : string) : string = skeleton_of_segs src (segment_methods src)
 
+(* [skeleton_of_segs a sa = skeleton_of_segs b sb] without building
+   either string: each source is read as the byte stream its skeleton
+   would hold, skipping the non-newline bytes of every body interior. *)
+let skeletons_equal (a : string) (sa : meth_seg list) (b : string)
+    (sb : meth_seg list) : bool =
+  let interiors segs =
+    let r =
+      Array.of_list
+        (List.map (fun s -> (s.ms_open_off + 1, s.ms_close_off)) segs)
+    in
+    Array.sort compare r;
+    r
+  in
+  (* move [i] to the next byte the skeleton keeps; [k] is the first
+     interior not yet passed *)
+  let advance src r i k =
+    let again = ref true in
+    while !again do
+      if !k < Array.length r && !i >= snd r.(!k) then incr k
+      else if
+        !k < Array.length r
+        && !i >= fst r.(!k)
+        && !i < String.length src
+        && src.[!i] <> '\n'
+      then incr i
+      else again := false
+    done
+  in
+  let ra = interiors sa and rb = interiors sb in
+  let ia = ref 0 and ka = ref 0 and ib = ref 0 and kb = ref 0 in
+  let result = ref None in
+  while !result = None do
+    advance a ra ia ka;
+    advance b rb ib kb;
+    let enda = !ia >= String.length a and endb = !ib >= String.length b in
+    if enda || endb then result := Some (enda && endb)
+    else if a.[!ia] <> b.[!ib] then result := Some false
+    else begin
+      incr ia;
+      incr ib
+    end
+  done;
+  !result = Some true
+
 (* ------------------------------------------------------------------ *)
 (* Diffs                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -377,29 +421,49 @@ type t =
 
 (* Mini unit: the method's own lines verbatim, every other line blank;
    class members get a [class C {] / [}] wrapper on the class's own
-   brace lines so constructors keep their class context. *)
-let mini_unit (lines : string array) (s : meth_seg) : string =
-  let n = Array.length lines in
-  let out = Array.make n "" in
-  for l = s.ms_start to s.ms_close do
-    if l >= 1 && l <= n then out.(l - 1) <- lines.(l - 1)
+   brace lines so constructors keep their class context.  Built from
+   the source's bytes: the method's lines are one substring, found from
+   its brace offsets, and the file is not split into lines. *)
+let mini_unit (src : string) (s : meth_seg) : string =
+  let len = String.length src in
+  let n = ref 1 in
+  String.iter (fun c -> if c = '\n' then incr n) src;
+  (* the first byte of line [ms_start]: back from the opening brace
+     across the header's line breaks *)
+  let rec back i k =
+    if i <= 0 then 0
+    else if src.[i - 1] = '\n' then if k = 0 then i else back (i - 1) (k - 1)
+    else back (i - 1) k
+  in
+  let lo = back s.ms_open_off (s.ms_open - s.ms_start) in
+  let hi =
+    match String.index_from_opt src s.ms_close_off '\n' with
+    | Some i -> i
+    | None -> len
+  in
+  let buf = Buffer.create (hi - lo + !n) in
+  for l = 1 to !n do
+    (* the line breaks inside the method's lines come with its text *)
+    if l > 1 && not (l > s.ms_start && l <= s.ms_close) then
+      Buffer.add_char buf '\n';
+    if l = s.ms_start then Buffer.add_substring buf src lo (hi - lo)
+    else if l < s.ms_start || l > s.ms_close then
+      match s.ms_class with
+      | Some c when l = s.ms_cls_open -> Buffer.add_string buf ("class " ^ c ^ " {")
+      | Some _ when l = s.ms_cls_close -> Buffer.add_string buf "}"
+      | Some _ | None -> ()
   done;
-  (match s.ms_class with
-  | Some c ->
-    out.(s.ms_cls_open - 1) <- "class " ^ c ^ " {";
-    out.(s.ms_cls_close - 1) <- "}"
-  | None -> ());
-  String.concat "\n" (Array.to_list out)
+  Buffer.contents buf
 
 (* Body interiors compared byte-exactly, each through its own file's
    brace offsets (skeleton equality has already pinned those offsets to
    differ only inside bodies). *)
-let interior_of (src : string) (s : meth_seg) : string =
-  String.sub src (s.ms_open_off + 1) (s.ms_close_off - s.ms_open_off - 1)
-
 let interior_equal ~(old_src : string) ~(new_src : string) (so : meth_seg)
     (sn : meth_seg) : bool =
-  String.equal (interior_of old_src so) (interior_of new_src sn)
+  let len = so.ms_close_off - so.ms_open_off - 1 in
+  let a = so.ms_open_off + 1 and b = sn.ms_open_off + 1 in
+  let rec same i = i >= len || (old_src.[a + i] = new_src.[b + i] && same (i + 1)) in
+  len = sn.ms_close_off - sn.ms_open_off - 1 && same 0
 
 (* ------------------------------------------------------------------ *)
 (* Cross-method diff (method added/removed, class shell unchanged)     *)
@@ -503,7 +567,7 @@ let methods_diff_file ~(file : string) ~(old_src : string)
             { am_file = file;
               am_class = sn.ms_class;
               am_name = sn.ms_name;
-              am_mini = mini_unit new_lines sn }
+              am_mini = mini_unit new_src sn }
             :: !added;
           incr inw
         end
@@ -542,14 +606,10 @@ let diff_file ~(file : string) ~(old_src : string) ~(new_src : string) :
     | exception Unbalanced -> `Structural
     | segs_old, segs_new ->
       if
-        not
-          (String.equal
-             (skeleton_of_segs old_src segs_old)
-             (skeleton_of_segs new_src segs_new))
+        (not (skeletons_equal old_src segs_old new_src segs_new))
         || List.length segs_old <> List.length segs_new
       then methods_diff_file ~file ~old_src ~new_src segs_old segs_new
       else begin
-        let new_lines = lines_of new_src in
         let changed = ref [] in
         let ok = ref true in
         List.iter2
@@ -565,7 +625,7 @@ let diff_file ~(file : string) ~(old_src : string) ~(new_src : string) :
                 { cm_file = file;
                   cm_class = sn.ms_class;
                   cm_name = sn.ms_name;
-                  cm_mini = mini_unit new_lines sn }
+                  cm_mini = mini_unit new_src sn }
                 :: !changed)
           segs_old segs_new;
         if not !ok then

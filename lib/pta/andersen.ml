@@ -983,7 +983,11 @@ let intrinsic_targets_ci (t : result) (mq : Instr.method_qname)
   Hashtbl.fold (fun _ m acc -> m :: acc) seen []
 
 let num_call_graph_nodes (t : result) : int =
-  List.length (method_contexts t)
+  let n = ref 0 in
+  for i = 0 to t.num_mctxs - 1 do
+    if t.processed.(i) then incr n
+  done;
+  !n
 
 let num_objects (t : result) : int = Context.num_objs t.ctxs
 
@@ -1383,80 +1387,81 @@ let iter_call_sites (t : result)
     (fun (caller, stmt) cell -> f ~caller ~stmt ~callees:cell.cs_list)
     t.call_edges
 
-(* Move every statement-id-keyed structure of a SOLVED analysis onto a
-   re-lowered method's fresh ids.  Sound only when the old and new body
+(* Move every statement-id-keyed structure of a SOLVED analysis onto
+   re-lowered methods' fresh ids.  Sound only when each old and new body
    have equal [method_summary_sites] summaries and [remap] is the
-   positional zip of their site lists.  Collect-then-apply everywhere:
-   statement ids are globally unique and never reused, so the old and
-   new key spaces cannot collide. *)
-let rekey_sites (t : result) (remap : Instr.stmt_id -> Instr.stmt_id option) :
-    unit =
-  let moves = ref [] in
-  Hashtbl.iter
-    (fun ((caller, stmt) as k) cell ->
-      match remap stmt with
-      | Some s' when s' <> stmt -> moves := (k, (caller, s'), cell) :: !moves
-      | Some _ | None -> ())
-    t.call_edges;
+   positional zip of their site lists.  Every moved site is a statement
+   of a [changed] method, so the work is bounded by their contexts: a
+   context's provenance log lists each of its call sites ([Pcall]), from
+   which its call-graph cells, wiring keys and dispatch record are found
+   (the record at its receiver's representative), and the objects the
+   contexts own ([obj_mc]) are the allocation sites that move.
+   Statement ids are globally unique and never reused, so the old and new
+   key spaces cannot collide. *)
+let rekey_sites (t : result) ~(changed : Instr.method_qname list)
+    (remap : Instr.stmt_id -> Instr.stmt_id option) : unit =
+  let fresh s =
+    match remap s with Some s' when s' <> s -> Some s' | Some _ | None -> None
+  in
+  let move tbl ok nk =
+    match Hashtbl.find_opt tbl ok with
+    | Some v ->
+      Hashtbl.remove tbl ok;
+      Hashtbl.replace tbl nk v
+    | None -> ()
+  in
+  let rekey_dispatch d =
+    match fresh d.d_stmt with Some s' -> { d with d_stmt = s' } | None -> d
+  in
+  let moved_dispatch d = fresh d.d_stmt <> None in
+  let mcs = List.concat_map (mctxs_of_method t) changed in
+  let owners = Bits.create () in
   List.iter
-    (fun (ok, nk, cell) ->
-      Hashtbl.remove t.call_edges ok;
-      Hashtbl.replace t.call_edges nk cell)
-    !moves;
-  let imoves = ref [] in
-  Hashtbl.iter
-    (fun ((caller, stmt) as k) cell ->
-      match remap stmt with
-      | Some s' when s' <> stmt -> imoves := (k, (caller, s'), cell) :: !imoves
-      | Some _ | None -> ())
-    t.intrinsic_edges;
-  List.iter
-    (fun (ok, nk, cell) ->
-      Hashtbl.remove t.intrinsic_edges ok;
-      Hashtbl.replace t.intrinsic_edges nk cell)
-    !imoves;
-  let wmoves = ref [] in
-  Hashtbl.iter
-    (fun ((caller, stmt, cmc) as k) () ->
-      match remap stmt with
-      | Some s' when s' <> stmt -> wmoves := (k, (caller, s', cmc)) :: !wmoves
-      | Some _ | None -> ())
-    t.wired;
-  List.iter
-    (fun (ok, nk) ->
-      Hashtbl.remove t.wired ok;
-      Hashtbl.replace t.wired nk ())
-    !wmoves;
-  for i = 0 to t.num_nodes - 1 do
-    match t.dispatches.(i) with
-    | [] -> ()
-    | ds ->
-      t.dispatches.(i) <-
-        List.map
-          (fun d ->
-            match remap d.d_stmt with
-            | Some s' when s' <> d.d_stmt -> { d with d_stmt = s' }
-            | Some _ | None -> d)
-          ds
-  done;
-  (* The provenance log stores call sites too: move them with the rest,
-     or a later [resolve_delta] would replay retired statement ids. *)
-  for mc = 0 to t.num_mctxs - 1 do
-    match t.pv.(mc) with
-    | [] -> ()
-    | ops ->
-      t.pv.(mc) <-
-        List.map
-          (fun op ->
-            match op with
-            | Pcall d -> (
-              match remap d.d_stmt with
-              | Some s' when s' <> d.d_stmt -> Pcall { d with d_stmt = s' }
-              | Some _ | None -> op)
-            | Pseed _ | Pedge _ | Pload _ | Pstore _ -> op)
-          ops
-  done;
-  Context.rekey_sites t.ctxs remap
+    (fun mc ->
+      ignore (Bits.add owners mc);
+      let ops = t.pv.(mc) in
+      List.iter
+        (function
+          | Pcall d -> (
+            match fresh d.d_stmt with
+            | None -> ()
+            | Some s' -> (
+              let s = d.d_stmt in
+              (match Hashtbl.find_opt t.call_edges (mc, s) with
+              | Some cell ->
+                List.iter
+                  (fun cmc -> move t.wired (mc, s, cmc) (mc, s', cmc))
+                  cell.cs_list
+              | None -> ());
+              move t.call_edges (mc, s) (mc, s');
+              move t.intrinsic_edges (mc, s) (mc, s');
+              match (d.d_kind, d.d_args) with
+              | (Instr.Special _ | Instr.Virtual _), recv :: _ -> (
+                match Hashtbl.find_opt t.node_intern (Nvar (mc, recv)) with
+                | Some n ->
+                  let r = find t n in
+                  if List.exists moved_dispatch t.dispatches.(r) then
+                    t.dispatches.(r) <- List.map rekey_dispatch t.dispatches.(r)
+                | None -> ())
+              | _ -> ()))
+          | Pseed _ | Pedge _ | Pload _ | Pstore _ -> ())
+        ops;
+      (* The provenance log stores call sites too: move them with the
+         rest, or a later [resolve_delta] would replay retired ids. *)
+      if List.exists (function Pcall d -> moved_dispatch d | _ -> false) ops
+      then
+        t.pv.(mc) <-
+          List.map
+            (function Pcall d -> Pcall (rekey_dispatch d) | op -> op)
+            ops)
+    mcs;
+  for o = 0 to min (Context.num_objs t.ctxs) (Array.length t.obj_mc) - 1 do
+    let mc = t.obj_mc.(o) in
+    if mc >= 0 && Bits.mem owners mc then
+      match fresh (Context.obj t.ctxs o).Context.oi_site with
+      | Some s' -> Context.move_site t.ctxs o s'
+      | None -> ()
+  done
 
 (* Location-keyed parity dumps: canonical across a patched analysis and
    a fresh rebuild, whose statement NUMBERINGS differ but whose source

@@ -111,10 +111,16 @@ val call_graph_dump : result -> (string * string list) list
     the allocation/call sites in deterministic body order. *)
 val method_summary_sites : Instr.meth -> string * Instr.stmt_id list
 
-(** Patch a solved analysis onto re-lowered statement ids.  [remap old]
-    is [Some fresh] for a moved site, [None] to keep.  Sound only under
-    summary equality (see above). *)
-val rekey_sites : result -> (Instr.stmt_id -> Instr.stmt_id option) -> unit
+(** Patch a solved analysis onto re-lowered statement ids.  [changed]
+    names the re-lowered methods; [remap old] is [Some fresh] for a
+    moved site, [None] to keep.  The work is bounded by the changed
+    methods' contexts, their call sites and the objects they own.  Sound
+    only under summary equality (see above). *)
+val rekey_sites :
+  result ->
+  changed:Instr.method_qname list ->
+  (Instr.stmt_id -> Instr.stmt_id option) ->
+  unit
 
 (** Enumerate resolved call edges (caller context, call site, callee
     contexts) — the SDG patch recovers a re-lowered method's entry

@@ -60,30 +60,21 @@ let intern_obj (t : t) ~(site : Instr.stmt_id) ~(cls : alloc_class) ~(ctx : ctx)
     Hashtbl.replace t.intern (site, ctx) id;
     id
 
-(* Re-key allocation sites after an incremental re-lower: a changed
-   method's instructions get fresh statement ids, but under a P0 patch
-   (identical constraint summary) each old allocation site corresponds
-   positionally to exactly one new site.  Rewrites [oi_site] in place and
-   rebuilds the (site, ctx) intern so future interning agrees.  Object
-   IDS are stable — only the site component of their identity moves. *)
-let rekey_sites (t : t) (remap : Instr.stmt_id -> Instr.stmt_id option) : unit =
-  let changed = ref false in
-  for i = 0 to t.num_objs - 1 do
-    let oi = t.objs.(i) in
-    match remap oi.oi_site with
-    | Some site' when site' <> oi.oi_site ->
-      t.objs.(i) <- { oi with oi_site = site' };
-      changed := true
-    | Some _ | None -> ()
-  done;
-  if !changed then begin
-    Hashtbl.reset t.intern;
-    for i = 0 to t.num_objs - 1 do
-      let oi = t.objs.(i) in
-      if not (Hashtbl.mem t.intern (oi.oi_site, oi.oi_ctx)) then
-        Hashtbl.replace t.intern (oi.oi_site, oi.oi_ctx) i
-    done
-  end
+(* Move object [o] to a fresh allocation site after an incremental
+   re-lower: a changed method's instructions get fresh statement ids,
+   but under a P0 patch (identical constraint summary) each old
+   allocation site corresponds positionally to exactly one new site.
+   Rewrites [oi_site] in place and moves the object's (site, ctx) intern
+   key so future interning agrees; keys are unique and the new site is
+   fresh, so no other object's key is touched.  Object IDS are stable —
+   only the site component of their identity moves. *)
+let move_site (t : t) (o : int) (site' : Instr.stmt_id) : unit =
+  let oi = t.objs.(o) in
+  t.objs.(o) <- { oi with oi_site = site' };
+  if Hashtbl.find_opt t.intern (oi.oi_site, oi.oi_ctx) = Some o then
+    Hashtbl.remove t.intern (oi.oi_site, oi.oi_ctx);
+  if not (Hashtbl.mem t.intern (site', oi.oi_ctx)) then
+    Hashtbl.replace t.intern (site', oi.oi_ctx) o
 
 let rec ctx_depth (t : t) (c : ctx) : int =
   match c with

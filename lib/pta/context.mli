@@ -35,11 +35,11 @@ val num_objs : t -> int
 (** Intern the abstract object for (site, heap context). *)
 val intern_obj : t -> site:Instr.stmt_id -> cls:alloc_class -> ctx:ctx -> int
 
-(** Re-key allocation sites after an incremental re-lower (changed
-    methods receive fresh statement ids; [remap old = Some new] moves a
-    site, [None] keeps it).  Object ids are stable; the (site, ctx)
-    intern table is rebuilt.  See {!Andersen.rekey_sites}. *)
-val rekey_sites : t -> (Instr.stmt_id -> Instr.stmt_id option) -> unit
+(** [move_site t o site'] moves object [o] to a fresh allocation site
+    after an incremental re-lower (changed methods receive fresh
+    statement ids).  The object id is stable; its (site, ctx) intern key
+    moves with it.  See {!Andersen.rekey_sites}. *)
+val move_site : t -> int -> Instr.stmt_id -> unit
 
 (** Nesting depth of receiver contexts (containers inside containers). *)
 val ctx_depth : t -> ctx -> int

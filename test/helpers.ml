@@ -170,6 +170,103 @@ let check_loc_columns ~(ctx : string) ?(slices = []) (g : Slice_core.Sdg.t) :
       then Alcotest.failf "%s: nodes_to_lines differs" ctx)
     (List.init n Fun.id :: slices)
 
+(* ---- Graph census oracles ----
+
+   The whole-graph recounts that answered [Sdg.edge_kind_counts] and
+   [Sdg.num_scalar_statements] before the graph kept both counts,
+   kept here as the reference the maintained counts are checked
+   against after a patch. *)
+module Census_oracle = struct
+  open Slice_core
+
+  (* Live edges by kind, counted over every node's backward row. *)
+  let edge_kind_counts (g : Sdg.t) : (Sdg.edge_kind * int) list =
+    let counts = Array.make 8 0 in
+    for n = 0 to Sdg.num_nodes g - 1 do
+      Sdg.deps_iter g n (fun _ k ->
+          let t = Sdg.edge_kind_tag k in
+          counts.(t) <- counts.(t) + 1)
+    done;
+    List.map
+      (fun (k, _) -> (k, counts.(Sdg.edge_kind_tag k)))
+      (Sdg.edge_kind_counts g)
+
+  (* Distinct statement ids of the live [Stmt] nodes. *)
+  let num_scalar_statements (g : Sdg.t) : int =
+    let seen = Hashtbl.create 256 in
+    for n = 0 to Sdg.num_nodes g - 1 do
+      if not (Sdg.is_dead g n) then
+        match Sdg.node_desc g n with
+        | Sdg.Stmt (_, s) -> Hashtbl.replace seen s ()
+        | Sdg.Formal _ | Sdg.Actual_in _ -> ()
+    done;
+    Hashtbl.length seen
+end
+
+(* The state a patch keeps in place, against a fresh recount: the
+   statement table holds exactly the program's statements (same ids,
+   methods and sites, none stale), no live node names a retired
+   statement, the location columns answer like the oracles, and the
+   edge census and scalar-statement count equal the recounts. *)
+let check_patched_state ~(ctx : string) (g : Slice_core.Sdg.t) : unit =
+  let open Slice_core in
+  let fresh = Slice_ir.Program.build_stmt_table (Sdg.program g) in
+  let tbl = Sdg.stmt_table g in
+  Alcotest.(check int)
+    (ctx ^ ": statement table size")
+    (Hashtbl.length fresh) (Hashtbl.length tbl);
+  Hashtbl.iter
+    (fun id (si : Slice_ir.Program.stmt_info) ->
+      match Hashtbl.find_opt tbl id with
+      | None -> Alcotest.failf "%s: statement %d missing from the table" ctx id
+      | Some si' ->
+        if
+          not
+            (Slice_ir.Instr.equal_method_qname si.Slice_ir.Program.s_method
+               si'.Slice_ir.Program.s_method
+            && si.Slice_ir.Program.s_site = si'.Slice_ir.Program.s_site)
+        then Alcotest.failf "%s: statement %d has a stale entry" ctx id)
+    fresh;
+  for n = 0 to Sdg.num_nodes g - 1 do
+    if not (Sdg.is_dead g n) then
+      match Sdg.node_desc g n with
+      | Sdg.Stmt (_, s) | Sdg.Actual_in (_, s, _) ->
+        if not (Hashtbl.mem fresh s) then
+          Alcotest.failf "%s: live node %d names retired statement %d" ctx n s
+      | Sdg.Formal _ -> ()
+  done;
+  check_loc_columns ~ctx g;
+  let census = Census_oracle.edge_kind_counts g in
+  List.iter2
+    (fun (k, want) (_, got) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s edges" ctx (Sdg.edge_kind_to_string k))
+        want got)
+    census (Sdg.edge_kind_counts g);
+  Alcotest.(check int) (ctx ^ ": num_edges")
+    (List.fold_left (fun a (_, c) -> a + c) 0 census)
+    (Sdg.num_edges g);
+  Alcotest.(check int)
+    (ctx ^ ": scalar statements")
+    (Census_oracle.num_scalar_statements g)
+    (Sdg.num_scalar_statements g)
+
+(* A seed-1 scaled program and the same program with its first
+   [cur.fi = a % 1001;] tweaked to [1002]: a one-method constant edit
+   that keeps every line and the method's constraint summary, so
+   [Engine.update] patches it. *)
+let scaled_tweak ~(stmts : int) : string * string =
+  let src = (Slice_fuzz.Gen_tj.generate_scaled ~seed:1 ~stmts).Slice_fuzz.Gen_tj.sc_src in
+  let old_s = "cur.fi = a % 1001;" in
+  let lo = String.length old_s and ls = String.length src in
+  let rec find j =
+    if j + lo > ls then failwith "scaled_tweak: no constant to tweak"
+    else if String.sub src j lo = old_s then j
+    else find (j + 1)
+  in
+  let j = find 0 in
+  (src, String.sub src 0 j ^ "cur.fi = a % 1002;" ^ String.sub src (j + lo) (ls - j - lo))
+
 (* MD5 of a graph's whole adjacency: [num_nodes], then every node's
    [deps_iter] and [uses_iter] rows in iteration order, each edge as
    (node, kind tag).  Equal digests mean the same graph, edge for edge

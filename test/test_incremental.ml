@@ -179,6 +179,50 @@ let test_diff_tiers () =
   | Delta.Structural -> ()
   | _ -> Alcotest.fail "renamed unit should be Structural"
 
+(* [Delta.diff] compares skeletons without building them; the
+   skeleton strings are the reference.  Over byte mutations of a small
+   and a generated program, an edit classifies as [Same] or [Bodies]
+   exactly when the two skeletons are equal (unbalanced mutants, which
+   [skeleton] rejects, are skipped). *)
+let test_diff_matches_skeletons () =
+  let rng = Random.State.make [| 20 |] in
+  let gen = (Slice_fuzz.Gen_tj.generate_scaled ~seed:2 ~stmts:2_000).Slice_fuzz.Gen_tj.sc_src in
+  let alphabet = "ab1 \n{};/" in
+  let compared = ref 0 and equal = ref 0 in
+  List.iter
+    (fun src ->
+      for _ = 1 to 150 do
+        let s = ref src in
+        for _ = 1 to 1 + Random.State.int rng 2 do
+          let cur = !s and n = String.length !s in
+          let i = Random.State.int rng (n - 1) in
+          let c = String.make 1 alphabet.[Random.State.int rng (String.length alphabet)] in
+          s :=
+            match Random.State.int rng 3 with
+            | 0 -> String.sub cur 0 i ^ c ^ String.sub cur (i + 1) (n - i - 1)
+            | 1 -> String.sub cur 0 i ^ c ^ String.sub cur i (n - i)
+            | _ -> String.sub cur 0 i ^ String.sub cur (i + 1) (n - i - 1)
+        done;
+        match (Delta.skeleton src, Delta.skeleton !s) with
+        | exception _ -> ()
+        | a, b ->
+          incr compared;
+          let same = String.equal a b in
+          if same then incr equal;
+          let bodies =
+            match Delta.diff ~old_sources:[ (file, src) ] ~new_sources:[ (file, !s) ] with
+            | Delta.Same | Delta.Bodies _ -> true
+            | Delta.Methods _ | Delta.Structural -> false
+          in
+          if bodies <> same then
+            Alcotest.failf "diff says %s, skeletons %s"
+              (if bodies then "bodies" else "not bodies")
+              (if same then "equal" else "differ")
+      done)
+    [ base_src; gen ];
+  Alcotest.(check bool) "both outcomes seen" true
+    (!equal > 0 && !equal < !compared)
+
 (* ----- update tiers ----- *)
 
 let seed_lines_of src = [ line_of src "print("; line_of src "int z = " ]
@@ -536,12 +580,105 @@ let test_shrink_roundtrip_after_update () =
     (Slicer.locs_to_line_numbers
        (Slicer.nodes_to_lines a'.Engine.sdg after_update))
 
+(* ----- what a patch keeps in place ----- *)
+
+(* [base_src] with a method that holds the file's last lines, one of
+   them free of statements until an edit fills it. *)
+let tail_src =
+  replace base_src "print(\"\" + z);" "print(\"\" + last(z));"
+  ^ "int last(int q) {\n  int r = q + 1;\n  return r;\n  // spare\n}\n"
+
+(* A patched chain: a body edit, an edit that puts a statement on a
+   line past the file's last located one (so the line-key space must
+   grow), a dispatch-neutral method add that shifts every later line,
+   and a body edit after the shift.  After each step the statement
+   table, the location columns, the edge census and the scalar-statement
+   count, all kept in place by the patch, equal a fresh recount, and
+   the handle answers like a fresh load. *)
+let test_patched_state_exact () =
+  let h0 = Engine.load [ (file, tail_src) ] in
+  let keys g = Sdg.num_line_keys g in
+  let step ~ctx h src =
+    let h', rep = Engine.update h [ (file, src) ] in
+    Alcotest.check path_testable (ctx ^ ": path") Engine.Patched
+      rep.Engine.up_path;
+    Helpers.check_patched_state ~ctx h'.Engine.h_analysis.Engine.sdg;
+    check_equiv ~what:ctx h' [ (file, src) ]
+      [ line_of src "print("; line_of src "int z = "; line_of src "return r;" ];
+    h'
+  in
+  let v1 = replace tail_src "x * 2" "x * 3" in
+  let h1 = step ~ctx:"body edit" h0 v1 in
+  let v2 = replace v1 "  return r;\n  // spare\n" "  r = r + 2;\n  return r;\n" in
+  (* the graph is patched in place: read its key count first *)
+  let keys1 = keys h1.Engine.h_analysis.Engine.sdg in
+  let h2 = step ~ctx:"edit past the last line" h1 v2 in
+  Alcotest.(check bool)
+    "line-key space grew" true
+    (keys h2.Engine.h_analysis.Engine.sdg > keys1);
+  let v3 =
+    replace v2 "void main(" "int zzextra(int q) {\n  return q + 4;\n}\nvoid main("
+  in
+  let h3 = step ~ctx:"neutral method add" h2 v3 in
+  let v4 = replace v3 "a.set(5)" "a.set(6)" in
+  ignore (step ~ctx:"body edit after the shift" h3 v4)
+
+(* The same one-method constant tweak costs about the same on a 20k- and
+   a 60k-statement program: it retires as many nodes at both sizes, and
+   the words [sdg.patch] allocates (minor + major) grow by at most half
+   for three times the program.  Each graph takes the edit and its
+   revert first: the first patch on a graph allocates the per-node
+   overlay state and grows the arena's columns, once.  The measured
+   update runs on a minor heap larger than it allocates, so no minor
+   collection falls inside it: the major words are then the blocks too
+   large for the minor heap, not promotions, whose amount depends on
+   where a collection happens to fall. *)
+let test_patch_proportional () =
+  let measure stmts =
+    let src, edited = Helpers.scaled_tweak ~stmts in
+    let f = "scaled.tj" in
+    let h = Engine.load [ (f, src) ] in
+    let h, _ = Engine.update h [ (f, edited) ] in
+    let h, _ = Engine.update h [ (f, src) ] in
+    let gc = Gc.get () in
+    Gc.set { gc with Gc.minor_heap_size = 4 * 1024 * 1024 };
+    let (_, rep), snap =
+      Fun.protect
+        ~finally:(fun () -> Gc.set gc)
+        (fun () ->
+          Slice_obs.scoped (fun () -> Engine.update h [ (f, edited) ]))
+    in
+    Alcotest.check path_testable
+      (Printf.sprintf "%d: path" stmts)
+      Engine.Patched rep.Engine.up_path;
+    let rec find = function
+      | [] -> Alcotest.failf "%d: no sdg.patch span" stmts
+      | (sp : Slice_obs.span_tree) :: rest ->
+        if sp.Slice_obs.sp_name = "sdg.patch" then sp
+        else find (sp.Slice_obs.sp_children @ rest)
+    in
+    let sp = find snap.Slice_obs.snap_spans in
+    (rep.Engine.up_nodes_dead, sp.Slice_obs.sp_minor_words +. sp.Slice_obs.sp_major_words)
+  in
+  let dead20, words20 = measure 20_000 in
+  let dead60, words60 = measure 60_000 in
+  Alcotest.(check int) "same nodes retired at both sizes" dead20 dead60;
+  if words60 > 1.5 *. words20 then
+    Alcotest.failf "sdg.patch words: %.0f at 60k > 1.5 x %.0f at 20k" words60
+      words20
+
 let suite =
   [ Alcotest.test_case "skeleton" `Quick test_skeleton;
     Alcotest.test_case "diff tiers" `Quick test_diff_tiers;
+    Alcotest.test_case "diff matches skeleton strings" `Quick
+      test_diff_matches_skeletons;
     Alcotest.test_case "update noop" `Quick test_update_noop;
     Alcotest.test_case "update patched" `Quick test_update_patched;
     Alcotest.test_case "update patched chain" `Quick test_update_patched_chain;
+    Alcotest.test_case "patched state exact over a chain" `Quick
+      test_patched_state_exact;
+    Alcotest.test_case "patch words proportional to the edit" `Quick
+      test_patch_proportional;
     Alcotest.test_case "update patched entry" `Quick test_update_patched_entry;
     Alcotest.test_case "update resolved" `Quick test_update_resolved;
     Alcotest.test_case "arena follows every tier" `Quick test_arena_every_tier;

@@ -544,6 +544,51 @@ let test_allocated_words_minor () =
     Alcotest.failf "allocated_words read %.0f words for a 10,000-pair list"
       words
 
+(* A traced patched update is explained by its spans: the children of
+   [engine.update] (the delta's diff, resolve and re-lower, the
+   mini-unit frontend, the points-to re-key and the SDG patch) cover at
+   least 90% of its wall time, and [sdg.patch] breaks down into its
+   phases.  The median over an edit/revert sequence keeps one slow
+   outlier from deciding. *)
+let test_patched_update_coverage () =
+  set_enabled true;
+  let src, edited = Helpers.scaled_tweak ~stmts:5_000 in
+  let f = "scaled.tj" in
+  let h = ref (Slice_core.Engine.load [ (f, src) ]) in
+  let shares =
+    List.init 7 (fun i ->
+        let s = if i mod 2 = 0 then edited else src in
+        let (h', rep), snap =
+          scoped (fun () -> Slice_core.Engine.update !h [ (f, s) ])
+        in
+        h := h';
+        check_string "patched" "patched"
+          (Slice_core.Engine.update_path_to_string
+             rep.Slice_core.Engine.up_path);
+        match snap.snap_spans with
+        | [ u ] when u.sp_name = "engine.update" ->
+          let patch =
+            List.find (fun c -> c.sp_name = "sdg.patch") u.sp_children
+          in
+          Alcotest.(check (list string))
+            "sdg.patch phases"
+            [ "sdg.patch.disconnect"; "sdg.patch.intra"; "sdg.patch.heap";
+              "sdg.patch.control"; "sdg.patch.commit"; "sdg.patch.locs" ]
+            (List.map (fun c -> c.sp_name) patch.sp_children);
+          List.iter
+            (fun name ->
+              check_bool (name ^ " under engine.update") true
+                (List.exists (fun c -> c.sp_name = name) u.sp_children))
+            [ "delta.diff"; "delta.resolve"; "delta.relower"; "pta.rekey" ];
+          List.fold_left (fun a c -> a +. c.sp_wall) 0. u.sp_children
+          /. u.sp_wall
+        | _ -> Alcotest.fail "one engine.update span")
+  in
+  let median = List.nth (List.sort compare shares) 3 in
+  if median < 0.9 then
+    Alcotest.failf "children cover %.1f%% of engine.update (want >= 90%%)"
+      (100. *. median)
+
 let suite =
   [ Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
@@ -570,4 +615,6 @@ let suite =
     Alcotest.test_case "thinslice --stats-json contract" `Quick
       test_cli_stats_json;
     Alcotest.test_case "allocated_words counts the minor heap" `Quick
-      test_allocated_words_minor ]
+      test_allocated_words_minor;
+    Alcotest.test_case "patched update spans cover engine.update" `Quick
+      test_patched_update_coverage ]

@@ -647,9 +647,7 @@ let load ?container_classes ?(obj_sens = true)
 (* How far an edit forced the pipeline to re-run, cheapest first:
    - [Noop]: byte-identical sources, nothing ran;
    - [Patched]: changed bodies re-lowered, points-to re-keyed in place,
-     SDG patched (constraint summaries unchanged) — also taken
-     by dispatch-neutral method adds/removes, where only the statement
-     table and the location columns need rebuilding ([Sdg.relocate]);
+     SDG patched (constraint summaries unchanged);
    - [Resolved_incremental]: some constraint summary moved, but the
      solved points-to result was repaired in place by delete-and-
      rederive over the affected cone ([Andersen.resolve_delta]); arena
@@ -659,7 +657,8 @@ let load ?container_classes ?(obj_sens = true)
      declined (cone too large a fraction of the node universe): fresh
      points-to solve and SDG over the mutated program — frontend still
      skipped;
-   - [Rebuilt]: full reload from the new sources (structural edit);
+   - [Rebuilt]: full reload from the new sources (structural edit,
+     whole methods added or removed included);
    - [Rebuilt_fallback]: the same reload after an incremental tier
      raised part-way, carrying the exception's text.
 
@@ -723,54 +722,6 @@ let update (h : handle) (new_sources : (string * string) list) :
         let msg = Printexc.to_string e in
         Slice_obs.add_span_arg "fallback" msg;
         rebuilt (Rebuilt_fallback msg)
-      in
-      (* Shared tail of the two resolved tiers: fresh points-to solve
-         and SDG over the (already mutated) program. *)
-      let resolved_fresh (a : analysis) (p : Program.t) ~(n_changed : int) =
-        let a' = analyze ~obj_sens:a.obj_sens p in
-        Slice_obs.bump c_update_resolved_fresh;
-        Slice_obs.add_span_arg "path" "resolved-fresh";
-        let total = Andersen.num_call_graph_nodes a'.pta in
-        ( { h with
-            h_analysis = a';
-            h_sources = new_sources;
-            h_stats = stats_of ~obs:(edge_census_snapshot a'.sdg) a' },
-          { up_path = Resolved_fresh;
-            up_relowered = n_changed;
-            up_segments_refrozen = total;
-            up_segments_total = total;
-            up_nodes_dead = 0;
-            up_nodes_new = 0 } )
-      in
-      (* Points-to results carry constraint provenance: retract exactly
-         the affected methods and re-solve the cone in place
-         ([Andersen.resolve_delta]), rebuilding only the derived layers.
-         Falls back to a fresh solve when the solver declines the cone
-         as too large. *)
-      let resolve_or_fresh (a : analysis) (p : Program.t)
-          ~(retracted : Instr.method_qname list)
-          ~(added : Instr.method_qname list) ~(n_changed : int) =
-        match Andersen.resolve_delta a.pta ~retracted ~added with
-        | Error `Cone_too_big -> resolved_fresh a p ~n_changed
-        | Ok ds ->
-          let a' = analyze_with_pta ~obj_sens:a.obj_sens a.pta p in
-          Slice_obs.bump c_update_resolved_incr;
-          Slice_obs.add_span_arg "path" "resolved-incremental";
-          Slice_obs.add_span_arg "cone_nodes"
-            (string_of_int ds.Andersen.ds_cone_nodes);
-          Slice_obs.add_span_arg "retracted_mctxs"
-            (string_of_int ds.Andersen.ds_retracted_mctxs);
-          let total = Andersen.num_call_graph_nodes a'.pta in
-          ( { h with
-              h_analysis = a';
-              h_sources = new_sources;
-              h_stats = stats_of ~obs:(edge_census_snapshot a'.sdg) a' },
-            { up_path = Resolved_incremental;
-              up_relowered = n_changed;
-              up_segments_refrozen = total;
-              up_segments_total = total;
-              up_nodes_dead = 0;
-              up_nodes_new = 0 } )
       in
       match
         Slice_obs.span "delta.diff" (fun () ->
@@ -836,6 +787,11 @@ let update (h : handle) (new_sources : (string * string) list) :
               old_summaries new_summaries
           in
           let n_changed = List.length changed in
+          let changed_mqs =
+            List.map
+              (fun (r : Slice_front.Delta.resolved) -> r.Slice_front.Delta.rv_mq)
+              resolved
+          in
           if summaries_equal then begin
             (* Patch in place: the old and new site lists zip
                positionally into a remap (summary equality guarantees
@@ -850,12 +806,6 @@ let update (h : handle) (new_sources : (string * string) list) :
                   old_sites new_sites)
               old_summaries new_summaries;
             let site_remap s = Hashtbl.find_opt remap s in
-            let changed_mqs =
-              List.map
-                (fun (r : Slice_front.Delta.resolved) ->
-                  r.Slice_front.Delta.rv_mq)
-                resolved
-            in
             Slice_obs.span "pta.rekey" (fun () ->
                 Andersen.rekey_sites a.pta ~changed:changed_mqs site_remap);
             let ps = Sdg.patch a.sdg ~changed:changed_mqs ~site_remap in
@@ -885,156 +835,45 @@ let update (h : handle) (new_sources : (string * string) list) :
                 up_nodes_new = ps.Sdg.ps_nodes_new } )
           end
           else begin
-            (* The edit moved some constraint summary: the changed
-               methods' constraints are both the retracted and the
-               re-added set (same methods, new bodies). *)
-            let changed_mqs =
-              List.map
-                (fun (r : Slice_front.Delta.resolved) ->
-                  r.Slice_front.Delta.rv_mq)
-                resolved
+            (* The edit moved some constraint summary: retract exactly
+               the changed methods' constraints and re-solve the cone in
+               place ([Andersen.resolve_delta]), rebuilding only the
+               derived layers; when the solver declines the cone as too
+               large, solve afresh over the mutated program. *)
+            let up_path, a' =
+              match Andersen.resolve_delta a.pta ~retracted:changed_mqs with
+              | Error `Cone_too_big ->
+                let a' = analyze ~obj_sens:a.obj_sens p in
+                Slice_obs.bump c_update_resolved_fresh;
+                Slice_obs.add_span_arg "path" "resolved-fresh";
+                (Resolved_fresh, a')
+              | Ok ds ->
+                let a' = analyze_with_pta ~obj_sens:a.obj_sens a.pta p in
+                Slice_obs.bump c_update_resolved_incr;
+                Slice_obs.add_span_arg "path" "resolved-incremental";
+                Slice_obs.add_span_arg "cone_nodes"
+                  (string_of_int ds.Andersen.ds_cone_nodes);
+                Slice_obs.add_span_arg "retracted_mctxs"
+                  (string_of_int ds.Andersen.ds_retracted_mctxs);
+                (Resolved_incremental, a')
             in
-            resolve_or_fresh a p ~retracted:changed_mqs ~added:changed_mqs
-              ~n_changed
+            let total = Andersen.num_call_graph_nodes a'.pta in
+            ( { h with
+                h_analysis = a';
+                h_sources = new_sources;
+                h_stats = stats_of ~obs:(edge_census_snapshot a'.sdg) a' },
+              { up_path;
+                up_relowered = n_changed;
+                up_segments_refrozen = total;
+                up_segments_total = total;
+                up_nodes_dead = 0;
+                up_nodes_new = 0 } )
           end
         with e ->
           (* A mid-incremental failure (mini-unit parse error, lowering
              error, violated patch invariant) may leave the program
              half-mutated — the stored sources rebuild it whole. *)
-          fall_back e)
-      | Slice_front.Delta.Methods md -> (
-        try
-          let a = h.h_analysis in
-          let p = a.program in
-          let removed_mqs =
-            List.map Slice_front.Delta.removed_qname
-              md.Slice_front.Delta.dm_removed
-          in
-          let entry = Program.entry_method p in
-          if
-            List.exists
-              (fun mq -> Instr.equal_method_qname mq entry)
-              removed_mqs
-          then rebuilt Rebuilt
-          else begin
-            (* Classify BEFORE mutating.  A removed method with zero
-               solved contexts was unreachable — no call graph edge or
-               dispatch resolution involved it, so dropping it cannot
-               move the solution.  An added method whose NAME no old
-               method anywhere bears can neither be called by the
-               unchanged bodies (the old program lowered without the
-               name, so no call site references it) nor shadow or
-               retarget any dispatch — also neutral. *)
-            let name_exists name =
-              let found = ref false in
-              Program.iter_methods p (fun m ->
-                  if String.equal m.Instr.m_qname.Instr.mq_name name then
-                    found := true);
-              !found
-            in
-            let neutral =
-              List.for_all
-                (fun mq -> Andersen.mctxs_of_method a.pta mq = [])
-                removed_mqs
-              && List.for_all
-                   (fun (am : Slice_front.Delta.added_method) ->
-                     not (name_exists am.Slice_front.Delta.am_name))
-                   md.Slice_front.Delta.dm_added
-            in
-            (* Dispatch suspects of a NON-neutral edit: every old method
-               sharing a name with an added method may lose dispatch
-               flows to the new override, so its constraints must be
-               retracted and re-derived.  (A removed reachable method
-               only re-routes its own flows — the surviving same-name
-               methods strictly GAIN, which plain re-solving covers.) *)
-            let suspects =
-              List.concat_map
-                (fun (am : Slice_front.Delta.added_method) ->
-                  let name = am.Slice_front.Delta.am_name in
-                  let out = ref [] in
-                  Program.iter_methods p (fun m ->
-                      if String.equal m.Instr.m_qname.Instr.mq_name name then
-                        out := m.Instr.m_qname :: !out);
-                  !out)
-                md.Slice_front.Delta.dm_added
-            in
-            (* Mutate the program: removals, additions (declared and
-               lowered exactly as a full load would), then shift every
-               surviving location in the edited files onto its new
-               line — added methods were lowered from new-file mini
-               units and must NOT be shifted again. *)
-            List.iter (Program.remove_method p) removed_mqs;
-            let added_mqs =
-              List.map (Slice_front.Delta.lower_added p)
-                md.Slice_front.Delta.dm_added
-            in
-            let is_added mq =
-              List.exists (Instr.equal_method_qname mq) added_mqs
-            in
-            List.iter
-              (fun (file, bps) ->
-                if bps <> [] then begin
-                  let shift (l : Loc.t) =
-                    if String.equal l.Loc.file file then begin
-                      let d = Slice_front.Delta.line_delta bps l.Loc.line in
-                      if d = 0 then l else { l with Loc.line = l.Loc.line + d }
-                    end
-                    else l
-                  in
-                  Program.iter_methods p (fun m ->
-                      if Instr.has_body m && not (is_added m.Instr.m_qname)
-                      then
-                        Array.iter
-                          (fun blk ->
-                            blk.Instr.b_instrs <-
-                              List.map
-                                (fun i ->
-                                  { i with Instr.i_loc = shift i.Instr.i_loc })
-                                blk.Instr.b_instrs;
-                            blk.Instr.b_term <-
-                              { blk.Instr.b_term with
-                                Instr.t_loc = shift blk.Instr.b_term.Instr.t_loc
-                              })
-                          (Instr.blocks_exn m))
-                end)
-              md.Slice_front.Delta.dm_line_maps;
-            let n_changed = List.length added_mqs in
-            if neutral then begin
-              (* Nothing in the solved analysis refers to the edit: the
-                 points-to result, SDG rows and node set are all still
-                 exact.  The added and removed methods have no contexts,
-                 so [Sdg.patch] leaves the graph's rows alone: it
-                 re-lowers them into the arena and bumps the graph
-                 generation.  [Sdg.relocate] then re-reads the statement
-                 table, so the shifted locations serve line queries. *)
-              let ps =
-                Sdg.patch a.sdg ~changed:(added_mqs @ removed_mqs)
-                  ~site_remap:(fun _ -> None)
-              in
-              Sdg.relocate a.sdg;
-              Slice_obs.bump c_update_patched;
-              Slice_obs.add_span_arg "path" "patched";
-              let stats' =
-                { h.h_stats with
-                  sdg_statements = Sdg.num_scalar_statements a.sdg;
-                  sdg_nodes = Sdg.num_live_nodes a.sdg;
-                  arena_bytes = Arena.bytes a.arena;
-                  obs = edge_census_snapshot a.sdg }
-              in
-              ( { h with h_sources = new_sources; h_stats = stats' },
-                { up_path = Patched;
-                  up_relowered = n_changed;
-                  up_segments_refrozen = ps.Sdg.ps_segments_refrozen;
-                  up_segments_total = ps.Sdg.ps_segments_total;
-                  up_nodes_dead = ps.Sdg.ps_nodes_dead;
-                  up_nodes_new = ps.Sdg.ps_nodes_new } )
-            end
-            else
-              resolve_or_fresh a p
-                ~retracted:(removed_mqs @ suspects)
-                ~added:added_mqs ~n_changed
-          end
-        with e -> fall_back e))
+          fall_back e))
 
 (* One heap read/write pair of an expand query, with the flows of their
    common object(s) to each base (see [Expansion.explain_aliasing]). *)

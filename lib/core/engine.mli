@@ -277,11 +277,7 @@ val load :
     - [Patched]: only method bodies changed AND their constraint
       summaries are unchanged — bodies re-lowered in place, points-to
       re-keyed ({!Andersen.rekey_sites}), SDG patched
-      ({!Sdg.patch}).  Dispatch-neutral method adds/removes (an
-      unreachable method removed, or a method added under a name no
-      old method bears) also land here: the solved analysis is still
-      exact, so only the arena, the statement table and the location
-      columns are updated ({!Sdg.relocate});
+      ({!Sdg.patch});
     - [Resolved_incremental]: some constraint summary moved, but the
       solved points-to result was repaired in place by
       delete-and-rederive over the affected cone
@@ -292,9 +288,9 @@ val load :
       declined (affected cone too large): fresh points-to solve and
       SDG over the mutated program (the frontend work for unchanged
       methods is still skipped);
-    - [Rebuilt]: structural edit (or removal of the entry method) —
-      full {!load} from the new sources under the handle's stored
-      options;
+    - [Rebuilt]: structural edit — a signature, class or field edit,
+      or a whole method added or removed — full {!load} from the new
+      sources under the handle's stored options;
     - [Rebuilt_fallback msg]: the same full {!load}, taken because an
       incremental tier raised [msg] part-way.  The answer is still
       exact, but the tier the edit was meant for did not run; printed

@@ -127,8 +127,8 @@ type heap_index = {
 (* Dense per-node location columns, derived from the statement table.
    [build] writes every node's entry; [patch] writes only its own nodes
    (clearing the retired ones, locating the new ones) unless a new
-   location falls outside the file spans below, and [relocate] rewrites
-   them all.
+   location falls outside the file spans below, when it rewrites them
+   all.
 
    A line key numbers a (file, line) pair densely: [lc_base.(rank) +
    line], where [rank] is the file's position in [lc_files] (sorted by
@@ -155,7 +155,7 @@ type t = {
   pta : Andersen.result;
   mutable stmt_table : (Instr.stmt_id, Program.stmt_info) Hashtbl.t;
       (* kept in step by [patch]: it removes the retired bodies' ids and
-         adds the new bodies' ([relocate] re-reads it whole) *)
+         adds the new bodies' *)
   locs : loc_columns;
   mutable descs : node_desc array;
   mutable num_nodes : int;
@@ -526,13 +526,6 @@ let write_locs (g : t) (lo : int) (hi : int) : unit =
     if !inside && not (key_node g ~rank_of i) then inside := false
   done;
   if not !inside then write_all_locs g
-
-(* The statement records moved (the Methods tier shifts the lines of
-   every later statement of an edited file): re-read the statement table
-   and rewrite every location column. *)
-let relocate (g : t) : unit =
-  g.stmt_table <- Program.build_stmt_table g.p;
-  write_all_locs g
 
 let pp_node (g : t) ppf (n : node) : unit =
   match g.descs.(n) with
@@ -1143,15 +1136,13 @@ let patch (g : t) ~(changed : Instr.method_qname list)
         (fun mc -> Hashtbl.replace cm mc ())
         (Andersen.mctxs_of_method g.pta mq))
     changed;
-  (* [f mcs am] over each changed method still in the arena: its
-     contexts and arena id, whose rows hold the OLD body until
-     [Arena.relower] below. *)
+  (* [f mcs am] over each changed method: its contexts and arena id,
+     whose rows hold the OLD body until [Arena.relower] below. *)
   let old_bodies f =
     List.iter
       (fun mq ->
-        match Arena.method_id g.ar mq with
-        | Some am -> f (Andersen.mctxs_of_method g.pta mq) am
-        | None -> ())
+        f (Andersen.mctxs_of_method g.pta mq)
+          (Option.get (Arena.method_id g.ar mq)))
       changed
   in
   let deps_touch = ibuf 256 and uses_touch = ibuf 256 in
@@ -1312,9 +1303,8 @@ let patch (g : t) ~(changed : Instr.method_qname list)
       Arena.relower g.ar g.p changed;
       List.iter
         (fun (mc, m) ->
-          match Arena.method_id g.ar m.Instr.m_qname with
-          | Some am -> intra_pass_arena g hx_new ~emit mc am
-          | None -> ())
+          intra_pass_arena g hx_new ~emit mc
+            (Option.get (Arena.method_id g.ar m.Instr.m_qname)))
         changed_mcs;
       (* Pass 2: the changed methods as callers. *)
       List.iter (fun (mc, m) -> params_pass g ~emit mc m) changed_mcs);
@@ -1464,15 +1454,13 @@ let patch (g : t) ~(changed : Instr.method_qname list)
   Slice_obs.span "sdg.patch.locs" (fun () ->
       List.iter
         (fun mq ->
-          match Program.find_method g.p mq with
-          | Some m when Instr.has_body m ->
-            Instr.iter_instrs m (fun _ i ->
-                Hashtbl.replace g.stmt_table i.Instr.i_id
-                  { Program.s_method = mq; s_site = Program.Site_instr i });
-            Instr.iter_terms m (fun _ t ->
-                Hashtbl.replace g.stmt_table t.Instr.t_id
-                  { Program.s_method = mq; s_site = Program.Site_term t })
-          | Some _ | None -> ())
+          let m = Program.find_method_exn g.p mq in
+          Instr.iter_instrs m (fun _ i ->
+              Hashtbl.replace g.stmt_table i.Instr.i_id
+                { Program.s_method = mq; s_site = Program.Site_instr i });
+          Instr.iter_terms m (fun _ t ->
+              Hashtbl.replace g.stmt_table t.Instr.t_id
+                { Program.s_method = mq; s_site = Program.Site_term t }))
         changed;
       List.iter
         (fun d ->

@@ -116,8 +116,7 @@ val uses : t -> node -> (node * edge_kind) list
     The graph owns dense per-node location columns, derived from its
     statement table: {!build} writes every node's, {!patch} clears its
     retired nodes' and writes its new nodes' (all of them only when a
-    new location falls outside the line-key space), and {!relocate}
-    rewrites them all.  The accessors below are array reads.  The
+    new location falls outside the line-key space).  The accessors below are array reads.  The
     columns cost 16 bytes per node, recorded by the [sdg.loc_bytes]
     gauge. *)
 
@@ -177,9 +176,11 @@ type patch_stats = {
     new bodies, each changed method's constraint summary is unchanged,
     and the points-to result was re-keyed with {!Andersen.rekey_sites}
     using the same [site_remap].  [changed] names every method whose
-    body was re-lowered, added or removed: the patch first re-lowers
-    them into the graph's arena ({!Arena.relower}), then re-runs pass 1
-    over the arena rows of those that have method contexts.
+    body was re-lowered; each one was in the program before the edit
+    and still is (a whole method added or removed reloads instead).
+    The patch first re-lowers them into the graph's arena
+    ({!Arena.relower}), then re-runs pass 1 over the arena rows of
+    their method contexts.
 
     The work is bounded by the edit, not the program: the retired nodes
     are found through the old bodies' arena rows, the heap index is
@@ -194,12 +195,6 @@ val patch :
   changed:Instr.method_qname list ->
   site_remap:(Instr.stmt_id -> Instr.stmt_id option) ->
   patch_stats
-
-(** The program's statement records moved lines, their ids unchanged
-    (the Methods update tier shifts every later line of an edited file):
-    re-read the whole statement table from the program and rewrite every
-    location column. *)
-val relocate : t -> unit
 
 (** Number of committed patches — provenance captured against an older
     generation refuses to answer (see {!Slicer}). *)

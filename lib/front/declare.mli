@@ -15,10 +15,4 @@ val default_container_classes : string list
 (** Resolve a surface type against the class table. *)
 val resolve_sty : Program.t -> Loc.t -> Ast.sty -> Types.ty
 
-(** Build a method's shell (signature, parameter vars, [Abstract] body —
-    lowering installs the real one) from its declaration.  Used by [run]
-    for whole-unit declaration and by the incremental engine to admit a
-    single added method without re-declaring the unit. *)
-val method_shell : Program.t -> cls:string -> Ast.method_decl -> Instr.meth
-
 val run : ?container_classes:string list -> Program.t -> Ast.compilation_unit -> unit

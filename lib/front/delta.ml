@@ -385,38 +385,11 @@ type changed_method = {
   cm_mini : string;  (** synthetic one-method unit, line-accurate *)
 }
 
-type added_method = {
-  am_file : string;
-  am_class : string option;
-  am_name : string;
-  am_mini : string;  (** synthetic one-method unit, line-accurate *)
-}
-
-type methods_delta = {
-  dm_added : added_method list;
-  dm_removed : (string option * string) list;
-  dm_line_maps : (string * (int * int) list) list;
-      (** per edited file: [(old_line, delta)] breakpoints, ascending;
-          an old line [l] maps to [l + delta] of the LAST breakpoint
-          with [old_line <= l] (0 before the first).  Applies to every
-          surviving source location in the file — method bodies, class
-          headers, field initializers *)
-}
-
-(* The new-file line of an old-file line under a breakpoint list. *)
-let line_delta (bps : (int * int) list) (line : int) : int =
-  List.fold_left (fun acc (l, d) -> if l <= line then d else acc) 0 bps
-
 type t =
   | Same  (** byte-identical sources *)
   | Bodies of changed_method list
       (** only these method bodies changed; signatures and program
           structure are untouched *)
-  | Methods of methods_delta
-      (** whole methods were added/removed; every class shell (header,
-          fields, braces) and every surviving method's text is
-          unchanged, though surviving methods may sit on shifted
-          lines *)
   | Structural  (** anything else: a full rebuild is required *)
 
 (* Mini unit: the method's own lines verbatim, every other line blank;
@@ -465,138 +438,8 @@ let interior_equal ~(old_src : string) ~(new_src : string) (so : meth_seg)
   let rec same i = i >= len || (old_src.[a + i] = new_src.[b + i] && same (i + 1)) in
   len = sn.ms_close_off - sn.ms_open_off - 1 && same 0
 
-(* ------------------------------------------------------------------ *)
-(* Cross-method diff (method added/removed, class shell unchanged)     *)
-(* ------------------------------------------------------------------ *)
-
-(* Every line OUTSIDE member spans, in order: class headers, fields and
-   their initializers, braces.  Two files whose outside-line sequences
-   are equal differ only by whole member spans, so the class shells are
-   untouched and surviving lines move by a per-span step function. *)
-let outside_lines (lines : string array) (segs : meth_seg list) : string list =
-  let n = Array.length lines in
-  let inside = Array.make n false in
-  List.iter
-    (fun s ->
-      for l = s.ms_start to s.ms_close do
-        if l >= 1 && l <= n then inside.(l - 1) <- true
-      done)
-    segs;
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    if not inside.(i) then acc := lines.(i) :: !acc
-  done;
-  !acc
-
-(* A member span's text with leading blank lines dropped (the span
-   starts right after the previous construct, so it absorbs however
-   many separator blanks sit before the header). *)
-let span_text (lines : string array) (s : meth_seg) : string =
-  let b = Buffer.create 64 in
-  let started = ref false in
-  for l = s.ms_start to s.ms_close do
-    if l >= 1 && l <= Array.length lines then begin
-      let line = lines.(l - 1) in
-      if !started || String.trim line <> "" then begin
-        started := true;
-        Buffer.add_string b line;
-        Buffer.add_char b '\n'
-      end
-    end
-  done;
-  Buffer.contents b
-
-(* Attempted when the skeletons disagree: align old and new member
-   spans by (class, name), admitting only whole-method insertions and
-   removals.  Surviving methods must keep their exact text (modulo the
-   leading blanks inside their span) and their relative order, and
-   every line outside member spans must survive verbatim; anything
-   else falls back to [`Structural].  Produces the per-file breakpoint
-   list mapping old lines to new lines. *)
-let methods_diff_file ~(file : string) ~(old_src : string)
-    ~(new_src : string) (segs_old : meth_seg list) (segs_new : meth_seg list)
-    :
-    [ `Same
-    | `Bodies of changed_method list
-    | `Methods of
-      added_method list * (string option * string) list * (int * int) list
-    | `Structural ] =
-  let old_lines = lines_of old_src and new_lines = lines_of new_src in
-  if outside_lines old_lines segs_old <> outside_lines new_lines segs_new then
-    `Structural
-  else begin
-    let key (s : meth_seg) = (s.ms_class, s.ms_name) in
-    let old_a = Array.of_list segs_old and new_a = Array.of_list segs_new in
-    let old_keys = Hashtbl.create 16 and new_keys = Hashtbl.create 16 in
-    let dup = ref false in
-    Array.iter
-      (fun s ->
-        if Hashtbl.mem old_keys (key s) then dup := true
-        else Hashtbl.replace old_keys (key s) ())
-      old_a;
-    Array.iter
-      (fun s ->
-        if Hashtbl.mem new_keys (key s) then dup := true
-        else Hashtbl.replace new_keys (key s) ())
-      new_a;
-    if !dup then `Structural
-    else begin
-      let added = ref [] and removed = ref [] in
-      let bps = ref [] and d = ref 0 in
-      let ok = ref true in
-      let io = ref 0 and inw = ref 0 in
-      let no = Array.length old_a and nn = Array.length new_a in
-      while !ok && (!io < no || !inw < nn) do
-        if !io < no && not (Hashtbl.mem new_keys (key old_a.(!io))) then begin
-          (* removed: lines from its span start onward shift up *)
-          let so = old_a.(!io) in
-          d := !d - (so.ms_close - so.ms_start + 1);
-          bps := (so.ms_start, !d) :: !bps;
-          removed := (so.ms_class, so.ms_name) :: !removed;
-          incr io
-        end
-        else if !inw < nn && not (Hashtbl.mem old_keys (key new_a.(!inw)))
-        then begin
-          (* added: the old-file anchor of the insertion point is the
-             new span start mapped back through the running delta *)
-          let sn = new_a.(!inw) in
-          let anchor = sn.ms_start - !d in
-          d := !d + (sn.ms_close - sn.ms_start + 1);
-          bps := (anchor, !d) :: !bps;
-          added :=
-            { am_file = file;
-              am_class = sn.ms_class;
-              am_name = sn.ms_name;
-              am_mini = mini_unit new_src sn }
-            :: !added;
-          incr inw
-        end
-        else if !io < no && !inw < nn then begin
-          let so = old_a.(!io) and sn = new_a.(!inw) in
-          if
-            key so <> key sn
-            || sn.ms_open - so.ms_open <> !d
-            || sn.ms_close - so.ms_close <> !d
-            || not (String.equal (span_text old_lines so) (span_text new_lines sn))
-          then ok := false
-          else begin
-            incr io;
-            incr inw
-          end
-        end
-        else ok := false
-      done;
-      if (not !ok) || (!added = [] && !removed = []) then `Structural
-      else `Methods (List.rev !added, List.rev !removed, List.rev !bps)
-    end
-  end
-
 let diff_file ~(file : string) ~(old_src : string) ~(new_src : string) :
-    [ `Same
-    | `Bodies of changed_method list
-    | `Methods of
-      added_method list * (string option * string) list * (int * int) list
-    | `Structural ] =
+    [ `Same | `Bodies of changed_method list | `Structural ] =
   if String.equal old_src new_src then `Same
   else
     (* Segment each source exactly ONCE: the scan is the diff's dominant
@@ -608,7 +451,7 @@ let diff_file ~(file : string) ~(old_src : string) ~(new_src : string) :
       if
         (not (skeletons_equal old_src segs_old new_src segs_new))
         || List.length segs_old <> List.length segs_new
-      then methods_diff_file ~file ~old_src ~new_src segs_old segs_new
+      then `Structural
       else begin
         let changed = ref [] in
         let ok = ref true in
@@ -628,11 +471,7 @@ let diff_file ~(file : string) ~(old_src : string) ~(new_src : string) :
                   cm_mini = mini_unit new_src sn }
                 :: !changed)
           segs_old segs_new;
-        if not !ok then
-          (* equal counts yet the positional pairing broke: could be a
-             simultaneous add + remove — try the keyed alignment *)
-          methods_diff_file ~file ~old_src ~new_src segs_old segs_new
-        else `Bodies (List.rev !changed)
+        if not !ok then `Structural else `Bodies (List.rev !changed)
       end
 
 let diff ~(old_sources : (string * string) list)
@@ -646,10 +485,8 @@ let diff ~(old_sources : (string * string) list)
   then Structural
   else begin
     let acc = ref [] in
-    let m_added = ref [] and m_removed = ref [] and m_maps = ref [] in
     let structural = ref false in
     let any = ref false in
-    let any_methods = ref false in
     List.iter2
       (fun (file, old_src) (_, new_src) ->
         match diff_file ~file ~old_src ~new_src with
@@ -657,22 +494,9 @@ let diff ~(old_sources : (string * string) list)
         | `Structural -> structural := true
         | `Bodies ch ->
           any := true;
-          acc := !acc @ ch
-        | `Methods (added, removed, bps) ->
-          any_methods := true;
-          m_added := !m_added @ added;
-          m_removed := !m_removed @ removed;
-          m_maps := !m_maps @ [ (file, bps) ])
+          acc := !acc @ ch)
       old_sources new_sources;
     if !structural then Structural
-    else if !any_methods then
-      if !any then
-        (* body edits and method adds/removes in one delta: rare and
-           not worth a combined tier — be conservative *)
-        Structural
-      else
-        Methods
-          { dm_added = !m_added; dm_removed = !m_removed; dm_line_maps = !m_maps }
     else if not !any then Same
     else if !acc = [] then
       (* skeleton-equal yet no per-method difference: the change sits
@@ -749,38 +573,3 @@ let relower_resolved (p : Program.t) (r : resolved) : unit =
      | Some _ | None -> ());
   let m = Program.find_method_exn p mq in
   Ssa.convert p m
-
-let relower (p : Program.t) (cm : changed_method) : Instr.method_qname =
-  let r = resolve p cm in
-  relower_resolved p r;
-  r.rv_mq
-
-(* The program method named by a [dm_removed] entry. *)
-let removed_qname ((cls, name) : string option * string) : Instr.method_qname =
-  { Instr.mq_class = Option.value cls ~default:Types.toplevel_class;
-    mq_name = name }
-
-(* Parse an added method's mini unit; the method must NOT exist yet and
-   its class (for members) must. *)
-let resolve_added (p : Program.t) (am : added_method) : resolved =
-  let cls, md = parse_mini ~file:am.am_file am.am_mini in
-  let mq = { Instr.mq_class = cls; mq_name = md.Ast.md_name } in
-  (match Program.find_method p mq with
-  | Some _ ->
-    raise
-      (Delta_error
-         (Printf.sprintf "mini unit: method %s already exists"
-            (Instr.method_qname_to_string mq)))
-  | None -> ());
-  if not (Program.class_exists p cls) then
-    raise (Delta_error (Printf.sprintf "mini unit: unknown class %s" cls));
-  { rv_mq = mq; rv_cls = cls; rv_md = md }
-
-(* Declare and lower an added method into the existing program, exactly
-   as a full [Declare.run] + [Lower.run] would have admitted it: shell
-   first (so the body can self-reference), then body, then SSA. *)
-let lower_added (p : Program.t) (am : added_method) : Instr.method_qname =
-  let r = resolve_added p am in
-  Program.add_method p (Declare.method_shell p ~cls:r.rv_cls r.rv_md);
-  relower_resolved p r;
-  r.rv_mq

@@ -9,15 +9,11 @@
     that all source locations outside bodies are unchanged — the
     precondition for patching analyses in place.
 
-    When the skeletons disagree, a second alignment keyed by
-    (class, method name) admits whole-method insertions and removals
-    whose class shells (headers, fields, braces — every line outside a
-    member span) survive verbatim: the [Methods] tier, carrying the
-    added methods' mini units, the removed methods' names, and a
-    per-file old-line -> new-line step function for the surviving
-    locations.  Everything else (signature edits, class or field
-    edits, reordered methods) degrades to [Structural], where the
-    engine falls back to a full rebuild. *)
+    Everything else degrades to [Structural], where the engine reloads
+    from the new sources: signature, class and field edits, reordered
+    methods, and whole methods added or removed.  A save that adds or
+    drops a method is rare next to body edits, and its reload is exact
+    by construction. *)
 
 open Slice_ir
 
@@ -30,33 +26,10 @@ type changed_method = {
           token at its original line/column *)
 }
 
-type added_method = {
-  am_file : string;
-  am_class : string option;  (** [None] for a free function *)
-  am_name : string;
-  am_mini : string;  (** synthetic one-method unit, line-accurate *)
-}
-
-type methods_delta = {
-  dm_added : added_method list;
-  dm_removed : (string option * string) list;
-      (** (class, name); [None] class for a free function *)
-  dm_line_maps : (string * (int * int) list) list;
-      (** per edited file: [(old_line, delta)] breakpoints, ascending;
-          old line [l] maps to [l + delta] of the last breakpoint with
-          [old_line <= l] (delta 0 before the first) *)
-}
-
-(** Evaluate a breakpoint list at an old line. *)
-val line_delta : (int * int) list -> int -> int
-
 type t =
   | Same  (** byte-identical sources *)
   | Bodies of changed_method list
       (** only these method bodies changed *)
-  | Methods of methods_delta
-      (** whole methods added/removed, class shells and surviving
-          method text unchanged (possibly line-shifted) *)
   | Structural  (** full rebuild required *)
 
 (** Classify the edit between two [(file, src)] unit lists.  Unit lists
@@ -90,22 +63,3 @@ val resolve : Program.t -> changed_method -> resolved
     rebuilt with fresh statement ids, SSA is re-run, and the entry
     method's [$clinit] prepend is replayed. *)
 val relower_resolved : Program.t -> resolved -> unit
-
-(** [resolve] + [relower_resolved].  Raises {!Delta_error} / parser /
-    lowering errors on malformed input — callers treat any exception as
-    "fall back to a full load". *)
-val relower : Program.t -> changed_method -> Instr.method_qname
-
-(** The program method named by a [dm_removed] entry. *)
-val removed_qname : string option * string -> Instr.method_qname
-
-(** Parse an added method's mini unit WITHOUT mutating the program.
-    Raises {!Delta_error} if the method already exists or its class is
-    unknown. *)
-val resolve_added : Program.t -> added_method -> resolved
-
-(** Declare and lower an added method into the existing program, as a
-    full [Declare.run] + [Lower.run] would have admitted it: signature
-    shell, body with fresh statement ids, SSA.  Raises on malformed
-    input — callers fall back to a full load. *)
-val lower_added : Program.t -> added_method -> Instr.method_qname

@@ -18,7 +18,7 @@ val run : Program.t -> Ast.compilation_unit -> unit
 
 (** Lower ONE method declaration into its pre-registered shell: fresh
     body and variable table, fresh statement ids, class table untouched.
-    Used by {!run} for every method, and by {!Delta.relower} to re-lower
-    just the changed methods of an incremental update.  The caller is
-    responsible for re-running SSA conversion. *)
+    Used by {!run} for every method, and by {!Delta.relower_resolved}
+    to re-lower just the changed methods of an incremental update.  The
+    caller is responsible for re-running SSA conversion. *)
 val lower_method : Program.t -> cls:Types.class_name -> Ast.method_decl -> unit

@@ -104,10 +104,11 @@ type cls = { c_name : string; c_family : int; c_parent : string option }
      incremental solver must retract/re-derive, not just patch);
    - [aux]: append an uncalled, globally uniquely named method
      [aux<i>()] to class [i] — a dispatch-neutral whole-method
-     addition/removal (the [Methods] tier's Patched path);
+     addition/removal, which the engine answers by a reload
+     ([Rebuilt]);
    - [ovr]: append a [bump] override to SUBclass [i] — a
-     dispatch-MOVING whole-method addition/removal (the [Methods]
-     tier's resolve path: every old [bump] is a suspect). *)
+     dispatch-MOVING whole-method addition/removal, also a reload.
+   Both check that a whole-method edit reloads to exact answers. *)
 type model = {
   classes : cls array;
   steps : step option array;
@@ -661,9 +662,8 @@ let render (m : model) : rendered =
         let nm = c.c_name in
         (* Flag-dependent extra members keep to ONE line each, inserted
            just before the class's closing brace: a whole-method
-           insertion/removal whose net lines sit entirely inside the
-           new/old method's own span, which is exactly what the
-           [Slice_front.Delta] Methods tier admits. *)
+           insertion/removal that leaves every other line of the class
+           as it was. *)
         let aux_lines =
           if m.aux.(i) then
             [ Printf.sprintf
@@ -989,10 +989,9 @@ let generate_scaled ~(seed : int) ~(stmts : int) : scaled =
      Resolved-incremental sweet spot;
    - [Add_aux] / [Remove_aux]: toggle an uncalled, uniquely named
      [aux<i>()] method on a class — dispatch-neutral whole-method
-     edits, the Methods tier's Patched path;
+     edits, which the delta classifies [Structural] (Rebuilt);
    - [Add_override] / [Remove_override]: toggle a [bump] override on a
-     subclass — dispatch-moving whole-method edits, the Methods tier's
-     resolve path (Resolved-incremental or -fresh by cone size).
+     subclass — dispatch-moving whole-method edits, Rebuilt as well.
    Edited models stay well-formed by construction: replacements keep
    the result type, deletions fall back to typed defaults at render
    time, fresh operands only name EARLIER live steps (the [v{j}]

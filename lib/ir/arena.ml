@@ -8,9 +8,9 @@
    - one lowering loop, [lower_method], appends a method's rows at the
      end of the columns and points the method's own lo/hi spans at them:
      [build] runs it for every bodied method, [relower] for the methods
-     an edit replaced.  Rows a re-lowered or dropped method leaves
-     behind are dead; once they outnumber the live rows, [relower]
-     lowers the whole program again into emptied columns;
+     an edit replaced.  Rows a re-lowered method leaves behind are
+     dead; once they outnumber the live rows, [relower] lowers the
+     whole program again into emptied columns;
    - strings are interned once into [syms] — heap-access keys compare
      structurally downstream, so sharing is a pure win;
    - within a method, rows follow [Instr.iter_instrs]/[iter_terms] and
@@ -247,17 +247,7 @@ let build (p : Program.t) : t =
   ar
 
 let relower (ar : t) (p : Program.t) (mqs : Instr.method_qname list) : unit =
-  List.iter
-    (fun mq ->
-      match Program.find_method p mq with
-      | Some m when Instr.has_body m -> lower_method ar m
-      | Some _ | None -> (
-        match Hashtbl.find_opt ar.m_index mq with
-        | Some id ->
-          ar.dead_rows <- ar.dead_rows + span_rows ar id;
-          Hashtbl.remove ar.m_index mq
-        | None -> ()))
-    mqs;
+  List.iter (fun mq -> lower_method ar (Program.find_method_exn p mq)) mqs;
   if 2 * ar.dead_rows > ar.i_stmt.Col.len + ar.t_stmt.Col.len then
     lower_all ar p
 

@@ -46,10 +46,9 @@ type op =
 (** Lower every method of the program that has a body. *)
 val build : Program.t -> t
 
-(** [relower ar p mqs] brings the named methods up to date with [p]:
-    each one [p] still has with a body gets fresh rows and its spans
-    repointed (its method id is kept, or a new one is assigned); each
-    one [p] no longer has is dropped.  When the dead rows come to
+(** [relower ar p mqs] brings the named methods, each a method of [p]
+    with a body, up to date with [p]: each gets fresh rows and its spans
+    repointed, keeping its method id.  When the dead rows come to
     outnumber the live ones, every method of [p] is lowered again into
     emptied columns, which renumbers the method ids.  Methods not named
     keep their rows, so [mqs] must name every method whose body

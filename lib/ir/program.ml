@@ -66,19 +66,6 @@ let add_method (p : t) (m : Instr.meth) : unit =
   let ci = find_class_exn p m.Instr.m_qname.Instr.mq_class in
   ci.c_methods <- ci.c_methods @ [ m.Instr.m_qname.Instr.mq_name ]
 
-(* Inverse of [add_method], for structural incremental updates (a method
-   deleted from a source file).  Statement ids of the removed body are
-   never reused — [next_stmt] only grows — so stale references in cached
-   tables dangle rather than alias. *)
-let remove_method (p : t) (mq : Instr.method_qname) : unit =
-  let key = method_key mq in
-  if not (Hashtbl.mem p.methods key) then
-    invalid_arg (Printf.sprintf "Program.remove_method: unknown method %s" key);
-  Hashtbl.remove p.methods key;
-  let ci = find_class_exn p mq.Instr.mq_class in
-  ci.c_methods <-
-    List.filter (fun n -> not (String.equal n mq.Instr.mq_name)) ci.c_methods
-
 let iter_classes (p : t) (f : class_info -> unit) : unit =
   let names = Hashtbl.fold (fun n _ acc -> n :: acc) p.classes [] in
   List.iter (fun n -> f (Hashtbl.find p.classes n)) (List.sort String.compare names)

@@ -40,11 +40,6 @@ val add_class : t -> class_info -> unit
 
 val add_method : t -> Instr.meth -> unit
 
-(** Inverse of [add_method]: drop a method from the method table and its
-    class's own-method list.  Raises [Invalid_argument] when absent.
-    Statement ids are never reused, so removal cannot alias later ids. *)
-val remove_method : t -> Instr.method_qname -> unit
-
 (** Iteration in deterministic (sorted) order. *)
 val iter_classes : t -> (class_info -> unit) -> unit
 

@@ -1040,14 +1040,9 @@ type delta_stats = {
 let cone_node_limit_den = 2
 let cone_mctx_limit_den = 2
 
-let resolve_delta (t : t) ~(retracted : Instr.method_qname list)
-    ~(added : Instr.method_qname list) :
+let resolve_delta (t : t) ~(retracted : Instr.method_qname list) :
     (delta_stats, [ `Cone_too_big ]) Stdlib.result =
-  (* [added] methods carry no old constraints to retract: their bodies
-     already live in [t.p] and contribute constraints the moment the
-     replayed call graph reaches them.  The list is accepted so callers
-     state the full delta; only [retracted] drives the retraction. *)
-  ignore (added : Instr.method_qname list);
+  Slice_obs.span "pta.resolve_delta" (fun () ->
   (* ---- plan (no mutation): dead method contexts + affected cone ---
      [dead] = every context whose old constraints must be dropped:
      the retracted methods' contexts, plus — iteratively — any context
@@ -1057,6 +1052,8 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list)
      copy successors (which include every solve-derived edge), load
      targets, field nodes reachable through stores, and the wiring a
      suspect dispatch produced. *)
+  let dead, in_cone, cone_nodes, processed_count =
+    Slice_obs.span "pta.resolve_delta.plan" (fun () ->
   let dead_mq = Hashtbl.create 8 in
   List.iter (fun mq -> Hashtbl.replace dead_mq mq ()) retracted;
   let dead = Bits.create ~capacity:(max 64 t.num_mctxs) () in
@@ -1187,16 +1184,20 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list)
       incr cone_nodes
     end
   done;
-  let dead_count = Bits.cardinal dead in
   let processed_count = ref 0 in
   for mc = 0 to t.num_mctxs - 1 do
     if t.processed.(mc) then incr processed_count
   done;
+  (dead, in_cone, !cone_nodes, !processed_count))
+  in
+  let dead_count = Bits.cardinal dead in
   if
-    !cone_nodes * cone_node_limit_den > t.num_nodes
-    || dead_count * cone_mctx_limit_den > !processed_count
+    cone_nodes * cone_node_limit_den > t.num_nodes
+    || dead_count * cone_mctx_limit_den > processed_count
   then Error `Cone_too_big
   else begin
+    let replayable =
+      Slice_obs.span "pta.resolve_delta.retract" (fun () ->
     (* ---- retract ------------------------------------------------- *)
     let dead_objs = ref [] in
     for o = 0 to Array.length t.obj_mc - 1 do
@@ -1245,6 +1246,9 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list)
       then incr replayable;
       t.processed.(mc) <- false
     done;
+    !replayable)
+    in
+    Slice_obs.span "pta.resolve_delta.solve" (fun () ->
     (* ---- re-derive: demand-driven replay from the entry ----------
        Surviving contexts replay their logs; retracted-but-reachable
        contexts re-walk their (new) bodies because their logs were
@@ -1270,13 +1274,13 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list)
         add_obj t (intern_node t (Nvar (emc, pvar))) arr;
         add_obj t (intern_node t (Nfield (arr, elem_field))) str
       | _ -> ()));
-    Slice_obs.span "pta.resolve_delta" (fun () -> solve t);
+    solve t);
     Ok
       { ds_retracted_mctxs = dead_count;
-        ds_cone_nodes = !cone_nodes;
+        ds_cone_nodes = cone_nodes;
         ds_total_nodes = t.num_nodes;
-        ds_replayed_mctxs = !replayable }
-  end
+        ds_replayed_mctxs = replayable }
+  end)
 
 (* --- incremental re-analysis support --------------------------------- *)
 

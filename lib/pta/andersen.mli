@@ -151,16 +151,17 @@ type delta_stats = {
 }
 
 (** Retract [retracted] methods' constraints and re-solve incrementally,
-    mutating the result in place.  [added] names methods whose bodies
-    are new in the program (they contribute constraints on demand).
-    The program held by the result must already reflect the edit.
+    mutating the result in place.  The program held by the result must
+    already reflect the edit.
     Fails with [`Cone_too_big] when the affected cone exceeds half the
     node universe (a fresh solve is cheaper); the result is then
-    untouched and a fresh solve is required. *)
+    untouched and a fresh solve is required.  Traced under
+    ["pta.resolve_delta"], with children [pta.resolve_delta.plan],
+    [.retract] and [.solve] (the last two only when the cone is
+    accepted). *)
 val resolve_delta :
   result ->
   retracted:Instr.method_qname list ->
-  added:Instr.method_qname list ->
   (delta_stats, [ `Cone_too_big ]) Stdlib.result
 
 (** {!pts_dump} / {!call_graph_dump} with sites rendered through

@@ -251,21 +251,46 @@ let check_patched_state ~(ctx : string) (g : Slice_core.Sdg.t) : unit =
     (Census_oracle.num_scalar_statements g)
     (Sdg.num_scalar_statements g)
 
+(* Byte offset of the first [sub] in [src]. *)
+let first_index ~(what : string) (src : string) (sub : string) : int =
+  let lo = String.length sub and ls = String.length src in
+  let rec find j =
+    if j + lo > ls then failwith (what ^ ": no " ^ sub)
+    else if String.sub src j lo = sub then j
+    else find (j + 1)
+  in
+  find 0
+
+(* [src] with the [n] bytes at [j] replaced by [by]. *)
+let splice (src : string) (j : int) (n : int) (by : string) : string =
+  String.sub src 0 j ^ by ^ String.sub src (j + n) (String.length src - j - n)
+
+let scaled_src ~(stmts : int) : string =
+  (Slice_fuzz.Gen_tj.generate_scaled ~seed:1 ~stmts).Slice_fuzz.Gen_tj.sc_src
+
 (* A seed-1 scaled program and the same program with its first
    [cur.fi = a % 1001;] tweaked to [1002]: a one-method constant edit
    that keeps every line and the method's constraint summary, so
    [Engine.update] patches it. *)
 let scaled_tweak ~(stmts : int) : string * string =
-  let src = (Slice_fuzz.Gen_tj.generate_scaled ~seed:1 ~stmts).Slice_fuzz.Gen_tj.sc_src in
+  let src = scaled_src ~stmts in
   let old_s = "cur.fi = a % 1001;" in
-  let lo = String.length old_s and ls = String.length src in
-  let rec find j =
-    if j + lo > ls then failwith "scaled_tweak: no constant to tweak"
-    else if String.sub src j lo = old_s then j
-    else find (j + 1)
+  let j = first_index ~what:"scaled_tweak" src old_s in
+  (src, splice src j (String.length old_s) "cur.fi = a % 1002;")
+
+(* A seed-1 scaled program and the same program with the class of its
+   first [new S<f>_<0|1>()] allocation swapped for the sibling class:
+   a one-method edit that keeps every line but moves the method's
+   constraint summary within a small cone, so [Engine.update] repairs
+   the points-to result in place (resolved-incremental). *)
+let scaled_swap ~(stmts : int) : string * string =
+  let src = scaled_src ~stmts in
+  (* the class name's last character, just before its '(' *)
+  let last =
+    String.index_from src (first_index ~what:"scaled_swap" src "= new S") '('
+    - 1
   in
-  let j = find 0 in
-  (src, String.sub src 0 j ^ "cur.fi = a % 1002;" ^ String.sub src (j + lo) (ls - j - lo))
+  (src, splice src last 1 (if src.[last] = '0' then "1" else "0"))
 
 (* MD5 of a graph's whole adjacency: [num_nodes], then every node's
    [deps_iter] and [uses_iter] rows in iteration order, each edge as

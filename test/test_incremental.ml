@@ -171,6 +171,19 @@ let test_diff_tiers () =
    with
   | Delta.Structural -> ()
   | _ -> Alcotest.fail "line-count change should be Structural");
+  (* A whole method added or removed, alone or with a body edit in the
+     same save, is Structural: the engine reloads. *)
+  let with_extra = base_src ^ "int extra(int q) {\n  return q + 4;\n}\n" in
+  List.iter
+    (fun (what, old_src, new_src) ->
+      match Delta.diff ~old_sources:(units old_src) ~new_sources:(units new_src)
+      with
+      | Delta.Structural -> ()
+      | _ -> Alcotest.failf "%s should be Structural" what)
+    [ ("method add", base_src, with_extra);
+      ("method remove", with_extra, base_src);
+      ("method add with a body edit", base_src,
+        replace with_extra "x * 2" "x * 3") ];
   (* Unit lists that differ in file names are Structural. *)
   match
     Delta.diff ~old_sources:(units base_src)
@@ -212,7 +225,7 @@ let test_diff_matches_skeletons () =
           let bodies =
             match Delta.diff ~old_sources:[ (file, src) ] ~new_sources:[ (file, !s) ] with
             | Delta.Same | Delta.Bodies _ -> true
-            | Delta.Methods _ | Delta.Structural -> false
+            | Delta.Structural -> false
           in
           if bodies <> same then
             Alcotest.failf "diff says %s, skeletons %s"
@@ -277,10 +290,9 @@ let test_update_patched_entry () =
     rep.Engine.up_path;
   check_equiv ~what:"entry edit" h' [ (file, edited) ] (seed_lines_of edited)
 
-(* The arena the SDG reads must follow every tier that keeps the
-   analysis: a Patched body edit re-lowers the edited method into it, a
-   Patched method add or remove appends or drops that method, and a
-   resolved update lowers it whole. *)
+(* The arena the SDG reads must follow every tier: a Patched body edit
+   re-lowers the edited method into it, a method add or remove reloads
+   it with the program, and a resolved update lowers it whole. *)
 let test_arena_every_tier () =
   let step ~ctx want h src =
     let h', rep = Engine.update h [ (file, src) ] in
@@ -293,8 +305,8 @@ let test_arena_every_tier () =
   let v1 = replace base_src "x * 2" "x * 3" in
   let h1 = step ~ctx:"patched body edit" Engine.Patched h0 v1 in
   let v2 = v1 ^ "int zzextra(int q) {\n  return q + 4;\n}\n" in
-  let h2 = step ~ctx:"method add" Engine.Patched h1 v2 in
-  let h3 = step ~ctx:"method remove" Engine.Patched h2 v1 in
+  let h2 = step ~ctx:"method add" Engine.Rebuilt h1 v2 in
+  let h3 = step ~ctx:"method remove" Engine.Rebuilt h2 v1 in
   let v4 =
     replace v1 "void set(int v) { this.f = v + 0; }"
       "void set(int v) { A t = new A(); this.f = v; }"
@@ -590,18 +602,17 @@ let tail_src =
 
 (* A patched chain: a body edit, an edit that puts a statement on a
    line past the file's last located one (so the line-key space must
-   grow), a dispatch-neutral method add that shifts every later line,
-   and a body edit after the shift.  After each step the statement
-   table, the location columns, the edge census and the scalar-statement
-   count, all kept in place by the patch, equal a fresh recount, and
-   the handle answers like a fresh load. *)
+   grow), a method add that shifts every later line (a reload), and a
+   body edit after the shift.  After each step the statement table, the
+   location columns, the edge census and the scalar-statement count,
+   kept in place by each patch, equal a fresh recount, and the handle
+   answers like a fresh load. *)
 let test_patched_state_exact () =
   let h0 = Engine.load [ (file, tail_src) ] in
   let keys g = Sdg.num_line_keys g in
-  let step ~ctx h src =
+  let step ?(want = Engine.Patched) ~ctx h src =
     let h', rep = Engine.update h [ (file, src) ] in
-    Alcotest.check path_testable (ctx ^ ": path") Engine.Patched
-      rep.Engine.up_path;
+    Alcotest.check path_testable (ctx ^ ": path") want rep.Engine.up_path;
     Helpers.check_patched_state ~ctx h'.Engine.h_analysis.Engine.sdg;
     check_equiv ~what:ctx h' [ (file, src) ]
       [ line_of src "print("; line_of src "int z = "; line_of src "return r;" ];
@@ -619,7 +630,7 @@ let test_patched_state_exact () =
   let v3 =
     replace v2 "void main(" "int zzextra(int q) {\n  return q + 4;\n}\nvoid main("
   in
-  let h3 = step ~ctx:"neutral method add" h2 v3 in
+  let h3 = step ~want:Engine.Rebuilt ~ctx:"method add" h2 v3 in
   let v4 = replace v3 "a.set(5)" "a.set(6)" in
   ignore (step ~ctx:"body edit after the shift" h3 v4)
 

@@ -7,7 +7,7 @@
      Rebuilt -> Resolved (summary-moving main edit)
              -> Resolved on the already-resolved handle
              -> Patched on the resolved handle (summary-neutral edit)
-             -> Patched twice more (neutral whole-method add / remove)
+             -> Rebuilt twice (whole-method add / remove)
              -> Noop
    and after EVERY step checks the incrementally updated handle against
    a from-scratch [Engine.load] of the same sources on the canonical
@@ -25,7 +25,7 @@
    appended at EOF (structural), edits to the first statement line of
    [main] (appending an allocation+call moves the summary; changing
    only an int constant keeps it), and a one-line method inserted
-   into / removed from the probe class (the Methods tier). *)
+   into / removed from the probe class (a reload). *)
 
 open Slice_core
 
@@ -202,17 +202,17 @@ let check_witnesses (sdg : Sdg.t) ~(seeds : Sdg.node list) ~(ctx : string) =
 
 (* ---------------- the chain ---------------- *)
 
+(* The resolved-tier updates one set of chains took. *)
 type tally = { mutable resolved_incr : int; mutable resolved_fresh : int }
 
-let tally = { resolved_incr = 0; resolved_fresh = 0 }
-
-let note (rep : Engine.update_report) =
+let note (tally : tally) (rep : Engine.update_report) =
   match rep.Engine.up_path with
   | Engine.Resolved_incremental -> tally.resolved_incr <- tally.resolved_incr + 1
   | Engine.Resolved_fresh -> tally.resolved_fresh <- tally.resolved_fresh + 1
   | _ -> ()
 
-let run_chain ~(obj_sens : bool) (name : string) (base : string) =
+let run_chain ~(tally : tally) ~(obj_sens : bool) (name : string)
+    (base : string) =
   let ctx step = Printf.sprintf "%s(objsens=%b) %s" name obj_sens step in
   let tgt = main_target base in
   let seed_line = tgt + 1 in
@@ -228,7 +228,7 @@ let run_chain ~(obj_sens : bool) (name : string) (base : string) =
   in
   let h2, rep2 = Engine.update h1 [ (file, src2) ] in
   expect_resolved ~ctx:(ctx "summary-moving edit") rep2;
-  note rep2;
+  note tally rep2;
   check_parity ~ctx:(ctx "summary-moving edit") h2;
   let a2 = h2.Engine.h_analysis in
   check_witnesses a2.Engine.sdg
@@ -241,7 +241,7 @@ let run_chain ~(obj_sens : bool) (name : string) (base : string) =
   let src3 = append_to_line src2 tgt (bump_stmt 2) in
   let h3a, rep3a = Engine.update h2 [ (file, src3) ] in
   expect_resolved ~ctx:(ctx "resolve-on-resolved") rep3a;
-  note rep3a;
+  note tally rep3a;
   check_parity ~ctx:(ctx "resolve-on-resolved") h3a;
   (* 3b. small-cone summary move: the delta solver itself.  The bump
      body's constraints only reach the probe's own nodes, far under the
@@ -249,7 +249,7 @@ let run_chain ~(obj_sens : bool) (name : string) (base : string) =
   let src3b = move_bump src3 in
   let h3, rep3 = Engine.update h3a [ (file, src3b) ] in
   expect ~ctx:(ctx "small-cone resolve") Engine.Resolved_incremental rep3;
-  note rep3;
+  note tally rep3;
   check_parity ~ctx:(ctx "small-cone resolve") h3;
   (* A provenance walked NOW must go stale after the patched update. *)
   let a3 = h3.Engine.h_analysis in
@@ -277,33 +277,44 @@ let run_chain ~(obj_sens : bool) (name : string) (base : string) =
           "%s: pre-patch witness of node %d survived the patched update"
           (ctx "witness staleness") nd)
     pre_members;
-  (* 5. neutral whole-method add / remove: the Methods tier *)
+  (* 5. whole-method add / remove: a reload *)
   let src5 = with_zzaux src4 in
   let h5, rep5 = Engine.update h4 [ (file, src5) ] in
-  expect ~ctx:(ctx "neutral method add") Engine.Patched rep5;
-  check_parity ~ctx:(ctx "neutral method add") h5;
+  expect ~ctx:(ctx "method add") Engine.Rebuilt rep5;
+  check_parity ~ctx:(ctx "method add") h5;
   let h6, rep6 = Engine.update h5 [ (file, src4) ] in
-  expect ~ctx:(ctx "neutral method remove") Engine.Patched rep6;
-  check_parity ~ctx:(ctx "neutral method remove") h6;
+  expect ~ctx:(ctx "method remove") Engine.Rebuilt rep6;
+  check_parity ~ctx:(ctx "method remove") h6;
   (* 6. byte-identical source: noop *)
   let _, rep7 = Engine.update h6 [ (file, src4) ] in
   expect ~ctx:(ctx "noop") Engine.Noop rep7
 
-let test_chains_objsens () =
-  List.iter
-    (fun (name, base) -> run_chain ~obj_sens:true name base)
-    Slice_workloads.Suites.paper_workloads
+(* Every paper workload's chain under one sensitivity, run once per
+   process whichever test asks first: the tier-mix check below forces
+   both sets itself, so it holds when run alone. *)
+let chains ~(obj_sens : bool) : tally Lazy.t =
+  lazy
+    (let tally = { resolved_incr = 0; resolved_fresh = 0 } in
+     List.iter
+       (fun (name, base) -> run_chain ~tally ~obj_sens name base)
+       Slice_workloads.Suites.paper_workloads;
+     tally)
 
-let test_chains_ci () =
-  List.iter
-    (fun (name, base) -> run_chain ~obj_sens:false name base)
-    Slice_workloads.Suites.paper_workloads
+let chains_objsens = chains ~obj_sens:true
+let chains_ci = chains ~obj_sens:false
+let test_chains_objsens () = ignore (Lazy.force chains_objsens)
+let test_chains_ci () = ignore (Lazy.force chains_ci)
 
 (* Both resolved tiers must actually occur across the 18 chains: a
    ladder where one tier is unreachable is a ladder nothing tests.
    Resolved_fresh is reached only through the solver's own cone
    threshold. *)
 let test_resolved_tier_mix () =
+  let a = Lazy.force chains_objsens and b = Lazy.force chains_ci in
+  let tally =
+    { resolved_incr = a.resolved_incr + b.resolved_incr;
+      resolved_fresh = a.resolved_fresh + b.resolved_fresh }
+  in
   if tally.resolved_incr = 0 then
     Alcotest.fail
       "no workload chain took resolved-incremental: the delta solver never \
@@ -315,8 +326,8 @@ let test_resolved_tier_mix () =
 
 (* The SDG's location columns must follow every tier that touches the
    statement table: load, a patched body edit, a resolved-incremental
-   summary move, and a Methods-tier method add inserted ABOVE the query
-   line (it relocates every statement below it).  After each step every
+   summary move, and a method add inserted ABOVE the query line (a
+   reload that moves every statement below it).  After each step every
    location answer matches the statement-table oracles, and the slice at
    the (possibly moved) query line matches a fresh load. *)
 let loc_chain (name : string) (base : string) =
@@ -367,8 +378,8 @@ let loc_chain (name : string) (base : string) =
             (split_lines src2)))
   in
   let h3, rep3 = Engine.update h2 [ (file, src3) ] in
-  expect ~ctx:(ctx "method add above the query") Engine.Patched rep3;
-  check "methods tier" h3 (query_line + 1)
+  expect ~ctx:(ctx "method add above the query") Engine.Rebuilt rep3;
+  check "method add" h3 (query_line + 1)
 
 let test_loc_columns_every_tier () =
   let scaled = Slice_fuzz.Gen_tj.generate_scaled ~seed:5 ~stmts:2_000 in

@@ -587,6 +587,12 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
   let g, sdg_wall = time (fun () -> Sdg.build ~arena p pta) in
   Printf.printf "phase=sdg wall_s=%.3f\n%!" sdg_wall;
   let a = { Engine.program = p; pta; sdg = g; arena; obj_sens = true } in
+  (* The resident points-to rows and heap index, as the stats memory
+     block reports them: arithmetic, so CI can bound them exactly. *)
+  let pta_set_bytes = Slice_pta.Andersen.set_bytes pta in
+  let heap_index_bytes = Sdg.heap_index_bytes g in
+  Printf.printf "phase=memory pta_set_bytes=%d heap_index_bytes=%d\n%!"
+    pta_set_bytes heap_index_bytes;
   (* batch slice over sampled seed-bearing lines (strided, so the sample
      spans the whole program, plus the generator's trailing print) *)
   let n_lines =
@@ -791,6 +797,8 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
         ("memory",
          Obj
            [ ("arena_bytes", Int (Slice_ir.Arena.bytes arena));
+             ("pta_set_bytes", Int pta_set_bytes);
+             ("heap_index_bytes", Int heap_index_bytes);
              ("record_ir_bytes", Int (record_ir_bytes p));
              ("peak_heap_bytes", Int peak_heap_bytes) ]);
         ("batch",

@@ -457,6 +457,8 @@ type stats = {
   sdg_nodes : int;               (* including context clones and formals *)
   abstract_objects : int;
   arena_bytes : int;             (* flat-IR footprint; deterministic *)
+  pta_set_bytes : int;           (* points-to rows and dedup; deterministic *)
+  heap_index_bytes : int;        (* SDG heap access index; deterministic *)
   obs : Slice_obs.snapshot;      (* counters, gauges, spans at capture *)
 }
 
@@ -508,6 +510,8 @@ let stats_of ?obs (a : analysis) : stats =
     sdg_nodes = Sdg.num_live_nodes a.sdg;
     abstract_objects = Andersen.num_objects a.pta;
     arena_bytes = Arena.bytes a.arena;
+    pta_set_bytes = Andersen.set_bytes a.pta;
+    heap_index_bytes = Sdg.heap_index_bytes a.sdg;
     obs = (match obs with Some s -> s | None -> Slice_obs.snapshot ()) }
 
 (* JSON export of the stats + telemetry — the payload behind [thinslice
@@ -547,7 +551,11 @@ let edges_by_kind_json (snap : Slice_obs.snapshot) : Slice_obs.Json.t =
    analyzing the same sources must emit identical bytes.  Live peaks
    (scratch growth, GC heap) are telemetry gauges instead. *)
 let memory_json (s : stats) : Slice_obs.Json.t =
-  Slice_obs.Json.Obj [ ("arena_bytes", Slice_obs.Json.Int s.arena_bytes) ]
+  let open Slice_obs.Json in
+  Obj
+    [ ("arena_bytes", Int s.arena_bytes);
+      ("pta_set_bytes", Int s.pta_set_bytes);
+      ("heap_index_bytes", Int s.heap_index_bytes) ]
 
 let stats_to_json (s : stats) : Slice_obs.Json.t =
   let open Slice_obs.Json in
@@ -813,10 +821,10 @@ let update (h : handle) (new_sources : (string * string) list) :
             Slice_obs.add_span_arg "path" "patched";
             (* Incremental stats: only the edited bodies' IR counts and
                the SDG-derived numbers can move on this path — classes,
-               reachable methods, call-graph nodes and abstract objects
-               are pinned by summary equality.  Avoids the O(program)
-               [stats_of] re-count, which would otherwise rival the
-               patch itself. *)
+               reachable methods, call-graph nodes, abstract objects and
+               the points-to sets are pinned by summary equality.  Avoids
+               the O(program) [stats_of] re-count, which would otherwise
+               rival the patch itself. *)
             let stats' =
               { h.h_stats with
                 ir_statements =
@@ -824,6 +832,7 @@ let update (h : handle) (new_sources : (string * string) list) :
                 sdg_statements = Sdg.num_scalar_statements a.sdg;
                 sdg_nodes = Sdg.num_live_nodes a.sdg;
                 arena_bytes = Arena.bytes a.arena;
+                heap_index_bytes = Sdg.heap_index_bytes a.sdg;
                 obs = edge_census_snapshot a.sdg }
             in
             ( { h with h_sources = new_sources; h_stats = stats' },

@@ -187,6 +187,13 @@ type stats = {
           capacities, so deterministic and safe in byte-compared output.
           A Patched incremental update reports the arena after its
           re-lower. *)
+  pta_set_bytes : int;
+      (** {!Andersen.set_bytes}: the points-to rows and the solver's
+          dedup table, from their capacities.  A Patched update keeps
+          it (the sets do not move). *)
+  heap_index_bytes : int;
+      (** {!Sdg.heap_index_bytes}: the SDG's retained heap access
+          index, from the binding and cell counts it keeps. *)
   obs : Slice_obs.snapshot;
       (** counters, gauges, histograms and spans at capture time *)
 }

@@ -39,6 +39,7 @@ let c_nodes = Slice_obs.counter "sdg.nodes"
 let c_edges = Slice_obs.counter "sdg.edges"
 let c_heap_considered = Slice_obs.counter "sdg.heap_pairs_considered"
 let c_heap_emitted = Slice_obs.counter "sdg.heap_pairs_emitted"
+let c_patch_call_sites = Slice_obs.counter "sdg.patch.call_sites_visited"
 let c_csr_nodes = Slice_obs.counter "sdg.csr_nodes"
 let c_csr_edges = Slice_obs.counter "sdg.csr_edges"
 let g_csr_bytes = Slice_obs.gauge "sdg.csr_bytes"
@@ -114,14 +115,22 @@ type csr = {
 
 (* Heap access index built during pass 1 and RETAINED on the graph: an
    incremental patch re-indexes only the changed methods' accesses and
-   wires them against this, instead of re-scanning the program. *)
+   wires them against this, instead of re-scanning the program.
+
+   A write is listed under every (object, field) its base may point to.
+   A read is listed once, under (points-to representative of its base,
+   field), and [read_groups] lists each field's representatives: a read
+   group meets the writes of every object in its representative's set,
+   so the index does not multiply reads by points-to size.  An array
+   length is the pseudo-field [length_field], written by [new].  [cells]
+   counts the index's list cells, for [heap_index_bytes]. *)
 type heap_index = {
-  field_writes : (int * string, (node * Instr.stmt_id) list ref) Hashtbl.t;
-  field_reads : (int * string, (node * Instr.stmt_id) list ref) Hashtbl.t;
+  field_writes : (int * string, node list ref) Hashtbl.t;
+  field_reads : (int * string, node list ref) Hashtbl.t;
+  read_groups : (string, int list ref) Hashtbl.t;  (* field -> reps *)
   static_writes : (Types.class_name * Types.field_name, node list ref) Hashtbl.t;
   static_reads : (Types.class_name * Types.field_name, node list ref) Hashtbl.t;
-  len_writes : (int, node list ref) Hashtbl.t;   (* abstract array -> new[] *)
-  len_reads : (int, node list ref) Hashtbl.t;
+  mutable cells : int;
 }
 
 (* Dense per-node location columns, derived from the statement table.
@@ -551,6 +560,109 @@ let push tbl key v =
   | cell -> cell := v :: !cell
   | exception Not_found -> Hashtbl.replace tbl key (ref [ v ])
 
+(* --- the heap access index ---------------------------------------- *)
+
+(* Not an identifier, so no declared field shares its keys. *)
+let length_field = "#length"
+
+(* Initial table sizes of a graph's index; [table_words] reads them. *)
+let hx_init = 256
+
+let heap_index (init : int) : heap_index =
+  { field_writes = Hashtbl.create init;
+    field_reads = Hashtbl.create init;
+    read_groups = Hashtbl.create init;
+    static_writes = Hashtbl.create init;
+    static_reads = Hashtbl.create init;
+    cells = 0 }
+
+let index_push (hx : heap_index) tbl key (n : node) : unit =
+  push tbl key n;
+  hx.cells <- hx.cells + 1
+
+let index_read (hx : heap_index) ((rep, f) as key) (n : node) : unit =
+  match Hashtbl.find hx.field_reads key with
+  | cell ->
+    cell := n :: !cell;
+    hx.cells <- hx.cells + 1
+  | exception Not_found ->
+    Hashtbl.replace hx.field_reads key (ref [ n ]);
+    push hx.read_groups f rep;
+    hx.cells <- hx.cells + 2
+
+(* The field an instance access at arena row [ix] keys on. *)
+let access_field (ar : Arena.t) (ix : int) (op : Arena.op) : string =
+  match op with
+  | Arena.Op_store | Arena.Op_load -> Arena.instr_sym ar ix
+  | Arena.Op_array_store | Arena.Op_array_load -> Andersen.elem_field
+  | _ -> length_field
+
+(* The index keys of node [n], the access at arena row [ix] in context
+   [mc]: [write] per (object, field) key of a field, element or length
+   write, [read] once with the (representative, field) key of such a
+   read, and [static_write]/[static_read] with a static's key.  Pass 1
+   indexes [n] under these keys and a patch purges under them. *)
+let access_keys (g : t) (mc : int) (ix : int) (n : node)
+    ~(write : int * string -> node -> unit)
+    ~(read : int * string -> node -> unit)
+    ~(static_write : string * string -> node -> unit)
+    ~(static_read : string * string -> node -> unit) : unit =
+  let ar = g.ar in
+  match Arena.instr_op ar ix with
+  | (Arena.Op_store | Arena.Op_array_store | Arena.Op_new_array) as op ->
+    let f = access_field ar ix op in
+    Andersen.pts_iter_var g.pta ~mctx:mc (Arena.instr_base ar ix) (fun o ->
+        write (o, f) n)
+  | (Arena.Op_load | Arena.Op_array_load | Arena.Op_array_length) as op ->
+    let r = Andersen.pts_rep_of_var g.pta ~mctx:mc (Arena.instr_base ar ix) in
+    if r >= 0 then read (r, access_field ar ix op) n
+  | Arena.Op_static_store ->
+    static_write (Arena.instr_sym ar ix, Arena.instr_sym2 ar ix) n
+  | Arena.Op_static_load ->
+    static_read (Arena.instr_sym ar ix, Arena.instr_sym2 ar ix) n
+  | Arena.Op_call | Arena.Op_other -> ()
+
+(* Every (read, write) pair of one read group [(rep, f)] with the writes
+   of each object [rep] may point to. *)
+let group_pairs (g : t) (hx : heap_index) ((rep, f) : int * string)
+    (reads : node list) (consider : node -> node -> unit) : unit =
+  Andersen.pts_iter_rep g.pta rep (fun o ->
+      match Hashtbl.find hx.field_writes (o, f) with
+      | ws -> List.iter (fun rn -> List.iter (fun wn -> consider rn wn) !ws) reads
+      | exception Not_found -> ())
+
+(* Words of a table made by [Hashtbl.create hx_init] that never loses a
+   binding: its record, its bucket array (doubled whenever the bindings
+   outnumber twice its length) and, per binding, a bucket cell, a
+   [key_words]-word key block and the [ref] of its list.  Key strings
+   are the arena's interned symbols and are not counted. *)
+let table_words ~(key_words : int) tbl : int =
+  let n = Hashtbl.length tbl in
+  let b = ref 16 in
+  while !b < hx_init do
+    b := 2 * !b
+  done;
+  while n > 2 * !b do
+    b := 2 * !b
+  done;
+  5 + 1 + !b + (n * (4 + key_words + 2))
+
+(* Arithmetic bytes of the retained heap index, from binding and cell
+   counts the index keeps, so it costs O(1) after a patch and is the
+   same in every process. *)
+let heap_index_bytes (g : t) : int =
+  let hx = g.hx in
+  8
+  * (7
+    + table_words ~key_words:3 hx.field_writes
+    + table_words ~key_words:3 hx.field_reads
+    + table_words ~key_words:0 hx.read_groups
+    + table_words ~key_words:3 hx.static_writes
+    + table_words ~key_words:3 hx.static_reads
+    + (3 * hx.cells))
+
+let heap_index_repr (g : t) : Obj.t = Obj.repr g.hx
+
 (* The per-method pass bodies are shared between [build] (every reachable
    method context) and [patch] (only re-lowered ones); [emit] appends to
    the edge log during a build and is the session emitter during a
@@ -587,6 +699,9 @@ let intra_pass_arena (g : t) (hx : heap_index)
   let var_def = Array.make (max 1 nvars) (-1) in
   let var_param = Array.make (max 1 nvars) (-1) in
   let lo, hi = Arena.instr_span ar am in
+  let write = index_push hx hx.field_writes and read = index_read hx in
+  let static_write = index_push hx hx.static_writes in
+  let static_read = index_push hx hx.static_reads in
   for ix = lo to hi - 1 do
     let d = Arena.instr_def ar ix in
     if d >= 0 then var_def.(d) <- Arena.instr_stmt ar ix
@@ -628,30 +743,7 @@ let intra_pass_arena (g : t) (hx : heap_index)
             | _ -> Index
           in
           use_edge n v kind));
-    match op with
-    | Arena.Op_store ->
-      Andersen.pts_iter_var pta ~mctx:mc (Arena.instr_base ar ix) (fun o ->
-          push hx.field_writes (o, Arena.instr_sym ar ix) (n, s))
-    | Arena.Op_load ->
-      Andersen.pts_iter_var pta ~mctx:mc (Arena.instr_base ar ix) (fun o ->
-          push hx.field_reads (o, Arena.instr_sym ar ix) (n, s))
-    | Arena.Op_array_store ->
-      Andersen.pts_iter_var pta ~mctx:mc (Arena.instr_base ar ix) (fun o ->
-          push hx.field_writes (o, Andersen.elem_field) (n, s))
-    | Arena.Op_array_load ->
-      Andersen.pts_iter_var pta ~mctx:mc (Arena.instr_base ar ix) (fun o ->
-          push hx.field_reads (o, Andersen.elem_field) (n, s))
-    | Arena.Op_new_array ->
-      Andersen.pts_iter_var pta ~mctx:mc (Arena.instr_base ar ix) (fun o ->
-          push hx.len_writes o n)
-    | Arena.Op_array_length ->
-      Andersen.pts_iter_var pta ~mctx:mc (Arena.instr_base ar ix) (fun o ->
-          push hx.len_reads o n)
-    | Arena.Op_static_store ->
-      push hx.static_writes (Arena.instr_sym ar ix, Arena.instr_sym2 ar ix) n
-    | Arena.Op_static_load ->
-      push hx.static_reads (Arena.instr_sym ar ix, Arena.instr_sym2 ar ix) n
-    | Arena.Op_call | Arena.Op_other -> ()
+    access_keys g mc ix n ~write ~read ~static_write ~static_read
   done;
   let tlo, thi = Arena.term_span ar am in
   for tx = tlo to thi - 1 do
@@ -752,14 +844,7 @@ let control_pass (g : t) ~(emit : from:node -> on:node -> edge_kind -> unit)
   end
 
 let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
-  let hx =
-    { field_writes = Hashtbl.create 256;
-      field_reads = Hashtbl.create 256;
-      static_writes = Hashtbl.create 32;
-      static_reads = Hashtbl.create 32;
-      len_writes = Hashtbl.create 32;
-      len_reads = Hashtbl.create 32 }
-  in
+  let hx = heap_index hx_init in
   let g =
     { p;
       pta;
@@ -799,10 +884,11 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
   List.iter
     (fun (mc, mq, _) -> params_pass g ~emit mc (Program.find_method_exn p mq))
     mcs);
-  (* Pass 3: heap dependence edges (store -> load, direct).  Candidate
-     (read, write) pairs are deduplicated through a bitset row per
-     write-node — the same (rn, wn) pair reappears once per shared
-     (object, field) key across contexts — and the surviving pairs are
+  (* Pass 3: heap dependence edges (store -> load, direct).  Each read
+     group meets the writes of every object its representative may point
+     to.  Candidate (read, write) pairs are deduplicated through a bitset
+     row per write-node — the same (rn, wn) pair reappears once per
+     shared (object, field) key across contexts — and the surviving pairs are
      emitted in one sweep via [Bits.iter], ascending write node then
      ascending read node, so row order does not depend on hash-table
      iteration order.  The considered bump counts every candidate; the
@@ -826,23 +912,16 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
       ignore (Slice_util.Bits.add row rn)
     end
   in
-  (* Every read of a key against every write of the same key. *)
-  let pair_up reads writes node_of =
-    Hashtbl.iter
-      (fun key rlist ->
-        match Hashtbl.find_opt writes key with
-        | None -> ()
-        | Some wlist ->
-          List.iter
-            (fun r ->
-              let rn = node_of r in
-              List.iter (fun w -> consider rn (node_of w)) !wlist)
-            !rlist)
-      reads
-  in
-  pair_up hx.field_reads hx.field_writes fst;
-  pair_up hx.static_reads hx.static_writes Fun.id;
-  pair_up hx.len_reads hx.len_writes Fun.id;
+  Hashtbl.iter
+    (fun key reads -> group_pairs g hx key !reads consider)
+    hx.field_reads;
+  Hashtbl.iter
+    (fun key reads ->
+      match Hashtbl.find_opt hx.static_writes key with
+      | None -> ()
+      | Some ws ->
+        List.iter (fun rn -> List.iter (fun wn -> consider rn wn) !ws) !reads)
+    hx.static_reads;
   let wns = List.sort compare (Hashtbl.fold (fun wn _ a -> wn :: a) rows []) in
   List.iter
     (fun wn ->
@@ -1147,7 +1226,7 @@ let patch (g : t) ~(changed : Instr.method_qname list)
   in
   let deps_touch = ibuf 256 and uses_touch = ibuf 256 in
   let losses : (node * edge_kind * node_desc) list ref = ref [] in
-  let newly_dead, dead_stmts =
+  let newly_dead, dead_stmts, ctrl_deps =
     Slice_obs.span "sdg.patch.disconnect" (fun () ->
     (* Retire the old bodies' statement-bound nodes and drop their
        statement ids from the table. *)
@@ -1184,11 +1263,10 @@ let patch (g : t) ~(changed : Instr.method_qname list)
           retire_stmt (Arena.term_stmt g.ar tx)
         done);
     (* Purge the retired accesses from the retained heap index, under
-       the keys pass 1 indexed them by.  Pass 1 pushed one entry per
-       context, access and object, so counting the same walk here gives
-       each key's number of dead entries; a key's list is rebuilt only
-       up to its last dead entry (a patch's own entries sit at the
-       front) and shares the rest. *)
+       the keys pass 1 indexed them by ([access_keys]), so counting the
+       same walk here gives each key's number of dead entries; a key's
+       list is rebuilt only up to its last dead entry (a patch's own
+       entries sit at the front) and shares the rest. *)
     let alive n = not g.dead.(n) in
     let rec drop_dead keep n l =
       if n = 0 then l
@@ -1200,72 +1278,53 @@ let patch (g : t) ~(changed : Instr.method_qname list)
           else drop_dead keep (n - 1) rest
     in
     let purges = ref [] in
-    let purger tbl keep =
+    let purger tbl =
       let dead_entries = Hashtbl.create 16 in
       purges :=
         (fun () ->
           Hashtbl.iter
             (fun key n ->
               match Hashtbl.find_opt tbl key with
-              | Some r -> r := drop_dead keep !n !r
+              | Some r ->
+                r := drop_dead alive !n !r;
+                g.hx.cells <- g.hx.cells - !n
               | None -> ())
             dead_entries)
         :: !purges;
-      fun key ->
+      fun key _ ->
         match Hashtbl.find dead_entries key with
         | n -> incr n
         | exception Not_found -> Hashtbl.replace dead_entries key (ref 1)
     in
-    let field_writes = purger g.hx.field_writes (fun (n, _) -> alive n) in
-    let field_reads = purger g.hx.field_reads (fun (n, _) -> alive n) in
-    let static_writes = purger g.hx.static_writes alive in
-    let static_reads = purger g.hx.static_reads alive in
-    let len_writes = purger g.hx.len_writes alive in
-    let len_reads = purger g.hx.len_reads alive in
+    let write = purger g.hx.field_writes and read = purger g.hx.field_reads in
+    let static_write = purger g.hx.static_writes in
+    let static_read = purger g.hx.static_reads in
     old_bodies (fun mcs am ->
         let lo, hi = Arena.instr_span g.ar am in
         for ix = lo to hi - 1 do
           List.iter
             (fun mc ->
-              let objs purge key =
-                Andersen.pts_iter_var g.pta ~mctx:mc (Arena.instr_base g.ar ix)
-                  (fun o -> purge (key o))
-              in
-              match Arena.instr_op g.ar ix with
-              | Arena.Op_store ->
-                let f = Arena.instr_sym g.ar ix in
-                objs field_writes (fun o -> (o, f))
-              | Arena.Op_load ->
-                let f = Arena.instr_sym g.ar ix in
-                objs field_reads (fun o -> (o, f))
-              | Arena.Op_array_store ->
-                objs field_writes (fun o -> (o, Andersen.elem_field))
-              | Arena.Op_array_load ->
-                objs field_reads (fun o -> (o, Andersen.elem_field))
-              | Arena.Op_new_array -> objs len_writes Fun.id
-              | Arena.Op_array_length -> objs len_reads Fun.id
-              | Arena.Op_static_store ->
-                static_writes (Arena.instr_sym g.ar ix, Arena.instr_sym2 g.ar ix)
-              | Arena.Op_static_load ->
-                static_reads (Arena.instr_sym g.ar ix, Arena.instr_sym2 g.ar ix)
-              | Arena.Op_call | Arena.Op_other -> ())
+              access_keys g mc ix (-1) ~write ~read ~static_write ~static_read)
             mcs
         done);
     List.iter (fun purge -> purge ()) !purges;
     (* Disconnect: every edge at a dead node leaves the census; the live
        rows across such an edge are rewritten at commit, and each live
        source that lost a [Return_value] or [Control] dependence is
-       recorded (the loss classes needing repair). *)
+       recorded (the loss classes needing repair).  The dead nodes'
+       own [Control] dependences are kept for pass 4. *)
     let newly_dead = List.sort (fun a b -> compare b a) !retired in
     let uncount k =
       let t = edge_kind_tag k in
       g.kinds.(t) <- g.kinds.(t) - 1
     in
+    let ctrl_deps = ref [] in
     List.iter
       (fun d ->
         deps_iter g d (fun on k ->
             uncount k;
-            if not g.dead.(on) then ipush uses_touch on);
+            if not g.dead.(on) then ipush uses_touch on;
+            if k = Control then ctrl_deps := (d, on) :: !ctrl_deps);
         uses_iter g d (fun from k ->
             if not g.dead.(from) then begin
               uncount k;
@@ -1277,7 +1336,7 @@ let patch (g : t) ~(changed : Instr.method_qname list)
               | Index | Call_actual -> ()
             end))
       newly_dead;
-    (newly_dead, !dead_stmts))
+    (newly_dead, !dead_stmts, !ctrl_deps))
   in
   let changed_mcs =
     Hashtbl.fold
@@ -1289,14 +1348,7 @@ let patch (g : t) ~(changed : Instr.method_qname list)
   (* The session's emissions, committed as rows below. *)
   let log = ibuf 1024 in
   let emit ~from ~on kind = log_edge log ~from ~on kind in
-  let hx_new =
-    { field_writes = Hashtbl.create 32;
-      field_reads = Hashtbl.create 32;
-      static_writes = Hashtbl.create 8;
-      static_reads = Hashtbl.create 8;
-      len_writes = Hashtbl.create 8;
-      len_reads = Hashtbl.create 8 }
-  in
+  let hx_new = heap_index 16 in
   Slice_obs.span "sdg.patch.intra" (fun () ->
       (* Pass 1 over the new bodies, re-lowered into the arena first,
          indexing their heap accesses apart. *)
@@ -1312,13 +1364,11 @@ let patch (g : t) ~(changed : Instr.method_qname list)
   (* Pass 3: merge the new accesses into the retained index, then wire
      new reads x all writes and all reads x new writes (the new x new
      corner lands in both sweeps; the sorted emission dedups it). *)
-  let merge_pairs src dst = Hashtbl.iter (fun k r -> List.iter (push dst k) !r) src in
-  merge_pairs hx_new.field_writes g.hx.field_writes;
-  merge_pairs hx_new.field_reads g.hx.field_reads;
-  merge_pairs hx_new.static_writes g.hx.static_writes;
-  merge_pairs hx_new.static_reads g.hx.static_reads;
-  merge_pairs hx_new.len_writes g.hx.len_writes;
-  merge_pairs hx_new.len_reads g.hx.len_reads;
+  let merge src add = Hashtbl.iter (fun k r -> List.iter (add k) !r) src in
+  merge hx_new.field_writes (index_push g.hx g.hx.field_writes);
+  merge hx_new.field_reads (index_read g.hx);
+  merge hx_new.static_writes (index_push g.hx g.hx.static_writes);
+  merge hx_new.static_reads (index_push g.hx g.hx.static_reads);
   (* Candidate read nodes per write node, sorted and deduplicated at
      emission: an int buffer rather than [build]'s node-indexed bitset,
      whose width grows with the graph. *)
@@ -1333,23 +1383,25 @@ let patch (g : t) ~(changed : Instr.method_qname list)
         Hashtbl.replace rows wn b;
         ipush b rn
   in
-  let sweep_pairs news alls ~read_side =
-    Hashtbl.iter
-      (fun key nlist ->
-        match Hashtbl.find_opt alls key with
-        | None -> ()
-        | Some olist ->
-          List.iter
-            (fun (nn, _) ->
+  (* New reads meet the writes of their groups' objects; new writes of
+     (o, f) meet every read group of [f] whose representative may point
+     to [o]. *)
+  Hashtbl.iter
+    (fun key reads -> group_pairs g g.hx key !reads consider)
+    hx_new.field_reads;
+  Hashtbl.iter
+    (fun (o, f) writes ->
+      match Hashtbl.find_opt g.hx.read_groups f with
+      | None -> ()
+      | Some reps ->
+        List.iter
+          (fun rep ->
+            if Andersen.pts_mem_rep g.pta rep o then
               List.iter
-                (fun (on, _) ->
-                  if read_side then consider nn on else consider on nn)
-                !olist)
-            !nlist)
-      news
-  in
-  sweep_pairs hx_new.field_reads g.hx.field_writes ~read_side:true;
-  sweep_pairs hx_new.field_writes g.hx.field_reads ~read_side:false;
+                (fun rn -> List.iter (fun wn -> consider rn wn) !writes)
+                !(Hashtbl.find g.hx.field_reads (rep, f)))
+          !reps)
+    hx_new.field_writes;
   let sweep_nodes news alls ~read_side =
     Hashtbl.iter
       (fun key nlist ->
@@ -1366,8 +1418,6 @@ let patch (g : t) ~(changed : Instr.method_qname list)
   in
   sweep_nodes hx_new.static_reads g.hx.static_writes ~read_side:true;
   sweep_nodes hx_new.static_writes g.hx.static_reads ~read_side:false;
-  sweep_nodes hx_new.len_reads g.hx.len_writes ~read_side:true;
-  sweep_nodes hx_new.len_writes g.hx.len_reads ~read_side:false;
   Hashtbl.iter
     (fun wn row ->
       let rns = Array.sub row.ev 0 row.len in
@@ -1381,19 +1431,32 @@ let patch (g : t) ~(changed : Instr.method_qname list)
         rns)
     rows);
   Slice_obs.span "sdg.patch.control" (fun () ->
-  (* Pass 4: control dependence inside the new bodies.  Entry callers
-     come from the solved call graph (already keyed on new ids). *)
+  (* Pass 4: control dependence inside the new bodies.  A changed
+     context's entry callers are the call sites its old entry-governed
+     statements were control-dependent on.  Every body has such a
+     statement (the entry block has no predecessor, so no branch governs
+     it), and a [Control] edge leads either to a governor, a terminator of
+     the same old body, or to an entry caller.  A live target is an entry
+     caller; a dead one is a call site of a changed caller when
+     [site_remap] moves it (terminators are not sites), and stands for
+     the moved site.  The solved call graph, already keyed on new ids,
+     confirms each one. *)
   let callers : (int, node list ref) Hashtbl.t = Hashtbl.create 16 in
-  (* no allocation per call site of the program, only per caller found *)
-  let rec note caller stmt = function
-    | [] -> ()
-    | cmc :: rest ->
-      if Hashtbl.mem cm cmc then
-        push callers cmc (intern g (Stmt (caller, stmt)));
-      note caller stmt rest
-  in
-  Andersen.iter_call_sites g.pta (fun ~caller ~stmt ~callees ->
-      note caller stmt callees);
+  let visited : (int * node, unit) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun (d, on) ->
+      match (g.descs.(d), g.descs.(on)) with
+      | Stmt (mc, _), Stmt (caller, s) when not (Hashtbl.mem visited (mc, on))
+        -> (
+        Hashtbl.replace visited (mc, on) ();
+        match if g.dead.(on) then site_remap s else Some s with
+        | None -> ()
+        | Some s' ->
+          Slice_obs.bump c_patch_call_sites;
+          if List.mem mc (Andersen.call_targets g.pta ~mctx:caller ~stmt:s')
+          then push callers mc (intern g (Stmt (caller, s'))))
+      | _ -> ())
+    ctrl_deps;
   List.iter
     (fun (mc, m) ->
       let entry_callers =

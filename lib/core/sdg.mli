@@ -149,6 +149,18 @@ val nodes_at_line : t -> file:string option -> line:int -> node list
     {!build} and kept by {!patch}, so reading it costs nothing. *)
 val num_scalar_statements : t -> int
 
+(** Bytes of the retained heap access index (the store/load index a
+    {!patch} wires new accesses against), computed from the binding and
+    list-cell counts the index keeps: O(1), and the same in every
+    process for the same program and edits.  Reads are indexed once
+    each, under their base's points-to representative, so the index
+    grows with the accesses, not with their points-to sets. *)
+val heap_index_bytes : t -> int
+
+(** The heap index itself, for tests that hold {!heap_index_bytes} to
+    [Obj.reachable_words]. *)
+val heap_index_repr : t -> Obj.t
+
 (** {2 Incremental patches}
 
     After an incremental re-lower of a few method bodies (see

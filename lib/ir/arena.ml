@@ -54,17 +54,20 @@ let op_of_tag = function
   | 9 -> Op_call
   | t -> invalid_arg (Printf.sprintf "Arena.op_of_tag: %d" t)
 
-(* Growable int column: capacity doubles when full.  [build] trims every
-   column to its length, so the first re-lower after a build doubles the
-   columns it appends to. *)
+(* Growable int column.  While a whole-program lowering fills it, its
+   capacity doubles when full; [lower_all] then trims it to its length,
+   and from then on it grows by an eighth, so the re-lowers of an edit
+   add slack in proportion to the column, not a second copy of it, and
+   still copy each row a bounded number of times. *)
 module Col = struct
-  type t = { mutable a : int array; mutable len : int }
+  type t = { mutable a : int array; mutable len : int; mutable trimmed : bool }
 
-  let create () = { a = [||]; len = 0 }
+  let create () = { a = [||]; len = 0; trimmed = false }
 
   let push c v =
     if c.len = Array.length c.a then begin
-      let bigger = Array.make ((2 * c.len) + 16) 0 in
+      let extra = if c.trimmed then c.len / 8 else c.len in
+      let bigger = Array.make (c.len + extra + 16) 0 in
       Array.blit c.a 0 bigger 0 c.len;
       c.a <- bigger
     end;
@@ -78,9 +81,12 @@ module Col = struct
 
   let clear c =
     c.a <- [||];
-    c.len <- 0
+    c.len <- 0;
+    c.trimmed <- false
 
-  let trim c = if Array.length c.a > c.len then c.a <- Array.sub c.a 0 c.len
+  let trim c =
+    if Array.length c.a > c.len then c.a <- Array.sub c.a 0 c.len;
+    c.trimmed <- true
 
   (* 8 bytes per slot, reserved or not, plus the array header *)
   let bytes c = 8 * (Array.length c.a + 1)

@@ -17,6 +17,7 @@
 
 open Slice_ir
 module Bits = Slice_util.Bits
+module Iset = Slice_util.Iset
 
 module ObjSet = Set.Make (Int)
 
@@ -98,13 +99,15 @@ type t = {
   mutable node_descs : node_desc array;
   mutable num_nodes : int;
   node_intern : (node_desc, int) Hashtbl.t;
-  (* data plane: bitset pts + accumulated deltas, union-find over nodes *)
+  (* data plane: bitset pts + accumulated deltas, union-find over nodes.
+     [delta], [succ_set] and [wired] are solve scratch: [end_solve]
+     empties them, and nothing reads them between solves. *)
   mutable pts : Bits.t array;
   mutable delta : Bits.t array;
   mutable parent : int array;
   mutable rank : int array;
   mutable succs : (int * Types.ty option) list array;
-  mutable succ_seen : Bits.t array;     (* per-src dedup row over dst reps *)
+  succ_set : Iset.t;                    (* [pair src dst] per [succs] entry *)
   mutable loads : (string * int) list array;
   mutable stores : (string * int) list array;
   mutable dispatches : dispatch list array;
@@ -198,7 +201,6 @@ let grow_nodes (t : t) =
   t.node_descs <- grow t.node_descs t.node_descs.(0);
   t.pts <- grow t.pts dummy_bits;
   t.delta <- grow t.delta dummy_bits;
-  t.succ_seen <- grow t.succ_seen dummy_bits;
   t.parent <- grow t.parent 0;
   t.rank <- grow t.rank 0;
   t.deg <- grow t.deg 0;
@@ -217,7 +219,6 @@ let intern_node (t : t) (d : node_desc) : int =
     t.node_descs.(id) <- d;
     t.pts.(id) <- Bits.create ~capacity:64 ();
     t.delta.(id) <- Bits.create ~capacity:64 ();
-    t.succ_seen.(id) <- Bits.create ~capacity:64 ();
     t.parent.(id) <- id;
     t.rank.(id) <- 0;
     t.deg.(id) <- 0;
@@ -323,9 +324,15 @@ let propagate_filtered (t : t) ~(src_bits : Bits.t) ~(ty : Types.ty)
   end;
   Bits.clear t.fscratch
 
+(* The successor dedup key of the copy edge [src -> dst].  Node ids stay
+   far below 2^31. *)
+let[@inline] pair (src : int) (dst : int) : int = (src lsl 31) lor dst
+
+(* [succ_set] holds [pair n d] exactly for the destinations [d] listed in
+   [succs.(n)], so an edge is accepted iff its representative pair is new. *)
 let add_edge (t : t) ?(filter : Types.ty option) (src : int) (dst : int) : unit =
   let rs = find t src and rd = find t dst in
-  if rs <> rd && Bits.add t.succ_seen.(rs) rd then begin
+  if rs <> rd && Iset.add t.succ_set (pair rs rd) then begin
     incr t.obs_edges;
     t.succs.(rs) <- (rd, filter) :: t.succs.(rs);
     t.deg.(rs) <- t.deg.(rs) + 1;
@@ -372,7 +379,11 @@ let merge (t : t) (a : int) (b : int) : int =
     (* pts(c)\pts(r) -> pts(r) and delta(r). *)
     ignore (Bits.propagate ~src:t.pts.(c) ~pts:t.pts.(r) ~delta:t.delta.(r));
     ignore (Bits.union_into ~src:t.delta.(c) ~dst:t.delta.(r));
-    ignore (Bits.union_into ~src:t.succ_seen.(c) ~dst:t.succ_seen.(r));
+    List.iter
+      (fun (d, _) ->
+        Iset.remove t.succ_set (pair c d);
+        ignore (Iset.add t.succ_set (pair r d)))
+      t.succs.(c);
     t.succs.(r) <- List.rev_append t.succs.(c) t.succs.(r);
     t.succs.(c) <- [];
     t.loads.(r) <- List.rev_append t.loads.(c) t.loads.(r);
@@ -385,7 +396,6 @@ let merge (t : t) (a : int) (b : int) : int =
     t.deg.(c) <- 0;
     Bits.clear t.pts.(c);
     Bits.clear t.delta.(c);
-    Bits.clear t.succ_seen.(c);
     if not (Bits.is_empty t.delta.(r)) then enqueue t r;
     r
   end
@@ -789,6 +799,23 @@ let solve (t : t) : unit =
     end
   done
 
+(* Solver scratch lives only while a solve runs.  Once the worklist is
+   empty every delta is drained, and nothing reads [delta], [succ_set],
+   [wired] or [lcd_done] until the next solve, [resolve_delta]'s, which
+   starts from them empty.  Each node gets a fresh delta row
+   with no words (its record only): [Bits.add] writes in place, so rows
+   are never shared.  The answer rows ([pts]) stay dense, trimmed to
+   their last non-zero word. *)
+let end_solve (t : t) : unit =
+  for n = 0 to t.num_nodes - 1 do
+    t.delta.(n) <- Bits.create ~capacity:0 ();
+    Bits.trim t.pts.(n)
+  done;
+  t.spare <- Bits.create ~capacity:0 ();
+  Iset.reset t.succ_set;
+  Hashtbl.reset t.wired;
+  Hashtbl.reset t.lcd_done
+
 (* --- entry points --------------------------------------------------- *)
 
 let analyze_uninstrumented ~opts (p : Program.t) : result =
@@ -813,7 +840,7 @@ let analyze_uninstrumented ~opts (p : Program.t) : result =
       parent = Array.make 256 0;
       rank = Array.make 256 0;
       succs = Array.make 256 [];
-      succ_seen = Array.make 256 dummy_bits;
+      succ_set = Iset.create ~capacity:256 ();
       loads = Array.make 256 [];
       stores = Array.make 256 [];
       dispatches = Array.make 256 [];
@@ -865,7 +892,9 @@ let analyze_uninstrumented ~opts (p : Program.t) : result =
       add_obj t (intern_node t (Nvar (emc, pv))) arr;
       add_obj t (intern_node t (Nfield (arr, elem_field))) str
     | _ -> ()));
-  Slice_obs.span "pta.solve" (fun () -> solve t);
+  Slice_obs.span "pta.solve" (fun () ->
+      solve t;
+      end_solve t);
   t
 
 let analyze ?(opts = default_opts) (p : Program.t) : result =
@@ -931,6 +960,19 @@ let pts_iter_var (t : result) ~(mctx : int) (v : Instr.var) (f : int -> unit) :
   | Some id -> Bits.iter f t.pts.(find t id)
   | None -> ()
 
+(* A variable's points-to representative: the node its set lives at, -1
+   when the variable has no node.  Variables with one representative
+   share one set, so the SDG's read index keys reads by it. *)
+let pts_rep_of_var (t : result) ~(mctx : int) (v : Instr.var) : int =
+  match Hashtbl.find_opt t.node_intern (Nvar (mctx, v)) with
+  | Some id -> find t id
+  | None -> -1
+
+let pts_iter_rep (t : result) (r : int) (f : int -> unit) : unit =
+  Bits.iter f t.pts.(r)
+
+let pts_mem_rep (t : result) (r : int) (o : int) : bool = Bits.mem t.pts.(r) o
+
 (* Context-insensitive projection: union over all contexts of the method. *)
 let pts_of_var_ci (t : result) (mq : Instr.method_qname) (v : Instr.var) :
     ObjSet.t =
@@ -990,6 +1032,42 @@ let num_call_graph_nodes (t : result) : int =
   !n
 
 let num_objects (t : result) : int = Context.num_objs t.ctxs
+
+(* --- resident set accounting ---------------------------------------- *)
+
+(* Words of one bitset row: its record (header + field), then its array
+   (header + capacity) unless it is the static empty array. *)
+let row_words (b : Bits.t) : int =
+  let w = Bits.words b in
+  if w = 0 then 2 else 3 + w
+
+(* Bytes of the points-to set state: the [pts] and [delta] row arrays,
+   every node's two rows, the shared placeholder row of unused slots and
+   the successor dedup table.  Arithmetic over capacities, so the same
+   program gives the same figure in every process. *)
+let set_bytes (t : result) : int =
+  let rows = ref 0 in
+  for n = 0 to t.num_nodes - 1 do
+    rows := !rows + row_words t.pts.(n) + row_words t.delta.(n)
+  done;
+  let spare_slots = Array.length t.pts > t.num_nodes in
+  8
+  * (2 + Array.length t.pts + Array.length t.delta + !rows
+    + (if spare_slots then row_words dummy_bits else 0)
+    + 4 + Iset.words t.succ_set)
+
+let set_repr (t : result) : Obj.t = Obj.repr (t.pts, t.delta, t.succ_set)
+
+let num_nodes (t : result) : int = t.num_nodes
+
+let scratch_words (t : result) : int * int =
+  let d = ref 0 in
+  for n = 0 to t.num_nodes - 1 do
+    d := !d + Bits.words t.delta.(n)
+  done;
+  (!d, Iset.words t.succ_set)
+
+let delta_row (t : result) (n : int) : Bits.t = t.delta.(n)
 
 (* Verifiable casts: can pointer analysis prove the cast never fails?  The
    tough-cast experiment (section 6.3) slices from casts where this check
@@ -1211,28 +1289,22 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list) :
         (* conservative split: the collapse may not survive retraction *)
         t.parent.(n) <- n;
         t.rank.(n) <- 0;
-        Bits.clear t.pts.(n);
-        Bits.clear t.delta.(n)
+        Bits.clear t.pts.(n)
       end
       else if t.parent.(n) = n then
-        List.iter
-          (fun o ->
-            Bits.remove t.pts.(n) o;
-            Bits.remove t.delta.(n) o)
-          !dead_objs;
+        List.iter (fun o -> Bits.remove t.pts.(n) o) !dead_objs;
       (* every row is re-derived by the replay *)
       t.succs.(n) <- [];
       t.loads.(n) <- [];
       t.stores.(n) <- [];
       t.dispatches.(n) <- [];
-      t.deg.(n) <- 0;
-      Bits.clear t.succ_seen.(n)
+      t.deg.(n) <- 0
     done;
+    (* The solve scratch (delta rows, the dedup set, the wiring keys and
+       the cycle memo) is already empty: [end_solve]. *)
     Hashtbl.reset t.call_edges;
     Hashtbl.reset t.intrinsic_edges;
-    Hashtbl.reset t.wired;
     t.lcd_pending <- [];
-    Hashtbl.reset t.lcd_done;
     t.lcd_fuel <- lcd_fuel_init;
     t.head <- 0;
     t.tail <- 0;
@@ -1274,7 +1346,8 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list) :
         add_obj t (intern_node t (Nvar (emc, pvar))) arr;
         add_obj t (intern_node t (Nfield (arr, elem_field))) str
       | _ -> ()));
-    solve t);
+    solve t;
+    end_solve t);
     Ok
       { ds_retracted_mctxs = dead_count;
         ds_cone_nodes = cone_nodes;
@@ -1382,23 +1455,15 @@ let method_summary_sites (m : Instr.meth) : string * Instr.stmt_id list =
         | Instr.Return _ | Instr.Goto _ | Instr.If _ | Instr.Throw _ -> ()));
   (Buffer.contents buf, List.rev !sites)
 
-(* Enumerate resolved call edges: used by the SDG patch's control pass
-   to recover a re-lowered method's entry callers without re-running
-   dispatch. *)
-let iter_call_sites (t : result)
-    (f : caller:int -> stmt:Instr.stmt_id -> callees:int list -> unit) : unit =
-  Hashtbl.iter
-    (fun (caller, stmt) cell -> f ~caller ~stmt ~callees:cell.cs_list)
-    t.call_edges
-
 (* Move every statement-id-keyed structure of a SOLVED analysis onto
    re-lowered methods' fresh ids.  Sound only when each old and new body
    have equal [method_summary_sites] summaries and [remap] is the
    positional zip of their site lists.  Every moved site is a statement
    of a [changed] method, so the work is bounded by their contexts: a
    context's provenance log lists each of its call sites ([Pcall]), from
-   which its call-graph cells, wiring keys and dispatch record are found
-   (the record at its receiver's representative), and the objects the
+   which its call-graph cells and dispatch record are found (the record
+   at its receiver's representative; the wiring keys are solve scratch,
+   empty between solves), and the objects the
    contexts own ([obj_mc]) are the allocation sites that move.
    Statement ids are globally unique and never reused, so the old and new
    key spaces cannot collide. *)
@@ -1431,12 +1496,6 @@ let rekey_sites (t : result) ~(changed : Instr.method_qname list)
             | None -> ()
             | Some s' -> (
               let s = d.d_stmt in
-              (match Hashtbl.find_opt t.call_edges (mc, s) with
-              | Some cell ->
-                List.iter
-                  (fun cmc -> move t.wired (mc, s, cmc) (mc, s', cmc))
-                  cell.cs_list
-              | None -> ());
               move t.call_edges (mc, s) (mc, s');
               move t.intrinsic_edges (mc, s) (mc, s');
               match (d.d_kind, d.d_args) with

@@ -60,6 +60,18 @@ val pts_of_var : result -> mctx:int -> Instr.var -> ObjSet.t
     the SDG's heap-indexing pass and the mod-ref direct pass). *)
 val pts_iter_var : result -> mctx:int -> Instr.var -> (int -> unit) -> unit
 
+(** The points-to representative of a variable in one method context:
+    the node id its set lives at (variables collapsed into one copy
+    cycle share it), or [-1] when the variable has no node.  Stable
+    until the next {!resolve_delta}. *)
+val pts_rep_of_var : result -> mctx:int -> Instr.var -> int
+
+(** Iteration over, and membership in, a representative's points-to
+    set. *)
+val pts_iter_rep : result -> int -> (int -> unit) -> unit
+
+val pts_mem_rep : result -> int -> int -> bool
+
 (** Context-insensitive projection: union over the method's contexts. *)
 val pts_of_var_ci : result -> Instr.method_qname -> Instr.var -> ObjSet.t
 
@@ -80,6 +92,34 @@ val intrinsic_targets_ci :
 
 val num_call_graph_nodes : result -> int
 val num_objects : result -> int
+
+(** {2 Resident state}
+
+    Between solves the solver keeps no solve scratch.  Each node's
+    points-to row is trimmed to its last non-zero word, its propagation
+    delta becomes a fresh row with no words, and the successor dedup
+    set and call-wiring keys are emptied; a {!resolve_delta} re-solve
+    starts from them empty. *)
+
+(** Bytes of the points-to set state: the [pts] and [delta] rows and
+    the successor dedup table, computed from their capacities, so the
+    same program gives the same figure in every process. *)
+val set_bytes : result -> int
+
+(** The structures {!set_bytes} counts, for tests that hold it to
+    [Obj.reachable_words]. *)
+val set_repr : result -> Obj.t
+
+(** Points-to nodes interned (variables, fields, statics, returns). *)
+val num_nodes : result -> int
+
+(** Words of solve scratch held now: the delta rows' capacity summed
+    over nodes, and the successor dedup table's slots. *)
+val scratch_words : result -> int * int
+
+(** A node's delta row (empty between solves), for tests that check no
+    two nodes share one. *)
+val delta_row : result -> int -> Slice_util.Bits.t
 
 (** Can the pointer analysis prove the cast never fails?  The tough-cast
     experiment (section 6.3) slices from casts where this is [false]. *)
@@ -102,7 +142,7 @@ val call_graph_dump : result -> (string * string list) list
     string), the solved analysis can be patched in place: the site
     lists of the old and new body zip positionally into a remap, and
     {!rekey_sites} moves every site-keyed structure (call-graph edges,
-    wiring dedup, dispatch records, allocation-site identities) onto
+    dispatch records, allocation-site identities) onto
     the new ids.  Anything else requires a fresh solve. *)
 
 (** Canonical string of exactly the facts constraint generation reads
@@ -121,12 +161,6 @@ val rekey_sites :
   changed:Instr.method_qname list ->
   (Instr.stmt_id -> Instr.stmt_id option) ->
   unit
-
-(** Enumerate resolved call edges (caller context, call site, callee
-    contexts) — the SDG patch recovers a re-lowered method's entry
-    callers from this without re-running dispatch. *)
-val iter_call_sites :
-  result -> (caller:int -> stmt:Instr.stmt_id -> callees:int list -> unit) -> unit
 
 (** {2 Delta-native incremental re-solve}
 

@@ -5,13 +5,14 @@ let bits_per_word = Sys.int_size (* 63 on 64-bit systems *)
 type t = { mutable w : int array }
 
 let create ?(capacity = 64) () =
-  let words = max 1 ((capacity + bits_per_word - 1) / bits_per_word) in
+  let words = max 0 ((capacity + bits_per_word - 1) / bits_per_word) in
   (* Array literals for the common small sizes: they compile to an inline
      minor-heap allocation instead of the [caml_make_vect] C call, which
      shows up in profiles when a solver interns thousands of nodes (three
      bitsets each). *)
   let w =
     match words with
+    | 0 -> [||]
     | 1 -> [| 0 |]
     | 2 -> [| 0; 0 |]
     | _ -> Array.make words 0
@@ -24,7 +25,7 @@ let[@inline] bit_of i = i mod bits_per_word
 let grow t words =
   let cur = Array.length t.w in
   if words > cur then begin
-    let cap = ref cur in
+    let cap = ref (max 1 cur) in
     while !cap < words do
       cap := !cap * 2
     done;
@@ -169,6 +170,14 @@ let words t = Array.length t.w
 let is_empty t = Array.for_all (fun v -> v = 0) t.w
 
 let clear t = Array.fill t.w 0 (Array.length t.w) 0
+
+let trim t =
+  let w = t.w in
+  let hi = ref (Array.length w - 1) in
+  while !hi > 0 && Array.unsafe_get w !hi = 0 do
+    decr hi
+  done;
+  if !hi + 1 < Array.length w then t.w <- Array.sub w 0 (!hi + 1)
 
 let equal a b =
   let aw = a.w and bw = b.w in

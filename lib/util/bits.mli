@@ -15,7 +15,8 @@ val bits_per_word : int
 (** 63 on 64-bit OCaml: [Sys.int_size]. *)
 
 val create : ?capacity:int -> unit -> t
-(** Fresh empty set; [capacity] is a hint in bits (default small). *)
+(** Fresh empty set; [capacity] is a hint in bits (default small).
+    [~capacity:0] holds no words until its first [add]. *)
 
 val add : t -> int -> bool
 (** [add t i] sets bit [i]; returns [true] iff it was newly set.
@@ -60,6 +61,10 @@ val is_empty : t -> bool
 
 val clear : t -> unit
 (** Remove all elements; keeps the backing store (no shrink). *)
+
+val trim : t -> unit
+(** Shrink the backing store to the last non-zero word (at most one
+    word for an empty set); the elements are unchanged. *)
 
 val equal : t -> t -> bool
 (** Set equality irrespective of capacities. *)

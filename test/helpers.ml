@@ -373,7 +373,8 @@ let vars_digest (p : Slice_ir.Program.t) : string =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* An analysis's arena must describe the program's current bodies after
-   every update tier, and the handle's stats must report its footprint. *)
+   every update tier, and the handle's stats must report its footprint,
+   the points-to sets' and the heap index's. *)
 let check_arena ~(ctx : string) (h : Slice_core.Engine.handle) : unit =
   let a = h.Slice_core.Engine.h_analysis in
   (match
@@ -382,7 +383,16 @@ let check_arena ~(ctx : string) (h : Slice_core.Engine.handle) : unit =
    with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "%s: arena views: %s" ctx msg);
+  let s = h.Slice_core.Engine.h_stats in
   Alcotest.(check int)
     (ctx ^ ": stats.arena_bytes = Arena.bytes")
     (Slice_ir.Arena.bytes a.Slice_core.Engine.arena)
-    h.Slice_core.Engine.h_stats.Slice_core.Engine.arena_bytes
+    s.Slice_core.Engine.arena_bytes;
+  Alcotest.(check int)
+    (ctx ^ ": stats.pta_set_bytes = Andersen.set_bytes")
+    (Slice_pta.Andersen.set_bytes a.Slice_core.Engine.pta)
+    s.Slice_core.Engine.pta_set_bytes;
+  Alcotest.(check int)
+    (ctx ^ ": stats.heap_index_bytes = Sdg.heap_index_bytes")
+    (Slice_core.Sdg.heap_index_bytes a.Slice_core.Engine.sdg)
+    s.Slice_core.Engine.heap_index_bytes

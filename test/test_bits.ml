@@ -77,7 +77,7 @@ let test_sign_bit_round_trip () =
 
 (* ---- random operation sequences vs the Set oracle ---- *)
 
-type op = Add of int | Remove of int | Clear
+type op = Add of int | Remove of int | Clear | Trim
 
 let gen_index : int QCheck2.Gen.t =
   let w = Bits.bits_per_word in
@@ -93,10 +93,11 @@ let gen_op : op QCheck2.Gen.t =
     frequency
       [ (6, map (fun i -> Add i) gen_index);
         (2, map (fun i -> Remove i) gen_index);
-        (1, return Clear) ])
+        (1, return Clear);
+        (1, return Trim) ])
 
-let apply_ops ops =
-  let b = Bits.create ~capacity:4 () in
+let apply_ops ?(capacity = 4) ops =
+  let b = Bits.create ~capacity () in
   let s = ref IntSet.empty in
   List.iter
     (fun op ->
@@ -113,7 +114,15 @@ let apply_ops ops =
         s := IntSet.remove i !s
       | Clear ->
         Bits.clear b;
-        s := IntSet.empty)
+        s := IntSet.empty
+      | Trim ->
+        let before = Bits.words b in
+        Bits.trim b;
+        Alcotest.(check int) "trim keeps words up to the last element"
+          (match IntSet.max_elt_opt !s with
+          | Some i -> (i / Bits.bits_per_word) + 1
+          | None -> min 1 before)
+          (Bits.words b))
     ops;
   (b, !s)
 
@@ -123,6 +132,68 @@ let prop_ops_match_oracle =
     (fun ops ->
       let b, s = apply_ops ops in
       check_agrees ~what:"after ops" b s;
+      let b0, s0 = apply_ops ~capacity:0 ops in
+      check_agrees ~what:"from a word-free set" b0 s0;
+      true)
+
+(* ---- the open-addressing int set, vs the Set oracle ---- *)
+
+module Iset = Slice_util.Iset
+
+type iop = Iadd of int | Iremove of int | Ireset
+
+(* Keys in a narrow band collide in the probe sequences, so removals
+   exercise the backward shift; packed pairs are the solver's keys. *)
+let gen_key : int QCheck2.Gen.t =
+  QCheck2.Gen.(
+    oneof
+      [ 0 -- 40;
+        map2 (fun s d -> (s lsl 31) lor d) (0 -- 30) (0 -- 30);
+        0 -- 1_000_000 ])
+
+let gen_iop : iop QCheck2.Gen.t =
+  QCheck2.Gen.(
+    frequency
+      [ (6, map (fun k -> Iadd k) gen_key);
+        (4, map (fun k -> Iremove k) gen_key);
+        (1, return Ireset) ])
+
+let prop_iset_matches_oracle =
+  QCheck2.Test.make ~count:300 ~name:"iset op sequences match Set oracle"
+    QCheck2.Gen.(list_size (0 -- 200) gen_iop)
+    (fun ops ->
+      let t = Iset.create ~capacity:2 () in
+      let s = ref IntSet.empty in
+      List.iter
+        (function
+          | Iadd k ->
+            Alcotest.(check bool)
+              (Printf.sprintf "add %d freshness" k)
+              (not (IntSet.mem k !s))
+              (Iset.add t k);
+            s := IntSet.add k !s
+          | Iremove k ->
+            Iset.remove t k;
+            s := IntSet.remove k !s
+          | Ireset ->
+            Iset.reset t;
+            s := IntSet.empty)
+        ops;
+      Alcotest.(check int) "cardinal" (IntSet.cardinal !s) (Iset.cardinal t);
+      IntSet.iter
+        (fun k ->
+          Alcotest.(check bool) (Printf.sprintf "mem %d" k) true (Iset.mem t k))
+        !s;
+      List.iter
+        (function
+          | Iadd k | Iremove k ->
+            Alcotest.(check bool)
+              (Printf.sprintf "mem %d agrees" k)
+              (IntSet.mem k !s) (Iset.mem t k)
+          | Ireset -> ())
+        ops;
+      Alcotest.(check bool) "at most half full" true
+        (2 * Iset.cardinal t <= Iset.words t);
       true)
 
 let prop_union_diff_match_oracle =
@@ -203,6 +274,7 @@ let suite =
     Alcotest.test_case "sign bit round trip" `Quick test_sign_bit_round_trip;
     Alcotest.test_case "iter snapshot safe" `Quick test_iter_snapshot_safe;
     QCheck_alcotest.to_alcotest prop_ops_match_oracle;
+    QCheck_alcotest.to_alcotest prop_iset_matches_oracle;
     QCheck_alcotest.to_alcotest prop_union_diff_match_oracle;
     QCheck_alcotest.to_alcotest prop_propagate_matches_oracle;
     QCheck_alcotest.to_alcotest prop_copy_is_independent ]

@@ -634,6 +634,60 @@ let test_patched_state_exact () =
   let v4 = replace v3 "a.set(5)" "a.set(6)" in
   ignore (step ~ctx:"body edit after the shift" h3 v4)
 
+(* Pass 4 of a patch finds the changed contexts' entry callers through
+   the retired nodes' [Control] rows: the call sites it visits are
+   exactly those entry callers, not every call site of the program. *)
+let test_patch_entry_callers () =
+  let src, edited = Helpers.scaled_tweak ~stmts:5_000 in
+  let f = "scaled.tj" in
+  let h = Engine.load [ (f, src) ] in
+  let (h', rep), snap =
+    Slice_obs.scoped (fun () -> Engine.update h [ (f, edited) ])
+  in
+  Alcotest.check path_testable "path" Engine.Patched rep.Engine.up_path;
+  let a = h'.Engine.h_analysis in
+  (* the edited method: the one holding the tweaked line *)
+  let j = Helpers.first_index ~what:"tweak" src "cur.fi = a % 1001;" in
+  let line = ref 1 in
+  String.iteri (fun i c -> if i < j && c = '\n' then incr line) src;
+  let mq =
+    match Sdg.nodes_at_line a.Engine.sdg ~file:None ~line:!line with
+    | n :: _ -> (
+      match Sdg.node_desc a.Engine.sdg n with
+      | Sdg.Stmt (mc, _) -> fst (Slice_pta.Andersen.mctx_info a.Engine.pta mc)
+      | Sdg.Formal _ | Sdg.Actual_in _ -> Alcotest.fail "no statement node")
+    | [] -> Alcotest.failf "no node at line %d" !line
+  in
+  (* every call site of every context, and those calling [mq] *)
+  let entry_callers = ref 0 and sites = ref 0 in
+  List.iter
+    (fun (mc, cmq, _) ->
+      let m = Slice_ir.Program.find_method_exn a.Engine.program cmq in
+      if Slice_ir.Instr.has_body m then
+        Slice_ir.Instr.iter_instrs m (fun _ i ->
+            match i.Slice_ir.Instr.i_kind with
+            | Slice_ir.Instr.Call _ ->
+              incr sites;
+              List.iter
+                (fun cmc ->
+                  if fst (Slice_pta.Andersen.mctx_info a.Engine.pta cmc) = mq
+                  then incr entry_callers)
+                (Slice_pta.Andersen.call_targets a.Engine.pta ~mctx:mc
+                   ~stmt:i.Slice_ir.Instr.i_id)
+            | _ -> ()))
+    (Slice_pta.Andersen.method_contexts a.Engine.pta);
+  let visited =
+    Option.value ~default:0
+      (List.assoc_opt "sdg.patch.call_sites_visited"
+         snap.Slice_obs.snap_counters)
+  in
+  Alcotest.(check bool)
+    "the edited method has callers" true (!entry_callers > 0);
+  Alcotest.(check int)
+    "call sites visited = entry callers" !entry_callers visited;
+  Alcotest.(check bool) "fewer than the program's call sites" true
+    (visited < !sites)
+
 (* The same one-method constant tweak costs about the same on a 20k- and
    a 60k-statement program: it retires as many nodes at both sizes, and
    the words [sdg.patch] allocates (minor + major) grow by at most half
@@ -690,6 +744,8 @@ let suite =
       test_patched_state_exact;
     Alcotest.test_case "patch words proportional to the edit" `Quick
       test_patch_proportional;
+    Alcotest.test_case "patch visits only the entry callers" `Quick
+      test_patch_entry_callers;
     Alcotest.test_case "update patched entry" `Quick test_update_patched_entry;
     Alcotest.test_case "update resolved" `Quick test_update_resolved;
     Alcotest.test_case "arena follows every tier" `Quick test_arena_every_tier;

@@ -388,6 +388,42 @@ let test_loc_columns_every_tier () =
     (Slice_workloads.Suites.paper_workloads
     @ [ ("scaled-2k", scaled.Slice_fuzz.Gen_tj.sc_src) ])
 
+(* Solver scratch lives only while a solve runs.  After a load and after
+   a resolved-incremental update on a 5k program, the delta rows and the
+   successor dedup table hold at most a word per points-to node, and no
+   two nodes share a delta row: a bit written into one row shows in no
+   other. *)
+let test_solver_scratch_released () =
+  let check ~ctx pta =
+    let open Slice_pta in
+    let nodes = Andersen.num_nodes pta in
+    let delta_words, dedup_words = Andersen.scratch_words pta in
+    if delta_words + dedup_words > nodes then
+      Alcotest.failf "%s: %d delta + %d dedup words for %d nodes" ctx
+        delta_words dedup_words nodes;
+    let row n = Andersen.delta_row pta n in
+    let probe = nodes / 2 in
+    for n = 0 to nodes - 1 do
+      if not (Slice_util.Bits.is_empty (row n)) then
+        Alcotest.failf "%s: node %d's delta row is not empty" ctx n
+    done;
+    ignore (Slice_util.Bits.add (row probe) 5);
+    ignore (Slice_util.Bits.add (row probe) 200);
+    for n = 0 to nodes - 1 do
+      if n <> probe && not (Slice_util.Bits.is_empty (row n)) then
+        Alcotest.failf "%s: a write to node %d's row shows in node %d's" ctx
+          probe n
+    done;
+    Slice_util.Bits.clear (row probe)
+  in
+  let src, swapped = Helpers.scaled_swap ~stmts:5_000 in
+  let h = Engine.load [ (file, src) ] in
+  check ~ctx:"after load" h.Engine.h_analysis.Engine.pta;
+  let h', rep = Engine.update h [ (file, swapped) ] in
+  Alcotest.(check string) "class swap path" "resolved-incremental"
+    (Engine.update_path_to_string rep.Engine.up_path);
+  check ~ctx:"after a resolved update" h'.Engine.h_analysis.Engine.pta
+
 let suite =
   [ Alcotest.test_case "workload edit chains (object-sensitive)" `Quick
       test_chains_objsens;
@@ -396,4 +432,6 @@ let suite =
     Alcotest.test_case "both resolved tiers exercised" `Quick
       test_resolved_tier_mix;
     Alcotest.test_case "location columns track every tier" `Quick
-      test_loc_columns_every_tier ]
+      test_loc_columns_every_tier;
+    Alcotest.test_case "solver scratch released after each solve" `Quick
+      test_solver_scratch_released ]

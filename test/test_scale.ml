@@ -130,6 +130,32 @@ let test_arena_relower () =
   Alcotest.(check bool) "200 relowers stay within 5x a fresh arena" true
     (!peak < 5 * fresh)
 
+(* One re-lower after a whole-program lowering grows the trimmed columns
+   by a fraction of their length, not by a second copy of them. *)
+let test_arena_relower_growth () =
+  let p =
+    Slice_front.Frontend.load_exn ~file:"scaled.tj"
+      (Helpers.scaled_src ~stmts:20_000)
+  in
+  let ar = Slice_ir.Arena.build p in
+  let fresh = Slice_ir.Arena.bytes ar in
+  (* the first generated [part<k>] method, as a patched edit re-lowers *)
+  let part = ref None in
+  Slice_ir.Program.iter_methods p (fun m ->
+      let mq = m.Slice_ir.Instr.m_qname in
+      if
+        !part = None
+        && Slice_ir.Instr.has_body m
+        && String.starts_with ~prefix:"part" mq.Slice_ir.Instr.mq_name
+      then part := Some mq);
+  Slice_ir.Arena.relower ar p [ Option.get !part ];
+  (match Slice_ir.Arena.check_views p ar with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "relowered arena views: %s" msg);
+  let after = Slice_ir.Arena.bytes ar in
+  if 4 * after > 5 * fresh then
+    Alcotest.failf "one relower: Arena.bytes %d > 1.25 x fresh %d" after fresh
+
 (* --- memory gauges --------------------------------------------------- *)
 
 let test_memory_stats () =
@@ -183,7 +209,42 @@ let test_memory_stats () =
       (Slice_core.Engine.run_query h Slice_core.Engine.Q_stats)
   in
   Alcotest.(check bool) "resident stats memory block" true
-    (find_arena resident = expect)
+    (find_arena resident = expect);
+  let memory json =
+    match json with
+    | Slice_obs.Json.Obj kvs -> List.assoc_opt "memory" kvs
+    | _ -> None
+  in
+  Alcotest.(check bool) "both exports carry the same memory block" true
+    (memory resident = memory (Slice_core.Engine.stats_to_json s)
+    && memory resident <> None)
+
+(* The points-to and heap-index rows of the memory block are arithmetic
+   (capacities and entry counts), and each stays within 15% of what
+   [Obj.reachable_words] finds in the structure it describes. *)
+let test_memory_rows_match_heap () =
+  let check name (a : Slice_core.Engine.analysis) =
+    let s = Slice_core.Engine.stats_of a in
+    let near what arith o =
+      let live = 8 * Obj.reachable_words o in
+      if 100 * abs (arith - live) > 15 * live then
+        Alcotest.failf "%s: %s %d is not within 15%% of %d reachable bytes"
+          name what arith live
+    in
+    near "pta_set_bytes" s.Slice_core.Engine.pta_set_bytes
+      (Slice_pta.Andersen.set_repr a.Slice_core.Engine.pta);
+    near "heap_index_bytes" s.Slice_core.Engine.heap_index_bytes
+      (Slice_core.Sdg.heap_index_repr a.Slice_core.Engine.sdg);
+    Alcotest.(check bool) (name ^ ": rows positive") true
+      (s.Slice_core.Engine.pta_set_bytes > 0
+      && s.Slice_core.Engine.heap_index_bytes > 0)
+  in
+  check "nanoxml"
+    (Slice_core.Engine.of_source ~file:"nanoxml.tj"
+       Slice_workloads.Prog_nanoxml.base);
+  check "scaled 20k"
+    (Slice_core.Engine.of_source ~file:"scaled.tj"
+       (Helpers.scaled_src ~stmts:20_000))
 
 let suite =
   [ Alcotest.test_case "generate_scaled is deterministic" `Quick
@@ -199,4 +260,8 @@ let suite =
     Alcotest.test_case "arena relower repoints spans and stays bounded" `Quick
       test_arena_relower;
     Alcotest.test_case "memory gauges and stats block" `Quick
-      test_memory_stats ]
+      test_memory_stats;
+    Alcotest.test_case "one relower keeps the arena within 1.25x" `Quick
+      test_arena_relower_growth;
+    Alcotest.test_case "memory rows match reachable words" `Quick
+      test_memory_rows_match_heap ]

@@ -731,10 +731,7 @@ let update (h : handle) (new_sources : (string * string) list) :
         Slice_obs.add_span_arg "fallback" msg;
         rebuilt (Rebuilt_fallback msg)
       in
-      match
-        Slice_obs.span "delta.diff" (fun () ->
-            Slice_front.Delta.diff ~old_sources:h.h_sources ~new_sources)
-      with
+      match Slice_front.Delta.diff ~old_sources:h.h_sources ~new_sources with
       | Slice_front.Delta.Same ->
         Slice_obs.bump c_update_noop;
         Slice_obs.add_span_arg "path" "noop";

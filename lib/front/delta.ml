@@ -13,10 +13,17 @@
    - anything else (signature change, added/removed method or class,
      field/initializer edit, layout shift)   -> [Structural]
 
+   Most saves change a few bytes inside one body.  Those are classified
+   from the changed window alone ([window_delta]): when the window lies
+   inside one method's interior and holds no byte the scanner reacts
+   to, the scan of the new file would find the old segmentation with
+   shifted offsets, so that is what it is given, and no byte of the
+   file is scanned.  Everything else takes the full scan.
+
    A changed method is re-parsed through a synthetic "mini unit": the
-   new file with every line outside the method blanked (and, for class
-   members, a plain [class C {] / [}] wrapper on the class's own
-   brace lines), so every token keeps its original line and column and
+   method's own lines cut from the new file (and, for class members, a
+   one-line [class C {] wrapper before them and a [}] after), lexed from
+   the method's first line so every token keeps its line and column and
    the re-lowered IR carries the same source locations a full rebuild
    would produce.  Re-parsing one method instead of the whole file is
    what keeps a 1-method update an order of magnitude under a cold
@@ -30,10 +37,13 @@ open Slice_ir
 
 type brace_ev = { ev_line : int; ev_off : int; ev_open : bool }
 
+let c_bytes_scanned = Slice_obs.counter "delta.bytes_scanned"
+
 (* Line (1-based) and byte offset of every '{' / '}' outside strings and
    comments. *)
 let brace_events (src : string) : brace_ev list =
   let n = String.length src in
+  Slice_obs.add c_bytes_scanned n;
   let evs = ref [] in
   let line = ref 1 in
   let i = ref 0 in
@@ -279,25 +289,39 @@ let segment_methods (src : string) : meth_seg list =
    stored sources are the same immutable strings on every [diff] against
    it (and the serve cache keeps them resident), so in the steady
    update/watch cycle only the genuinely new source pays a scan.  Four
-   slots cover an old/new pair per file for a couple of live handles;
-   [Unbalanced] scans are not cached (they re-raise on replay). *)
+   slots, most recently used first, cover an old/new pair per file for a
+   couple of live handles; a source diffed against on every save (the
+   base an edit is reverted to) stays in.  [Unbalanced] scans are not
+   cached (they re-raise on replay). *)
 let seg_cache : (string * meth_seg list) option array = Array.make 4 None
-let seg_cache_next = ref 0
 
-let segment_methods_memo (src : string) : meth_seg list =
+(* Move the entries before slot [i] down one and put [e] first: [i] is a
+   hit's own slot, or the last slot for a new entry. *)
+let seg_promote i e =
+  Array.blit seg_cache 0 seg_cache 1 i;
+  seg_cache.(0) <- e
+
+let seg_cached (src : string) : meth_seg list option =
   let rec probe i =
     if i >= Array.length seg_cache then None
     else
       match seg_cache.(i) with
-      | Some (s, segs) when s == src -> Some segs
+      | Some (s, segs) as e when s == src ->
+        seg_promote i e;
+        Some segs
       | _ -> probe (i + 1)
   in
-  match probe 0 with
+  probe 0
+
+let seg_remember (src : string) (segs : meth_seg list) : unit =
+  seg_promote (Array.length seg_cache - 1) (Some (src, segs))
+
+let segment_methods_memo (src : string) : meth_seg list =
+  match seg_cached src with
   | Some segs -> segs
   | None ->
     let segs = segment_methods src in
-    seg_cache.(!seg_cache_next) <- Some (src, segs);
-    seg_cache_next := (!seg_cache_next + 1) mod Array.length seg_cache;
+    seg_remember src segs;
     segs
 
 (* ------------------------------------------------------------------ *)
@@ -383,6 +407,7 @@ type changed_method = {
   cm_class : string option;
   cm_name : string;
   cm_mini : string;  (** synthetic one-method unit, line-accurate *)
+  cm_line : int;  (** file line of [cm_mini]'s first byte *)
 }
 
 type t =
@@ -392,15 +417,13 @@ type t =
           structure are untouched *)
   | Structural  (** anything else: a full rebuild is required *)
 
-(* Mini unit: the method's own lines verbatim, every other line blank;
-   class members get a [class C {] / [}] wrapper on the class's own
-   brace lines so constructors keep their class context.  Built from
-   the source's bytes: the method's lines are one substring, found from
-   its brace offsets, and the file is not split into lines. *)
-let mini_unit (src : string) (s : meth_seg) : string =
-  let len = String.length src in
-  let n = ref 1 in
-  String.iter (fun c -> if c = '\n' then incr n) src;
+(* Mini unit: the method's own lines, [ms_start] to [ms_close], as one
+   substring found from its brace offsets; a class member gets a
+   one-line [class C {] wrapper before them and a [}] line after, so
+   constructors keep their class context.  Returned with the file line
+   of its first byte, where the lexer starts: every token keeps the line
+   and column it has in the file. *)
+let mini_unit (src : string) (s : meth_seg) : string * int =
   (* the first byte of line [ms_start]: back from the opening brace
      across the header's line breaks *)
   let rec back i k =
@@ -412,21 +435,21 @@ let mini_unit (src : string) (s : meth_seg) : string =
   let hi =
     match String.index_from_opt src s.ms_close_off '\n' with
     | Some i -> i
-    | None -> len
+    | None -> String.length src
   in
-  let buf = Buffer.create (hi - lo + !n) in
-  for l = 1 to !n do
-    (* the line breaks inside the method's lines come with its text *)
-    if l > 1 && not (l > s.ms_start && l <= s.ms_close) then
-      Buffer.add_char buf '\n';
-    if l = s.ms_start then Buffer.add_substring buf src lo (hi - lo)
-    else if l < s.ms_start || l > s.ms_close then
-      match s.ms_class with
-      | Some c when l = s.ms_cls_open -> Buffer.add_string buf ("class " ^ c ^ " {")
-      | Some _ when l = s.ms_cls_close -> Buffer.add_string buf "}"
-      | Some _ | None -> ()
-  done;
-  Buffer.contents buf
+  let text = String.sub src lo (hi - lo) in
+  match s.ms_class with
+  | None -> (text, s.ms_start)
+  | Some c ->
+    (String.concat "" [ "class "; c; " {\n"; text; "\n}" ], s.ms_start - 1)
+
+let changed ~(file : string) (src : string) (s : meth_seg) : changed_method =
+  let mini, line = mini_unit src s in
+  { cm_file = file;
+    cm_class = s.ms_class;
+    cm_name = s.ms_name;
+    cm_mini = mini;
+    cm_line = line }
 
 (* Body interiors compared byte-exactly, each through its own file's
    brace offsets (skeleton equality has already pinned those offsets to
@@ -438,14 +461,18 @@ let interior_equal ~(old_src : string) ~(new_src : string) (so : meth_seg)
   let rec same i = i >= len || (old_src.[a + i] = new_src.[b + i] && same (i + 1)) in
   len = sn.ms_close_off - sn.ms_open_off - 1 && same 0
 
-let diff_file ~(file : string) ~(old_src : string) ~(new_src : string) :
-    [ `Same | `Bodies of changed_method list | `Structural ] =
+type file_diff = [ `Same | `Bodies of changed_method list | `Structural ]
+
+(* The full scan: segment both sources with [segment], compare their
+   skeletons, then every body interior. *)
+let scan_file ~(segment : string -> meth_seg list) ~(file : string)
+    ~(old_src : string) ~(new_src : string) : file_diff =
   if String.equal old_src new_src then `Same
   else
     (* Segment each source exactly ONCE: the scan is the diff's dominant
        cost, and both the skeleton and the per-method comparison below
        read the same segment list. *)
-    match (segment_methods_memo old_src, segment_methods_memo new_src) with
+    match (segment old_src, segment new_src) with
     | exception Unbalanced -> `Structural
     | segs_old, segs_new ->
       if
@@ -453,7 +480,7 @@ let diff_file ~(file : string) ~(old_src : string) ~(new_src : string) :
         || List.length segs_old <> List.length segs_new
       then `Structural
       else begin
-        let changed = ref [] in
+        let changed_ms = ref [] in
         let ok = ref true in
         List.iter2
           (fun so sn ->
@@ -464,17 +491,129 @@ let diff_file ~(file : string) ~(old_src : string) ~(new_src : string) :
               || so.ms_close <> sn.ms_close
             then ok := false
             else if not (interior_equal ~old_src ~new_src so sn) then
-              changed :=
-                { cm_file = file;
-                  cm_class = sn.ms_class;
-                  cm_name = sn.ms_name;
-                  cm_mini = mini_unit new_src sn }
-                :: !changed)
+              changed_ms := changed ~file new_src sn :: !changed_ms)
           segs_old segs_new;
-        if not !ok then `Structural else `Bodies (List.rev !changed)
+        if not !ok then `Structural else `Bodies (List.rev !changed_ms)
       end
 
-let diff ~(old_sources : (string * string) list)
+(* Length of the longest common prefix of [a] and [b], a word at a
+   time. *)
+let common_prefix (a : string) (b : string) : int =
+  let n = min (String.length a) (String.length b) in
+  let i = ref 0 in
+  while
+    !i + 8 <= n
+    && Int64.equal (String.get_int64_ne a !i) (String.get_int64_ne b !i)
+  do
+    i := !i + 8
+  done;
+  while !i < n && a.[!i] = b.[!i] do
+    incr i
+  done;
+  !i
+
+(* Length of the longest common suffix of [a] and [b] that leaves their
+   first [p] bytes alone, a word at a time. *)
+let common_suffix (a : string) (b : string) (p : int) : int =
+  let la = String.length a and lb = String.length b in
+  let n = min la lb - p in
+  let k = ref 0 in
+  while
+    !k + 8 <= n
+    && Int64.equal
+         (String.get_int64_ne a (la - !k - 8))
+         (String.get_int64_ne b (lb - !k - 8))
+  do
+    k := !k + 8
+  done;
+  while !k < n && a.[la - !k - 1] = b.[lb - !k - 1] do
+    incr k
+  done;
+  !k
+
+(* A byte [brace_events] reacts to, and a byte after which it reads or
+   skips the next one. *)
+let scanner_byte = function
+  | '{' | '}' | '"' | '/' | '*' | '\\' | '\n' -> true
+  | _ -> false
+
+let lookahead_byte c = c = '/' || c = '*' || c = '\\'
+
+(* The edit as its changed window: [old_src] and [new_src] differ only in
+   [p, |old| - s) and [p, |new| - s), their common prefix [p] and suffix
+   [s] being maximal.  When the old window lies inside the interior of
+   one method [m] of [segs_old] and neither window holds a byte the
+   scanner reacts to, nor does the byte either side of the old window
+   make it look across the boundary, the scanner walks both sources in
+   the same states outside the windows and sees no brace, line break or
+   state change inside them.  Scanning [new_src] would then give
+   [segs_old] with every offset past the window moved by
+   |new| - |old|, on the same lines and under the same headers, and the
+   only interior that differs is [m]'s.  Returns that segmentation and
+   [m]'s new segment, or [None] when the rule does not apply. *)
+let window_delta ~(old_src : string) ~(new_src : string)
+    (segs_old : meth_seg list) : (meth_seg list * meth_seg) option =
+  let lo = String.length old_src and ln = String.length new_src in
+  let p = common_prefix old_src new_src in
+  let s = common_suffix old_src new_src p in
+  let quiet src hi =
+    let rec go i = i >= hi || ((not (scanner_byte src.[i])) && go (i + 1)) in
+    go p
+  in
+  let plain i = i < 0 || i >= lo || not (lookahead_byte old_src.[i]) in
+  if
+    not
+      (quiet old_src (lo - s)
+      && quiet new_src (ln - s)
+      && plain (p - 1)
+      && plain (lo - s))
+  then None
+  else
+    match
+      List.find_opt
+        (fun m -> m.ms_open_off < p && lo - s <= m.ms_close_off)
+        segs_old
+    with
+    | None -> None
+    | Some m ->
+      let shift = ln - lo in
+      let moved x = if x >= p then x + shift else x in
+      let derive sg =
+        if sg.ms_close_off < p then sg
+        else
+          { sg with
+            ms_open_off = moved sg.ms_open_off;
+            ms_close_off = moved sg.ms_close_off }
+      in
+      let segs_new = List.map derive segs_old in
+      Some (segs_new, derive m)
+
+(* The window rule first, against the old source's memoized
+   segmentation; the full scan when it does not apply.  [scanned] is set
+   when the scan decided. *)
+let diff_file ~(scanned : bool ref) ~(file : string) ~(old_src : string)
+    ~(new_src : string) : file_diff =
+  let window =
+    if String.equal old_src new_src then Some `Same
+    else
+      match segment_methods_memo old_src with
+      | exception Unbalanced -> None
+      | segs_old -> (
+        match window_delta ~old_src ~new_src segs_old with
+        | None -> None
+        | Some (segs_new, m) ->
+          if seg_cached new_src = None then seg_remember new_src segs_new;
+          Some (`Bodies [ changed ~file new_src m ]))
+  in
+  match window with
+  | Some d -> d
+  | None ->
+    scanned := true;
+    scan_file ~segment:segment_methods_memo ~file ~old_src ~new_src
+
+let diff_units
+    (classify : file:string -> old_src:string -> new_src:string -> file_diff)
+    ~(old_sources : (string * string) list)
     ~(new_sources : (string * string) list) : t =
   if
     List.length old_sources <> List.length new_sources
@@ -489,7 +628,7 @@ let diff ~(old_sources : (string * string) list)
     let any = ref false in
     List.iter2
       (fun (file, old_src) (_, new_src) ->
-        match diff_file ~file ~old_src ~new_src with
+        match classify ~file ~old_src ~new_src with
         | `Same -> ()
         | `Structural -> structural := true
         | `Bodies ch ->
@@ -505,6 +644,18 @@ let diff ~(old_sources : (string * string) list)
     else Bodies !acc
   end
 
+let diff ~(old_sources : (string * string) list)
+    ~(new_sources : (string * string) list) : t =
+  Slice_obs.span "delta.diff" (fun () ->
+      let scanned = ref false in
+      let d = diff_units (diff_file ~scanned) ~old_sources ~new_sources in
+      Slice_obs.add_span_arg "path" (if !scanned then "scan" else "window");
+      d)
+
+let diff_scan ~(old_sources : (string * string) list)
+    ~(new_sources : (string * string) list) : t =
+  diff_units (scan_file ~segment:segment_methods) ~old_sources ~new_sources
+
 (* ------------------------------------------------------------------ *)
 (* Re-lowering                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -518,9 +669,9 @@ type resolved = {
 }
 
 (* Parse a mini unit down to its single method declaration. *)
-let parse_mini ~(file : string) (mini : string) :
+let parse_mini ~(file : string) ~(line : int) (mini : string) :
     Types.class_name * Ast.method_decl =
-  let cu = Parser.parse_string ~file mini in
+  let cu = Parser.parse_string ~line ~file mini in
   match cu.Ast.cu_decls with
   | [ Ast.Dclass cd ] -> (
     match cd.Ast.cd_methods with
@@ -533,7 +684,7 @@ let parse_mini ~(file : string) (mini : string) :
    denotes, WITHOUT mutating the program — the caller can snapshot the
    old body (e.g. its constraint summary) before re-lowering. *)
 let resolve (p : Program.t) (cm : changed_method) : resolved =
-  let cls, md = parse_mini ~file:cm.cm_file cm.cm_mini in
+  let cls, md = parse_mini ~file:cm.cm_file ~line:cm.cm_line cm.cm_mini in
   let mq = { Instr.mq_class = cls; mq_name = md.Ast.md_name } in
   (match Program.find_method p mq with
   | Some _ -> ()

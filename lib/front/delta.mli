@@ -13,7 +13,12 @@
     from the new sources: signature, class and field edits, reordered
     methods, and whole methods added or removed.  A save that adds or
     drops a method is rare next to body edits, and its reload is exact
-    by construction. *)
+    by construction.
+
+    An edit whose changed window lies inside one method body and holds
+    no brace, quote, comment, escape or line-break byte is classified
+    from the window alone: the new file's segmentation is the old one's
+    with shifted offsets, and no byte of the file is scanned. *)
 
 open Slice_ir
 
@@ -22,8 +27,11 @@ type changed_method = {
   cm_class : string option;  (** [None] for a free function *)
   cm_name : string;  (** textual name (constructors: the class name) *)
   cm_mini : string;
-      (** synthetic compilation unit holding ONLY this method, every
-          token at its original line/column *)
+      (** synthetic compilation unit holding ONLY this method's lines
+          (members inside a one-line class wrapper) *)
+  cm_line : int;
+      (** file line of [cm_mini]'s first byte: lexed from there, every
+          token is at its original line/column *)
 }
 
 type t =
@@ -33,8 +41,19 @@ type t =
   | Structural  (** full rebuild required *)
 
 (** Classify the edit between two [(file, src)] unit lists.  Unit lists
-    that differ in length, file names or order are [Structural]. *)
+    that differ in length, file names or order are [Structural].  Runs in
+    a [delta.diff] span whose [path] argument is [window] when no file
+    needed the full scan and [scan] otherwise; the counter
+    [delta.bytes_scanned] counts the bytes the brace scanner reads. *)
 val diff :
+  old_sources:(string * string) list ->
+  new_sources:(string * string) list ->
+  t
+
+(** {!diff} by the full scan of every changed file, with no window rule
+    and no memoized segmentation.  Exposed for tests: [diff] must agree
+    with it. *)
+val diff_scan :
   old_sources:(string * string) list ->
   new_sources:(string * string) list ->
   t

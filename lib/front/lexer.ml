@@ -13,7 +13,9 @@ type state = {
   mutable bol : int;                 (* offset of the beginning of line *)
 }
 
-let make ~file src = { src; file; pos = 0; line = 1; bol = 0 }
+(* [line] is the line number of the source's first byte: a fragment cut
+   from a larger file keeps its tokens at the file's lines. *)
+let make ?(line = 1) ~file src = { src; file; pos = 0; line; bol = 0 }
 
 let loc st = Loc.make ~file:st.file ~line:st.line ~col:(st.pos - st.bol + 1)
 
@@ -160,13 +162,13 @@ let next_token st : Token.located =
 let c_tokens = Slice_obs.counter "front.tokens"
 let c_lines = Slice_obs.counter "front.lines"
 
-let tokenize ~(file : string) (src : string) : Token.located list =
-  let st = make ~file src in
+let tokenize ?(line = 1) ~(file : string) (src : string) : Token.located list =
+  let st = make ~line ~file src in
   let rec go acc =
     let t = next_token st in
     if t.Token.tok = Token.EOF then List.rev (t :: acc) else go (t :: acc)
   in
   let toks = go [] in
   Slice_obs.add c_tokens (List.length toks);
-  Slice_obs.add c_lines st.line;
+  Slice_obs.add c_lines (st.line - line + 1);
   toks

@@ -649,8 +649,8 @@ let parse_unit ~(file : string) (toks : Token.located list) : Ast.compilation_un
   done;
   { Ast.cu_file = file; cu_decls = List.rev !decls }
 
-let parse_string ~(file : string) (src : string) : Ast.compilation_unit =
+let parse_string ?line ~(file : string) (src : string) : Ast.compilation_unit =
   let tokens =
-    Slice_obs.span "front.lex" (fun () -> Lexer.tokenize ~file src)
+    Slice_obs.span "front.lex" (fun () -> Lexer.tokenize ?line ~file src)
   in
   Slice_obs.span "front.parse" (fun () -> parse_unit ~file tokens)

@@ -10,4 +10,6 @@
 exception Parse_error of string * Slice_ir.Loc.t
 
 val parse_unit : file:string -> Token.located list -> Ast.compilation_unit
-val parse_string : file:string -> string -> Ast.compilation_unit
+
+(** [line] is the line number of the text's first byte (default 1). *)
+val parse_string : ?line:int -> file:string -> string -> Ast.compilation_unit

@@ -192,49 +192,211 @@ let test_diff_tiers () =
   | Delta.Structural -> ()
   | _ -> Alcotest.fail "renamed unit should be Structural"
 
-(* [Delta.diff] compares skeletons without building them; the
-   skeleton strings are the reference.  Over byte mutations of a small
-   and a generated program, an edit classifies as [Same] or [Bodies]
+(* The path [Delta.diff] took, read from its span. *)
+let diff_with_path ~old_src ~new_src : Delta.t * string =
+  let d, snap =
+    Slice_obs.scoped (fun () ->
+        Delta.diff ~old_sources:[ (file, old_src) ] ~new_sources:[ (file, new_src) ])
+  in
+  match snap.Slice_obs.snap_spans with
+  | [ sp ] when sp.Slice_obs.sp_name = "delta.diff" -> (
+    match List.assoc_opt "path" sp.Slice_obs.sp_args with
+    | Some path -> (d, path)
+    | None -> Alcotest.fail "delta.diff span without a path")
+  | _ -> Alcotest.fail "diff ran outside one delta.diff span"
+
+(* A mini unit's declarations, or the error it fails to parse with. *)
+let parse_mini (cm : Delta.changed_method) =
+  match
+    Parser.parse_string ~line:cm.Delta.cm_line ~file:cm.Delta.cm_file
+      cm.Delta.cm_mini
+  with
+  | cu -> Ok cu.Ast.cu_decls
+  | exception e -> Error (Printexc.to_string e)
+
+(* The method declarations of a parsed unit, keyed by class and name. *)
+let methods_of (decls : Ast.decl list) =
+  List.concat_map
+    (function
+      | Ast.Dclass cd ->
+        List.map
+          (fun (md : Ast.method_decl) -> ((Some cd.Ast.cd_name, md.Ast.md_name), md))
+          cd.Ast.cd_methods
+      | Ast.Dfunc md -> [ ((None, md.Ast.md_name), md) ])
+    decls
+
+(* [diff] answers like the full scan: the same tier, the same changed
+   methods, and mini units that parse to the same declarations.  When
+   the whole new file parses, each mini unit's method is the file's own
+   declaration of it, locations included. *)
+let check_like_scan ~what ~old_src ~new_src (d : Delta.t) =
+  let scan =
+    Delta.diff_scan ~old_sources:[ (file, old_src) ] ~new_sources:[ (file, new_src) ]
+  in
+  let whole =
+    match Parser.parse_string ~file new_src with
+    | cu -> Some (methods_of cu.Ast.cu_decls)
+    | exception _ -> None
+  in
+  let same_cm (x : Delta.changed_method) (y : Delta.changed_method) =
+    x.Delta.cm_file = y.Delta.cm_file
+    && x.Delta.cm_class = y.Delta.cm_class
+    && x.Delta.cm_name = y.Delta.cm_name
+    && parse_mini x = parse_mini y
+    &&
+    match (whole, parse_mini x) with
+    | Some ms, Ok decls ->
+      List.for_all
+        (fun (key, md) ->
+          key <> (x.Delta.cm_class, x.Delta.cm_name)
+          || List.exists (fun (k, md') -> k = key && md' = md) ms)
+        (methods_of decls)
+    | _ -> true
+  in
+  let agree =
+    match (d, scan) with
+    | Delta.Same, Delta.Same | Delta.Structural, Delta.Structural -> true
+    | Delta.Bodies xs, Delta.Bodies ys ->
+      List.length xs = List.length ys && List.for_all2 same_cm xs ys
+    | _ -> false
+  in
+  if not agree then Alcotest.failf "%s: diff and the full scan disagree" what
+
+(* Bodies dense in the bytes the brace scanner reads ahead after
+   (division, comments, string escapes), so that mutations land next to
+   them. *)
+let scanner_src =
+  {|class B {
+  int k;
+  int div(int x) { int q = x /2* 3 /4/ 5; /* halve *1/ then */ return q / 1; }
+  String esc() { return "a\"b\\c/d*e" + "//" + "/*" + "*/"; }
+}
+int comm(int x) {
+  // a line comment with { and } and "
+  int y = x * 2 / 3; /* a block
+  comment */ return y;
+}
+void main(String[] args) {
+  B b = new B();
+  print("" + comm(b.div(4)) + b.esc());
+}
+|}
+
+(* [Delta.diff] classifies most edits from their changed window and
+   compares skeletons without building them; the full scan and the
+   skeleton strings are its references.  Over byte mutations of a small
+   and a generated program, every single-byte edit of [scanner_src], and
+   the reverts of all of them (which diff against the segmentation the
+   window rule derived), an edit classifies as [Same] or [Bodies]
    exactly when the two skeletons are equal (unbalanced mutants, which
-   [skeleton] rejects, are skipped). *)
+   [skeleton] rejects, are skipped), and every answer is the full
+   scan's.  Both the window rule and the scan must decide some of the
+   body edits. *)
 let test_diff_matches_skeletons () =
   let rng = Random.State.make [| 20 |] in
   let gen = (Slice_fuzz.Gen_tj.generate_scaled ~seed:2 ~stmts:2_000).Slice_fuzz.Gen_tj.sc_src in
-  let alphabet = "ab1 \n{};/" in
+  let alphabet = "ab1 \n{};/\"*\\" in
   let compared = ref 0 and equal = ref 0 in
+  let window = ref 0 and scanned = ref 0 in
+  let check src mutant =
+    let d, path = diff_with_path ~old_src:src ~new_src:mutant in
+    check_like_scan ~what:"edit" ~old_src:src ~new_src:mutant d;
+    let back, _ = diff_with_path ~old_src:mutant ~new_src:src in
+    check_like_scan ~what:"revert" ~old_src:mutant ~new_src:src back;
+    (match d with
+    | Delta.Bodies _ -> if path = "window" then incr window else incr scanned
+    | Delta.Same | Delta.Structural -> ());
+    match (Delta.skeleton src, Delta.skeleton mutant) with
+    | exception _ -> ()
+    | a, b ->
+      incr compared;
+      let same = String.equal a b in
+      if same then incr equal;
+      let bodies =
+        match d with
+        | Delta.Same | Delta.Bodies _ -> true
+        | Delta.Structural -> false
+      in
+      if bodies <> same then
+        Alcotest.failf "diff says %s, skeletons %s"
+          (if bodies then "bodies" else "not bodies")
+          (if same then "equal" else "differ")
+  in
+  (* replace, insert before, or delete the byte at [i] *)
+  let mutate cur i c = function
+    | 0 -> String.sub cur 0 i ^ c ^ String.sub cur (i + 1) (String.length cur - i - 1)
+    | 1 -> String.sub cur 0 i ^ c ^ String.sub cur i (String.length cur - i)
+    | _ -> String.sub cur 0 i ^ String.sub cur (i + 1) (String.length cur - i - 1)
+  in
   List.iter
     (fun src ->
       for _ = 1 to 150 do
         let s = ref src in
         for _ = 1 to 1 + Random.State.int rng 2 do
-          let cur = !s and n = String.length !s in
-          let i = Random.State.int rng (n - 1) in
+          let i = Random.State.int rng (String.length !s - 1) in
           let c = String.make 1 alphabet.[Random.State.int rng (String.length alphabet)] in
-          s :=
-            match Random.State.int rng 3 with
-            | 0 -> String.sub cur 0 i ^ c ^ String.sub cur (i + 1) (n - i - 1)
-            | 1 -> String.sub cur 0 i ^ c ^ String.sub cur i (n - i)
-            | _ -> String.sub cur 0 i ^ String.sub cur (i + 1) (n - i - 1)
+          s := mutate !s i c (Random.State.int rng 3)
         done;
-        match (Delta.skeleton src, Delta.skeleton !s) with
-        | exception _ -> ()
-        | a, b ->
-          incr compared;
-          let same = String.equal a b in
-          if same then incr equal;
-          let bodies =
-            match Delta.diff ~old_sources:[ (file, src) ] ~new_sources:[ (file, !s) ] with
-            | Delta.Same | Delta.Bodies _ -> true
-            | Delta.Structural -> false
-          in
-          if bodies <> same then
-            Alcotest.failf "diff says %s, skeletons %s"
-              (if bodies then "bodies" else "not bodies")
-              (if same then "equal" else "differ")
+        check src !s
       done)
     [ base_src; gen ];
+  for i = 0 to String.length scanner_src - 1 do
+    check scanner_src (mutate scanner_src i "" 2);
+    String.iter
+      (fun c ->
+        let c = String.make 1 c in
+        check scanner_src (mutate scanner_src i c 0);
+        check scanner_src (mutate scanner_src i c 1))
+      alphabet
+  done;
   Alcotest.(check bool) "both outcomes seen" true
-    (!equal > 0 && !equal < !compared)
+    (!equal > 0 && !equal < !compared);
+  Alcotest.(check bool) "window rule decided some body edits" true (!window > 0);
+  Alcotest.(check bool) "full scan decided some body edits" true (!scanned > 0)
+
+(* A warm one-token tweak and its revert read no byte of the file: the
+   changed window alone classifies them ([delta.bytes_scanned] 0,
+   [path=window]), and the mini unit lexes only the edited method's
+   lines, at 20k as at 60k statements.  Each save is a string the delta
+   has never seen, as a save read from disk is. *)
+let test_window_delta_counts () =
+  let fresh s = Bytes.to_string (Bytes.of_string s) in
+  List.iter
+    (fun stmts ->
+      let src, edited = Helpers.scaled_tweak ~stmts in
+      let f = "scaled.tj" in
+      (* the edited free function: from its header, the last line
+         before the edit that starts in column 1, to its closing brace,
+         the first line after it that is a bare [}] *)
+      let j = Helpers.first_index ~what:"tweak" src "cur.fi = a % 1001;" in
+      let header = ref j in
+      while not (src.[!header - 1] = '\n' && src.[!header] <> ' ') do
+        decr header
+      done;
+      let close = Helpers.first_index ~what:"close" (String.sub src j (String.length src - j)) "\n}" in
+      let method_lines = ref 1 in
+      for i = !header to j + close do
+        if src.[i] = '\n' then incr method_lines
+      done;
+      let h = Engine.load [ (f, src) ] in
+      let h, _ = Engine.update h [ (f, edited) ] in
+      let h, _ = Engine.update h [ (f, src) ] in
+      let save h what text =
+        let (h', rep), snap =
+          Slice_obs.scoped (fun () -> Engine.update h [ (f, fresh text) ])
+        in
+        let what = Printf.sprintf "%d %s" stmts what in
+        let counter name =
+          Option.value ~default:0 (List.assoc_opt name snap.Slice_obs.snap_counters)
+        in
+        Alcotest.check path_testable (what ^ ": path") Engine.Patched rep.Engine.up_path;
+        Alcotest.(check int) (what ^ ": bytes scanned") 0 (counter "delta.bytes_scanned");
+        Alcotest.(check int) (what ^ ": lines lexed") !method_lines (counter "front.lines");
+        h'
+      in
+      let h = save h "tweak" edited in
+      ignore (save h "revert" src))
+    [ 20_000; 60_000 ]
 
 (* ----- update tiers ----- *)
 
@@ -737,6 +899,8 @@ let suite =
     Alcotest.test_case "diff tiers" `Quick test_diff_tiers;
     Alcotest.test_case "diff matches skeleton strings" `Quick
       test_diff_matches_skeletons;
+    Alcotest.test_case "window delta scans no byte of the file" `Quick
+      test_window_delta_counts;
     Alcotest.test_case "update noop" `Quick test_update_noop;
     Alcotest.test_case "update patched" `Quick test_update_patched;
     Alcotest.test_case "update patched chain" `Quick test_update_patched_chain;

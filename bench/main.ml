@@ -582,10 +582,25 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
   in
   Printf.printf "phase=arena wall_s=%.3f arena_bytes=%d\n%!" arena_wall
     (Slice_ir.Arena.bytes arena);
-  let pta, pta_wall = time (fun () -> Slice_pta.Andersen.analyze p) in
-  Printf.printf "phase=pta wall_s=%.3f\n%!" pta_wall;
-  let g, sdg_wall = time (fun () -> Sdg.build ~arena p pta) in
-  Printf.printf "phase=sdg wall_s=%.3f\n%!" sdg_wall;
+  (* The solver's and the graph build's words per IR statement, counted
+     like the frontend's: hashing tuple or string keys in their inner
+     loops shows here, whatever the runner speed. *)
+  let words_per_stmt_of f =
+    Gc.minor ();
+    let w0 = Slice_obs.allocated_words () in
+    let v, wall = time f in
+    (v, wall, (Slice_obs.allocated_words () -. w0) /. float_of_int actual)
+  in
+  let pta, pta_wall, pta_words =
+    words_per_stmt_of (fun () -> Slice_pta.Andersen.analyze p)
+  in
+  Printf.printf "phase=pta wall_s=%.3f words_per_stmt=%.1f\n%!" pta_wall
+    pta_words;
+  let g, sdg_wall, sdg_words =
+    words_per_stmt_of (fun () -> Sdg.build ~arena p pta)
+  in
+  Printf.printf "phase=sdg wall_s=%.3f words_per_stmt=%.1f\n%!" sdg_wall
+    sdg_words;
   let a = { Engine.program = p; pta; sdg = g; arena; obj_sens = true } in
   (* The resident points-to rows and heap index, as the stats memory
      block reports them: arithmetic, so CI can bound them exactly. *)
@@ -788,7 +803,9 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
              ("front_words_per_stmt", Float words_per_stmt);
              ("arena_wall_s", Float arena_wall);
              ("pta_wall_s", Float pta_wall);
+             ("pta_words_per_stmt", Float pta_words);
              ("sdg_wall_s", Float sdg_wall);
+             ("sdg_words_per_stmt", Float sdg_words);
              ("batch_slice_wall_s", Float batch_wall);
              ("reference_wall_s", Float ref_wall);
              ("dyn_wall_s", Float dyn_wall);

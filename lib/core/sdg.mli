@@ -65,10 +65,14 @@ type t
     {!patch} re-lowers the changed methods into it, so after a patch
     it describes the new bodies.
 
-    Pass 3 (heap wiring) dedups candidate (read, write) pairs into one
-    bitset row per write node and emits them in sorted (write node,
+    Nodes are interned by packed int descriptor keys through one
+    {!Slice_util.Imap}, in first-intern order; {!node_desc} decodes a
+    node's key columns on demand.
+
+    Pass 3 (heap wiring) gathers the distinct candidate (write, read)
+    node pairs in one int buffer and emits them in sorted (write node,
     read node) order, so the adjacency does not depend on hash-table
-    iteration order.
+    iteration order.  {!patch} wires its new accesses the same way.
 
     The passes append every edge to a flat log; one count-then-fill pass
     at the end writes the compressed-sparse-row adjacency (flat [int]
@@ -93,7 +97,6 @@ val stmt_table : t -> (Instr.stmt_id, Program.stmt_info) Hashtbl.t
 
 val node_desc : t -> node -> node_desc
 val num_nodes : t -> int
-val find_node : t -> node_desc -> node option
 
 (** Backward adjacency iteration: the nodes [n] depends on, in row
     order.  The hot-path accessor: allocation-free over the CSR arrays
@@ -219,6 +222,12 @@ val is_dead : t -> node -> bool
 (** [num_nodes] minus retired nodes — the node count a patched handle
     reports. *)
 val num_live_nodes : t -> int
+
+(** Check node identity: every live node's {!node_desc} leads back to
+    it through the graph's descriptor index, and no two nodes, live or
+    retired, share a descriptor.  Returns an error naming the first
+    failure found. *)
+val check_index : t -> (unit, string) result
 
 (** Census of live edges by kind: counted by {!build} and adjusted by
     every {!patch} (the process-wide build counters overcount after a

@@ -18,6 +18,7 @@
 open Slice_ir
 module Bits = Slice_util.Bits
 module Iset = Slice_util.Iset
+module Imap = Slice_util.Imap
 
 module ObjSet = Set.Make (Int)
 
@@ -54,6 +55,9 @@ type dispatch = {
   d_caller : int;                       (* caller method-context id *)
   d_stmt : Instr.stmt_id;
   d_kind : Instr.call_kind;
+  d_callee : int;                       (* [name_id] of a virtual call's
+                                           method name, else the callee's
+                                           [meth_id] *)
   d_args : Instr.var list;
   d_lhs : Instr.var option;
 }
@@ -71,8 +75,8 @@ type mctx_info = { mi_mq : Instr.method_qname; mi_ctx : Context.ctx }
 type pv_op =
   | Pseed of int * int                     (* node, object *)
   | Pedge of int * int * Types.ty option   (* src, dst, cast filter *)
-  | Pload of int * string * int            (* base, field, dst *)
-  | Pstore of int * string * int           (* base, field, src *)
+  | Pload of int * int * int               (* base, field name id, dst *)
+  | Pstore of int * int * int              (* base, field name id, src *)
   | Pcall of dispatch                      (* any call site, incl. static *)
 
 (* ------------------------------------------------------------------ *)
@@ -83,6 +87,19 @@ type pv_op =
 type ccell = { cs_seen : Bits.t; mutable cs_list : int list }
 type icell = { is_seen : Bits.t; mutable is_list : Instr.method_qname list }
 
+(* Cells keyed on the packed (caller context, statement) of a call site:
+   an [Imap] from the key to a slot of a dense cell array. *)
+type 'a site_table = {
+  st_index : Imap.t;
+  mutable st_cells : 'a array;
+  mutable st_count : int;
+}
+
+(* A resolved call target: the method, its [meth_id] and, for an
+   intrinsic, its [intr_id] (else -1).  Dispatch memoizes these for one
+   solve. *)
+type target = { tg_meth : Instr.meth; tg_mid : int; tg_intr : int }
+
 type t = {
   p : Program.t;
   opts : opts;
@@ -90,17 +107,24 @@ type t = {
   (* method contexts *)
   mutable mctxs : mctx_info array;
   mutable num_mctxs : int;
-  (* Keyed on the qname record directly: the reference solver interns on
-     [method_qname_to_string], which is [Format.asprintf] — visibly hot
-     in profiles.  Structural hashing of a two-string record is cheap. *)
-  mctx_intern : (Instr.method_qname * Context.ctx, int) Hashtbl.t;
+  mctx_index : Imap.t;   (* [Imap.pack] method id, context code -> id *)
+  (* Method ids, keyed on the qname record directly: the reference
+     solver interns on [method_qname_to_string], which is
+     [Format.asprintf] — visibly hot in profiles.  Looked up once per
+     call site or memoized target, never per dispatch event. *)
+  meth_ids : (Instr.method_qname, int) Hashtbl.t;
   mutable processed : bool array;
-  (* nodes *)
-  mutable node_descs : node_desc array;
+  (* Names (fields, classes, virtual method names) interned to ints, so
+     node and dispatch keys pack into one int. *)
+  names : (string, int) Hashtbl.t;
+  mutable name_of : string array;
+  (* nodes: each node's packed descriptor (see [kvar]) and the index
+     from descriptor to node *)
+  mutable node_key : int array;
   mutable num_nodes : int;
-  node_intern : (node_desc, int) Hashtbl.t;
+  node_index : Imap.t;
   (* data plane: bitset pts + accumulated deltas, union-find over nodes.
-     [delta], [succ_set] and [wired] are solve scratch: [end_solve]
+     [delta] and [succ_set] are solve scratch: [end_solve]
      empties them, and nothing reads them between solves. *)
   mutable pts : Bits.t array;
   mutable delta : Bits.t array;
@@ -108,19 +132,31 @@ type t = {
   mutable rank : int array;
   mutable succs : (int * Types.ty option) list array;
   succ_set : Iset.t;                    (* [pair src dst] per [succs] entry *)
-  mutable loads : (string * int) list array;
-  mutable stores : (string * int) list array;
+  mutable loads : (int * int) list array;   (* (field name id, dst) *)
+  mutable stores : (int * int) list array;  (* (field name id, src) *)
   mutable dispatches : dispatch list array;
   mutable deg : int array;              (* incremental constraint degree *)
   (* per-method-context constraint provenance (reverse insertion order),
      the replay log of [resolve_delta] *)
   mutable pv : pv_op list array;
   mutable obj_mc : int array;           (* allocating mctx per object; -1 none *)
-  (* call graph *)
-  call_edges : (int * Instr.stmt_id, ccell) Hashtbl.t;
+  (* call graph.  Within one solve a (caller, site, callee context)
+     first enters [call_edges] exactly when its arguments are wired:
+     both tables start every solve empty. *)
+  call_edges : ccell site_table;
   intr_intern : (Instr.method_qname, int) Hashtbl.t;
-  intrinsic_edges : (int * Instr.stmt_id, icell) Hashtbl.t;
-  wired : (int * Instr.stmt_id * int, unit) Hashtbl.t;
+  intrinsic_edges : icell site_table;
+  (* Per-solve memos, reset by [reset_memos] when a solve starts: method
+     bodies may change between solves, so no [Instr.meth] outlives one.
+     [targets] resolves a packed (receiver class, callee) key to a slot
+     of [target_of] (+1; 0 for no target), [container] a class name id
+     (-1 unknown, 0 no, 1 yes) and [obj_class] an object to its
+     dispatch class name id (-2 unknown, -1 none). *)
+  targets : Imap.t;
+  mutable target_of : target array;
+  mutable num_targets : int;
+  mutable container : int array;
+  mutable obj_class : int array;
   (* worklist: entry-unique FIFO int ring (dirty bit = queued) *)
   mutable ring : int array;
   mutable head : int;
@@ -166,11 +202,37 @@ let rec find (t : t) (n : int) : int =
 
 (* --- interning ----------------------------------------------------- *)
 
-let intern_mctx (t : t) (mq : Instr.method_qname) (c : Context.ctx) : int =
-  let key = (mq, c) in
-  match Hashtbl.find_opt t.mctx_intern key with
-  | Some id -> id
-  | None ->
+(* The id of a name, interned on first sight. *)
+let name_id (t : t) (x : string) : int =
+  match Hashtbl.find t.names x with
+  | id -> id
+  | exception Not_found ->
+    let id = Hashtbl.length t.names in
+    if id = Array.length t.name_of then begin
+      let bigger = Array.make (max 16 (2 * id)) "" in
+      Array.blit t.name_of 0 bigger 0 id;
+      t.name_of <- bigger
+    end;
+    t.name_of.(id) <- x;
+    Hashtbl.replace t.names x id;
+    id
+
+let meth_id (t : t) (mq : Instr.method_qname) : int =
+  match Hashtbl.find t.meth_ids mq with
+  | id -> id
+  | exception Not_found ->
+    let id = Hashtbl.length t.meth_ids in
+    Hashtbl.replace t.meth_ids mq id;
+    id
+
+(* The context of method [mid] under context code [code]: 0 for
+   [Cnone], [o + 1] for [Crecv o]. *)
+let intern_mctx (t : t) ~(mid : int) (mq : Instr.method_qname) (code : int) :
+    int =
+  let key = Imap.pack mid code in
+  let id = Imap.find t.mctx_index key in
+  if id >= 0 then id
+  else begin
     let id = t.num_mctxs in
     if id = Array.length t.mctxs then begin
       let bigger = Array.make (2 * id) t.mctxs.(0) in
@@ -183,22 +245,40 @@ let intern_mctx (t : t) (mq : Instr.method_qname) (c : Context.ctx) : int =
       Array.blit t.pv 0 bigger_pv 0 id;
       t.pv <- bigger_pv
     end;
+    let c = if code = 0 then Context.Cnone else Context.Crecv (code - 1) in
     t.mctxs.(id) <- { mi_mq = mq; mi_ctx = c };
     t.num_mctxs <- id + 1;
-    Hashtbl.replace t.mctx_intern key id;
-    if c <> Context.Cnone then Slice_obs.bump c_context_clones;
+    Imap.replace t.mctx_index key id;
+    if code <> 0 then Slice_obs.bump c_context_clones;
     id
+  end
+
+(* Packed node descriptors: a 2-bit kind under the first field of
+   [Imap.pack].  Field and static names are interned ([name_id]). *)
+let[@inline] kvar (mc : int) (v : Instr.var) = Imap.pack (mc lsl 2) v
+let[@inline] kfield (fid : int) (o : int) = Imap.pack ((fid lsl 2) lor 1) o
+let[@inline] kstatic (cid : int) (fid : int) = Imap.pack ((cid lsl 2) lor 2) fid
+let[@inline] kret (mc : int) = Imap.pack ((mc lsl 2) lor 3) 0
+
+let node_desc (t : t) (n : int) : node_desc =
+  let k = t.node_key.(n) in
+  let hi = Imap.pack_hi k and lo = Imap.pack_lo k in
+  match hi land 3 with
+  | 0 -> Nvar (hi lsr 2, lo)
+  | 1 -> Nfield (lo, t.name_of.(hi lsr 2))
+  | 2 -> Nstatic (t.name_of.(hi lsr 2), t.name_of.(lo))
+  | _ -> Nret (hi lsr 2)
 
 let dummy_bits = Bits.create ~capacity:1 ()
 
 let grow_nodes (t : t) =
-  let n = Array.length t.node_descs in
+  let n = Array.length t.node_key in
   let grow a default =
     let b = Array.make (2 * n) default in
     Array.blit a 0 b 0 n;
     b
   in
-  t.node_descs <- grow t.node_descs t.node_descs.(0);
+  t.node_key <- grow t.node_key 0;
   t.pts <- grow t.pts dummy_bits;
   t.delta <- grow t.delta dummy_bits;
   t.parent <- grow t.parent 0;
@@ -210,21 +290,67 @@ let grow_nodes (t : t) =
   t.stores <- grow t.stores [];
   t.dispatches <- grow t.dispatches []
 
-let intern_node (t : t) (d : node_desc) : int =
-  match Hashtbl.find_opt t.node_intern d with
-  | Some id -> id
-  | None ->
+(* The node of a packed descriptor, interned on first sight. *)
+let node (t : t) (key : int) : int =
+  let id = Imap.find t.node_index key in
+  if id >= 0 then id
+  else begin
     let id = t.num_nodes in
-    if id = Array.length t.node_descs then grow_nodes t;
-    t.node_descs.(id) <- d;
+    if id = Array.length t.node_key then grow_nodes t;
+    t.node_key.(id) <- key;
     t.pts.(id) <- Bits.create ~capacity:64 ();
     t.delta.(id) <- Bits.create ~capacity:64 ();
     t.parent.(id) <- id;
     t.rank.(id) <- 0;
     t.deg.(id) <- 0;
     t.num_nodes <- id + 1;
-    Hashtbl.replace t.node_intern d id;
+    Imap.replace t.node_index key id;
     id
+  end
+
+(* --- call-site tables ---------------------------------------------- *)
+
+let site_table () : 'a site_table =
+  { st_index = Imap.create ~capacity:256 (); st_cells = [||]; st_count = 0 }
+
+(* The cell of call site [key], or the one [fresh ()] makes for it. *)
+let[@inline] site_cell (st : 'a site_table) (key : int) (fresh : unit -> 'a) :
+    'a =
+  let i = Imap.find st.st_index key in
+  if i >= 0 then st.st_cells.(i)
+  else begin
+    let c = fresh () in
+    let n = st.st_count in
+    if n = Array.length st.st_cells then begin
+      let bigger = Array.make (max 64 (2 * n)) c in
+      Array.blit st.st_cells 0 bigger 0 n;
+      st.st_cells <- bigger
+    end;
+    st.st_cells.(n) <- c;
+    st.st_count <- n + 1;
+    Imap.replace st.st_index key n;
+    c
+  end
+
+let site_iter (f : int -> Instr.stmt_id -> 'a -> unit) (st : 'a site_table) :
+    unit =
+  Imap.iter
+    (fun key i -> f (Imap.pack_hi key) (Imap.pack_lo key) st.st_cells.(i))
+    st.st_index
+
+let site_reset (st : 'a site_table) : unit =
+  Imap.reset st.st_index;
+  st.st_cells <- [||];
+  st.st_count <- 0
+
+(* Rebind call site [(caller, s)]'s cell to [(caller, s')]. *)
+let site_move (st : 'a site_table) ~(caller : int) (s : Instr.stmt_id)
+    (s' : Instr.stmt_id) : unit =
+  let i = Imap.find st.st_index (Imap.pack caller s) in
+  if i >= 0 then begin
+    Imap.remove st.st_index (Imap.pack caller s);
+    Imap.replace st.st_index (Imap.pack caller s') i
+  end
 
 (* --- worklist ring ------------------------------------------------- *)
 
@@ -342,21 +468,17 @@ let add_edge (t : t) ?(filter : Types.ty option) (src : int) (dst : int) : unit 
       | Some ty -> propagate_filtered t ~src_bits:t.pts.(rs) ~ty ~rd
   end
 
-let add_load (t : t) ~(base : int) ~(field : string) ~(dst : int) : unit =
+let add_load (t : t) ~(base : int) ~(field : int) ~(dst : int) : unit =
   let rb = find t base in
   t.loads.(rb) <- (field, dst) :: t.loads.(rb);
   t.deg.(rb) <- t.deg.(rb) + 1;
-  Bits.iter
-    (fun o -> add_edge t (intern_node t (Nfield (o, field))) dst)
-    t.pts.(rb)
+  Bits.iter (fun o -> add_edge t (node t (kfield field o)) dst) t.pts.(rb)
 
-let add_store (t : t) ~(base : int) ~(field : string) ~(src : int) : unit =
+let add_store (t : t) ~(base : int) ~(field : int) ~(src : int) : unit =
   let rb = find t base in
   t.stores.(rb) <- (field, src) :: t.stores.(rb);
   t.deg.(rb) <- t.deg.(rb) + 1;
-  Bits.iter
-    (fun o -> add_edge t src (intern_node t (Nfield (o, field))))
-    t.pts.(rb)
+  Bits.iter (fun o -> add_edge t src (node t (kfield field o))) t.pts.(rb)
 
 (* --- cycle collapsing ---------------------------------------------- *)
 
@@ -477,40 +599,60 @@ let alloc (t : t) (mc : int) ~(site : Instr.stmt_id)
   if t.obj_mc.(o) < 0 then t.obj_mc.(o) <- mc;
   o
 
-let is_container_class (t : t) (c : Types.class_name) : bool =
-  List.exists
-    (fun sup ->
-      match Program.find_class t.p sup with
-      | Some ci -> ci.Program.c_is_container
-      | None -> false)
-    (c :: Program.superclasses t.p c)
+(* Is class name [cid] a container class or a subclass of one?  Once
+   per class per solve. *)
+let is_container (t : t) (cid : int) : bool =
+  if cid >= Array.length t.container then begin
+    let bigger = Array.make (max 64 (2 * cid)) (-1) in
+    Array.blit t.container 0 bigger 0 (Array.length t.container);
+    t.container <- bigger
+  end;
+  if t.container.(cid) < 0 then begin
+    let c = t.name_of.(cid) in
+    let yes =
+      List.exists
+        (fun sup ->
+          match Program.find_class t.p sup with
+          | Some ci -> ci.Program.c_is_container
+          | None -> false)
+        (c :: Program.superclasses t.p c)
+    in
+    t.container.(cid) <- Bool.to_int yes
+  end;
+  t.container.(cid) = 1
 
-let callee_ctx (t : t) ~(recv_obj : int) : Context.ctx =
-  if not t.opts.obj_sens_containers then Context.Cnone
-  else begin
-    let oi = Context.obj t.ctxs recv_obj in
-    match Context.dispatch_class oi.Context.oi_cls with
-    | Some c when is_container_class t c ->
-      let cand = Context.Crecv recv_obj in
-      if Context.ctx_depth t.ctxs cand > t.opts.max_ctx_depth then Context.Cnone
-      else cand
-    | Some _ | None -> Context.Cnone
-  end
+(* The name id of the class a virtual call on object [o] dispatches on,
+   -1 when it has none. *)
+let obj_class (t : t) (o : int) : int =
+  if o >= Array.length t.obj_class then begin
+    let bigger = Array.make (max 64 (2 * o)) (-2) in
+    Array.blit t.obj_class 0 bigger 0 (Array.length t.obj_class);
+    t.obj_class <- bigger
+  end;
+  if t.obj_class.(o) = -2 then
+    t.obj_class.(o) <-
+      (match Context.dispatch_class (Context.obj t.ctxs o).Context.oi_cls with
+      | Some c -> name_id t c
+      | None -> -1);
+  t.obj_class.(o)
 
-(* Call-edge dedup: a bitset over callee mctx ids per call site (was
-   [List.mem] on the accumulating list). *)
-let record_call_edge (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
-    ~(callee : int) : unit =
-  let key = (caller, stmt) in
-  let cell =
-    match Hashtbl.find_opt t.call_edges key with
-    | Some c -> c
-    | None ->
-      let c = { cs_seen = Bits.create ~capacity:64 (); cs_list = [] } in
-      Hashtbl.replace t.call_edges key c;
-      c
-  in
-  if Bits.add cell.cs_seen callee then cell.cs_list <- callee :: cell.cs_list
+(* The callee context code (see [intern_mctx]) of a call dispatched on
+   [recv_obj], whose dispatch class is [cid]. *)
+let callee_ctx (t : t) ~(recv_obj : int) ~(cid : int) : int =
+  if
+    t.opts.obj_sens_containers && is_container t cid
+    && 1 + Context.ctx_depth t.ctxs (Context.obj t.ctxs recv_obj).Context.oi_ctx
+       <= t.opts.max_ctx_depth
+  then recv_obj + 1
+  else 0
+
+(* Empty the per-solve memos: the next solve may see new bodies. *)
+let reset_memos (t : t) : unit =
+  Imap.reset t.targets;
+  t.target_of <- [||];
+  t.num_targets <- 0;
+  t.container <- [||];
+  t.obj_class <- [||]
 
 let intr_id (t : t) (mq : Instr.method_qname) : int =
   match Hashtbl.find_opt t.intr_intern mq with
@@ -520,25 +662,89 @@ let intr_id (t : t) (mq : Instr.method_qname) : int =
     Hashtbl.replace t.intr_intern mq id;
     id
 
-let record_intrinsic_edge (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
-    ~(callee : Instr.method_qname) : unit =
-  let key = (caller, stmt) in
-  let cell =
-    match Hashtbl.find_opt t.intrinsic_edges key with
-    | Some c -> c
-    | None ->
-      let c = { is_seen = Bits.create ~capacity:8 (); is_list = [] } in
-      Hashtbl.replace t.intrinsic_edges key c;
-      c
+let target (t : t) (m : Instr.meth) : target =
+  let mq = m.Instr.m_qname in
+  { tg_meth = m;
+    tg_mid = meth_id t mq;
+    tg_intr =
+      (match m.Instr.m_body with
+      | Instr.Intrinsic _ -> intr_id t mq
+      | Instr.Body _ | Instr.Abstract -> -1) }
+
+(* The target of dispatch [d] on an object of class [cid], resolved once
+   per (class, callee) per solve: [i + 1] for [t.target_of.(i)], 0 for
+   none. *)
+let dispatch_target (t : t) (d : dispatch) ~(cid : int) : int =
+  let key =
+    match d.d_kind with
+    | Instr.Virtual _ -> Imap.pack (cid + 1) d.d_callee
+    | Instr.Special _ | Instr.Static _ -> Imap.pack 0 d.d_callee
   in
-  if Bits.add cell.is_seen (intr_id t callee) then
-    cell.is_list <- callee :: cell.is_list
+  let v = Imap.find t.targets key in
+  if v >= 0 then v
+  else begin
+    let resolved =
+      match d.d_kind with
+      | Instr.Virtual name -> Program.dispatch t.p t.name_of.(cid) name
+      | Instr.Special mq -> Program.find_method t.p mq
+      | Instr.Static _ -> None
+    in
+    let v =
+      match resolved with
+      | None -> 0
+      | Some m ->
+        let tg = target t m in
+        let n = t.num_targets in
+        if n = Array.length t.target_of then begin
+          let bigger = Array.make (max 16 (2 * n)) tg in
+          Array.blit t.target_of 0 bigger 0 n;
+          t.target_of <- bigger
+        end;
+        t.target_of.(n) <- tg;
+        t.num_targets <- n + 1;
+        n + 1
+    in
+    Imap.replace t.targets key v;
+    v
+  end
+
+(* Call-edge dedup: a bitset over callee mctx ids per call site.  True
+   when the edge is new. *)
+let record_call_edge (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
+    ~(callee : int) : bool =
+  let cell =
+    site_cell t.call_edges (Imap.pack caller stmt) (fun () ->
+        { cs_seen = Bits.create ~capacity:64 (); cs_list = [] })
+  in
+  Bits.add cell.cs_seen callee
+  && begin
+    cell.cs_list <- callee :: cell.cs_list;
+    true
+  end
+
+(* True when the edge is new. *)
+let record_intrinsic_edge (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
+    (callee : target) : bool =
+  let cell =
+    site_cell t.intrinsic_edges (Imap.pack caller stmt) (fun () ->
+        { is_seen = Bits.create ~capacity:8 (); is_list = [] })
+  in
+  Bits.add cell.is_seen callee.tg_intr
+  && begin
+    cell.is_list <- callee.tg_meth.Instr.m_qname :: cell.is_list;
+    true
+  end
 
 (* Append to a method context's provenance log.  Only the structural
    entry points below call this; derived constraint work (dispatch
    wiring, load/store-materialised edges) is intentionally unlogged. *)
 let pv_log (t : t) (mc : int) (op : pv_op) : unit =
   t.pv.(mc) <- op :: t.pv.(mc)
+
+(* The method of a context, looked up by name: only on paths that run
+   once per context or per new call edge. *)
+let meth_of (t : t) (mc : int) : Instr.meth =
+  Program.find_method_exn t.p t.mctxs.(mc).mi_mq
 
 let rec make_reachable (t : t) (mc : int) : unit =
   if not t.processed.(mc) then begin
@@ -550,12 +756,12 @@ let rec make_reachable (t : t) (mc : int) : unit =
          (and re-interning what is already interned). *)
       List.iter (replay_op t mc) (List.rev ops)
     | [] -> (
-      let info = t.mctxs.(mc) in
-      let m = Program.find_method_exn t.p info.mi_mq in
+      let m = meth_of t mc in
       match m.Instr.m_body with
       | Instr.Intrinsic _ | Instr.Abstract -> ()
       | Instr.Body _ ->
-        let var v = intern_node t (Nvar (mc, v)) in
+        let var v = node t (kvar mc v) in
+        let static c f = node t (kstatic (name_id t c) (name_id t f)) in
         let seed n o =
           pv_log t mc (Pseed (n, o));
           add_obj t n o
@@ -565,10 +771,12 @@ let rec make_reachable (t : t) (mc : int) : unit =
           add_edge t ?filter src dst
         in
         let load ~base ~field ~dst =
+          let field = name_id t field in
           pv_log t mc (Pload (base, field, dst));
           add_load t ~base ~field ~dst
         in
         let store ~base ~field ~src =
+          let field = name_id t field in
           pv_log t mc (Pstore (base, field, src));
           add_store t ~base ~field ~src
         in
@@ -609,41 +817,44 @@ let rec make_reachable (t : t) (mc : int) : unit =
               store ~base:(var a) ~field:elem_field ~src:(var x)
             | Instr.Array_store _ -> ()
             | Instr.Static_load (x, c, f) when is_ref_var m x ->
-              edge (intern_node t (Nstatic (c, f))) (var x)
+              edge (static c f) (var x)
             | Instr.Static_load _ -> ()
             | Instr.Static_store (c, f, y) when is_ref_var m y ->
-              edge (var y) (intern_node t (Nstatic (c, f)))
+              edge (var y) (static c f)
             | Instr.Static_store _ -> ()
-            | Instr.Call { lhs; kind; args } -> process_call t mc i lhs kind args
+            | Instr.Call { lhs; kind; args } -> process_call t mc m i lhs kind args
             | Instr.Binop _ | Instr.Unop _ | Instr.Instance_of _
             | Instr.Array_length _ | Instr.Nop -> ());
         Instr.iter_terms m (fun _ term ->
             match term.Instr.t_kind with
             | Instr.Return (Some v) when is_ref_var m v ->
-              edge (var v) (intern_node t (Nret mc))
+              edge (var v) (node t (kret mc))
             | Instr.Return _ | Instr.Goto _ | Instr.If _ | Instr.Throw _ -> ()))
   end
 
-and process_call (t : t) (mc : int) (i : Instr.instr) (lhs : Instr.var option)
-    (kind : Instr.call_kind) (args : Instr.var list) : unit =
-  let info = t.mctxs.(mc) in
-  let m = Program.find_method_exn t.p info.mi_mq in
+and process_call (t : t) (mc : int) (m : Instr.meth) (i : Instr.instr)
+    (lhs : Instr.var option) (kind : Instr.call_kind) (args : Instr.var list) :
+    unit =
   match kind with
   | Instr.Static mq ->
     pv_log t mc
       (Pcall
-         { d_caller = mc; d_stmt = i.Instr.i_id; d_kind = kind; d_args = args;
-           d_lhs = lhs });
-    let callee = Program.find_method_exn t.p mq in
-    wire_call t ~caller:mc ~stmt:i.Instr.i_id ~caller_meth:m ~callee
-      ~callee_ctx:Context.Cnone ~recv_obj:None ~lhs ~args
+         { d_caller = mc; d_stmt = i.Instr.i_id; d_kind = kind;
+           d_callee = meth_id t mq; d_args = args; d_lhs = lhs });
+    wire_call t ~caller:mc ~stmt:i.Instr.i_id
+      (target t (Program.find_method_exn t.p mq))
+      ~callee_ctx:0 ~recv_obj:(-1) ~lhs ~args
   | Instr.Special _ | Instr.Virtual _ -> (
     (* dispatch (or context selection, for Special) driven by the receiver *)
     match args with
     | recv :: _ when is_ref_var m recv ->
       let d =
-        { d_caller = mc; d_stmt = i.Instr.i_id; d_kind = kind; d_args = args;
-          d_lhs = lhs }
+        { d_caller = mc; d_stmt = i.Instr.i_id; d_kind = kind;
+          d_callee =
+            (match kind with
+            | Instr.Virtual name -> name_id t name
+            | Instr.Special mq | Instr.Static mq -> meth_id t mq);
+          d_args = args; d_lhs = lhs }
       in
       pv_log t mc (Pcall d);
       register_dispatch t mc d
@@ -656,7 +867,7 @@ and process_call (t : t) (mc : int) (i : Instr.instr) (lhs : Instr.var option)
 and register_dispatch (t : t) (mc : int) (d : dispatch) : unit =
   match d.d_args with
   | recv :: _ ->
-    let rnode = find t (intern_node t (Nvar (mc, recv))) in
+    let rnode = find t (node t (kvar mc recv)) in
     t.dispatches.(rnode) <- d :: t.dispatches.(rnode);
     t.deg.(rnode) <- t.deg.(rnode) + 1;
     Bits.iter (fun o -> process_dispatch t d o) t.pts.(rnode)
@@ -675,77 +886,67 @@ and replay_op (t : t) (mc : int) (op : pv_op) : unit =
   | Pcall d -> (
     match d.d_kind with
     | Instr.Static mq ->
-      let m = Program.find_method_exn t.p t.mctxs.(mc).mi_mq in
-      let callee = Program.find_method_exn t.p mq in
-      wire_call t ~caller:mc ~stmt:d.d_stmt ~caller_meth:m ~callee
-        ~callee_ctx:Context.Cnone ~recv_obj:None ~lhs:d.d_lhs ~args:d.d_args
+      wire_call t ~caller:mc ~stmt:d.d_stmt
+        (target t (Program.find_method_exn t.p mq))
+        ~callee_ctx:0 ~recv_obj:(-1) ~lhs:d.d_lhs ~args:d.d_args
     | Instr.Virtual _ | Instr.Special _ -> register_dispatch t mc d)
 
+(* One dispatch event: receiver object [recv_obj] reached call [d].
+   Allocation-free unless it wires a new call edge. *)
 and process_dispatch (t : t) (d : dispatch) (recv_obj : int) : unit =
-  let oi = Context.obj t.ctxs recv_obj in
-  match Context.dispatch_class oi.Context.oi_cls with
-  | None -> ()
-  | Some cls -> (
-    let target =
-      match d.d_kind with
-      | Instr.Virtual name -> Program.dispatch t.p cls name
-      | Instr.Special mq -> Program.find_method t.p mq
-      | Instr.Static _ -> None
-    in
-    match target with
-    | None -> ()
-    | Some callee ->
-      let caller_meth = Program.find_method_exn t.p t.mctxs.(d.d_caller).mi_mq in
-      let cctx = callee_ctx t ~recv_obj in
-      wire_call t ~caller:d.d_caller ~stmt:d.d_stmt ~caller_meth ~callee
-        ~callee_ctx:cctx ~recv_obj:(Some recv_obj) ~lhs:d.d_lhs ~args:d.d_args)
+  let cid = obj_class t recv_obj in
+  if cid >= 0 then begin
+    let slot = dispatch_target t d ~cid in
+    if slot > 0 then
+      wire_call t ~caller:d.d_caller ~stmt:d.d_stmt t.target_of.(slot - 1)
+        ~callee_ctx:(callee_ctx t ~recv_obj ~cid)
+        ~recv_obj ~lhs:d.d_lhs ~args:d.d_args
+  end
 
+(* Wire a call of [callee] in context code [callee_ctx]; a
+   dispatched call passes its receiver object, a static one -1.  A call
+   edge new to this solve wires the arguments and the return value;
+   a repeated one only passes the receiver. *)
 and wire_call (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
-    ~(caller_meth : Instr.meth) ~(callee : Instr.meth)
-    ~(callee_ctx : Context.ctx) ~(recv_obj : int option)
+    (callee : target) ~(callee_ctx : int) ~(recv_obj : int)
     ~(lhs : Instr.var option) ~(args : Instr.var list) : unit =
-  match callee.Instr.m_body with
-  | Instr.Intrinsic intr ->
-    record_intrinsic_edge t ~caller ~stmt ~callee:callee.Instr.m_qname;
-    (match (Instr.intrinsic_allocates intr, lhs) with
-    | Some _cls, Some x when is_ref_var caller_meth x ->
-      let o = alloc t caller ~site:stmt ~cls:Context.Astring in
-      add_obj t (intern_node t (Nvar (caller, x))) o
-    | _ -> ())
+  let cm = callee.tg_meth in
+  match cm.Instr.m_body with
+  | Instr.Intrinsic intr -> (
+    if record_intrinsic_edge t ~caller ~stmt callee then
+      match (Instr.intrinsic_allocates intr, lhs) with
+      | Some _cls, Some x when is_ref_var (meth_of t caller) x ->
+        let o = alloc t caller ~site:stmt ~cls:Context.Astring in
+        add_obj t (node t (kvar caller x)) o
+      | _ -> ())
   | Instr.Abstract -> ()
   | Instr.Body _ ->
-    let cmc = intern_mctx t callee.Instr.m_qname callee_ctx in
-    record_call_edge t ~caller ~stmt ~callee:cmc;
+    let cmc = intern_mctx t ~mid:callee.tg_mid cm.Instr.m_qname callee_ctx in
+    let fresh = record_call_edge t ~caller ~stmt ~callee:cmc in
     make_reachable t cmc;
     (* Receiver: flows as a single object, keeping obj-sensitivity sharp. *)
-    (match (recv_obj, callee.Instr.m_params) with
-    | Some o, this_param :: _ ->
-      add_obj t (intern_node t (Nvar (cmc, this_param))) o
+    (match cm.Instr.m_params with
+    | this_param :: _ when recv_obj >= 0 ->
+      add_obj t (node t (kvar cmc this_param)) recv_obj
     | _ -> ());
-    let key = (caller, stmt, cmc) in
-    if not (Hashtbl.mem t.wired key) then begin
-      Hashtbl.replace t.wired key ();
+    if fresh then begin
+      let caller_meth = meth_of t caller in
       (* Non-receiver arguments and the return value. *)
-      let params = callee.Instr.m_params in
-      let skip_recv = recv_obj <> None in
       let rec wire_args ps as_ first =
         match (ps, as_) with
         | [], _ | _, [] -> ()
         | p :: ps', a :: as_' ->
-          if not (first && skip_recv) then begin
-            if is_ref_var callee p && is_ref_var caller_meth a then
-              add_edge t
-                (intern_node t (Nvar (caller, a)))
-                (intern_node t (Nvar (cmc, p)))
+          if not (first && recv_obj >= 0) then begin
+            if is_ref_var cm p && is_ref_var caller_meth a then
+              add_edge t (node t (kvar caller a)) (node t (kvar cmc p))
           end;
           wire_args ps' as_' false
       in
-      wire_args params args true;
+      wire_args cm.Instr.m_params args true;
       match lhs with
       | Some x
-        when is_ref_var caller_meth x
-             && Types.is_reference callee.Instr.m_ret_ty ->
-        add_edge t (intern_node t (Nret cmc)) (intern_node t (Nvar (caller, x)))
+        when is_ref_var caller_meth x && Types.is_reference cm.Instr.m_ret_ty ->
+        add_edge t (node t (kret cmc)) (node t (kvar caller x))
       | _ -> ()
     end
 
@@ -781,15 +982,11 @@ let solve (t : t) : unit =
           t.succs.(n);
         List.iter
           (fun (field, dst) ->
-            Bits.iter
-              (fun o -> add_edge t (intern_node t (Nfield (o, field))) dst)
-              d)
+            Bits.iter (fun o -> add_edge t (node t (kfield field o)) dst) d)
           t.loads.(n);
         List.iter
           (fun (field, src) ->
-            Bits.iter
-              (fun o -> add_edge t src (intern_node t (Nfield (o, field))))
-              d)
+            Bits.iter (fun o -> add_edge t src (node t (kfield field o))) d)
           t.stores.(n);
         List.iter
           (fun disp -> Bits.iter (fun o -> process_dispatch t disp o) d)
@@ -800,8 +997,8 @@ let solve (t : t) : unit =
   done
 
 (* Solver scratch lives only while a solve runs.  Once the worklist is
-   empty every delta is drained, and nothing reads [delta], [succ_set],
-   [wired] or [lcd_done] until the next solve, [resolve_delta]'s, which
+   empty every delta is drained, and nothing reads [delta], [succ_set]
+   or [lcd_done] until the next solve, [resolve_delta]'s, which
    starts from them empty.  Each node gets a fresh delta row
    with no words (its record only): [Bits.add] writes in place, so rows
    are never shared.  The answer rows ([pts]) stay dense, trimmed to
@@ -813,10 +1010,35 @@ let end_solve (t : t) : unit =
   done;
   t.spare <- Bits.create ~capacity:0 ();
   Iset.reset t.succ_set;
-  Hashtbl.reset t.wired;
   Hashtbl.reset t.lcd_done
 
 (* --- entry points --------------------------------------------------- *)
+
+(* Start a solve from the entry method: empty the per-solve memos, reach
+   the entry and seed main's [String[]] parameter with a synthetic array
+   of synthetic strings. *)
+let seed_entry (t : t) : unit =
+  reset_memos t;
+  let entry_mq = Program.entry_method t.p in
+  match Program.find_method t.p entry_mq with
+  | None -> ()
+  | Some main -> (
+    let emc = intern_mctx t ~mid:(meth_id t entry_mq) entry_mq 0 in
+    make_reachable t emc;
+    match main.Instr.m_params with
+    | [ pv ] when is_ref_var main pv ->
+      let arr =
+        Context.intern_obj t.ctxs ~site:(-1)
+          ~cls:(Context.Aarray (Types.Tclass Types.string_class))
+          ~ctx:Context.Cnone
+      in
+      let str =
+        Context.intern_obj t.ctxs ~site:(-2) ~cls:Context.Astring
+          ~ctx:Context.Cnone
+      in
+      add_obj t (node t (kvar emc pv)) arr;
+      add_obj t (node t (kfield (name_id t elem_field) arr)) str
+    | _ -> ())
 
 let analyze_uninstrumented ~opts (p : Program.t) : result =
   let t =
@@ -828,13 +1050,16 @@ let analyze_uninstrumented ~opts (p : Program.t) : result =
           { mi_mq = { Instr.mq_class = ""; mq_name = "" };
             mi_ctx = Context.Cnone };
       num_mctxs = 0;
-      mctx_intern = Hashtbl.create 64;
+      mctx_index = Imap.create ~capacity:64 ();
+      meth_ids = Hashtbl.create 64;
       processed = Array.make 64 false;
       pv = Array.make 64 [];
       obj_mc = Array.make 64 (-1);
-      node_descs = Array.make 256 (Nstatic ("", ""));
+      names = Hashtbl.create 64;
+      name_of = [||];
+      node_key = Array.make 256 0;
       num_nodes = 0;
-      node_intern = Hashtbl.create 256;
+      node_index = Imap.create ~capacity:256 ();
       pts = Array.make 256 dummy_bits;
       delta = Array.make 256 dummy_bits;
       parent = Array.make 256 0;
@@ -845,10 +1070,14 @@ let analyze_uninstrumented ~opts (p : Program.t) : result =
       stores = Array.make 256 [];
       dispatches = Array.make 256 [];
       deg = Array.make 256 0;
-      call_edges = Hashtbl.create 256;
+      call_edges = site_table ();
       intr_intern = Hashtbl.create 16;
-      intrinsic_edges = Hashtbl.create 64;
-      wired = Hashtbl.create 256;
+      intrinsic_edges = site_table ();
+      targets = Imap.create ();
+      target_of = [||];
+      num_targets = 0;
+      container = [||];
+      obj_class = [||];
       ring = Array.make 1024 0;
       head = 0;
       tail = 0;
@@ -871,27 +1100,7 @@ let analyze_uninstrumented ~opts (p : Program.t) : result =
       meth_index = Hashtbl.create 1;
       meth_index_stamp = -1 }
   in
-  let entry_mq = Program.entry_method p in
-  (match Program.find_method p entry_mq with
-  | None -> ()
-  | Some main ->
-    let emc = intern_mctx t entry_mq Context.Cnone in
-    make_reachable t emc;
-    (* main's String[] argument: synthetic array of synthetic strings *)
-    (match main.Instr.m_params with
-    | [ pv ] when is_ref_var main pv ->
-      let arr =
-        Context.intern_obj t.ctxs ~site:(-1)
-          ~cls:(Context.Aarray (Types.Tclass Types.string_class))
-          ~ctx:Context.Cnone
-      in
-      let str =
-        Context.intern_obj t.ctxs ~site:(-2) ~cls:Context.Astring
-          ~ctx:Context.Cnone
-      in
-      add_obj t (intern_node t (Nvar (emc, pv))) arr;
-      add_obj t (intern_node t (Nfield (arr, elem_field))) str
-    | _ -> ()));
+  seed_entry t;
   Slice_obs.span "pta.solve" (fun () ->
       solve t;
       end_solve t);
@@ -943,30 +1152,25 @@ let reachable_methods (t : result) : Instr.method_qname list =
 
 (* All queries go through [find]: after cycle collapsing, a node's
    points-to set lives at its class representative. *)
-let pts_of_node (t : result) (d : node_desc) : ObjSet.t =
-  match Hashtbl.find_opt t.node_intern d with
-  | Some id ->
-    Bits.fold (fun o acc -> ObjSet.add o acc) t.pts.(find t id) ObjSet.empty
-  | None -> ObjSet.empty
-
-let pts_of_var (t : result) ~(mctx : int) (v : Instr.var) : ObjSet.t =
-  pts_of_node t (Nvar (mctx, v))
-
-(* Allocation-free variant for the SDG's heap-indexing pass and the
-   mod-ref direct pass. *)
-let pts_iter_var (t : result) ~(mctx : int) (v : Instr.var) (f : int -> unit) :
-    unit =
-  match Hashtbl.find_opt t.node_intern (Nvar (mctx, v)) with
-  | Some id -> Bits.iter f t.pts.(find t id)
-  | None -> ()
 
 (* A variable's points-to representative: the node its set lives at, -1
    when the variable has no node.  Variables with one representative
    share one set, so the SDG's read index keys reads by it. *)
 let pts_rep_of_var (t : result) ~(mctx : int) (v : Instr.var) : int =
-  match Hashtbl.find_opt t.node_intern (Nvar (mctx, v)) with
-  | Some id -> find t id
-  | None -> -1
+  let id = Imap.find t.node_index (kvar mctx v) in
+  if id >= 0 then find t id else -1
+
+let pts_of_var (t : result) ~(mctx : int) (v : Instr.var) : ObjSet.t =
+  let r = pts_rep_of_var t ~mctx v in
+  if r < 0 then ObjSet.empty
+  else Bits.fold (fun o acc -> ObjSet.add o acc) t.pts.(r) ObjSet.empty
+
+(* Allocation-free variant for the SDG's heap-indexing pass and the
+   mod-ref direct pass. *)
+let pts_iter_var (t : result) ~(mctx : int) (v : Instr.var) (f : int -> unit) :
+    unit =
+  let r = pts_rep_of_var t ~mctx v in
+  if r >= 0 then Bits.iter f t.pts.(r)
 
 let pts_iter_rep (t : result) (r : int) (f : int -> unit) : unit =
   Bits.iter f t.pts.(r)
@@ -980,23 +1184,14 @@ let pts_of_var_ci (t : result) (mq : Instr.method_qname) (v : Instr.var) :
     (fun acc mc -> ObjSet.union acc (pts_of_var t ~mctx:mc v))
     ObjSet.empty (mctxs_of_method t mq)
 
-let pts_of_field (t : result) ~(obj : int) ~(field : string) : ObjSet.t =
-  pts_of_node t (Nfield (obj, field))
-
-let pts_of_static (t : result) (c : Types.class_name) (f : Types.field_name) :
-    ObjSet.t =
-  pts_of_node t (Nstatic (c, f))
-
 let call_targets (t : result) ~(mctx : int) ~(stmt : Instr.stmt_id) : int list =
-  match Hashtbl.find_opt t.call_edges (mctx, stmt) with
-  | Some cell -> cell.cs_list
-  | None -> []
+  let i = Imap.find t.call_edges.st_index (Imap.pack mctx stmt) in
+  if i >= 0 then t.call_edges.st_cells.(i).cs_list else []
 
 let intrinsic_targets (t : result) ~(mctx : int) ~(stmt : Instr.stmt_id) :
     Instr.method_qname list =
-  match Hashtbl.find_opt t.intrinsic_edges (mctx, stmt) with
-  | Some cell -> cell.is_list
-  | None -> []
+  let i = Imap.find t.intrinsic_edges.st_index (Imap.pack mctx stmt) in
+  if i >= 0 then t.intrinsic_edges.st_cells.(i).is_list else []
 
 (* Call targets, context-insensitively: method names only. *)
 let call_targets_ci (t : result) (mq : Instr.method_qname)
@@ -1086,17 +1281,17 @@ let dump_pts ?site (t : result) : (string * string list) list =
   Pta_dump.pts ?site t.ctxs
     ~mctx_of:(fun mc -> mctx_info t mc)
     ~num_nodes:t.num_nodes
-    ~desc_of:(fun i -> t.node_descs.(i))
+    ~desc_of:(node_desc t)
     ~objs_of:(fun i -> Bits.elements t.pts.(find t i))
 
 let dump_call_graph ?site (t : result) : (string * string list) list =
   Pta_dump.call_graph ?site t.ctxs
     ~mctx_of:(fun mc -> mctx_info t mc)
     ~calls:(fun f ->
-      Hashtbl.iter (fun (caller, stmt) cell -> f caller stmt cell.cs_list)
+      site_iter (fun caller stmt cell -> f caller stmt cell.cs_list)
         t.call_edges)
     ~intrinsics:(fun f ->
-      Hashtbl.iter (fun (caller, stmt) cell -> f caller stmt cell.is_list)
+      site_iter (fun caller stmt cell -> f caller stmt cell.is_list)
         t.intrinsic_edges)
 
 let pts_dump (t : result) = dump_pts t
@@ -1140,7 +1335,11 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list) :
       ignore (Bits.add dead mc)
   done;
   let entry_mc =
-    Hashtbl.find_opt t.mctx_intern (Program.entry_method t.p, Context.Cnone)
+    match Hashtbl.find_opt t.meth_ids (Program.entry_method t.p) with
+    | Some mid ->
+      let mc = Imap.find t.mctx_index (Imap.pack mid 0) in
+      if mc >= 0 then Some mc else None
+    | None -> None
   in
   let cone = Bits.create ~capacity:(max 256 t.num_nodes) () in
   let compute_cone () =
@@ -1150,20 +1349,22 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list) :
       let r = find t n in
       if Bits.add cone r then wl := r :: !wl
     in
-    let mark_intern desc =
-      match Hashtbl.find_opt t.node_intern desc with
-      | Some id -> mark id
-      | None -> ()
+    let mark_key k =
+      let id = Imap.find t.node_index k in
+      if id >= 0 then mark id
     in
     for i = 0 to t.num_nodes - 1 do
-      match t.node_descs.(i) with
-      | Nvar (mc, _) | Nret mc -> if Bits.mem dead mc then mark i
-      | Nfield (o, _) ->
+      let hi = Imap.pack_hi t.node_key.(i) in
+      match hi land 3 with
+      | 0 | 3 (* a variable or a return value *) ->
+        if Bits.mem dead (hi lsr 2) then mark i
+      | 1 ->
         (* an object whose allocating context died can never be
            re-seeded (its site is gone); its field nodes die with it *)
+        let o = Imap.pack_lo t.node_key.(i) in
         let owner = if o < Array.length t.obj_mc then t.obj_mc.(o) else -1 in
         if owner >= 0 && Bits.mem dead owner then mark i
-      | Nstatic _ -> ()
+      | _ (* a static *) -> ()
     done;
     while !wl <> [] do
       match !wl with
@@ -1173,29 +1374,25 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list) :
         List.iter (fun (dst, _) -> mark dst) t.succs.(r);
         List.iter (fun (_, dst) -> mark dst) t.loads.(r);
         List.iter
-          (fun (f, _) ->
-            Bits.iter (fun o -> mark_intern (Nfield (o, f))) t.pts.(r))
+          (fun (f, _) -> Bits.iter (fun o -> mark_key (kfield f o)) t.pts.(r))
           t.stores.(r);
         List.iter
           (fun d ->
             (* a changed receiver can change dispatch outcomes: every
                node the old wiring fed is suspect *)
             (match d.d_lhs with
-            | Some x -> mark_intern (Nvar (d.d_caller, x))
+            | Some x -> mark_key (kvar d.d_caller x)
             | None -> ());
-            match Hashtbl.find_opt t.call_edges (d.d_caller, d.d_stmt) with
-            | None -> ()
-            | Some cell ->
-              List.iter
-                (fun cmc ->
-                  mark_intern (Nret cmc);
-                  match Program.find_method t.p t.mctxs.(cmc).mi_mq with
-                  | None -> ()
-                  | Some callee ->
-                    List.iter
-                      (fun prm -> mark_intern (Nvar (cmc, prm)))
-                      callee.Instr.m_params)
-                cell.cs_list)
+            List.iter
+              (fun cmc ->
+                mark_key (kret cmc);
+                match Program.find_method t.p t.mctxs.(cmc).mi_mq with
+                | None -> ()
+                | Some callee ->
+                  List.iter
+                    (fun prm -> mark_key (kvar cmc prm))
+                    callee.Instr.m_params)
+              (call_targets t ~mctx:d.d_caller ~stmt:d.d_stmt))
           t.dispatches.(r)
     done
   in
@@ -1206,21 +1403,20 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list) :
   let reach = Bits.create ~capacity:(max 64 t.num_mctxs) () in
   let compute_reach () =
     Bits.clear reach;
-    let disp_recv = Hashtbl.create 64 in
+    let disp_recv = Imap.create ~capacity:64 () in
     for r = 0 to t.num_nodes - 1 do
       List.iter
-        (fun d -> Hashtbl.replace disp_recv (d.d_caller, d.d_stmt) r)
+        (fun d -> Imap.replace disp_recv (Imap.pack d.d_caller d.d_stmt) r)
         t.dispatches.(r)
     done;
     let out = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun ((caller, _stmt) as key) cell ->
+    site_iter
+      (fun caller stmt cell ->
         let suspect =
           Bits.mem dead caller
           ||
-          match Hashtbl.find_opt disp_recv key with
-          | Some r -> Bits.mem cone (find t r)
-          | None -> false
+          let r = Imap.find disp_recv (Imap.pack caller stmt) in
+          r >= 0 && Bits.mem cone (find t r)
         in
         if not suspect then
           Hashtbl.replace out caller
@@ -1300,10 +1496,11 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list) :
       t.dispatches.(n) <- [];
       t.deg.(n) <- 0
     done;
-    (* The solve scratch (delta rows, the dedup set, the wiring keys and
-       the cycle memo) is already empty: [end_solve]. *)
-    Hashtbl.reset t.call_edges;
-    Hashtbl.reset t.intrinsic_edges;
+    (* The solve scratch (delta rows, the dedup set and the cycle memo)
+       is already empty: [end_solve].  The call-graph cells go: the
+       re-solve re-derives them, and a new edge is what wires a call. *)
+    site_reset t.call_edges;
+    site_reset t.intrinsic_edges;
     t.lcd_pending <- [];
     t.lcd_fuel <- lcd_fuel_init;
     t.head <- 0;
@@ -1324,28 +1521,9 @@ let resolve_delta (t : t) ~(retracted : Instr.method_qname list) :
     (* ---- re-derive: demand-driven replay from the entry ----------
        Surviving contexts replay their logs; retracted-but-reachable
        contexts re-walk their (new) bodies because their logs were
-       dropped above.  Mirrors [analyze_uninstrumented]'s entry
-       seeding so the synthetic argv objects stay identical. *)
-    let entry_mq = Program.entry_method t.p in
-    (match Program.find_method t.p entry_mq with
-    | None -> ()
-    | Some main ->
-      let emc = intern_mctx t entry_mq Context.Cnone in
-      make_reachable t emc;
-      (match main.Instr.m_params with
-      | [ pvar ] when is_ref_var main pvar ->
-        let arr =
-          Context.intern_obj t.ctxs ~site:(-1)
-            ~cls:(Context.Aarray (Types.Tclass Types.string_class))
-            ~ctx:Context.Cnone
-        in
-        let str =
-          Context.intern_obj t.ctxs ~site:(-2) ~cls:Context.Astring
-            ~ctx:Context.Cnone
-        in
-        add_obj t (intern_node t (Nvar (emc, pvar))) arr;
-        add_obj t (intern_node t (Nfield (arr, elem_field))) str
-      | _ -> ()));
+       dropped above.  The entry seeding is [analyze]'s, so the
+       synthetic argv objects stay identical. *)
+    seed_entry t;
     solve t;
     end_solve t);
     Ok
@@ -1462,8 +1640,7 @@ let method_summary_sites (m : Instr.meth) : string * Instr.stmt_id list =
    of a [changed] method, so the work is bounded by their contexts: a
    context's provenance log lists each of its call sites ([Pcall]), from
    which its call-graph cells and dispatch record are found (the record
-   at its receiver's representative; the wiring keys are solve scratch,
-   empty between solves), and the objects the
+   at its receiver's representative), and the objects the
    contexts own ([obj_mc]) are the allocation sites that move.
    Statement ids are globally unique and never reused, so the old and new
    key spaces cannot collide. *)
@@ -1471,13 +1648,6 @@ let rekey_sites (t : result) ~(changed : Instr.method_qname list)
     (remap : Instr.stmt_id -> Instr.stmt_id option) : unit =
   let fresh s =
     match remap s with Some s' when s' <> s -> Some s' | Some _ | None -> None
-  in
-  let move tbl ok nk =
-    match Hashtbl.find_opt tbl ok with
-    | Some v ->
-      Hashtbl.remove tbl ok;
-      Hashtbl.replace tbl nk v
-    | None -> ()
   in
   let rekey_dispatch d =
     match fresh d.d_stmt with Some s' -> { d with d_stmt = s' } | None -> d
@@ -1496,16 +1666,13 @@ let rekey_sites (t : result) ~(changed : Instr.method_qname list)
             | None -> ()
             | Some s' -> (
               let s = d.d_stmt in
-              move t.call_edges (mc, s) (mc, s');
-              move t.intrinsic_edges (mc, s) (mc, s');
+              site_move t.call_edges ~caller:mc s s';
+              site_move t.intrinsic_edges ~caller:mc s s';
               match (d.d_kind, d.d_args) with
-              | (Instr.Special _ | Instr.Virtual _), recv :: _ -> (
-                match Hashtbl.find_opt t.node_intern (Nvar (mc, recv)) with
-                | Some n ->
-                  let r = find t n in
-                  if List.exists moved_dispatch t.dispatches.(r) then
-                    t.dispatches.(r) <- List.map rekey_dispatch t.dispatches.(r)
-                | None -> ())
+              | (Instr.Special _ | Instr.Virtual _), recv :: _ ->
+                let r = pts_rep_of_var t ~mctx:mc recv in
+                if r >= 0 && List.exists moved_dispatch t.dispatches.(r) then
+                  t.dispatches.(r) <- List.map rekey_dispatch t.dispatches.(r)
               | _ -> ()))
           | Pseed _ | Pedge _ | Pload _ | Pstore _ -> ())
         ops;

@@ -75,9 +75,6 @@ val pts_mem_rep : result -> int -> int -> bool
 (** Context-insensitive projection: union over the method's contexts. *)
 val pts_of_var_ci : result -> Instr.method_qname -> Instr.var -> ObjSet.t
 
-val pts_of_field : result -> obj:int -> field:string -> ObjSet.t
-val pts_of_static : result -> Types.class_name -> Types.field_name -> ObjSet.t
-
 (** Call graph: context-qualified callees of a call site. *)
 val call_targets : result -> mctx:int -> stmt:Instr.stmt_id -> int list
 
@@ -98,8 +95,9 @@ val num_objects : result -> int
     Between solves the solver keeps no solve scratch.  Each node's
     points-to row is trimmed to its last non-zero word, its propagation
     delta becomes a fresh row with no words, and the successor dedup
-    set and call-wiring keys are emptied; a {!resolve_delta} re-solve
-    starts from them empty. *)
+    set is emptied; a {!resolve_delta} re-solve starts from it empty.
+    Dispatch targets and container tests are memoized for one solve
+    only: bodies may change between solves. *)
 
 (** Bytes of the points-to set state: the [pts] and [delta] rows and
     the successor dedup table, computed from their capacities, so the

@@ -396,3 +396,14 @@ let check_arena ~(ctx : string) (h : Slice_core.Engine.handle) : unit =
     (ctx ^ ": stats.heap_index_bytes = Sdg.heap_index_bytes")
     (Slice_core.Sdg.heap_index_bytes a.Slice_core.Engine.sdg)
     s.Slice_core.Engine.heap_index_bytes
+
+(* Replace the first occurrence of [old_s]. *)
+let replace (src : string) (old_s : string) (new_s : string) : string =
+  let ls = String.length src and lo = String.length old_s in
+  let rec find j =
+    if j + lo > ls then failwith ("replace: " ^ old_s)
+    else if String.sub src j lo = old_s then j
+    else find (j + 1)
+  in
+  let j = find 0 in
+  String.sub src 0 j ^ new_s ^ String.sub src (j + lo) (ls - j - lo)

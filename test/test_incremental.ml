@@ -50,16 +50,7 @@ let line_of (src : string) (sub : string) : int =
   in
   go 1 lines
 
-(* Replace the first occurrence of [old_s]. *)
-let replace (src : string) (old_s : string) (new_s : string) : string =
-  let ls = String.length src and lo = String.length old_s in
-  let rec find j =
-    if j + lo > ls then failwith ("replace: " ^ old_s)
-    else if String.sub src j lo = old_s then j
-    else find (j + 1)
-  in
-  let j = find 0 in
-  String.sub src 0 j ^ new_s ^ String.sub src (j + lo) (ls - j - lo)
+let replace = Helpers.replace
 
 let all_modes =
   [ Slicer.Thin; Slicer.Thin_with_aliasing 1; Slicer.Traditional_data;

@@ -246,6 +246,25 @@ let test_memory_rows_match_heap () =
     (Slice_core.Engine.of_source ~file:"scaled.tj"
        (Helpers.scaled_src ~stmts:20_000))
 
+(* The points-to load allocates at most 111 words per IR statement at
+   20k statements, counted like the frontend's words in bench
+   pipeline-huge.  A solver that hashes tuple and string keys on every
+   dispatch event read 222.0 here; with packed int keys and a per-solve
+   dispatch memo it reads 67.3. *)
+let test_load_allocation_per_stmt () =
+  let p =
+    Slice_front.Frontend.load_exn ~file:"scaled.tj"
+      (Helpers.scaled_src ~stmts:20_000)
+  in
+  Gc.minor ();
+  let w0 = Slice_obs.allocated_words () in
+  ignore (Sys.opaque_identity (Slice_pta.Andersen.analyze p));
+  let words = Slice_obs.allocated_words () -. w0 in
+  let per_stmt = words /. float_of_int (Slice_ir.Program.stmt_count p) in
+  if per_stmt > 111.0 then
+    Alcotest.failf "pta allocates %.1f words per statement (want <= 111.0)"
+      per_stmt
+
 let suite =
   [ Alcotest.test_case "generate_scaled is deterministic" `Quick
       test_scaled_deterministic;
@@ -264,4 +283,6 @@ let suite =
     Alcotest.test_case "one relower keeps the arena within 1.25x" `Quick
       test_arena_relower_growth;
     Alcotest.test_case "memory rows match reachable words" `Quick
-      test_memory_rows_match_heap ]
+      test_memory_rows_match_heap;
+    Alcotest.test_case "load allocation per statement" `Quick
+      test_load_allocation_per_stmt ]

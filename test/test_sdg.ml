@@ -211,8 +211,8 @@ let test_build_counts_csr_telemetry () =
 
 (* Regression for the heap-counter skew: [sdg.heap_pairs_emitted] must
    equal the number of distinct Producer_heap edges in the graph (the
-   bump and the [add_edge] call now share one guard over the
-   deduplicated bitset rows), and [considered >= emitted] always. *)
+   bump and the [add_edge] call share one pass over the deduplicated
+   pair buffers), and [considered >= emitted] always. *)
 let test_heap_counters_exact () =
   List.iter
     (fun (name, src) ->
@@ -239,6 +239,76 @@ let test_heap_counters_exact () =
     [ ("fig1", Paper_figures.fig1); ("fig2", Paper_figures.fig2);
       ("nanoxml", Prog_nanoxml.base); ("javac", Prog_javac.base) ]
 
+(* Node identity round trip ([Sdg.check_index]): every live node's
+   decoded descriptor leads back to it through the packed-key index, and
+   descriptors are distinct.  On every paper workload, after a chain of
+   patches that retires and re-interns a caller's actual-in nodes, and
+   on a call with 300 arguments, past any small fixed width for the
+   argument index. *)
+let check_index what g =
+  match Sdg.check_index g with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" what msg
+
+let test_node_identity_round_trip () =
+  List.iter
+    (fun (name, src) ->
+      check_index name (Engine.of_source ~file:(name ^ ".tj") src).Engine.sdg)
+    Suites.paper_workloads;
+  let base =
+    {|class A {
+  int f;
+  int get() { return this.f; }
+  void set(int v, int w) { this.f = v + w; }
+}
+int compute(int x, int k) {
+  int y = x * 2;
+  return y + k;
+}
+void main(String[] args) {
+  A a = new A();
+  a.set(5, 1);
+  int z = compute(a.get(), 7);
+  print("" + z);
+}
+|}
+  in
+  let file = "chain.tj" in
+  let v1 = replace base "a.set(5, 1)" "a.set(6, 1)" in
+  let v2 = replace v1 "x * 2" "x * 3" in
+  let v3 = replace v2 "a.get(), 7" "a.get(), 8" in
+  let h =
+    List.fold_left
+      (fun h v ->
+        let h, rep = Engine.update h [ (file, v) ] in
+        Alcotest.(check string) "patched" "patched"
+          (Engine.update_path_to_string rep.Engine.up_path);
+        check_index "patched chain" h.Engine.h_analysis.Engine.sdg;
+        h)
+      (Engine.load [ (file, base) ])
+      [ v1; v2; v3 ]
+  in
+  Alcotest.(check bool) "the chain retired nodes" true
+    (let g = h.Engine.h_analysis.Engine.sdg in
+     Sdg.num_live_nodes g < Sdg.num_nodes g);
+  let arity = 300 in
+  let params = List.init arity (Printf.sprintf "int p%d") in
+  let args = List.init arity string_of_int in
+  let wide =
+    Printf.sprintf
+      "int wide(%s) { return p0 + p%d; }\nvoid main(String[] args) {\n  int r = wide(%s);\n  print(\"\" + r);\n}\n"
+      (String.concat ", " params) (arity - 1) (String.concat ", " args)
+  in
+  let g = (analysis wide).Engine.sdg in
+  check_index "300-argument call" g;
+  let top = ref (-1) in
+  for n = 0 to Sdg.num_nodes g - 1 do
+    match Sdg.node_desc g n with
+    | Sdg.Actual_in (_, _, i) -> top := max !top i
+    | Sdg.Stmt _ | Sdg.Formal _ -> ()
+  done;
+  Alcotest.(check int) "last argument index" (arity - 1) !top
+
 let suite =
   [ Alcotest.test_case "fig2 edge classes" `Quick test_fig2_edge_classes;
     Alcotest.test_case "param/return wiring" `Quick test_param_and_return_wiring;
@@ -252,4 +322,6 @@ let suite =
       test_golden_adjacency_digests;
     Alcotest.test_case "build csr telemetry" `Quick
       test_build_counts_csr_telemetry;
-    Alcotest.test_case "heap counters exact" `Quick test_heap_counters_exact ]
+    Alcotest.test_case "heap counters exact" `Quick test_heap_counters_exact;
+    Alcotest.test_case "node identity round trip" `Quick
+      test_node_identity_round_trip ]

@@ -732,8 +732,7 @@ let fuzz_cmd =
              canonical points-to and call-graph dumps, layered reports \
              in the budget-free modes, and headline stats.  Unfiltered \
              runs of at least 25 programs additionally assert that \
-             every update tier \
-             (noop/patched/resolved-incremental/resolved-fresh/rebuilt) \
+             every update tier (noop/patched/resolved-incremental/rebuilt) \
              was exercised at least once.")
   in
   let edit_kinds_conv =
@@ -999,7 +998,7 @@ let watch_cmd =
           delta-classifying Engine.update (body-only edits patch the \
           resident SDG instead of rebuilding), and one JSON event line \
           is printed per load/update with the incremental path taken \
-          (noop/patched/resolved-incremental/resolved-fresh/rebuilt), \
+          (noop/patched/resolved-incremental/rebuilt), \
           its delta statistics, and the fresh slice lines")
     Term.(
       const run $ file_arg $ line_arg $ mode_arg $ objsens_arg

@@ -17,14 +17,14 @@ type analysis = {
 
 let g_arena_bytes = Slice_obs.gauge "ir.arena_bytes"
 
-(* The back half of [analyze]: arena + SDG over an ALREADY-SOLVED
-   points-to result.  Also the dedicated entry of the incremental
-   re-solve ([Andersen.resolve_delta] mutates the existing result in
-   place, after which only the derived layers need rebuilding).  The
-   arena is lowered whole here; a Patched update instead re-lowers only
-   the edited methods, inside [Sdg.patch]. *)
-let analyze_with_pta ~(obj_sens : bool)
-    (pta : Andersen.result) (program : Program.t) : analysis =
+(* Points-to, then the arena and the SDG over it.  The arena is lowered
+   whole here; a Patched update instead re-lowers only the edited
+   methods, inside [Sdg.patch]. *)
+let analyze ?(obj_sens = true) (program : Program.t) : analysis =
+  let opts =
+    if obj_sens then Andersen.default_opts else Andersen.no_obj_sens_opts
+  in
+  let pta = Andersen.analyze ~opts program in
   (* Lower every method body into the flat arena before the SDG pass
      reads it: strings interned once, operands packed into int arrays.
      Pass 1 of [Sdg.build] walks the arena columns. *)
@@ -38,12 +38,6 @@ let analyze_with_pta ~(obj_sens : bool)
     Slice_obs.span "sdg.build" (fun () -> Sdg.build ~arena program pta)
   in
   { program; pta; sdg; arena; obj_sens }
-
-let analyze ?(obj_sens = true) (program : Program.t) : analysis =
-  let opts =
-    if obj_sens then Andersen.default_opts else Andersen.no_obj_sens_opts
-  in
-  analyze_with_pta ~obj_sens (Andersen.analyze ~opts program) program
 
 let of_source ?container_classes ?obj_sens ~(file : string)
     (src : string) : analysis =
@@ -656,15 +650,9 @@ let load ?container_classes ?(obj_sens = true)
    - [Noop]: byte-identical sources, nothing ran;
    - [Patched]: changed bodies re-lowered, points-to re-keyed in place,
      SDG patched (constraint summaries unchanged);
-   - [Resolved_incremental]: some constraint summary moved, but the
-     solved points-to result was repaired in place by delete-and-
-     rederive over the affected cone ([Andersen.resolve_delta]); arena
-     and SDG rebuilt over the patched solution — frontend AND the
-     unaffected part of the solve skipped;
-   - [Resolved_fresh]: summary moved and the incremental re-solve
-     declined (cone too large a fraction of the node universe): fresh
-     points-to solve and SDG over the mutated program — frontend still
-     skipped;
+   - [Resolved_incremental]: some constraint summary moved: changed
+     bodies re-lowered in place (the frontend is incremental), then
+     points-to, arena and SDG built afresh over the mutated program;
    - [Rebuilt]: full reload from the new sources (structural edit,
      whole methods added or removed included);
    - [Rebuilt_fallback]: the same reload after an incremental tier
@@ -677,7 +665,6 @@ type update_path =
   | Noop
   | Patched
   | Resolved_incremental
-  | Resolved_fresh
   | Rebuilt
   | Rebuilt_fallback of string
 
@@ -685,7 +672,6 @@ let update_path_to_string = function
   | Noop -> "noop"
   | Patched -> "patched"
   | Resolved_incremental -> "resolved-incremental"
-  | Resolved_fresh -> "resolved-fresh"
   | Rebuilt -> "rebuilt"
   | Rebuilt_fallback msg -> "rebuilt (fallback: " ^ msg ^ ")"
 
@@ -704,7 +690,6 @@ let c_update_patched = Slice_obs.counter "engine.update.patched"
 let c_update_resolved_incr =
   Slice_obs.counter "engine.update.resolved_incremental"
 
-let c_update_resolved_fresh = Slice_obs.counter "engine.update.resolved_fresh"
 let c_update_rebuilt = Slice_obs.counter "engine.update.rebuilt"
 
 let update (h : handle) (new_sources : (string * string) list) :
@@ -841,34 +826,18 @@ let update (h : handle) (new_sources : (string * string) list) :
                 up_nodes_new = ps.Sdg.ps_nodes_new } )
           end
           else begin
-            (* The edit moved some constraint summary: retract exactly
-               the changed methods' constraints and re-solve the cone in
-               place ([Andersen.resolve_delta]), rebuilding only the
-               derived layers; when the solver declines the cone as too
-               large, solve afresh over the mutated program. *)
-            let up_path, a' =
-              match Andersen.resolve_delta a.pta ~retracted:changed_mqs with
-              | Error `Cone_too_big ->
-                let a' = analyze ~obj_sens:a.obj_sens p in
-                Slice_obs.bump c_update_resolved_fresh;
-                Slice_obs.add_span_arg "path" "resolved-fresh";
-                (Resolved_fresh, a')
-              | Ok ds ->
-                let a' = analyze_with_pta ~obj_sens:a.obj_sens a.pta p in
-                Slice_obs.bump c_update_resolved_incr;
-                Slice_obs.add_span_arg "path" "resolved-incremental";
-                Slice_obs.add_span_arg "cone_nodes"
-                  (string_of_int ds.Andersen.ds_cone_nodes);
-                Slice_obs.add_span_arg "retracted_mctxs"
-                  (string_of_int ds.Andersen.ds_retracted_mctxs);
-                (Resolved_incremental, a')
-            in
+            (* The edit moved some constraint summary: analyze the
+               mutated program afresh.  The frontend ran only on the
+               changed bodies. *)
+            let a' = analyze ~obj_sens:a.obj_sens p in
+            Slice_obs.bump c_update_resolved_incr;
+            Slice_obs.add_span_arg "path" "resolved-incremental";
             let total = Andersen.num_call_graph_nodes a'.pta in
             ( { h with
                 h_analysis = a';
                 h_sources = new_sources;
                 h_stats = stats_of ~obs:(edge_census_snapshot a'.sdg) a' },
-              { up_path;
+              { up_path = Resolved_incremental;
                 up_relowered = n_changed;
                 up_segments_refrozen = total;
                 up_segments_total = total;

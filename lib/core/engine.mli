@@ -285,16 +285,11 @@ val load :
       summaries are unchanged — bodies re-lowered in place, points-to
       re-keyed ({!Andersen.rekey_sites}), SDG patched
       ({!Sdg.patch});
-    - [Resolved_incremental]: some constraint summary moved, but the
-      solved points-to result was repaired in place by
-      delete-and-rederive over the affected cone
-      ({!Andersen.resolve_delta}); arena and SDG rebuilt over the
-      patched solution — frontend and the unaffected bulk of the
-      solve are both skipped;
-    - [Resolved_fresh]: summary moved and the incremental re-solve
-      declined (affected cone too large): fresh points-to solve and
-      SDG over the mutated program (the frontend work for unchanged
-      methods is still skipped);
+    - [Resolved_incremental]: only method bodies changed, but some
+      constraint summary moved — only the changed bodies are
+      re-lowered (the frontend is incremental), then points-to, the
+      arena and the SDG are built afresh over the mutated program
+      ({!analyze});
     - [Rebuilt]: structural edit — a signature, class or field edit,
       or a whole method added or removed — full {!load} from the new
       sources under the handle's stored options;
@@ -310,7 +305,6 @@ type update_path =
   | Noop
   | Patched
   | Resolved_incremental
-  | Resolved_fresh
   | Rebuilt
   | Rebuilt_fallback of string
 
@@ -326,17 +320,16 @@ type update_report = {
   up_nodes_new : int;
 }
 
-(** Apply an edit.  On the [Patched] and [Resolved_incremental] paths
-    the returned handle SHARES state with the input handle (graph,
-    points-to result and program are mutated in place), and on
-    [Resolved_fresh] the shared program is mutated — after any
-    non-[Noop], non-[Rebuilt] update, query only the RETURNED handle.
-    Queries answered through it agree with a fresh load of
-    [new_sources] — the property the fuzz oracle's edit battery
-    enforces per tier.  Recorded under the ["engine.update"] span with
-    a ["path"] arg and per-path ["engine.update.<path>"] counters
-    (["resolved_incremental"] / ["resolved_fresh"] for the two
-    resolved tiers). *)
+(** Apply an edit.  On the [Patched] path the returned handle SHARES
+    state with the input handle (graph, points-to result and program
+    are mutated in place); on [Resolved_incremental] only the program
+    is shared and mutated, and the points-to result, arena and graph
+    are new.  After any non-[Noop], non-[Rebuilt] update, query only
+    the RETURNED handle.  Queries answered through it agree with a
+    fresh load of [new_sources] — the property the fuzz oracle's edit
+    battery enforces per tier.  Recorded under the ["engine.update"]
+    span with a ["path"] arg and per-path ["engine.update.<path>"]
+    counters (["resolved_incremental"] for the resolved tier). *)
 val update : handle -> (string * string) list -> handle * update_report
 
 (** One heap read/write pair of an expand query: the pair is connected

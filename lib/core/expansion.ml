@@ -123,13 +123,6 @@ let explain_aliasing (g : Sdg.t) ~(read : Sdg.node) ~(write : Sdg.node) :
     read_flow = filtered_thin_slice (base_defs g read);
     write_flow = filtered_thin_slice (base_defs g write) }
 
-(* Explain why an array read and write may use the same index: thin slices
-   on the index expressions (section 4.1, array discussion). *)
-let explain_array_index (g : Sdg.t) ~(read : Sdg.node) ~(write : Sdg.node) :
-    Sdg.node list * Sdg.node list =
-  ( Slicer.slice g ~seeds:(index_defs g read) Slicer.Thin,
-    Slicer.slice g ~seeds:(index_defs g write) Slicer.Thin )
-
 (* One expansion step: thin-slice closure of [nodes] plus all their direct
    explainers (base pointers, indices, controls). *)
 let expand_once (g : Sdg.t) (nodes : Sdg.node list) : Sdg.node list =

@@ -48,11 +48,6 @@ type aliasing_explanation = {
 val explain_aliasing :
   Sdg.t -> read:Sdg.node -> write:Sdg.node -> aliasing_explanation
 
-(** Why may an array read and write use the same index?  Thin slices on
-    the two index expressions (section 4.1's array discussion). *)
-val explain_array_index :
-  Sdg.t -> read:Sdg.node -> write:Sdg.node -> Sdg.node list * Sdg.node list
-
 (** One expansion step: the thin-slice closure of the nodes plus all their
     direct explainers (base pointers, indices, call arguments, controls). *)
 val expand_once : Sdg.t -> Sdg.node list -> Sdg.node list

@@ -17,10 +17,6 @@ type report = {
                                   in; parallel to [order] *)
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf "inspected=%d found=%b slice=%d" r.inspected r.found
-    r.slice_size
-
 (* BFS over dependence edges honoring the slicing mode; stops once every
    desired (file-agnostic) line has been seen. *)
 let bfs (g : Sdg.t) ~(seeds : Sdg.node list) ~(desired : int list)

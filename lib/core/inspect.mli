@@ -20,8 +20,6 @@ type report = {
           countable node *)
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 (** [bfs g ~seeds ~desired mode] explores from [seeds] under [mode]'s edge
     discipline (see {!Slicer.edge_policy}), layer by layer, and stops once
     every line in [desired] has been seen.  If some desired line is not

@@ -101,10 +101,3 @@ let load ?container_classes ~(file : string) (src : string) :
   match load_exn ?container_classes ~file src with
   | p -> Ok p
   | exception Error e -> Error e
-
-let load_file_exn ?container_classes (path : string) : Program.t =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  load_exn ?container_classes ~file:(Filename.basename path) src

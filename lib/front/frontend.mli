@@ -32,6 +32,3 @@ val load :
   file:string ->
   string ->
   (Program.t, error) result
-
-(** Read and load a [.tj] file from disk. *)
-val load_file_exn : ?container_classes:string list -> string -> Program.t

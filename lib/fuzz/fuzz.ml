@@ -37,8 +37,7 @@ let edits_per_program = 3
    violation: a tier the fuzzer can no longer reach is a tier nothing
    is testing.  Shorter runs (debugging) and kind-filtered runs (which
    deliberately exclude tiers) skip the check. *)
-let all_tiers =
-  [ "noop"; "patched"; "resolved-incremental"; "resolved-fresh"; "rebuilt" ]
+let all_tiers = [ "noop"; "patched"; "resolved-incremental"; "rebuilt" ]
 
 let tier_coverage_min_programs = 25
 

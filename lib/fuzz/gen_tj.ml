@@ -101,7 +101,7 @@ type cls = { c_name : string; c_family : int; c_parent : string option }
    - [alt_get]: swap class [i]'s [get()] body for a one-line variant
      that allocates and calls [bump] — a summary-MOVING body edit (the
      line structure is unchanged, so the delta stays [Bodies] and the
-     incremental solver must retract/re-derive, not just patch);
+     update must solve afresh, not just patch);
    - [aux]: append an uncalled, globally uniquely named method
      [aux<i>()] to class [i] — a dispatch-neutral whole-method
      addition/removal, which the engine answers by a reload
@@ -972,21 +972,19 @@ let generate_scaled ~(seed : int) ~(stmts : int) : scaled =
 
 (* One random edit to a model, for fuzzing [Engine.update] against
    from-scratch loads.  The kinds map onto the incremental tiers they
-   tend to exercise (noop / patched / resolved-incremental /
-   resolved-fresh / rebuilt):
+   tend to exercise (noop / patched / resolved-incremental / rebuilt):
    - [Tweak]: change one literal/operator in place — line structure is
      preserved, so the delta classifies as a body edit, and pointer-free
      tweaks keep constraint summaries (the Patched path);
    - [Replace]: swap a step for a fresh one of the same result type — a
-     body edit whose summary may move.  The changed method is [main],
-     whose retraction cone is most of the derivation, so the delta
-     solver usually refuses and re-solves (Resolved-fresh); when the
-     rendered line count shifts the delta is structural (Rebuilt);
+     body edit of [main] whose summary may move (Resolved-incremental,
+     or Patched when it does not); when the rendered line count shifts
+     the delta is structural (Rebuilt);
    - [Delete] / [Insert]: remove or re-add a whole step — main's line
      structure changes, the full Rebuilt fallback;
    - [Swap_body]: toggle a class's summary-moving [get()] body variant
-     (see [model.alt_get]) — a small-cone body edit, the
-     Resolved-incremental sweet spot;
+     (see [model.alt_get]) — a summary-moving edit of a method other
+     than [main] (Resolved-incremental);
    - [Add_aux] / [Remove_aux]: toggle an uncalled, uniquely named
      [aux<i>()] method on a class — dispatch-neutral whole-method
      edits, which the delta classifies [Structural] (Rebuilt);

@@ -353,9 +353,9 @@ let report_modes =
    the Noop path, so every chain contributes noop-tier coverage.
 
    Besides the violations, returns the update-path tier names the chain
-   exercised ("noop", "patched", "resolved-incremental",
-   "resolved-fresh", "rebuilt") — the fuzz driver aggregates them
-   across programs and fails a run that never reached some tier.  A
+   exercised ("noop", "patched", "resolved-incremental", "rebuilt") —
+   the fuzz driver aggregates them across programs and fails a run that
+   never reached some tier.  A
    [Rebuilt_fallback] (an incremental tier raised and a full reload
    answered instead) is an [edit_fallback] violation and counts toward
    no tier: its answers are exact, so no parity oracle would see it.

@@ -734,7 +734,3 @@ let run (config : config) (p : Program.t) : outcome =
               f_method = entry })
   in
   { output = List.rev st.out_lines; result; steps = st.steps }
-
-(* Convenience: run and return the failure, if any. *)
-let run_expecting_failure (config : config) (p : Program.t) : failure option =
-  match (run config p).result with Ok () -> None | Error f -> Some f

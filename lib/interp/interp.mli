@@ -79,7 +79,4 @@ type outcome = {
 
 val run : config -> Program.t -> outcome
 
-(** Convenience: run and return the failure, if any. *)
-val run_expecting_failure : config -> Program.t -> failure option
-
 val value_to_string : value -> string

@@ -79,8 +79,6 @@ let switch_to (b : t) (l : Instr.label) : unit =
   if l < 0 || l >= b.nblocks then raise Not_found;
   b.current <- b.blocks.(l)
 
-let current_label (b : t) : Instr.label = b.current.pb_label
-
 let is_terminated (b : t) : bool = b.current.pb_term <> None
 
 let emit (b : t) ?(loc = Loc.none) (k : Instr.instr_kind) : Instr.stmt_id =

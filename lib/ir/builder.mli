@@ -30,7 +30,6 @@ val fresh_local : t -> string -> Types.ty -> Instr.var
 
 val new_block : t -> Instr.label
 val switch_to : t -> Instr.label -> unit
-val current_label : t -> Instr.label
 val is_terminated : t -> bool
 
 (** Append an instruction to the current block; returns its statement id. *)

@@ -266,8 +266,3 @@ let iter_terms (m : meth) (f : label -> term -> unit) : unit =
   match m.m_body with
   | Intrinsic _ | Abstract -> ()
   | Body { blocks; _ } -> Array.iter (fun b -> f b.b_label b.b_term) blocks
-
-let fold_instrs (m : meth) (f : 'a -> instr -> 'a) (init : 'a) : 'a =
-  let acc = ref init in
-  iter_instrs m (fun _ i -> acc := f !acc i);
-  !acc

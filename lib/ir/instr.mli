@@ -164,4 +164,3 @@ end
 
 val iter_instrs : meth -> (label -> instr -> unit) -> unit
 val iter_terms : meth -> (label -> term -> unit) -> unit
-val fold_instrs : meth -> ('a -> instr -> 'a) -> 'a -> 'a

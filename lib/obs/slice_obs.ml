@@ -159,8 +159,6 @@ let counter_value name =
 
 let gauge : string -> gauge = intern registry.reg_gauges (fun () -> ref 0.)
 
-let set_gauge (g : gauge) v = g := v
-
 let max_gauge (g : gauge) v = if v > !g then g := v
 
 let gauge_value name =

@@ -58,7 +58,6 @@ val counter_value : string -> int
 type gauge
 
 val gauge : string -> gauge
-val set_gauge : gauge -> float -> unit
 
 (** Record [v] only if it exceeds the gauge's current value (peaks). *)
 val max_gauge : gauge -> float -> unit

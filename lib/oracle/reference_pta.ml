@@ -1,7 +1,7 @@
 (* The original list/tree Andersen solver, kept as an oracle for the
    bitset solver ([Slice_pta.Andersen]): [Set.Make(Int)] points-to sets,
    a LIFO [(node, delta)] worklist, no cycle collapsing, no telemetry and
-   no provenance log.  It shares the constraint rules, not the code, and
+   no call-site log.  It shares the constraint rules, not the code, and
    renders its dumps through the same [Pta_dump] keys, so the two
    results are compared fact for fact.  Only tests, the fuzz battery and
    the bench link it. *)

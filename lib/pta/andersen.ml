@@ -50,7 +50,8 @@ type node_desc = Pta_dump.node_desc =
   | Nfield of int * string              (* abstract object id, field *)
   | Nret of int                         (* return value of a method context *)
 
-(* A call that must be (re-)resolved as receiver objects arrive. *)
+(* A call site.  A dispatched one is (re-)resolved as receiver objects
+   arrive. *)
 type dispatch = {
   d_caller : int;                       (* caller method-context id *)
   d_stmt : Instr.stmt_id;
@@ -63,21 +64,6 @@ type dispatch = {
 }
 
 type mctx_info = { mi_mq : Instr.method_qname; mi_ctx : Context.ctx }
-
-(* One structural constraint a method context contributed, recorded as
-   constraint generation runs so [resolve_delta] can replay a surviving
-   method's constraints without re-walking its body.  Node and object
-   ids are the interned (pre-[find]) ids, which are stable across cycle
-   collapses.  Only the two structural entry points log
-   ([make_reachable] and [process_call]); solve-derived work — dispatch
-   wiring, load/store-materialised field edges — is re-derived from
-   these during replay and must never be recorded. *)
-type pv_op =
-  | Pseed of int * int                     (* node, object *)
-  | Pedge of int * int * Types.ty option   (* src, dst, cast filter *)
-  | Pload of int * int * int               (* base, field name id, dst *)
-  | Pstore of int * int * int              (* base, field name id, src *)
-  | Pcall of dispatch                      (* any call site, incl. static *)
 
 (* ------------------------------------------------------------------ *)
 (* Main solver: bitset data plane + online cycle elimination           *)
@@ -124,8 +110,7 @@ type t = {
   mutable num_nodes : int;
   node_index : Imap.t;
   (* data plane: bitset pts + accumulated deltas, union-find over nodes.
-     [delta] and [succ_set] are solve scratch: [end_solve]
-     empties them, and nothing reads them between solves. *)
+     [delta] and [succ_set] are solve scratch, emptied by [end_solve]. *)
   mutable pts : Bits.t array;
   mutable delta : Bits.t array;
   mutable parent : int array;
@@ -136,18 +121,17 @@ type t = {
   mutable stores : (int * int) list array;  (* (field name id, src) *)
   mutable dispatches : dispatch list array;
   mutable deg : int array;              (* incremental constraint degree *)
-  (* per-method-context constraint provenance (reverse insertion order),
-     the replay log of [resolve_delta] *)
-  mutable pv : pv_op list array;
+  (* each method context's call sites, static ones included (reverse
+     insertion order): what [rekey_sites] moves *)
+  mutable call_sites : dispatch list array;
   mutable obj_mc : int array;           (* allocating mctx per object; -1 none *)
-  (* call graph.  Within one solve a (caller, site, callee context)
-     first enters [call_edges] exactly when its arguments are wired:
-     both tables start every solve empty. *)
+  (* call graph: a (caller, site, callee context) first enters
+     [call_edges] exactly when its arguments are wired *)
   call_edges : ccell site_table;
   intr_intern : (Instr.method_qname, int) Hashtbl.t;
   intrinsic_edges : icell site_table;
-  (* Per-solve memos, reset by [reset_memos] when a solve starts: method
-     bodies may change between solves, so no [Instr.meth] outlives one.
+  (* Solve memos, emptied by [end_solve]: a patch later re-lowers
+     bodies in place, so no [Instr.meth] outlives the solve.
      [targets] resolves a packed (receiver class, callee) key to a slot
      of [target_of] (+1; 0 for no target), [container] a class name id
      (-1 unknown, 0 no, 1 yes) and [obj_class] an object to its
@@ -241,9 +225,9 @@ let intern_mctx (t : t) ~(mid : int) (mq : Instr.method_qname) (code : int) :
       let bigger_p = Array.make (2 * id) false in
       Array.blit t.processed 0 bigger_p 0 id;
       t.processed <- bigger_p;
-      let bigger_pv = Array.make (2 * id) [] in
-      Array.blit t.pv 0 bigger_pv 0 id;
-      t.pv <- bigger_pv
+      let bigger_cs = Array.make (2 * id) [] in
+      Array.blit t.call_sites 0 bigger_cs 0 id;
+      t.call_sites <- bigger_cs
     end;
     let c = if code = 0 then Context.Cnone else Context.Crecv (code - 1) in
     t.mctxs.(id) <- { mi_mq = mq; mi_ctx = c };
@@ -337,11 +321,6 @@ let site_iter (f : int -> Instr.stmt_id -> 'a -> unit) (st : 'a site_table) :
   Imap.iter
     (fun key i -> f (Imap.pack_hi key) (Imap.pack_lo key) st.st_cells.(i))
     st.st_index
-
-let site_reset (st : 'a site_table) : unit =
-  Imap.reset st.st_index;
-  st.st_cells <- [||];
-  st.st_count <- 0
 
 (* Rebind call site [(caller, s)]'s cell to [(caller, s')]. *)
 let site_move (st : 'a site_table) ~(caller : int) (s : Instr.stmt_id)
@@ -588,8 +567,8 @@ let alloc (t : t) (mc : int) ~(site : Instr.stmt_id)
     ~(cls : Context.alloc_class) : int =
   let o = Context.intern_obj t.ctxs ~site ~cls ~ctx:(heap_ctx t mc) in
   (* Ownership: (site, ctx) pin an object to exactly one method context,
-     so first-writer-wins is exact.  [resolve_delta] sweeps objects whose
-     owner was retracted — their allocation sites no longer exist. *)
+     so first-writer-wins is exact.  [rekey_sites] moves the sites of the
+     objects a re-lowered method's contexts own. *)
   if o >= Array.length t.obj_mc then begin
     let cap = max 64 (Array.length t.obj_mc) in
     let bigger = Array.make (max (2 * cap) (o + 1)) (-1) in
@@ -645,14 +624,6 @@ let callee_ctx (t : t) ~(recv_obj : int) ~(cid : int) : int =
        <= t.opts.max_ctx_depth
   then recv_obj + 1
   else 0
-
-(* Empty the per-solve memos: the next solve may see new bodies. *)
-let reset_memos (t : t) : unit =
-  Imap.reset t.targets;
-  t.target_of <- [||];
-  t.num_targets <- 0;
-  t.container <- [||];
-  t.obj_class <- [||]
 
 let intr_id (t : t) (mq : Instr.method_qname) : int =
   match Hashtbl.find_opt t.intr_intern mq with
@@ -735,12 +706,6 @@ let record_intrinsic_edge (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
     true
   end
 
-(* Append to a method context's provenance log.  Only the structural
-   entry points below call this; derived constraint work (dispatch
-   wiring, load/store-materialised edges) is intentionally unlogged. *)
-let pv_log (t : t) (mc : int) (op : pv_op) : unit =
-  t.pv.(mc) <- op :: t.pv.(mc)
-
 (* The method of a context, looked up by name: only on paths that run
    once per context or per new call edge. *)
 let meth_of (t : t) (mc : int) : Instr.meth =
@@ -749,87 +714,68 @@ let meth_of (t : t) (mc : int) : Instr.meth =
 let rec make_reachable (t : t) (mc : int) : unit =
   if not t.processed.(mc) then begin
     t.processed.(mc) <- true;
-    match t.pv.(mc) with
-    | (_ :: _) as ops ->
-      (* A [resolve_delta] re-reach of a method whose body is unchanged:
-         replay the recorded constraints instead of re-walking the body
-         (and re-interning what is already interned). *)
-      List.iter (replay_op t mc) (List.rev ops)
-    | [] -> (
-      let m = meth_of t mc in
-      match m.Instr.m_body with
-      | Instr.Intrinsic _ | Instr.Abstract -> ()
-      | Instr.Body _ ->
-        let var v = node t (kvar mc v) in
-        let static c f = node t (kstatic (name_id t c) (name_id t f)) in
-        let seed n o =
-          pv_log t mc (Pseed (n, o));
-          add_obj t n o
-        in
-        let edge ?filter src dst =
-          pv_log t mc (Pedge (src, dst, filter));
-          add_edge t ?filter src dst
-        in
-        let load ~base ~field ~dst =
-          let field = name_id t field in
-          pv_log t mc (Pload (base, field, dst));
-          add_load t ~base ~field ~dst
-        in
-        let store ~base ~field ~src =
-          let field = name_id t field in
-          pv_log t mc (Pstore (base, field, src));
-          add_store t ~base ~field ~src
-        in
-        Instr.iter_instrs m (fun _ i ->
-            let site = i.Instr.i_id in
-            match i.Instr.i_kind with
-            | Instr.Const (x, Types.Cstr _) when is_ref_var m x ->
-              seed (var x) (alloc t mc ~site ~cls:Context.Astring)
-            | Instr.Const _ -> ()
-            (* Concat results are fresh strings; see the matching case in the
-               reference solver above for why omitting this is a soundness
-               hole. *)
-            | Instr.Binop (x, Types.Concat, _, _) when is_ref_var m x ->
-              seed (var x) (alloc t mc ~site ~cls:Context.Astring)
-            | Instr.New (x, c) ->
-              seed (var x) (alloc t mc ~site ~cls:(Context.Aclass c))
-            | Instr.New_array (x, elem, _) ->
-              seed (var x) (alloc t mc ~site ~cls:(Context.Aarray elem))
-            | Instr.Move (x, y) when is_ref_var m x && is_ref_var m y ->
-              edge (var y) (var x)
-            | Instr.Move _ -> ()
-            | Instr.Cast (x, ty, y) when is_ref_var m x && is_ref_var m y ->
-              edge ~filter:ty (var y) (var x)
-            | Instr.Cast _ -> ()
-            | Instr.Phi (x, ins) when is_ref_var m x ->
-              List.iter (fun (_, y) -> edge (var y) (var x)) ins
-            | Instr.Phi _ -> ()
-            | Instr.Load (x, y, f) when is_ref_var m x ->
-              load ~base:(var y) ~field:f ~dst:(var x)
-            | Instr.Load _ -> ()
-            | Instr.Store (x, f, y) when is_ref_var m y ->
-              store ~base:(var x) ~field:f ~src:(var y)
-            | Instr.Store _ -> ()
-            | Instr.Array_load (x, y, _) when is_ref_var m x ->
-              load ~base:(var y) ~field:elem_field ~dst:(var x)
-            | Instr.Array_load _ -> ()
-            | Instr.Array_store (a, _, x) when is_ref_var m x ->
-              store ~base:(var a) ~field:elem_field ~src:(var x)
-            | Instr.Array_store _ -> ()
-            | Instr.Static_load (x, c, f) when is_ref_var m x ->
-              edge (static c f) (var x)
-            | Instr.Static_load _ -> ()
-            | Instr.Static_store (c, f, y) when is_ref_var m y ->
-              edge (var y) (static c f)
-            | Instr.Static_store _ -> ()
-            | Instr.Call { lhs; kind; args } -> process_call t mc m i lhs kind args
-            | Instr.Binop _ | Instr.Unop _ | Instr.Instance_of _
-            | Instr.Array_length _ | Instr.Nop -> ());
-        Instr.iter_terms m (fun _ term ->
-            match term.Instr.t_kind with
-            | Instr.Return (Some v) when is_ref_var m v ->
-              edge (var v) (node t (kret mc))
-            | Instr.Return _ | Instr.Goto _ | Instr.If _ | Instr.Throw _ -> ()))
+    let m = meth_of t mc in
+    match m.Instr.m_body with
+    | Instr.Intrinsic _ | Instr.Abstract -> ()
+    | Instr.Body _ ->
+      let var v = node t (kvar mc v) in
+      let static c f = node t (kstatic (name_id t c) (name_id t f)) in
+      let load ~base ~field ~dst =
+        add_load t ~base ~field:(name_id t field) ~dst
+      in
+      let store ~base ~field ~src =
+        add_store t ~base ~field:(name_id t field) ~src
+      in
+      Instr.iter_instrs m (fun _ i ->
+          let site = i.Instr.i_id in
+          match i.Instr.i_kind with
+          | Instr.Const (x, Types.Cstr _) when is_ref_var m x ->
+            add_obj t (var x) (alloc t mc ~site ~cls:Context.Astring)
+          | Instr.Const _ -> ()
+          (* Concat results are fresh strings; see the matching case in the
+             reference solver above for why omitting this is a soundness
+             hole. *)
+          | Instr.Binop (x, Types.Concat, _, _) when is_ref_var m x ->
+            add_obj t (var x) (alloc t mc ~site ~cls:Context.Astring)
+          | Instr.New (x, c) ->
+            add_obj t (var x) (alloc t mc ~site ~cls:(Context.Aclass c))
+          | Instr.New_array (x, elem, _) ->
+            add_obj t (var x) (alloc t mc ~site ~cls:(Context.Aarray elem))
+          | Instr.Move (x, y) when is_ref_var m x && is_ref_var m y ->
+            add_edge t (var y) (var x)
+          | Instr.Move _ -> ()
+          | Instr.Cast (x, ty, y) when is_ref_var m x && is_ref_var m y ->
+            add_edge t ~filter:ty (var y) (var x)
+          | Instr.Cast _ -> ()
+          | Instr.Phi (x, ins) when is_ref_var m x ->
+            List.iter (fun (_, y) -> add_edge t (var y) (var x)) ins
+          | Instr.Phi _ -> ()
+          | Instr.Load (x, y, f) when is_ref_var m x ->
+            load ~base:(var y) ~field:f ~dst:(var x)
+          | Instr.Load _ -> ()
+          | Instr.Store (x, f, y) when is_ref_var m y ->
+            store ~base:(var x) ~field:f ~src:(var y)
+          | Instr.Store _ -> ()
+          | Instr.Array_load (x, y, _) when is_ref_var m x ->
+            load ~base:(var y) ~field:elem_field ~dst:(var x)
+          | Instr.Array_load _ -> ()
+          | Instr.Array_store (a, _, x) when is_ref_var m x ->
+            store ~base:(var a) ~field:elem_field ~src:(var x)
+          | Instr.Array_store _ -> ()
+          | Instr.Static_load (x, c, f) when is_ref_var m x ->
+            add_edge t (static c f) (var x)
+          | Instr.Static_load _ -> ()
+          | Instr.Static_store (c, f, y) when is_ref_var m y ->
+            add_edge t (var y) (static c f)
+          | Instr.Static_store _ -> ()
+          | Instr.Call { lhs; kind; args } -> process_call t mc m i lhs kind args
+          | Instr.Binop _ | Instr.Unop _ | Instr.Instance_of _
+          | Instr.Array_length _ | Instr.Nop -> ());
+      Instr.iter_terms m (fun _ term ->
+          match term.Instr.t_kind with
+          | Instr.Return (Some v) when is_ref_var m v ->
+            add_edge t (var v) (node t (kret mc))
+          | Instr.Return _ | Instr.Goto _ | Instr.If _ | Instr.Throw _ -> ())
   end
 
 and process_call (t : t) (mc : int) (m : Instr.meth) (i : Instr.instr)
@@ -837,15 +783,17 @@ and process_call (t : t) (mc : int) (m : Instr.meth) (i : Instr.instr)
     unit =
   match kind with
   | Instr.Static mq ->
-    pv_log t mc
-      (Pcall
-         { d_caller = mc; d_stmt = i.Instr.i_id; d_kind = kind;
-           d_callee = meth_id t mq; d_args = args; d_lhs = lhs });
+    t.call_sites.(mc) <-
+      { d_caller = mc; d_stmt = i.Instr.i_id; d_kind = kind;
+        d_callee = meth_id t mq; d_args = args; d_lhs = lhs }
+      :: t.call_sites.(mc);
     wire_call t ~caller:mc ~stmt:i.Instr.i_id
       (target t (Program.find_method_exn t.p mq))
       ~callee_ctx:0 ~recv_obj:(-1) ~lhs ~args
   | Instr.Special _ | Instr.Virtual _ -> (
-    (* dispatch (or context selection, for Special) driven by the receiver *)
+    (* dispatch (or context selection, for Special) driven by the
+       receiver: the record sits at the receiver's representative and is
+       resolved against whatever it already points to *)
     match args with
     | recv :: _ when is_ref_var m recv ->
       let d =
@@ -856,40 +804,12 @@ and process_call (t : t) (mc : int) (m : Instr.meth) (i : Instr.instr)
             | Instr.Special mq | Instr.Static mq -> meth_id t mq);
           d_args = args; d_lhs = lhs }
       in
-      pv_log t mc (Pcall d);
-      register_dispatch t mc d
+      t.call_sites.(mc) <- d :: t.call_sites.(mc);
+      let rnode = find t (node t (kvar mc recv)) in
+      t.dispatches.(rnode) <- d :: t.dispatches.(rnode);
+      t.deg.(rnode) <- t.deg.(rnode) + 1;
+      Bits.iter (fun o -> process_dispatch t d o) t.pts.(rnode)
     | _ -> ())
-
-(* Attach a dispatch record to the receiver's representative and resolve
-   it against whatever the receiver already points to.  Shared between
-   first-time constraint generation and [resolve_delta] replay so both
-   resolve dispatch against the CURRENT program. *)
-and register_dispatch (t : t) (mc : int) (d : dispatch) : unit =
-  match d.d_args with
-  | recv :: _ ->
-    let rnode = find t (node t (kvar mc recv)) in
-    t.dispatches.(rnode) <- d :: t.dispatches.(rnode);
-    t.deg.(rnode) <- t.deg.(rnode) + 1;
-    Bits.iter (fun o -> process_dispatch t d o) t.pts.(rnode)
-  | [] -> ()
-
-(* Replay one logged constraint.  Call sites re-run full resolution
-   ([wire_call] / dispatch registration) so the call graph is re-derived
-   from the current program and current points-to state — the log never
-   stores dispatch OUTCOMES, only the dispatch obligations. *)
-and replay_op (t : t) (mc : int) (op : pv_op) : unit =
-  match op with
-  | Pseed (n, o) -> add_obj t n o
-  | Pedge (src, dst, filter) -> add_edge t ?filter src dst
-  | Pload (base, field, dst) -> add_load t ~base ~field ~dst
-  | Pstore (base, field, src) -> add_store t ~base ~field ~src
-  | Pcall d -> (
-    match d.d_kind with
-    | Instr.Static mq ->
-      wire_call t ~caller:mc ~stmt:d.d_stmt
-        (target t (Program.find_method_exn t.p mq))
-        ~callee_ctx:0 ~recv_obj:(-1) ~lhs:d.d_lhs ~args:d.d_args
-    | Instr.Virtual _ | Instr.Special _ -> register_dispatch t mc d)
 
 (* One dispatch event: receiver object [recv_obj] reached call [d].
    Allocation-free unless it wires a new call edge. *)
@@ -904,8 +824,8 @@ and process_dispatch (t : t) (d : dispatch) (recv_obj : int) : unit =
   end
 
 (* Wire a call of [callee] in context code [callee_ctx]; a
-   dispatched call passes its receiver object, a static one -1.  A call
-   edge new to this solve wires the arguments and the return value;
+   dispatched call passes its receiver object, a static one -1.  A new
+   call edge wires the arguments and the return value;
    a repeated one only passes the receiver. *)
 and wire_call (t : t) ~(caller : int) ~(stmt : Instr.stmt_id)
     (callee : target) ~(callee_ctx : int) ~(recv_obj : int)
@@ -996,10 +916,9 @@ let solve (t : t) : unit =
     end
   done
 
-(* Solver scratch lives only while a solve runs.  Once the worklist is
-   empty every delta is drained, and nothing reads [delta], [succ_set]
-   or [lcd_done] until the next solve, [resolve_delta]'s, which
-   starts from them empty.  Each node gets a fresh delta row
+(* Solver scratch lives only while the solve runs.  Once the worklist is
+   empty every delta is drained, and no query reads [delta], [succ_set],
+   [lcd_done] or the solve memos.  Each node gets a fresh delta row
    with no words (its record only): [Bits.add] writes in place, so rows
    are never shared.  The answer rows ([pts]) stay dense, trimmed to
    their last non-zero word. *)
@@ -1010,15 +929,19 @@ let end_solve (t : t) : unit =
   done;
   t.spare <- Bits.create ~capacity:0 ();
   Iset.reset t.succ_set;
-  Hashtbl.reset t.lcd_done
+  Hashtbl.reset t.lcd_done;
+  Imap.reset t.targets;
+  t.target_of <- [||];
+  t.num_targets <- 0;
+  t.container <- [||];
+  t.obj_class <- [||]
 
 (* --- entry points --------------------------------------------------- *)
 
-(* Start a solve from the entry method: empty the per-solve memos, reach
-   the entry and seed main's [String[]] parameter with a synthetic array
-   of synthetic strings. *)
+(* Start the solve from the entry method: reach the entry and seed
+   main's [String[]] parameter with a synthetic array of synthetic
+   strings. *)
 let seed_entry (t : t) : unit =
-  reset_memos t;
   let entry_mq = Program.entry_method t.p in
   match Program.find_method t.p entry_mq with
   | None -> ()
@@ -1040,7 +963,8 @@ let seed_entry (t : t) : unit =
       add_obj t (node t (kfield (name_id t elem_field) arr)) str
     | _ -> ())
 
-let analyze_uninstrumented ~opts (p : Program.t) : result =
+let analyze ?(opts = default_opts) (p : Program.t) : result =
+  Slice_obs.span "pta" (fun () ->
   let t =
     { p;
       opts;
@@ -1053,7 +977,7 @@ let analyze_uninstrumented ~opts (p : Program.t) : result =
       mctx_index = Imap.create ~capacity:64 ();
       meth_ids = Hashtbl.create 64;
       processed = Array.make 64 false;
-      pv = Array.make 64 [];
+      call_sites = Array.make 64 [];
       obj_mc = Array.make 64 (-1);
       names = Hashtbl.create 64;
       name_of = [||];
@@ -1104,10 +1028,7 @@ let analyze_uninstrumented ~opts (p : Program.t) : result =
   Slice_obs.span "pta.solve" (fun () ->
       solve t;
       end_solve t);
-  t
-
-let analyze ?(opts = default_opts) (p : Program.t) : result =
-  Slice_obs.span "pta" (fun () -> analyze_uninstrumented ~opts p)
+  t)
 
 (* --- queries -------------------------------------------------------- *)
 
@@ -1297,242 +1218,6 @@ let dump_call_graph ?site (t : result) : (string * string list) list =
 let pts_dump (t : result) = dump_pts t
 let call_graph_dump (t : result) = dump_call_graph t
 
-(* --- delta-native incremental re-solve ------------------------------- *)
-
-type delta_stats = {
-  ds_retracted_mctxs : int;
-  ds_cone_nodes : int;
-  ds_total_nodes : int;
-  ds_replayed_mctxs : int;
-}
-
-(* Fall back to a fresh solve once delete-and-rederive would redo more
-   than half the node universe (or half the reachable methods) anyway:
-   past that point the warm start saves nothing and the bookkeeping is
-   pure overhead. *)
-let cone_node_limit_den = 2
-let cone_mctx_limit_den = 2
-
-let resolve_delta (t : t) ~(retracted : Instr.method_qname list) :
-    (delta_stats, [ `Cone_too_big ]) Stdlib.result =
-  Slice_obs.span "pta.resolve_delta" (fun () ->
-  (* ---- plan (no mutation): dead method contexts + affected cone ---
-     [dead] = every context whose old constraints must be dropped:
-     the retracted methods' contexts, plus — iteratively — any context
-     whose reachability can no longer be established without them.
-     [cone] = representatives whose points-to sets may depend on a
-     dead constraint, found by forward closure over the OLD rows:
-     copy successors (which include every solve-derived edge), load
-     targets, field nodes reachable through stores, and the wiring a
-     suspect dispatch produced. *)
-  let dead, in_cone, cone_nodes, processed_count =
-    Slice_obs.span "pta.resolve_delta.plan" (fun () ->
-  let dead_mq = Hashtbl.create 8 in
-  List.iter (fun mq -> Hashtbl.replace dead_mq mq ()) retracted;
-  let dead = Bits.create ~capacity:(max 64 t.num_mctxs) () in
-  for mc = 0 to t.num_mctxs - 1 do
-    if t.processed.(mc) && Hashtbl.mem dead_mq t.mctxs.(mc).mi_mq then
-      ignore (Bits.add dead mc)
-  done;
-  let entry_mc =
-    match Hashtbl.find_opt t.meth_ids (Program.entry_method t.p) with
-    | Some mid ->
-      let mc = Imap.find t.mctx_index (Imap.pack mid 0) in
-      if mc >= 0 then Some mc else None
-    | None -> None
-  in
-  let cone = Bits.create ~capacity:(max 256 t.num_nodes) () in
-  let compute_cone () =
-    Bits.clear cone;
-    let wl = ref [] in
-    let mark n =
-      let r = find t n in
-      if Bits.add cone r then wl := r :: !wl
-    in
-    let mark_key k =
-      let id = Imap.find t.node_index k in
-      if id >= 0 then mark id
-    in
-    for i = 0 to t.num_nodes - 1 do
-      let hi = Imap.pack_hi t.node_key.(i) in
-      match hi land 3 with
-      | 0 | 3 (* a variable or a return value *) ->
-        if Bits.mem dead (hi lsr 2) then mark i
-      | 1 ->
-        (* an object whose allocating context died can never be
-           re-seeded (its site is gone); its field nodes die with it *)
-        let o = Imap.pack_lo t.node_key.(i) in
-        let owner = if o < Array.length t.obj_mc then t.obj_mc.(o) else -1 in
-        if owner >= 0 && Bits.mem dead owner then mark i
-      | _ (* a static *) -> ()
-    done;
-    while !wl <> [] do
-      match !wl with
-      | [] -> ()
-      | r :: rest ->
-        wl := rest;
-        List.iter (fun (dst, _) -> mark dst) t.succs.(r);
-        List.iter (fun (_, dst) -> mark dst) t.loads.(r);
-        List.iter
-          (fun (f, _) -> Bits.iter (fun o -> mark_key (kfield f o)) t.pts.(r))
-          t.stores.(r);
-        List.iter
-          (fun d ->
-            (* a changed receiver can change dispatch outcomes: every
-               node the old wiring fed is suspect *)
-            (match d.d_lhs with
-            | Some x -> mark_key (kvar d.d_caller x)
-            | None -> ());
-            List.iter
-              (fun cmc ->
-                mark_key (kret cmc);
-                match Program.find_method t.p t.mctxs.(cmc).mi_mq with
-                | None -> ()
-                | Some callee ->
-                  List.iter
-                    (fun prm -> mark_key (kvar cmc prm))
-                    callee.Instr.m_params)
-              (call_targets t ~mctx:d.d_caller ~stmt:d.d_stmt))
-          t.dispatches.(r)
-    done
-  in
-  (* Reachability over the OLD call graph, trusting only edges whose
-     caller survives and whose dispatch receiver (if any) is outside
-     the cone.  Under-approximate on purpose: anything uncertain is
-     treated as dead and re-derived by the replay if still wanted. *)
-  let reach = Bits.create ~capacity:(max 64 t.num_mctxs) () in
-  let compute_reach () =
-    Bits.clear reach;
-    let disp_recv = Imap.create ~capacity:64 () in
-    for r = 0 to t.num_nodes - 1 do
-      List.iter
-        (fun d -> Imap.replace disp_recv (Imap.pack d.d_caller d.d_stmt) r)
-        t.dispatches.(r)
-    done;
-    let out = Hashtbl.create 64 in
-    site_iter
-      (fun caller stmt cell ->
-        let suspect =
-          Bits.mem dead caller
-          ||
-          let r = Imap.find disp_recv (Imap.pack caller stmt) in
-          r >= 0 && Bits.mem cone (find t r)
-        in
-        if not suspect then
-          Hashtbl.replace out caller
-            (cell.cs_list
-            @ Option.value (Hashtbl.find_opt out caller) ~default:[]))
-      t.call_edges;
-    let wl = ref [] in
-    let visit mc = if Bits.add reach mc then wl := mc :: !wl in
-    (match entry_mc with Some e -> visit e | None -> ());
-    while !wl <> [] do
-      match !wl with
-      | [] -> ()
-      | mc :: rest ->
-        wl := rest;
-        if not (Bits.mem dead mc) then
-          List.iter visit (Option.value (Hashtbl.find_opt out mc) ~default:[])
-    done
-  in
-  let stable = ref false in
-  while not !stable do
-    compute_cone ();
-    compute_reach ();
-    let newly = ref [] in
-    for mc = 0 to t.num_mctxs - 1 do
-      if
-        t.processed.(mc)
-        && (not (Bits.mem dead mc))
-        && not (Bits.mem reach mc)
-      then newly := mc :: !newly
-    done;
-    if !newly = [] then stable := true
-    else List.iter (fun mc -> ignore (Bits.add dead mc)) !newly
-  done;
-  let in_cone = Array.make (max 1 t.num_nodes) false in
-  let cone_nodes = ref 0 in
-  for n = 0 to t.num_nodes - 1 do
-    if Bits.mem cone (find t n) then begin
-      in_cone.(n) <- true;
-      incr cone_nodes
-    end
-  done;
-  let processed_count = ref 0 in
-  for mc = 0 to t.num_mctxs - 1 do
-    if t.processed.(mc) then incr processed_count
-  done;
-  (dead, in_cone, !cone_nodes, !processed_count))
-  in
-  let dead_count = Bits.cardinal dead in
-  if
-    cone_nodes * cone_node_limit_den > t.num_nodes
-    || dead_count * cone_mctx_limit_den > processed_count
-  then Error `Cone_too_big
-  else begin
-    let replayable =
-      Slice_obs.span "pta.resolve_delta.retract" (fun () ->
-    (* ---- retract ------------------------------------------------- *)
-    let dead_objs = ref [] in
-    for o = 0 to Array.length t.obj_mc - 1 do
-      if t.obj_mc.(o) >= 0 && Bits.mem dead t.obj_mc.(o) then begin
-        dead_objs := o :: !dead_objs;
-        t.obj_mc.(o) <- -1
-      end
-    done;
-    for n = 0 to t.num_nodes - 1 do
-      if in_cone.(n) then begin
-        (* conservative split: the collapse may not survive retraction *)
-        t.parent.(n) <- n;
-        t.rank.(n) <- 0;
-        Bits.clear t.pts.(n)
-      end
-      else if t.parent.(n) = n then
-        List.iter (fun o -> Bits.remove t.pts.(n) o) !dead_objs;
-      (* every row is re-derived by the replay *)
-      t.succs.(n) <- [];
-      t.loads.(n) <- [];
-      t.stores.(n) <- [];
-      t.dispatches.(n) <- [];
-      t.deg.(n) <- 0
-    done;
-    (* The solve scratch (delta rows, the dedup set and the cycle memo)
-       is already empty: [end_solve].  The call-graph cells go: the
-       re-solve re-derives them, and a new edge is what wires a call. *)
-    site_reset t.call_edges;
-    site_reset t.intrinsic_edges;
-    t.lcd_pending <- [];
-    t.lcd_fuel <- lcd_fuel_init;
-    t.head <- 0;
-    t.tail <- 0;
-    t.ring_len <- 0;
-    Bits.clear t.queued;
-    t.meth_index_stamp <- -1;
-    let replayable = ref 0 in
-    for mc = 0 to t.num_mctxs - 1 do
-      if Bits.mem dead mc then t.pv.(mc) <- [];
-      if t.processed.(mc) && (not (Bits.mem dead mc)) && t.pv.(mc) <> []
-      then incr replayable;
-      t.processed.(mc) <- false
-    done;
-    !replayable)
-    in
-    Slice_obs.span "pta.resolve_delta.solve" (fun () ->
-    (* ---- re-derive: demand-driven replay from the entry ----------
-       Surviving contexts replay their logs; retracted-but-reachable
-       contexts re-walk their (new) bodies because their logs were
-       dropped above.  The entry seeding is [analyze]'s, so the
-       synthetic argv objects stay identical. *)
-    seed_entry t;
-    solve t;
-    end_solve t);
-    Ok
-      { ds_retracted_mctxs = dead_count;
-        ds_cone_nodes = cone_nodes;
-        ds_total_nodes = t.num_nodes;
-        ds_replayed_mctxs = replayable }
-  end)
-
 (* --- incremental re-analysis support --------------------------------- *)
 
 (* A canonical string of EXACTLY the facts [make_reachable] turns into
@@ -1638,10 +1323,10 @@ let method_summary_sites (m : Instr.meth) : string * Instr.stmt_id list =
    have equal [method_summary_sites] summaries and [remap] is the
    positional zip of their site lists.  Every moved site is a statement
    of a [changed] method, so the work is bounded by their contexts: a
-   context's provenance log lists each of its call sites ([Pcall]), from
-   which its call-graph cells and dispatch record are found (the record
-   at its receiver's representative), and the objects the
-   contexts own ([obj_mc]) are the allocation sites that move.
+   context's [call_sites] list each of its calls, from which the call-graph
+   cells and dispatch record are found (the record at its receiver's
+   representative), and the objects the contexts own ([obj_mc]) are the
+   allocation sites that move.
    Statement ids are globally unique and never reused, so the old and new
    key spaces cannot collide. *)
 let rekey_sites (t : result) ~(changed : Instr.method_qname list)
@@ -1658,32 +1343,26 @@ let rekey_sites (t : result) ~(changed : Instr.method_qname list)
   List.iter
     (fun mc ->
       ignore (Bits.add owners mc);
-      let ops = t.pv.(mc) in
+      let calls = t.call_sites.(mc) in
       List.iter
-        (function
-          | Pcall d -> (
-            match fresh d.d_stmt with
-            | None -> ()
-            | Some s' -> (
-              let s = d.d_stmt in
-              site_move t.call_edges ~caller:mc s s';
-              site_move t.intrinsic_edges ~caller:mc s s';
-              match (d.d_kind, d.d_args) with
-              | (Instr.Special _ | Instr.Virtual _), recv :: _ ->
-                let r = pts_rep_of_var t ~mctx:mc recv in
-                if r >= 0 && List.exists moved_dispatch t.dispatches.(r) then
-                  t.dispatches.(r) <- List.map rekey_dispatch t.dispatches.(r)
-              | _ -> ()))
-          | Pseed _ | Pedge _ | Pload _ | Pstore _ -> ())
-        ops;
-      (* The provenance log stores call sites too: move them with the
-         rest, or a later [resolve_delta] would replay retired ids. *)
-      if List.exists (function Pcall d -> moved_dispatch d | _ -> false) ops
-      then
-        t.pv.(mc) <-
-          List.map
-            (function Pcall d -> Pcall (rekey_dispatch d) | op -> op)
-            ops)
+        (fun d ->
+          match fresh d.d_stmt with
+          | None -> ()
+          | Some s' -> (
+            let s = d.d_stmt in
+            site_move t.call_edges ~caller:mc s s';
+            site_move t.intrinsic_edges ~caller:mc s s';
+            match (d.d_kind, d.d_args) with
+            | (Instr.Special _ | Instr.Virtual _), recv :: _ ->
+              let r = pts_rep_of_var t ~mctx:mc recv in
+              if r >= 0 && List.exists moved_dispatch t.dispatches.(r) then
+                t.dispatches.(r) <- List.map rekey_dispatch t.dispatches.(r)
+            | _ -> ()))
+        calls;
+      (* Move the list itself too, so a later patch of the same method
+         finds its calls under their current ids. *)
+      if List.exists moved_dispatch calls then
+        t.call_sites.(mc) <- List.map rekey_dispatch calls)
     mcs;
   for o = 0 to min (Context.num_objs t.ctxs) (Array.length t.obj_mc) - 1 do
     let mc = t.obj_mc.(o) in

@@ -62,8 +62,8 @@ val pts_iter_var : result -> mctx:int -> Instr.var -> (int -> unit) -> unit
 
 (** The points-to representative of a variable in one method context:
     the node id its set lives at (variables collapsed into one copy
-    cycle share it), or [-1] when the variable has no node.  Stable
-    until the next {!resolve_delta}. *)
+    cycle share it), or [-1] when the variable has no node.  A result
+    is solved once, so the representative never changes. *)
 val pts_rep_of_var : result -> mctx:int -> Instr.var -> int
 
 (** Iteration over, and membership in, a representative's points-to
@@ -92,12 +92,11 @@ val num_objects : result -> int
 
 (** {2 Resident state}
 
-    Between solves the solver keeps no solve scratch.  Each node's
+    After its solve a result keeps no solve scratch.  Each node's
     points-to row is trimmed to its last non-zero word, its propagation
     delta becomes a fresh row with no words, and the successor dedup
-    set is emptied; a {!resolve_delta} re-solve starts from it empty.
-    Dispatch targets and container tests are memoized for one solve
-    only: bodies may change between solves. *)
+    set is emptied.  The solve's dispatch-target and container memos
+    are dropped too: a patch re-lowers bodies in place. *)
 
 (** Bytes of the points-to set state: the [pts] and [delta] rows and
     the successor dedup table, computed from their capacities, so the
@@ -141,7 +140,8 @@ val call_graph_dump : result -> (string * string list) list
     lists of the old and new body zip positionally into a remap, and
     {!rekey_sites} moves every site-keyed structure (call-graph edges,
     dispatch records, allocation-site identities) onto
-    the new ids.  Anything else requires a fresh solve. *)
+    the new ids.  Anything else requires a fresh solve.  For this the
+    solver keeps, per method context, the list of its call sites. *)
 
 (** Canonical string of exactly the facts constraint generation reads
     from one method body (variable ints, refness, classes, callee
@@ -159,42 +159,6 @@ val rekey_sites :
   changed:Instr.method_qname list ->
   (Instr.stmt_id -> Instr.stmt_id option) ->
   unit
-
-(** {2 Delta-native incremental re-solve}
-
-    The main solver logs per-method constraint provenance as it
-    generates constraints (which seed/copy/load/store/call obligations
-    each method context contributed — never the solve-derived work).
-    {!resolve_delta} uses the log to retract a changed method's
-    constraints by delete-and-rederive: it computes the affected cone
-    (every node whose points-to set may depend on a retracted
-    constraint, plus field nodes of objects whose allocation sites are
-    gone), conservatively splits cycle-collapse classes inside the
-    cone, clears the cone's points-to bits and ALL derived rows, then
-    replays the surviving methods' logs — re-walking retracted-but-
-    reachable methods' (new) bodies — straight into the
-    difference-propagation worklist and re-solves to the fixpoint. *)
-
-type delta_stats = {
-  ds_retracted_mctxs : int;  (** contexts whose constraints were dropped *)
-  ds_cone_nodes : int;       (** nodes whose points-to sets were rederived *)
-  ds_total_nodes : int;
-  ds_replayed_mctxs : int;   (** surviving contexts replayed from the log *)
-}
-
-(** Retract [retracted] methods' constraints and re-solve incrementally,
-    mutating the result in place.  The program held by the result must
-    already reflect the edit.
-    Fails with [`Cone_too_big] when the affected cone exceeds half the
-    node universe (a fresh solve is cheaper); the result is then
-    untouched and a fresh solve is required.  Traced under
-    ["pta.resolve_delta"], with children [pta.resolve_delta.plan],
-    [.retract] and [.solve] (the last two only when the cone is
-    accepted). *)
-val resolve_delta :
-  result ->
-  retracted:Instr.method_qname list ->
-  (delta_stats, [ `Cone_too_big ]) Stdlib.result
 
 (** {!pts_dump} / {!call_graph_dump} with sites rendered through
     [site_label] instead of raw statement ids: canonical across a

@@ -95,14 +95,3 @@ let pp_ctx (t : t) ppf (c : ctx) =
   | Crecv o ->
     let oi = obj t o in
     Format.fprintf ppf "[o%d@%d]" o oi.oi_site
-
-let pp_obj (t : t) ppf (id : int) =
-  let oi = obj t id in
-  let cls =
-    match oi.oi_cls with
-    | Aclass c -> c
-    | Aarray ty -> Types.ty_to_string ty ^ "[]"
-    | Astring -> "String"
-    | Aextern s -> "<" ^ s ^ ">"
-  in
-  Format.fprintf ppf "o%d:%s@%d%a" id cls oi.oi_site (pp_ctx t) oi.oi_ctx

@@ -48,4 +48,3 @@ val ctx_depth : t -> ctx -> int
 val dispatch_class : alloc_class -> Types.class_name option
 
 val pp_ctx : t -> Format.formatter -> ctx -> unit
-val pp_obj : t -> Format.formatter -> int -> unit

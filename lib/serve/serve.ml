@@ -15,8 +15,6 @@
 open Slice_core
 module Json = Slice_obs.Json
 
-let protocol_version = "thinslice.serve/v1"
-
 type config = { max_programs : int }
 
 let default_config = { max_programs = 8 }

@@ -31,7 +31,7 @@
     ({!Slice_core.Engine.update}): the cache entry is re-keyed under
     the new digest and patched in place rather than evicted, and the
     result reports the incremental path taken ([noop], [patched],
-    [resolved-incremental], [resolved-fresh], [rebuilt]) with its
+    [resolved-incremental], [rebuilt]) with its
     delta statistics ([relowered],
     [segments_refrozen]/[segments_total], [nodes_dead]/[nodes_new]).
     After an update the daemon's walk scratch is shrunk to the largest
@@ -47,9 +47,6 @@
     not resident) use code 1 and unexpected internal errors code 2,
     mirroring the CLI exit-code contract.  No request ever kills the
     loop. *)
-
-val protocol_version : string
-(** ["thinslice.serve/v1"]. *)
 
 type config = { max_programs : int  (** LRU capacity; at least 1 *) }
 

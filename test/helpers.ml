@@ -281,8 +281,8 @@ let scaled_tweak ~(stmts : int) : string * string =
 (* A seed-1 scaled program and the same program with the class of its
    first [new S<f>_<0|1>()] allocation swapped for the sibling class:
    a one-method edit that keeps every line but moves the method's
-   constraint summary within a small cone, so [Engine.update] repairs
-   the points-to result in place (resolved-incremental). *)
+   constraint summary, so [Engine.update] re-lowers the method and
+   analyzes the program afresh (resolved-incremental). *)
 let scaled_swap ~(stmts : int) : string * string =
   let src = scaled_src ~stmts in
   (* the class name's last character, just before its '(' *)

@@ -4,8 +4,8 @@
    answer every query exactly like a fresh [Engine.load] of the edited
    sources — slices in every mode, canonical points-to and call-graph
    dumps, inspection reports, stats.  The tiers (Noop / Patched /
-   Resolved_incremental / Resolved_fresh / Rebuilt) only change how
-   much work runs, never the answers. *)
+   Resolved_incremental / Rebuilt) only change how much work runs,
+   never the answers. *)
 
 open Slice_core
 open Slice_front
@@ -467,37 +467,26 @@ let test_arena_every_tier () =
   let h4 = step ~ctx:"resolved" Engine.Resolved_incremental h3 v4 in
   check_equiv ~what:"arena chain" h4 [ (file, v4) ] (seed_lines_of v4)
 
+(* Same line count, but a new allocation site: the constraint summary
+   moves, so the solved points-to result cannot be re-keyed, and the
+   update analyzes the mutated program afresh.  Two inputs: a move in a
+   callee with almost no pointer flow, and one in the entry method,
+   which every context is reached through. *)
 let test_update_resolved () =
-  let h = Engine.load [ (file, base_src) ] in
-  (* Same line count, but a new allocation site: the constraint summary
-     moves, so the solved points-to result cannot be re-keyed — but the
-     affected cone (one method with almost no pointer flow) is small,
-     so the bitset solver repairs it in place. *)
-  let edited =
-    replace base_src "void set(int v) { this.f = v + 0; }"
-      "void set(int v) { A t = new A(); this.f = v; }"
-  in
-  let h', rep = Engine.update h [ (file, edited) ] in
-  Alcotest.check path_testable "resolved path" Engine.Resolved_incremental
-    rep.Engine.up_path;
-  Alcotest.(check int) "one body relowered" 1 rep.Engine.up_relowered;
-  check_equiv ~what:"resolved" h' [ (file, edited) ] (seed_lines_of edited)
-
-(* A summary move in the entry method retracts every context reachable
-   only through it, so the affected cone is the whole node universe:
-   [Andersen.resolve_delta] declines it as [`Cone_too_big], and the
-   update takes a fresh solve over the mutated program. *)
-let test_update_resolved_fresh () =
-  let h = Engine.load [ (file, base_src) ] in
-  let edited =
-    replace base_src "A a = new A();" "A a = new A(); A b = new A();"
-  in
-  let h', rep = Engine.update h [ (file, edited) ] in
-  Alcotest.check path_testable "resolved-fresh path" Engine.Resolved_fresh
-    rep.Engine.up_path;
-  Alcotest.(check int) "one body relowered" 1 rep.Engine.up_relowered;
-  check_equiv ~what:"resolved-fresh" h' [ (file, edited) ]
-    (seed_lines_of edited)
+  List.iter
+    (fun (what, old_s, new_s) ->
+      let h = Engine.load [ (file, base_src) ] in
+      let edited = replace base_src old_s new_s in
+      let h', rep = Engine.update h [ (file, edited) ] in
+      Alcotest.check path_testable (what ^ ": resolved path")
+        Engine.Resolved_incremental rep.Engine.up_path;
+      Alcotest.(check int) (what ^ ": one body relowered") 1
+        rep.Engine.up_relowered;
+      check_equiv ~what h' [ (file, edited) ] (seed_lines_of edited))
+    [ ( "callee edit",
+        "void set(int v) { this.f = v + 0; }",
+        "void set(int v) { A t = new A(); this.f = v; }" );
+      ("entry edit", "A a = new A();", "A a = new A(); A b = new A();") ]
 
 (* Work proportional to the edit on javac: constant tweaks inside N
    distinct scanner predicates stay on the Patched path, re-lower exactly
@@ -904,8 +893,6 @@ let suite =
     Alcotest.test_case "update patched entry" `Quick test_update_patched_entry;
     Alcotest.test_case "update resolved" `Quick test_update_resolved;
     Alcotest.test_case "arena follows every tier" `Quick test_arena_every_tier;
-    Alcotest.test_case "update resolved-fresh (bitset, cone too big)" `Quick
-      test_update_resolved_fresh;
     Alcotest.test_case "update patched N methods (javac)" `Quick
       test_update_patched_n_methods;
     Alcotest.test_case "update rebuilt" `Quick test_update_rebuilt;

@@ -1,7 +1,7 @@
-(* Delta-native incremental solving on the real paper workloads.
+(* The update ladder's resolved tier on the real paper workloads.
 
    [test_incremental] pins the update ladder's classification on small
-   fixtures; this suite drives the RESOLVED tiers through substance:
+   fixtures; this suite drives the RESOLVED tier through substance:
    every paper workload, both sensitivities, through a deterministic
    edit chain that forces
      Rebuilt -> Resolved (summary-moving main edit)
@@ -12,7 +12,7 @@
    and after EVERY step checks the incrementally updated handle against
    a from-scratch [Engine.load] of the same sources on the canonical
    (ordinal-keyed) points-to and call-graph dumps plus the headline
-   stats — the incremental solver is only allowed to be faster, never
+   stats — an update is only allowed to be faster than a load, never
    different.
 
    Witness provenance is exercised at the resolved tier: a fresh
@@ -107,9 +107,7 @@ let with_zzaux (src : string) : string =
 
 (* Swap the probe's [bump] body for one that also stores a reference:
    a one-line, line-count-preserving change whose constraint summary
-   MOVES, but whose affected cone is only the probe's own nodes — the
-   shape that must engage [Andersen.resolve_delta] rather than fall
-   back to a fresh solve. *)
+   MOVES in a callee rather than in [main]. *)
 let move_bump (src : string) : string =
   let lines = split_lines src in
   if not (List.mem bump_line lines) then
@@ -153,13 +151,6 @@ let expect ~(ctx : string) (want : Engine.update_path) (rep : Engine.update_repo
       (Engine.update_path_to_string want)
       (Engine.update_path_to_string rep.Engine.up_path)
 
-let expect_resolved ~(ctx : string) (rep : Engine.update_report) =
-  match rep.Engine.up_path with
-  | Engine.Resolved_incremental | Engine.Resolved_fresh -> ()
-  | p ->
-    Alcotest.failf "%s: expected a resolved tier, got %s" ctx
-      (Engine.update_path_to_string p)
-
 (* Every witness a fresh provenance yields on [sdg] must be a real
    dependence path: starts at a seed, ends at the member, every hop an
    existing edge of the recorded kind. *)
@@ -202,17 +193,7 @@ let check_witnesses (sdg : Sdg.t) ~(seeds : Sdg.node list) ~(ctx : string) =
 
 (* ---------------- the chain ---------------- *)
 
-(* The resolved-tier updates one set of chains took. *)
-type tally = { mutable resolved_incr : int; mutable resolved_fresh : int }
-
-let note (tally : tally) (rep : Engine.update_report) =
-  match rep.Engine.up_path with
-  | Engine.Resolved_incremental -> tally.resolved_incr <- tally.resolved_incr + 1
-  | Engine.Resolved_fresh -> tally.resolved_fresh <- tally.resolved_fresh + 1
-  | _ -> ()
-
-let run_chain ~(tally : tally) ~(obj_sens : bool) (name : string)
-    (base : string) =
+let run_chain ~(obj_sens : bool) (name : string) (base : string) =
   let ctx step = Printf.sprintf "%s(objsens=%b) %s" name obj_sens step in
   let tgt = main_target base in
   let seed_line = tgt + 1 in
@@ -227,8 +208,7 @@ let run_chain ~(tally : tally) ~(obj_sens : bool) (name : string)
     append_to_line src1 tgt " ZzProbe zza = new ZzProbe(); zza.bump(1);"
   in
   let h2, rep2 = Engine.update h1 [ (file, src2) ] in
-  expect_resolved ~ctx:(ctx "summary-moving edit") rep2;
-  note tally rep2;
+  expect ~ctx:(ctx "summary-moving edit") Engine.Resolved_incremental rep2;
   check_parity ~ctx:(ctx "summary-moving edit") h2;
   let a2 = h2.Engine.h_analysis in
   check_witnesses a2.Engine.sdg
@@ -240,17 +220,13 @@ let run_chain ~(tally : tally) ~(obj_sens : bool) (name : string)
   in
   let src3 = append_to_line src2 tgt (bump_stmt 2) in
   let h3a, rep3a = Engine.update h2 [ (file, src3) ] in
-  expect_resolved ~ctx:(ctx "resolve-on-resolved") rep3a;
-  note tally rep3a;
+  expect ~ctx:(ctx "resolve-on-resolved") Engine.Resolved_incremental rep3a;
   check_parity ~ctx:(ctx "resolve-on-resolved") h3a;
-  (* 3b. small-cone summary move: the delta solver itself.  The bump
-     body's constraints only reach the probe's own nodes, far under the
-     cone limits, so the solver must repair in place. *)
+  (* 3b. a summary move in a callee: the probe's bump body *)
   let src3b = move_bump src3 in
   let h3, rep3 = Engine.update h3a [ (file, src3b) ] in
-  expect ~ctx:(ctx "small-cone resolve") Engine.Resolved_incremental rep3;
-  note tally rep3;
-  check_parity ~ctx:(ctx "small-cone resolve") h3;
+  expect ~ctx:(ctx "callee summary move") Engine.Resolved_incremental rep3;
+  check_parity ~ctx:(ctx "callee summary move") h3;
   (* A provenance walked NOW must go stale after the patched update. *)
   let a3 = h3.Engine.h_analysis in
   let stale_prov = Slicer.create_provenance a3.Engine.sdg in
@@ -289,40 +265,11 @@ let run_chain ~(tally : tally) ~(obj_sens : bool) (name : string)
   let _, rep7 = Engine.update h6 [ (file, src4) ] in
   expect ~ctx:(ctx "noop") Engine.Noop rep7
 
-(* Every paper workload's chain under one sensitivity, run once per
-   process whichever test asks first: the tier-mix check below forces
-   both sets itself, so it holds when run alone. *)
-let chains ~(obj_sens : bool) : tally Lazy.t =
-  lazy
-    (let tally = { resolved_incr = 0; resolved_fresh = 0 } in
-     List.iter
-       (fun (name, base) -> run_chain ~tally ~obj_sens name base)
-       Slice_workloads.Suites.paper_workloads;
-     tally)
-
-let chains_objsens = chains ~obj_sens:true
-let chains_ci = chains ~obj_sens:false
-let test_chains_objsens () = ignore (Lazy.force chains_objsens)
-let test_chains_ci () = ignore (Lazy.force chains_ci)
-
-(* Both resolved tiers must actually occur across the 18 chains: a
-   ladder where one tier is unreachable is a ladder nothing tests.
-   Resolved_fresh is reached only through the solver's own cone
-   threshold. *)
-let test_resolved_tier_mix () =
-  let a = Lazy.force chains_objsens and b = Lazy.force chains_ci in
-  let tally =
-    { resolved_incr = a.resolved_incr + b.resolved_incr;
-      resolved_fresh = a.resolved_fresh + b.resolved_fresh }
-  in
-  if tally.resolved_incr = 0 then
-    Alcotest.fail
-      "no workload chain took resolved-incremental: the delta solver never \
-       engaged";
-  if tally.resolved_fresh = 0 then
-    Alcotest.fail
-      "no workload chain took resolved-fresh: the cone threshold never \
-       triggered"
+(* Every paper workload's chain under one sensitivity. *)
+let chains ~(obj_sens : bool) () =
+  List.iter
+    (fun (name, base) -> run_chain ~obj_sens name base)
+    Slice_workloads.Suites.paper_workloads
 
 (* The SDG's location columns must follow every tier that touches the
    statement table: load, a patched body edit, a resolved-incremental
@@ -426,11 +373,9 @@ let test_solver_scratch_released () =
 
 let suite =
   [ Alcotest.test_case "workload edit chains (object-sensitive)" `Quick
-      test_chains_objsens;
+      (chains ~obj_sens:true);
     Alcotest.test_case "workload edit chains (context-insensitive)" `Quick
-      test_chains_ci;
-    Alcotest.test_case "both resolved tiers exercised" `Quick
-      test_resolved_tier_mix;
+      (chains ~obj_sens:false);
     Alcotest.test_case "location columns track every tier" `Quick
       test_loc_columns_every_tier;
     Alcotest.test_case "solver scratch released after each solve" `Quick

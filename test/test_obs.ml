@@ -600,15 +600,12 @@ let test_patched_update_coverage () =
     ~under:[ "delta.diff"; "delta.resolve"; "delta.relower"; "pta.rekey" ]
 
 (* A resolved-incremental update: a class swap moves one method's
-   constraint summary, the points-to result is repaired in place
-   ([pta.resolve_delta], in its plan, retract and solve phases), and
-   the arena and SDG are built again over it. *)
+   constraint summary, so after the re-lower the points-to result is
+   solved afresh ([pta], its one phase [pta.solve]) and the arena and
+   SDG are built again over it. *)
 let test_resolved_update_coverage () =
   check_update_coverage ~edit:Helpers.scaled_swap ~path:"resolved-incremental"
-    ~phases:
-      ( "pta.resolve_delta",
-        [ "pta.resolve_delta.plan"; "pta.resolve_delta.retract";
-          "pta.resolve_delta.solve" ] )
+    ~phases:("pta", [ "pta.solve" ])
     ~under:
       [ "delta.diff"; "delta.resolve"; "delta.relower"; "ir.arena";
         "sdg.build" ]

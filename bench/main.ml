@@ -771,6 +771,26 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
       h_obj_sens = true;
       h_solver = `Bitset }
   in
+  (* One thin slice query at the seed line, as serve answers it: walk,
+     line projection and the answer list.  A first query sizes the
+     resident scratch; the second's words, counted like the frontend's,
+     are per answer line, not per visited node, whatever the runner
+     speed. *)
+  let query_words, query_visited =
+    let q =
+      Engine.Q_slice
+        { line = sc.Gen_tj.sc_seed_line; mode = Slicer.Thin; forward = false }
+    in
+    ignore (Engine.run_query h q);
+    let v0 = Slice_obs.counter_value "slicer.nodes_visited" in
+    Gc.minor ();
+    let w0 = Slice_obs.allocated_words () in
+    ignore (Sys.opaque_identity (Engine.run_query h q));
+    ( Slice_obs.allocated_words () -. w0,
+      Slice_obs.counter_value "slicer.nodes_visited" - v0 )
+  in
+  Printf.printf "phase=query words=%.0f visited=%d\n%!" query_words
+    query_visited;
   let h, patch_wall, patch_words, patch_path =
     let src = sc.Gen_tj.sc_src and old_s = "cur.fi = a % 1001;" in
     match find_sub src old_s with
@@ -839,6 +859,8 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
              ("batch_slice_wall_s", Float batch_wall);
              ("reference_wall_s", Float ref_wall);
              ("dyn_wall_s", Float dyn_wall);
+             ("query_words", Float query_words);
+             ("query_visited", Int query_visited);
              ("patch_wall_s", Float patch_wall);
              ("patch_words", Float patch_words);
              ("resolve_wall_s", Float resolve_wall);

@@ -101,7 +101,7 @@ let seeds_at_line_exn ?filter (a : analysis) (line : int) : Sdg.node list =
 (* Slice from a line, reported as source line numbers. *)
 let slice_from_line ?filter (a : analysis) ~(line : int) (mode : Slicer.mode) :
     int list =
-  Slicer.slice_line_numbers a.sdg
+  Slicer.slice_line_numbers ~forward:false a.sdg
     ~seeds:(seeds_at_line_exn ?filter a line)
     mode
 
@@ -116,8 +116,7 @@ let slice_batch ?filter ?(forward = false) (a : analysis) ~(lines : int list)
     else Slicer.slice_batch a.sdg ~seeds_list mode
   in
   List.map2
-    (fun line nodes ->
-      (line, Slicer.locs_to_line_numbers (Slicer.nodes_to_lines a.sdg nodes)))
+    (fun line nodes -> (line, Slicer.node_line_numbers a.sdg nodes))
     lines slices
 
 (* Inspection simulation (the paper's BFS metric) from a line seed. *)
@@ -743,7 +742,6 @@ let update (h : handle) (new_sources : (string * string) list) :
             Andersen.method_summary_sites
               (Program.find_method_exn p r.Slice_front.Delta.rv_mq)
           in
-          let old_summaries = List.map summary_of resolved in
           (* IR-statement count of the changed bodies, snapshotted for the
              Patched path's incremental stats.  [stats_of] only counts
              REACHABLE bodies, so unreachable edits must contribute zero
@@ -765,12 +763,21 @@ let update (h : handle) (new_sources : (string * string) list) :
             | _ -> 0
           in
           let ir_of rs = List.fold_left (fun acc r -> acc + count_ir r) 0 rs in
-          let old_ir = ir_of counted in
+          (* The old bodies' summaries and IR count, under their own span:
+             a patched update's commit is short enough that this work
+             shows in its wall time. *)
+          let old_summaries, old_ir =
+            Slice_obs.span "delta.summary" (fun () ->
+                (List.map summary_of resolved, ir_of counted))
+          in
           (* Re-lower in place: from here on [p] holds the new bodies and
              any failure falls through to the rebuild handler below. *)
           Slice_obs.span "delta.relower" (fun () ->
               List.iter (Slice_front.Delta.relower_resolved p) resolved);
-          let new_summaries = List.map summary_of resolved in
+          let new_summaries =
+            Slice_obs.span "delta.summary" (fun () ->
+                List.map summary_of resolved)
+          in
           let summaries_equal =
             List.for_all2
               (fun (s_old, _) (s_new, _) -> String.equal s_old s_new)
@@ -789,14 +796,14 @@ let update (h : handle) (new_sources : (string * string) list) :
                result is re-keyed onto the fresh ids, and only the
                changed methods' SDG segments are rewritten. *)
             let remap : (int, int) Hashtbl.t = Hashtbl.create 64 in
-            List.iter2
-              (fun (_, old_sites) (_, new_sites) ->
-                List.iter2
-                  (fun o n -> if o <> n then Hashtbl.replace remap o n)
-                  old_sites new_sites)
-              old_summaries new_summaries;
             let site_remap s = Hashtbl.find_opt remap s in
             Slice_obs.span "pta.rekey" (fun () ->
+                List.iter2
+                  (fun (_, old_sites) (_, new_sites) ->
+                    List.iter2
+                      (fun o n -> if o <> n then Hashtbl.replace remap o n)
+                      old_sites new_sites)
+                  old_summaries new_summaries;
                 Andersen.rekey_sites a.pta ~changed:changed_mqs site_remap);
             let ps = Sdg.patch a.sdg ~changed:changed_mqs ~site_remap in
             Slice_obs.bump c_update_patched;
@@ -808,14 +815,15 @@ let update (h : handle) (new_sources : (string * string) list) :
                the O(program) [stats_of] re-count, which would otherwise
                rival the patch itself. *)
             let stats' =
-              { h.h_stats with
-                ir_statements =
-                  h.h_stats.ir_statements + ir_of counted - old_ir;
-                sdg_statements = Sdg.num_scalar_statements a.sdg;
-                sdg_nodes = Sdg.num_live_nodes a.sdg;
-                arena_bytes = Arena.bytes a.arena;
-                heap_index_bytes = Sdg.heap_index_bytes a.sdg;
-                obs = edge_census_snapshot a.sdg }
+              Slice_obs.span "engine.stats" (fun () ->
+                  { h.h_stats with
+                    ir_statements =
+                      h.h_stats.ir_statements + ir_of counted - old_ir;
+                    sdg_statements = Sdg.num_scalar_statements a.sdg;
+                    sdg_nodes = Sdg.num_live_nodes a.sdg;
+                    arena_bytes = Arena.bytes a.arena;
+                    heap_index_bytes = Sdg.heap_index_bytes a.sdg;
+                    obs = edge_census_snapshot a.sdg })
             in
             ( { h with h_sources = new_sources; h_stats = stats' },
               { up_path = Patched;
@@ -868,11 +876,11 @@ let expand_at_line ?filter (a : analysis) ~(line : int) : expand_flow list =
   let seeds = seeds_at_line_exn ?filter a line in
   let g = a.sdg in
   let slice = Slicer.slice g ~seeds Slicer.Thin in
-  let pairs = ref [] in
+  let pairs = ref [] and heap = Sdg.edge_kind_tag Sdg.Producer_heap in
   List.iter
     (fun n ->
-      Sdg.deps_iter g n (fun dep kind ->
-          if kind = Sdg.Producer_heap && List.mem dep slice then
+      Sdg.deps_iter g n (fun dep t ->
+          if t = heap && List.mem dep slice then
             pairs := (n, dep) :: !pairs))
     slice;
   List.map
@@ -905,17 +913,14 @@ let run_query (h : handle) (q : query) : query_result =
   let a = h.h_analysis in
   match q with
   | Q_slice { line; mode; forward } ->
-    let seeds = seeds_at_line_exn a line in
-    let nodes =
-      if forward then Slicer.forward_slice a.sdg ~seeds mode
-      else Slicer.slice a.sdg ~seeds mode
-    in
-    R_lines (Slicer.locs_to_line_numbers (Slicer.nodes_to_lines a.sdg nodes))
+    R_lines
+      (Slicer.slice_line_numbers ~forward a.sdg
+         ~seeds:(seeds_at_line_exn a line) mode)
   | Q_chop { line; sink_line; mode } ->
     let source = seeds_at_line_exn a line in
     let sink = seeds_at_line_exn a sink_line in
-    let nodes = Slicer.chop a.sdg ~source ~sink mode in
-    R_lines (Slicer.locs_to_line_numbers (Slicer.nodes_to_lines a.sdg nodes))
+    R_lines
+      (Slicer.node_line_numbers a.sdg (Slicer.chop a.sdg ~source ~sink mode))
   | Q_expand { line } -> R_expand (expand_at_line a ~line)
   | Q_explain { seed_line; line; mode } ->
     R_witness (witness_from_line a ~seed_line ~line mode)

@@ -20,7 +20,8 @@ open Slice_pta
 let deps_of_kind (g : Sdg.t) (want : Sdg.edge_kind) (n : Sdg.node) :
     Sdg.node list =
   let acc = ref [] in
-  Sdg.deps_iter g n (fun dep kind -> if kind = want then acc := dep :: !acc);
+  let want = Sdg.edge_kind_tag want in
+  Sdg.deps_iter g n (fun dep t -> if t = want then acc := dep :: !acc);
   List.rev !acc
 
 (* Direct control dependences of a node: the conditionals (or call sites)

@@ -59,8 +59,8 @@ let bfs (g : Sdg.t) ~(seeds : Sdg.node list) ~(desired : int list)
     List.iter (fun (n, _) -> count_node n) current;
     List.iter
       (fun (n, budget) ->
-        Sdg.deps_iter g n (fun dep kind ->
-            match Slicer.edge_policy mode kind with
+        Sdg.deps_iter g n (fun dep t ->
+            match Slicer.edge_policy mode (Sdg.edge_kind_of_tag t) with
             | `Follow -> push dep budget
             | `Costly -> if budget > 0 then push dep (budget - 1)
             | `Skip -> ()))

@@ -18,6 +18,7 @@
 open Slice_ir
 open Slice_pta
 module Iset = Slice_util.Iset
+module Isort = Slice_util.Isort
 module Imap = Slice_util.Imap
 
 type edge_kind =
@@ -406,35 +407,34 @@ let csr_of_log (n : int) (l : ibuf) : csr * int array =
    writes the final adjacency itself. *)
 let freeze (_ : t) : unit = ()
 
-(* Row iteration: the hot-path accessors, no allocation per edge.  On a
-   patched graph, rows the patch rewrote (and rows of nodes interned by
-   a patch) live in the overlay and are checked first. *)
-let deps_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
+(* Row iteration: the hot-path accessors, no allocation per edge; each
+   edge is handed over as its target and kind tag.  On a patched graph,
+   rows the patch rewrote (and rows of nodes interned by a patch) live
+   in the overlay and are checked first. *)
+let deps_iter (g : t) (n : node) (f : node -> int -> unit) : unit =
   match if g.patched then g.ov_deps.(n) else None with
   | Some row ->
     for i = 0 to Array.length row - 1 do
       let e = Array.unsafe_get row i in
-      f (e lsr 3) (edge_kind_of_tag (e land 7))
+      f (e lsr 3) (e land 7)
     done
   | None ->
     let c = g.csr in
     for i = c.deps_off.(n) to c.deps_off.(n + 1) - 1 do
-      f (Array.unsafe_get c.deps_dst i)
-        (edge_kind_of_tag (Array.unsafe_get c.deps_kind i))
+      f (Array.unsafe_get c.deps_dst i) (Array.unsafe_get c.deps_kind i)
     done
 
-let uses_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
+let uses_iter (g : t) (n : node) (f : node -> int -> unit) : unit =
   match if g.patched then g.ov_uses.(n) else None with
   | Some row ->
     for i = 0 to Array.length row - 1 do
       let e = Array.unsafe_get row i in
-      f (e lsr 3) (edge_kind_of_tag (e land 7))
+      f (e lsr 3) (e land 7)
     done
   | None ->
     let c = g.csr in
     for i = c.uses_off.(n) to c.uses_off.(n + 1) - 1 do
-      f (Array.unsafe_get c.uses_dst i)
-        (edge_kind_of_tag (Array.unsafe_get c.uses_kind i))
+      f (Array.unsafe_get c.uses_dst i) (Array.unsafe_get c.uses_kind i)
     done
 
 let num_edges (g : t) : int = Array.fold_left ( + ) 0 g.kinds
@@ -443,7 +443,7 @@ let num_edges (g : t) : int = Array.fold_left ( + ) 0 g.kinds
    the [_iter] forms on hot paths. *)
 let row_list iter (g : t) (n : node) : (node * edge_kind) list =
   let acc = ref [] in
-  iter g n (fun d k -> acc := (d, k) :: !acc);
+  iter g n (fun d t -> acc := (d, edge_kind_of_tag t) :: !acc);
   List.rev !acc
 
 let deps (g : t) (n : node) = row_list deps_iter g n
@@ -716,13 +716,13 @@ let consider_pair (hp : heap_pairs) (rn : node) (wn : node) : unit =
    exactly. *)
 let emit_pairs (hp : heap_pairs)
     ~(emit : from:node -> on:node -> edge_kind -> unit) : unit =
-  let pairs = Array.sub hp.hp_pairs.ev 0 hp.hp_pairs.len in
-  Array.sort Int.compare pairs;
-  Array.iter
-    (fun k ->
-      Slice_obs.bump c_heap_emitted;
-      emit ~from:(Imap.pack_lo k) ~on:(Imap.pack_hi k) Producer_heap)
-    pairs
+  let pairs = hp.hp_pairs.ev and n = hp.hp_pairs.len in
+  Isort.sort ~tmp:(Array.make n 0) pairs n;
+  for i = 0 to n - 1 do
+    let k = pairs.(i) in
+    Slice_obs.bump c_heap_emitted;
+    emit ~from:(Imap.pack_lo k) ~on:(Imap.pack_hi k) Producer_heap
+  done
 
 (* Words of a table made by [Hashtbl.create hx_init] that never loses a
    binding: its record, its bucket array (doubled whenever the bindings
@@ -916,32 +916,61 @@ let params_pass (g : t) (vs : vars)
     vars_clear vs nvars
   end
 
-(* Pass 4 body: control dependence edges for one method.
-   [entry_callers] are the call-site nodes invoking it (entry-governed
-   statements are control-dependent on them). *)
-let control_pass (g : t) ~(emit : from:node -> on:node -> edge_kind -> unit)
-    ~(entry_callers : node list) (mc : int) (m : Instr.meth) : unit =
-  if Instr.has_body m then begin
+(* Pass 4's per-method part: for each block of a method body, the
+   blocks whose terminators govern it (its post-dominance frontier).  A
+   method's contexts share one body, so [memo] computes the CFG, the
+   post-dominator tree and the frontiers once per method per build or
+   patch. *)
+type governors = (Instr.method_qname, int list array) Hashtbl.t
+
+let governor_blocks (memo : governors) (m : Instr.meth) : int list array =
+  match Hashtbl.find_opt memo m.Instr.m_qname with
+  | Some gb -> gb
+  | None ->
     let cfg = Cfg.build m in
     let pdom = Dominance.compute (Dominance.backward_graph cfg) in
     let pdf = Dominance.dominance_frontiers pdom in
+    let nblocks = Array.length (Instr.blocks_exn m) in
+    let gb =
+      Array.init nblocks (fun bl -> List.filter (fun b -> b < nblocks) pdf.(bl))
+    in
+    Hashtbl.replace memo m.Instr.m_qname gb;
+    gb
+
+(* Pass 4 body: control dependence edges for one method context.
+   [entry_callers] are the call-site nodes invoking it (entry-governed
+   statements are control-dependent on them). *)
+let control_pass (g : t) ~(emit : from:node -> on:node -> edge_kind -> unit)
+    ~(memo : governors) ~(entry_callers : node list) (mc : int)
+    (m : Instr.meth) : unit =
+  if Instr.has_body m then begin
+    let gb = governor_blocks memo m in
     let blocks = Instr.blocks_exn m in
-    let nblocks = Array.length blocks in
-    for bl = 0 to nblocks - 1 do
-      let governors =
-        List.filter (fun b -> b < nblocks) pdf.(bl)
-        |> List.map (fun b -> intern_stmt g mc blocks.(b).Instr.b_term.Instr.t_id)
-      in
-      let wire n =
-        if governors = [] then
+    let rec wire n = function
+      | [] -> ()
+      | c :: rest ->
+        emit ~from:n ~on:c Control;
+        wire n rest
+    in
+    let rec wire_instrs on = function
+      | [] -> ()
+      | i :: rest ->
+        wire (intern_stmt g mc i.Instr.i_id) on;
+        wire_instrs on rest
+    in
+    for bl = 0 to Array.length blocks - 1 do
+      let on =
+        match gb.(bl) with
+        | [] ->
           (* governed by method entry: control-dependent on call sites *)
-          List.iter (fun c -> emit ~from:n ~on:c Control) entry_callers
-        else List.iter (fun c -> emit ~from:n ~on:c Control) governors
+          entry_callers
+        | gbs ->
+          List.map
+            (fun b -> intern_stmt g mc blocks.(b).Instr.b_term.Instr.t_id)
+            gbs
       in
-      List.iter
-        (fun i -> wire (intern_stmt g mc i.Instr.i_id))
-        blocks.(bl).Instr.b_instrs;
-      wire (intern_stmt g mc blocks.(bl).Instr.b_term.Instr.t_id)
+      wire_instrs on blocks.(bl).Instr.b_instrs;
+      wire (intern_stmt g mc blocks.(bl).Instr.b_term.Instr.t_id) on
     done
   end
 
@@ -1039,12 +1068,14 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
                   (Andersen.call_targets pta ~mctx:mc ~stmt:i.Instr.i_id)
               | _ -> ()))
       mcs;
+    let memo = Hashtbl.create 64 in
     List.iter
       (fun (mc, mq, _) ->
         let entry_callers =
           match Hashtbl.find_opt callers mc with Some r -> !r | None -> []
         in
-        control_pass g ~emit ~entry_callers mc (Program.find_method_exn p mq))
+        control_pass g ~emit ~memo ~entry_callers mc
+          (Program.find_method_exn p mq))
       mcs);
   (* One count-then-fill pass turns the log into the CSR.  The record
      copy is the finished graph; the passes above are done with [g]. *)
@@ -1136,12 +1167,17 @@ type patch_stats = {
 
 let empty_row = Some [||]
 
+(* Number of bits of [n] (0 for 0). *)
+let bit_length (n : int) : int =
+  let rec go n b = if n = 0 then b else go (n lsr 1) (b + 1) in
+  go n 0
+
 (* The sorted distinct union of [touch]'s nodes and the keys of the
    entries [idx] lists, which it lists in key order. *)
 let merge_keys (idx : int array) (key : int -> int) (touch : ibuf) :
     node array =
   let t = Array.sub touch.ev 0 touch.len in
-  Array.sort compare t;
+  Isort.sort ~tmp:(Array.make touch.len 0) t touch.len;
   let out = Array.make (Array.length idx + Array.length t) 0 in
   let n = ref 0 in
   let put x =
@@ -1178,9 +1214,20 @@ let commit_rows (g : t) ~(old_num : int) (log : ibuf) ~(deps_touch : ibuf)
     ~(uses_touch : ibuf) : node array * node array =
   let m = log.len / 2 in
   let from = log_from log and on = log_on log and tag = log_tag log in
-  (* log entries ordered by [key], then by emission *)
+  (* Log entries ordered by [key], then by emission: [idx] is
+     ascending, so packing each entry under its key (a node id, which
+     leaves room above an entry's bits) and sorting the packed ints is
+     the stable sort by key. *)
   let sorted_by key idx =
-    Array.stable_sort (fun a b -> compare (key a) (key b)) idx;
+    let n = Array.length idx and sh = bit_length m in
+    for i = 0 to n - 1 do
+      idx.(i) <- (key idx.(i) lsl sh) lor idx.(i)
+    done;
+    Isort.sort ~tmp:(Array.make n 0) idx n;
+    let low = (1 lsl sh) - 1 in
+    for i = 0 to n - 1 do
+      idx.(i) <- idx.(i) land low
+    done;
     idx
   in
   (* A row of [added] new edges, [old_iter]'s surviving ones after
@@ -1195,7 +1242,7 @@ let commit_rows (g : t) ~(old_num : int) (log : ibuf) ~(deps_touch : ibuf)
       incr i
     in
     fill_added put;
-    old_iter (fun o k -> if not g.dead.(o) then put o (edge_kind_tag k));
+    old_iter (fun o t -> if not g.dead.(o) then put o t);
     Some row
   in
   let no_row _ = () in
@@ -1219,7 +1266,7 @@ let commit_rows (g : t) ~(old_num : int) (log : ibuf) ~(deps_touch : ibuf)
         end
       in
       let old_iter = if f < old_num then deps_iter g f else no_row in
-      old_iter (fun o k -> ignore (fresh o (edge_kind_tag k)));
+      old_iter (fun o t -> ignore (fresh o t));
       let first = !p and added = ref 0 in
       while !p < m && from by_from.(!p) = f do
         let e = by_from.(!p) in
@@ -1450,20 +1497,19 @@ let patch (g : t) ~(changed : Instr.method_qname list)
        recorded (the loss classes needing repair).  The dead nodes'
        own [Control] dependences are kept for pass 4. *)
     let newly_dead = List.sort (fun a b -> compare b a) !retired in
-    let uncount k =
-      let t = edge_kind_tag k in
-      g.kinds.(t) <- g.kinds.(t) - 1
-    in
+    let uncount t = g.kinds.(t) <- g.kinds.(t) - 1 in
     let ctrl_deps = ref [] in
     List.iter
       (fun d ->
-        deps_iter g d (fun on k ->
-            uncount k;
+        deps_iter g d (fun on t ->
+            uncount t;
             if not g.dead.(on) then ipush uses_touch on;
-            if k = Control then ctrl_deps := (d, on) :: !ctrl_deps);
-        uses_iter g d (fun from k ->
+            if edge_kind_of_tag t = Control then
+              ctrl_deps := (d, on) :: !ctrl_deps);
+        uses_iter g d (fun from t ->
             if not g.dead.(from) then begin
-              uncount k;
+              uncount t;
+              let k = edge_kind_of_tag t in
               ipush deps_touch from;
               match k with
               | Return_value | Control ->
@@ -1571,12 +1617,13 @@ let patch (g : t) ~(changed : Instr.method_qname list)
           then push callers mc (intern_stmt g caller s'))
       | _ -> ())
     ctrl_deps;
+  let memo = Hashtbl.create 8 in
   List.iter
     (fun (mc, m) ->
       let entry_callers =
         match Hashtbl.find_opt callers mc with Some r -> !r | None -> []
       in
-      control_pass g ~emit ~entry_callers mc m)
+      control_pass g ~emit ~memo ~entry_callers mc m)
     changed_mcs;
   (* Repair the cross-method losses the re-run passes don't cover. *)
   let rv_done : (node * int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -1745,7 +1792,8 @@ let to_dot ?(witness : (node * edge_kind option) list = []) (g : t) : string =
     end
   done;
   for n = 0 to g.num_nodes - 1 do
-    deps_iter g n (fun dep kind ->
+    deps_iter g n (fun dep t ->
+        let kind = edge_kind_of_tag t in
         let style =
           match kind with
           | Producer_local | Producer_heap | Param_in | Return_value -> "solid"

@@ -99,12 +99,14 @@ val node_desc : t -> node -> node_desc
 val num_nodes : t -> int
 
 (** Backward adjacency iteration: the nodes [n] depends on, in row
-    order.  The hot-path accessor: allocation-free over the CSR arrays
-    (or a patch overlay row). *)
-val deps_iter : t -> node -> (node -> edge_kind -> unit) -> unit
+    order, each with its edge's kind as an {!edge_kind_tag}.  The
+    hot-path accessor: allocation-free over the CSR arrays (or a patch
+    overlay row). *)
+val deps_iter : t -> node -> (node -> int -> unit) -> unit
 
-(** Forward adjacency iteration: the nodes that depend on [n]. *)
-val uses_iter : t -> node -> (node -> edge_kind -> unit) -> unit
+(** Forward adjacency iteration: the nodes that depend on [n], each with
+    its edge's kind tag. *)
+val uses_iter : t -> node -> (node -> int -> unit) -> unit
 
 (** Backward adjacency as a list: {!deps_iter}'s row, in the same order.
     Allocates a fresh list per call; prefer {!deps_iter} on hot paths. *)

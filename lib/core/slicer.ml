@@ -12,25 +12,30 @@
    - [Traditional_full]: also follows control dependences.
 
    The walk itself runs on the graph's CSR rows with flat scratch
-   buffers: a byte array
-   of per-node best budgets doubling as the visited set, an entry-unique
-   int ring deque, and a touched-node log so the buffer reset costs
-   O(slice), not O(graph) — no Hashtbl, no Queue, no per-row list
-   allocation on the hot path.
+   buffers: a byte array of per-node best budgets doubling as the
+   visited set, an entry-unique int ring deque, and a touched-node log
+   so the buffer reset costs O(slice), not O(graph) — no Hashtbl, no
+   Queue, no per-row list allocation on the hot path.  The rows hand
+   the walk each edge's kind as its int tag, the mode's policy is a
+   table indexed by that tag, and one edge callback serves the whole
+   walk, so a walk allocates nothing per visited node.
 
-   Emission rule: the result is the touched log in ascending node order.
-   When the slice fills at least 1/lg of the id range [lo, hi] it
-   touched (lg = the slice size's bit length, the sort's comparison
-   depth), [best] is scanned over [lo, hi] — O(hi - lo), bounded by
-   O(slice log slice); otherwise the log is sorted by an int-specialised
-   heapsort, O(slice log slice).  Either way emission stays within the
-   slice's own cost, never O(graph).
+   Emission rule: a node-list result is the touched log in ascending
+   node order.  When the slice fills at least a quarter of the id range
+   [lo, hi] it touched, [best] is scanned over [lo, hi] — O(hi - lo),
+   at most four steps per member; otherwise the log is sorted by the
+   radix kernel [Slice_util.Isort], O(slice) per 8-bit digit of the
+   range.  Either way emission stays within the slice's own cost, never
+   O(graph).
 
-   The line projection reads the graph's dense location columns and
-   dedups on their line keys with a byte stamp allocated per call (one
-   byte per source line), so after the seed lookup nothing in a query
-   hashes or visits per graph node.  The seed implementation (Hashtbl +
-   Queue + sort over adjacency lists) is kept as a test oracle,
+   The line projection stamps the graph's dense line keys in a resident
+   int array (the first node seen per key, all-zero between queries),
+   collects the distinct keys and emits them in key order — (file, line)
+   order — through the same kernel.  A line-number answer projects the
+   walk's touched log directly, so it never builds the node list.
+   After the seed lookup nothing in a query hashes, compares or visits
+   per graph node.  The seed implementation (Hashtbl + Queue + sort over
+   adjacency lists) is kept as a test oracle,
    [Slice_oracle.Reference_walk]. *)
 
 type mode =
@@ -95,6 +100,32 @@ let edge_policy (mode : mode) (kind : Sdg.edge_kind) : [ `Follow | `Costly | `Sk
   | Traditional_full, (Sdg.Base_pointer | Sdg.Index | Sdg.Call_actual | Sdg.Control)
     -> `Follow
 
+(* [edge_policy] as tables indexed by edge-kind tag, one per mode shape
+   (the aliasing budget does not change the policy), built at module
+   initialisation: entries are [pol_follow], [pol_costly] or
+   [pol_skip]. *)
+let pol_follow = 0
+let pol_costly = 1
+let pol_skip = 2
+
+let policy_of mode : int array =
+  Array.init 8 (fun t ->
+      match edge_policy mode (Sdg.edge_kind_of_tag t) with
+      | `Follow -> pol_follow
+      | `Costly -> pol_costly
+      | `Skip -> pol_skip)
+
+let thin_policy = policy_of Thin
+let alias_policy = policy_of (Thin_with_aliasing 1)
+let data_policy = policy_of Traditional_data
+let full_policy = policy_of Traditional_full
+
+let policy_table = function
+  | Thin -> thin_policy
+  | Thin_with_aliasing _ -> alias_policy
+  | Traditional_data -> data_policy
+  | Traditional_full -> full_policy
+
 (* Budgets are stored in a byte each by the CSR walk; [initial_budget]
    saturates at [max_aliasing_budget] for EVERY implementation (CSR, the
    reference walk oracle, the BFS inspection metric) — the clamp lives
@@ -125,13 +156,20 @@ let initial_budget = function
    more than [cap] entries and [cap + 1] slots suffice.
 
    [touched] logs each node on its FIRST visit.  It serves double duty:
-   the slice result is the sorted touched prefix, and after emitting it
-   the walk zeroes exactly those [best] entries, restoring the all-zero
-   invariant.  Between walks [best] and [queued] are therefore always
-   all-zero, so a walk costs O(slice + edges scanned), never O(graph) —
-   the representative seeds of the BENCH suite produce slices several
-   orders of magnitude smaller than the SDG, and an O(num_nodes)
-   [Bytes.fill] + full scan per slice would dominate the walk itself. *)
+   the slice result is the sorted touched prefix (or its line
+   projection), and after emitting it the walk zeroes exactly those
+   [best] entries, restoring the all-zero invariant.  Between walks
+   [best] and [queued] are therefore always all-zero, so a walk costs
+   O(slice + edges scanned), never O(graph) — the representative seeds
+   of the BENCH suite produce slices several orders of magnitude
+   smaller than the SDG, and an O(num_nodes) [Bytes.fill] + full scan
+   per slice would dominate the walk itself.
+
+   [lines] is the line projection's stamp: per line key, 0 or the first
+   node seen with that key + 1, all-zero between projections.  Between
+   walks the ring and the touched log hold nothing, so the projection
+   collects its distinct keys in the ring and sorts them with the log
+   as the kernel's spare buffer. *)
 type scratch = {
   mutable cap : int;           (* number of nodes the buffers cover *)
   mutable best : Bytes.t;      (* cap bytes, all-zero between walks *)
@@ -142,6 +180,8 @@ type scratch = {
                                   keeps the backing store) *)
   mutable ring : int array;    (* cap + 1 slots *)
   mutable touched : int array; (* cap slots; first-visit log *)
+  mutable lines : int array;   (* one slot per line key; all-zero
+                                  between projections *)
 }
 
 (* The one walk scratch, shared by every traversal: slicing is not
@@ -153,7 +193,8 @@ let shared : scratch =
     best = Bytes.empty;
     queued = Slice_util.Bits.create ~capacity:1 ();
     ring = [| 0 |];
-    touched = [||] }
+    touched = [||];
+    lines = [||] }
 
 (* Grow-only: the buffers need no clearing because every walk zeroes
    exactly the entries it touched before returning ([queued] grows on
@@ -169,21 +210,24 @@ let ensure_capacity (s : scratch) (n : int) : unit =
 let shared_scratch_capacity () : int = shared.cap
 
 (* Resident footprint of the buffers, in bytes: [best] is one byte per
-   node, the ring and touched logs are boxed-free int arrays (8 bytes a
-   slot), and [queued] reports its backing words.  Arithmetic over the
-   field sizes — never [Obj.reachable_words] — so the figure is
-   deterministic across runs and safe to emit in byte-compared output. *)
+   node, the ring, touched log and line stamp are boxed-free int arrays
+   (8 bytes a slot), and [queued] reports its backing words.
+   Arithmetic over the field sizes — never [Obj.reachable_words] — so
+   the figure is deterministic across runs and safe to emit in
+   byte-compared output. *)
 let scratch_bytes (s : scratch) : int =
   s.cap
   + (8 * Slice_util.Bits.words s.queued)
   + (8 * Array.length s.ring)
   + (8 * Array.length s.touched)
+  + (8 * Array.length s.lines)
 
 (* The release path for long-lived processes: a one-off mega-program
    query must not pin its peak buffers for the process's lifetime.  The
    buffers are all-zero between walks, so a rebuild at the smaller size
-   preserves every invariant; [keep] is clamped to at least 1.  Growing
-   back later is just [ensure_capacity]. *)
+   preserves every invariant; [keep] is clamped to at least 1.  The
+   line stamp is dropped with them and regrows on the next projection.
+   Growing back later is just [ensure_capacity]. *)
 let shrink_shared_scratch ~(keep : int) : unit =
   let s = shared and n = max 1 keep in
   if s.cap > n then begin
@@ -191,50 +235,17 @@ let shrink_shared_scratch ~(keep : int) : unit =
     s.best <- Bytes.make n '\000';
     s.queued <- Slice_util.Bits.create ~capacity:n ();
     s.ring <- Array.make (n + 1) 0;
-    s.touched <- Array.make n 0
+    s.touched <- Array.make n 0;
+    s.lines <- [||]
   end
 
-(* In-place ascending heapsort of [a.(0) .. a.(len - 1)]: direct int
-   comparisons, no closure call per comparison. *)
-let sort_int_prefix (a : int array) (len : int) : unit =
-  let rec sift root stop =
-    let child = (2 * root) + 1 in
-    if child < stop then begin
-      let child =
-        if child + 1 < stop
-           && Array.unsafe_get a (child + 1) > Array.unsafe_get a child
-        then child + 1
-        else child
-      in
-      let r = Array.unsafe_get a root and c = Array.unsafe_get a child in
-      if c > r then begin
-        Array.unsafe_set a root c;
-        Array.unsafe_set a child r;
-        sift child stop
-      end
-    end
-  in
-  for root = (len / 2) - 1 downto 0 do
-    sift root len
-  done;
-  for stop = len - 1 downto 1 do
-    let top = Array.unsafe_get a 0 in
-    Array.unsafe_set a 0 (Array.unsafe_get a stop);
-    Array.unsafe_set a stop top;
-    sift 0 stop
-  done
-
-(* Number of bits of [n] (0 for 0). *)
-let bit_length (n : int) : int =
-  let rec go n b = if n = 0 then b else go (n lsr 1) (b + 1) in
-  go n 0
-
-(* The walks' shared result emission (see the header's emission rule):
-   the first [size] entries of [touched] — each node once — as an
-   ascending list, zeroing their [best] entries to restore the all-zero
-   invariant between walks. *)
-let emit_sorted (best : Bytes.t) (touched : int array) (size : int) :
-    Sdg.node list =
+(* The walks' node-list emission (see the header's emission rule): the
+   first [size] entries of [touched] — each node once — as an ascending
+   list, zeroing their [best] entries to restore the all-zero invariant
+   between walks.  The ring is free once a walk ends, so it is the
+   kernel's spare buffer. *)
+let emit_sorted (s : scratch) (size : int) : Sdg.node list =
+  let best = s.best and touched = s.touched in
   let lo = ref max_int and hi = ref (-1) in
   for i = 0 to size - 1 do
     let v = Array.unsafe_get touched i in
@@ -242,7 +253,7 @@ let emit_sorted (best : Bytes.t) (touched : int array) (size : int) :
     if v > !hi then hi := v
   done;
   let out = ref [] in
-  if size > 0 && !hi - !lo < size * bit_length size then
+  if size > 0 && !hi - !lo < 4 * size then
     for v = !hi downto !lo do
       if Bytes.unsafe_get best v <> '\000' then begin
         Bytes.unsafe_set best v '\000';
@@ -250,7 +261,7 @@ let emit_sorted (best : Bytes.t) (touched : int array) (size : int) :
       end
     done
   else begin
-    sort_int_prefix touched size;
+    Slice_util.Isort.sort ~tmp:s.ring touched size;
     for i = size - 1 downto 0 do
       let v = Array.unsafe_get touched i in
       Bytes.unsafe_set best v '\000';
@@ -352,13 +363,20 @@ let shrink_provenance (p : provenance) ~(keep : int) : unit =
    a budget improvement for a node already in the ring only updates
    [best]; the pending ring entry reads the improved budget at pop.
 
+   One [edge] callback serves every row of the walk: the node being
+   expanded and its budget live in two cells it reads, so expanding a
+   node allocates nothing.
+
    With [?prov] the walk also records each node's discovery in the
    provenance side tables (see [provenance]).  Without it [push] writes
-   no record and the edge-kind tag is never computed, so the hot path
-   pays one well-predicted branch per push. *)
+   no record, so the hot path pays one well-predicted branch per push.
+
+   Returns the slice size: the walk leaves its members in the touched
+   prefix of that length with their [best] entries set, for
+   [emit_sorted] or the line projection to read and zero. *)
 let walk_scratch ?prov (scratch : scratch)
-    (iter : Sdg.t -> Sdg.node -> (Sdg.node -> Sdg.edge_kind -> unit) -> unit)
-    (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : Sdg.node list =
+    (iter : Sdg.t -> Sdg.node -> (Sdg.node -> int -> unit) -> unit)
+    (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : int =
   Slice_obs.bump c_slices;
   let n = Sdg.num_nodes g in
   ensure_capacity scratch n;
@@ -405,11 +423,27 @@ let walk_scratch ?prov (scratch : scratch)
       Bytes.unsafe_set best node (Char.unsafe_chr b1);
       if Slice_util.Bits.add queued node then begin
         Array.unsafe_set ring !tail node;
-        tail := (!tail + 1) mod slots;
+        let t = !tail + 1 in
+        tail := if t = slots then 0 else t;
         incr count;
         if !count > !peak then peak := !count
       end
     end
+  in
+  let policy = policy_table mode in
+  let cur = ref 0 and cur_budget = ref 0 in
+  let edge dep tag =
+    let p = Array.unsafe_get policy tag in
+    if p = pol_follow then begin
+      incr followed;
+      push dep !cur_budget !cur tag
+    end
+    else if p = pol_costly && !cur_budget > 0 then begin
+      incr costly;
+      incr spent;
+      push dep (!cur_budget - 1) !cur tag
+    end
+    else incr skipped
   in
   (* [initial_budget] is already clamped to [max_aliasing_budget], which
      fits the byte-wide [best] table (budget + 1 <= 255) *)
@@ -417,31 +451,19 @@ let walk_scratch ?prov (scratch : scratch)
   List.iter (fun s -> push s k0 (-1) (-1)) seeds;
   while !count > 0 do
     let node = Array.unsafe_get ring !head in
-    head := (!head + 1) mod slots;
+    let h = !head + 1 in
+    head := if h = slots then 0 else h;
     decr count;
     Slice_util.Bits.remove queued node;
-    let budget = Char.code (Bytes.unsafe_get best node) - 1 in
+    cur := node;
+    cur_budget := Char.code (Bytes.unsafe_get best node) - 1;
     incr visited;
-    iter g node (fun dep kind ->
-        match edge_policy mode kind with
-        | `Follow ->
-          incr followed;
-          push dep budget node
-            (if recording then Sdg.edge_kind_tag kind else -1)
-        | `Costly ->
-          if budget > 0 then begin
-            incr costly;
-            incr spent;
-            push dep (budget - 1) node
-              (if recording then Sdg.edge_kind_tag kind else -1)
-          end
-          else incr skipped
-        | `Skip -> incr skipped)
+    iter g node edge
   done;
   Slice_obs.max_gauge g_frontier_peak (float_of_int !peak);
   (* [queued] is already all-zero again: every enqueued node was popped. *)
   Slice_obs.observe h_slice_nodes (float_of_int !tcount);
-  emit_sorted best touched !tcount
+  !tcount
 
 (* A node has a valid record iff a recorded walk has run ([pv_mode]
    guards the fresh-provenance case where every zero stamp would equal
@@ -495,25 +517,30 @@ let witness (p : provenance) (node : Sdg.node) : witness_step list option =
    a peak gauge. *)
 let scratch_for (g : Sdg.t) : scratch =
   ensure_capacity shared (max 1 (Sdg.num_nodes g));
+  if Array.length shared.lines < Sdg.num_line_keys g then
+    shared.lines <- Array.make (Sdg.num_line_keys g) 0;
   Slice_obs.max_gauge g_scratch_bytes (float_of_int (scratch_bytes shared));
   shared
 
-(* Per-query span annotations: the mode up front, the result size once
-   known — this is what makes a Chrome trace attributable to a QUERY
-   instead of a row of anonymous "slicer.slice" bars. *)
-let annotate_size (result : Sdg.node list) : Sdg.node list =
-  if Slice_obs.enabled () then
-    Slice_obs.add_span_arg "nodes" (string_of_int (List.length result));
-  result
+(* One walk and its emission [finish] under the query's span: the mode
+   up front, the slice size once known — this is what makes a Chrome
+   trace attributable to a QUERY instead of a row of anonymous
+   "slicer.slice" bars. *)
+let walk_span ?prov ~name iter (g : Sdg.t) ~(seeds : Sdg.node list)
+    (mode : mode) (finish : scratch -> int -> 'a) : 'a =
+  Slice_obs.span
+    ~args:[ ("mode", mode_to_string mode) ]
+    name
+    (fun () ->
+      let s = scratch_for g in
+      let size = walk_scratch ?prov s iter g ~seeds mode in
+      if Slice_obs.enabled () then
+        Slice_obs.add_span_arg "nodes" (string_of_int size);
+      finish s size)
 
 let slice ?prov (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
     Sdg.node list =
-  Slice_obs.span
-    ~args:[ ("mode", mode_to_string mode) ]
-    "slicer.slice"
-    (fun () ->
-      annotate_size
-        (walk_scratch ?prov (scratch_for g) Sdg.deps_iter g ~seeds mode))
+  walk_span ?prov ~name:"slicer.slice" Sdg.deps_iter g ~seeds mode emit_sorted
 
 (* Forward slicing: which statements CONSUME the value a seed produces?
    Same edge discipline as backward slicing, traversed over use-edges.
@@ -521,12 +548,8 @@ let slice ?prov (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
    move?") — the dual of the paper's backward producer chains. *)
 let forward_slice ?prov (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
     Sdg.node list =
-  Slice_obs.span
-    ~args:[ ("mode", mode_to_string mode) ]
-    "slicer.forward"
-    (fun () ->
-      annotate_size
-        (walk_scratch ?prov (scratch_for g) Sdg.uses_iter g ~seeds mode))
+  walk_span ?prov ~name:"slicer.forward" Sdg.uses_iter g ~seeds mode
+    emit_sorted
 
 (* Many slices over one graph, one scratch sizing.  The per-seed walks
    reuse the byte arrays and the ring; only the result lists are fresh. *)
@@ -535,7 +558,8 @@ let slice_batch (g : Sdg.t) ~(seeds_list : Sdg.node list list) (mode : mode) :
   Slice_obs.span "slicer.slice_batch" (fun () ->
       let scratch = scratch_for g in
       List.map
-        (fun seeds -> walk_scratch scratch Sdg.deps_iter g ~seeds mode)
+        (fun seeds ->
+          emit_sorted scratch (walk_scratch scratch Sdg.deps_iter g ~seeds mode))
         seeds_list)
 
 let forward_slice_batch (g : Sdg.t) ~(seeds_list : Sdg.node list list)
@@ -545,7 +569,8 @@ let forward_slice_batch (g : Sdg.t) ~(seeds_list : Sdg.node list list)
   Slice_obs.span "slicer.forward_batch" (fun () ->
       let scratch = scratch_for g in
       List.map
-        (fun seeds -> walk_scratch scratch Sdg.uses_iter g ~seeds mode)
+        (fun seeds ->
+          emit_sorted scratch (walk_scratch scratch Sdg.uses_iter g ~seeds mode))
         seeds_list)
 
 (* Intersection of two sorted-unique node lists: order-independent by
@@ -573,22 +598,82 @@ let chop (g : Sdg.t) ~(source : Sdg.node list) ~(sink : Sdg.node list)
   let backward = slice g ~seeds:sink mode in
   inter_sorted forward backward
 
+(* ------------------------------------------------------------------ *)
+(* The line projection                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Stamp node [n]'s line key: the first node seen with a key is stored
+   (+ 1) in [s.lines] and the key appended to the ring's prefix of
+   length [d].  Returns the new prefix length. *)
+let[@inline] stamp_line (s : scratch) (g : Sdg.t) (n : Sdg.node) (d : int) :
+    int =
+  let k = Sdg.line_key g n in
+  if k >= 0 && Array.unsafe_get s.lines k = 0 then begin
+    Array.unsafe_set s.lines k (n + 1);
+    Array.unsafe_set s.ring d k;
+    d + 1
+  end
+  else d
+
+(* The distinct line keys of [nodes] in the ring's prefix; returns
+   their number.  The stamp stays set until the caller reads and zeroes
+   it. *)
+let stamp_nodes (s : scratch) (g : Sdg.t) (nodes : Sdg.node list) : int =
+  let rec go d = function [] -> d | n :: rest -> go (stamp_line s g n d) rest in
+  go 0 nodes
+
+(* Sort the ring's prefix of [d] keys, with the touched log as the
+   kernel's spare buffer. *)
+let sort_keys (s : scratch) (d : int) : unit =
+  Slice_util.Isort.sort ~tmp:s.touched s.ring d
+
+(* The line numbers of the [d] keys in the ring's prefix, as a
+   sorted-distinct list, zeroing their stamps.  Key order is (file,
+   line) order, so the numbers come out ascending unless two files
+   repeat or interleave their lines: only then are they sorted, and the
+   list drops repeats. *)
+let emit_line_numbers (s : scratch) (g : Sdg.t) (d : int) : int list =
+  sort_keys s d;
+  let ring = s.ring and lines = s.lines in
+  let ascending = ref true and prev = ref min_int in
+  for i = 0 to d - 1 do
+    let k = Array.unsafe_get ring i in
+    let l = (Sdg.node_loc g (Array.unsafe_get lines k - 1)).Slice_ir.Loc.line in
+    Array.unsafe_set lines k 0;
+    Array.unsafe_set ring i l;
+    if l <= !prev then ascending := false;
+    prev := l
+  done;
+  if not !ascending then sort_keys s d;
+  let out = ref [] in
+  for i = d - 1 downto 0 do
+    let l = Array.unsafe_get ring i in
+    match !out with
+    | l' :: _ when l' = l -> ()
+    | _ -> out := l :: !out
+  done;
+  !out
+
 (* Distinct source locations of countable nodes, the granularity a user
    reads: the first-seen location per (file, line), in [Loc.compare]
-   order.  Dedup stamps the graph's dense line keys in a byte array owned
-   by this call (one byte per key, so proportional to the source). *)
+   order, which is line-key order. *)
 let nodes_to_lines (g : Sdg.t) (nodes : Sdg.node list) : Slice_ir.Loc.t list =
-  let stamp = Bytes.make (Sdg.num_line_keys g) '\000' in
+  let s = scratch_for g in
+  let d = stamp_nodes s g nodes in
+  sort_keys s d;
   let out = ref [] in
-  List.iter
-    (fun n ->
-      let k = Sdg.line_key g n in
-      if k >= 0 && Bytes.unsafe_get stamp k = '\000' then begin
-        Bytes.unsafe_set stamp k '\001';
-        out := Sdg.node_loc g n :: !out
-      end)
-    nodes;
-  List.sort Slice_ir.Loc.compare !out
+  for i = d - 1 downto 0 do
+    let k = Array.unsafe_get s.ring i in
+    out := Sdg.node_loc g (Array.unsafe_get s.lines k - 1) :: !out;
+    Array.unsafe_set s.lines k 0
+  done;
+  !out
+
+(* Sorted distinct line NUMBERS of a node list: the numbers of
+   [nodes_to_lines g nodes], without building the locations. *)
+let node_line_numbers (g : Sdg.t) (nodes : Sdg.node list) : int list =
+  let s = scratch_for g in
+  emit_line_numbers s g (stamp_nodes s g nodes)
 
 let slice_lines (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : Slice_ir.Loc.t list =
   nodes_to_lines g (slice g ~seeds mode)
@@ -596,10 +681,43 @@ let slice_lines (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : Slice_ir.Lo
 (* Distinct line NUMBERS of a location list.  [nodes_to_lines] dedups per
    (file, line); once the file component is projected away, two files
    sharing a line number would otherwise yield the same int twice (the
-   multi-file duplicate-line bug). *)
+   multi-file duplicate-line bug).  A list in [nodes_to_lines] order
+   from one file is already strictly ascending, which one pass checks;
+   any other list goes through the kernel. *)
 let locs_to_line_numbers (locs : Slice_ir.Loc.t list) : int list =
-  List.sort_uniq Int.compare (List.map (fun l -> l.Slice_ir.Loc.line) locs)
+  let line (l : Slice_ir.Loc.t) = l.Slice_ir.Loc.line in
+  let rec ascending prev = function
+    | [] -> true
+    | l :: rest -> line l > prev && ascending (line l) rest
+  in
+  if ascending min_int locs then List.map line locs
+  else begin
+    let a = Array.of_list (List.map line locs) in
+    let n = Array.length a in
+    Slice_util.Isort.sort ~tmp:(Array.make n 0) a n;
+    let out = ref [] in
+    for i = n - 1 downto 0 do
+      match !out with
+      | l :: _ when l = a.(i) -> ()
+      | _ -> out := a.(i) :: !out
+    done;
+    !out
+  end
 
-let slice_line_numbers (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
-    int list =
-  locs_to_line_numbers (slice_lines g ~seeds mode)
+(* A slice's sorted distinct line numbers, projected from the walk's
+   touched log: the members' [best] entries are zeroed as their keys
+   are stamped, and no node list is built. *)
+let slice_line_numbers ~(forward : bool) (g : Sdg.t)
+    ~(seeds : Sdg.node list) (mode : mode) : int list =
+  let project s size =
+    let d = ref 0 in
+    for i = 0 to size - 1 do
+      let n = Array.unsafe_get s.touched i in
+      Bytes.unsafe_set s.best n '\000';
+      d := stamp_line s g n !d
+    done;
+    emit_line_numbers s g !d
+  in
+  if forward then
+    walk_span ~name:"slicer.forward" Sdg.uses_iter g ~seeds mode project
+  else walk_span ~name:"slicer.slice" Sdg.deps_iter g ~seeds mode project

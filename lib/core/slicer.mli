@@ -152,13 +152,23 @@ val chop :
   Sdg.t -> source:Sdg.node list -> sink:Sdg.node list -> mode -> Sdg.node list
 
 (** Distinct source locations of countable nodes, sorted — the projection
-    {!slice_lines} applies to a slice. *)
+    {!slice_lines} applies to a slice.  The first location seen per
+    (file, line) is kept.  The graph's dense line keys are stamped in a
+    resident scratch and emitted in key order, which is [Loc.compare]
+    order: no comparison sort, and no allocation beyond the result. *)
 val nodes_to_lines : Sdg.t -> Sdg.node list -> Slice_ir.Loc.t list
+
+(** Sorted distinct line NUMBERS of a node list: the numbers of
+    {!nodes_to_lines}, through the same stamp, without building the
+    locations.  Distinct files can repeat a line number; it is reported
+    once. *)
+val node_line_numbers : Sdg.t -> Sdg.node list -> int list
 
 (** Project locations to sorted-distinct line NUMBERS.  Distinct files can
     repeat a line number, so the dedup happens after the file component is
     dropped — a two-file program whose slices touch [a.tj:4] and [b.tj:4]
-    reports line 4 once. *)
+    reports line 4 once.  A strictly ascending input (one file, in
+    {!nodes_to_lines} order) costs one linear check. *)
 val locs_to_line_numbers : Slice_ir.Loc.t list -> int list
 
 (** Slice contents as distinct source locations of countable nodes — the
@@ -166,4 +176,9 @@ val locs_to_line_numbers : Slice_ir.Loc.t list -> int list
     instructions is reported once). *)
 val slice_lines : Sdg.t -> seeds:Sdg.node list -> mode -> Slice_ir.Loc.t list
 
-val slice_line_numbers : Sdg.t -> seeds:Sdg.node list -> mode -> int list
+(** The sorted distinct line numbers of a backward slice, or of a forward
+    slice under [~forward:true]: the answer of a slice query.  The walk's
+    touched log is projected directly, so no node list is built.
+    Recorded under the same span as {!slice} (or {!forward_slice}). *)
+val slice_line_numbers :
+  forward:bool -> Sdg.t -> seeds:Sdg.node list -> mode -> int list

@@ -431,11 +431,28 @@ module Json = struct
       let short = Printf.sprintf "%.12g" f in
       if float_of_string short = f then short else s
 
+  (* The decimal digits of [n >= 0], most significant first, written
+     straight into [buf]: the bytes of [string_of_int n] without the
+     intermediate string. *)
+  let rec add_digits buf n =
+    if n >= 10 then add_digits buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+  (* A negative [i] is written from [-(i / 10)] and [-(i mod 10)], which
+     never negate [min_int]. *)
+  let add_int buf (i : int) : unit =
+    if i >= 0 then add_digits buf i
+    else begin
+      Buffer.add_char buf '-';
+      if i <= -10 then add_digits buf (-(i / 10));
+      Buffer.add_char buf (Char.unsafe_chr (48 - (i mod 10)))
+    end
+
   let rec write buf (j : t) : unit =
     match j with
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Int i -> add_int buf i
     | Float f -> Buffer.add_string buf (float_to_string f)
     | Str s ->
       Buffer.add_char buf '"';

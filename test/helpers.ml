@@ -47,6 +47,21 @@ let check_bool = Alcotest.(check bool)
 
 let line_of = Runtime_lib.line_of
 
+(* First/middle/last user-visible statement nodes: representative seed
+   sets for small, medium and whole-program-reaching slices. *)
+let seed_sets (g : Slice_core.Sdg.t) : Slice_core.Sdg.node list list =
+  let countable = ref [] in
+  for n = Slice_core.Sdg.num_nodes g - 1 downto 0 do
+    if Slice_core.Sdg.node_countable g n then countable := n :: !countable
+  done;
+  match !countable with
+  | [] -> []
+  | nodes ->
+    let arr = Array.of_list nodes in
+    let k = Array.length arr in
+    [ [ arr.(0) ]; [ arr.(k / 2) ]; [ arr.(k - 1) ];
+      [ arr.(0); arr.(k / 2); arr.(k - 1) ] ]
+
 (* ---- Location oracles ----
 
    The statement-table lookups and full-graph scans that answered
@@ -183,9 +198,7 @@ module Census_oracle = struct
   let edge_kind_counts (g : Sdg.t) : (Sdg.edge_kind * int) list =
     let counts = Array.make 8 0 in
     for n = 0 to Sdg.num_nodes g - 1 do
-      Sdg.deps_iter g n (fun _ k ->
-          let t = Sdg.edge_kind_tag k in
-          counts.(t) <- counts.(t) + 1)
+      Sdg.deps_iter g n (fun _ t -> counts.(t) <- counts.(t) + 1)
     done;
     List.map
       (fun (k, _) -> (k, counts.(Sdg.edge_kind_tag k)))
@@ -303,10 +316,10 @@ let adjacency_digest (g : Slice_core.Sdg.t) : string =
   Buffer.add_string buf (string_of_int n);
   let row tag iter i =
     Buffer.add_char buf tag;
-    iter g i (fun m k ->
+    iter g i (fun m t ->
         Buffer.add_string buf (string_of_int m);
         Buffer.add_char buf ':';
-        Buffer.add_string buf (string_of_int (Sdg.edge_kind_tag k));
+        Buffer.add_string buf (string_of_int t);
         Buffer.add_char buf ',')
   in
   for i = 0 to n - 1 do

@@ -322,6 +322,63 @@ let test_iter_snapshot_safe () =
   Alcotest.(check (list int)) "snapshot iter" [ 0; 62 ] (List.rev !seen);
   Alcotest.(check bool) "growth landed" true (Bits.mem b 1062)
 
+(* ---- Isort: the int-sort kernel ---- *)
+
+module Isort = Slice_util.Isort
+
+(* [Isort.sort] of a prefix of [a] against [Array.stable_sort compare]
+   of the same prefix: the tail must stay as it was. *)
+let check_isort ctx (a : int array) (len : int) =
+  let want = Array.copy a in
+  let prefix = Array.sub want 0 len in
+  Array.stable_sort compare prefix;
+  Array.blit prefix 0 want 0 len;
+  let got = Array.copy a in
+  Isort.sort ~tmp:(Array.make len 0) got len;
+  if got <> want then
+    Alcotest.failf "%s: Isort.sort differs from Array.stable_sort" ctx
+
+let test_isort_matches_stable_sort () =
+  let rng = Random.State.make [| 31 |] in
+  (* up to 61 random bits: bit 62 is the sign bit *)
+  let wide () =
+    (Random.State.bits rng lsl 31) lor Random.State.bits rng
+  in
+  check_isort "length 0" [||] 0;
+  check_isort "length 1" [| 7 |] 1;
+  check_isort "length 1, max_int" [| max_int |] 1;
+  check_isort "0 and max_int" [| max_int; 0; max_int; 0 |] 4;
+  List.iter
+    (fun n ->
+      let ctx what = Printf.sprintf "%s, length %d" what n in
+      check_isort (ctx "duplicates")
+        (Array.init n (fun _ -> Random.State.int rng (max 1 (n / 4))))
+        n;
+      check_isort (ctx "near max_int")
+        (Array.init n (fun _ -> max_int - Random.State.int rng 1000))
+        n;
+      check_isort (ctx "every digit")
+        (Array.init n (fun i -> if i mod 7 = 0 then max_int else wide ()))
+        n;
+      check_isort (ctx "one value") (Array.make n 42) n;
+      check_isort (ctx "prefix")
+        (Array.init n (fun _ -> Random.State.int rng 100_000))
+        (n / 2))
+    [ 2; 3; 17; 255; 256; 257; 1000; 5000 ];
+  (* keyed stability, as the SDG's row commit uses it: keys packed above
+     ascending indices sort like a stable sort of the indices by key *)
+  let n = 3000 in
+  let keys = Array.init n (fun _ -> Random.State.int rng 50) in
+  let packed = Array.init n (fun i -> (keys.(i) lsl 12) lor i) in
+  Isort.sort ~tmp:(Array.make n 0) packed n;
+  let want = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) want;
+  Alcotest.(check (array int)) "keyed sort is stable" want
+    (Array.map (fun v -> v land 4095) packed);
+  Alcotest.check_raises "negative values are refused"
+    (Invalid_argument "Isort.sort: negative value") (fun () ->
+      Isort.sort ~tmp:(Array.make 2 0) [| 1; -1 |] 2)
+
 let suite =
   [ Alcotest.test_case "word edges 62/63/64/125/126/127" `Quick test_word_edges;
     Alcotest.test_case "sign bit round trip" `Quick test_sign_bit_round_trip;
@@ -331,4 +388,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_imap_matches_oracle;
     QCheck_alcotest.to_alcotest prop_union_diff_match_oracle;
     QCheck_alcotest.to_alcotest prop_propagate_matches_oracle;
-    QCheck_alcotest.to_alcotest prop_copy_is_independent ]
+    QCheck_alcotest.to_alcotest prop_copy_is_independent;
+    Alcotest.test_case "isort equals Array.stable_sort" `Quick
+      test_isort_matches_stable_sort ]

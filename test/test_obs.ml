@@ -259,6 +259,18 @@ let test_json_roundtrip () =
   | Error e -> Alcotest.failf "reparse failed: %s" e
   | Ok doc' -> check_bool "round-trip preserves structure" true (json_equal doc doc')
 
+(* [Int] is written as digits straight into the buffer: the bytes must
+   be those of [string_of_int], at the edges of the int range too. *)
+let test_json_ints () =
+  List.iter
+    (fun i ->
+      check_string (string_of_int i) (string_of_int i)
+        (Json.to_string (Json.Int i)))
+    [ 0; -1; 1; 9; 10; -9; -10; 99; -100; 1234567890; min_int; max_int;
+      min_int + 1; max_int - 1 ];
+  check_string "ints in a list" "[0,-1,42]"
+    (Json.to_string (Json.List [ Json.Int 0; Json.Int (-1); Json.Int 42 ]))
+
 let test_json_parse_errors () =
   List.iter
     (fun bad ->
@@ -623,6 +635,7 @@ let suite =
     Alcotest.test_case "percentile math pinned" `Quick test_percentile_pinned;
     Alcotest.test_case "span args" `Quick test_span_args;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+    Alcotest.test_case "json ints are string_of_int" `Quick test_json_ints;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "snapshot json shape" `Quick test_snapshot_json_shape;
     Alcotest.test_case "span major words" `Quick test_span_major_words;

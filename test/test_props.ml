@@ -205,20 +205,7 @@ let parity_modes =
     Slice_core.Slicer.Traditional_data;
     Slice_core.Slicer.Traditional_full ]
 
-(* First/middle/last user-visible statement nodes: representative seed
-   sets for small, medium and whole-program-reaching slices. *)
-let parity_seed_sets (g : Slice_core.Sdg.t) : Slice_core.Sdg.node list list =
-  let countable = ref [] in
-  for n = Slice_core.Sdg.num_nodes g - 1 downto 0 do
-    if Slice_core.Sdg.node_countable g n then countable := n :: !countable
-  done;
-  match !countable with
-  | [] -> []
-  | nodes ->
-    let arr = Array.of_list nodes in
-    let k = Array.length arr in
-    [ [ arr.(0) ]; [ arr.(k / 2) ]; [ arr.(k - 1) ];
-      [ arr.(0); arr.(k / 2); arr.(k - 1) ] ]
+let parity_seed_sets = Helpers.seed_sets
 
 (* Node-for-node agreement of the CSR walk with the reference walk on one
    analysis, for every mode / seed set / direction, plus the line

@@ -52,7 +52,7 @@ void main(String[] args) {
   (* the print's argument chain must reach 41 through the call *)
   let seed_line = line_of ~src ~pattern:"print(itoa(b));" in
   let lines =
-    Slicer.slice_line_numbers g
+    Slicer.slice_line_numbers ~forward:false g
       ~seeds:(Engine.seeds_at_line_exn a seed_line)
       Slicer.Thin
   in
@@ -76,7 +76,7 @@ void main(String[] args) {
   let g = a.Engine.sdg in
   let seed_line = line_of ~src ~pattern:"print(itoa(c.v));" in
   let lines =
-    Slicer.slice_line_numbers g
+    Slicer.slice_line_numbers ~forward:false g
       ~seeds:(Engine.seeds_at_line_exn a seed_line)
       Slicer.Thin
   in
@@ -98,7 +98,7 @@ let test_array_length_dependence () =
   let g = a.Engine.sdg in
   let seed_line = line_of ~src ~pattern:"print(itoa(a.length));" in
   let lines =
-    Slicer.slice_line_numbers g
+    Slicer.slice_line_numbers ~forward:false g
       ~seeds:(Engine.seeds_at_line_exn a seed_line)
       Slicer.Thin
   in
@@ -220,8 +220,8 @@ let test_heap_counters_exact () =
       let g = a.Engine.sdg in
       let heap_edges = ref 0 in
       for n = 0 to Sdg.num_nodes g - 1 do
-        Sdg.deps_iter g n (fun _ k ->
-            if k = Sdg.Producer_heap then incr heap_edges)
+        Sdg.deps_iter g n (fun _ t ->
+            if t = Sdg.edge_kind_tag Sdg.Producer_heap then incr heap_edges)
       done;
       let counter k =
         match List.assoc_opt k snap.Slice_obs.snap_counters with

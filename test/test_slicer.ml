@@ -265,6 +265,148 @@ let test_budget_clamp_boundary () =
   Alcotest.(check bool) "k=253 is strictly below the saturation point" true
     (List.length (csr 253) < List.length (csr 254))
 
+(* ---- The line projection and the walk's work ---- *)
+
+let projection_modes =
+  [ Slicer.Thin; Slicer.Thin_with_aliasing 1; Slicer.Traditional_data;
+    Slicer.Traditional_full ]
+
+(* The line projection against the composition it replaced: the
+   first-seen location per (file, line), sorted by [Loc.compare] (the
+   Hashtbl oracle), then [List.sort_uniq] over the bare line numbers.
+   Every entry point is checked, both directions, and
+   [locs_to_line_numbers] on the reversed locations too (the sorting
+   path). *)
+let check_projection ~(ctx : string) (g : Sdg.t) ~(seeds : Sdg.node list)
+    (mode : Slicer.mode) : unit =
+  let tbl = Slice_ir.Program.build_stmt_table (Sdg.program g) in
+  List.iter
+    (fun forward ->
+      let ctx =
+        Printf.sprintf "%s %s %s" ctx (Slicer.mode_to_string mode)
+          (if forward then "forward" else "backward")
+      in
+      let nodes =
+        if forward then Slicer.forward_slice g ~seeds mode
+        else Slicer.slice g ~seeds mode
+      in
+      let locs = Loc_oracle.nodes_to_lines tbl g nodes in
+      let want =
+        List.sort_uniq compare (List.map (fun l -> l.Slice_ir.Loc.line) locs)
+      in
+      let lines = Alcotest.(check (list int)) in
+      lines (ctx ^ ": slice_line_numbers") want
+        (Slicer.slice_line_numbers ~forward g ~seeds mode);
+      lines (ctx ^ ": node_line_numbers") want
+        (Slicer.node_line_numbers g nodes);
+      Alcotest.(check bool)
+        (ctx ^ ": nodes_to_lines") true
+        (List.equal Slice_ir.Loc.equal locs (Slicer.nodes_to_lines g nodes));
+      lines (ctx ^ ": locs_to_line_numbers") want
+        (Slicer.locs_to_line_numbers locs);
+      lines (ctx ^ ": locs_to_line_numbers, reversed") want
+        (Slicer.locs_to_line_numbers (List.rev locs)))
+    [ false; true ]
+
+let test_projection_on_workloads () =
+  List.iter
+    (fun (name, src) ->
+      let g = (Engine.of_source ~file:(name ^ ".tj") src).Engine.sdg in
+      List.iter
+        (fun seeds ->
+          List.iter (check_projection ~ctx:name g ~seeds) projection_modes)
+        (seed_sets g))
+    Suites.paper_workloads
+
+(* The same on a patched graph: overlay rows, retired nodes, and new
+   nodes whose ids lie past the build's. *)
+let test_projection_on_patched_graph () =
+  let src, edited = scaled_tweak ~stmts:2_000 in
+  let h = Engine.load [ ("scaled.tj", src) ] in
+  let h', rep = Engine.update h [ ("scaled.tj", edited) ] in
+  Alcotest.(check string) "update path" "patched"
+    (Engine.update_path_to_string rep.Engine.up_path);
+  let g = h'.Engine.h_analysis.Engine.sdg in
+  List.iter
+    (fun seeds ->
+      List.iter (check_projection ~ctx:"patched" g ~seeds) projection_modes)
+    (seed_sets g)
+
+(* The walk's work on the nine workloads, summed over the representative
+   seed sets, the four modes and both directions: nodes visited, edges
+   followed, skipped and costly, and the frontier peak.  The figures are
+   pinned so that a change to the walk's kernel (row iteration, policy
+   lookup, ring) must do exactly the same work. *)
+let walk_work =
+  [ ("nanoxml", [ 8802; 16601; 4309; 26; 154 ]);
+    ("jtopas", [ 3551; 6398; 1881; 52; 92 ]);
+    ("ant", [ 5528; 10204; 2461; 56; 124 ]);
+    ("xmlsec", [ 1525; 2152; 969; 0; 39 ]);
+    ("mtrt", [ 2485; 4873; 1445; 10; 80 ]);
+    ("jess", [ 2967; 5235; 1150; 14; 86 ]);
+    ("javac", [ 7983; 15302; 4992; 20; 189 ]);
+    ("jack", [ 9431; 17690; 4062; 16; 189 ]);
+    ("pipeline-32", [ 64352; 135584; 19231; 278; 1891 ]) ]
+
+let test_walk_work_pinned () =
+  List.iter
+    (fun (name, src) ->
+      let g = (Engine.of_source ~file:(name ^ ".tj") src).Engine.sdg in
+      let (), snap =
+        Slice_obs.scoped (fun () ->
+            List.iter
+              (fun seeds ->
+                List.iter
+                  (fun mode ->
+                    ignore (Slicer.slice g ~seeds mode);
+                    ignore (Slicer.forward_slice g ~seeds mode))
+                  projection_modes)
+              (seed_sets g))
+      in
+      let counter k =
+        Option.value ~default:0 (List.assoc_opt k snap.Slice_obs.snap_counters)
+      in
+      let peak =
+        Option.value ~default:0.
+          (List.assoc_opt "slicer.frontier_peak" snap.Slice_obs.snap_gauges)
+      in
+      Alcotest.(check (list int))
+        (name ^ ": visited, followed, skipped, costly, frontier peak")
+        (List.assoc name walk_work)
+        [ counter "slicer.nodes_visited"; counter "slicer.edges_followed";
+          counter "slicer.edges_skipped"; counter "slicer.edges_costly";
+          int_of_float peak ])
+    Suites.paper_workloads
+
+(* A thin slice query allocates per answer line, not per visited node:
+   on the seed-1 5k-statement program the query at the generator's seed
+   line visits 2,599 nodes and answers 586 lines in about 0.75 words per
+   visited node, the result list's.  A walk with a closure per visited
+   node, a node list, a location list and two comparison sorts read
+   30.9. *)
+let test_query_alloc_per_visited () =
+  let sc = Slice_fuzz.Gen_tj.generate_scaled ~seed:1 ~stmts:5_000 in
+  let h = Engine.load [ ("scaled.tj", sc.Slice_fuzz.Gen_tj.sc_src) ] in
+  let q =
+    Engine.Q_slice
+      { line = sc.Slice_fuzz.Gen_tj.sc_seed_line; mode = Slicer.Thin;
+        forward = false }
+  in
+  (* the first query sizes the resident scratch *)
+  ignore (Engine.run_query h q);
+  let v0 = Slice_obs.counter_value "slicer.nodes_visited" in
+  Gc.minor ();
+  let w0 = Slice_obs.allocated_words () in
+  for _ = 1 to 10 do
+    ignore (Sys.opaque_identity (Engine.run_query h q))
+  done;
+  let words = Slice_obs.allocated_words () -. w0 in
+  let visited = Slice_obs.counter_value "slicer.nodes_visited" - v0 in
+  let per = words /. float_of_int (max 1 visited) in
+  if per > 1.5 then
+    Alcotest.failf
+      "a thin query allocated %.2f words per visited node (want <= 1.5)" per
+
 (* Regression for the multi-file duplicate-lines bug: distinct files share
    line numbers, and [slice_line_numbers] deduplicated (file, line) PAIRS
    before dropping the file — so a slice touching a.tj:3 and b.tj:3
@@ -296,7 +438,7 @@ let test_two_file_line_numbers () =
   in
   Alcotest.(check (list string)) "slice spans both files" [ "a.tj"; "b.tj" ]
     files;
-  let lines = Slicer.slice_line_numbers g ~seeds mode in
+  let lines = Slicer.slice_line_numbers ~forward:false g ~seeds mode in
   Alcotest.(check bool) "projection is non-vacuous (some line is in both files)"
     true
     (List.length locs > List.length lines);
@@ -323,7 +465,11 @@ let test_two_file_line_numbers () =
     (at None);
   Alcotest.(check (list int)) "an unknown file has no nodes" []
     (at (Some "c.tj"));
-  Helpers.check_loc_columns ~ctx:"two files" ~slices:[ Slicer.slice g ~seeds mode ] g
+  Helpers.check_loc_columns ~ctx:"two files" ~slices:[ Slicer.slice g ~seeds mode ] g;
+  (* the shared line numbers make the projection sort and drop repeats *)
+  List.iter
+    (fun mode -> check_projection ~ctx:"two files" g ~seeds mode)
+    projection_modes
 
 (* Line keys of a many-file program: 50 one-method class files and a
    600-line main.  Keys once packed [rank * stride + line] with one stride
@@ -503,4 +649,12 @@ let suite =
     Alcotest.test_case "scratch shrink roundtrip" `Quick
       test_scratch_shrink_roundtrip;
     Alcotest.test_case "provenance shrink invalidates records" `Quick
-      test_provenance_shrink_invalidates ]
+      test_provenance_shrink_invalidates;
+    Alcotest.test_case "line projection on the workloads" `Quick
+      test_projection_on_workloads;
+    Alcotest.test_case "line projection on a patched graph" `Quick
+      test_projection_on_patched_graph;
+    Alcotest.test_case "walk work pinned on the workloads" `Quick
+      test_walk_work_pinned;
+    Alcotest.test_case "thin query words per visited node" `Quick
+      test_query_alloc_per_visited ]

@@ -17,6 +17,7 @@
 
 open Slice_core
 open Slice_workloads
+open Slice_tabulation
 
 let sep () = print_endline (String.make 78 '-')
 
@@ -572,7 +573,18 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
   Printf.printf "phase=gen wall_s=%.3f\n%!" gen_wall;
   Printf.printf "phase=front wall_s=%.3f words_per_stmt=%.1f\n%!" front_wall
     words_per_stmt;
-  let arena, arena_wall = time (fun () -> Slice_ir.Arena.build p) in
+  (* The lowering's, the solver's and the graph build's words per IR
+     statement, counted like the frontend's: hashing tuple or string keys
+     in their inner loops shows here, whatever the runner speed. *)
+  let words_per_stmt_of f =
+    Gc.minor ();
+    let w0 = Slice_obs.allocated_words () in
+    let v, wall = time f in
+    (v, wall, (Slice_obs.allocated_words () -. w0) /. float_of_int actual)
+  in
+  let arena, arena_wall, arena_words =
+    words_per_stmt_of (fun () -> Slice_ir.Arena.build p)
+  in
   let parity_arena_views =
     match Slice_ir.Arena.check_views p arena with
     | Ok () -> true
@@ -580,17 +592,8 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
       Printf.eprintf "pipeline-huge: arena view mismatch: %s\n" msg;
       false
   in
-  Printf.printf "phase=arena wall_s=%.3f arena_bytes=%d\n%!" arena_wall
-    (Slice_ir.Arena.bytes arena);
-  (* The solver's and the graph build's words per IR statement, counted
-     like the frontend's: hashing tuple or string keys in their inner
-     loops shows here, whatever the runner speed. *)
-  let words_per_stmt_of f =
-    Gc.minor ();
-    let w0 = Slice_obs.allocated_words () in
-    let v, wall = time f in
-    (v, wall, (Slice_obs.allocated_words () -. w0) /. float_of_int actual)
-  in
+  Printf.printf "phase=arena wall_s=%.3f words_per_stmt=%.1f arena_bytes=%d\n%!"
+    arena_wall arena_words (Slice_ir.Arena.bytes arena);
   let pta, pta_wall, pta_words =
     words_per_stmt_of (fun () -> Slice_pta.Andersen.analyze p)
   in
@@ -852,6 +855,7 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
              ("front_wall_s", Float front_wall);
              ("front_words_per_stmt", Float words_per_stmt);
              ("arena_wall_s", Float arena_wall);
+             ("arena_words_per_stmt", Float arena_words);
              ("pta_wall_s", Float pta_wall);
              ("pta_words_per_stmt", Float pta_words);
              ("sdg_wall_s", Float sdg_wall);

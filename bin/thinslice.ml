@@ -559,12 +559,12 @@ let casts_cmd =
         let a = load_analysis ~obj_sens:(not no_objsens) file in
         let casts = Engine.tough_casts a in
         Printf.printf "%d tough cast(s):\n" (List.length casts);
-        let tbl = Sdg.stmt_table a.Engine.sdg in
         List.iter
-          (fun (_, i) ->
+          (fun (mq, i) ->
             print_endline
-              (Slice_ir.Pretty.stmt_to_string a.Engine.program tbl
-                 i.Slice_ir.Instr.i_id))
+              (Slice_ir.Pretty.site_to_string
+                 (Slice_ir.Program.find_method_exn a.Engine.program mq)
+                 (Slice_ir.Program.Site_instr i)))
           casts;
         emit_telemetry tel (Some (Engine.stats_of a)))
   in

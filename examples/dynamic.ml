@@ -25,7 +25,7 @@ let () =
   (* find the print statement and dynamically thin-slice its last execution *)
   let a = Engine.analyze p in
   let seed_line = Runtime_lib.line_of ~src ~pattern:Paper_figures.fig1_seed in
-  let tbl = Sdg.stmt_table a.Engine.sdg in
+  let tbl = Slice_ir.Program.build_stmt_table p in
   let seed_stmt =
     Hashtbl.fold
       (fun id si acc ->

@@ -16,11 +16,12 @@ let () =
   let casts = Engine.tough_casts a in
   Printf.printf "%d tough cast(s) found:\n" (List.length casts);
   List.iter
-    (fun (_, i) ->
+    (fun (mq, i) ->
       print_endline
         ("  "
-        ^ Slice_ir.Pretty.stmt_to_string a.Engine.program (Sdg.stmt_table g)
-            i.Slice_ir.Instr.i_id))
+        ^ Slice_ir.Pretty.site_to_string
+            (Slice_ir.Program.find_method_exn a.Engine.program mq)
+            (Slice_ir.Program.Site_instr i)))
     casts;
   (* 2. follow the control dependence from the cast to the tag check, then
      thin slice the tag to see where op values come from *)

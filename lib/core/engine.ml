@@ -9,9 +9,11 @@ type analysis = {
   pta : Andersen.result;
   sdg : Sdg.t;
   arena : Arena.t;
-      (* the flat int-indexed statement store the SDG's pass 1 reads;
-         the SDG keeps it too, and a patched update re-lowers the edited
-         methods into it ([stats.arena_bytes] is its footprint) *)
+      (* the flat int-indexed statement store: every SDG pass and every
+         statement lookup reads it, and the statement counts in [stats]
+         come from its spans.  The SDG keeps it too, and a patched update
+         re-lowers the edited methods into it ([stats.arena_bytes] is its
+         footprint) *)
   obj_sens : bool;
 }
 
@@ -25,9 +27,10 @@ let analyze ?(obj_sens = true) (program : Program.t) : analysis =
     if obj_sens then Andersen.default_opts else Andersen.no_obj_sens_opts
   in
   let pta = Andersen.analyze ~opts program in
-  (* Lower every method body into the flat arena before the SDG pass
-     reads it: strings interned once, operands packed into int arrays.
-     Pass 1 of [Sdg.build] walks the arena columns. *)
+  (* Lower every method body into the flat arena before the SDG passes
+     read it: strings interned once, operands packed into int arrays,
+     each block's governors computed once per method.  [Sdg.build] walks
+     only the arena columns. *)
   let arena =
     Slice_obs.span "ir.arena" (fun () ->
         let ar = Arena.build program in
@@ -66,26 +69,23 @@ let matches_filter (a : analysis) (f : seed_filter) (n : Sdg.node) : bool =
   match f with
   | Any -> true
   | _ -> (
-    match Sdg.node_stmt a.sdg n with
+    match Option.bind (Sdg.node_stmt a.sdg n) (Sdg.stmt_site a.sdg) with
     | None -> false
-    | Some s -> (
-      match Hashtbl.find_opt (Sdg.stmt_table a.sdg) s with
-      | None -> false
-      | Some si -> (
-        match (f, si.Program.s_site) with
-        | Only_loads, Program.Site_instr i -> (
-          match i.Instr.i_kind with
-          | Instr.Load _ | Instr.Array_load _ | Instr.Static_load _ -> true
-          | _ -> false)
-        | Only_calls, Program.Site_instr i -> (
-          match i.Instr.i_kind with Instr.Call _ -> true | _ -> false)
-        | Only_casts, Program.Site_instr i -> (
-          match i.Instr.i_kind with Instr.Cast _ -> true | _ -> false)
-        | Only_conditionals, Program.Site_term t -> (
-          match t.Instr.t_kind with Instr.If _ -> true | _ -> false)
-        | Only_throws, Program.Site_term t -> (
-          match t.Instr.t_kind with Instr.Throw _ -> true | _ -> false)
-        | _, (Program.Site_instr _ | Program.Site_term _) -> false)))
+    | Some site -> (
+      match (f, site) with
+      | Only_loads, Program.Site_instr i -> (
+        match i.Instr.i_kind with
+        | Instr.Load _ | Instr.Array_load _ | Instr.Static_load _ -> true
+        | _ -> false)
+      | Only_calls, Program.Site_instr i -> (
+        match i.Instr.i_kind with Instr.Call _ -> true | _ -> false)
+      | Only_casts, Program.Site_instr i -> (
+        match i.Instr.i_kind with Instr.Cast _ -> true | _ -> false)
+      | Only_conditionals, Program.Site_term t -> (
+        match t.Instr.t_kind with Instr.If _ -> true | _ -> false)
+      | Only_throws, Program.Site_term t -> (
+        match t.Instr.t_kind with Instr.Throw _ -> true | _ -> false)
+      | _, (Program.Site_instr _ | Program.Site_term _) -> false))
 
 let seeds_at_line ?(filter = Any) (a : analysis) (line : int) : Sdg.node list =
   List.filter (matches_filter a filter)
@@ -475,22 +475,21 @@ let edge_census_snapshot (g : Sdg.t) : Slice_obs.snapshot =
     snap_hist_buckets = [];
     snap_spans = [] }
 
+(* Statements of method [mq]'s arena span, 0 without a body. *)
+let ir_count (a : analysis) (mq : Instr.method_qname) : int =
+  match Arena.method_id a.arena mq with
+  | Some am -> Arena.num_stmts a.arena am
+  | None -> 0
+
 let stats_of ?obs (a : analysis) : stats =
-  let reachable = Andersen.reachable_methods a.pta in
+  (* the arena holds exactly the methods with a body *)
   let with_body =
     List.filter
-      (fun mq -> Instr.has_body (Program.find_method_exn a.program mq))
-      reachable
+      (fun mq -> Arena.method_id a.arena mq <> None)
+      (Andersen.reachable_methods a.pta)
   in
   let ir_statements =
-    List.fold_left
-      (fun acc mq ->
-        let m = Program.find_method_exn a.program mq in
-        let n = ref 0 in
-        Instr.iter_instrs m (fun _ _ -> incr n);
-        Instr.iter_terms m (fun _ _ -> incr n);
-        acc + !n)
-      0 with_body
+    List.fold_left (fun acc mq -> acc + ir_count a mq) 0 with_body
   in
   let classes = ref 0 in
   Program.iter_classes a.program (fun ci ->
@@ -573,17 +572,20 @@ let stats_to_json (s : stats) : Slice_obs.Json.t =
    verbatim. *)
 let site_label (a : analysis) : int -> string =
   let tbl : (int, string) Hashtbl.t = Hashtbl.create 256 in
+  let ar = a.arena in
   Program.iter_methods a.program (fun m ->
-      if Instr.has_body m then begin
-        let mq = Instr.method_qname_to_string m.Instr.m_qname in
-        let ix = ref 0 in
-        let put s =
-          Hashtbl.replace tbl s (Printf.sprintf "%s#%d" mq !ix);
-          incr ix
-        in
-        Instr.iter_instrs m (fun _ i -> put i.Instr.i_id);
-        Instr.iter_terms m (fun _ t -> put t.Instr.t_id)
-      end);
+      Option.iter
+        (fun am ->
+          let mq = Instr.method_qname_to_string m.Instr.m_qname in
+          let lo, hi = Arena.instr_span ar am and tlo, _ = Arena.term_span ar am in
+          for r = 0 to Arena.num_stmts ar am - 1 do
+            let s =
+              if lo + r < hi then Arena.instr_stmt ar (lo + r)
+              else Arena.term_stmt ar (tlo + r - (hi - lo))
+            in
+            Hashtbl.replace tbl s (Printf.sprintf "%s#%d" mq r)
+          done)
+        (Arena.method_id ar m.Instr.m_qname));
   fun s ->
     match Hashtbl.find_opt tbl s with
     | Some l -> l
@@ -742,27 +744,23 @@ let update (h : handle) (new_sources : (string * string) list) :
             Andersen.method_summary_sites
               (Program.find_method_exn p r.Slice_front.Delta.rv_mq)
           in
-          (* IR-statement count of the changed bodies, snapshotted for the
-             Patched path's incremental stats.  [stats_of] only counts
-             REACHABLE bodies, so unreachable edits must contribute zero
-             to the adjustment — reachability itself cannot change on the
-             Patched path (equal summaries, re-keyed solution). *)
+          (* IR-statement count of the changed bodies' arena spans, old
+             before the patch re-lowers them and new after, for the
+             Patched path's stats.  [stats_of] only counts REACHABLE
+             bodies, so unreachable edits contribute zero — reachability
+             cannot change on the Patched path. *)
           let counted =
             List.filter
               (fun (r : Slice_front.Delta.resolved) ->
                 Andersen.mctxs_of_method a.pta r.Slice_front.Delta.rv_mq <> [])
               resolved
           in
-          let count_ir (r : Slice_front.Delta.resolved) =
-            match Program.find_method p r.Slice_front.Delta.rv_mq with
-            | Some m when Instr.has_body m ->
-              let n = ref 0 in
-              Instr.iter_instrs m (fun _ _ -> incr n);
-              Instr.iter_terms m (fun _ _ -> incr n);
-              !n
-            | _ -> 0
+          let ir_of rs =
+            List.fold_left
+              (fun acc (r : Slice_front.Delta.resolved) ->
+                acc + ir_count a r.Slice_front.Delta.rv_mq)
+              0 rs
           in
-          let ir_of rs = List.fold_left (fun acc r -> acc + count_ir r) 0 rs in
           (* The old bodies' summaries and IR count, under their own span:
              a patched update's commit is short enough that this work
              shows in its wall time. *)

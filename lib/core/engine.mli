@@ -10,9 +10,9 @@ type analysis = {
   sdg : Sdg.t;
   arena : Arena.t;
       (** the flat int-indexed statement store of every method body
-          (see {!Arena}): the SDG's pass 1 reads it at build time, and a
-          [Patched] {!update} re-lowers the edited methods into it, so
-          it always describes the current bodies *)
+          (see {!Arena}): every SDG pass and statement lookup reads it,
+          and a [Patched] {!update} re-lowers the edited methods into
+          it, so it always describes the current bodies *)
   obj_sens : bool;
 }
 
@@ -52,7 +52,6 @@ type seed_filter =
   | Only_conditionals
   | Only_throws
 
-val matches_filter : analysis -> seed_filter -> Sdg.node -> bool
 val seeds_at_line : ?filter:seed_filter -> analysis -> int -> Sdg.node list
 
 exception No_seed of int
@@ -94,12 +93,6 @@ val inspect_from_line :
 
 (** Schema tag of {!report_to_json} / {!witness_to_json} payloads. *)
 val explain_schema_version : string
-
-(** The data-only companion of a mode (drop control dependences, keep
-    every flow edge): [Traditional_full] maps to [Traditional_data], the
-    other modes are their own companion.  This is the boundary between a
-    report's alias-explainer and control-explainer layers. *)
-val data_submode : Slicer.mode -> Slicer.mode
 
 (** [witness_from_line a ~seed_line ~line mode] slices from [seed_line]
     recording provenance, then returns the dependence path (seed first)
@@ -177,7 +170,9 @@ val tough_casts : analysis -> (Instr.method_qname * Instr.instr) list
 type stats = {
   classes : int;
   methods : int;           (** reachable methods with bodies *)
-  ir_statements : int;     (** the "bytecode statements" analogue *)
+  ir_statements : int;
+      (** the "bytecode statements" analogue: the arena rows of the
+          reachable methods *)
   call_graph_nodes : int;  (** method contexts *)
   sdg_statements : int;    (** scalar statements, heap params excluded *)
   sdg_nodes : int;         (** including context clones and formals *)
@@ -342,12 +337,6 @@ type expand_flow = {
   ef_read_flow : Sdg.node list;
   ef_write_flow : Sdg.node list;
 }
-
-(** All such pairs for the thin slice seeded at [line], in discovery
-    order, each explained.  Raises {!No_seed} like the other line
-    queries. *)
-val expand_at_line :
-  ?filter:seed_filter -> analysis -> line:int -> expand_flow list
 
 (** The one query type every driver dispatches on (the serve protocol's
     methods map onto it 1:1; [forward] distinguishes the forward

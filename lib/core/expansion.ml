@@ -46,59 +46,52 @@ let base_points_to (g : Sdg.t) (n : Sdg.node) : Andersen.ObjSet.t =
   match Sdg.node_desc g n with
   | Sdg.Formal _ | Sdg.Actual_in _ -> Andersen.ObjSet.empty
   | Sdg.Stmt (mc, s) -> (
-    match Hashtbl.find_opt (Sdg.stmt_table g) s with
-    | None -> Andersen.ObjSet.empty
-    | Some si -> (
-      match si.Program.s_site with
-      | Program.Site_term _ -> Andersen.ObjSet.empty
-      | Program.Site_instr i -> (
-        let pts v = Andersen.pts_of_var (Sdg.pta g) ~mctx:mc v in
-        match i.Instr.i_kind with
-        | Instr.Load (_, y, _) -> pts y
-        | Instr.Store (x, _, _) -> pts x
-        | Instr.Array_load (_, a, _) | Instr.Array_store (a, _, _) -> pts a
-        | Instr.Array_length (_, a) -> pts a
-        | _ -> Andersen.ObjSet.empty)))
+    match Sdg.stmt_site g s with
+    | None | Some (Program.Site_term _) -> Andersen.ObjSet.empty
+    | Some (Program.Site_instr i) -> (
+      let pts v = Andersen.pts_of_var (Sdg.pta g) ~mctx:mc v in
+      match i.Instr.i_kind with
+      | Instr.Load (_, y, _) -> pts y
+      | Instr.Store (x, _, _) -> pts x
+      | Instr.Array_load (_, a, _) | Instr.Array_store (a, _, _) -> pts a
+      | Instr.Array_length (_, a) -> pts a
+      | _ -> Andersen.ObjSet.empty))
 
 (* Does node [n] handle (define or carry a variable pointing to) one of
    [objs]?  Used to restrict aliasing explanations to the flow of the
    common objects (paper, section 4.1 "filtering"). *)
 let node_flows_object (g : Sdg.t) (objs : Andersen.ObjSet.t) (n : Sdg.node) :
     bool =
-  let var_overlaps mc m v =
-    Types.is_reference (Instr.var_info m v).Instr.vi_ty
+  (* a node's variables are those of its context's method *)
+  let meth mc =
+    Program.find_method_exn (Sdg.program g) (fst (Andersen.mctx_info (Sdg.pta g) mc))
+  in
+  let var_overlaps mc v =
+    Types.is_reference (Instr.var_info (meth mc) v).Instr.vi_ty
     && not
          (Andersen.ObjSet.is_empty
             (Andersen.ObjSet.inter objs (Andersen.pts_of_var (Sdg.pta g) ~mctx:mc v)))
   in
   match Sdg.node_desc g n with
   | Sdg.Formal (mc, idx) -> (
-    let mq, _ = Andersen.mctx_info (Sdg.pta g) mc in
-    let m = Program.find_method_exn (Sdg.program g) mq in
-    match List.nth_opt m.Instr.m_params idx with
-    | Some v -> var_overlaps mc m v
+    match List.nth_opt (meth mc).Instr.m_params idx with
+    | Some v -> var_overlaps mc v
     | None -> false)
   | Sdg.Actual_in (mc, s, idx) -> (
-    match Hashtbl.find_opt (Sdg.stmt_table g) s with
-    | Some { Program.s_site = Program.Site_instr { Instr.i_kind = Instr.Call { args; _ }; _ };
-             s_method } -> (
-      let m = Program.find_method_exn (Sdg.program g) s_method in
+    match Sdg.stmt_site g s with
+    | Some (Program.Site_instr { Instr.i_kind = Instr.Call { args; _ }; _ }) -> (
       match List.nth_opt args idx with
-      | Some v -> var_overlaps mc m v
+      | Some v -> var_overlaps mc v
       | None -> false)
     | Some _ | None -> false)
   | Sdg.Stmt (mc, s) -> (
-    match Hashtbl.find_opt (Sdg.stmt_table g) s with
+    match Sdg.stmt_site g s with
     | None -> false
-    | Some si -> (
-      match si.Program.s_site with
-      | Program.Site_term _ -> true
-      | Program.Site_instr i -> (
-        match Instr.def_of_instr i with
-        | None -> true (* stores etc.: retained, they move the object *)
-        | Some v ->
-          let m = Program.find_method_exn (Sdg.program g) si.Program.s_method in
-          var_overlaps mc m v)))
+    | Some (Program.Site_term _) -> true
+    | Some (Program.Site_instr i) -> (
+      match Instr.def_of_instr i with
+      | None -> true (* stores etc.: retained, they move the object *)
+      | Some v -> var_overlaps mc v))
 
 type aliasing_explanation = {
   common_objects : Andersen.ObjSet.t;

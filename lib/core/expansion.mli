@@ -26,13 +26,6 @@ val index_defs : Sdg.t -> Sdg.node -> Sdg.node list
 (** Actual-argument nodes of a call statement (Weiser statement closure). *)
 val call_actuals : Sdg.t -> Sdg.node -> Sdg.node list
 
-(** The abstract objects the base pointer of a heap access may point to. *)
-val base_points_to : Sdg.t -> Sdg.node -> Andersen.ObjSet.t
-
-(** Does the node define or carry a variable that may point to one of the
-    given objects?  The filter of section 4.1. *)
-val node_flows_object : Sdg.t -> Andersen.ObjSet.t -> Sdg.node -> bool
-
 type aliasing_explanation = {
   common_objects : Andersen.ObjSet.t;
       (** objects that may flow to both base pointers *)
@@ -47,10 +40,6 @@ type aliasing_explanation = {
     common objects' flow. *)
 val explain_aliasing :
   Sdg.t -> read:Sdg.node -> write:Sdg.node -> aliasing_explanation
-
-(** One expansion step: the thin-slice closure of the nodes plus all their
-    direct explainers (base pointers, indices, call arguments, controls). *)
-val expand_once : Sdg.t -> Sdg.node list -> Sdg.node list
 
 (** Expand hierarchically until nothing is added; equals the traditional
     (full) slice. *)

@@ -136,7 +136,8 @@ type heap_index = {
   mutable cells : int;
 }
 
-(* Dense per-node location columns, derived from the statement table.
+(* Dense per-node location columns, derived from the arena's statement
+   records.
    [build] writes every node's entry; [patch] writes only its own nodes
    (clearing the retired ones, locating the new ones) unless a new
    location falls outside the file spans below, when it rewrites them
@@ -165,9 +166,6 @@ type loc_columns = {
 type t = {
   p : Program.t;
   pta : Andersen.result;
-  mutable stmt_table : (Instr.stmt_id, Program.stmt_info) Hashtbl.t;
-      (* kept in step by [patch]: it removes the retired bodies' ids and
-         adds the new bodies' *)
   locs : loc_columns;
   (* Node identity: each node's descriptor as a packed int key, and an
      index from packed key to live node (see [desc_key]).  The column is
@@ -177,9 +175,9 @@ type t = {
   index : Imap.t;
   csr : csr;
   hx : heap_index;             (* retained for incremental patches *)
-  ar : Arena.t;                (* the statement store pass 1 reads; a
-                                  patch re-lowers the changed methods
-                                  into it *)
+  ar : Arena.t;                (* the statement store every pass and
+                                  lookup reads; a patch re-lowers the
+                                  changed methods into it *)
   kinds : int array;           (* live edges per kind tag *)
   mutable scalar_stmts : int;  (* see [num_scalar_statements] *)
   (* Incremental patch state.  A patched graph keeps its CSR for
@@ -203,7 +201,7 @@ type t = {
 
 let program (g : t) = g.p
 let pta (g : t) = g.pta
-let stmt_table (g : t) = g.stmt_table
+let stmt_site (g : t) (s : Instr.stmt_id) = Arena.stmt_site g.ar s
 
 (* Packed node keys.  A key holds a 2-bit kind and an owner in
    [Imap.pack]'s first field and an index in the second: for a statement
@@ -474,8 +472,7 @@ let node_countable (g : t) (n : node) : bool = line_key g n >= 0
 let num_line_keys (g : t) : int =
   g.locs.lc_base.(Array.length g.locs.lc_files)
 
-let site_countable (si : Program.stmt_info) : bool =
-  match si.Program.s_site with
+let site_countable : Program.site -> bool = function
   | Program.Site_instr { Instr.i_kind = Instr.Phi _; _ } -> false
   | Program.Site_instr _ -> true
   | Program.Site_term { Instr.t_kind = Instr.Goto _; _ } -> false
@@ -494,24 +491,22 @@ let memo_last (f : string -> 'a) : string -> 'a =
       last := Some (file, v);
       v
 
-(* Column pass 1 for node [i]: its location from the statement table,
-   and in [lc_key] its countability bit, or -1 when it has no
-   location. *)
+(* Column pass 1 for node [i]: its location from the arena's record of
+   its statement, and in [lc_key] its countability bit, or -1 when it
+   has no location. *)
 let locate (g : t) (i : node) : unit =
   let c = g.locs in
   c.lc_loc.(i) <- Loc.none;
   c.lc_key.(i) <- -1;
-  let s = stmt_of g i in
-  if s >= 0 then
-    match Hashtbl.find_opt g.stmt_table s with
-    | None -> ()
-    | Some si ->
-      let l = Program.stmt_loc si in
-      if not (Loc.is_none l) then begin
-        c.lc_loc.(i) <- l;
-        let is_stmt = key_kind g.nkey.(i) = kind_stmt in
-        c.lc_key.(i) <- (if is_stmt && not (site_countable si) then 0 else 1)
-      end
+  match stmt_site g (stmt_of g i) with
+  | None -> ()
+  | Some site ->
+    let l = Program.site_loc site in
+    if not (Loc.is_none l) then begin
+      c.lc_loc.(i) <- l;
+      let is_stmt = key_kind g.nkey.(i) = kind_stmt in
+      c.lc_key.(i) <- (if is_stmt && not (site_countable site) then 0 else 1)
+    end
 
 (* Column pass 2 for node [i]: the (file, line) key above the
    countability bit.  False, leaving the node's key unfinished, when its
@@ -596,17 +591,24 @@ let write_locs (g : t) (lo : int) (hi : int) : unit =
   done;
   if not !inside then write_all_locs g
 
+(* Statement [s] of context [mc]'s method, from its arena record. *)
+let stmt_to_string (g : t) (mc : int) (s : Instr.stmt_id) : string =
+  match stmt_site g s with
+  | None -> Printf.sprintf "<unknown stmt %d>" s
+  | Some site ->
+    let mq, _ = Andersen.mctx_info g.pta mc in
+    Pretty.site_to_string (Program.find_method_exn g.p mq) site
+
 let pp_node (g : t) ppf (n : node) : unit =
   match node_desc g n with
   | Formal (mc, i) ->
     let mq, _ = Andersen.mctx_info g.pta mc in
     Format.fprintf ppf "formal %d of %a" i Instr.pp_method_qname mq
-  | Actual_in (_, s, i) ->
-    Format.fprintf ppf "actual %d of %s" i (Pretty.stmt_to_string g.p g.stmt_table s)
+  | Actual_in (mc, s, i) ->
+    Format.fprintf ppf "actual %d of %s" i (stmt_to_string g mc s)
   | Stmt (mc, s) ->
     let _, ctx = Andersen.mctx_info g.pta mc in
-    Format.fprintf ppf "%s %a"
-      (Pretty.stmt_to_string g.p g.stmt_table s)
+    Format.fprintf ppf "%s %a" (stmt_to_string g mc s)
       (Context.pp_ctx (Andersen.contexts g.pta))
       ctx
 
@@ -680,7 +682,7 @@ let access_keys (g : t) (mc : int) (ix : int) (n : node)
     static_write (Arena.instr_sym ar ix, Arena.instr_sym2 ar ix) n
   | Arena.Op_static_load ->
     static_read (Arena.instr_sym ar ix, Arena.instr_sym2 ar ix) n
-  | Arena.Op_call | Arena.Op_other -> ()
+  | Arena.Op_call | Arena.Op_new | Arena.Op_other -> ()
 
 (* Every (read, write) pair of one read group [(rep, f)] with the writes
    of each object [rep] may point to. *)
@@ -797,6 +799,33 @@ let vars_clear (vs : vars) (n : int) : unit =
   Array.fill vs.v_def 0 n (-1);
   Array.fill vs.v_param 0 n (-1)
 
+(* [vs] filled for arena method [am], whose variable count it returns:
+   a variable's defining statement shifted left one bit, the low bit set
+   when it is a [New] (a variable is defined once, SSA), and a
+   parameter's index. *)
+let vars_load (g : t) (vs : vars) (am : int) : int =
+  let ar = g.ar in
+  let nvars = Arena.num_vars ar am in
+  vars_for vs nvars;
+  let lo, hi = Arena.instr_span ar am in
+  for ix = lo to hi - 1 do
+    let d = Arena.instr_def ar ix in
+    if d >= 0 then
+      vs.v_def.(d) <-
+        (Arena.instr_stmt ar ix lsl 1)
+        lor if Arena.instr_op ar ix = Arena.Op_new then 1 else 0
+  done;
+  for i = 0 to Arena.num_params ar am - 1 do
+    vs.v_param.(Arena.param_var ar am i) <- i
+  done;
+  nvars
+
+(* The node defining variable [v] of context [mc], -1 for none. *)
+let def_node (g : t) (vs : vars) (mc : int) (v : Instr.var) : node =
+  if vs.v_def.(v) >= 0 then intern_stmt g mc (vs.v_def.(v) lsr 1)
+  else if vs.v_param.(v) >= 0 then intern_formal g mc vs.v_param.(v)
+  else -1
+
 (* Pass 1 body: intraprocedural edges + heap access indexing into [hx]
    (the graph's own index during a build, a fresh one during a patch so
    the new accesses are known for targeted re-wiring), over arena method
@@ -807,25 +836,16 @@ let intra_pass_arena (g : t) (hx : heap_index) (vs : vars)
     ~(emit : from:node -> on:node -> edge_kind -> unit) (mc : int) (am : int) :
     unit =
   let pta = g.pta and ar = g.ar in
-  let nvars = Arena.num_vars ar am in
-  vars_for vs nvars;
-  let var_def = vs.v_def and var_param = vs.v_param in
+  let nvars = vars_load g vs am in
   let lo, hi = Arena.instr_span ar am in
   let write = index_push hx hx.field_writes and read = index_read hx in
   let static_write = index_push hx hx.static_writes in
   let static_read = index_push hx hx.static_reads in
-  for ix = lo to hi - 1 do
-    let d = Arena.instr_def ar ix in
-    if d >= 0 then var_def.(d) <- Arena.instr_stmt ar ix
-  done;
-  for i = 0 to Arena.num_params ar am - 1 do
-    var_param.(Arena.param_var ar am i) <- i
-  done;
   let use_edge (from : node) (v : Instr.var) (kind : edge_kind) : unit =
-    if v >= 0 && v < nvars then
-      if var_def.(v) >= 0 then emit ~from ~on:(intern_stmt g mc var_def.(v)) kind
-      else if var_param.(v) >= 0 then
-        emit ~from ~on:(intern_formal g mc var_param.(v)) kind
+    if v >= 0 && v < nvars then begin
+      let on = def_node g vs mc v in
+      if on >= 0 then emit ~from ~on kind
+    end
   in
   for ix = lo to hi - 1 do
     let s = Arena.instr_stmt ar ix in
@@ -856,148 +876,87 @@ let intra_pass_arena (g : t) (hx : heap_index) (vs : vars)
   done;
   vars_clear vs nvars
 
-(* Pass 2 body: formal -> actual edges (parameter passing), for one
-   method as the CALLER.  The callee side (the formal node) is signature
-   stable, which is what lets a patch keep formal nodes alive. *)
+(* Pass 2 body: formal -> actual edges (parameter passing), for arena
+   method [am] as the CALLER.  The callee side (the formal node) is
+   signature stable, which is what lets a patch keep formal nodes
+   alive. *)
 let params_pass (g : t) (vs : vars)
-    ~(emit : from:node -> on:node -> edge_kind -> unit) (mc : int)
-    (m : Instr.meth) : unit =
-  let pta = g.pta in
-  if Instr.has_body m then begin
-    (* As in pass 1, but a defining statement is shifted left one bit,
-       the low bit set when it is a [New].  A variable is defined once
-       (SSA). *)
-    let nvars = Array.length m.Instr.m_vars in
-    vars_for vs nvars;
-    let var_def = vs.v_def and var_param = vs.v_param in
-    Instr.iter_instrs m (fun _ j ->
-        match Instr.def_of_instr j with
-        | Some v ->
-          let is_new =
-            match j.Instr.i_kind with Instr.New _ -> 1 | _ -> 0
-          in
-          var_def.(v) <- (j.Instr.i_id lsl 1) lor is_new
-        | None -> ());
-    List.iteri (fun idx v -> var_param.(v) <- idx) m.Instr.m_params;
-    (* the node defining [v], -1 for none *)
-    let actual_node (v : Instr.var) : node =
-      if var_def.(v) >= 0 then intern_stmt g mc (var_def.(v) lsr 1)
-      else if var_param.(v) >= 0 then intern_formal g mc var_param.(v)
-      else -1
-    in
-    Instr.iter_instrs m (fun _ i ->
-        match i.Instr.i_kind with
-        | Instr.Call { args; kind; _ } ->
-          (* pass 1 has interned the call *)
-          let call = intern_stmt g mc i.Instr.i_id in
-          (* A kept allocation needs its constructor in a Weiser-style
-             slice: tie the New to the <init> invocation. *)
-          (match (kind, args) with
-          | Instr.Special _, recv :: _
-            when var_def.(recv) >= 0 && var_def.(recv) land 1 = 1 ->
-            emit ~from:(intern_stmt g mc (var_def.(recv) lsr 1)) ~on:call
-              Call_actual
-          | _ -> ());
-          List.iter
-            (fun cmc ->
-              List.iteri
-                (fun idx a ->
-                  let an = actual_node a in
-                  if an >= 0 then begin
-                    let actual = intern_actual g ~call idx in
-                    emit ~from:(intern_formal g cmc idx) ~on:actual Param_in;
-                    emit ~from:actual ~on:an Producer_local;
-                    (* statement closure for traditional slicing *)
-                    emit ~from:call ~on:actual Call_actual
-                  end)
-                args)
-            (Andersen.call_targets pta ~mctx:mc ~stmt:i.Instr.i_id)
-        | _ -> ());
-    vars_clear vs nvars
-  end
+    ~(emit : from:node -> on:node -> edge_kind -> unit) (mc : int) (am : int) :
+    unit =
+  let pta = g.pta and ar = g.ar in
+  let nvars = vars_load g vs am in
+  let var_def = vs.v_def in
+  let lo, hi = Arena.instr_span ar am in
+  for ix = lo to hi - 1 do
+    if Arena.instr_op ar ix = Arena.Op_call then begin
+      let s = Arena.instr_stmt ar ix in
+      (* pass 1 has interned the call *)
+      let call = intern_stmt g mc s in
+      (* A kept allocation needs its constructor in a Weiser-style
+         slice: tie the New to the <init> invocation. *)
+      let recv = Arena.instr_base ar ix in
+      if recv >= 0 && var_def.(recv) >= 0 && var_def.(recv) land 1 = 1 then
+        emit ~from:(intern_stmt g mc (var_def.(recv) lsr 1)) ~on:call
+          Call_actual;
+      List.iter
+        (fun cmc ->
+          let idx = ref 0 in
+          Arena.args_iter ar ix (fun a ->
+              let an = def_node g vs mc a in
+              if an >= 0 then begin
+                let actual = intern_actual g ~call !idx in
+                emit ~from:(intern_formal g cmc !idx) ~on:actual Param_in;
+                emit ~from:actual ~on:an Producer_local;
+                (* statement closure for traditional slicing *)
+                emit ~from:call ~on:actual Call_actual
+              end;
+              incr idx))
+        (Andersen.call_targets pta ~mctx:mc ~stmt:s)
+    end
+  done;
+  vars_clear vs nvars
 
-(* Pass 4's per-method part: for each block of a method body, the
-   blocks whose terminators govern it (its post-dominance frontier).  A
-   method's contexts share one body, so [memo] computes the CFG, the
-   post-dominator tree and the frontiers once per method per build or
-   patch. *)
-type governors = (Instr.method_qname, int list array) Hashtbl.t
-
-let governor_blocks (memo : governors) (m : Instr.meth) : int list array =
-  match Hashtbl.find_opt memo m.Instr.m_qname with
-  | Some gb -> gb
-  | None ->
-    let cfg = Cfg.build m in
-    let pdom = Dominance.compute (Dominance.backward_graph cfg) in
-    let pdf = Dominance.dominance_frontiers pdom in
-    let nblocks = Array.length (Instr.blocks_exn m) in
-    let gb =
-      Array.init nblocks (fun bl -> List.filter (fun b -> b < nblocks) pdf.(bl))
-    in
-    Hashtbl.replace memo m.Instr.m_qname gb;
-    gb
-
-(* Pass 4 body: control dependence edges for one method context.
-   [entry_callers] are the call-site nodes invoking it (entry-governed
-   statements are control-dependent on them). *)
+(* Pass 4 body: control dependence edges for one method context, arena
+   method [am], from its blocks' governors.  [entry_callers] are the
+   call-site nodes invoking it: a block without governors is governed by
+   the method's entry, so its statements depend on them. *)
 let control_pass (g : t) ~(emit : from:node -> on:node -> edge_kind -> unit)
-    ~(memo : governors) ~(entry_callers : node list) (mc : int)
-    (m : Instr.meth) : unit =
-  if Instr.has_body m then begin
-    let gb = governor_blocks memo m in
-    let blocks = Instr.blocks_exn m in
-    let rec wire n = function
-      | [] -> ()
-      | c :: rest ->
-        emit ~from:n ~on:c Control;
-        wire n rest
-    in
-    let rec wire_instrs on = function
-      | [] -> ()
-      | i :: rest ->
-        wire (intern_stmt g mc i.Instr.i_id) on;
-        wire_instrs on rest
-    in
-    for bl = 0 to Array.length blocks - 1 do
-      let on =
-        match gb.(bl) with
-        | [] ->
-          (* governed by method entry: control-dependent on call sites *)
-          entry_callers
-        | gbs ->
-          List.map
-            (fun b -> intern_stmt g mc blocks.(b).Instr.b_term.Instr.t_id)
-            gbs
-      in
-      wire_instrs on blocks.(bl).Instr.b_instrs;
-      wire (intern_stmt g mc blocks.(bl).Instr.b_term.Instr.t_id) on
-    done
-  end
+    ~(entry_callers : node list) (mc : int) (am : int) : unit =
+  let ar = g.ar in
+  let wire on n = List.iter (fun c -> emit ~from:n ~on:c Control) on in
+  let tlo, thi = Arena.term_span ar am in
+  for tx = tlo to thi - 1 do
+    let gov = ref [] in
+    Arena.governors_iter ar tx (fun gx ->
+        gov := intern_stmt g mc (Arena.term_stmt ar gx) :: !gov);
+    let on = if !gov = [] then entry_callers else List.rev !gov in
+    let lo, hi = Arena.block_instrs ar tx in
+    for ix = lo to hi - 1 do
+      wire on (intern_stmt g mc (Arena.instr_stmt ar ix))
+    done;
+    wire on (intern_stmt g mc (Arena.term_stmt ar tx))
+  done
 
 let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
   let hx = heap_index hx_init in
-  let mcs = Andersen.method_contexts pta in
+  (* Every method context with a body, with its arena method. *)
+  let mcs =
+    List.filter_map
+      (fun (mc, mq, _) ->
+        Option.map (fun am -> (mc, am)) (Arena.method_id arena mq))
+      (Andersen.method_contexts pta)
+  in
   (* Node capacity: pass 1 interns one [Stmt] node per arena row of each
      context, and formals and actuals add about a third as many again
      (34,128 nodes for 25,850 rows at 30k); reserving half again sizes
      the identity column and index once, not doubled up to the graph. *)
-  let cap =
-    let rows = ref 0 in
-    List.iter
-      (fun (_, mq, _) ->
-        match Arena.method_id arena mq with
-        | Some am ->
-          let lo, hi = Arena.instr_span arena am in
-          let tlo, thi = Arena.term_span arena am in
-          rows := !rows + (hi - lo) + (thi - tlo)
-        | None -> ())
-      mcs;
-    max 1024 (!rows + (!rows / 2))
+  let rows =
+    List.fold_left (fun acc (_, am) -> acc + Arena.num_stmts arena am) 0 mcs
   in
+  let cap = max 1024 (rows + (rows / 2)) in
   let g =
     { p;
       pta;
-      stmt_table = Hashtbl.create 1;  (* set with the columns below *)
       locs = { lc_loc = [||]; lc_key = [||]; lc_files = [||]; lc_base = [| 0 |] };
       nkey = Array.make cap 0;
       num_nodes = 0;
@@ -1022,18 +981,10 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
   (* Pass 1: intraprocedural edges + heap access indexing, over the
      arena's rows. *)
   Slice_obs.span "sdg.intra" (fun () ->
-      List.iter
-        (fun (mc, mq, _) ->
-          match Arena.method_id arena mq with
-          | Some am -> intra_pass_arena g hx vs ~emit mc am
-          | None -> ())
-        mcs);
+      List.iter (fun (mc, am) -> intra_pass_arena g hx vs ~emit mc am) mcs);
   (* Pass 2: formal -> actual edges (parameter passing). *)
   Slice_obs.span "sdg.params" (fun () ->
-  List.iter
-    (fun (mc, mq, _) ->
-      params_pass g vs ~emit mc (Program.find_method_exn p mq))
-    mcs);
+      List.iter (fun (mc, am) -> params_pass g vs ~emit mc am) mcs);
   (* Pass 3: heap dependence edges (store -> load, direct).  Each read
      group meets the writes of every object its representative may point
      to. *)
@@ -1056,26 +1007,23 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
     (* reverse call graph: callee mctx -> caller call-site nodes *)
     let callers : (int, node list ref) Hashtbl.t = Hashtbl.create 64 in
     List.iter
-      (fun (mc, mq, _) ->
-        let m = Program.find_method_exn p mq in
-        if Instr.has_body m then
-          Instr.iter_instrs m (fun _ i ->
-              match i.Instr.i_kind with
-              | Instr.Call _ ->
-                List.iter
-                  (fun cmc ->
-                    push callers cmc (intern_stmt g mc i.Instr.i_id))
-                  (Andersen.call_targets pta ~mctx:mc ~stmt:i.Instr.i_id)
-              | _ -> ()))
+      (fun (mc, am) ->
+        let lo, hi = Arena.instr_span arena am in
+        for ix = lo to hi - 1 do
+          if Arena.instr_op arena ix = Arena.Op_call then begin
+            let s = Arena.instr_stmt arena ix in
+            List.iter
+              (fun cmc -> push callers cmc (intern_stmt g mc s))
+              (Andersen.call_targets pta ~mctx:mc ~stmt:s)
+          end
+        done)
       mcs;
-    let memo = Hashtbl.create 64 in
     List.iter
-      (fun (mc, mq, _) ->
+      (fun (mc, am) ->
         let entry_callers =
           match Hashtbl.find_opt callers mc with Some r -> !r | None -> []
         in
-        control_pass g ~emit ~memo ~entry_callers mc
-          (Program.find_method_exn p mq))
+        control_pass g ~emit ~entry_callers mc am)
       mcs);
   (* One count-then-fill pass turns the log into the CSR.  The record
      copy is the finished graph; the passes above are done with [g]. *)
@@ -1094,13 +1042,7 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
       incr scalar_stmts
     end
   done;
-  let g =
-    { g with
-      csr;
-      kinds;
-      scalar_stmts = !scalar_stmts;
-      stmt_table = Program.build_stmt_table p }
-  in
+  let g = { g with csr; kinds; scalar_stmts = !scalar_stmts } in
   Slice_obs.add c_csr_nodes n;
   Slice_obs.add c_csr_edges edges;
   (* two offset arrays + two (dst, kind) pairs, 8 bytes per word *)
@@ -1352,9 +1294,9 @@ let commit_rows (g : t) ~(old_num : int) (log : ibuf) ~(deps_touch : ibuf)
    adjacent to them, the heap-index keys the retired accesses were
    indexed under and the changed methods' statements.  Touched rows are
    committed as overlays over the immutable CSR; node ids never move, so
-   resident scratch buffers stay valid.  The statement table, the
-   location columns, the edge census and the scalar-statement count are
-   updated in place. *)
+   resident scratch buffers stay valid.  The location columns, the edge
+   census and the scalar-statement count are updated in place; the
+   arena's re-lower keeps its statement index in step. *)
 let patch (g : t) ~(changed : Instr.method_qname list)
     ~(site_remap : Instr.stmt_id -> Instr.stmt_id option) : patch_stats =
   Slice_obs.span "sdg.patch" (fun () ->
@@ -1397,8 +1339,7 @@ let patch (g : t) ~(changed : Instr.method_qname list)
   let losses : (node * edge_kind * node_desc) list ref = ref [] in
   let newly_dead, dead_stmts, ctrl_deps =
     Slice_obs.span "sdg.patch.disconnect" (fun () ->
-    (* Retire the old bodies' statement-bound nodes and drop their
-       statement ids from the table. *)
+    (* Retire the old bodies' statement-bound nodes. *)
     let retired = ref [] and dead_stmts = ref 0 in
     let retire k =
       let n = Imap.find g.index k in
@@ -1417,8 +1358,7 @@ let patch (g : t) ~(changed : Instr.method_qname list)
             List.fold_left
               (fun any mc -> retire (desc_key kind_stmt mc s) || any)
               false mcs
-          then incr dead_stmts;
-          Hashtbl.remove g.stmt_table s
+          then incr dead_stmts
         in
         let lo, hi = Arena.instr_span g.ar am in
         for ix = lo to hi - 1 do
@@ -1520,29 +1460,31 @@ let patch (g : t) ~(changed : Instr.method_qname list)
       newly_dead;
     (newly_dead, !dead_stmts, !ctrl_deps))
   in
-  let changed_mcs =
-    Hashtbl.fold
-      (fun mc () acc ->
-        let mq, _ = Andersen.mctx_info g.pta mc in
-        (mc, Program.find_method_exn g.p mq) :: acc)
-      cm []
-  in
   (* The session's emissions, committed as rows below. *)
   let log = ibuf 1024 in
   let emit ~from ~on kind = log_edge log ~from ~on kind in
   let hx_new = heap_index 16 in
   let vs = vars () in
-  Slice_obs.span "sdg.patch.intra" (fun () ->
-      (* Pass 1 over the new bodies, re-lowered into the arena first,
-         indexing their heap accesses apart. *)
-      Arena.relower g.ar g.p changed;
-      List.iter
-        (fun (mc, m) ->
-          intra_pass_arena g hx_new vs ~emit mc
-            (Option.get (Arena.method_id g.ar m.Instr.m_qname)))
-        changed_mcs;
-      (* Pass 2: the changed methods as callers. *)
-      List.iter (fun (mc, m) -> params_pass g vs ~emit mc m) changed_mcs);
+  (* The changed method contexts with their arena methods, read once the
+     new bodies are re-lowered (a re-lower may renumber methods). *)
+  let changed_mcs =
+    Slice_obs.span "sdg.patch.intra" (fun () ->
+        Arena.relower g.ar g.p changed;
+        let changed_mcs =
+          Hashtbl.fold
+            (fun mc () acc ->
+              let mq, _ = Andersen.mctx_info g.pta mc in
+              (mc, Option.get (Arena.method_id g.ar mq)) :: acc)
+            cm []
+        in
+        (* Pass 1 over the new bodies, heap accesses indexed apart. *)
+        List.iter
+          (fun (mc, am) -> intra_pass_arena g hx_new vs ~emit mc am)
+          changed_mcs;
+        (* Pass 2: the changed methods as callers. *)
+        List.iter (fun (mc, am) -> params_pass g vs ~emit mc am) changed_mcs;
+        changed_mcs)
+  in
   Slice_obs.span "sdg.patch.heap" (fun () ->
   (* Pass 3: merge the new accesses into the retained index, then wire
      new reads x all writes and all reads x new writes (the new x new
@@ -1617,13 +1559,12 @@ let patch (g : t) ~(changed : Instr.method_qname list)
           then push callers mc (intern_stmt g caller s'))
       | _ -> ())
     ctrl_deps;
-  let memo = Hashtbl.create 8 in
   List.iter
-    (fun (mc, m) ->
+    (fun (mc, am) ->
       let entry_callers =
         match Hashtbl.find_opt callers mc with Some r -> !r | None -> []
       in
-      control_pass g ~emit ~memo ~entry_callers mc m)
+      control_pass g ~emit ~entry_callers mc am)
     changed_mcs;
   (* Repair the cross-method losses the re-run passes don't cover. *)
   let rv_done : (node * int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -1669,19 +1610,9 @@ let patch (g : t) ~(changed : Instr.method_qname list)
     in
     (Array.length rows, Hashtbl.length seg_touched))
   in
-  (* The statement table gains the new bodies; the location columns are
-     cleared for the retired nodes and written for the new ones. *)
+  (* The location columns are cleared for the retired nodes and written
+     for the new ones. *)
   Slice_obs.span "sdg.patch.locs" (fun () ->
-      List.iter
-        (fun mq ->
-          let m = Program.find_method_exn g.p mq in
-          Instr.iter_instrs m (fun _ i ->
-              Hashtbl.replace g.stmt_table i.Instr.i_id
-                { Program.s_method = mq; s_site = Program.Site_instr i });
-          Instr.iter_terms m (fun _ t ->
-              Hashtbl.replace g.stmt_table t.Instr.t_id
-                { Program.s_method = mq; s_site = Program.Site_term t }))
-        changed;
       List.iter
         (fun d ->
           g.locs.lc_loc.(d) <- Loc.none;
@@ -1690,13 +1621,12 @@ let patch (g : t) ~(changed : Instr.method_qname list)
       write_locs g old_num g.num_nodes);
   (* The scalar-statement count: the retired statements leave it, the
      new nodes' distinct statements join it. *)
-  let fresh_stmts = Hashtbl.create 64 in
+  let fresh_stmts = Iset.create () in
   for n = old_num to g.num_nodes - 1 do
     let k = g.nkey.(n) in
-    if key_kind k = kind_stmt then
-      Hashtbl.replace fresh_stmts (Imap.pack_lo k) ()
+    if key_kind k = kind_stmt then ignore (Iset.add fresh_stmts (Imap.pack_lo k))
   done;
-  g.scalar_stmts <- g.scalar_stmts - dead_stmts + Hashtbl.length fresh_stmts;
+  g.scalar_stmts <- g.scalar_stmts - dead_stmts + Iset.cardinal fresh_stmts;
   g.generation <- g.generation + 1;
   g.patched <- true;
   { ps_nodes_dead = List.length newly_dead;

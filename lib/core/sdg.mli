@@ -61,9 +61,12 @@ type t
 (** Build the graph for every reachable method context.
 
     [arena] is the flat int-indexed statement store ({!Arena.build}) of
-    [p]; pass 1 walks its packed columns, and the graph keeps it:
-    {!patch} re-lowers the changed methods into it, so after a patch
-    it describes the new bodies.
+    [p], and the only one the graph reads: every pass walks its packed
+    columns (intraprocedural and heap rows, call rows, block and
+    governor spans), statement lookups read its records, and the graph
+    keeps it: {!patch} re-lowers the changed methods into it, so after a
+    patch it describes the new bodies.  The build reads no record body
+    of [p].
 
     Nodes are interned by packed int descriptor keys through one
     {!Slice_util.Imap}, in first-intern order; {!node_desc} decodes a
@@ -93,7 +96,11 @@ val num_edges : t -> int
 
 val program : t -> Program.t
 val pta : t -> Andersen.result
-val stmt_table : t -> (Instr.stmt_id, Program.stmt_info) Hashtbl.t
+
+(** The record of statement [s], read through the graph's arena
+    ({!Arena.stmt_site}): [None] for a negative (synthetic intrinsic)
+    id, an unknown id, or one a {!patch} retired. *)
+val stmt_site : t -> Instr.stmt_id -> Program.site option
 
 val node_desc : t -> node -> node_desc
 val num_nodes : t -> int
@@ -118,8 +125,8 @@ val uses : t -> node -> (node * edge_kind) list
 
 (** {2 Locations}
 
-    The graph owns dense per-node location columns, derived from its
-    statement table: {!build} writes every node's, {!patch} clears its
+    The graph owns dense per-node location columns, derived from the
+    arena's statement records: {!build} writes every node's, {!patch} clears its
     retired nodes' and writes its new nodes' (all of them only when a
     new location falls outside the line-key space).  The accessors below are array reads.  The
     columns cost 16 bytes per node, recorded by the [sdg.loc_bytes]
@@ -196,13 +203,13 @@ type patch_stats = {
     body was re-lowered; each one was in the program before the edit
     and still is (a whole method added or removed reloads instead).
     The patch first re-lowers them into the graph's arena
-    ({!Arena.relower}), then re-runs pass 1 over the arena rows of
-    their method contexts.
+    ({!Arena.relower}), which also retires the old bodies' statement
+    ids from its index and indexes the new ones, then re-runs the
+    per-method passes over the arena rows of their method contexts.
 
     The work is bounded by the edit, not the program: the retired nodes
     are found through the old bodies' arena rows, the heap index is
-    purged under the retired accesses' keys only, the statement table
-    loses the old bodies' ids and gains the new ones', and the location
+    purged under the retired accesses' keys only, and the location
     columns, the edge census ({!edge_kind_counts}) and the
     scalar-statement count are adjusted in place.  Traced under
     ["sdg.patch"], with children [sdg.patch.disconnect], [.intra],
@@ -218,7 +225,7 @@ val patch :
 val generation : t -> int
 
 (** Node retired by a patch?  Dead nodes keep their ids but have empty
-    rows and no statement-table entry. *)
+    rows, and their statements answer {!stmt_site} with [None]. *)
 val is_dead : t -> node -> bool
 
 (** [num_nodes] minus retired nodes — the node count a patched handle

@@ -9,7 +9,6 @@ type error = {
   err_phase : [ `Lex | `Parse | `Semantic | `Internal ];
 }
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 exception Error of error

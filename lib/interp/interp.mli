@@ -78,5 +78,3 @@ type outcome = {
 }
 
 val run : config -> Program.t -> outcome
-
-val value_to_string : value -> string

@@ -1,33 +1,39 @@
-(** Flat int-indexed arena view of a program's IR — the statement store
-    the SDG's first pass reads (ROADMAP item 3, the Koika-style lowering
-    of a typed AST into dense indexed form).
+(** Flat int-indexed arena view of a program's IR — the one statement
+    store the SDG reads (the Koika-style lowering of a typed AST into
+    dense indexed form).
 
-    The record IR ({!Instr}, {!Program}) stays the source of truth: the
-    frontend, pretty-printer and interpreter operate on records.  The
-    arena packs everything the dependence analyses walk per statement
-    into flat, growable [int] columns:
+    The frontend, the points-to solver and the interpreter operate on the
+    record IR ({!Instr}, {!Program}); {!build} and {!relower} are the only
+    readers of record bodies on the SDG's side.  The arena packs
+    everything the dependence passes walk per statement into flat,
+    growable columns:
 
     - strings (field names, class names) interned once in a side table;
     - defs, classified uses and term uses as packed CSR int spans
       (no per-statement list/closure allocation when iterated);
-    - heap-access descriptors (store/load/array/static/length) as small
-      opcode tags plus operand ints;
-    - call-argument lists as CSR spans.
+    - heap-access, allocation and call descriptors as small opcode tags
+      plus operand ints, call-argument lists as CSR spans;
+    - blocks: each terminator row (one per block, in block order) knows
+      its block's first instruction row and, as a CSR span, the
+      terminator rows of the blocks governing it;
+    - a statement index from statement id to live row, and per row a
+      pointer to its {!Instr.instr} or {!Instr.term} record
+      ({!stmt_site}).
 
     Each method's rows are contiguous and follow {!Instr.iter_instrs} /
     {!Instr.iter_terms} order, uses in {!Instr.classified_uses} order.
     A method's instruction, terminator and parameter spans are its own
     [lo, hi) pairs, so {!relower} can append fresh rows for an edited
     method and repoint its spans; the rows it leaves behind are dead
-    until enough of them pile up for a relower to lower the whole
-    program again. *)
+    (unindexed, records dropped) until enough of them pile up for a
+    relower to lower the whole program again. *)
 
 open! Types
 
 type t
 
-(** Heap/call opcode classification of an instruction, mirroring the
-    cases the SDG heap-indexing pass switches on.
+(** Heap/call/allocation opcode classification of an instruction,
+    mirroring the cases the SDG passes switch on.
     Operand accessors: [base] is the pointer variable whose points-to
     set keys the access; [sym]/[sym2] are interned string ids (field
     name, or class + field for statics). *)
@@ -41,7 +47,10 @@ type op =
   | Op_array_length  (** x = a.length: base = a *)
   | Op_static_store  (** C.f = y:    sym = C, sym2 = f *)
   | Op_static_load   (** x = C.f:    sym = C, sym2 = f *)
-  | Op_call          (** args in the call-arg span *)
+  | Op_call
+      (** args in the call-arg span; base = the receiver of a
+          constructor ([Special]) call, -1 for any other call *)
+  | Op_new           (** x = new C *)
 
 (** Lower every method of the program that has a body. *)
 val build : Program.t -> t
@@ -68,6 +77,9 @@ val num_vars : t -> int -> int
 val num_params : t -> int -> int
 
 val param_var : t -> int -> int -> Instr.var
+
+(** Instruction plus terminator rows of method [m]: its statements. *)
+val num_stmts : t -> int -> int
 
 (* --- instruction columns (global arena indices) --- *)
 
@@ -102,18 +114,39 @@ val term_is_value_return : t -> int -> bool
 
 val term_uses_iter : t -> int -> (Instr.var -> unit) -> unit
 
+(* --- blocks: a terminator row stands for its block --- *)
+
+(** Instruction rows of terminator row [tx]'s block: [fst .. snd - 1]. *)
+val block_instrs : t -> int -> int * int
+
+(** Terminator rows of the blocks governing terminator row [tx]'s block
+    (its post-dominance frontier, the virtual exit left out), in
+    {!Dominance.dominance_frontiers} order.  None: the method's entry
+    governs the block. *)
+val governors_iter : t -> int -> (int -> unit) -> unit
+
+(* --- statements --- *)
+
+(** The record of the live row holding statement [s]; [None] for an id
+    no live row holds: a negative (synthetic intrinsic) id, an id past
+    the program's, or one a re-lower retired. *)
+val stmt_site : t -> Instr.stmt_id -> Program.site option
+
 (* --- memory accounting --- *)
 
 (** Heap footprint of the arena in bytes, computed arithmetically from
     column capacities and interned string sizes (deterministic across
     processes, unlike [Obj.reachable_words]).  Dead rows and the slack a
-    relower reserves count; the records belong to the program and do
-    not. *)
+    relower reserves count, record pointer slots included; the records
+    themselves belong to the program and do not. *)
 val bytes : t -> int
 
 (** Verify the arena against a program: every method with a body must
     have a live span whose per-row statement ids, defs, classified uses,
-    heap descriptors, call args and term uses reproduce the {!Instr}
-    accessors exactly, and the arena must hold no other live method.
-    Returns an error describing the first mismatch. *)
+    op descriptors, call args and term uses reproduce the {!Instr}
+    accessors exactly, whose block starts and governors equal a fresh
+    {!Cfg}/{!Dominance} computation, and each of whose statement ids the
+    index maps back to its row and record; the arena must hold no other
+    live method, and the index no other id.  Returns an error describing
+    the first mismatch. *)
 val check_views : Program.t -> t -> (unit, string) result

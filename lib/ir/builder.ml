@@ -112,8 +112,7 @@ let branch (b : t) ?loc (v : Instr.var) ~(then_ : Instr.label)
 
 (* Seal any unterminated block with [return] (void fall-through) and install
    the body into the method record, which is returned.  The method is NOT
-   registered in the program (lowering fills pre-registered shells); direct
-   users call [finish_and_register]. *)
+   registered in the program (lowering fills pre-registered shells). *)
 let finish (b : t) : Instr.meth =
   if b.finished then invalid_arg "Builder.finish: already finished";
   b.finished <- true;
@@ -135,8 +134,3 @@ let finish (b : t) : Instr.meth =
   Instr.Var_buf.commit b.vars;
   b.meth.Instr.m_body <- Instr.Body { blocks; entry = 0 };
   b.meth
-
-let finish_and_register (b : t) : Instr.meth =
-  let m = finish b in
-  Program.add_method b.program m;
-  m

@@ -22,15 +22,11 @@ val start :
 val meth : t -> Instr.meth
 val program : t -> Program.t
 
-val fresh_var :
-  t -> name:string -> kind:Instr.var_kind -> ty:Types.ty -> Instr.var
-
 val fresh_temp : t -> Types.ty -> Instr.var
 val fresh_local : t -> string -> Types.ty -> Instr.var
 
 val new_block : t -> Instr.label
 val switch_to : t -> Instr.label -> unit
-val is_terminated : t -> bool
 
 (** Append an instruction to the current block; returns its statement id. *)
 val emit : t -> ?loc:Loc.t -> Instr.instr_kind -> Instr.stmt_id
@@ -56,6 +52,3 @@ val branch :
     the method record, which is returned.  The method is NOT registered in
     the program (lowering fills pre-registered shells). *)
 val finish : t -> Instr.meth
-
-(** [finish] plus [Program.add_method]. *)
-val finish_and_register : t -> Instr.meth

@@ -1,5 +1,5 @@
-(* Human-readable printing of the IR: variables, instructions, methods and
-   whole programs.  Used by the CLI to display slices and by tests. *)
+(* Human-readable printing of IR statements.  Used by the CLI and the SDG
+   to display slices. *)
 
 open Format
 
@@ -54,72 +54,13 @@ let pp_term_kind (m : Instr.meth) ppf (k : Instr.term_kind) =
   | Instr.Return None -> fprintf ppf "return"
   | Instr.Throw v -> fprintf ppf "throw %a" var v
 
-let pp_instr (m : Instr.meth) ppf (i : Instr.instr) =
-  fprintf ppf "[%d] %a" i.Instr.i_id (pp_instr_kind m) i.Instr.i_kind
-
-let pp_term (m : Instr.meth) ppf (t : Instr.term) =
-  fprintf ppf "[%d] %a" t.Instr.t_id (pp_term_kind m) t.Instr.t_kind
-
-let pp_meth ppf (m : Instr.meth) =
-  fprintf ppf "@[<v>method %a(%a) : %a%s@,"
-    Instr.pp_method_qname m.Instr.m_qname
-    (pp_print_list
-       ~pp_sep:(fun ppf () -> fprintf ppf ", ")
-       (fun ppf v ->
-         fprintf ppf "%s : %a" (Instr.var_name m v) Types.pp_ty
-           (Instr.var_info m v).Instr.vi_ty))
-    m.Instr.m_params Types.pp_ty m.Instr.m_ret_ty
-    (if m.Instr.m_static then " [static]" else "");
-  (match m.Instr.m_body with
-  | Instr.Intrinsic _ -> fprintf ppf "  <intrinsic>@,"
-  | Instr.Abstract -> fprintf ppf "  <abstract>@,"
-  | Instr.Body { blocks; entry } ->
-    Array.iter
-      (fun b ->
-        fprintf ppf "  B%d%s:@," b.Instr.b_label
-          (if b.Instr.b_label = entry then " (entry)" else "");
-        List.iter (fun i -> fprintf ppf "    %a@," (pp_instr m) i) b.Instr.b_instrs;
-        fprintf ppf "    %a@," (pp_term m) b.Instr.b_term)
-      blocks);
-  fprintf ppf "@]"
-
-let pp_program ppf (p : Program.t) =
-  Program.iter_classes p (fun ci ->
-      if not ci.Program.c_builtin then begin
-        fprintf ppf "class %s" ci.Program.c_name;
-        (match ci.Program.c_super with
-        | Some s when s <> Types.object_class -> fprintf ppf " extends %s" s
-        | Some _ | None -> ());
-        fprintf ppf " {@.";
-        List.iter
-          (fun (f, t) -> fprintf ppf "  %a %s;@." Types.pp_ty t f)
-          ci.Program.c_fields;
-        List.iter
-          (fun (f, t) -> fprintf ppf "  static %a %s;@." Types.pp_ty t f)
-          ci.Program.c_static_fields;
-        fprintf ppf "}@."
-      end);
-  Program.iter_methods p (fun m ->
-      if Instr.has_body m then fprintf ppf "%a@." pp_meth m)
-
-let instr_to_string (m : Instr.meth) (i : Instr.instr) =
-  asprintf "%a" (pp_instr m) i
-
-let meth_to_string (m : Instr.meth) = asprintf "%a" pp_meth m
-
-(* One-line rendering of a statement id, with source location, used when a
-   slice is reported to the user. *)
-let stmt_to_string (p : Program.t)
-    (tbl : (Instr.stmt_id, Program.stmt_info) Hashtbl.t) (id : Instr.stmt_id) :
-    string =
-  match Hashtbl.find_opt tbl id with
-  | None -> Printf.sprintf "<unknown stmt %d>" id
-  | Some si ->
-    let m = Program.find_method_exn p si.Program.s_method in
-    let body =
-      match si.Program.s_site with
-      | Program.Site_instr i -> asprintf "%a" (pp_instr_kind m) i.Instr.i_kind
-      | Program.Site_term t -> asprintf "%a" (pp_term_kind m) t.Instr.t_kind
-    in
-    asprintf "%a: [%a] %s" Loc.pp (Program.stmt_loc si) Instr.pp_method_qname
-      si.Program.s_method body
+(* One-line rendering of statement [site] of method [m], with source
+   location, used when a slice is reported to the user. *)
+let site_to_string (m : Instr.meth) (site : Program.site) : string =
+  let body =
+    match site with
+    | Program.Site_instr i -> asprintf "%a" (pp_instr_kind m) i.Instr.i_kind
+    | Program.Site_term t -> asprintf "%a" (pp_term_kind m) t.Instr.t_kind
+  in
+  asprintf "%a: [%a] %s" Loc.pp (Program.site_loc site) Instr.pp_method_qname
+    m.Instr.m_qname body

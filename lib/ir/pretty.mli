@@ -1,21 +1,6 @@
-(** Human-readable printing of the IR: variables, instructions, methods
-    and whole programs.  Used by the CLI to display slices and by tests. *)
+(** Human-readable one-line rendering of IR statements.  Used by the CLI
+    and the SDG to display slices. *)
 
-val pp_var : Instr.meth -> Format.formatter -> Instr.var -> unit
-val pp_call_kind : Format.formatter -> Instr.call_kind -> unit
-val pp_instr_kind : Instr.meth -> Format.formatter -> Instr.instr_kind -> unit
-val pp_term_kind : Instr.meth -> Format.formatter -> Instr.term_kind -> unit
-val pp_instr : Instr.meth -> Format.formatter -> Instr.instr -> unit
-val pp_term : Instr.meth -> Format.formatter -> Instr.term -> unit
-val pp_meth : Format.formatter -> Instr.meth -> unit
-val pp_program : Format.formatter -> Program.t -> unit
-val instr_to_string : Instr.meth -> Instr.instr -> string
-val meth_to_string : Instr.meth -> string
-
-(** One-line rendering of a statement id, with source location — how
-    slices are reported to the user. *)
-val stmt_to_string :
-  Program.t ->
-  (Instr.stmt_id, Program.stmt_info) Hashtbl.t ->
-  Instr.stmt_id ->
-  string
+(** One-line rendering of statement [site] of method [m], with source
+    location — how slices are reported to the user. *)
+val site_to_string : Instr.meth -> Program.site -> string

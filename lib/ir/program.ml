@@ -131,16 +131,6 @@ let rec lookup_field (p : t) (c : class_name) (f : field_name) : ty option =
 (* The class that declares field [f], seen from class [c].  Field ids in the
    heap abstraction are (declaring class, name) so that shadowing-free TJ
    fields have a single identity across subclasses. *)
-let rec field_owner (p : t) (c : class_name) (f : field_name) : class_name option =
-  match find_class p c with
-  | None -> None
-  | Some ci ->
-    if List.mem_assoc f ci.c_fields then Some c
-    else (
-      match ci.c_super with
-      | None -> None
-      | Some s -> field_owner p s f)
-
 let rec lookup_static_field (p : t) (c : class_name) (f : field_name) :
     (class_name * ty) option =
   match find_class p c with
@@ -183,10 +173,11 @@ type site =
 
 type stmt_info = { s_method : Instr.method_qname; s_site : site }
 
-let stmt_loc (si : stmt_info) : Loc.t =
-  match si.s_site with
+let site_loc : site -> Loc.t = function
   | Site_instr i -> i.Instr.i_loc
   | Site_term t -> t.Instr.t_loc
+
+let stmt_loc (si : stmt_info) : Loc.t = site_loc si.s_site
 
 (* Builds a fresh table mapping statement ids to their sites.  Callers cache
    the result; the table is only valid until the next IR rewrite. *)

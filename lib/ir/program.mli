@@ -1,6 +1,8 @@
 (** Whole-program container: class table, method table, hierarchy queries,
-    virtual dispatch resolution, and the statement registry mapping
-    globally unique statement ids back to instructions. *)
+    virtual dispatch resolution, and globally unique statement ids with
+    their sites.  The analyses look a statement up through the arena's
+    statement index ({!Arena.stmt_site}); {!build_stmt_table} is the fresh
+    reference the tests check that index against. *)
 
 open Types
 
@@ -65,8 +67,6 @@ val subclasses : t -> class_name -> class_name list
 (** Field lookup walks up the hierarchy (no shadowing in TJ). *)
 val lookup_field : t -> class_name -> field_name -> ty option
 
-val field_owner : t -> class_name -> field_name -> class_name option
-
 val lookup_static_field :
   t -> class_name -> field_name -> (class_name * ty) option
 
@@ -76,22 +76,25 @@ val dispatch : t -> class_name -> method_name -> Instr.meth option
 (** Static lookup used by the typechecker (same walk as [dispatch]). *)
 val lookup_method : t -> class_name -> method_name -> Instr.meth option
 
-(** {2 Statement registry} *)
+(** {2 Statement sites} *)
 
+(** A statement's record: an instruction or a block terminator. *)
 type site =
   | Site_instr of Instr.instr
   | Site_term of Instr.term
 
 type stmt_info = { s_method : Instr.method_qname; s_site : site }
 
+val site_loc : site -> Loc.t
 val stmt_loc : stmt_info -> Loc.t
 
-(** A fresh table mapping statement ids to sites; valid until the next IR
-    rewrite, so callers cache it per analysis. *)
+(** A fresh table mapping statement ids to sites, read from the method
+    bodies; valid until the next IR rewrite.  The reference that tests
+    and the context-sensitive slicer use; the analyses read
+    {!Arena.stmt_site}. *)
 val build_stmt_table : t -> (Instr.stmt_id, stmt_info) Hashtbl.t
 
 (** {2 Builtins and entry} *)
 
-val add_default_constructor : t -> class_name -> unit
 val entry_method : t -> Instr.method_qname
 val set_entry : t -> Instr.method_qname -> unit

@@ -11,13 +11,6 @@
     rejected (use of a variable on a path without a definition). *)
 exception Ssa_error of string
 
-val is_ssa_var : Instr.meth -> Instr.var -> bool
-
-(** Remove phi instructions whose results never reach a real (non-phi)
-    use, including dead phi cycles through loop headers.  Called by
-    [convert]; exposed for tests. *)
-val prune_dead_phis : Instr.meth -> unit
-
 (** Convert a method to SSA form in place.  No-op on intrinsic and
     abstract methods. *)
 val convert : Program.t -> Instr.meth -> unit

@@ -5,6 +5,7 @@
    section 5.3). *)
 
 open Slice_ir
+open Slice_pta
 
 type loc =
   | Lfield of int * string                      (* abstract object, field *)

@@ -5,13 +5,12 @@
     section 5.3). *)
 
 open Slice_ir
+open Slice_pta
 
 type loc =
   | Lfield of int * string  (** abstract object, field ($elem for arrays) *)
   | Lstatic of Types.class_name * Types.field_name
   | Larray_len of int       (** length of an abstract array *)
-
-val compare_loc : loc -> loc -> int
 
 module LocSet : Set.S with type elt = loc
 

@@ -15,6 +15,7 @@
 
 open Slice_ir
 open Slice_pta
+open Slice_core
 
 type loc = Modref.loc
 

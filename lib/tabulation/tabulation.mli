@@ -17,7 +17,7 @@
 
 open Slice_ir
 
-type loc = Slice_pta.Modref.loc
+type loc = Modref.loc
 
 type node_desc =
   | HStmt of string * Instr.stmt_id  (** method key, statement *)

@@ -217,35 +217,43 @@ module Census_oracle = struct
 end
 
 (* The state a patch keeps in place, against a fresh recount: the
-   statement table holds exactly the program's statements (same ids,
-   methods and sites, none stale), no live node names a retired
-   statement, the location columns answer like the oracles, and the
-   edge census and scalar-statement count equal the recounts. *)
+   arena's statement lookup answers every statement of the program with
+   its own record and every other id (retired by a re-lower, negative or
+   past the program's) with [None], every live node names a statement
+   of its context's method, the location columns answer like the
+   oracles, and the edge census and scalar-statement count equal the
+   recounts. *)
 let check_patched_state ~(ctx : string) (g : Slice_core.Sdg.t) : unit =
   let open Slice_core in
-  let fresh = Slice_ir.Program.build_stmt_table (Sdg.program g) in
-  let tbl = Sdg.stmt_table g in
-  Alcotest.(check int)
-    (ctx ^ ": statement table size")
-    (Hashtbl.length fresh) (Hashtbl.length tbl);
-  Hashtbl.iter
-    (fun id (si : Slice_ir.Program.stmt_info) ->
-      match Hashtbl.find_opt tbl id with
-      | None -> Alcotest.failf "%s: statement %d missing from the table" ctx id
-      | Some si' ->
-        if
-          not
-            (Slice_ir.Instr.equal_method_qname si.Slice_ir.Program.s_method
-               si'.Slice_ir.Program.s_method
-            && si.Slice_ir.Program.s_site = si'.Slice_ir.Program.s_site)
-        then Alcotest.failf "%s: statement %d has a stale entry" ctx id)
-    fresh;
+  let p = Sdg.program g in
+  let fresh = Slice_ir.Program.build_stmt_table p in
+  for id = -2 to Slice_ir.Program.stmt_count p + 1 do
+    match (Hashtbl.find_opt fresh id, Sdg.stmt_site g id) with
+    | None, None -> ()
+    | None, Some _ ->
+      Alcotest.failf "%s: statement %d answers after it was retired" ctx id
+    | Some _, None ->
+      Alcotest.failf "%s: statement %d missing from the arena" ctx id
+    | Some si, Some site ->
+      if si.Slice_ir.Program.s_site <> site then
+        Alcotest.failf "%s: statement %d has a stale record" ctx id
+  done;
   for n = 0 to Sdg.num_nodes g - 1 do
     if not (Sdg.is_dead g n) then
       match Sdg.node_desc g n with
-      | Sdg.Stmt (_, s) | Sdg.Actual_in (_, s, _) ->
-        if not (Hashtbl.mem fresh s) then
+      | Sdg.Stmt (mc, s) | Sdg.Actual_in (mc, s, _) -> (
+        match Hashtbl.find_opt fresh s with
+        | None ->
           Alcotest.failf "%s: live node %d names retired statement %d" ctx n s
+        | Some si ->
+          let mq, _ = Slice_pta.Andersen.mctx_info (Sdg.pta g) mc in
+          if
+            not
+              (Slice_ir.Instr.equal_method_qname mq
+                 si.Slice_ir.Program.s_method)
+          then
+            Alcotest.failf "%s: node %d's statement %d is in another method"
+              ctx n s)
       | Sdg.Formal _ -> ()
   done;
   check_loc_columns ~ctx g;
@@ -331,9 +339,10 @@ let adjacency_digest (g : Slice_core.Sdg.t) : string =
 (* MD5 of a mod-ref result: the number of method contexts, then every
    context's mod and ref sets in [LocSet] order.  Equal digests mean the
    same tables, location for location. *)
-let modref_digest (pta : Slice_pta.Andersen.result) (mr : Slice_pta.Modref.t)
-    : string =
+let modref_digest (pta : Slice_pta.Andersen.result)
+    (mr : Slice_tabulation.Modref.t) : string =
   let open Slice_pta in
+  let open Slice_tabulation in
   let buf = Buffer.create 4096 in
   let n = Andersen.num_call_graph_nodes pta in
   Buffer.add_string buf (string_of_int n);

@@ -3,6 +3,7 @@
 
 open Slice_ir
 open Slice_pta
+open Slice_tabulation
 open Helpers
 
 let src =

@@ -198,6 +198,36 @@ let test_golden_adjacency_digests () =
     (Suites.paper_workloads
     @ [ ("scaled-5000", scaled.Slice_fuzz.Gen_tj.sc_src) ])
 
+(* The graph reads one statement store: with every method body dropped
+   once the arena is lowered, [Sdg.build] still gives the same graph,
+   row for row, and every node the same location, countability and
+   rendering. *)
+let test_build_reads_only_the_arena () =
+  let scaled = Slice_fuzz.Gen_tj.generate_scaled ~seed:1 ~stmts:5000 in
+  List.iter
+    (fun (name, src) ->
+      let p = Slice_front.Frontend.load_exn ~file:(name ^ ".tj") src in
+      let pta = Slice_pta.Andersen.analyze p in
+      let arena = Slice_ir.Arena.build p in
+      let g = Sdg.build ~arena p pta in
+      Slice_ir.Program.iter_methods p (fun m ->
+          m.Slice_ir.Instr.m_body <- Slice_ir.Instr.Abstract);
+      let g' = Sdg.build ~arena p pta in
+      Alcotest.(check string)
+        (name ^ ": adjacency without bodies")
+        (adjacency_digest g) (adjacency_digest g');
+      let show g n = Format.asprintf "%a" (Sdg.pp_node g) n in
+      for n = 0 to Sdg.num_nodes g - 1 do
+        if
+          not
+            (Slice_ir.Loc.equal (Sdg.node_loc g n) (Sdg.node_loc g' n)
+            && Sdg.node_countable g n = Sdg.node_countable g' n
+            && String.equal (show g n) (show g' n))
+        then Alcotest.failf "%s: node %d differs without bodies" name n
+      done)
+    (Suites.paper_workloads
+    @ [ ("scaled-5000", scaled.Slice_fuzz.Gen_tj.sc_src) ])
+
 let test_build_counts_csr_telemetry () =
   let a, snap = Slice_obs.scoped (fun () -> analysis Paper_figures.fig2) in
   let g = a.Engine.sdg in
@@ -324,4 +354,6 @@ let suite =
       test_build_counts_csr_telemetry;
     Alcotest.test_case "heap counters exact" `Quick test_heap_counters_exact;
     Alcotest.test_case "node identity round trip" `Quick
-      test_node_identity_round_trip ]
+      test_node_identity_round_trip;
+    Alcotest.test_case "build reads only the arena" `Quick
+      test_build_reads_only_the_arena ]

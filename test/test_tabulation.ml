@@ -6,6 +6,7 @@
 
 open Slice_core
 open Slice_workloads
+open Slice_tabulation
 open Helpers
 
 module IntSet = Set.Make (Int)

@@ -116,24 +116,30 @@ type csr = {
   uses_kind : int array;
 }
 
-(* Heap access index built during pass 1 and RETAINED on the graph: an
-   incremental patch re-indexes only the changed methods' accesses and
-   wires them against this, instead of re-scanning the program.
+(* A growable int buffer: [ev.(0 .. len - 1)] in push order. *)
+type ibuf = { mutable ev : int array; mutable len : int }
 
-   A write is listed under every (object, field) its base may point to.
-   A read is listed once, under (points-to representative of its base,
-   field), and [read_groups] lists each field's representatives: a read
-   group meets the writes of every object in its representative's set,
-   so the index does not multiply reads by points-to size.  An array
-   length is the pseudo-field [length_field], written by [new].  [cells]
-   counts the index's list cells, for [heap_index_bytes]. *)
+(* Heap access index built during pass 1 and RETAINED on the graph: a
+   patch indexes the changed methods' accesses into it and wires them
+   against the rest, instead of re-scanning the program.
+
+   One [Imap] maps a packed key (see [hkey]) to the first cell of a
+   chain; cell [c] holds a node, or a group owner, at [c] in [hc_val]
+   and the next cell at [c] in [hc_next], -1 at the end.  Chains list
+   the newest entry first.  A write is listed under every (object, field)
+   its base may point to.  A read is listed once, under (points-to
+   representative of its base, field), and the field's group chain
+   lists each such owner: a read group meets the writes of every object
+   in its representative's set, so the index does not multiply reads by
+   points-to size.  A static [C.f] is a read group of [f] whose owner,
+   [C]'s symbol under the static bit, is also its only object.  Cells
+   a patch unlinks are chained from [hc_free] and reused first. *)
 type heap_index = {
-  field_writes : (int * string, node list ref) Hashtbl.t;
-  field_reads : (int * string, node list ref) Hashtbl.t;
-  read_groups : (string, int list ref) Hashtbl.t;  (* field -> reps *)
-  static_writes : (Types.class_name * Types.field_name, node list ref) Hashtbl.t;
-  static_reads : (Types.class_name * Types.field_name, node list ref) Hashtbl.t;
-  mutable cells : int;
+  hx_keys : Imap.t;              (* key -> first cell of its chain *)
+  hc_val : ibuf;
+  hc_next : ibuf;                (* next cell, or the next free one *)
+  mutable hc_free : int;         (* first free cell, -1 for none *)
+  mutable hc_live : int;         (* cells on some key's chain *)
 }
 
 (* Dense per-node location columns, derived from the arena's statement
@@ -282,9 +288,6 @@ let intern_actual (g : t) ~(call : node) (idx : int) : node =
 (* ------------------------------------------------------------------ *)
 (* The build's edge log, written into CSR in one pass                  *)
 (* ------------------------------------------------------------------ *)
-
-(* A growable int buffer: [ev.(0 .. len - 1)] in push order. *)
-type ibuf = { mutable ev : int array; mutable len : int }
 
 let ibuf (cap : int) : ibuf = { ev = Array.make (max 1 cap) 0; len = 0 }
 
@@ -624,74 +627,175 @@ let push tbl key v =
 
 (* --- the heap access index ---------------------------------------- *)
 
-(* Not an identifier, so no declared field shares its keys. *)
-let length_field = "#length"
+(* A key packs a 2-bit tag and a field symbol in [Imap.pack]'s first
+   field and an owner in the second.  A field symbol is the arena's
+   interned id shifted past two reserved ones, the array-contents and
+   array-length pseudo-fields.  An owner is an object (for a write) or a
+   representative (for a read) shifted left one bit, or a static's class
+   symbol with that bit set; a group key's owner is 0. *)
+let tag_write = 0
+let tag_read = 1
+let tag_group = 2
+let sym_elem = 0
+let sym_length = 1
 
-(* Initial table sizes of a graph's index; [table_words] reads them. *)
-let hx_init = 256
+let[@inline] hkey (tag : int) (sym : int) (owner : int) : int =
+  Imap.pack ((sym lsl 2) lor tag) owner
 
-let heap_index (init : int) : heap_index =
-  { field_writes = Hashtbl.create init;
-    field_reads = Hashtbl.create init;
-    read_groups = Hashtbl.create init;
-    static_writes = Hashtbl.create init;
-    static_reads = Hashtbl.create init;
-    cells = 0 }
+let[@inline] hkey_tag (k : int) : int = Imap.pack_hi k land 3
+let[@inline] hkey_sym (k : int) : int = Imap.pack_hi k lsr 2
+let[@inline] hkey_owner (k : int) : int = Imap.pack_lo k
 
-let index_push (hx : heap_index) tbl key (n : node) : unit =
-  push tbl key n;
-  hx.cells <- hx.cells + 1
+(* The group chain key of read key [k]'s field. *)
+let group_key (k : int) : int = hkey tag_group (hkey_sym k) 0
 
-let index_read (hx : heap_index) ((rep, f) as key) (n : node) : unit =
-  match Hashtbl.find hx.field_reads key with
-  | cell ->
-    cell := n :: !cell;
-    hx.cells <- hx.cells + 1
-  | exception Not_found ->
-    Hashtbl.replace hx.field_reads key (ref [ n ]);
-    push hx.read_groups f rep;
-    hx.cells <- hx.cells + 2
+let heap_index () : heap_index =
+  { hx_keys = Imap.create ~capacity:256 ();
+    hc_val = ibuf 256;
+    hc_next = ibuf 256;
+    hc_free = -1;
+    hc_live = 0 }
 
-(* The field an instance access at arena row [ix] keys on. *)
-let access_field (ar : Arena.t) (ix : int) (op : Arena.op) : string =
+(* A cell holding [v] in front of cell [next]: a free one if any, else a
+   new one. *)
+let new_cell (hx : heap_index) (v : int) (next : int) : int =
+  hx.hc_live <- hx.hc_live + 1;
+  let c = hx.hc_free in
+  if c < 0 then begin
+    ipush hx.hc_val v;
+    ipush hx.hc_next next;
+    hx.hc_val.len - 1
+  end
+  else begin
+    hx.hc_free <- hx.hc_next.ev.(c);
+    hx.hc_val.ev.(c) <- v;
+    hx.hc_next.ev.(c) <- next;
+    c
+  end
+
+(* Put [v] at the front of key [k]'s chain; true when [k] had none. *)
+let chain_push (hx : heap_index) (k : int) (v : int) : bool =
+  let head = Imap.find hx.hx_keys k in
+  Imap.replace hx.hx_keys k (new_cell hx v head);
+  head < 0
+
+(* [consider] every (read, write) pair of the chain from cell [r0] and
+   the chain from cell [w0], each cut at its first value below its
+   floor. *)
+let cross (hx : heap_index) ~(r0 : int) ~(rfloor : node) ~(w0 : int)
+    ~(wfloor : node) (consider : node -> node -> unit) : unit =
+  let value = hx.hc_val.ev and next = hx.hc_next.ev in
+  let w = ref w0 in
+  while !w >= 0 && value.(!w) >= wfloor do
+    let r = ref r0 in
+    while !r >= 0 && value.(!r) >= rfloor do
+      consider value.(!r) value.(!w);
+      r := next.(!r)
+    done;
+    w := next.(!w)
+  done
+
+(* Unlink the cells of key [k]'s chain whose value fails [keep] onto
+   the free list.  A key whose chain empties leaves the index, and then
+   this is true. *)
+let chain_filter (hx : heap_index) (k : int) (keep : int -> bool) : bool =
+  let value = hx.hc_val.ev and next = hx.hc_next.ev in
+  let head = Imap.find hx.hx_keys k in
+  let first = ref head and prev = ref (-1) and c = ref head in
+  while !c >= 0 do
+    let cn = next.(!c) in
+    if keep value.(!c) then prev := !c
+    else begin
+      if !prev < 0 then first := cn else next.(!prev) <- cn;
+      next.(!c) <- hx.hc_free;
+      hx.hc_free <- !c;
+      hx.hc_live <- hx.hc_live - 1
+    end;
+    c := cn
+  done;
+  if !first <> head then
+    if !first < 0 then Imap.remove hx.hx_keys k
+    else Imap.replace hx.hx_keys k !first;
+  head >= 0 && !first < 0
+
+(* Index node [n] under key [k]: a read group new to the index joins
+   its field's group chain. *)
+let index_access (hx : heap_index) (k : int) (n : node) : unit =
+  if chain_push hx k n && hkey_tag k = tag_read then
+    ignore (chain_push hx (group_key k) (hkey_owner k))
+
+(* Unlink the dead nodes under key [k]: a read group left empty leaves
+   its field's group chain. *)
+let purge_key (g : t) (k : int) : unit =
+  if chain_filter g.hx k (fun n -> not g.dead.(n)) && hkey_tag k = tag_read
+  then begin
+    let o = hkey_owner k in
+    ignore (chain_filter g.hx (group_key k) (fun o' -> o' <> o))
+  end
+
+(* The field symbol an instance access at arena row [ix] keys on. *)
+let access_sym (ar : Arena.t) (ix : int) (op : Arena.op) : int =
   match op with
-  | Arena.Op_store | Arena.Op_load -> Arena.instr_sym ar ix
-  | Arena.Op_array_store | Arena.Op_array_load -> Andersen.elem_field
-  | _ -> length_field
+  | Arena.Op_store | Arena.Op_load -> Arena.instr_sym ar ix + 2
+  | Arena.Op_array_store | Arena.Op_array_load -> sym_elem
+  | _ -> sym_length
+
+(* The [tag] key of the static access at arena row [ix]. *)
+let static_key (ar : Arena.t) (ix : int) (tag : int) : int =
+  hkey tag (Arena.instr_sym2 ar ix + 2) ((Arena.instr_sym ar ix lsl 1) lor 1)
 
 (* The index keys of node [n], the access at arena row [ix] in context
-   [mc]: [write] per (object, field) key of a field, element or length
-   write, [read] once with the (representative, field) key of such a
-   read, and [static_write]/[static_read] with a static's key.  Pass 1
+   [mc], each handed to [f] with [n]: a field, element or length write
+   under every object its base may point to, such a read once under its
+   base's representative, and a static under its own group.  Pass 1
    indexes [n] under these keys and a patch purges under them. *)
 let access_keys (g : t) (mc : int) (ix : int) (n : node)
-    ~(write : int * string -> node -> unit)
-    ~(read : int * string -> node -> unit)
-    ~(static_write : string * string -> node -> unit)
-    ~(static_read : string * string -> node -> unit) : unit =
+    (f : int -> node -> unit) : unit =
   let ar = g.ar in
   match Arena.instr_op ar ix with
   | (Arena.Op_store | Arena.Op_array_store | Arena.Op_new_array) as op ->
-    let f = access_field ar ix op in
+    let s = access_sym ar ix op in
     Andersen.pts_iter_var g.pta ~mctx:mc (Arena.instr_base ar ix) (fun o ->
-        write (o, f) n)
+        f (hkey tag_write s (o lsl 1)) n)
   | (Arena.Op_load | Arena.Op_array_load | Arena.Op_array_length) as op ->
     let r = Andersen.pts_rep_of_var g.pta ~mctx:mc (Arena.instr_base ar ix) in
-    if r >= 0 then read (r, access_field ar ix op) n
-  | Arena.Op_static_store ->
-    static_write (Arena.instr_sym ar ix, Arena.instr_sym2 ar ix) n
-  | Arena.Op_static_load ->
-    static_read (Arena.instr_sym ar ix, Arena.instr_sym2 ar ix) n
+    if r >= 0 then f (hkey tag_read (access_sym ar ix op) (r lsl 1)) n
+  | Arena.Op_static_store -> f (static_key ar ix tag_write) n
+  | Arena.Op_static_load -> f (static_key ar ix tag_read) n
   | Arena.Op_call | Arena.Op_new | Arena.Op_other -> ()
 
-(* Every (read, write) pair of one read group [(rep, f)] with the writes
-   of each object [rep] may point to. *)
-let group_pairs (g : t) (hx : heap_index) ((rep, f) : int * string)
-    (reads : node list) (consider : node -> node -> unit) : unit =
-  Andersen.pts_iter_rep g.pta rep (fun o ->
-      match Hashtbl.find hx.field_writes (o, f) with
-      | ws -> List.iter (fun rn -> List.iter (fun wn -> consider rn wn) !ws) reads
-      | exception Not_found -> ())
+(* Every (read, write) pair of read group [k]'s reads at or past node
+   [floor] with the writes of each object its owner may point to (a
+   static's one object is its owner). *)
+let group_pairs (g : t) ~(floor : node) (k : int)
+    (consider : node -> node -> unit) : unit =
+  let hx = g.hx and s = hkey_sym k and owner = hkey_owner k in
+  let r0 = Imap.find hx.hx_keys k in
+  let meet o =
+    cross hx ~r0 ~rfloor:floor ~w0:(Imap.find hx.hx_keys (hkey tag_write s o))
+      ~wfloor:0 consider
+  in
+  if owner land 1 = 1 then meet owner
+  else Andersen.pts_iter_rep g.pta (owner lsr 1) (fun o -> meet (o lsl 1))
+
+(* Every (read, write) pair of write key [k]'s writes at or past node
+   [floor] with each read group of its field whose owner may point to
+   its object. *)
+let write_pairs (g : t) ~(floor : node) (k : int)
+    (consider : node -> node -> unit) : unit =
+  let hx = g.hx and s = hkey_sym k and o = hkey_owner k in
+  let w0 = Imap.find hx.hx_keys k in
+  let c = ref (Imap.find hx.hx_keys (hkey tag_group s 0)) in
+  while !c >= 0 do
+    let owner = hx.hc_val.ev.(!c) in
+    if
+      if owner land 1 = 1 || o land 1 = 1 then owner = o
+      else Andersen.pts_mem_rep g.pta (owner lsr 1) (o lsr 1)
+    then
+      cross hx ~r0:(Imap.find hx.hx_keys (hkey tag_read s owner)) ~rfloor:0 ~w0
+        ~wfloor:floor consider;
+    c := hx.hc_next.ev.(!c)
+  done
 
 (* Pass 3's candidate (read, write) pairs.  The same pair reappears once
    per (object, field) key the two share across contexts, so a set of
@@ -713,7 +817,7 @@ let consider_pair (hp : heap_pairs) (rn : node) (wn : node) : unit =
   end
 
 (* Emit the pairs ascending by write node then read node, so row order
-   does not depend on hash-table iteration order.  The pairs are
+   does not depend on the index's iteration order.  The pairs are
    distinct, so the emitted counter counts distinct heap edges
    exactly. *)
 let emit_pairs (hp : heap_pairs)
@@ -726,35 +830,16 @@ let emit_pairs (hp : heap_pairs)
     emit ~from:(Imap.pack_lo k) ~on:(Imap.pack_hi k) Producer_heap
   done
 
-(* Words of a table made by [Hashtbl.create hx_init] that never loses a
-   binding: its record, its bucket array (doubled whenever the bindings
-   outnumber twice its length) and, per binding, a bucket cell, a
-   [key_words]-word key block and the [ref] of its list.  Key strings
-   are the arena's interned symbols and are not counted. *)
-let table_words ~(key_words : int) tbl : int =
-  let n = Hashtbl.length tbl in
-  let b = ref 16 in
-  while !b < hx_init do
-    b := 2 * !b
-  done;
-  while n > 2 * !b do
-    b := 2 * !b
-  done;
-  5 + 1 + !b + (n * (4 + key_words + 2))
-
-(* Arithmetic bytes of the retained heap index, from binding and cell
-   counts the index keeps, so it costs O(1) after a patch and is the
-   same in every process. *)
+(* Arithmetic bytes of the retained heap index: its record, the key
+   map's record and table, and the two cell columns' records and arrays,
+   each block with its header.  O(1), and the same in every process. *)
 let heap_index_bytes (g : t) : int =
   let hx = g.hx in
   8
-  * (7
-    + table_words ~key_words:3 hx.field_writes
-    + table_words ~key_words:3 hx.field_reads
-    + table_words ~key_words:0 hx.read_groups
-    + table_words ~key_words:3 hx.static_writes
-    + table_words ~key_words:3 hx.static_reads
-    + (3 * hx.cells))
+  * (6 + 3 + (1 + Imap.words hx.hx_keys)
+    + (2 * (3 + 1 + Array.length hx.hc_val.ev)))
+
+let heap_index_cells (g : t) : int = g.hx.hc_live
 
 let heap_index_repr (g : t) : Obj.t = Obj.repr g.hx
 
@@ -826,21 +911,17 @@ let def_node (g : t) (vs : vars) (mc : int) (v : Instr.var) : node =
   else if vs.v_param.(v) >= 0 then intern_formal g mc vs.v_param.(v)
   else -1
 
-(* Pass 1 body: intraprocedural edges + heap access indexing into [hx]
-   (the graph's own index during a build, a fresh one during a patch so
-   the new accesses are known for targeted re-wiring), over arena method
-   [am].  The SSA def map and param index are int scratch arrays, use
-   lists are walked as packed CSR spans without allocating, and
-   heap-access dispatch reads a tag column. *)
-let intra_pass_arena (g : t) (hx : heap_index) (vs : vars)
+(* Pass 1 body: intraprocedural edges, and each heap access handed to
+   [index] with its keys ([access_keys]), over arena method [am].  The
+   SSA def map and param index are int scratch arrays, use lists are
+   walked as packed CSR spans without allocating, and heap-access
+   dispatch reads a tag column. *)
+let intra_pass_arena (g : t) (vs : vars) ~(index : int -> node -> unit)
     ~(emit : from:node -> on:node -> edge_kind -> unit) (mc : int) (am : int) :
     unit =
   let pta = g.pta and ar = g.ar in
   let nvars = vars_load g vs am in
   let lo, hi = Arena.instr_span ar am in
-  let write = index_push hx hx.field_writes and read = index_read hx in
-  let static_write = index_push hx hx.static_writes in
-  let static_read = index_push hx hx.static_reads in
   let use_edge (from : node) (v : Instr.var) (kind : edge_kind) : unit =
     if v >= 0 && v < nvars then begin
       let on = def_node g vs mc v in
@@ -867,7 +948,7 @@ let intra_pass_arena (g : t) (hx : heap_index) (vs : vars)
             | _ -> Index
           in
           use_edge n v kind));
-    access_keys g mc ix n ~write ~read ~static_write ~static_read
+    access_keys g mc ix n index
   done;
   let tlo, thi = Arena.term_span ar am in
   for tx = tlo to thi - 1 do
@@ -938,7 +1019,6 @@ let control_pass (g : t) ~(emit : from:node -> on:node -> edge_kind -> unit)
   done
 
 let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
-  let hx = heap_index hx_init in
   (* Every method context with a body, with its arena method. *)
   let mcs =
     List.filter_map
@@ -962,7 +1042,7 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
       num_nodes = 0;
       index = Imap.create ~capacity:cap ();
       csr = no_csr;  (* the passes only intern and emit; see below *)
-      hx;
+      hx = heap_index ();
       ar = arena;
       kinds = [||];
       scalar_stmts = 0;
@@ -981,7 +1061,8 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
   (* Pass 1: intraprocedural edges + heap access indexing, over the
      arena's rows. *)
   Slice_obs.span "sdg.intra" (fun () ->
-      List.iter (fun (mc, am) -> intra_pass_arena g hx vs ~emit mc am) mcs);
+      let index = index_access g.hx in
+      List.iter (fun (mc, am) -> intra_pass_arena g vs ~index ~emit mc am) mcs);
   (* Pass 2: formal -> actual edges (parameter passing). *)
   Slice_obs.span "sdg.params" (fun () ->
       List.iter (fun (mc, am) -> params_pass g vs ~emit mc am) mcs);
@@ -991,16 +1072,10 @@ let build ~(arena : Arena.t) (p : Program.t) (pta : Andersen.result) : t =
   Slice_obs.span "sdg.heap" (fun () ->
       let hp = heap_pairs () in
       let consider = consider_pair hp in
-      Hashtbl.iter
-        (fun key reads -> group_pairs g hx key !reads consider)
-        hx.field_reads;
-      Hashtbl.iter
-        (fun key reads ->
-          match Hashtbl.find_opt hx.static_writes key with
-          | None -> ()
-          | Some ws ->
-            List.iter (fun rn -> List.iter (fun wn -> consider rn wn) !ws) !reads)
-        hx.static_reads;
+      Imap.iter
+        (fun k _ ->
+          if hkey_tag k = tag_read then group_pairs g ~floor:0 k consider)
+        g.hx.hx_keys;
       emit_pairs hp ~emit);
   (* Pass 4: control dependence edges. *)
   Slice_obs.span "sdg.control" (fun () ->
@@ -1385,52 +1460,19 @@ let patch (g : t) ~(changed : Instr.method_qname list)
         for tx = lo to hi - 1 do
           retire_stmt (Arena.term_stmt g.ar tx)
         done);
-    (* Purge the retired accesses from the retained heap index, under
-       the keys pass 1 indexed them by ([access_keys]), so counting the
-       same walk here gives each key's number of dead entries; a key's
-       list is rebuilt only up to its last dead entry (a patch's own
-       entries sit at the front) and shares the rest. *)
-    let alive n = not g.dead.(n) in
-    let rec drop_dead keep n l =
-      if n = 0 then l
-      else
-        match l with
-        | [] -> []
-        | x :: rest ->
-          if keep x then x :: drop_dead keep n rest
-          else drop_dead keep (n - 1) rest
-    in
-    let purges = ref [] in
-    let purger tbl =
-      let dead_entries = Hashtbl.create 16 in
-      purges :=
-        (fun () ->
-          Hashtbl.iter
-            (fun key n ->
-              match Hashtbl.find_opt tbl key with
-              | Some r ->
-                r := drop_dead alive !n !r;
-                g.hx.cells <- g.hx.cells - !n
-              | None -> ())
-            dead_entries)
-        :: !purges;
-      fun key _ ->
-        match Hashtbl.find dead_entries key with
-        | n -> incr n
-        | exception Not_found -> Hashtbl.replace dead_entries key (ref 1)
-    in
-    let write = purger g.hx.field_writes and read = purger g.hx.field_reads in
-    let static_write = purger g.hx.static_writes in
-    let static_read = purger g.hx.static_reads in
+    (* Purge the retired accesses from the retained heap index: the
+       dead cells under each key pass 1 indexed them by ([access_keys])
+       go to the free list. *)
+    let keys = ibuf 64 and seen = Iset.create () in
+    let note k _ = if Iset.add seen k then ipush keys k in
     old_bodies (fun mcs am ->
         let lo, hi = Arena.instr_span g.ar am in
         for ix = lo to hi - 1 do
-          List.iter
-            (fun mc ->
-              access_keys g mc ix (-1) ~write ~read ~static_write ~static_read)
-            mcs
+          List.iter (fun mc -> access_keys g mc ix (-1) note) mcs
         done);
-    List.iter (fun purge -> purge ()) !purges;
+    for i = 0 to keys.len - 1 do
+      purge_key g keys.ev.(i)
+    done;
     (* Disconnect: every edge at a dead node leaves the census; the live
        rows across such an edge are rewritten at commit, and each live
        source that lost a [Return_value] or [Control] dependence is
@@ -1463,8 +1505,13 @@ let patch (g : t) ~(changed : Instr.method_qname list)
   (* The session's emissions, committed as rows below. *)
   let log = ibuf 1024 in
   let emit ~from ~on kind = log_edge log ~from ~on kind in
-  let hx_new = heap_index 16 in
   let vs = vars () in
+  (* The keys the new bodies' accesses are indexed under. *)
+  let keys = ibuf 64 and seen = Iset.create () in
+  let index k n =
+    index_access g.hx k n;
+    if Iset.add seen k then ipush keys k
+  in
   (* The changed method contexts with their arena methods, read once the
      new bodies are re-lowered (a re-lower may renumber methods). *)
   let changed_mcs =
@@ -1477,60 +1524,28 @@ let patch (g : t) ~(changed : Instr.method_qname list)
               (mc, Option.get (Arena.method_id g.ar mq)) :: acc)
             cm []
         in
-        (* Pass 1 over the new bodies, heap accesses indexed apart. *)
+        (* Pass 1 over the new bodies, heap accesses indexed into the
+           retained index. *)
         List.iter
-          (fun (mc, am) -> intra_pass_arena g hx_new vs ~emit mc am)
+          (fun (mc, am) -> intra_pass_arena g vs ~index ~emit mc am)
           changed_mcs;
         (* Pass 2: the changed methods as callers. *)
         List.iter (fun (mc, am) -> params_pass g vs ~emit mc am) changed_mcs;
         changed_mcs)
   in
   Slice_obs.span "sdg.patch.heap" (fun () ->
-  (* Pass 3: merge the new accesses into the retained index, then wire
-     new reads x all writes and all reads x new writes (the new x new
-     corner lands in both sweeps; the sorted emission dedups it). *)
-  let merge src add = Hashtbl.iter (fun k r -> List.iter (add k) !r) src in
-  merge hx_new.field_writes (index_push g.hx g.hx.field_writes);
-  merge hx_new.field_reads (index_read g.hx);
-  merge hx_new.static_writes (index_push g.hx g.hx.static_writes);
-  merge hx_new.static_reads (index_push g.hx g.hx.static_reads);
+  (* Pass 3: new reads x all writes and all reads x new writes (the new
+     x new corner lands in both sweeps; the sorted emission dedups it).
+     Only pass 1 over the new bodies interned nodes that access the heap,
+     and it ran after the purge, so a key's new entries are the front of
+     its chain, down to the first node below [old_num]. *)
   let hp = heap_pairs () in
   let consider = consider_pair hp in
-  (* New reads meet the writes of their groups' objects; new writes of
-     (o, f) meet every read group of [f] whose representative may point
-     to [o]. *)
-  Hashtbl.iter
-    (fun key reads -> group_pairs g g.hx key !reads consider)
-    hx_new.field_reads;
-  Hashtbl.iter
-    (fun (o, f) writes ->
-      match Hashtbl.find_opt g.hx.read_groups f with
-      | None -> ()
-      | Some reps ->
-        List.iter
-          (fun rep ->
-            if Andersen.pts_mem_rep g.pta rep o then
-              List.iter
-                (fun rn -> List.iter (fun wn -> consider rn wn) !writes)
-                !(Hashtbl.find g.hx.field_reads (rep, f)))
-          !reps)
-    hx_new.field_writes;
-  let sweep_nodes news alls ~read_side =
-    Hashtbl.iter
-      (fun key nlist ->
-        match Hashtbl.find_opt alls key with
-        | None -> ()
-        | Some olist ->
-          List.iter
-            (fun nn ->
-              List.iter
-                (fun on -> if read_side then consider nn on else consider on nn)
-                !olist)
-            !nlist)
-      news
-  in
-  sweep_nodes hx_new.static_reads g.hx.static_writes ~read_side:true;
-  sweep_nodes hx_new.static_writes g.hx.static_reads ~read_side:false;
+  for i = 0 to keys.len - 1 do
+    let k = keys.ev.(i) in
+    if hkey_tag k = tag_read then group_pairs g ~floor:old_num k consider
+    else write_pairs g ~floor:old_num k consider
+  done;
   emit_pairs hp ~emit);
   Slice_obs.span "sdg.patch.control" (fun () ->
   (* Pass 4: control dependence inside the new bodies.  A changed

@@ -162,12 +162,17 @@ val nodes_at_line : t -> file:string option -> line:int -> node list
 val num_scalar_statements : t -> int
 
 (** Bytes of the retained heap access index (the store/load index a
-    {!patch} wires new accesses against), computed from the binding and
-    list-cell counts the index keeps: O(1), and the same in every
+    {!patch} wires new accesses against), computed from its key table's
+    size and its cell columns' lengths: O(1), and the same in every
     process for the same program and edits.  Reads are indexed once
     each, under their base's points-to representative, so the index
     grows with the accesses, not with their points-to sets. *)
 val heap_index_bytes : t -> int
+
+(** Cells on the heap index's chains.  A patch frees the retired
+    accesses' cells and reuses them first, so an edit and its revert
+    leave this and {!heap_index_bytes} as they were. *)
+val heap_index_cells : t -> int
 
 (** The heap index itself, for tests that hold {!heap_index_bytes} to
     [Obj.reachable_words]. *)

@@ -308,8 +308,7 @@ type provenance = {
      records are node ids into THAT graph at THAT generation, so after
      an incremental update ([Sdg.patch] bumps the generation) every
      provenance query must answer "no record" rather than replay a path
-     through retired nodes.  Cleared by [shrink_provenance] (drops the
-     graph reference along with the arrays). *)
+     through retired nodes. *)
   mutable pv_graph : (Sdg.t * int) option;
 }
 
@@ -336,24 +335,6 @@ let ensure_prov_capacity (p : provenance) (n : int) : unit =
     p.pv_budget <- Array.make n 0;
     p.pv_dist <- Array.make n 0;
     p.pv_stamp <- Array.make n 0
-  end
-
-let provenance_capacity (p : provenance) : int = p.pv_cap
-
-(* Shrinking also drops the last walk's records (they lived in the large
-   arrays), so [pv_mode] is cleared: [prov_member] must answer [false]
-   rather than read stale stamps that happen to equal [pv_gen]. *)
-let shrink_provenance (p : provenance) ~(keep : int) : unit =
-  let n = max 1 keep in
-  if p.pv_cap > n then begin
-    p.pv_cap <- n;
-    p.pv_parent <- Array.make n (-1);
-    p.pv_kind <- Array.make n (-1);
-    p.pv_budget <- Array.make n 0;
-    p.pv_dist <- Array.make n 0;
-    p.pv_stamp <- Array.make n 0;
-    p.pv_mode <- None;
-    p.pv_graph <- None
   end
 
 (* Reachability keeping, per node, the best (largest) remaining budget at

@@ -76,16 +76,6 @@ type provenance
 (** A provenance sized for [g] (grow-only; any graph may use it later). *)
 val create_provenance : Sdg.t -> provenance
 
-(** Number of nodes the provenance side tables currently cover. *)
-val provenance_capacity : provenance -> int
-
-(** Release the memory above [keep] nodes (no-op when already at or
-    below).  Shrinking drops the last recorded walk's records — after it
-    {!witness} and {!distance} answer [None] until the next recorded
-    walk — the same trade {!shrink_shared_scratch} makes for walk
-    buffers. *)
-val shrink_provenance : provenance -> keep:int -> unit
-
 (** Mode of the last recorded walk, [None] if none has run yet. *)
 val provenance_mode : provenance -> mode option
 

@@ -369,8 +369,8 @@ let instr_stmt (t : t) ix = Col.get t.i_stmt ix
 let instr_def (t : t) ix = Col.get t.i_def ix
 let instr_op (t : t) ix = op_of_tag (Col.get t.i_op ix)
 let instr_base (t : t) ix = Col.get t.i_base ix
-let instr_sym (t : t) ix = t.syms.(Col.get t.i_sym ix)
-let instr_sym2 (t : t) ix = t.syms.(Col.get t.i_sym2 ix)
+let instr_sym (t : t) ix = Col.get t.i_sym ix
+let instr_sym2 (t : t) ix = Col.get t.i_sym2 ix
 
 let uses_iter (t : t) ix (f : int -> int -> unit) : unit =
   let var = t.u_var.Col.a and cls = t.u_cls.Col.a in
@@ -441,6 +441,7 @@ let check_views (p : Program.t) (t : t) : (unit, string) result =
     Printf.ksprintf (fun s -> if not b && !result = Ok () then result := Error s) fmt
   in
   let mcount = ref 0 and live_rows = ref 0 in
+  let sym k = t.syms.(instr_sym t k) and sym2 k = t.syms.(instr_sym2 t k) in
   Program.iter_methods p (fun m ->
       if Instr.has_body m && !result = Ok () then begin
         let mq = m.Instr.m_qname in
@@ -487,12 +488,12 @@ let check_views (p : Program.t) (t : t) : (unit, string) result =
                 | Instr.Store (x, f, _) ->
                   check
                     (instr_op t k = Op_store && instr_base t k = x
-                     && instr_sym t k = f)
+                     && sym k = f)
                     "stmt %d: store desc" i.Instr.i_id
                 | Instr.Load (_, y, f) ->
                   check
                     (instr_op t k = Op_load && instr_base t k = y
-                     && instr_sym t k = f)
+                     && sym k = f)
                     "stmt %d: load desc" i.Instr.i_id
                 | Instr.Array_store (a, _, _) ->
                   check (instr_op t k = Op_array_store && instr_base t k = a)
@@ -508,13 +509,13 @@ let check_views (p : Program.t) (t : t) : (unit, string) result =
                     "stmt %d: arraylen desc" i.Instr.i_id
                 | Instr.Static_store (c, f, _) ->
                   check
-                    (instr_op t k = Op_static_store && instr_sym t k = c
-                     && instr_sym2 t k = f)
+                    (instr_op t k = Op_static_store && sym k = c
+                     && sym2 k = f)
                     "stmt %d: sstore desc" i.Instr.i_id
                 | Instr.Static_load (_, c, f) ->
                   check
-                    (instr_op t k = Op_static_load && instr_sym t k = c
-                     && instr_sym2 t k = f)
+                    (instr_op t k = Op_static_load && sym k = c
+                     && sym2 k = f)
                     "stmt %d: sload desc" i.Instr.i_id
                 | Instr.Call { args; kind; _ } ->
                   let got = ref [] in

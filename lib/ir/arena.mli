@@ -36,7 +36,8 @@ type t
     mirroring the cases the SDG passes switch on.
     Operand accessors: [base] is the pointer variable whose points-to
     set keys the access; [sym]/[sym2] are interned string ids (field
-    name, or class + field for statics). *)
+    name, or class + field for statics): two rows name the same field
+    exactly when their ids are equal. *)
 type op =
   | Op_other
   | Op_store         (** x.f = y:    base = x, sym = f *)
@@ -91,8 +92,8 @@ val instr_def : t -> int -> Instr.var  (** -1 when the instr defines nothing *)
 
 val instr_op : t -> int -> op
 val instr_base : t -> int -> Instr.var
-val instr_sym : t -> int -> string
-val instr_sym2 : t -> int -> string
+val instr_sym : t -> int -> int
+val instr_sym2 : t -> int -> int
 
 (** Classified uses of instruction [ix], in {!Instr.classified_uses}
     order, without allocating: [f var use_class_tag] with the tag 0 =

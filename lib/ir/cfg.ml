@@ -31,7 +31,6 @@ let build (m : Instr.meth) : t =
 let num_blocks (g : t) = Array.length g.succ
 let successors (g : t) (l : Instr.label) = g.succ.(l)
 let predecessors (g : t) (l : Instr.label) = g.pred.(l)
-let block (g : t) (l : Instr.label) = (Instr.blocks_exn g.meth).(l)
 
 (* Depth-first reverse postorder from the entry; unreachable blocks are
    excluded (dominance and SSA only consider reachable code). *)
@@ -48,12 +47,3 @@ let reverse_postorder (g : t) : Instr.label list =
   in
   go g.entry;
   !order
-
-let reachable (g : t) : bool array =
-  let n = num_blocks g in
-  let r = Array.make n false in
-  List.iter (fun l -> r.(l) <- true) (reverse_postorder g);
-  r
-
-(* Postorder traversal (used by iterative dataflow). *)
-let postorder (g : t) : Instr.label list = List.rev (reverse_postorder g)

@@ -20,11 +20,7 @@ val build : Instr.meth -> t
 val num_blocks : t -> int
 val successors : t -> Instr.label -> Instr.label list
 val predecessors : t -> Instr.label -> Instr.label list
-val block : t -> Instr.label -> Instr.block
 
 (** Depth-first reverse postorder from the entry; blocks unreachable from
     the entry are excluded. *)
 val reverse_postorder : t -> Instr.label list
-
-val reachable : t -> bool array
-val postorder : t -> Instr.label list

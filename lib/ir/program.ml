@@ -110,12 +110,6 @@ let rec is_subtype (p : t) ~(sub : ty) ~(sup : ty) : bool =
 let cast_compatible (p : t) ~(from : ty) ~(target : ty) : bool =
   is_subtype p ~sub:from ~sup:target || is_subtype p ~sub:target ~sup:from
 
-let subclasses (p : t) (c : class_name) : class_name list =
-  let out = ref [] in
-  iter_classes p (fun ci ->
-      if is_subclass p ~sub:ci.c_name ~sup:c then out := ci.c_name :: !out);
-  List.rev !out
-
 (* Field lookup walks up the hierarchy (fields are not overridable). *)
 let rec lookup_field (p : t) (c : class_name) (f : field_name) : ty option =
   match find_class p c with

@@ -62,8 +62,6 @@ val is_subtype : t -> sub:ty -> sup:ty -> bool
     Up- or downcast compatibility. *)
 val cast_compatible : t -> from:ty -> target:ty -> bool
 
-val subclasses : t -> class_name -> class_name list
-
 (** Field lookup walks up the hierarchy (no shadowing in TJ). *)
 val lookup_field : t -> class_name -> field_name -> ty option
 

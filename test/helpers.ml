@@ -286,6 +286,40 @@ let first_index ~(what : string) (src : string) (sub : string) : int =
 let splice (src : string) (j : int) (n : int) (by : string) : string =
   String.sub src 0 j ^ by ^ String.sub src (j + n) (String.length src - j - n)
 
+(* Static fields written in one method and read in others: two classes
+   with a static [count], and an instance field [count] that must pair
+   with neither.  Generated programs have no statics. *)
+let statics_src =
+  {|class Reg {
+  static int count = 7;
+  static String tag;
+}
+class Other {
+  static int count;
+}
+class Box {
+  int count;
+  Box(int c) { this.count = c; }
+}
+void record(int v) {
+  Reg.count = v + 1;
+  Reg.tag = "t" + v;
+  Other.count = v;
+}
+int readCount() {
+  int c = Reg.count;
+  return c * 2;
+}
+String readTag() { return Reg.tag + Other.count; }
+void main(String[] args) {
+  Box b = new Box(3);
+  record(4);
+  int r = readCount();
+  int k = b.count;
+  print("" + r + k + readTag());
+}
+|}
+
 let scaled_src ~(stmts : int) : string =
   (Slice_fuzz.Gen_tj.generate_scaled ~seed:1 ~stmts).Slice_fuzz.Gen_tj.sc_src
 
@@ -335,6 +369,23 @@ let adjacency_digest (g : Slice_core.Sdg.t) : string =
     row 'U' Sdg.uses_iter i
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* MD5 of a graph's live edges as a sorted multiset, each node named by
+   its rendering and source line instead of its id.  A patched graph
+   keeps its retired ids and numbers its new nodes after them, so only
+   a digest that does not read ids can equal a fresh load's. *)
+let live_adjacency_digest (g : Slice_core.Sdg.t) : string =
+  let open Slice_core in
+  let name n =
+    Format.asprintf "%a@%d" (Sdg.pp_node g) n (Sdg.node_loc g n).Slice_ir.Loc.line
+  in
+  let edges = ref [] in
+  for n = 0 to Sdg.num_nodes g - 1 do
+    if not (Sdg.is_dead g n) then
+      Sdg.deps_iter g n (fun m t ->
+          edges := Printf.sprintf "%s -%d-> %s" (name n) t (name m) :: !edges)
+  done;
+  Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare !edges)))
 
 (* MD5 of a mod-ref result: the number of method contexts, then every
    context's mod and ref sets in [LocSet] order.  Equal digests mean the

@@ -687,7 +687,7 @@ let test_inspect_after_update () =
         (name "order_depths") rb.Inspect.order_depths ra.Inspect.order_depths)
     all_modes
 
-(* ----- scratch / provenance shrink roundtrip after updates ----- *)
+(* ----- scratch shrink roundtrip after updates ----- *)
 
 let test_shrink_roundtrip_after_update () =
   let h = Engine.load [ (file, base_src) ] in
@@ -703,12 +703,7 @@ let test_shrink_roundtrip_after_update () =
   (* Mirror the daemon's eviction shrink: drop to a tiny high-water
      mark, then verify walks regrow and answer identically. *)
   Slicer.shrink_shared_scratch ~keep:1;
-  Slicer.shrink_provenance prov ~keep:1;
   Alcotest.(check int) "scratch shrunk" 1 (Slicer.shared_scratch_capacity ());
-  Alcotest.(check int) "prov shrunk" 1 (Slicer.provenance_capacity prov);
-  Alcotest.(check bool)
-    "shrink drops recorded walk" true
-    (Slicer.witness prov (List.hd before) = None);
   let again = Slicer.slice ~prov g ~seeds Slicer.Thin in
   Alcotest.(check (list int)) "walk after shrink" before again;
   Alcotest.(check bool)
@@ -830,6 +825,76 @@ let test_patch_entry_callers () =
   Alcotest.(check bool) "fewer than the program's call sites" true
     (visited < !sites)
 
+(* Statics through a patch: the writer's body, then a reader's, is
+   edited.  After each edit the slices, the live adjacency and the
+   patched state equal a fresh load's, the static [Reg.count] still
+   reaches its reader, and no static [count] pairs with the instance
+   field [count]. *)
+let test_statics_patched () =
+  let f = "statics.tj" in
+  let step ~ctx h src =
+    let h', rep = Engine.update h [ (f, src) ] in
+    Alcotest.check path_testable (ctx ^ ": path") Engine.Patched rep.Engine.up_path;
+    let a = h'.Engine.h_analysis in
+    let b = (Engine.load [ (f, src) ]).Engine.h_analysis in
+    let at = line_of src in
+    List.iter
+      (fun mode ->
+        List.iter
+          (fun line ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: %s @%d" ctx (Slicer.mode_to_string mode) line)
+              (Engine.slice_from_line b ~line mode)
+              (Engine.slice_from_line a ~line mode))
+          [ at "int c = Reg.count"; at "int k = b.count"; at "return Reg.tag";
+            at "print(" ])
+      [ Slicer.Thin; Slicer.Traditional_data; Slicer.Traditional_full ];
+    Alcotest.(check string) (ctx ^ ": live adjacency")
+      (Helpers.live_adjacency_digest b.Engine.sdg)
+      (Helpers.live_adjacency_digest a.Engine.sdg);
+    Helpers.check_patched_state ~ctx a.Engine.sdg;
+    let thin l = Engine.slice_from_line a ~line:(at l) Slicer.Thin in
+    Alcotest.(check bool) (ctx ^ ": static write reaches its read") true
+      (List.mem (at "Reg.count = v") (thin "int c = Reg.count"));
+    Alcotest.(check bool) (ctx ^ ": no instance write at the static read")
+      false
+      (List.mem (at "this.count = c") (thin "int c = Reg.count"));
+    Alcotest.(check bool) (ctx ^ ": no static write at the instance read")
+      false
+      (List.exists
+         (fun l -> List.mem (at l) (thin "int k = b.count"))
+         [ "static int count = 7"; "Reg.count = v"; "Other.count = v" ]);
+    h'
+  in
+  let src = Helpers.statics_src in
+  let h0 = Engine.load [ (f, src) ] in
+  let v1 = replace src "v + 1" "v + 2" in
+  let h1 = step ~ctx:"writer edit" h0 v1 in
+  ignore (step ~ctx:"reader edit" h1 (replace v1 "c * 2" "c * 3"))
+
+(* The heap index grows with the program, not with the edits: 100
+   tweak/revert pairs leave its live cells and its bytes where the load
+   put them, since a patch frees the retired accesses' cells and reuses
+   free cells first. *)
+let test_heap_index_edit_chain () =
+  let src, edited = Helpers.scaled_tweak ~stmts:5_000 in
+  let f = "scaled.tj" in
+  let h = ref (Engine.load [ (f, src) ]) in
+  let g = !h.Engine.h_analysis.Engine.sdg in
+  let cells = Sdg.heap_index_cells g and bytes = Sdg.heap_index_bytes g in
+  for _ = 1 to 100 do
+    List.iter
+      (fun s ->
+        let h', rep = Engine.update !h [ (f, s) ] in
+        Alcotest.check path_testable "path" Engine.Patched rep.Engine.up_path;
+        h := h')
+      [ edited; src ]
+  done;
+  let g' = !h.Engine.h_analysis.Engine.sdg in
+  Alcotest.(check bool) "one graph, patched in place" true (g == g');
+  Alcotest.(check int) "live cells" cells (Sdg.heap_index_cells g');
+  Alcotest.(check int) "heap_index_bytes" bytes (Sdg.heap_index_bytes g')
+
 (* The same one-method constant tweak costs about the same on a 20k- and
    a 60k-statement program: it retires as many nodes at both sizes, and
    the words [sdg.patch] allocates (minor + major) grow by at most half
@@ -888,6 +953,9 @@ let suite =
       test_patched_state_exact;
     Alcotest.test_case "patch words proportional to the edit" `Quick
       test_patch_proportional;
+    Alcotest.test_case "statics through a patch" `Quick test_statics_patched;
+    Alcotest.test_case "heap index bounded over an edit chain" `Quick
+      test_heap_index_edit_chain;
     Alcotest.test_case "patch visits only the entry callers" `Quick
       test_patch_entry_callers;
     Alcotest.test_case "update patched entry" `Quick test_update_patched_entry;

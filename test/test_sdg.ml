@@ -242,7 +242,17 @@ let test_build_counts_csr_telemetry () =
 (* Regression for the heap-counter skew: [sdg.heap_pairs_emitted] must
    equal the number of distinct Producer_heap edges in the graph (the
    bump and the [add_edge] call share one pass over the deduplicated
-   pair buffers), and [considered >= emitted] always. *)
+   pair buffers).  Both counters are pinned per workload, the candidate
+   pairs of the heap join included: the figures were recorded from the
+   string-keyed index that preceded the packed-key one, so they pin that
+   the rewrite kept the join.  The seed-1 30k program reads 154,820 and
+   24,757 there. *)
+let heap_counters =
+  [ ("fig1", (10, 10)); ("fig2", (1, 1)); ("nanoxml", (242, 202));
+    ("jtopas", (63, 61)); ("ant", (157, 137)); ("xmlsec", (11, 11));
+    ("mtrt", (50, 46)); ("jess", (136, 82)); ("javac", (135, 101));
+    ("jack", (200, 176)); ("pipeline-32", (39391, 2623)); ("statics", (5, 5)) ]
+
 let test_heap_counters_exact () =
   List.iter
     (fun (name, src) ->
@@ -263,11 +273,13 @@ let test_heap_counters_exact () =
       Alcotest.(check int)
         (name ^ ": emitted == distinct Producer_heap edges")
         !heap_edges emitted;
-      Alcotest.(check bool)
-        (name ^ ": considered >= emitted")
-        true (considered >= emitted))
-    [ ("fig1", Paper_figures.fig1); ("fig2", Paper_figures.fig2);
-      ("nanoxml", Prog_nanoxml.base); ("javac", Prog_javac.base) ]
+      Alcotest.(check (pair int int))
+        (name ^ ": pairs considered, emitted")
+        (List.assoc name heap_counters)
+        (considered, emitted))
+    ([ ("fig1", Paper_figures.fig1); ("fig2", Paper_figures.fig2) ]
+    @ Suites.paper_workloads
+    @ [ ("statics", statics_src) ])
 
 (* Node identity round trip ([Sdg.check_index]): every live node's
    decoded descriptor leads back to it through the packed-key index, and

@@ -600,34 +600,6 @@ let test_scratch_shrink_roundtrip () =
   Alcotest.(check int) "keep clamps to at least one node" 1
     (Slicer.shared_scratch_capacity ())
 
-let test_provenance_shrink_invalidates () =
-  let small = analysis Paper_figures.fig1 and big = analysis Prog_nanoxml.base in
-  let g_big = big.Engine.sdg in
-  let n_small = Sdg.num_nodes small.Engine.sdg in
-  let seeds =
-    Engine.seeds_at_line_exn big
-      (line_of ~src:Prog_nanoxml.base
-         ~pattern:"print((String) this.lines.get(i));")
-  in
-  let prov = Slicer.create_provenance small.Engine.sdg in
-  let r1 = Slicer.slice ~prov g_big ~seeds Slicer.Thin in
-  let member = List.hd (List.rev r1) in
-  Alcotest.(check bool) "witness before shrink" true
-    (Slicer.witness prov member <> None);
-  Slicer.shrink_provenance prov ~keep:n_small;
-  Alcotest.(check int) "side tables shrunk" n_small
-    (Slicer.provenance_capacity prov);
-  (* stale records must not survive the shrink: no mode, no witnesses *)
-  Alcotest.(check bool) "recorded mode cleared" true
-    (Slicer.provenance_mode prov = None);
-  Alcotest.(check bool) "witness gone after shrink" true
-    (Slicer.witness prov member = None);
-  (* a fresh recorded walk through the shrunk handle works again *)
-  let r2 = Slicer.slice ~prov g_big ~seeds Slicer.Thin in
-  Alcotest.(check (list int)) "re-walk equal" r1 r2;
-  Alcotest.(check bool) "witness restored by the re-walk" true
-    (Slicer.witness prov member <> None)
-
 let suite =
   [ Alcotest.test_case "mode ordering" `Quick test_mode_ordering;
     Alcotest.test_case "fig1 exact thin slice" `Quick test_fig1_exact_thin;
@@ -648,8 +620,6 @@ let suite =
     Alcotest.test_case "shared scratch reuse" `Quick test_shared_scratch_reuse;
     Alcotest.test_case "scratch shrink roundtrip" `Quick
       test_scratch_shrink_roundtrip;
-    Alcotest.test_case "provenance shrink invalidates records" `Quick
-      test_provenance_shrink_invalidates;
     Alcotest.test_case "line projection on the workloads" `Quick
       test_projection_on_workloads;
     Alcotest.test_case "line projection on a patched graph" `Quick
